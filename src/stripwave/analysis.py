@@ -46,15 +46,24 @@ class SymbolQuery:
             raise ValueError("epsilon must be >= 0")
 
 
+def symbol_denominator(params: ModelParams, epsilon: float, c0: float, c1: float,
+                       xi) -> np.ndarray:
+    """F(xi) as defined in the module docstring, elementwise over the real xi.
+
+    Where sinh(beta L) overflows, |F| is inf (and Im F may be nan): no zero there.
+    """
+    xi = np.asarray(xi, dtype=float)
+    beta = np.sqrt(xi * xi + 1.0)
+    speed = c0 + c1 * epsilon
+    with np.errstate(over="ignore", invalid="ignore"):
+        wentzell_part = (params.D * xi * xi + speed * 1j * xi) / params.mu
+        return (params.d * beta * np.sinh(beta * params.L) * (1.0 + epsilon * wentzell_part)
+                + wentzell_part * np.cosh(beta * params.L))
+
+
 def wentzell_symbol_denominator(q: SymbolQuery) -> complex:
-    """F(xi) as defined in the module docstring."""
-    d, D, mu, L = q.params.d, q.params.D, q.params.mu, q.params.L
-    xi = q.xi
-    beta = math.sqrt(xi * xi + 1.0)
-    speed = q.c0 + q.c1 * q.epsilon
-    wentzell_part = (D * xi * xi + speed * 1j * xi) / mu
-    return (d * beta * math.sinh(beta * L) * (1.0 + q.epsilon * wentzell_part)
-            + wentzell_part * math.cosh(beta * L))
+    """F(xi) at one query point."""
+    return complex(symbol_denominator(q.params, q.epsilon, q.c0, q.c1, q.xi))
 
 
 def scan_symbol_zero_free(params: ModelParams, epsilon: float, c0: float, c1: float,
@@ -69,25 +78,15 @@ def scan_symbol_zero_free(params: ModelParams, epsilon: float, c0: float, c1: fl
     if xi_max <= 0:
         raise ValueError("xi_max must be positive")
     xi = np.linspace(-xi_max, xi_max, n)
-    beta = np.sqrt(xi * xi + 1.0)
-    speed = c0 + c1 * epsilon
-    with np.errstate(over="ignore"):
-        wentzell_part = (params.D * xi * xi + speed * 1j * xi) / params.mu
-        F = (params.d * beta * np.sinh(beta * params.L) * (1.0 + epsilon * wentzell_part)
-             + wentzell_part * np.cosh(beta * params.L))
-        return float(np.abs(F).min())
+    return float(np.abs(symbol_denominator(params, epsilon, c0, c1, xi)).min())
 
 
 def symbol_scan_table(params: ModelParams, epsilon: float, c0: float, c1: float,
                       xi_max: float, n: int) -> np.ndarray:
     """Columns (xi, Re F, Im F, |F|) for the CSV emitter."""
     xi = np.linspace(-xi_max, xi_max, n)
-    rows = np.empty((n, 4))
-    for k, x in enumerate(xi):
-        F = wentzell_symbol_denominator(SymbolQuery(xi=float(x), epsilon=epsilon,
-                                                    c0=c0, c1=c1, params=params))
-        rows[k] = (x, F.real, F.imag, abs(F))
-    return rows
+    F = symbol_denominator(params, epsilon, c0, c1, xi)
+    return np.column_stack([xi, F.real, F.imag, np.abs(F)])
 
 
 def bessel_k0(x: float) -> float:

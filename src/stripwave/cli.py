@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,8 +34,7 @@ import numpy as np
 from .continuation import (ContinuationOptions, ContinuationRecord, StepControl,
                            continue_exchange, continue_wentzell, embed_one_dim_wave,
                            handoff_to_system, make_record)
-from .errors import (ConfigError, ConfigHashMismatch, SchemaMismatch, SolverError,
-                     StripWaveError)
+from .errors import ConfigError, ConfigHashMismatch, SchemaMismatch, StripWaveError
 from .grid import Grid, build_grid
 from .model import ModelParams, NonlinearityKind, NonlinearitySpec
 from .residual import HomotopyFamily, WaveState, assemble_residual
@@ -45,6 +45,7 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER, EXIT_IO = 0, 2, 3, 4
+STAGES = ("A", "B", "C")
 
 PATH_COLUMNS = ("stage", "family_param", "c", "residual_norm", "speed_identity_gap",
                 "cmax_margin", "min_psi", "max_psi", "min_dx_psi", "gamma_fit",
@@ -158,7 +159,7 @@ def config_from_dict(data: dict) -> RunConfig:
     )
     co = data["continuation"]
     target_stage = _field(co, "continuation", "target_stage", str,
-                          lambda v: v in ("A", "B", "C"), "must be one of A, B, C")
+                          lambda v: v in STAGES, "must be one of A, B, C")
     cont = ContinuationOptions(
         epsilon0=_field(co, "continuation", "epsilon0", float,
                         lambda v: 0 < v <= 0.1, "must lie in (0, 0.1]"),
@@ -262,19 +263,27 @@ def checkpoint_state(data: dict) -> tuple[WaveState, Grid, StepControl | None]:
 # --- CSV sinks ----------------------------------------------------------------
 
 class PathWriter:
-    """Streams path.csv rows and checkpoints as records are accepted."""
+    """Streams path.csv rows and checkpoints as records are accepted.
+
+    Each march re-emits its start state as its first record.  That state is
+    already on the path (written last, or the checkpoint a resume starts
+    from, which the resume stores as `last_state`), so its record is dropped.
+    """
 
     def __init__(self, outdir: Path, cfg: RunConfig, cfg_hash: str) -> None:
         self.outdir = outdir
         self.cfg = cfg
         self.cfg_hash = cfg_hash
         self.count = 0
-        self.control: StepControl | None = None
+        self.last_state: WaveState | None = None
         self.fh = open(outdir / "path.csv", "w")
         self.fh.write(",".join(PATH_COLUMNS) + "\n")
         self.fh.flush()
 
-    def write(self, record: ContinuationRecord) -> None:
+    def write(self, record: ContinuationRecord, control: StepControl) -> None:
+        if record.state is self.last_state:
+            return
+        self.last_state = record.state
         diag = record.diagnostics
         row = [record.stage, fmt_float(record.parameter), fmt_float(record.c),
                fmt_float(record.residual_norm), fmt_float(diag.speed_identity_gap),
@@ -287,44 +296,30 @@ class PathWriter:
         self.count += 1
         every = self.cfg.checkpoint_every
         if every > 0 and self.count % every == 0:
-            self.checkpoint(record)
+            self.checkpoint(record, control)
 
-    def checkpoint(self, record: ContinuationRecord) -> Path:
+    def checkpoint(self, record: ContinuationRecord, control: StepControl | None) -> None:
         path = self.outdir / f"ckpt_{self.count:04d}_{record.stage}.json"
-        write_checkpoint(path, checkpoint_dict(record, self.cfg.grid, self.cfg_hash, self.control))
+        write_checkpoint(path, checkpoint_dict(record, self.cfg.grid, self.cfg_hash, control))
         record.checkpoint_ref = str(path)
-        return path
 
     def close(self) -> None:
         self.fh.close()
 
 
-def _skip_first(sink):
-    seen = {"first": True}
-
-    def wrapped(record: ContinuationRecord) -> None:
-        if seen["first"]:
-            seen["first"] = False
-            return
-        sink(record)
-
-    return wrapped
+def _write_csv(path, header: str, columns: list, fmt: str = "%.17g") -> None:
+    """Columns of floats as CSV, each value formatted like `fmt_float`."""
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",", header=header,
+               comments="")
 
 
 def write_profile_files(outdir: Path, record: ContinuationRecord, grid: Grid) -> None:
     tag = f"{record.stage}_{record.parameter:.6g}"
-    state = record.state
-    with open(outdir / f"profile_{tag}.csv", "w") as fh:
-        fh.write("x,y,psi\n")
-        for j in range(grid.ny):
-            yj = grid.y[j]
-            for i in range(grid.nx):
-                fh.write(f"{fmt_float(grid.x[i])},{fmt_float(yj)},{fmt_float(state.psi[j, i])}\n")
+    state, x = record.state, grid.x
+    _write_csv(outdir / f"profile_{tag}.csv", "x,y,psi",
+              [np.tile(x, grid.ny), np.repeat(grid.y, grid.nx), state.psi.ravel()])
     if state.phi is not None:
-        with open(outdir / f"profile_{tag}_line.csv", "w") as fh:
-            fh.write("x,phi\n")
-            for i in range(grid.nx):
-                fh.write(f"{fmt_float(grid.x[i])},{fmt_float(state.phi[i])}\n")
+        _write_csv(outdir / f"profile_{tag}_line.csv", "x,phi", [x, state.phi])
 
 
 # --- drivers ------------------------------------------------------------------
@@ -345,55 +340,57 @@ def _stage_summary(record: ContinuationRecord) -> dict:
     }
 
 
+def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, stage: str,
+                state: WaveState, residual_norm: float, control: StepControl | None,
+                t0: float) -> dict[str, ContinuationRecord]:
+    """Stages `stage` .. `cfg.target_stage` from the start state of `stage`.
+
+    A and C march their parameter to 1 from `state` (with its residual and
+    step control); B hands the Wentzell state over to the exchange system at
+    eps0.  Each stage ends with a checkpoint of its last record, unless the
+    writer already made one, and with its entry in `summary`; its timing runs
+    from the previous stage's end, or from `t0`.  Returns the end records by
+    stage.
+    """
+    grid, params, spec, opts = cfg.grid, cfg.params, cfg.nonlinearity, cfg.continuation
+    ends = {}
+    for name in STAGES[STAGES.index(stage):STAGES.index(cfg.target_stage) + 1]:
+        if name == "B":
+            predictor = handoff_to_system(state, opts.epsilon0, params, grid)
+            corrected = newton_solve(predictor, params, spec, grid, cfg.newton)
+            control = StepControl(step=opts.initial_step)
+            end = make_record("B", corrected.state, corrected.residual_norm, params, spec, grid)
+            writer.write(end, control)
+        else:
+            # the march advances `control` in place; only its end record is kept,
+            # so the other records do not stay resident through later stages
+            march = continue_wentzell if name == "A" else continue_exchange
+            end = march(state, params, spec, grid, cfg.newton, 1.0, opts, sink=writer.write,
+                        control=control, stage=name, start_residual=residual_norm).records[-1]
+        if end.checkpoint_ref is None:
+            writer.checkpoint(end, control)
+        state, residual_norm = end.state, end.residual_norm
+        summary["stages"][name] = _stage_summary(end)
+        now = time.perf_counter()
+        summary["timings_s"][name] = now - t0
+        t0 = now
+        ends[name] = end
+    return ends
+
+
 def execute_run(cfg: RunConfig, outdir: Path) -> dict:
-    cfg_hash = config_hash(cfg.raw)
     grid, params, spec = cfg.grid, cfg.params, cfg.nonlinearity
-    writer = PathWriter(outdir, cfg, cfg_hash)
-    summary: dict = {"config_hash": cfg_hash, "stages": {}, "timings_s": {}}
-    try:
+    summary: dict = {"config_hash": config_hash(cfg.raw), "stages": {}, "timings_s": {}}
+    with closing(PathWriter(outdir, cfg, summary["config_hash"])) as writer:
         t0 = time.perf_counter()
         wave1d = solve_1d_ignition_shooting(params.d, spec, cfg.shooting_tol)
+        summary["c_one_dim"] = wave1d.c
         init = embed_one_dim_wave(wave1d, grid, spec)
         corrected = newton_solve(init, params, spec, grid, cfg.newton)
-
-        writer.control = StepControl(step=cfg.continuation.initial_step)
-        path_a = continue_wentzell(corrected.state, params, spec, grid, cfg.newton,
-                                   target_s=1.0, opts=cfg.continuation, sink=writer.write,
-                                   control=writer.control,
-                                   start_residual=corrected.residual_norm)
-        writer.checkpoint(path_a.records[-1])
-        summary["stages"]["A"] = _stage_summary(path_a.records[-1])
-        summary["timings_s"]["A"] = time.perf_counter() - t0
-        summary["c_one_dim"] = wave1d.c
-
-        if cfg.target_stage != "A":
-            t0 = time.perf_counter()
-            predictor = handoff_to_system(path_a.final_state, cfg.continuation.epsilon0,
-                                          params, grid)
-            corrected_b = newton_solve(predictor, params, spec, grid, cfg.newton)
-            writer.control = StepControl(step=cfg.continuation.initial_step)
-            record_b = make_record("B", corrected_b.state, corrected_b.residual_norm,
-                                   params, spec, grid)
-            writer.write(record_b)
-            writer.checkpoint(record_b)
-            summary["stages"]["B"] = _stage_summary(record_b)
-            summary["timings_s"]["B"] = time.perf_counter() - t0
-
-            if cfg.target_stage != "B":
-                t0 = time.perf_counter()
-                path_c = continue_exchange(corrected_b.state, params, spec, grid, cfg.newton,
-                                           target_eps=1.0, opts=cfg.continuation,
-                                           sink=_skip_first(writer.write),
-                                           control=writer.control, stage="C",
-                                           start_residual=corrected_b.residual_norm)
-                writer.checkpoint(path_c.records[-1])
-                summary["stages"]["C"] = _stage_summary(path_c.records[-1])
-                summary["timings_s"]["C"] = time.perf_counter() - t0
-                write_profile_files(outdir, path_c.records[-1], grid)
-            write_profile_files(outdir, record_b, grid)
-        write_profile_files(outdir, path_a.records[-1], grid)
-    finally:
-        writer.close()
+        ends = _run_stages(cfg, writer, summary, "A", corrected.state, corrected.residual_norm,
+                           StepControl(step=cfg.continuation.initial_step), t0)
+    for end in ends.values():
+        write_profile_files(outdir, end, grid)
     (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     return summary
 
@@ -404,61 +401,20 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
         raise ConfigHashMismatch("checkpoint was produced by a different configuration "
                                  "(rerun with --force to override)")
     state, ck_grid, control = checkpoint_state(ckpt)
-    grid, params, spec = cfg.grid, cfg.params, cfg.nonlinearity
-    if (ck_grid.nx, ck_grid.ny) != (grid.nx, grid.ny) or \
-            (ck_grid.x_left, ck_grid.x_right, ck_grid.L) != (grid.x_left, grid.x_right, grid.L):
+    if ck_grid != cfg.grid:
         raise ConfigHashMismatch("checkpoint grid does not match the configuration grid")
-
-    start_residual = float(np.abs(assemble_residual(state, params, spec, grid)).max())
-    writer = PathWriter(outdir, cfg, cfg_hash)
+    residual_norm = float(np.abs(assemble_residual(state, cfg.params, cfg.nonlinearity,
+                                                   cfg.grid)).max())
     summary: dict = {"config_hash": cfg_hash, "stages": {}, "timings_s": {},
                      "resumed_from": {"stage": ckpt["stage"], "parameter": ckpt["parameter"]}}
-    try:
-        stage = ckpt["stage"]
-        if stage == "A":
-            t0 = time.perf_counter()
-            writer.control = control if control is not None else StepControl(
-                step=cfg.continuation.initial_step)
-            path_a = continue_wentzell(state, params, spec, grid, cfg.newton, target_s=1.0,
-                                       opts=cfg.continuation, sink=_skip_first(writer.write),
-                                       control=writer.control, start_residual=start_residual)
-            writer.checkpoint(path_a.records[-1])
-            summary["stages"]["A"] = _stage_summary(path_a.records[-1])
-            summary["timings_s"]["A"] = time.perf_counter() - t0
-            state = path_a.final_state
-            control = None
-
-        if cfg.target_stage != "A":
-            if stage == "A":
-                t0 = time.perf_counter()
-                predictor = handoff_to_system(state, cfg.continuation.epsilon0, params, grid)
-                corrected_b = newton_solve(predictor, params, spec, grid, cfg.newton)
-                writer.control = StepControl(step=cfg.continuation.initial_step)
-                record_b = make_record("B", corrected_b.state, corrected_b.residual_norm,
-                                       params, spec, grid)
-                writer.write(record_b)
-                writer.checkpoint(record_b)
-                summary["stages"]["B"] = _stage_summary(record_b)
-                summary["timings_s"]["B"] = time.perf_counter() - t0
-                state = corrected_b.state
-                start_residual = corrected_b.residual_norm
-                control = writer.control
-
-            if cfg.target_stage == "C":
-                t0 = time.perf_counter()
-                writer.control = control if control is not None else StepControl(
-                    step=cfg.continuation.initial_step)
-                path_c = continue_exchange(state, params, spec, grid, cfg.newton,
-                                           target_eps=1.0, opts=cfg.continuation,
-                                           sink=_skip_first(writer.write),
-                                           control=writer.control, stage="C",
-                                           start_residual=start_residual)
-                writer.checkpoint(path_c.records[-1])
-                summary["stages"]["C"] = _stage_summary(path_c.records[-1])
-                summary["timings_s"]["C"] = time.perf_counter() - t0
-                write_profile_files(outdir, path_c.records[-1], grid)
-    finally:
-        writer.close()
+    # a B checkpoint holds the corrected handoff, which is where stage C starts
+    stage = "C" if ckpt["stage"] == "B" else ckpt["stage"]
+    with closing(PathWriter(outdir, cfg, cfg_hash)) as writer:
+        writer.last_state = state
+        ends = _run_stages(cfg, writer, summary, stage, state, residual_norm, control,
+                           time.perf_counter())
+    if "C" in ends:
+        write_profile_files(outdir, ends["C"], cfg.grid)
     (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     return summary
 
@@ -468,15 +424,21 @@ def emit_profile(checkpoint_path, out_path) -> None:
     data = read_checkpoint(checkpoint_path)
     state, grid, _ = checkpoint_state(data)
     mid = (grid.ny - 1) // 2
-    with open(out_path, "w") as fh:
-        fh.write("x,psi_top,psi_mid,psi_bottom,phi\n")
-        for i in range(grid.nx):
-            phi_txt = "" if state.phi is None else fmt_float(state.phi[i])
-            fh.write(f"{fmt_float(grid.x[i])},{fmt_float(state.psi[-1, i])},"
-                     f"{fmt_float(state.psi[mid, i])},{fmt_float(state.psi[0, i])},{phi_txt}\n")
+    columns = [grid.x, state.psi[-1], state.psi[mid], state.psi[0]]
+    if state.phi is None:  # a Wentzell state: the phi column stays empty
+        _write_csv(out_path, "x,psi_top,psi_mid,psi_bottom,phi", columns, "%.17g," * 4)
+    else:
+        _write_csv(out_path, "x,psi_top,psi_mid,psi_bottom,phi", columns + [state.phi])
 
 
-def _write_error(outdir: Path | None, exc: Exception, exit_code: int) -> None:
+def _report(outdir: Path | None, exc: Exception) -> int:
+    """Print `exc`, record it in `outdir`/error.json if given; return its exit code."""
+    if isinstance(exc, (ConfigError, ConfigHashMismatch, SchemaMismatch)):
+        exit_code = EXIT_VALIDATION
+    elif isinstance(exc, StripWaveError):
+        exit_code = EXIT_SOLVER
+    else:  # OSError, or a malformed file
+        exit_code = EXIT_IO
     record = {"error": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
     if outdir is not None:
         try:
@@ -485,6 +447,7 @@ def _write_error(outdir: Path | None, exc: Exception, exit_code: int) -> None:
         except OSError:
             pass
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return exit_code
 
 
 # --- subcommand entry points --------------------------------------------------
@@ -493,20 +456,15 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        _write_error(None, exc, EXIT_VALIDATION)
-        return EXIT_VALIDATION
+        return _report(None, exc)
     outdir = resolve_output_dir(cfg)
     if args.sweep:
         return _run_sweep(cfg, outdir, args.sweep)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         summary = execute_run(cfg, outdir)
-    except StripWaveError as exc:
-        _write_error(outdir, exc, EXIT_SOLVER)
-        return EXIT_SOLVER
-    except OSError as exc:
-        _write_error(None, exc, EXIT_IO)
-        return EXIT_IO
+    except (StripWaveError, OSError) as exc:
+        return _report(outdir, exc)
     final_stage = max(summary["stages"])
     print(f"done: stage {final_stage} c = {fmt_float(summary['stages'][final_stage]['c'])} "
           f"(artifacts in {outdir})")
@@ -519,27 +477,19 @@ def _sweep_worker(payload: tuple[dict, str]) -> int:
         cfg = config_from_dict(data)
         Path(outdir).mkdir(parents=True, exist_ok=True)
         execute_run(cfg, Path(outdir))
-        return EXIT_OK
-    except ConfigError as exc:
-        _write_error(Path(outdir), exc, EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    except StripWaveError as exc:
-        _write_error(Path(outdir), exc, EXIT_SOLVER)
-        return EXIT_SOLVER
-    except OSError:
-        return EXIT_IO
+    except (StripWaveError, OSError) as exc:
+        return _report(Path(outdir), exc)
+    return EXIT_OK
 
 
 def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
+    name, _, values_txt = sweep.partition("=")
     try:
-        name, _, values_txt = sweep.partition("=")
-        if name != "D" or not values_txt:
-            raise ConfigError("--sweep: only 'D=v1,v2,...' sweeps are supported")
         values = [float(v) for v in values_txt.split(",")]
     except ValueError:
-        _write_error(None, ConfigError(f"--sweep: cannot parse values in {sweep!r}"),
-                     EXIT_VALIDATION)
-        return EXIT_VALIDATION
+        values = []
+    if name != "D" or not values:
+        return _report(None, ConfigError(f"--sweep: expected 'D=v1,v2,...', got {sweep!r}"))
     jobs = []
     for v in values:
         data = json.loads(canonical_json(cfg.raw))
@@ -559,25 +509,14 @@ def cmd_resume(args) -> int:
     try:
         cfg = load_config(args.config)
         ckpt = read_checkpoint(args.checkpoint)
-    except (ConfigError, SchemaMismatch) as exc:
-        _write_error(None, exc, EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        _write_error(None, exc, EXIT_IO)
-        return EXIT_IO
+    except (ConfigError, SchemaMismatch, OSError) as exc:
+        return _report(None, exc)
     outdir = resolve_output_dir(cfg)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        summary = execute_resume(cfg, outdir, ckpt, args.force)
-    except ConfigHashMismatch as exc:
-        _write_error(outdir, exc, EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    except StripWaveError as exc:
-        _write_error(outdir, exc, EXIT_SOLVER)
-        return EXIT_SOLVER
-    except OSError as exc:
-        _write_error(None, exc, EXIT_IO)
-        return EXIT_IO
+        execute_resume(cfg, outdir, ckpt, args.force)
+    except (StripWaveError, OSError) as exc:
+        return _report(outdir, exc)
     print(f"resumed from {args.checkpoint} (artifacts in {outdir})")
     return EXIT_OK
 
@@ -585,12 +524,8 @@ def cmd_resume(args) -> int:
 def cmd_profile(args) -> int:
     try:
         emit_profile(args.checkpoint, args.out)
-    except SchemaMismatch as exc:
-        _write_error(None, exc, EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    except (OSError, KeyError, ValueError) as exc:
-        _write_error(None, exc, EXIT_IO)
-        return EXIT_IO
+    except (SchemaMismatch, OSError, KeyError, ValueError) as exc:
+        return _report(None, exc)
     return EXIT_OK
 
 
@@ -598,20 +533,15 @@ def cmd_symbol_scan(args) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        _write_error(None, exc, EXIT_VALIDATION)
-        return EXIT_VALIDATION
+        return _report(None, exc)
     table = analysis.symbol_scan_table(cfg.params, args.epsilon, args.c0, args.c1,
                                        args.xi_max, args.n)
     out = Path(args.out) if args.out else resolve_output_dir(cfg) / "symbol_scan.csv"
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write("xi,re_F,im_F,abs_F\n")
-            for row in table:
-                fh.write(",".join(fmt_float(v) for v in row) + "\n")
+        _write_csv(out, "xi,re_F,im_F,abs_F", [table])
     except OSError as exc:
-        _write_error(None, exc, EXIT_IO)
-        return EXIT_IO
+        return _report(None, exc)
     print(f"min |F| = {fmt_float(float(table[:, 3].min()))} over {args.n} frequencies "
           f"in [-{args.xi_max:g}, {args.xi_max:g}] -> {out}")
     return EXIT_OK
@@ -620,26 +550,17 @@ def cmd_symbol_scan(args) -> int:
 def cmd_oned(args) -> int:
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        _write_error(None, exc, EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    try:
         wave = solve_1d_ignition_shooting(cfg.params.d, cfg.nonlinearity, cfg.shooting_tol)
     except StripWaveError as exc:
-        _write_error(None, exc, EXIT_SOLVER)
-        return EXIT_SOLVER
+        return _report(None, exc)
     print(f"c = {fmt_float(wave.c)}")
     if args.out:
         x_tail = np.linspace(-8.0 * cfg.params.d / wave.c, 0.0, 200, endpoint=False)
         xs = np.concatenate([x_tail, wave.x])
         try:
-            with open(args.out, "w") as fh:
-                fh.write("x,psi\n")
-                for xv, pv in zip(xs, wave.evaluate(xs)):
-                    fh.write(f"{fmt_float(float(xv))},{fmt_float(float(pv))}\n")
+            _write_csv(args.out, "x,psi", [xs, wave.evaluate(xs)])
         except OSError as exc:
-            _write_error(None, exc, EXIT_IO)
-            return EXIT_IO
+            return _report(None, exc)
     return EXIT_OK
 
 

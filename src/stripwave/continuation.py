@@ -40,7 +40,8 @@ from .solver import NewtonOptions, OneDimWave, newton_solve
 
 logger = logging.getLogger(__name__)
 
-RecordSink = Callable[["ContinuationRecord"], None]
+# called with each accepted record and the step control the march holds after it
+RecordSink = Callable[["ContinuationRecord", "StepControl"], None]
 
 
 @dataclass(frozen=True)
@@ -156,19 +157,19 @@ def _march(start: WaveState, params: ModelParams, spec: NonlinearitySpec, grid: 
     if target < param - 1e-14:
         raise ParameterNotMonotone(f"target {target} is below current parameter {param}")
 
+    if control is None:
+        control = StepControl(step=opts.initial_step)
     path = ContinuationPath()
 
     def accept(rec: ContinuationRecord) -> None:
         path.records.append(rec)
         if sink is not None:
-            sink(rec)
+            sink(rec, control)
 
     accept(make_record(stage, start, start_residual, params, spec, grid))
     if target <= param + 1e-14:
         return path
 
-    if control is None:
-        control = StepControl(step=opts.initial_step)
     state = start
     u = state_to_vector(state, grid)
     if control.prev_state is not None:

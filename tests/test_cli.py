@@ -1,12 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stripwave.cli import (EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, config_from_dict,
-                           config_hash, default_config_dict, load_config, main,
-                           read_checkpoint, write_checkpoint)
+import stripwave
+from stripwave import cli
+from stripwave.cli import (EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, checkpoint_dict,
+                           config_from_dict, config_hash, default_config_dict, emit_profile,
+                           fmt_float, load_config, main, read_checkpoint, write_checkpoint,
+                           write_profile_files)
+from stripwave.continuation import ContinuationRecord
 from stripwave.errors import ConfigError
+from stripwave.grid import Grid
+from stripwave.residual import HomotopyFamily, WaveState
 
 
 def fast_config(outdir, **overrides):
@@ -91,6 +101,33 @@ def test_checkpoint_schema_mismatch(tmp_path):
     assert main(["profile", str(p), str(tmp_path / "o.csv")]) == EXIT_VALIDATION
 
 
+def test_profile_writers_match_fmt_float(tmp_path):
+    grid = Grid(x_left=-2.0, x_right=1.0, L=1.0, nx=4, ny=3)
+    psi = np.array([[0.1, np.nan, -0.0, 1.0 / 3.0],
+                    [2e-300, 0.5, 1.0, -1e-17],
+                    [np.nan, 0.0, 0.7, 1.0]])
+    phi = np.array([-0.0, np.nan, 0.25, 1.0 - 1e-16])
+    state = WaveState(c=0.3, psi=psi, phi=phi, family=HomotopyFamily.exchange(0.05))
+    record = ContinuationRecord(stage="B", family=state.family, c=state.c, residual_norm=0.0,
+                                diagnostics=None, state=state)
+    write_profile_files(tmp_path, record, grid)
+    x, y = list(grid.x), list(grid.y)
+    want = "x,y,psi\n" + "".join(f"{fmt_float(x[i])},{fmt_float(y[j])},{fmt_float(psi[j, i])}\n"
+                                 for j in range(grid.ny) for i in range(grid.nx))
+    assert (tmp_path / "profile_B_0.05.csv").read_text() == want
+    want = "x,phi\n" + "".join(f"{fmt_float(x[i])},{fmt_float(phi[i])}\n"
+                               for i in range(grid.nx))
+    assert (tmp_path / "profile_B_0.05_line.csv").read_text() == want
+
+    ckpt = tmp_path / "ckpt.json"
+    write_checkpoint(ckpt, checkpoint_dict(record, grid, "hash", None))
+    emit_profile(ckpt, tmp_path / "slices.csv")
+    want = "x,psi_top,psi_mid,psi_bottom,phi\n" + "".join(
+        f"{fmt_float(x[i])},{fmt_float(psi[-1, i])},{fmt_float(psi[1, i])},"
+        f"{fmt_float(psi[0, i])},{fmt_float(phi[i])}\n" for i in range(grid.nx))
+    assert (tmp_path / "slices.csv").read_text() == want
+
+
 def test_truncated_checkpoint_is_io_error(tmp_path):
     p = tmp_path / "trunc.json"
     p.write_text('{"schema_version": 1, "stage": "A", "psi": [0.1, 0.2')
@@ -166,6 +203,23 @@ def test_wave_out_env_override(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_each_checkpoint_written_once(tmp_path, monkeypatch):
+    written = []
+    real_write = cli.write_checkpoint
+    monkeypatch.setattr(cli, "write_checkpoint",
+                        lambda path, data: (written.append(path.name), real_write(path, data)))
+    out = tmp_path / "out"
+    cfg = fast_config(out, checkpoint_every=1)
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    assert len(written) == len(set(written))
+    _, rows = read_rows(out / "path.csv")
+    assert {r["stage"] for r in rows} == {"A", "B", "C"}
+    # one checkpoint per path.csv record, named by its row and stage
+    assert sorted(p.name for p in out.glob("ckpt_*")) == sorted(written) == [
+        f"ckpt_{k:04d}_{r['stage']}.json" for k, r in enumerate(rows, start=1)]
+
+
 def test_determinism_byte_identical_paths(tmp_path):
     cfg1 = fast_config(tmp_path / "o1")
     cfg1["continuation"]["target_stage"] = "A"
@@ -181,10 +235,11 @@ def test_determinism_byte_identical_paths(tmp_path):
 
 # --- resume ---------------------------------------------------------------------
 
-def test_resume_matches_uninterrupted(completed_run, tmp_path):
+@pytest.mark.parametrize("name", ["ckpt_0003_A", "ckpt_0007_B", "ckpt_0009_C"])
+def test_resume_matches_uninterrupted(completed_run, tmp_path, name):
     tmp, out, cfg, cfg_path = completed_run
-    header, full_rows = read_rows(out / "path.csv")
-    ckpt = out / "ckpt_0003_A.json"
+    full = (out / "path.csv").read_bytes().splitlines(keepends=True)
+    ckpt = out / f"{name}.json"
     assert ckpt.exists()
     resumed_out = tmp_path / "resumed"
     cfg_resume = dict(cfg, output_dir=str(resumed_out))
@@ -193,13 +248,9 @@ def test_resume_matches_uninterrupted(completed_run, tmp_path):
     # identical physics but different output_dir: hash differs, so --force
     assert main(["resume", str(ckpt), str(cfg_resume_path)]) == EXIT_VALIDATION
     assert main(["resume", str(ckpt), str(cfg_resume_path), "--force"]) == EXIT_OK
-    _, resumed_rows = read_rows(resumed_out / "path.csv")
-    tail = full_rows[3:]  # rows beyond the third record (the checkpoint)
-    assert len(resumed_rows) == len(tail)
-    for got, want in zip(resumed_rows, tail):
-        assert got["stage"] == want["stage"]
-        assert got["family_param"] == want["family_param"]
-        assert abs(float(got["c"]) - float(want["c"])) <= 1e-12
+    resumed = (resumed_out / "path.csv").read_bytes().splitlines(keepends=True)
+    # the header, then the rows after the checkpoint's record
+    assert resumed == full[:1] + full[1 + int(name[5:9]):]
 
 
 def test_resume_hash_check(completed_run, tmp_path):
@@ -233,6 +284,10 @@ def test_symbol_scan_subcommand(tmp_path):
     lines = dest.read_text().splitlines()
     assert lines[0] == "xi,re_F,im_F,abs_F"
     assert len(lines) == 102
+    # sinh(beta L) overflows at the ends of the default scan for L = 20
+    cfg["params"]["L"] = 20.0
+    path = write_config(tmp_path, cfg, "long.json")
+    assert main(["symbol-scan", str(path), "--out", str(tmp_path / "long.csv")]) == EXIT_OK
 
 
 def test_config_hash_is_stable():
@@ -256,7 +311,40 @@ def test_sweep_runs_independent_configs(tmp_path):
         assert len(rows) > 2
 
 
-def test_sweep_parse_error(tmp_path):
+@pytest.mark.parametrize("sweep", ["D=abc", "mu=1,2", "D="])
+def test_sweep_parse_error(tmp_path, capsys, sweep):
     cfg = fast_config(tmp_path / "out")
     path = write_config(tmp_path, cfg)
-    assert main(["run", str(path), "--sweep", "D=abc"]) == EXIT_VALIDATION
+    assert main(["run", str(path), "--sweep", sweep]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ConfigError: --sweep")
+
+
+# --- the benchmark's hook points ----------------------------------------------------
+
+TRACED_MAIN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+spans = tracer.Tracer()
+tracer.instrument(spans, sys.argv[2])  # AttributeError if a hooked name is gone
+from stripwave.cli import main
+assert main(sys.argv[3:]) == 0
+print(json.dumps(sorted({span[0] for span in spans.spans})))
+"""
+
+
+def test_benchmark_hook_points(completed_run, tmp_path):
+    _, out, _, cfg_path = completed_run
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(stripwave.__file__).resolve().parents[1])
+    env = dict(os.environ, WAVE_OUT=str(tmp_path / "traced"),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", TRACED_MAIN, str(root / "perfbench"),
+                           str(tmp_path), "resume", str(out / "ckpt_0003_A.json"),
+                           str(cfg_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    names = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {"continuation.continue_wentzell", "continuation.handoff_to_system",
+            "continuation.continue_exchange", "cli.write_checkpoint",
+            "cli.PathWriter.write"} <= names
