@@ -50,15 +50,16 @@ def symbol_denominator(params: ModelParams, epsilon: float, c0: float, c1: float
                        xi) -> np.ndarray:
     """F(xi) as defined in the module docstring, elementwise over the real xi.
 
-    Where sinh(beta L) overflows, |F| is inf (and Im F may be nan): no zero there.
-    """
+    Each part is cosh(beta L) times a finite factor: +-inf or 0, never nan, where cosh overflows."""
     xi = np.asarray(xi, dtype=float)
     beta = np.sqrt(xi * xi + 1.0)
-    speed = c0 + c1 * epsilon
+    w_re, w_im = params.D * xi * xi / params.mu, (c0 + c1 * epsilon) * xi / params.mu
+    t = params.d * beta * np.tanh(beta * params.L)  # d beta sinh(beta L) / cosh(beta L)
     with np.errstate(over="ignore", invalid="ignore"):
-        wentzell_part = (params.D * xi * xi + speed * 1j * xi) / params.mu
-        return (params.d * beta * np.sinh(beta * params.L) * (1.0 + epsilon * wentzell_part)
-                + wentzell_part * np.cosh(beta * params.L))
+        cosh = np.cosh(beta * params.L)
+        F = np.array(cosh * (t * (1.0 + epsilon * w_re) + w_re), dtype=complex)
+        F.imag = np.where(w_im == 0.0, 0.0, cosh * (1.0 + epsilon * t) * w_im)
+    return F  # not re + 1j * im: 1j * inf has a nan real part
 
 
 def wentzell_symbol_denominator(q: SymbolQuery) -> complex:

@@ -284,13 +284,9 @@ class PathWriter:
         if record.state is self.last_state:
             return
         self.last_state = record.state
-        diag = record.diagnostics
-        row = [record.stage, fmt_float(record.parameter), fmt_float(record.c),
-               fmt_float(record.residual_norm), fmt_float(diag.speed_identity_gap),
-               fmt_float(diag.cmax_margin), fmt_float(diag.min_psi), fmt_float(diag.max_psi),
-               fmt_float(diag.min_dx_psi), fmt_float(diag.gamma_fit), fmt_float(diag.gamma_pred),
-               fmt_float(diag.bounds_ok), fmt_float(diag.monotone_ok),
-               fmt_float(diag.sandwich_ok), fmt_float(diag.left_decay_ok)]
+        values = [record.parameter, record.c, record.residual_norm]
+        values += [getattr(record.diagnostics, name) for name in PATH_COLUMNS[4:]]
+        row = [record.stage] + [fmt_float(v) for v in values]
         self.fh.write(",".join(row) + "\n")
         self.fh.flush()
         self.count += 1
@@ -348,9 +344,9 @@ def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, stage: str,
     A and C march their parameter to 1 from `state` (with its residual and
     step control); B hands the Wentzell state over to the exchange system at
     eps0.  Each stage ends with a checkpoint of its last record, unless the
-    writer already made one, and with its entry in `summary`; its timing runs
-    from the previous stage's end, or from `t0`.  Returns the end records by
-    stage.
+    writer made one or dropped it, and with its entry in `summary`; its
+    timing runs from the previous stage's end, or from `t0`.  Returns the
+    end records by stage.
     """
     grid, params, spec, opts = cfg.grid, cfg.params, cfg.nonlinearity, cfg.continuation
     ends = {}
@@ -367,7 +363,8 @@ def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, stage: str,
             march = continue_wentzell if name == "A" else continue_exchange
             end = march(state, params, spec, grid, cfg.newton, 1.0, opts, sink=writer.write,
                         control=control, stage=name, start_residual=residual_norm).records[-1]
-        if end.checkpoint_ref is None:
+        # nothing written yet: the end record is the resume start, dropped by the writer
+        if end.checkpoint_ref is None and writer.count:
             writer.checkpoint(end, control)
         state, residual_norm = end.state, end.residual_norm
         summary["stages"][name] = _stage_summary(end)
@@ -384,11 +381,13 @@ def execute_run(cfg: RunConfig, outdir: Path) -> dict:
     with closing(PathWriter(outdir, cfg, summary["config_hash"])) as writer:
         t0 = time.perf_counter()
         wave1d = solve_1d_ignition_shooting(params.d, spec, cfg.shooting_tol)
+        t_shot = time.perf_counter()
+        summary["timings_s"]["shooting"] = t_shot - t0
         summary["c_one_dim"] = wave1d.c
         init = embed_one_dim_wave(wave1d, grid, spec)
         corrected = newton_solve(init, params, spec, grid, cfg.newton)
         ends = _run_stages(cfg, writer, summary, "A", corrected.state, corrected.residual_norm,
-                           StepControl(step=cfg.continuation.initial_step), t0)
+                           StepControl(step=cfg.continuation.initial_step), t_shot)
     for end in ends.values():
         write_profile_files(outdir, end, grid)
     (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))

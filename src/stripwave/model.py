@@ -88,17 +88,6 @@ def eval_nonlinearity(u, spec: NonlinearitySpec):
     """
     theta = spec.theta
     fp1 = spec.fprime_at_one
-    if isinstance(u, (int, float)):
-        # scalar fast path; the shooting integrator calls this per RK4 stage
-        uf = float(u)
-        if uf < theta:
-            return 0.0, 0.0
-        if uf > 1.0:
-            return fp1 * (uf - 1.0), fp1
-        if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
-            f = (uf - theta) ** 2 * (1.0 - uf) if uf > theta else 0.0
-            return f, 2.0 * (uf - theta) * (1.0 - uf) - (uf - theta) ** 2
-        return (1.0 - uf if uf > theta else 0.0), -1.0
     u_arr = np.asarray(u, dtype=float)
     if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
         mid_f = (u_arr - theta) ** 2 * (1.0 - u_arr)
@@ -112,6 +101,22 @@ def eval_nonlinearity(u, spec: NonlinearitySpec):
     if np.ndim(u) == 0:
         return float(f), float(fp)
     return f, fp
+
+
+def scalar_reaction(spec: NonlinearitySpec):
+    """f(u) for one float u, its branch chosen once; the shooting RK4 calls it per stage."""
+    theta, fp1 = spec.theta, spec.fprime_at_one
+    if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
+        def f(u: float) -> float:
+            if u > 1.0:
+                return fp1 * (u - 1.0)
+            return (u - theta) ** 2 * (1.0 - u) if u > theta else 0.0
+    else:
+        def f(u: float) -> float:
+            if u > 1.0:
+                return fp1 * (u - 1.0)
+            return 1.0 - u if u > theta else 0.0
+    return f
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,8 @@ psi(x) = theta exp(c x / d) (x <= 0), classifying each trial speed as
 overshoot (psi passes 1 with psi' > 0, speed too large) or undershoot
 (psi' vanishes below 1, speed too small) and bisecting.  Trajectories
 that exhaust the integration window are classified as undershoot: only
-at-or-below-critical speeds linger.
+at-or-below-critical speeds linger.  One RK4 stepper serves the
+classification and the profile pass, each with its own stop rule.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import scipy.sparse.linalg as spla
 from .errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
                      NegativeSpeed, StepUnderflow)
 from .grid import Grid
-from .model import ModelParams, NonlinearitySpec, c_max, eval_nonlinearity
+from .model import ModelParams, NonlinearitySpec, c_max, scalar_reaction
+from .model import eval_nonlinearity  # noqa: F401 (not called; kept for perfbench/tracer.py)
 from .residual import WaveState, assemble_jacobian, assemble_residual, state_to_vector, vector_to_state
 
 logger = logging.getLogger(__name__)
@@ -160,27 +162,30 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
     return NewtonResult(state=out, iterations=iterations, residual_norm=norm)
 
 
-def _classify(c: float, d: float, spec: NonlinearitySpec, h: float, x_max: float) -> int:
-    """+1 overshoot, -1 undershoot for one shooting trajectory."""
-    theta = spec.theta
-    psi = theta
-    dpsi = c * theta / d
+def _rk4(c: float, d: float, f, theta: float, h: float, n_steps: int):
+    """Yield (psi, psi') after each RK4 step of d psi'' = c psi' - f(psi) from x = 0."""
+    psi, dpsi = theta, c * theta / d
     # the first stage is evaluated on the active reaction branch; the
     # trajectory leaves u = theta immediately and f is defined one-sidedly
-    f_start, _ = eval_nonlinearity(math.nextafter(theta, 1.0), spec)
-    n_steps = int(x_max / h)
-    for k in range(n_steps):
+    f1 = f(math.nextafter(theta, 1.0))
+    for _ in range(n_steps):
         p, dp = psi, dpsi
-        f1 = f_start if k == 0 else eval_nonlinearity(p, spec)[0]
         a1 = (c * dp - f1) / d
         p2, dp2 = p + 0.5 * h * dp, dp + 0.5 * h * a1
-        a2 = (c * dp2 - eval_nonlinearity(p2, spec)[0]) / d
+        a2 = (c * dp2 - f(p2)) / d
         p3, dp3 = p + 0.5 * h * dp2, dp + 0.5 * h * a2
-        a3 = (c * dp3 - eval_nonlinearity(p3, spec)[0]) / d
+        a3 = (c * dp3 - f(p3)) / d
         p4, dp4 = p + h * dp3, dp + h * a3
-        a4 = (c * dp4 - eval_nonlinearity(p4, spec)[0]) / d
+        a4 = (c * dp4 - f(p4)) / d
         psi = p + h / 6.0 * (dp + 2.0 * dp2 + 2.0 * dp3 + dp4)
         dpsi = dp + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        yield psi, dpsi
+        f1 = f(psi)
+
+
+def _classify(trajectory) -> int:
+    """+1 overshoot, -1 undershoot for one shooting trajectory."""
+    for psi, dpsi in trajectory:
         if psi > 1.0 and dpsi > 0.0:
             return 1
         if dpsi <= 0.0:
@@ -194,48 +199,37 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
     The initial speed bracket is [tol, c_max]; when the reaction term
     violates the premise of the closed-form bound (the discontinuous
     oracle nonlinearity does) the upper end is grown by doubling until it
-    overshoots.  |c - c*| <= tol on return.
+    overshoots.  The lower end is checked to undershoot only if no midpoint
+    did, as bisection never reads it.  |c - c*| <= tol on return.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     c_bound = c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
     h = 1e-3 * d / c_bound
     x_max = max(200.0 * d / c_bound, 100.0)
+    n_steps = int(x_max / h)
+    theta, f = spec.theta, scalar_reaction(spec)
 
-    lo = max(tol, 1e-10)
+    lo = c_floor = max(tol, 1e-10)
     hi = c_bound
-    if _classify(lo, d, spec, h, x_max) != -1:
-        raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
     grow = 0
-    while _classify(hi, d, spec, h, x_max) != 1:
+    while _classify(_rk4(hi, d, f, theta, h, n_steps)) != 1:
         hi *= 2.0
         grow += 1
         if grow > 20:
             raise BracketNotFound("no overshooting speed found while doubling the upper bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _classify(mid, d, spec, h, x_max) == 1:
+        if _classify(_rk4(mid, d, f, theta, h, n_steps)) == 1:
             hi = mid
         else:
             lo = mid
+    if lo == c_floor and _classify(_rk4(lo, d, f, theta, h, n_steps)) != -1:
+        raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
     c_star = 0.5 * (lo + hi)
 
-    xs = [0.0]
-    ps = [spec.theta]
-    psi, dpsi = spec.theta, c_star * spec.theta / d
-    f_start, _ = eval_nonlinearity(math.nextafter(spec.theta, 1.0), spec)
-    for k in range(int(x_max / h)):
-        p, dp = psi, dpsi
-        f1 = f_start if k == 0 else eval_nonlinearity(p, spec)[0]
-        a1 = (c_star * dp - f1) / d
-        p2, dp2 = p + 0.5 * h * dp, dp + 0.5 * h * a1
-        a2 = (c_star * dp2 - eval_nonlinearity(p2, spec)[0]) / d
-        p3, dp3 = p + 0.5 * h * dp2, dp + 0.5 * h * a2
-        a3 = (c_star * dp3 - eval_nonlinearity(p3, spec)[0]) / d
-        p4, dp4 = p + h * dp3, dp + h * a3
-        a4 = (c_star * dp4 - eval_nonlinearity(p4, spec)[0]) / d
-        psi = p + h / 6.0 * (dp + 2.0 * dp2 + 2.0 * dp3 + dp4)
-        dpsi = dp + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    xs, ps = [0.0], [theta]
+    for psi, dpsi in _rk4(c_star, d, f, theta, h, n_steps):
         if psi <= ps[-1]:
             break  # turn-around of the near-critical trajectory; keep the profile increasing
         xs.append(xs[-1] + h)
@@ -243,4 +237,4 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
         if 1.0 - psi < 1e-13 or dpsi <= 0.0:
             break
     return OneDimWave(c=c_star, x=np.array(xs), psi=np.clip(np.array(ps), 0.0, 1.0),
-                      theta=spec.theta, d=d)
+                      theta=theta, d=d)

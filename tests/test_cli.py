@@ -253,6 +253,22 @@ def test_resume_matches_uninterrupted(completed_run, tmp_path, name):
     assert resumed == full[:1] + full[1 + int(name[5:9]):]
 
 
+@pytest.mark.parametrize("stage", ["A", "C"])
+def test_resume_from_stage_end(completed_run, tmp_path, stage):
+    tmp, out, cfg, _ = completed_run
+    _, rows = read_rows(out / "path.csv")
+    end = max(k for k, r in enumerate(rows, start=1) if r["stage"] == stage)
+    resumed_out = tmp_path / "resumed"
+    cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out), checkpoint_every=1))
+    assert main(["resume", str(out / f"ckpt_{end:04d}_{stage}.json"), str(cfg_path),
+                 "--force"]) == EXIT_OK
+    _, resumed = read_rows(resumed_out / "path.csv")
+    assert resumed == rows[end:]
+    # the start record is not on path.csv, so it gets no checkpoint (no ckpt_0000_*)
+    assert sorted(p.name for p in resumed_out.glob("ckpt_*")) == [
+        f"ckpt_{k:04d}_{r['stage']}.json" for k, r in enumerate(resumed, start=1)]
+
+
 def test_resume_hash_check(completed_run, tmp_path):
     tmp, out, cfg, _ = completed_run
     ckpt = next(iter(sorted(out.glob("ckpt_*.json"))))
@@ -288,6 +304,8 @@ def test_symbol_scan_subcommand(tmp_path):
     cfg["params"]["L"] = 20.0
     path = write_config(tmp_path, cfg, "long.json")
     assert main(["symbol-scan", str(path), "--out", str(tmp_path / "long.csv")]) == EXIT_OK
+    text = (tmp_path / "long.csv").read_text()
+    assert "inf" in text and "nan" not in text
 
 
 def test_config_hash_is_stable():

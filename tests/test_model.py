@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stripwave import (ModelParams, NonlinearityKind, NonlinearitySpec, c_max,
                        eval_nonlinearity, lipschitz_constant)
+from stripwave.model import scalar_reaction
 
 CUBIC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
 PLO = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.25)
@@ -56,6 +57,15 @@ def test_vectorized_matches_scalar():
         f_s, fp_s = eval_nonlinearity(float(uk), CUBIC)
         assert f_vec[k] == f_s
         assert fp_vec[k] == fp_s
+
+
+@pytest.mark.parametrize("spec", [CUBIC, PLO], ids=["cubic", "oracle"])
+def test_scalar_reaction_matches_eval(spec):
+    f = scalar_reaction(spec)
+    theta = spec.theta
+    u = np.concatenate([np.linspace(-0.2, 1.5, 1701),
+                        [theta, math.nextafter(theta, 1.0), math.nextafter(theta, -1.0), 1.0]])
+    assert [f(uk) for uk in u.tolist()] == [eval_nonlinearity(uk, spec)[0] for uk in u.tolist()]
 
 
 @given(st.floats(min_value=-2.0, max_value=3.0, allow_nan=False))

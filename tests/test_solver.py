@@ -5,8 +5,8 @@ import scipy.sparse as sp
 from stripwave import (HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, build_grid, c_max, embed_one_dim_wave,
                        linear_solve, newton_solve, solve_1d_ignition_shooting)
-from stripwave.errors import (LinearSolveFailed, MaxItersExceeded, SolverError,
-                              StepUnderflow)
+from stripwave.errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
+                              SolverError, StepUnderflow)
 
 PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 CUBIC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
@@ -72,6 +72,23 @@ def test_shooting_profile_shape():
     x = np.array([-3.0, -1.0, 0.0])
     vals = wave.evaluate(x)
     assert np.allclose(vals, CUBIC.theta * np.exp(wave.c * x), rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec, tol, c, n", [(CUBIC, 1e-9, 0.2634361718052042, 27766),
+                                             (PLO25, 1e-8, 1.49999999877471, 16544)],
+                         ids=["cubic", "oracle"])
+def test_shooting_exact_output(spec, tol, c, n):
+    # the bisection midpoints and the RK4 arithmetic are fixed, so these are exact
+    wave = solve_1d_ignition_shooting(1.0, spec, tol=tol)
+    assert wave.c == c
+    assert wave.x.size == wave.psi.size == n
+
+
+def test_shooting_lower_bracket_end_must_undershoot():
+    # tol = 0.5 puts the lower end above c* = 0.1/sqrt(0.9): every midpoint overshoots
+    oracle = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.9)
+    with pytest.raises(BracketNotFound, match="lower bracket end c = 5.000e-01"):
+        solve_1d_ignition_shooting(1.0, oracle, tol=0.5)
 
 
 def test_shooting_rejects_bad_tol():
