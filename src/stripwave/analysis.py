@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .model import ModelParams
@@ -98,6 +97,8 @@ def bessel_k0(x: float) -> float:
     """
     if x <= 0:
         raise DomainError(f"bessel_k0 requires x > 0, got {x}")
+    from scipy.integrate import quad  # lazy: slow to import, and no CLI command needs it
+
     ratio = 37.0 / x
     t_cut = math.acosh(ratio) + 1.0 if ratio > 1.0 else 1.0
     value, _ = quad(lambda t: math.exp(-x * math.cosh(t)), 0.0, t_cut,
@@ -108,6 +109,8 @@ def bessel_k0(x: float) -> float:
 def k0_line_mass() -> float:
     """int over R of K0(|x|) dx, expected pi (the Fourier transform of
     K0(|x|) at frequency zero)."""
+    from scipy.integrate import quad  # lazy: slow to import, and no CLI command needs it
+
     half, _ = quad(bessel_k0, 0.0, 45.0, epsabs=1e-10, epsrel=1e-10, limit=200)
     return 2.0 * half
 
@@ -120,6 +123,8 @@ def approximation_identity_mass(d: float, epsilon: float) -> float:
     """
     if d <= 0 or epsilon <= 0:
         raise DomainError("approximation_identity_mass needs d > 0 and epsilon > 0")
+    from scipy.integrate import quad  # lazy: slow to import, and no CLI command needs it
+
     scale = d * epsilon
     half, _ = quad(lambda x: bessel_k0(x / scale), 0.0, 45.0 * scale,
                    epsabs=1e-10, epsrel=1e-10, limit=200)

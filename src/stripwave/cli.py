@@ -115,8 +115,7 @@ def _field(section: dict, section_name: str, key: str, kind, check=None, check_m
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
-    known = {"params", "nonlinearity", "grid", "newton", "continuation",
-             "shooting_tol", "output_dir", "checkpoint_every"}
+    known = tuple(default_config_dict())  # a fixed order, so the reported field is too
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
@@ -362,7 +361,7 @@ def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, stage: str,
             # so the other records do not stay resident through later stages
             march = continue_wentzell if name == "A" else continue_exchange
             end = march(state, params, spec, grid, cfg.newton, 1.0, opts, sink=writer.write,
-                        control=control, stage=name, start_residual=residual_norm).records[-1]
+                        control=control, start_residual=residual_norm).records[-1]
         # nothing written yet: the end record is the resume start, dropped by the writer
         if end.checkpoint_ref is None and writer.count:
             writer.checkpoint(end, control)

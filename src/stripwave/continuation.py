@@ -11,10 +11,10 @@ Natural-parameter continuation with a secant predictor is sufficient:
 the wave speed is a single-valued function of the stage parameter (no
 folds), so a Newton failure at the minimum step aborts loudly instead
 of triggering arclength machinery.  Steps halve on failure and grow by
-1.5x when Newton converges in at most `growth_iters` iterations; an
-accepted step whose speed jumps by more than `speed_jump_frac`
-relative is rejected and retried with half the step, guarding against
-branch jumping.
+`GROWTH_FACTOR` (1.5x) when Newton converges in at most `GROWTH_ITERS`
+iterations; an accepted step whose speed jumps by more than
+`SPEED_JUMP_FRAC` relative is rejected and retried with half the step,
+guarding against branch jumping.
 
 Every accepted record carries a full diagnostics report, and the
 decay-based extent rule (x_right >= 8/gamma, |x_left| >= 8 max(d,D)/c)
@@ -48,9 +48,6 @@ RecordSink = Callable[["ContinuationRecord", "StepControl"], None]
 class ContinuationOptions:
     initial_step: float = 0.1
     min_step: float = 1e-4
-    growth_factor: float = 1.5
-    growth_iters: int = 4
-    speed_jump_frac: float = 0.2
     epsilon0: float = 0.05
 
     def __post_init__(self) -> None:
@@ -149,6 +146,12 @@ def make_record(stage: str, state: WaveState, residual_norm: float, params: Mode
                               residual_norm=residual_norm, diagnostics=diag, state=state)
 
 
+# step policy of _march (see the module docstring)
+GROWTH_FACTOR = 1.5
+GROWTH_ITERS = 4
+SPEED_JUMP_FRAC = 0.2
+
+
 def _march(start: WaveState, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
            newton_opts: NewtonOptions, opts: ContinuationOptions, target: float,
            stage: str, sink: RecordSink | None, control: StepControl | None,
@@ -190,7 +193,7 @@ def _march(start: WaveState, params: ModelParams, spec: NonlinearitySpec, grid: 
         failed = None
         try:
             result = newton_solve(pred_state, params, spec, grid, newton_opts)
-            if abs(result.state.c - state.c) > opts.speed_jump_frac * abs(state.c):
+            if abs(result.state.c - state.c) > SPEED_JUMP_FRAC * abs(state.c):
                 failed = (f"speed jump {state.c:.6f} -> {result.state.c:.6f} "
                           f"at {stage} parameter {trial:.6f}")
         except SolverError as exc:
@@ -209,8 +212,8 @@ def _march(start: WaveState, params: ModelParams, spec: NonlinearitySpec, grid: 
         control.prev_parameter = param_prev
         # grow before emitting so a checkpoint taken at this record stores
         # the step the very next trial will use (exact resume)
-        if result.iterations <= opts.growth_iters:
-            control.step *= opts.growth_factor
+        if result.iterations <= GROWTH_ITERS:
+            control.step *= GROWTH_FACTOR
         accept(make_record(stage, state, result.residual_norm, params, spec, grid))
         logger.info("%s parameter %.6f: c = %.8f (%d iterations)", stage, param, state.c,
                     result.iterations)
@@ -222,12 +225,11 @@ def continue_wentzell(start: WaveState, params: ModelParams, spec: NonlinearityS
                       opts: ContinuationOptions = ContinuationOptions(),
                       sink: RecordSink | None = None,
                       control: StepControl | None = None,
-                      stage: str = "A",
                       start_residual: float = 0.0) -> ContinuationPath:
     """March the Wentzell strength from the start state's s up to target_s."""
     if not start.family.is_wentzell:
         raise WrongFamily("continue_wentzell needs a Wentzell-family start")
-    return _march(start, params, spec, grid, newton_opts, opts, target_s, stage, sink,
+    return _march(start, params, spec, grid, newton_opts, opts, target_s, "A", sink,
                   control, start_residual)
 
 
@@ -236,10 +238,9 @@ def continue_exchange(start: WaveState, params: ModelParams, spec: NonlinearityS
                       opts: ContinuationOptions = ContinuationOptions(),
                       sink: RecordSink | None = None,
                       control: StepControl | None = None,
-                      stage: str = "C",
                       start_residual: float = 0.0) -> ContinuationPath:
     """March the exchange parameter from the start state's eps up to target_eps."""
     if not start.family.is_exchange:
         raise WrongFamily("continue_exchange needs an exchange-family start")
-    return _march(start, params, spec, grid, newton_opts, opts, target_eps, stage, sink,
+    return _march(start, params, spec, grid, newton_opts, opts, target_eps, "C", sink,
                   control, start_residual)

@@ -183,19 +183,15 @@ def speed_identity(state: WaveState, params: ModelParams, spec: NonlinearitySpec
 
 
 def left_decay_bound(state: WaveState, params: ModelParams, grid: Grid,
-                     theta: float | None = None) -> CheckResult:
+                     theta: float) -> CheckResult:
     """Pointwise check of psi <= theta * exp(r (x - x_theta)) + 1e-8.
 
     x_theta is the rightmost column whose maximum over y stays at or
     below the ignition threshold; the rate is r = c / max(d, D), the
     comparison-function rate (the true tail decays at least this fast,
-    so the inequality must hold on converged states).  theta defaults to
-    the anchor normalization implied by the state: the phase condition
-    pins psi(0, -L/2) = (1 + theta)/2, hence theta = 2 psi_anchor - 1.
+    so the inequality must hold on converged states).
     """
     psi = state.psi
-    if theta is None:
-        theta = 2.0 * float(psi[grid.anchor_iy, grid.anchor_ix]) - 1.0
     col_max = psi.max(axis=0)
     below = np.nonzero(col_max <= theta)[0]
     if below.size == 0:

@@ -95,8 +95,6 @@ class Grid:
 class DofLayout:
     """Offsets of the unknown blocks in the flat solution vector."""
 
-    family: "HomotopyFamily"
-    strip_offset: int
     line_offset: int | None
     c_index: int
     total: int
@@ -127,7 +125,5 @@ def dof_layout(grid: Grid, family: "HomotopyFamily") -> DofLayout:
     family only), then c last."""
     n = grid.n_strip
     if family.is_exchange:
-        return DofLayout(family=family, strip_offset=0, line_offset=n,
-                         c_index=n + grid.nx, total=n + grid.nx + 1)
-    return DofLayout(family=family, strip_offset=0, line_offset=None,
-                     c_index=n, total=n + 1)
+        return DofLayout(line_offset=n, c_index=n + grid.nx, total=n + grid.nx + 1)
+    return DofLayout(line_offset=None, c_index=n, total=n + 1)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -119,49 +118,25 @@ def scalar_reaction(spec: NonlinearitySpec):
     return f
 
 
-@lru_cache(maxsize=None)
 def lipschitz_constant(spec: NonlinearitySpec) -> float:
-    """sup over [0, 1] of |f'(u)|, one-sided at kinks, to 1e-10.
+    """sup over [0, 1] of |f'(u)|, one-sided at kinks: |f'(1)| = -f'(1).
 
-    Computed numerically (dense sampling plus golden-section refinement
-    around the best sample) so that any future nonlinearity works
-    unchanged.
+    For both kinds |f'| peaks at u = 1.  With v = u - theta and
+    a = 1 - theta the cubic has f' = 2v(a - v) - v^2, which ranges over
+    [-a^2, a^2/3]; the oracle has |f'| = 1.  A new NonlinearityKind needs
+    its own closed-form Lipschitz constant here, as it needs its own
+    branch in fprime_at_one.
     """
-    grid = np.linspace(0.0, 1.0, 1_000_001)
-    _, fp = eval_nonlinearity(grid, spec)
-    mag = np.abs(fp)
-    k = int(np.argmax(mag))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-
-    def neg_mag(u: float) -> float:
-        return -abs(eval_nonlinearity(u, spec)[1])
-
-    # golden-section minimization of -|f'| on [lo, hi]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = neg_mag(c1), neg_mag(c2)
-    while b - a > 1e-13:
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = neg_mag(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = neg_mag(c2)
-    best = max(mag[k], -f1, -f2)
-    return float(best)
+    return -spec.fprime_at_one
 
 
 def c_max(params: ModelParams, spec: NonlinearitySpec) -> float:
     """Closed-form upper bound on the wave speed.
 
     Equals 2 sqrt(d Lip f) when D <= 2d and sqrt(D^2/(D-d) Lip f)
-    otherwise; the two branches agree at D = 2d.  Valid for reaction
-    terms satisfying f(u) <= Lip f * u, which the discontinuous oracle
+    otherwise; the two branches agree at D = 2d.  Lip f = |f'(1)|, in
+    closed form from lipschitz_constant.  Valid for reaction terms
+    satisfying f(u) <= Lip f * u, which the discontinuous oracle
     nonlinearity deliberately violates.
     """
     lip = lipschitz_constant(spec)

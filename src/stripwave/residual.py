@@ -26,7 +26,7 @@ the cell Peclet number c*hx/d reaches 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,10 +102,6 @@ class WaveState:
                 raise ShapeMismatch("exchange state needs phi of shape (nx,)")
         elif self.phi is not None:
             raise ShapeMismatch("Wentzell state must not carry a line field")
-
-    def copy(self) -> "WaveState":
-        return replace(self, psi=self.psi.copy(),
-                       phi=None if self.phi is None else self.phi.copy())
 
 
 def state_to_vector(state: WaveState, grid: Grid) -> np.ndarray:

@@ -28,6 +28,13 @@ def fast_config(outdir, **overrides):
     return cfg
 
 
+def subprocess_env(**extra):
+    """Environment in which a child interpreter imports this stripwave."""
+    src = str(Path(stripwave.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
@@ -67,6 +74,27 @@ def test_validation_rejects_bad_grid(tmp_path):
     cfg["grid"]["ny"] = 10  # no node at y = -L/2
     with pytest.raises(ConfigError, match="grid"):
         config_from_dict(cfg)
+
+
+def test_missing_field_report_is_hash_seed_independent(tmp_path):
+    cfg = fast_config(tmp_path / "out")
+    for key in ("params", "grid", "newton"):
+        del cfg[key]
+    path = write_config(tmp_path, cfg)
+    for seed in range(1, 7):
+        proc = subprocess.run([sys.executable, "-m", "stripwave.cli", "run", str(path)],
+                              capture_output=True, text=True, timeout=120,
+                              env=subprocess_env(PYTHONHASHSEED=str(seed)))
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "params: missing" in proc.stderr, (seed, proc.stderr)
+
+
+def test_import_does_not_load_scipy_integrate():
+    code = "import sys, stripwave, stripwave.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_invalid_json_is_validation_error(tmp_path):
@@ -354,9 +382,7 @@ print(json.dumps(sorted({span[0] for span in spans.spans})))
 def test_benchmark_hook_points(completed_run, tmp_path):
     _, out, _, cfg_path = completed_run
     root = Path(__file__).resolve().parents[1]
-    src = str(Path(stripwave.__file__).resolve().parents[1])
-    env = dict(os.environ, WAVE_OUT=str(tmp_path / "traced"),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = subprocess_env(WAVE_OUT=str(tmp_path / "traced"))
     proc = subprocess.run([sys.executable, "-c", TRACED_MAIN, str(root / "perfbench"),
                            str(tmp_path), "resume", str(out / "ckpt_0003_A.json"),
                            str(cfg_path)],

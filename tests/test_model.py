@@ -99,6 +99,15 @@ def test_lipschitz_cubic_against_dense_oracle():
     assert lipschitz_constant(CUBIC) == pytest.approx(float(expected), abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", list(NonlinearityKind))
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6, 0.95])
+def test_lipschitz_equals_dense_max(kind, theta):
+    # the closed form |f'(1)| is exactly the sampled max, reached at u = 1
+    spec = NonlinearitySpec(kind=kind, theta=theta)
+    _, fp = eval_nonlinearity(np.linspace(0.0, 1.0, 100_001), spec)
+    assert lipschitz_constant(spec) == float(np.abs(fp).max())
+
+
 def test_lipschitz_shrinks_as_theta_approaches_one():
     spec = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.999)
     assert lipschitz_constant(spec) < 1e-5
@@ -122,7 +131,7 @@ def test_cmax_slow_line_branch():
     assert c_max(params, CUBIC) == pytest.approx(2.0 * math.sqrt(0.49), rel=1e-9)
 
 
-@settings(max_examples=8, deadline=None)  # lipschitz_constant samples a 1e6 grid per theta
+@settings(max_examples=8, deadline=None)
 @given(st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
        st.floats(min_value=0.05, max_value=0.9, allow_nan=False))
 def test_cmax_continuous_in_line_diffusivity(d, theta):
