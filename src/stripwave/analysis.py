@@ -66,27 +66,26 @@ def wentzell_symbol_denominator(q: SymbolQuery) -> complex:
     return complex(symbol_denominator(q.params, q.epsilon, q.c0, q.c1, q.xi))
 
 
+def symbol_scan_table(params: ModelParams, epsilon: float, c0: float, c1: float,
+                      xi_max: float, n: int) -> np.ndarray:
+    """Columns (xi, Re F, Im F, |F|) at n uniform real frequencies in [-xi_max, xi_max]."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if not xi_max > 0:
+        raise ValueError(f"xi_max must be positive, got {xi_max}")
+    xi = np.linspace(-xi_max, xi_max, n)
+    F = symbol_denominator(params, epsilon, c0, c1, xi)
+    return np.column_stack([xi, F.real, F.imag, np.abs(F)])
+
+
 def scan_symbol_zero_free(params: ModelParams, epsilon: float, c0: float, c1: float,
                           xi_max: float, n: int) -> float:
-    """Minimum of |F| over n uniform real frequencies in [-xi_max, xi_max].
+    """Minimum of |F| over the frequencies of `symbol_scan_table`.
 
     A strictly positive return certifies the real-axis restriction of
     the zero-free strip; the margin is the returned value itself.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if xi_max <= 0:
-        raise ValueError("xi_max must be positive")
-    xi = np.linspace(-xi_max, xi_max, n)
-    return float(np.abs(symbol_denominator(params, epsilon, c0, c1, xi)).min())
-
-
-def symbol_scan_table(params: ModelParams, epsilon: float, c0: float, c1: float,
-                      xi_max: float, n: int) -> np.ndarray:
-    """Columns (xi, Re F, Im F, |F|) for the CSV emitter."""
-    xi = np.linspace(-xi_max, xi_max, n)
-    F = symbol_denominator(params, epsilon, c0, c1, xi)
-    return np.column_stack([xi, F.real, F.imag, np.abs(F)])
+    return float(symbol_scan_table(params, epsilon, c0, c1, xi_max, n)[:, 3].min())
 
 
 def bessel_k0(x: float) -> float:

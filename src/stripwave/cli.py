@@ -8,10 +8,10 @@ wave profile <ckpt> <out.csv> plot-ready profile slices from a checkpoint
 wave symbol-scan <config>     boundary-symbol zero-free scan as CSV
 wave oned <config>            1-D shooting speed and profile only
 
-Exit codes: 0 ok, 2 validation, 3 solver, 4 I/O.  The environment
-variable WAVE_OUT overrides the configured output directory.  All float
-output is formatted with 17 significant digits so identical configs
-produce byte-identical path.csv files.
+Exit codes: 0 ok, 2 validation, 3 solver, 4 I/O or malformed input.  The
+environment variable WAVE_OUT overrides the configured output directory.
+All float output is formatted with 17 significant digits so identical
+configs produce byte-identical path.csv files.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import concurrent.futures
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -34,7 +33,8 @@ import numpy as np
 from .continuation import (ContinuationOptions, ContinuationRecord, StepControl,
                            continue_exchange, continue_wentzell, embed_one_dim_wave,
                            handoff_to_system, make_record)
-from .errors import ConfigError, ConfigHashMismatch, SchemaMismatch, StripWaveError
+from .errors import (AnchorNotOnGrid, BadExtent, ConfigError, ConfigHashMismatch, SchemaMismatch,
+                     StripWaveError)
 from .grid import Grid, build_grid
 from .model import ModelParams, NonlinearityKind, NonlinearitySpec
 from .residual import HomotopyFamily, WaveState, assemble_residual
@@ -65,7 +65,10 @@ def canonical_json(data) -> str:
 
 
 def config_hash(data: dict) -> str:
-    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+    """SHA-256 of the config without `output_dir`: a deployment path, like
+    WAVE_OUT, does not change what a run computes."""
+    kept = {key: value for key, value in data.items() if key != "output_dir"}
+    return hashlib.sha256(canonical_json(kept).encode()).hexdigest()
 
 
 # --- configuration -----------------------------------------------------------
@@ -99,89 +102,74 @@ def default_config_dict(output_dir: str = "waveout") -> dict:
     }
 
 
-def _field(section: dict, section_name: str, key: str, kind, check=None, check_msg: str = ""):
-    if key not in section:
-        raise ConfigError(f"{section_name}.{key}: missing")
-    value = section[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{section_name}.{key}: expected {kind.__name__}, got {value!r}")
-    if check is not None and not check(value):
-        raise ConfigError(f"{section_name}.{key}: {check_msg}, got {value!r}")
-    return value
+def _checked(data, template: dict, prefix: str = "") -> dict:
+    """`data` with exactly the keys of `template`, at every level, each value
+    of its default's type; ints widen to floats, bools are rejected."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'}: must be a JSON object, got {data!r}")
+    for key in [*data, *template]:  # unknown keys, then missing ones in a fixed order
+        if key not in template:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+        if key not in data:
+            raise ConfigError(f"{prefix}{key}: missing")
+    out = {}
+    for key, default in template.items():
+        value = data[key]
+        if isinstance(default, dict):
+            value = _checked(value, default, f"{prefix}{key}.")
+        elif isinstance(default, float) and type(value) is int:
+            value = float(value)
+        elif not isinstance(value, type(default)) or isinstance(value, bool):
+            raise ConfigError(f"{prefix}{key}: expected {type(default).__name__}, got {value!r}")
+        out[key] = value
+    return out
+
+
+def _build(section: str, make, *args, **fields):
+    """`make(*args, **fields)`, its error as a ConfigError that names
+    `section.field` when the message starts with `Class.field`, as the
+    ValueErrors of the library objects do, and `section` otherwise."""
+    try:
+        return make(*args, **fields)
+    except (ValueError, BadExtent, AnchorNotOnGrid) as exc:
+        field = str(exc).partition(" ")[0].partition(".")[2]
+        raise ConfigError(f"{section}.{field}: {exc}" if field else f"{section}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    known = tuple(default_config_dict())  # a fixed order, so the reported field is too
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown field")
-    for key in known:
-        if key not in data:
-            raise ConfigError(f"{key}: missing")
-
-    p = data["params"]
-    params = ModelParams(
-        d=_field(p, "params", "d", float, lambda v: v > 0 and math.isfinite(v), "must be > 0"),
-        D=_field(p, "params", "D", float, lambda v: v > 0 and math.isfinite(v), "must be > 0"),
-        mu=_field(p, "params", "mu", float, lambda v: v > 0 and math.isfinite(v), "must be > 0"),
-        L=_field(p, "params", "L", float, lambda v: v > 0 and math.isfinite(v), "must be > 0"),
-    )
-    nl = data["nonlinearity"]
-    kind_str = _field(nl, "nonlinearity", "kind", str)
-    try:
-        kind = NonlinearityKind(kind_str)
-    except ValueError:
-        raise ConfigError(f"nonlinearity.kind: must be one of "
-                          f"{[k.value for k in NonlinearityKind]}, got {kind_str!r}") from None
-    spec = NonlinearitySpec(kind=kind, theta=_field(nl, "nonlinearity", "theta", float,
-                                                    lambda v: 0 < v < 1, "must lie in (0, 1)"))
-    g = data["grid"]
-    x_left = _field(g, "grid", "x_left", float, lambda v: v < 0, "must be < 0")
-    x_right = _field(g, "grid", "x_right", float, lambda v: v > 0, "must be > 0")
-    nx = _field(g, "grid", "nx", int, lambda v: v >= 3, "must be >= 3")
-    ny = _field(g, "grid", "ny", int, lambda v: v >= 3, "must be >= 3")
-    try:
-        grid = build_grid(params, x_left, x_right, nx, ny)
-    except StripWaveError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    nw = data["newton"]
-    newton = NewtonOptions(
-        tol_residual=_field(nw, "newton", "tol_residual", float, lambda v: v > 0, "must be > 0"),
-        max_iters=_field(nw, "newton", "max_iters", int, lambda v: v >= 1, "must be >= 1"),
-        damping=_field(nw, "newton", "damping", float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
-        min_step=_field(nw, "newton", "min_step", float, lambda v: v > 0, "must be > 0"),
-    )
-    co = data["continuation"]
-    target_stage = _field(co, "continuation", "target_stage", str,
-                          lambda v: v in STAGES, "must be one of A, B, C")
-    cont = ContinuationOptions(
-        epsilon0=_field(co, "continuation", "epsilon0", float,
-                        lambda v: 0 < v <= 0.1, "must lie in (0, 0.1]"),
-        initial_step=_field(co, "continuation", "initial_step", float, lambda v: v > 0, "must be > 0"),
-        min_step=_field(co, "continuation", "min_step", float, lambda v: v > 0, "must be > 0"),
-    )
-    shooting_tol = _field(data, "config", "shooting_tol", float, lambda v: v > 0, "must be > 0")
-    output_dir = _field(data, "config", "output_dir", str, lambda v: len(v) > 0, "must be nonempty")
-    checkpoint_every = _field(data, "config", "checkpoint_every", int, lambda v: v >= 0, "must be >= 0")
+    """Checks the shape of `data` here; each value range is checked once, by
+    the object its section builds."""
+    c = _checked(data, default_config_dict())
+    params = _build("params", ModelParams, **c["params"])
+    kind, kinds = c["nonlinearity"]["kind"], [k.value for k in NonlinearityKind]
+    if kind not in kinds:
+        raise ConfigError(f"nonlinearity.kind: must be one of {kinds}, got {kind!r}")
+    spec = _build("nonlinearity", NonlinearitySpec, kind=NonlinearityKind(kind),
+                  theta=c["nonlinearity"]["theta"])
+    grid = _build("grid", build_grid, params, **c["grid"])
+    newton = _build("newton", NewtonOptions, **c["newton"])
+    target_stage = c["continuation"].pop("target_stage")
+    cont = _build("continuation", ContinuationOptions, **c["continuation"])
+    # the fields no library object owns
+    if target_stage not in STAGES:
+        raise ConfigError(f"continuation.target_stage: must be one of A, B, C, got {target_stage!r}")
+    if not c["shooting_tol"] > 0:
+        raise ConfigError(f"shooting_tol: must be > 0, got {c['shooting_tol']!r}")
+    if not c["output_dir"]:
+        raise ConfigError("output_dir: must be nonempty")
+    if c["checkpoint_every"] < 0:
+        raise ConfigError(f"checkpoint_every: must be >= 0, got {c['checkpoint_every']!r}")
     return RunConfig(params=params, nonlinearity=spec, grid=grid, newton=newton,
-                     continuation=cont, target_stage=target_stage, shooting_tol=shooting_tol,
-                     output_dir=output_dir, checkpoint_every=checkpoint_every, raw=data)
+                     continuation=cont, target_stage=target_stage,
+                     shooting_tol=c["shooting_tol"], output_dir=c["output_dir"],
+                     checkpoint_every=c["checkpoint_every"], raw=data)
 
 
 def load_config(path) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
+        data = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config: cannot load {path}: {exc}") from exc
     return config_from_dict(data)
 
 
@@ -226,11 +214,12 @@ def write_checkpoint(path: Path, data: dict) -> None:
 def read_checkpoint(path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise OSError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise OSError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
+    except (OSError, json.JSONDecodeError) as exc:
+        raise OSError(f"cannot load checkpoint {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaMismatch(f"checkpoint {path}: top level is a {type(data).__name__}, "
+                             f"not a JSON object")
+    if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"checkpoint schema {data.get('schema_version')!r} "
                              f"is not supported (want {SCHEMA_VERSION})")
     return data
@@ -275,6 +264,7 @@ class PathWriter:
         self.cfg_hash = cfg_hash
         self.count = 0
         self.last_state: WaveState | None = None
+        outdir.mkdir(parents=True, exist_ok=True)
         self.fh = open(outdir / "path.csv", "w")
         self.fh.write(",".join(PATH_COLUMNS) + "\n")
         self.fh.flush()
@@ -435,7 +425,7 @@ def _report(outdir: Path | None, exc: Exception) -> int:
         exit_code = EXIT_VALIDATION
     elif isinstance(exc, StripWaveError):
         exit_code = EXIT_SOLVER
-    else:  # OSError, or a malformed file
+    else:  # OSError, or a malformed file or argument
         exit_code = EXIT_IO
     record = {"error": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
     if outdir is not None:
@@ -449,20 +439,18 @@ def _report(outdir: Path | None, exc: Exception) -> int:
 
 
 # --- subcommand entry points --------------------------------------------------
+# Each raises on bad input or a failed run, and `main` reports CLI_ERRORS.  A run
+# or resume sets `args.outdir` once its config has loaded, for its error.json.
+CLI_ERRORS = (StripWaveError, OSError, KeyError, ValueError)
+
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        return _report(None, exc)
+    cfg = load_config(args.config)
     outdir = resolve_output_dir(cfg)
-    if args.sweep:
+    if args.sweep:  # each point records its own error.json
         return _run_sweep(cfg, outdir, args.sweep)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        summary = execute_run(cfg, outdir)
-    except (StripWaveError, OSError) as exc:
-        return _report(outdir, exc)
+    args.outdir = outdir
+    summary = execute_run(cfg, outdir)
     final_stage = max(summary["stages"])
     print(f"done: stage {final_stage} c = {fmt_float(summary['stages'][final_stage]['c'])} "
           f"(artifacts in {outdir})")
@@ -471,11 +459,9 @@ def cmd_run(args) -> int:
 
 def _sweep_worker(payload: tuple[dict, str]) -> int:
     data, outdir = payload
-    try:
-        cfg = config_from_dict(data)
-        Path(outdir).mkdir(parents=True, exist_ok=True)
-        execute_run(cfg, Path(outdir))
-    except (StripWaveError, OSError) as exc:
+    try:  # a pool process: its errors are reported here, not by `main`
+        execute_run(config_from_dict(data), Path(outdir))
+    except CLI_ERRORS as exc:
         return _report(Path(outdir), exc)
     return EXIT_OK
 
@@ -487,7 +473,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
     except ValueError:
         values = []
     if name != "D" or not values:
-        return _report(None, ConfigError(f"--sweep: expected 'D=v1,v2,...', got {sweep!r}"))
+        raise ConfigError(f"--sweep: expected 'D=v1,v2,...', got {sweep!r}")
     jobs = []
     for v in values:
         data = json.loads(canonical_json(cfg.raw))
@@ -504,61 +490,38 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
 
 
 def cmd_resume(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        ckpt = read_checkpoint(args.checkpoint)
-    except (ConfigError, SchemaMismatch, OSError) as exc:
-        return _report(None, exc)
-    outdir = resolve_output_dir(cfg)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        execute_resume(cfg, outdir, ckpt, args.force)
-    except (StripWaveError, OSError) as exc:
-        return _report(outdir, exc)
+    cfg = load_config(args.config)
+    args.outdir = outdir = resolve_output_dir(cfg)
+    execute_resume(cfg, outdir, read_checkpoint(args.checkpoint), args.force)
     print(f"resumed from {args.checkpoint} (artifacts in {outdir})")
     return EXIT_OK
 
 
 def cmd_profile(args) -> int:
-    try:
-        emit_profile(args.checkpoint, args.out)
-    except (SchemaMismatch, OSError, KeyError, ValueError) as exc:
-        return _report(None, exc)
+    emit_profile(args.checkpoint, args.out)
     return EXIT_OK
 
 
 def cmd_symbol_scan(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        return _report(None, exc)
+    cfg = load_config(args.config)
     table = analysis.symbol_scan_table(cfg.params, args.epsilon, args.c0, args.c1,
                                        args.xi_max, args.n)
     out = Path(args.out) if args.out else resolve_output_dir(cfg) / "symbol_scan.csv"
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(out, "xi,re_F,im_F,abs_F", [table])
-    except OSError as exc:
-        return _report(None, exc)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(out, "xi,re_F,im_F,abs_F", [table])
     print(f"min |F| = {fmt_float(float(table[:, 3].min()))} over {args.n} frequencies "
           f"in [-{args.xi_max:g}, {args.xi_max:g}] -> {out}")
     return EXIT_OK
 
 
 def cmd_oned(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        wave = solve_1d_ignition_shooting(cfg.params.d, cfg.nonlinearity, cfg.shooting_tol)
-    except StripWaveError as exc:
-        return _report(None, exc)
+    cfg = load_config(args.config)
+    wave = solve_1d_ignition_shooting(cfg.params.d, cfg.nonlinearity, cfg.shooting_tol)
     print(f"c = {fmt_float(wave.c)}")
     if args.out:
         x_tail = np.linspace(-8.0 * cfg.params.d / wave.c, 0.0, 200, endpoint=False)
         xs = np.concatenate([x_tail, wave.x])
-        try:
-            _write_csv(args.out, "x,psi", [xs, wave.evaluate(xs)])
-        except OSError as exc:
-            return _report(None, exc)
+        _write_csv(args.out, "x,psi", [xs, wave.evaluate(xs)])
     return EXIT_OK
 
 
@@ -568,6 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "reaction-diffusion strip coupled to a line "
                                                  "of fast diffusion")
     parser.add_argument("--verbose", action="store_true", help="log continuation progress")
+    parser.set_defaults(outdir=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="full continuation run from a JSON config")
@@ -607,7 +571,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CLI_ERRORS as exc:
+        return _report(args.outdir, exc)
 
 
 if __name__ == "__main__":

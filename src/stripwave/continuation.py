@@ -52,9 +52,12 @@ class ContinuationOptions:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon0 <= 0.1:
-            raise ValueError(f"epsilon0 must lie in (0, 0.1], got {self.epsilon0}")
-        if self.initial_step <= 0 or self.min_step <= 0:
-            raise ValueError("continuation steps must be positive")
+            raise ValueError(f"ContinuationOptions.epsilon0 must lie in (0, 0.1], "
+                             f"got {self.epsilon0!r}")
+        for name in ("initial_step", "min_step"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"ContinuationOptions.{name} must be > 0, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass

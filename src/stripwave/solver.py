@@ -46,10 +46,14 @@ class NewtonOptions:
     min_step: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
+        if not self.tol_residual > 0:
+            raise ValueError(f"NewtonOptions.tol_residual must be > 0, got {self.tol_residual!r}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"NewtonOptions.max_iters must be >= 1, got {self.max_iters!r}")
         if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie in (0, 1)")
+            raise ValueError(f"NewtonOptions.damping must lie in (0, 1), got {self.damping!r}")
+        if not self.min_step > 0:
+            raise ValueError(f"NewtonOptions.min_step must be > 0, got {self.min_step!r}")
 
 
 @dataclass

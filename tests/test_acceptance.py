@@ -212,8 +212,12 @@ def test_criterion_11_resume_determinism(tmp_path):
     cfg_resumed = dict(cfg, output_dir=str(tmp_path / "resumed"))
     resumed_path = tmp_path / "resumed.json"
     resumed_path.write_text(json.dumps(cfg_resumed, indent=1))
-    assert main(["resume", str(ckpt), str(resumed_path)]) == EXIT_VALIDATION  # hash guard
-    assert main(["resume", str(ckpt), str(resumed_path), "--force"]) == EXIT_OK
+    # hash guard: other physics needs --force; output_dir is not hashed, so needs none
+    edited = dict(cfg, output_dir=str(tmp_path / "edited"), params=dict(cfg["params"], D=8.0))
+    edited_path = tmp_path / "edited.json"
+    edited_path.write_text(json.dumps(edited, indent=1))
+    assert main(["resume", str(ckpt), str(edited_path)]) == EXIT_VALIDATION
+    assert main(["resume", str(ckpt), str(resumed_path)]) == EXIT_OK
 
     resumed_rows = (tmp_path / "resumed" / "path.csv").read_text().strip().splitlines()[1:]
     tail = rows[3:]

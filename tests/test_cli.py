@@ -103,6 +103,36 @@ def test_invalid_json_is_validation_error(tmp_path):
     assert main(["run", str(path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command, edit, code, named", [
+    ("run", lambda cfg: cfg["params"].update(bogus=1.0), EXIT_VALIDATION, "params.bogus"),
+    ("run", lambda cfg: cfg["newton"].update(maxiters=50), EXIT_VALIDATION, "newton.maxiters"),
+    ("run", lambda cfg: cfg["newton"].update(max_iters=0), EXIT_VALIDATION, "newton.max_iters"),
+    ("resume", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "psi"),
+    ("profile", lambda ckpt: ckpt.update(phi=ckpt["phi"][:-1]), EXIT_SOLVER, "phi"),
+], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "resume_no_psi",
+        "profile_short_phi"])
+def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
+                                           code, named):
+    _, out, cfg, _ = completed_run
+    cfg = json.loads(json.dumps(dict(cfg, output_dir=str(tmp_path / "o"))))
+    if command == "run":
+        edit(cfg)
+        argv = ["run", str(write_config(tmp_path, cfg))]
+    else:
+        ckpt = read_checkpoint(sorted(out.glob("ckpt_*_C.json"))[-1])
+        edit(ckpt)
+        write_checkpoint(tmp_path / "ckpt.json", ckpt)
+        argv = [command, str(tmp_path / "ckpt.json"), str(write_config(tmp_path, cfg))
+                if command == "resume" else str(tmp_path / "o.csv")]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert named in err
+    # error.json once the config has loaded: not for a config that fails to load
+    assert (tmp_path / "o" / "error.json").exists() == (command == "resume")
+
+
 # --- checkpoint byte round-trip ---------------------------------------------------
 
 def test_checkpoint_round_trip_is_byte_identical(tmp_path):
@@ -123,10 +153,13 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_checkpoint_schema_mismatch(tmp_path):
+@pytest.mark.parametrize("content", [{"schema_version": 99}, [1, 2]],
+                         ids=["schema_99", "not_an_object"])
+def test_checkpoint_schema_mismatch(tmp_path, capsys, content):
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"schema_version": 99}))
+    p.write_text(json.dumps(content))
     assert main(["profile", str(p), str(tmp_path / "o.csv")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: SchemaMismatch: ")
 
 
 def test_profile_writers_match_fmt_float(tmp_path):
@@ -273,9 +306,8 @@ def test_resume_matches_uninterrupted(completed_run, tmp_path, name):
     cfg_resume = dict(cfg, output_dir=str(resumed_out))
     cfg_resume_path = tmp_path / "resume.json"
     cfg_resume_path.write_text(json.dumps(cfg_resume, indent=1))
-    # identical physics but different output_dir: hash differs, so --force
-    assert main(["resume", str(ckpt), str(cfg_resume_path)]) == EXIT_VALIDATION
-    assert main(["resume", str(ckpt), str(cfg_resume_path), "--force"]) == EXIT_OK
+    # identical physics but different output_dir: the hash leaves output_dir out
+    assert main(["resume", str(ckpt), str(cfg_resume_path)]) == EXIT_OK
     resumed = (resumed_out / "path.csv").read_bytes().splitlines(keepends=True)
     # the header, then the rows after the checkpoint's record
     assert resumed == full[:1] + full[1 + int(name[5:9]):]
@@ -319,7 +351,7 @@ def test_oned_subcommand(tmp_path, capsys):
     assert dest.read_text().splitlines()[0] == "x,psi"
 
 
-def test_symbol_scan_subcommand(tmp_path):
+def test_symbol_scan_subcommand(tmp_path, capsys):
     cfg = fast_config(tmp_path / "out")
     path = write_config(tmp_path, cfg)
     dest = tmp_path / "scan.csv"
@@ -334,6 +366,11 @@ def test_symbol_scan_subcommand(tmp_path):
     assert main(["symbol-scan", str(path), "--out", str(tmp_path / "long.csv")]) == EXIT_OK
     text = (tmp_path / "long.csv").read_text()
     assert "inf" in text and "nan" not in text
+    capsys.readouterr()
+    assert main(["symbol-scan", str(path), "--n", "0", "--out", str(tmp_path / "none.csv")]) \
+        == EXIT_IO
+    assert capsys.readouterr().err == "error: ValueError: n must be >= 2, got 0\n"
+    assert not (tmp_path / "none.csv").exists()
 
 
 def test_config_hash_is_stable():
@@ -341,6 +378,8 @@ def test_config_hash_is_stable():
     h1 = config_hash(cfg)
     h2 = config_hash(json.loads(json.dumps(cfg)))
     assert h1 == h2
+    cfg["output_dir"] = "elsewhere"  # a deployment path, not the numerics
+    assert config_hash(cfg) == h1
     cfg["params"]["D"] = 8.0
     assert config_hash(cfg) != h1
 

@@ -91,6 +91,12 @@ def test_shooting_lower_bracket_end_must_undershoot():
         solve_1d_ignition_shooting(1.0, oracle, tol=0.5)
 
 
+@pytest.mark.parametrize("field, value", [("max_iters", 0), ("min_step", 0.0)])
+def test_newton_options_reject_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"NewtonOptions.{field} "):
+        NewtonOptions(**{field: value})
+
+
 def test_shooting_rejects_bad_tol():
     with pytest.raises(ValueError):
         solve_1d_ignition_shooting(1.0, CUBIC, tol=-1.0)
