@@ -207,6 +207,12 @@ def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str,
     }
 
 
+# the fields `execute_resume` and `checkpoint_state` read; "control" may be null
+CHECKPOINT_FIELDS = ("stage", "family", "parameter", "c", "grid", "psi", "phi", "config_hash")
+GRID_FIELDS = ("x_left", "x_right", "L", "nx", "ny")
+CONTROL_FIELDS = ("step", "prev_parameter", "prev_c", "prev_psi", "prev_phi")
+
+
 def write_checkpoint(path: Path, data: dict) -> None:
     path.write_text(canonical_json(data))
 
@@ -222,6 +228,13 @@ def read_checkpoint(path) -> dict:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"checkpoint schema {data.get('schema_version')!r} "
                              f"is not supported (want {SCHEMA_VERSION})")
+    sections = [("", data, CHECKPOINT_FIELDS), ("grid.", data.get("grid"), GRID_FIELDS)]
+    if data.get("control") is not None:
+        sections.append(("control.", data["control"], CONTROL_FIELDS))
+    for prefix, section, fields in sections:
+        for name in fields:
+            if not isinstance(section, dict) or name not in section:
+                raise ValueError(f"checkpoint {path}: missing field '{prefix}{name}'")
     return data
 
 

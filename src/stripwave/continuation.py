@@ -11,8 +11,10 @@ Natural-parameter continuation with a secant predictor is sufficient:
 the wave speed is a single-valued function of the stage parameter (no
 folds), so a Newton failure at the minimum step aborts loudly instead
 of triggering arclength machinery.  Steps halve on failure and grow by
-`GROWTH_FACTOR` (1.5x) when Newton converges in at most `GROWTH_ITERS`
-iterations; an accepted step whose speed jumps by more than
+`GROWTH_FACTOR` (1.5x) when Newton converges with at most
+`GROWTH_FACTORIZATIONS` Jacobian factorizations (the chord Newton reuses
+one LU across iterations, so its factorizations, not its iterations,
+measure what a step cost); an accepted step whose speed jumps by more than
 `SPEED_JUMP_FRAC` relative is rejected and retried with half the step,
 guarding against branch jumping.
 
@@ -151,7 +153,7 @@ def make_record(stage: str, state: WaveState, residual_norm: float, params: Mode
 
 # step policy of _march (see the module docstring)
 GROWTH_FACTOR = 1.5
-GROWTH_ITERS = 4
+GROWTH_FACTORIZATIONS = 4
 SPEED_JUMP_FRAC = 0.2
 
 
@@ -215,11 +217,11 @@ def _march(start: WaveState, params: ModelParams, spec: NonlinearitySpec, grid: 
         control.prev_parameter = param_prev
         # grow before emitting so a checkpoint taken at this record stores
         # the step the very next trial will use (exact resume)
-        if result.iterations <= GROWTH_ITERS:
+        if result.factorizations <= GROWTH_FACTORIZATIONS:
             control.step *= GROWTH_FACTOR
         accept(make_record(stage, state, result.residual_norm, params, spec, grid))
-        logger.info("%s parameter %.6f: c = %.8f (%d iterations)", stage, param, state.c,
-                    result.iterations)
+        logger.info("%s parameter %.6f: c = %.8f (%d iterations, %d factorizations)", stage,
+                    param, state.c, result.iterations, result.factorizations)
     return path
 
 

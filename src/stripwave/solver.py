@@ -1,10 +1,19 @@
-"""Damped Newton solve of the bordered system and the 1-D shooting oracle.
+"""Chord Newton solve of the bordered system and the 1-D shooting oracle.
 
-Newton iterates on the flat dof vector with an Armijo backtracking line
-search on the residual infinity norm; each accepted step strictly
-decreases the norm.  Linear systems are solved by direct sparse LU
-(deterministic, robust for the bordered nonsymmetric matrix at desk
-scale) with one step of iterative refinement.
+Newton iterates on the flat dof vector; each accepted step strictly
+decreases the residual infinity norm by the Armijo rule.  Linear systems
+are solved by direct sparse LU (deterministic, robust for the bordered
+nonsymmetric matrix at desk scale) with one step of iterative refinement.
+
+The Jacobian is factored at the first iterate and its LU is reused for
+later steps (the chord method; Kelley 2003, *Solving Nonlinear Equations
+with Newton's Method*).  A step made with a fresh LU gets the full Armijo
+backtracking line search.  A step made with a stale LU is tried at full
+length only: if it fails the Armijo test it is discarded and the Jacobian
+is refactored at the same iterate.  An accepted step that leaves the
+residual above `REFRESH_RATIO` times its previous value also triggers a
+refactorization before the next step.  The LU lives inside one
+`newton_solve` call, so no solver state outlives a solve.
 
 The shooting oracle integrates the 1-D front equation
 -d psi'' + c psi' = f(psi) from the exact ignition tail
@@ -36,6 +45,9 @@ from .residual import WaveState, assemble_jacobian, assemble_residual, state_to_
 logger = logging.getLogger(__name__)
 
 _ARMIJO_SLOPE = 1e-4
+# an accepted step that leaves more than this fraction of the residual
+# refactors the Jacobian before the next step
+REFRESH_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,7 @@ class NewtonResult:
     state: WaveState
     iterations: int
     residual_norm: float
+    factorizations: int
 
 
 @dataclass
@@ -84,46 +97,67 @@ class OneDimWave:
         return np.where(xq <= 0.0, tail, body)
 
 
-def linear_solve(J: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct sparse LU solve with relative residual <= 1e-12.
+@dataclass
+class Factorization:
+    """Sparse LU of a square matrix, made by `factorize`."""
 
-    One iterative-refinement step is applied when the first solve leaves
-    a larger residual.  Raises LinearSolveFailed on structural or
-    numerical singularity.
-    """
+    J: sp.csc_matrix
+    lu: spla.SuperLU
+    j_norm: float  # |J|_inf, for the backward-error test
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution with relative residual <= 1e-12 against the factored matrix.
+
+        One iterative-refinement step is applied when the first solve leaves
+        a larger residual.  Raises LinearSolveFailed otherwise.
+        """
+        J = self.J
+        if J.shape[0] != rhs.shape[0]:
+            raise LinearSolveFailed("rhs length does not match matrix")
+        try:
+            x = self.lu.solve(rhs)
+        except RuntimeError as exc:
+            raise LinearSolveFailed(str(exc)) from exc
+        if not np.all(np.isfinite(x)):
+            raise LinearSolveFailed("factorization produced non-finite solution")
+
+        # backward-error test: |J x - rhs| <= 1e-12 (|J| |x| + |rhs|), inf-norms
+        def backward_error(sol: np.ndarray) -> float:
+            scale = self.j_norm * np.abs(sol).max() + np.abs(rhs).max()
+            if scale == 0.0:
+                return 0.0
+            return float(np.abs(J @ sol - rhs).max() / scale)
+
+        if backward_error(x) > 1e-12:
+            x = x + self.lu.solve(rhs - J @ x)
+            err = backward_error(x)
+            if err > 1e-12:
+                raise LinearSolveFailed(f"relative linear residual {err:.3e} exceeds 1e-12 "
+                                        "after refinement")
+        return x
+
+
+def factorize(J: sp.spmatrix) -> Factorization:
+    """Direct sparse LU of J.  Raises LinearSolveFailed on structural or
+    numerical singularity."""
     if J.shape[0] != J.shape[1]:
         raise LinearSolveFailed(f"matrix is not square: {J.shape}")
-    if J.shape[0] != rhs.shape[0]:
-        raise LinearSolveFailed("rhs length does not match matrix")
     Jc = J.tocsc()
     try:
         lu = spla.splu(Jc)
-        x = lu.solve(rhs)
     except RuntimeError as exc:
         raise LinearSolveFailed(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveFailed("factorization produced non-finite solution")
-    # backward-error test: |J x - rhs| <= 1e-12 (|J| |x| + |rhs|), inf-norms
-    j_norm = float(np.abs(Jc).sum(axis=1).max())
+    return Factorization(J=Jc, lu=lu, j_norm=float(np.abs(Jc).sum(axis=1).max()))
 
-    def backward_error(sol: np.ndarray) -> float:
-        scale = j_norm * np.abs(sol).max() + np.abs(rhs).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(Jc @ sol - rhs).max() / scale)
 
-    if backward_error(x) > 1e-12:
-        x = x + lu.solve(rhs - Jc @ x)
-        err = backward_error(x)
-        if err > 1e-12:
-            raise LinearSolveFailed(f"relative linear residual {err:.3e} exceeds 1e-12 "
-                                    "after refinement")
-    return x
+def linear_solve(J: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """One solve with a fresh factorization of J (see `Factorization.solve`)."""
+    return factorize(J).solve(rhs)
 
 
 def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
                  grid: Grid, opts: NewtonOptions = NewtonOptions()) -> NewtonResult:
-    """Damped Newton iteration on the bordered system.
+    """Chord Newton iteration on the bordered system (see the module docstring).
 
     Deterministic given its inputs.  Raises MaxItersExceeded,
     LinearSolveFailed, StepUnderflow, or NegativeSpeed (converged speed
@@ -137,23 +171,33 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
 
     R = res_of(u)
     norm = float(np.abs(R).max())
-    iterations = 0
+    iterations = factorizations = 0
+    lu = None
     while norm > opts.tol_residual:
         if iterations >= opts.max_iters:
             raise MaxItersExceeded(f"residual {norm:.3e} after {opts.max_iters} iterations")
-        state = vector_to_state(u, grid, family)
-        J = assemble_jacobian(state, params, spec, grid)
-        du = linear_solve(J, -R)
+        fresh = lu is None
+        if fresh:
+            lu = factorize(assemble_jacobian(vector_to_state(u, grid, family), params, spec,
+                                             grid))
+            factorizations += 1
+        du = lu.solve(-R)
         lam = 1.0
         while True:
             u_trial = u + lam * du
             R_trial = res_of(u_trial)
             norm_trial = float(np.abs(R_trial).max())
-            if norm_trial <= (1.0 - _ARMIJO_SLOPE * lam) * norm:
+            armijo = norm_trial <= (1.0 - _ARMIJO_SLOPE * lam) * norm  # False for NaN
+            if armijo or not fresh:
                 break
             lam *= opts.damping
             if lam < opts.min_step:
                 raise StepUnderflow(f"line search stalled at residual {norm:.3e}")
+        if not armijo:
+            lu = None  # a stale step failed the Armijo test: refactor at the same iterate
+            continue
+        if norm_trial > REFRESH_RATIO * norm:
+            lu = None  # slow progress: refactor at the new iterate
         u, R, norm = u_trial, R_trial, norm_trial
         iterations += 1
 
@@ -163,7 +207,8 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
     peclet = out.c * grid.hx / params.d
     if peclet >= 2.0:
         logger.warning("cell Peclet number c*hx/d = %.3f >= 2; centered convection may oscillate", peclet)
-    return NewtonResult(state=out, iterations=iterations, residual_norm=norm)
+    return NewtonResult(state=out, iterations=iterations, residual_norm=norm,
+                        factorizations=factorizations)
 
 
 def _rk4(c: float, d: float, f, theta: float, h: float, n_steps: int):

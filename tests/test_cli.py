@@ -107,10 +107,13 @@ def test_invalid_json_is_validation_error(tmp_path):
     ("run", lambda cfg: cfg["params"].update(bogus=1.0), EXIT_VALIDATION, "params.bogus"),
     ("run", lambda cfg: cfg["newton"].update(maxiters=50), EXIT_VALIDATION, "newton.maxiters"),
     ("run", lambda cfg: cfg["newton"].update(max_iters=0), EXIT_VALIDATION, "newton.max_iters"),
-    ("resume", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "psi"),
+    ("resume", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "ckpt.json: missing field 'psi'"),
+    ("profile", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "ckpt.json: missing field 'psi'"),
+    ("profile", lambda ckpt: ckpt["grid"].pop("nx"), EXIT_IO,
+     "ckpt.json: missing field 'grid.nx'"),
     ("profile", lambda ckpt: ckpt.update(phi=ckpt["phi"][:-1]), EXIT_SOLVER, "phi"),
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "resume_no_psi",
-        "profile_short_phi"])
+        "profile_no_psi", "profile_no_grid_nx", "profile_short_phi"])
 def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
                                            code, named):
     _, out, cfg, _ = completed_run
@@ -220,6 +223,18 @@ def test_run_artifacts(completed_run):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["stages"]) == {"A", "B", "C"}
     assert all(r["bounds_ok"] == "1" for r in rows)
+
+
+def test_run_path_parameters(completed_run):
+    # step growth counts factorizations, not chord iterations: the path keeps
+    # the parameters that full Newton, factoring at every iteration, took
+    _, out, _, _ = completed_run
+    _, rows = read_rows(out / "path.csv")
+    assert [(r["stage"], r["family_param"]) for r in rows] == [
+        ("A", "0"), ("A", "0.10000000000000001"), ("A", "0.25"), ("A", "0.47500000000000003"),
+        ("A", "0.8125"), ("A", "1"), ("B", "0.050000000000000003"),
+        ("C", "0.15000000000000002"), ("C", "0.30000000000000004"),
+        ("C", "0.52500000000000013"), ("C", "0.86250000000000016"), ("C", "1")]
 
 
 def test_stage_filter_a_only(tmp_path):

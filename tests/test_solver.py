@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from stripwave import (HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
-                       NonlinearitySpec, WaveState, build_grid, c_max, embed_one_dim_wave,
-                       linear_solve, newton_solve, solve_1d_ignition_shooting)
+                       NonlinearitySpec, WaveState, assemble_jacobian, assemble_residual,
+                       build_grid, c_max, embed_one_dim_wave, linear_solve, newton_solve,
+                       solve_1d_ignition_shooting, state_to_vector, vector_to_state)
 from stripwave.errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
                               SolverError, StepUnderflow)
 
@@ -119,6 +121,42 @@ def test_newton_from_embedding_matches_shooting(coarse_s0):
     # the s = 0 problem is y-independent
     spread = np.abs(result.state.psi - result.state.psi[0, :]).max()
     assert spread < 1e-8
+
+
+def test_newton_reuses_factorization(coarse_s0, monkeypatch):
+    grid, wave, _ = coarse_s0
+    init = embed_one_dim_wave(wave, grid, CUBIC)
+    opts = NewtonOptions()
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or splu(*a, **k))
+    result = newton_solve(init, PARAMS, CUBIC, grid, opts)
+    monkeypatch.undo()
+    assert result.factorizations == len(factored) < result.iterations
+    assert result.residual_norm <= opts.tol_residual
+
+    # reference: full Newton, a fresh factorization at every iteration, same Armijo rule
+    def res_of(vec):
+        return assemble_residual(vector_to_state(vec, grid, init.family), PARAMS, CUBIC, grid)
+
+    u = state_to_vector(init, grid)
+    R = res_of(u)
+    norm = np.abs(R).max()
+    for _ in range(opts.max_iters):
+        if norm <= opts.tol_residual:
+            break
+        J = assemble_jacobian(vector_to_state(u, grid, init.family), PARAMS, CUBIC, grid)
+        du = linear_solve(J, -R)
+        lam = 1.0
+        while True:
+            R_trial = res_of(u + lam * du)
+            norm_trial = np.abs(R_trial).max()
+            if norm_trial <= (1.0 - 1e-4 * lam) * norm:
+                break
+            lam *= opts.damping
+        u, R, norm = u + lam * du, R_trial, norm_trial
+    assert norm <= opts.tol_residual
+    assert abs(result.state.c - vector_to_state(u, grid, init.family).c) <= 1e-9
 
 
 def test_newton_fixed_point(coarse_s0):
