@@ -11,12 +11,14 @@ wave oned <config>            1-D shooting speed and profile only
 Exit codes: 0 ok, 2 validation, 3 solver, 4 I/O or malformed input.  The
 environment variable WAVE_OUT overrides the configured output directory.
 All float output is formatted with 17 significant digits so identical
-configs produce byte-identical path.csv files.
+configs produce byte-identical path.csv files; checkpoints hold their arrays
+as base64 text of the float64 bytes, so a resume starts from the exact state.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import concurrent.futures
 import hashlib
 import json
@@ -43,7 +45,7 @@ from . import analysis
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER, EXIT_IO = 0, 2, 3, 4
 STAGES = ("A", "B", "C")
 
@@ -189,8 +191,8 @@ def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str,
             "step": control.step,
             "prev_parameter": control.prev_parameter,
             "prev_c": None if prev is None else prev.c,
-            "prev_psi": None if prev is None else prev.psi.ravel().tolist(),
-            "prev_phi": None if prev is None or prev.phi is None else prev.phi.tolist(),
+            "prev_psi": None if prev is None else prev.psi.ravel(),
+            "prev_phi": None if prev is None else prev.phi,
         }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -200,8 +202,8 @@ def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str,
         "c": state.c,
         "grid": {"x_left": grid.x_left, "x_right": grid.x_right, "L": grid.L,
                  "nx": grid.nx, "ny": grid.ny},
-        "psi": state.psi.ravel().tolist(),
-        "phi": None if state.phi is None else state.phi.tolist(),
+        "psi": state.psi.ravel(),
+        "phi": state.phi,
         "config_hash": cfg_hash,
         "control": ctrl,
     }
@@ -211,10 +213,45 @@ def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str,
 CHECKPOINT_FIELDS = ("stage", "family", "parameter", "c", "grid", "psi", "phi", "config_hash")
 GRID_FIELDS = ("x_left", "x_right", "L", "nx", "ny")
 CONTROL_FIELDS = ("step", "prev_parameter", "prev_c", "prev_psi", "prev_phi")
+# the array fields: null, or base64 text of little-endian float64 bytes
+ARRAY_FIELDS = {"": ("psi", "phi"), "control.": ("prev_psi", "prev_phi")}
+
+
+def _encoded(data: dict) -> dict:
+    """`data` with each array or list, at any depth, as base64 float64 text."""
+    out = {}
+    for key, value in data.items():
+        if isinstance(value, dict):
+            value = _encoded(value)
+        elif isinstance(value, (np.ndarray, list)):
+            value = base64.b64encode(np.ascontiguousarray(value, dtype="<f8").tobytes()).decode()
+        out[key] = value
+    return out
+
+
+def _decoded(text, where: str) -> np.ndarray:
+    """The writable float array that `_encoded` wrote as `text`."""
+    if not isinstance(text, str):
+        raise ValueError(f"{where} must be base64 text, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise ValueError(f"{where} is not valid base64: {exc}") from exc
+    if len(raw) % 8:
+        raise ValueError(f"{where} holds {len(raw)} bytes, not a multiple of 8")
+    return np.frombuffer(bytearray(raw), dtype="<f8")
 
 
 def write_checkpoint(path: Path, data: dict) -> None:
-    path.write_text(canonical_json(data))
+    """`data` as canonical JSON, arrays in base64.  It is written to a
+    temporary file that then replaces `path`, so a write that fails or is
+    killed leaves no partial checkpoint."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(canonical_json(_encoded(data)))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_checkpoint(path) -> dict:
@@ -235,6 +272,10 @@ def read_checkpoint(path) -> dict:
         for name in fields:
             if not isinstance(section, dict) or name not in section:
                 raise ValueError(f"checkpoint {path}: missing field '{prefix}{name}'")
+        for name in ARRAY_FIELDS.get(prefix, ()):
+            if section[name] is not None:
+                section[name] = _decoded(section[name],
+                                         f"checkpoint {path}: field '{prefix}{name}'")
     return data
 
 
@@ -305,10 +346,23 @@ class PathWriter:
         self.fh.close()
 
 
+CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path, header: str, columns: list, fmt: str = "%.17g") -> None:
-    """Columns of floats as CSV, each value formatted like `fmt_float`."""
-    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",", header=header,
-               comments="")
+    """Columns of floats as CSV, each value formatted like `fmt_float`.
+
+    `fmt` is the format of each value, or of a whole row when it holds more
+    than one `%`, as for `np.savetxt`, whose output this matches byte for
+    byte; each block of rows is formatted by one `%` on a repeated row format.
+    """
+    table = np.column_stack(columns)
+    row = (fmt if fmt.count("%") > 1 else ",".join([fmt] * table.shape[1])) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_profile_files(outdir: Path, record: ContinuationRecord, grid: Grid) -> None:
@@ -377,6 +431,15 @@ def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, stage: str,
     return ends
 
 
+def _write_outputs(outdir: Path, grid: Grid, ends: dict[str, ContinuationRecord],
+                   summary: dict) -> dict:
+    """The profiles of every stage run, then summary.json; returns `summary`."""
+    for end in ends.values():
+        write_profile_files(outdir, end, grid)
+    (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
+    return summary
+
+
 def execute_run(cfg: RunConfig, outdir: Path) -> dict:
     grid, params, spec = cfg.grid, cfg.params, cfg.nonlinearity
     summary: dict = {"config_hash": config_hash(cfg.raw), "stages": {}, "timings_s": {}}
@@ -390,10 +453,7 @@ def execute_run(cfg: RunConfig, outdir: Path) -> dict:
         corrected = newton_solve(init, params, spec, grid, cfg.newton)
         ends = _run_stages(cfg, writer, summary, "A", corrected.state, corrected.residual_norm,
                            StepControl(step=cfg.continuation.initial_step), t_shot)
-    for end in ends.values():
-        write_profile_files(outdir, end, grid)
-    (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
-    return summary
+    return _write_outputs(outdir, grid, ends, summary)
 
 
 def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dict:
@@ -414,10 +474,7 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
         writer.last_state = state
         ends = _run_stages(cfg, writer, summary, stage, state, residual_norm, control,
                            time.perf_counter())
-    if "C" in ends:
-        write_profile_files(outdir, ends["C"], cfg.grid)
-    (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
-    return summary
+    return _write_outputs(outdir, cfg.grid, ends, summary)
 
 
 def emit_profile(checkpoint_path, out_path) -> None:

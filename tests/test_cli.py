@@ -112,8 +112,18 @@ def test_invalid_json_is_validation_error(tmp_path):
     ("profile", lambda ckpt: ckpt["grid"].pop("nx"), EXIT_IO,
      "ckpt.json: missing field 'grid.nx'"),
     ("profile", lambda ckpt: ckpt.update(phi=ckpt["phi"][:-1]), EXIT_SOLVER, "phi"),
+    # text values are written as given, so these reach the file as raw JSON text
+    ("resume", lambda ckpt: ckpt.update(psi="AAAA!AAA"), EXIT_IO,
+     "ckpt.json: field 'psi' is not valid base64"),
+    ("profile", lambda ckpt: ckpt.update(psi="AAAA!AAA"), EXIT_IO,
+     "ckpt.json: field 'psi' is not valid base64"),
+    ("resume", lambda ckpt: ckpt.update(psi="AAAAAAAAAAAAAAAA"), EXIT_IO,
+     "ckpt.json: field 'psi' holds 12 bytes"),
+    ("profile", lambda ckpt: ckpt.update(psi="AAAAAAAAAAAAAAAA"), EXIT_IO,
+     "ckpt.json: field 'psi' holds 12 bytes"),
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "resume_no_psi",
-        "profile_no_psi", "profile_no_grid_nx", "profile_short_phi"])
+        "profile_no_psi", "profile_no_grid_nx", "profile_short_phi", "resume_psi_not_base64",
+        "profile_psi_not_base64", "resume_psi_12_bytes", "profile_psi_12_bytes"])
 def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
                                            code, named):
     _, out, cfg, _ = completed_run
@@ -138,15 +148,20 @@ def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, comm
 
 # --- checkpoint byte round-trip ---------------------------------------------------
 
+# -0.0, a subnormal, the largest double below 1, a large finite value, and 0.1 + 0.2
+EDGE_VALUES = [-0.0, 5e-324, 1.0 - 2.0 ** -53, 1e300, 0.30000000000000004]
+
+
 def test_checkpoint_round_trip_is_byte_identical(tmp_path):
+    psi = np.array(EDGE_VALUES * 3)
+    prev_phi = -np.array(EDGE_VALUES)
     data = {
-        "schema_version": 1, "stage": "A", "family": "wentzell", "parameter": 0.25,
-        "c": 0.2974473931806512, "grid": {"x_left": -160.0, "x_right": 80.0, "L": 1.0,
-                                          "nx": 5, "ny": 3},
-        "psi": [0.1, 0.2, 0.30000000000000004, 0.4, 0.5] * 3,
-        "phi": None, "config_hash": "abc",
+        "schema_version": cli.SCHEMA_VERSION, "stage": "C", "family": "exchange",
+        "parameter": 0.25, "c": 0.2974473931806512,
+        "grid": {"x_left": -160.0, "x_right": 80.0, "L": 1.0, "nx": 5, "ny": 3},
+        "psi": psi, "phi": np.array(EDGE_VALUES[::-1]), "config_hash": "abc",
         "control": {"step": 0.15000000000000002, "prev_parameter": 0.1, "prev_c": 0.28,
-                    "prev_psi": [0.0] * 15, "prev_phi": None},
+                    "prev_psi": psi.reshape(3, 5) / 3.0, "prev_phi": prev_phi},
     }
     p1 = tmp_path / "a.json"
     write_checkpoint(p1, data)
@@ -154,15 +169,55 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     p2 = tmp_path / "b.json"
     write_checkpoint(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+    # every decoded array has the bits that were written, and is writable
+    for section, name in [(None, "psi"), (None, "phi"), ("control", "prev_psi"),
+                          ("control", "prev_phi")]:
+        want = data[section][name] if section else data[name]
+        got = loaded[section][name] if section else loaded[name]
+        assert got.tobytes() == np.ravel(want).tobytes(), name
+        assert got.flags.writeable
+    # the scalars stay plain JSON, the arrays are text
+    raw = json.loads(p1.read_text())
+    assert raw["control"]["step"] == 0.15000000000000002 and isinstance(raw["psi"], str)
 
 
-@pytest.mark.parametrize("content", [{"schema_version": 99}, [1, 2]],
-                         ids=["schema_99", "not_an_object"])
+SCHEMA_1 = {  # a checkpoint of schema 1, whose arrays were JSON float lists
+    "schema_version": 1, "stage": "A", "family": "wentzell", "parameter": 0.25,
+    "c": 0.2974473931806512, "grid": {"x_left": -160.0, "x_right": 80.0, "L": 1.0,
+                                      "nx": 5, "ny": 3},
+    "psi": [0.1, 0.2, 0.30000000000000004, 0.4, 0.5] * 3, "phi": None, "config_hash": "abc",
+    "control": {"step": 0.15000000000000002, "prev_parameter": 0.1, "prev_c": 0.28,
+                "prev_psi": [0.0] * 15, "prev_phi": None},
+}
+
+
+@pytest.mark.parametrize("content", [{"schema_version": 99}, [1, 2], SCHEMA_1],
+                         ids=["schema_99", "not_an_object", "schema_1"])
 def test_checkpoint_schema_mismatch(tmp_path, capsys, content):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(content))
     assert main(["profile", str(p), str(tmp_path / "o.csv")]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: SchemaMismatch: ")
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    data = dict(SCHEMA_1, schema_version=cli.SCHEMA_VERSION)
+    old = tmp_path / "ckpt_0001_A.json"
+    write_checkpoint(old, data)
+    before = old.read_bytes()
+    real_write_text = Path.write_text
+
+    def write_half(self, text, *args, **kwargs):  # a write that fails partway, as on a full disk
+        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    for path in (old, tmp_path / "ckpt_0002_A.json"):
+        with pytest.raises(OSError, match="No space"):
+            write_checkpoint(path, data)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_0001_A.json"]
+    assert old.read_bytes() == before
 
 
 def test_profile_writers_match_fmt_float(tmp_path):
@@ -307,6 +362,10 @@ def test_determinism_byte_identical_paths(tmp_path):
     assert main(["run", str(p2)]) == EXIT_OK
     assert (tmp_path / "o1" / "path.csv").read_bytes() == \
            (tmp_path / "o2" / "path.csv").read_bytes()
+    ckpts = sorted(p.name for p in (tmp_path / "o1").glob("ckpt_*.json"))
+    assert ckpts and ckpts == sorted(p.name for p in (tmp_path / "o2").glob("ckpt_*.json"))
+    for name in ckpts:
+        assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
 
 
 # --- resume ---------------------------------------------------------------------
@@ -326,6 +385,12 @@ def test_resume_matches_uninterrupted(completed_run, tmp_path, name):
     resumed = (resumed_out / "path.csv").read_bytes().splitlines(keepends=True)
     # the header, then the rows after the checkpoint's record
     assert resumed == full[:1] + full[1 + int(name[5:9]):]
+    # the profiles of every stage the resume ran, as the run wrote them
+    ran = {"A": "ABC", "B": "C", "C": "C"}[name[-1]]
+    profiles = sorted(p.name for p in out.glob("profile_*") if p.name[8] in ran)
+    assert sorted(p.name for p in resumed_out.glob("profile_*")) == profiles
+    for profile in profiles:
+        assert (resumed_out / profile).read_bytes() == (out / profile).read_bytes(), profile
 
 
 @pytest.mark.parametrize("stage", ["A", "C"])
@@ -444,5 +509,6 @@ def test_benchmark_hook_points(completed_run, tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = set(json.loads(proc.stdout.splitlines()[-1]))
     assert {"continuation.continue_wentzell", "continuation.handoff_to_system",
-            "continuation.continue_exchange", "cli.write_checkpoint",
+            "continuation.continue_exchange", "cli.write_checkpoint", "cli.read_checkpoint",
+            "cli.checkpoint_dict", "cli.checkpoint_state", "cli.write_profile_files",
             "cli.PathWriter.write"} <= names
