@@ -40,7 +40,7 @@ from .errors import (AnchorNotOnGrid, BadExtent, ConfigError, ConfigHashMismatch
 from .grid import Grid, build_grid
 from .model import ModelParams, NonlinearityKind, NonlinearitySpec
 from .residual import HomotopyFamily, WaveState, assemble_residual
-from .solver import NewtonOptions, newton_solve, solve_1d_ignition_shooting
+from .solver import NewtonOptions, NewtonResult, newton_solve, solve_1d_ignition_shooting
 from . import analysis
 
 logger = logging.getLogger(__name__)
@@ -215,6 +215,8 @@ GRID_FIELDS = ("x_left", "x_right", "L", "nx", "ny")
 CONTROL_FIELDS = ("step", "prev_parameter", "prev_c", "prev_psi", "prev_phi")
 # the array fields: null, or base64 text of little-endian float64 bytes
 ARRAY_FIELDS = {"": ("psi", "phi"), "control.": ("prev_psi", "prev_phi")}
+# the strip fields among them, of grid.nx * grid.ny values each
+STRIP_FIELDS = {"": "psi", "control.": "prev_psi"}
 
 
 def _encoded(data: dict) -> dict:
@@ -276,6 +278,16 @@ def read_checkpoint(path) -> dict:
             if section[name] is not None:
                 section[name] = _decoded(section[name],
                                          f"checkpoint {path}: field '{prefix}{name}'")
+    for name in ("nx", "ny"):
+        if type(data["grid"][name]) is not int:
+            raise ValueError(f"checkpoint {path}: field 'grid.{name}' must be an integer, "
+                             f"got {data['grid'][name]!r}")
+    cells = data["grid"]["nx"] * data["grid"]["ny"]
+    for prefix, section, _ in sections:
+        name = STRIP_FIELDS.get(prefix)
+        if name is not None and section[name] is not None and section[name].size != cells:
+            raise ValueError(f"checkpoint {path}: field '{prefix}{name}' holds "
+                             f"{section[name].size} values, not nx * ny = {cells}")
     return data
 
 
@@ -440,20 +452,38 @@ def _write_outputs(outdir: Path, grid: Grid, ends: dict[str, ContinuationRecord]
     return summary
 
 
-def execute_run(cfg: RunConfig, outdir: Path) -> dict:
-    grid, params, spec = cfg.grid, cfg.params, cfg.nonlinearity
+def run_start(cfg: RunConfig, timings: dict) -> tuple[float, NewtonResult]:
+    """The start of a run: the 1-D front by shooting, embedded y-uniformly and
+    corrected at Wentzell s = 0, the Neumann strip problem.  Returns the 1-D
+    speed and the correction; the shooting time goes to `timings`.
+
+    In the Wentzell family `D` enters only the top-row term
+    `(s/mu)(D psi_xx - c psi_x)`, which with its Jacobian entries is exactly
+    +-0 at s = 0; so the start is the same, bit for bit, for every `D`, and a
+    `--sweep D=...` computes it once for all its points.
+    """
+    t0 = time.perf_counter()
+    wave1d = solve_1d_ignition_shooting(cfg.params.d, cfg.nonlinearity, cfg.shooting_tol)
+    timings["shooting"] = time.perf_counter() - t0
+    init = embed_one_dim_wave(wave1d, cfg.grid, cfg.nonlinearity)
+    return wave1d.c, newton_solve(init, cfg.params, cfg.nonlinearity, cfg.grid, cfg.newton)
+
+
+def execute_run(cfg: RunConfig, outdir: Path,
+                start: tuple[float, NewtonResult] | None = None) -> dict:
+    """A full run.  Given `start`, the `run_start` of a config that differs
+    from `cfg` at most in `D`, the run does not shoot: its summary then has
+    no `shooting` time, and stage A's time is the march alone."""
     summary: dict = {"config_hash": config_hash(cfg.raw), "stages": {}, "timings_s": {}}
     with closing(PathWriter(outdir, cfg, summary["config_hash"])) as writer:
         t0 = time.perf_counter()
-        wave1d = solve_1d_ignition_shooting(params.d, spec, cfg.shooting_tol)
-        t_shot = time.perf_counter()
-        summary["timings_s"]["shooting"] = t_shot - t0
-        summary["c_one_dim"] = wave1d.c
-        init = embed_one_dim_wave(wave1d, grid, spec)
-        corrected = newton_solve(init, params, spec, grid, cfg.newton)
+        if start is None:
+            start = run_start(cfg, summary["timings_s"])
+            t0 += summary["timings_s"]["shooting"]  # stage A's time starts when shooting ends
+        summary["c_one_dim"], corrected = start
         ends = _run_stages(cfg, writer, summary, "A", corrected.state, corrected.residual_norm,
-                           StepControl(step=cfg.continuation.initial_step), t_shot)
-    return _write_outputs(outdir, grid, ends, summary)
+                           StepControl(step=cfg.continuation.initial_step), t0)
+    return _write_outputs(outdir, cfg.grid, ends, summary)
 
 
 def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dict:
@@ -527,33 +557,50 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(payload: tuple[dict, str]) -> int:
-    data, outdir = payload
+def _sweep_start(data: dict) -> tuple[float, NewtonResult]:
+    """The `run_start` that every point of a sweep shares, run in the pool."""
+    return run_start(config_from_dict(data), {})
+
+
+def _sweep_worker(payload: tuple[dict, str, tuple[float, NewtonResult]]) -> int:
+    data, outdir, start = payload
     try:  # a pool process: its errors are reported here, not by `main`
-        execute_run(config_from_dict(data), Path(outdir))
+        execute_run(config_from_dict(data), Path(outdir), start)
     except CLI_ERRORS as exc:
         return _report(Path(outdir), exc)
     return EXIT_OK
 
 
 def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
+    """One run per `D` value, each in its subdirectory `D_<value>`, on a
+    process pool.  The points share their start (`run_start` does not depend
+    on `D`), which one pool task computes before the points run."""
     name, _, values_txt = sweep.partition("=")
+    texts = [v.strip() for v in values_txt.split(",")]
     try:
-        values = [float(v) for v in values_txt.split(",")]
+        values = [float(v) for v in texts]
     except ValueError:
         values = []
     if name != "D" or not values:
         raise ConfigError(f"--sweep: expected 'D=v1,v2,...', got {sweep!r}")
-    jobs = []
-    for v in values:
+    jobs, value_of = [], {}
+    for text, v in zip(texts, values):
+        sub = outdir / f"D_{v:g}"
+        if sub in value_of:
+            raise ConfigError(f"--sweep: D={value_of[sub]} and D={text} would both write {sub}")
+        value_of[sub] = text
         data = json.loads(canonical_json(cfg.raw))
         data["params"]["D"] = v
-        sub = outdir / f"D_{v:g}"
         data["output_dir"] = str(sub)
         jobs.append((data, str(sub)))
     workers = min(len(jobs), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(_sweep_worker, jobs))
+        try:
+            start = pool.submit(_sweep_start, cfg.raw).result()
+        except CLI_ERRORS as exc:  # the start of every point failed
+            codes = [_report(sub, exc) for sub in value_of]
+        else:
+            codes = list(pool.map(_sweep_worker, [job + (start,) for job in jobs]))
     for v, code in zip(values, codes):
         print(f"D = {v:g}: exit {code}")
     return max(codes)
@@ -606,7 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full continuation run from a JSON config")
     p.add_argument("config")
-    p.add_argument("--sweep", help="e.g. D=1,2,4: independent runs in subdirectories")
+    p.add_argument("--sweep", help="e.g. D=1,2,4: one run per value, in subdirectory "
+                                   "D_<value>; the runs share their D-independent start "
+                                   "(shooting and the s = 0 correction)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("resume", help="continue from a checkpoint")

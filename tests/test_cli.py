@@ -112,6 +112,14 @@ def test_invalid_json_is_validation_error(tmp_path):
     ("profile", lambda ckpt: ckpt["grid"].pop("nx"), EXIT_IO,
      "ckpt.json: missing field 'grid.nx'"),
     ("profile", lambda ckpt: ckpt.update(phi=ckpt["phi"][:-1]), EXIT_SOLVER, "phi"),
+    ("resume", lambda ckpt: ckpt.update(psi=ckpt["psi"][:-1]), EXIT_IO,
+     "ckpt.json: field 'psi' holds 5290 values, not nx * ny = 5291"),
+    ("profile", lambda ckpt: ckpt.update(psi=ckpt["psi"][:-1]), EXIT_IO,
+     "ckpt.json: field 'psi' holds 5290 values, not nx * ny = 5291"),
+    ("resume", lambda ckpt: ckpt["control"].update(prev_psi=ckpt["control"]["prev_psi"][1:]),
+     EXIT_IO, "ckpt.json: field 'control.prev_psi' holds 5290 values"),
+    ("profile", lambda ckpt: ckpt["grid"].update(nx=481.0), EXIT_IO,
+     "ckpt.json: field 'grid.nx' must be an integer, got 481.0"),
     # text values are written as given, so these reach the file as raw JSON text
     ("resume", lambda ckpt: ckpt.update(psi="AAAA!AAA"), EXIT_IO,
      "ckpt.json: field 'psi' is not valid base64"),
@@ -122,8 +130,10 @@ def test_invalid_json_is_validation_error(tmp_path):
     ("profile", lambda ckpt: ckpt.update(psi="AAAAAAAAAAAAAAAA"), EXIT_IO,
      "ckpt.json: field 'psi' holds 12 bytes"),
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "resume_no_psi",
-        "profile_no_psi", "profile_no_grid_nx", "profile_short_phi", "resume_psi_not_base64",
-        "profile_psi_not_base64", "resume_psi_12_bytes", "profile_psi_12_bytes"])
+        "profile_no_psi", "profile_no_grid_nx", "profile_short_phi", "resume_psi_short",
+        "profile_psi_short", "resume_prev_psi_short", "profile_grid_nx_float",
+        "resume_psi_not_base64", "profile_psi_not_base64", "resume_psi_12_bytes",
+        "profile_psi_12_bytes"])
 def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
                                            code, named):
     _, out, cfg, _ = completed_run
@@ -484,6 +494,62 @@ def test_sweep_parse_error(tmp_path, capsys, sweep):
     assert capsys.readouterr().err.startswith("error: ConfigError: --sweep")
 
 
+@pytest.mark.parametrize("sweep, named", [("D=1,1.0000001", "D=1 and D=1.0000001"),
+                                          ("D=1,1", "D=1 and D=1")])
+def test_sweep_values_sharing_a_directory(tmp_path, capsys, sweep, named):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, fast_config(out))
+    assert main(["run", str(path), "--sweep", sweep]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: --sweep") and f"{named} would both write" in err
+    assert str(out / "D_1") in err
+    assert not out.exists()  # refused before any work
+
+
+def test_sweep_point_equals_standalone_run(tmp_path, monkeypatch):
+    calls = tmp_path / "shooting_calls"
+    real_shooting = cli.solve_1d_ignition_shooting
+
+    def counted_shooting(*args, **kwargs):  # forked pool workers inherit it
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_shooting(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_1d_ignition_shooting", counted_shooting)
+    cfg = fast_config(tmp_path / "sweep")
+    assert main(["run", str(write_config(tmp_path, cfg)), "--sweep", "D=2,4"]) == EXIT_OK
+    assert len(calls.read_text().splitlines()) == 1  # one shooting for the whole sweep
+    for v in (2.0, 4.0):
+        point, alone = tmp_path / "sweep" / f"D_{v:g}", tmp_path / f"alone_{v:g}"
+        data = json.loads(json.dumps(cfg))
+        data["params"]["D"], data["output_dir"] = v, str(alone)
+        assert main(["run", str(write_config(tmp_path, data, f"alone_{v:g}.json"))]) == EXIT_OK
+        names = sorted(p.name for p in alone.iterdir())
+        assert sorted(p.name for p in point.iterdir()) == names
+        assert {"path.csv", "ckpt_0012_C.json", "profile_C_1_line.csv"} <= set(names)
+        for name in names:
+            if name != "summary.json":
+                assert (point / name).read_bytes() == (alone / name).read_bytes(), (v, name)
+        summaries = [json.loads((d / "summary.json").read_text()) for d in (point, alone)]
+        timings = [summary.pop("timings_s") for summary in summaries]
+        assert summaries[0] == summaries[1]
+        # the point did not shoot, so it reports no shooting time
+        assert sorted(timings[0]) == ["A", "B", "C"]
+        assert sorted(timings[1]) == ["A", "B", "C", "shooting"]
+    assert len(calls.read_text().splitlines()) == 3
+
+
+def test_sweep_failed_start_is_reported_per_point(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = fast_config(out, shooting_tol=0.5)
+    cfg["nonlinearity"] = {"kind": "piecewise_linear_oracle", "theta": 0.9}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--sweep", "D=2,4"]) == EXIT_SOLVER
+    for v in ("2", "4"):
+        error = json.loads((out / f"D_{v}" / "error.json").read_text())
+        assert error["error"] == "BracketNotFound" and error["exit_code"] == EXIT_SOLVER
+    assert capsys.readouterr().out == "D = 2: exit 3\nD = 4: exit 3\n"
+
+
 # --- the benchmark's hook points ----------------------------------------------------
 
 TRACED_MAIN = """
@@ -498,17 +564,33 @@ print(json.dumps(sorted({span[0] for span in spans.spans})))
 """
 
 
+def traced_main(worker_dumps, *argv, **env):
+    """Span names of `main(argv)` run under perfbench's tracer, which writes
+    the records of each sweep worker call into `worker_dumps`."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", TRACED_MAIN, str(perfbench), str(worker_dumps),
+                           *argv], capture_output=True, text=True, env=subprocess_env(**env),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
 def test_benchmark_hook_points(completed_run, tmp_path):
     _, out, _, cfg_path = completed_run
-    root = Path(__file__).resolve().parents[1]
-    env = subprocess_env(WAVE_OUT=str(tmp_path / "traced"))
-    proc = subprocess.run([sys.executable, "-c", TRACED_MAIN, str(root / "perfbench"),
-                           str(tmp_path), "resume", str(out / "ckpt_0003_A.json"),
-                           str(cfg_path)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    names = set(json.loads(proc.stdout.splitlines()[-1]))
+    names = traced_main(tmp_path, "resume", str(out / "ckpt_0003_A.json"), str(cfg_path),
+                        WAVE_OUT=str(tmp_path / "traced"))
     assert {"continuation.continue_wentzell", "continuation.handoff_to_system",
             "continuation.continue_exchange", "cli.write_checkpoint", "cli.read_checkpoint",
             "cli.checkpoint_dict", "cli.checkpoint_state", "cli.write_profile_files",
             "cli.PathWriter.write"} <= names
+    # a sweep: one dump per point, named after its directory, with the point's march
+    dumps = tmp_path / "dumps"
+    dumps.mkdir()
+    traced_main(dumps, "run", str(cfg_path), "--sweep", "D=2,4",
+                WAVE_OUT=str(tmp_path / "traced_sweep"))
+    assert sorted(p.name.partition("-")[0] for p in dumps.iterdir()) == ["D_2", "D_4"]
+    for dump in dumps.iterdir():
+        spans = {span[0] for span in json.loads(dump.read_text())["spans"]}
+        assert {"cli._sweep_worker", "cli.execute_run",
+                "continuation.continue_wentzell"} <= spans, dump.name
+        assert "solver.solve_1d_ignition_shooting" not in spans, dump.name  # the shared start
