@@ -9,8 +9,8 @@ qualitative property the continuous problem guarantees is re-checked
 numerically on each converged state.
 """
 
-from .analysis import (SymbolQuery, approximation_identity_mass, bessel_k0, k0_line_mass,
-                       scan_symbol_zero_free, wentzell_symbol_denominator)
+from .analysis import (approximation_identity_mass, bessel_k0, k0_line_mass,
+                       scan_symbol_zero_free, symbol_denominator)
 from .continuation import (ContinuationOptions, ContinuationPath, ContinuationRecord,
                            StepControl, continue_exchange, continue_wentzell,
                            embed_one_dim_wave, handoff_to_system)
@@ -39,7 +39,7 @@ __all__ = [
     "DiagnosticsReport", "DispersionQuery", "run_diagnostics", "check_bounds",
     "check_monotonicity", "check_sandwich", "speed_identity", "left_decay_bound",
     "dispersion_root", "supersolution_rate", "fit_right_decay", "translation_collapse",
-    "SymbolQuery", "wentzell_symbol_denominator", "scan_symbol_zero_free", "bessel_k0",
+    "symbol_denominator", "scan_symbol_zero_free", "bessel_k0",
     "k0_line_mass", "approximation_identity_mass",
 ]
 

@@ -22,27 +22,11 @@ the defining integral so it stays independently verifiable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams
-
-
-@dataclass(frozen=True)
-class SymbolQuery:
-    """One evaluation point of the boundary symbol denominator."""
-
-    xi: float
-    epsilon: float
-    c0: float
-    c1: float
-    params: ModelParams
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
 
 
 def symbol_denominator(params: ModelParams, epsilon: float, c0: float, c1: float,
@@ -61,14 +45,11 @@ def symbol_denominator(params: ModelParams, epsilon: float, c0: float, c1: float
     return F  # not re + 1j * im: 1j * inf has a nan real part
 
 
-def wentzell_symbol_denominator(q: SymbolQuery) -> complex:
-    """F(xi) at one query point."""
-    return complex(symbol_denominator(q.params, q.epsilon, q.c0, q.c1, q.xi))
-
-
 def symbol_scan_table(params: ModelParams, epsilon: float, c0: float, c1: float,
                       xi_max: float, n: int) -> np.ndarray:
     """Columns (xi, Re F, Im F, |F|) at n uniform real frequencies in [-xi_max, xi_max]."""
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not xi_max > 0:

@@ -593,7 +593,9 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
         data["params"]["D"] = v
         data["output_dir"] = str(sub)
         jobs.append((data, str(sub)))
-    workers = min(len(jobs), os.cpu_count() or 1)
+    # the CPUs this process may run on (taskset, cpusets), not the machine's
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(jobs), cpus or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             start = pool.submit(_sweep_start, cfg.raw).result()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripwave import (ModelParams, SymbolQuery, approximation_identity_mass, bessel_k0,
-                       k0_line_mass, scan_symbol_zero_free, wentzell_symbol_denominator)
+from stripwave import (ModelParams, approximation_identity_mass, bessel_k0, k0_line_mass,
+                       scan_symbol_zero_free, symbol_denominator)
 from stripwave.analysis import symbol_scan_table
 from stripwave.errors import DomainError
 
@@ -13,8 +13,7 @@ PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 
 
 def F(xi, epsilon=0.0, c0=1.0, c1=0.0, params=PARAMS):
-    return wentzell_symbol_denominator(SymbolQuery(xi=xi, epsilon=epsilon, c0=c0, c1=c1,
-                                                   params=params))
+    return complex(symbol_denominator(params, epsilon, c0, c1, xi))
 
 
 def test_symbol_at_zero_frequency():
@@ -59,6 +58,13 @@ def test_scan_table_shape():
     table = symbol_scan_table(PARAMS, 0.0, 1.0, 0.0, xi_max=5.0, n=11)
     assert table.shape == (11, 4)
     assert np.allclose(table[:, 3], np.hypot(table[:, 1], table[:, 2]))
+
+
+def test_scan_rejects_negative_epsilon():
+    with pytest.raises(ValueError, match="epsilon must be >= 0, got -1"):
+        symbol_scan_table(PARAMS, -1.0, 1.0, 0.0, xi_max=5.0, n=11)
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        scan_symbol_zero_free(PARAMS, -0.5, 1.0, 0.0, xi_max=5.0, n=11)
 
 
 def simpson_k0(x, n=200_001, t_max=14.0):

@@ -461,6 +461,10 @@ def test_symbol_scan_subcommand(tmp_path, capsys):
         == EXIT_IO
     assert capsys.readouterr().err == "error: ValueError: n must be >= 2, got 0\n"
     assert not (tmp_path / "none.csv").exists()
+    assert main(["symbol-scan", str(path), "--epsilon", "-1",
+                 "--out", str(tmp_path / "negative.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == "error: ValueError: epsilon must be >= 0, got -1.0\n"
+    assert not (tmp_path / "negative.csv").exists()
 
 
 def test_config_hash_is_stable():
@@ -548,6 +552,40 @@ def test_sweep_failed_start_is_reported_per_point(tmp_path, capsys):
         error = json.loads((out / f"D_{v}" / "error.json").read_text())
         assert error["error"] == "BracketNotFound" and error["exit_code"] == EXIT_SOLVER
     assert capsys.readouterr().out == "D = 2: exit 3\nD = 4: exit 3\n"
+
+
+def test_sweep_pool_fits_the_cpus_the_process_may_use(tmp_path, monkeypatch):
+    asked = []
+
+    class PoolAsked(Exception):
+        pass
+
+    def pool(max_workers):
+        asked.append(max_workers)
+        raise PoolAsked
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", pool)
+    cfg = load_config(write_config(tmp_path, fast_config(tmp_path / "out")))
+    with pytest.raises(PoolAsked):
+        cli._run_sweep(cfg, tmp_path / "out", "D=2,4")
+    assert asked == [1]  # two points, but one CPU to run them on
+
+
+# --- scripts ------------------------------------------------------------------------
+
+def test_speed_vs_line_diffusivity_script(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "speed_vs_line_diffusivity.py"
+    out = tmp_path / "speed.csv"
+    proc = subprocess.run([sys.executable, str(script), str(out), "1"], capture_output=True,
+                          text=True, timeout=300, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    header, rows = read_rows(out)
+    assert header == ["D", "c_neumann", "c_wentzell", "c_system"]
+    assert len(rows) == 1 and float(rows[0]["D"]) == 1.0
+    speeds = [float(rows[0][k]) for k in header[1:]]
+    assert all(np.isfinite(speeds)) and min(speeds) > 0.0
 
 
 # --- the benchmark's hook points ----------------------------------------------------

@@ -1,8 +1,12 @@
+import itertools
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from stripwave import solver
 from stripwave import (HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, assemble_jacobian, assemble_residual,
                        build_grid, c_max, embed_one_dim_wave, linear_solve, newton_solve,
@@ -91,6 +95,88 @@ def test_shooting_lower_bracket_end_must_undershoot():
     oracle = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.9)
     with pytest.raises(BracketNotFound, match="lower bracket end c = 5.000e-01"):
         solve_1d_ignition_shooting(1.0, oracle, tol=0.5)
+
+
+def fine_shooting(d, spec, tol):
+    """Reference: the bisection run at the fine step throughout.
+
+    Returns x, psi, c and whether the upper end had to be doubled."""
+    c_bound = c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
+    h = 1e-3 * d / c_bound
+    x_max = max(200.0 * d / c_bound, 100.0)
+    n_steps = int(x_max / h)
+    theta, f = spec.theta, solver.scalar_reaction(spec)
+
+    def classify(c):
+        return solver._classify(solver._rk4(c, d, f, theta, h, n_steps))
+
+    lo = c_floor = max(tol, 1e-10)
+    hi = c_bound
+    while classify(hi) != 1:
+        hi *= 2.0
+    doubled = hi != c_bound
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if classify(mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    if lo == c_floor and classify(lo) != -1:
+        raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
+    c_star = 0.5 * (lo + hi)
+    xs, ps = [0.0], [theta]
+    for psi, dpsi in solver._rk4(c_star, d, f, theta, h, n_steps):
+        if psi <= ps[-1]:
+            break
+        xs.append(xs[-1] + h)
+        ps.append(min(psi, 1.0))
+        if 1.0 - psi < 1e-13 or dpsi <= 0.0:
+            break
+    return np.array(xs), np.clip(np.array(ps), 0.0, 1.0), c_star, doubled
+
+
+def test_shooting_equals_fine_bisection():
+    doubled = []
+    for kind, theta, d in itertools.product(NonlinearityKind, (0.05, 0.9), (0.5, 2.5)):
+        spec = NonlinearitySpec(kind=kind, theta=theta)
+        x, psi, c, grew = fine_shooting(d, spec, 1e-6)
+        wave = solve_1d_ignition_shooting(d, spec, tol=1e-6)
+        assert wave.c == c, (kind, theta, d)
+        assert wave.x.tobytes() == x.tobytes() and wave.psi.tobytes() == psi.tobytes()
+        doubled.append(grew)
+    # the oracle at theta = 0.05 has c = 0.95 sqrt(d / 0.05), about 2.1 c_max:
+    # its upper end is doubled
+    assert any(doubled)
+
+
+def test_shooting_fallback_to_the_fine_step(monkeypatch, caplog):
+    # no coarse step fits the window: every coarse trajectory reads as an
+    # undershoot, the final lower end overshoots at the fine step, and the
+    # bisection is redone there
+    monkeypatch.setattr(solver, "COARSE", 10**9)
+    with caplog.at_level(logging.INFO, logger="stripwave.solver"):
+        wave = solve_1d_ignition_shooting(1.0, CUBIC, tol=1e-9)
+    assert "is not confirmed at step" in caplog.text
+    assert wave.c == 0.2634361718052042
+    assert wave.x.size == wave.psi.size == 27766
+
+
+def test_shooting_fine_trajectories(monkeypatch, caplog):
+    steps = []
+    rk4 = solver._rk4
+
+    def counted(c, d, f, theta, h, n_steps):
+        steps.append(h)
+        return rk4(c, d, f, theta, h, n_steps)
+
+    monkeypatch.setattr(solver, "_rk4", counted)
+    with caplog.at_level(logging.INFO, logger="stripwave.solver"):
+        wave = solve_1d_ignition_shooting(1.0, CUBIC, tol=1e-9)
+    assert wave.c == 0.2634361718052042 and "not confirmed" not in caplog.text
+    fine = min(steps)
+    # the upper end, the two ends of the final bracket and the profile
+    assert steps.count(fine) <= 4
+    assert set(steps) == {fine, solver.COARSE * fine}
 
 
 @pytest.mark.parametrize("field, value", [("max_iters", 0), ("min_step", 0.0)])
