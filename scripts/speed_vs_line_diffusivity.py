@@ -13,7 +13,7 @@ import sys
 
 from stripwave import (ContinuationOptions, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, build_grid, continue_exchange, continue_wentzell,
-                       embed_one_dim_wave, handoff_to_system, newton_solve,
+                       embed_one_dim_wave, handoff_to_system, make_record, newton_solve,
                        solve_1d_ignition_shooting)
 
 out_path = sys.argv[1] if len(sys.argv) > 1 else "speed_vs_D.csv"
@@ -32,13 +32,13 @@ for D in d_values:
     x_left = -round(-x_left / 0.25) * 0.25
     grid = build_grid(params, x_left, 80.0, int(round((80.0 - x_left) / 0.25)) + 1, 41)
     corrected = newton_solve(embed_one_dim_wave(wave, grid, spec), params, spec, grid, newton)
-    path_a = continue_wentzell(corrected.state, params, spec, grid, newton, target_s=1.0,
-                               opts=options, start_residual=corrected.residual_norm)
-    handed = newton_solve(handoff_to_system(path_a.final_state, options.epsilon0, params, grid),
+    start = make_record("A", corrected.state, corrected.residual_norm, params, spec, grid)
+    end_a = continue_wentzell(start, params, spec, grid, newton, target_s=1.0, opts=options)
+    handed = newton_solve(handoff_to_system(end_a.state, options.epsilon0, params, grid),
                           params, spec, grid, newton)
-    path_c = continue_exchange(handed.state, params, spec, grid, newton, target_eps=1.0,
-                               opts=options, start_residual=handed.residual_norm)
-    rows.append((D, corrected.state.c, path_a.final_state.c, path_c.final_state.c))
+    start = make_record("B", handed.state, handed.residual_norm, params, spec, grid)
+    end_c = continue_exchange(start, params, spec, grid, newton, target_eps=1.0, opts=options)
+    rows.append((D, corrected.state.c, end_a.c, end_c.c))
     print(f"D = {D:g}: c0 = {rows[-1][1]:.8f}  c_w = {rows[-1][2]:.8f}  "
           f"c_sys = {rows[-1][3]:.8f}")
 

@@ -217,6 +217,13 @@ CONTROL_FIELDS = ("step", "prev_parameter", "prev_c", "prev_psi", "prev_phi")
 ARRAY_FIELDS = {"": ("psi", "phi"), "control.": ("prev_psi", "prev_phi")}
 # the strip fields among them, of grid.nx * grid.ny values each
 STRIP_FIELDS = {"": "psi", "control.": "prev_psi"}
+# the scalar fields, with the JSON numbers each may be (never a bool); the
+# control's prev_* scalars may also be null when its prev_psi is
+NUMBER, INTEGER = ((int, float), "a number"), ((int,), "an integer")
+SCALAR_FIELDS = {"": {"parameter": NUMBER, "c": NUMBER},
+                 "grid.": {"x_left": NUMBER, "x_right": NUMBER, "L": NUMBER,
+                           "nx": INTEGER, "ny": INTEGER},
+                 "control.": {"step": NUMBER, "prev_parameter": NUMBER, "prev_c": NUMBER}}
 
 
 def _encoded(data: dict) -> dict:
@@ -278,10 +285,17 @@ def read_checkpoint(path) -> dict:
             if section[name] is not None:
                 section[name] = _decoded(section[name],
                                          f"checkpoint {path}: field '{prefix}{name}'")
-    for name in ("nx", "ny"):
-        if type(data["grid"][name]) is not int:
-            raise ValueError(f"checkpoint {path}: field 'grid.{name}' must be an integer, "
-                             f"got {data['grid'][name]!r}")
+    if data["stage"] not in STAGES:
+        raise ValueError(f"checkpoint {path}: field 'stage' must be one of A, B, C, "
+                         f"got {data['stage']!r}")
+    for prefix, section, _ in sections:
+        for name, (types, kind) in SCALAR_FIELDS[prefix].items():
+            value = section[name]
+            if value is None and name.startswith("prev_") and section["prev_psi"] is None:
+                continue
+            if type(value) not in types:
+                raise ValueError(f"checkpoint {path}: field '{prefix}{name}' must be {kind}, "
+                                 f"got {value!r}")
     cells = data["grid"]["nx"] * data["grid"]["ny"]
     for prefix, section, _ in sections:
         name = STRIP_FIELDS.get(prefix)
@@ -319,9 +333,9 @@ def checkpoint_state(data: dict) -> tuple[WaveState, Grid, StepControl | None]:
 class PathWriter:
     """Streams path.csv rows and checkpoints as records are accepted.
 
-    Each march re-emits its start state as its first record.  That state is
-    already on the path (written last, or the checkpoint a resume starts
-    from, which the resume stores as `last_state`), so its record is dropped.
+    Every record it is given becomes a row: a march sends only the records
+    of the steps it accepts, never its start, which is already on the path
+    or is the checkpoint a resume starts from.
     """
 
     def __init__(self, outdir: Path, cfg: RunConfig, cfg_hash: str) -> None:
@@ -329,22 +343,20 @@ class PathWriter:
         self.cfg = cfg
         self.cfg_hash = cfg_hash
         self.count = 0
-        self.last_state: WaveState | None = None
+        self.checkpointed = False  # whether the last row written has a checkpoint
         outdir.mkdir(parents=True, exist_ok=True)
         self.fh = open(outdir / "path.csv", "w")
         self.fh.write(",".join(PATH_COLUMNS) + "\n")
         self.fh.flush()
 
     def write(self, record: ContinuationRecord, control: StepControl) -> None:
-        if record.state is self.last_state:
-            return
-        self.last_state = record.state
         values = [record.parameter, record.c, record.residual_norm]
         values += [getattr(record.diagnostics, name) for name in PATH_COLUMNS[4:]]
         row = [record.stage] + [fmt_float(v) for v in values]
         self.fh.write(",".join(row) + "\n")
         self.fh.flush()
         self.count += 1
+        self.checkpointed = False
         every = self.cfg.checkpoint_every
         if every > 0 and self.count % every == 0:
             self.checkpoint(record, control)
@@ -352,7 +364,7 @@ class PathWriter:
     def checkpoint(self, record: ContinuationRecord, control: StepControl | None) -> None:
         path = self.outdir / f"ckpt_{self.count:04d}_{record.stage}.json"
         write_checkpoint(path, checkpoint_dict(record, self.cfg.grid, self.cfg_hash, control))
-        record.checkpoint_ref = str(path)
+        self.checkpointed = True
 
     def close(self) -> None:
         self.fh.close()
@@ -404,37 +416,33 @@ def _stage_summary(record: ContinuationRecord) -> dict:
     }
 
 
-def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, stage: str,
-                state: WaveState, residual_norm: float, control: StepControl | None,
-                t0: float) -> dict[str, ContinuationRecord]:
-    """Stages `stage` .. `cfg.target_stage` from the start state of `stage`.
+def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: ContinuationRecord,
+                control: StepControl | None, t0: float) -> dict[str, ContinuationRecord]:
+    """Stages `start.stage` .. `cfg.target_stage`, from the record `start`.
 
-    A and C march their parameter to 1 from `state` (with its residual and
-    step control); B hands the Wentzell state over to the exchange system at
-    eps0.  Each stage ends with a checkpoint of its last record, unless the
-    writer made one or dropped it, and with its entry in `summary`; its
-    timing runs from the previous stage's end, or from `t0`.  Returns the
-    end records by stage.
+    A and C march their parameter to 1 from the previous end record, with
+    `control`, which the march advances in place; B hands the Wentzell state
+    over to the exchange system at eps0.  Each stage ends with a checkpoint
+    of its end record, the last row written, unless that row has one, and
+    with its entry in `summary`; its timing runs from the previous stage's
+    end, or from `t0`.  Returns the end records by stage.
     """
     grid, params, spec, opts = cfg.grid, cfg.params, cfg.nonlinearity, cfg.continuation
-    ends = {}
-    for name in STAGES[STAGES.index(stage):STAGES.index(cfg.target_stage) + 1]:
+    ends, end = {}, start
+    for name in STAGES[STAGES.index(start.stage):STAGES.index(cfg.target_stage) + 1]:
         if name == "B":
-            predictor = handoff_to_system(state, opts.epsilon0, params, grid)
+            predictor = handoff_to_system(end.state, opts.epsilon0, params, grid)
             corrected = newton_solve(predictor, params, spec, grid, cfg.newton)
             control = StepControl(step=opts.initial_step)
             end = make_record("B", corrected.state, corrected.residual_norm, params, spec, grid)
             writer.write(end, control)
         else:
-            # the march advances `control` in place; only its end record is kept,
-            # so the other records do not stay resident through later stages
             march = continue_wentzell if name == "A" else continue_exchange
-            end = march(state, params, spec, grid, cfg.newton, 1.0, opts, sink=writer.write,
-                        control=control, start_residual=residual_norm).records[-1]
-        # nothing written yet: the end record is the resume start, dropped by the writer
-        if end.checkpoint_ref is None and writer.count:
+            end = march(end, params, spec, grid, cfg.newton, 1.0, opts, sink=writer.write,
+                        control=control)
+        # no row yet: the end record is the resume start, which is not on the path
+        if writer.count and not writer.checkpointed:
             writer.checkpoint(end, control)
-        state, residual_norm = end.state, end.residual_norm
         summary["stages"][name] = _stage_summary(end)
         now = time.perf_counter()
         summary["timings_s"][name] = now - t0
@@ -481,8 +489,11 @@ def execute_run(cfg: RunConfig, outdir: Path,
             start = run_start(cfg, summary["timings_s"])
             t0 += summary["timings_s"]["shooting"]  # stage A's time starts when shooting ends
         summary["c_one_dim"], corrected = start
-        ends = _run_stages(cfg, writer, summary, "A", corrected.state, corrected.residual_norm,
-                           StepControl(step=cfg.continuation.initial_step), t0)
+        control = StepControl(step=cfg.continuation.initial_step)
+        first = make_record("A", corrected.state, corrected.residual_norm, cfg.params,
+                            cfg.nonlinearity, cfg.grid)
+        writer.write(first, control)
+        ends = _run_stages(cfg, writer, summary, first, control, t0)
     return _write_outputs(outdir, cfg.grid, ends, summary)
 
 
@@ -501,9 +512,9 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
     # a B checkpoint holds the corrected handoff, which is where stage C starts
     stage = "C" if ckpt["stage"] == "B" else ckpt["stage"]
     with closing(PathWriter(outdir, cfg, cfg_hash)) as writer:
-        writer.last_state = state
-        ends = _run_stages(cfg, writer, summary, stage, state, residual_norm, control,
-                           time.perf_counter())
+        t0 = time.perf_counter()
+        start = make_record(stage, state, residual_norm, cfg.params, cfg.nonlinearity, cfg.grid)
+        ends = _run_stages(cfg, writer, summary, start, control, t0)
     return _write_outputs(outdir, cfg.grid, ends, summary)
 
 

@@ -18,16 +18,18 @@ measure what a step cost); an accepted step whose speed jumps by more than
 `SPEED_JUMP_FRAC` relative is rejected and retried with half the step,
 guarding against branch jumping.
 
-Every accepted record carries a full diagnostics report, and the
-decay-based extent rule (x_right >= 8/gamma, |x_left| >= 8 max(d,D)/c)
-is re-checked as c and gamma evolve.
+Each march starts from a record, sends its sink only the records of
+the steps it accepts, and returns its end record: the start record
+itself when the target is already reached.  Every record carries a full
+diagnostics report, and the decay-based extent rule (x_right >= 8/gamma,
+|x_left| >= 8 max(d,D)/c) is re-checked as c and gamma evolve.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,28 +72,10 @@ class ContinuationRecord:
     residual_norm: float
     diagnostics: DiagnosticsReport
     state: WaveState
-    checkpoint_ref: str | None = None
 
     @property
     def parameter(self) -> float:
         return self.family.parameter
-
-
-@dataclass
-class ContinuationPath:
-    records: list[ContinuationRecord] = field(default_factory=list)
-
-    @property
-    def final_state(self) -> WaveState:
-        return self.records[-1].state
-
-    @property
-    def parameters(self) -> list[float]:
-        return [r.parameter for r in self.records]
-
-    @property
-    def speeds(self) -> list[float]:
-        return [r.c for r in self.records]
 
 
 @dataclass
@@ -101,6 +85,10 @@ class StepControl:
     step: float
     prev_state: WaveState | None = None
     prev_parameter: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.step > 0:
+            raise ValueError(f"StepControl.step must be > 0, got {self.step!r}")
 
 
 def embed_one_dim_wave(wave: OneDimWave, grid: Grid, spec: NonlinearitySpec) -> WaveState:
@@ -157,28 +145,19 @@ GROWTH_FACTORIZATIONS = 4
 SPEED_JUMP_FRAC = 0.2
 
 
-def _march(start: WaveState, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
+def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
            newton_opts: NewtonOptions, opts: ContinuationOptions, target: float,
-           stage: str, sink: RecordSink | None, control: StepControl | None,
-           start_residual: float) -> ContinuationPath:
-    param = start.family.parameter
+           stage: str, sink: RecordSink | None,
+           control: StepControl | None) -> ContinuationRecord:
+    param = start.parameter
     if target < param - 1e-14:
         raise ParameterNotMonotone(f"target {target} is below current parameter {param}")
+    if target <= param + 1e-14:
+        return start
 
     if control is None:
         control = StepControl(step=opts.initial_step)
-    path = ContinuationPath()
-
-    def accept(rec: ContinuationRecord) -> None:
-        path.records.append(rec)
-        if sink is not None:
-            sink(rec, control)
-
-    accept(make_record(stage, start, start_residual, params, spec, grid))
-    if target <= param + 1e-14:
-        return path
-
-    state = start
+    record, state = start, start.state
     u = state_to_vector(state, grid)
     if control.prev_state is not None:
         u_prev = state_to_vector(control.prev_state, grid)
@@ -219,33 +198,31 @@ def _march(start: WaveState, params: ModelParams, spec: NonlinearitySpec, grid: 
         # the step the very next trial will use (exact resume)
         if result.factorizations <= GROWTH_FACTORIZATIONS:
             control.step *= GROWTH_FACTOR
-        accept(make_record(stage, state, result.residual_norm, params, spec, grid))
+        record = make_record(stage, state, result.residual_norm, params, spec, grid)
+        if sink is not None:
+            sink(record, control)
         logger.info("%s parameter %.6f: c = %.8f (%d iterations, %d factorizations)", stage,
                     param, state.c, result.iterations, result.factorizations)
-    return path
+    return record
 
 
-def continue_wentzell(start: WaveState, params: ModelParams, spec: NonlinearitySpec,
+def continue_wentzell(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec,
                       grid: Grid, newton_opts: NewtonOptions, target_s: float,
                       opts: ContinuationOptions = ContinuationOptions(),
                       sink: RecordSink | None = None,
-                      control: StepControl | None = None,
-                      start_residual: float = 0.0) -> ContinuationPath:
-    """March the Wentzell strength from the start state's s up to target_s."""
+                      control: StepControl | None = None) -> ContinuationRecord:
+    """March the Wentzell strength from the start record's s up to target_s."""
     if not start.family.is_wentzell:
         raise WrongFamily("continue_wentzell needs a Wentzell-family start")
-    return _march(start, params, spec, grid, newton_opts, opts, target_s, "A", sink,
-                  control, start_residual)
+    return _march(start, params, spec, grid, newton_opts, opts, target_s, "A", sink, control)
 
 
-def continue_exchange(start: WaveState, params: ModelParams, spec: NonlinearitySpec,
+def continue_exchange(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec,
                       grid: Grid, newton_opts: NewtonOptions, target_eps: float,
                       opts: ContinuationOptions = ContinuationOptions(),
                       sink: RecordSink | None = None,
-                      control: StepControl | None = None,
-                      start_residual: float = 0.0) -> ContinuationPath:
-    """March the exchange parameter from the start state's eps up to target_eps."""
+                      control: StepControl | None = None) -> ContinuationRecord:
+    """March the exchange parameter from the start record's eps up to target_eps."""
     if not start.family.is_exchange:
         raise WrongFamily("continue_exchange needs an exchange-family start")
-    return _march(start, params, spec, grid, newton_opts, opts, target_eps, "C", sink,
-                  control, start_residual)
+    return _march(start, params, spec, grid, newton_opts, opts, target_eps, "C", sink, control)

@@ -284,7 +284,10 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
     bracket means every coarse decision matched the fine one: the bracket,
     c and the profile are the same floats as from a bisection at h.  An
     unconfirmed bracket is logged and the bisection is redone at h, where
-    the lower end is checked to undershoot only if no midpoint did.
+    the lower end is checked to undershoot only if no midpoint did.  A
+    confirmation lower end that is still `c_floor` and does not undershoot
+    raises at once: under that monotonicity the bisection at h would reach
+    the same end.
     |c - c*| <= tol on return.
     """
     if tol <= 0:
@@ -308,7 +311,10 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
         if grow > 20:
             raise BracketNotFound("no overshooting speed found while doubling the upper bracket")
     lo, hi = _bisect(c_floor, hi_start, tol, classify_at(COARSE * h, n_steps // COARSE))
-    if fine(lo) != -1 or (hi != hi_start and fine(hi) != 1):
+    lo_undershoots = fine(lo) == -1
+    if lo == c_floor and not lo_undershoots:
+        raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
+    if not lo_undershoots or (hi != hi_start and fine(hi) != 1):
         logger.info("shooting: bracket [%r, %r] from step %g is not confirmed at step %g; "
                     "bisecting again at step %g", lo, hi, COARSE * h, h, h)
         lo, hi = _bisect(c_floor, hi_start, tol, fine)

@@ -7,7 +7,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from stripwave import (ContinuationOptions, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, build_grid, continue_exchange,
-                       continue_wentzell, embed_one_dim_wave, handoff_to_system,
+                       continue_wentzell, embed_one_dim_wave, handoff_to_system, make_record,
                        newton_solve, solve_1d_ignition_shooting)
 
 DEFAULT_PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
@@ -44,22 +44,28 @@ def one_dim_cubic():
 def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_cubic):
     """Complete A -> B -> C run at the default desk resolution.
 
-    Returns a dict with the stage paths, the handoff record, and the
-    shared inputs, reused by most acceptance criteria.
+    Returns a dict with the stage end records, the handoff result, every
+    record of the path (s = 0, the A steps, B, the C steps) and the shared
+    inputs, reused by most acceptance criteria.
     """
     cont = ContinuationOptions()
     init = embed_one_dim_wave(one_dim_cubic, default_grid, default_spec)
     corrected = newton_solve(init, default_params, default_spec, default_grid, newton_opts)
-    path_a = continue_wentzell(corrected.state, default_params, default_spec, default_grid,
-                               newton_opts, target_s=1.0, opts=cont,
-                               start_residual=corrected.residual_norm)
-    predictor = handoff_to_system(path_a.final_state, cont.epsilon0, default_params,
-                                  default_grid)
+    records = [make_record("A", corrected.state, corrected.residual_norm, default_params,
+                           default_spec, default_grid)]
+
+    def collect(record, control):
+        records.append(record)
+
+    end_a = continue_wentzell(records[0], default_params, default_spec, default_grid,
+                              newton_opts, target_s=1.0, opts=cont, sink=collect)
+    predictor = handoff_to_system(end_a.state, cont.epsilon0, default_params, default_grid)
     corrected_b = newton_solve(predictor, default_params, default_spec, default_grid,
                                newton_opts)
-    path_c = continue_exchange(corrected_b.state, default_params, default_spec, default_grid,
-                               newton_opts, target_eps=1.0, opts=cont,
-                               start_residual=corrected_b.residual_norm)
+    records.append(make_record("B", corrected_b.state, corrected_b.residual_norm,
+                               default_params, default_spec, default_grid))
+    end_c = continue_exchange(records[-1], default_params, default_spec, default_grid,
+                              newton_opts, target_eps=1.0, opts=cont, sink=collect)
     return {
         "params": default_params,
         "spec": default_spec,
@@ -68,11 +74,10 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
         "options": cont,
         "one_dim": one_dim_cubic,
         "s0_result": corrected,
-        "stage_a": path_a,
+        "stage_a": end_a,
         "b_result": corrected_b,
-        "stage_c": path_c,
-        "records": (path_a.records
-                    + [r for r in path_c.records]),
+        "stage_c": end_c,
+        "records": records,
     }
 
 
@@ -93,7 +98,7 @@ def refined_wentzell_states(full_path):
     """Converged Wentzell(1) states at h, h/2, h/4 (warm-started)."""
     params, spec, newton = full_path["params"], full_path["spec"], full_path["newton"]
     g1 = full_path["grid"]
-    s1 = full_path["stage_a"].final_state
+    s1 = full_path["stage_a"].state
     g2 = build_grid(params, g1.x_left, g1.x_right, 2 * (g1.nx - 1) + 1, 2 * (g1.ny - 1) + 1)
     r2 = newton_solve(regrid_state(s1, g1, g2), params, spec, g2, newton)
     g4 = build_grid(params, g1.x_left, g1.x_right, 2 * (g2.nx - 1) + 1, 2 * (g2.ny - 1) + 1)

@@ -13,8 +13,9 @@ import pytest
 
 from stripwave import (DispersionQuery, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, build_grid, c_max, continue_wentzell,
-                       dispersion_root, embed_one_dim_wave, handoff_to_system, newton_solve,
-                       solve_1d_ignition_shooting, speed_identity, translation_collapse)
+                       dispersion_root, embed_one_dim_wave, handoff_to_system, make_record,
+                       newton_solve, solve_1d_ignition_shooting, speed_identity,
+                       translation_collapse)
 from stripwave.cli import EXIT_OK, EXIT_VALIDATION, default_config_dict, main
 
 from conftest import DEFAULT_PARAMS, DEFAULT_SPEC
@@ -68,7 +69,7 @@ def test_criterion_04_a_priori_invariants(full_path):
 
 def test_criterion_05_uniqueness_up_to_translation(full_path):
     base_grid = full_path["grid"]
-    base_state = full_path["stage_a"].final_state
+    base_state = full_path["stage_a"].state
     wide_grid = build_grid(DEFAULT_PARAMS, -164.0, 84.0, 993, 41)
     init = embed_one_dim_wave(full_path["one_dim"], wide_grid, DEFAULT_SPEC)
     # different initial translate: roll the front 8 nodes to the right
@@ -78,10 +79,10 @@ def test_criterion_05_uniqueness_up_to_translation(full_path):
     rolled[:, :shift_nodes] = 0.0
     init = WaveState(c=init.c, psi=rolled, phi=None, family=init.family)
     corrected = newton_solve(init, DEFAULT_PARAMS, DEFAULT_SPEC, wide_grid, NewtonOptions())
-    path = continue_wentzell(corrected.state, DEFAULT_PARAMS, DEFAULT_SPEC, wide_grid,
-                             NewtonOptions(), target_s=1.0,
-                             start_residual=corrected.residual_norm)
-    other = path.final_state
+    start = make_record("A", corrected.state, corrected.residual_norm, DEFAULT_PARAMS,
+                        DEFAULT_SPEC, wide_grid)
+    other = continue_wentzell(start, DEFAULT_PARAMS, DEFAULT_SPEC, wide_grid, NewtonOptions(),
+                              target_s=1.0).state
     rel_c = abs(other.c - base_state.c) / base_state.c
     assert rel_c <= 1e-6
     # the wide grid's nodes contain the base grid's nodes (same spacing class)
@@ -96,7 +97,7 @@ def test_criterion_05_uniqueness_up_to_translation(full_path):
 
 def test_criterion_06_handoff_first_order(full_path):
     params, spec, grid = full_path["params"], full_path["spec"], full_path["grid"]
-    wentzell_end = full_path["stage_a"].final_state
+    wentzell_end = full_path["stage_a"].state
 
     def corrected_gap(eps):
         predictor = handoff_to_system(wentzell_end, eps, params, grid)
@@ -119,8 +120,8 @@ def test_criterion_06_handoff_first_order(full_path):
 
 
 def test_criterion_07_decay_rates(full_path):
-    end_a = full_path["stage_a"].records[-1].diagnostics
-    end_c = full_path["stage_c"].records[-1].diagnostics
+    end_a = full_path["stage_a"].diagnostics
+    end_c = full_path["stage_c"].diagnostics
     for name, diag in (("s=1", end_a), ("eps=1", end_c)):
         rel = abs(diag.gamma_fit - diag.gamma_pred) / diag.gamma_pred
         assert rel <= 0.1, (name, diag.gamma_fit, diag.gamma_pred)
@@ -128,7 +129,7 @@ def test_criterion_07_decay_rates(full_path):
         assert diag.gamma_fit > diag.details["dispersion"]["gamma_lower_bound"]
     for rec in full_path["records"]:
         assert rec.diagnostics.left_decay_ok, rec.family
-    c_w = full_path["stage_a"].final_state.c
+    c_w = full_path["stage_a"].state.c
     qw = DispersionQuery(c=c_w, params=DEFAULT_PARAMS, family_kind="wentzell",
                          parameter=1.0, fprime1=DEFAULT_SPEC.fprime_at_one)
     qe = DispersionQuery(c=c_w, params=DEFAULT_PARAMS, family_kind="exchange",

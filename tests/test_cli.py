@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import stripwave
-from stripwave import cli
+from stripwave import cli, continuation
 from stripwave.cli import (EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, checkpoint_dict,
                            config_from_dict, config_hash, default_config_dict, emit_profile,
                            fmt_float, load_config, main, read_checkpoint, write_checkpoint,
@@ -129,11 +129,34 @@ def test_invalid_json_is_validation_error(tmp_path):
      "ckpt.json: field 'psi' holds 12 bytes"),
     ("profile", lambda ckpt: ckpt.update(psi="AAAAAAAAAAAAAAAA"), EXIT_IO,
      "ckpt.json: field 'psi' holds 12 bytes"),
+    ("resume", lambda ckpt: ckpt["control"].update(step=0.0), EXIT_IO,
+     "StepControl.step must be > 0, got 0.0"),
+    ("resume", lambda ckpt: ckpt["control"].update(step=-0.05), EXIT_IO,
+     "StepControl.step must be > 0, got -0.05"),
+    *[(command, edit, EXIT_IO, f"ckpt.json: field {named}")
+      for edit, named in [
+          (lambda ckpt: ckpt.update(parameter="x"), "'parameter' must be a number, got 'x'"),
+          (lambda ckpt: ckpt.update(c="x"), "'c' must be a number, got 'x'"),
+          (lambda ckpt: ckpt["grid"].update(x_left="x"), "'grid.x_left' must be a number"),
+          (lambda ckpt: ckpt["grid"].update(x_right=True),
+           "'grid.x_right' must be a number, got True"),
+          (lambda ckpt: ckpt["grid"].update(L="x"), "'grid.L' must be a number, got 'x'"),
+          (lambda ckpt: ckpt["control"].update(step="x"), "'control.step' must be a number"),
+          (lambda ckpt: ckpt["control"].update(prev_parameter=None),
+           "'control.prev_parameter' must be a number, got None"),
+          (lambda ckpt: ckpt["control"].update(prev_c=None),
+           "'control.prev_c' must be a number, got None"),
+          (lambda ckpt: ckpt.update(stage="Z"), "'stage' must be one of A, B, C, got 'Z'")]
+      for command in ("resume", "profile")],
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "resume_no_psi",
         "profile_no_psi", "profile_no_grid_nx", "profile_short_phi", "resume_psi_short",
         "profile_psi_short", "resume_prev_psi_short", "profile_grid_nx_float",
         "resume_psi_not_base64", "profile_psi_not_base64", "resume_psi_12_bytes",
-        "profile_psi_12_bytes"])
+        "profile_psi_12_bytes", "resume_step_zero", "resume_step_negative",
+        *[f"{command}_{field}" for field in (
+            "parameter_text", "c_text", "grid_x_left_text", "grid_x_right_bool",
+            "grid_L_text", "step_text", "prev_parameter_null", "prev_c_null", "stage_Z")
+          for command in ("resume", "profile")]])
 def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
                                            code, named):
     _, out, cfg, _ = completed_run
@@ -380,6 +403,33 @@ def test_determinism_byte_identical_paths(tmp_path):
 
 # --- resume ---------------------------------------------------------------------
 
+def test_one_record_per_row(tmp_path, monkeypatch):
+    # a march records only the steps it accepts: every record made is a row,
+    # apart from a resume's start, the record of its checkpoint
+    made = []
+
+    def counting(make):
+        def counted(stage, *args):
+            made.append(stage)
+            return make(stage, *args)
+        return counted
+
+    for module in (cli, continuation):
+        monkeypatch.setattr(module, "make_record", counting(module.make_record))
+    out = tmp_path / "out"
+    cfg = fast_config(out)
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    _, rows = read_rows(out / "path.csv")
+    assert made == [r["stage"] for r in rows]
+    made.clear()
+    resumed_out = tmp_path / "resumed"
+    cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out)), "resume.json")
+    assert main(["resume", str(out / "ckpt_0003_A.json"), str(cfg_path)]) == EXIT_OK
+    _, rows = read_rows(resumed_out / "path.csv")
+    assert made == ["A"] + [r["stage"] for r in rows]
+
+
 @pytest.mark.parametrize("name", ["ckpt_0003_A", "ckpt_0007_B", "ckpt_0009_C"])
 def test_resume_matches_uninterrupted(completed_run, tmp_path, name):
     tmp, out, cfg, cfg_path = completed_run
@@ -586,6 +636,30 @@ def test_speed_vs_line_diffusivity_script(tmp_path):
     assert len(rows) == 1 and float(rows[0]["D"]) == 1.0
     speeds = [float(rows[0][k]) for k in header[1:]]
     assert all(np.isfinite(speeds)) and min(speeds) > 0.0
+
+
+def test_dispersion_curves_script(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "dispersion_curves.py"
+    out = tmp_path / "dispersion.csv"
+    proc = subprocess.run([sys.executable, str(script), str(out)], capture_output=True,
+                          text=True, timeout=300, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    header, rows = read_rows(out)
+    assert header == ["family", "parameter", "gamma", "gamma_lower_bound", "gamma_lim"]
+    assert len(rows) == 42
+    gammas = [float(r["gamma"]) for r in rows]
+    assert all(np.isfinite(gammas)) and min(gammas) > 0.0
+
+
+def test_readme_library_snippet(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=subprocess_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # the pinned stage-A speed of the default grid (test_pinned_default_path_speeds)
+    assert float(proc.stdout.split()[-1]) == pytest.approx(0.294006370441180, abs=1e-9)
 
 
 # --- the benchmark's hook points ----------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 from stripwave import (ContinuationOptions, HomotopyFamily, ModelParams, NewtonOptions,
                        NonlinearityKind, NonlinearitySpec, WaveState, build_grid,
                        continue_exchange, continue_wentzell, embed_one_dim_wave,
-                       handoff_to_system, newton_solve, solve_1d_ignition_shooting)
+                       handoff_to_system, make_record, newton_solve,
+                       solve_1d_ignition_shooting)
 from stripwave.continuation import check_extents
 from stripwave.errors import (ExtentTooSmall, ParameterNotMonotone, StepCollapse,
                               WrongFamily)
@@ -19,53 +20,60 @@ def coarse_setup():
     wave = solve_1d_ignition_shooting(PARAMS.d, CUBIC, tol=1e-8)
     init = embed_one_dim_wave(wave, grid, CUBIC)
     result = newton_solve(init, PARAMS, CUBIC, grid, NewtonOptions())
-    return grid, result
+    return grid, result, make_record("A", result.state, result.residual_norm, PARAMS, CUBIC,
+                                     grid)
+
+
+def refuse(record, control):
+    raise AssertionError(f"sink called with the record at {record.parameter}")
 
 
 def test_zero_target_returns_single_record(coarse_setup):
-    grid, result = coarse_setup
-    path = continue_wentzell(result.state, PARAMS, CUBIC, grid, NewtonOptions(),
-                             target_s=0.0, start_residual=result.residual_norm)
-    assert len(path.records) == 1
-    assert path.records[0].parameter == 0.0
-    assert path.records[0].c == result.state.c
+    grid, result, start = coarse_setup
+    end = continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target_s=0.0,
+                            sink=refuse)
+    assert end is start
+    assert end.parameter == 0.0
+    assert end.c == result.state.c
 
 
 def test_wentzell_path_reaches_target(coarse_setup):
-    grid, result = coarse_setup
-    path = continue_wentzell(result.state, PARAMS, CUBIC, grid, NewtonOptions(),
-                             target_s=1.0, start_residual=result.residual_norm)
-    assert path.records[-1].parameter == 1.0
-    params_seq = path.parameters
+    grid, _, start = coarse_setup
+    records = [start]
+    end = continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target_s=1.0,
+                            sink=lambda record, control: records.append(record))
+    assert end is records[-1] and end.parameter == 1.0
+    params_seq = [r.parameter for r in records]
     assert all(b >= a for a, b in zip(params_seq, params_seq[1:]))
-    assert all(c > 0 for c in path.speeds)
-    assert all(r.diagnostics.all_ok for r in path.records)
+    assert all(r.c > 0 for r in records)
+    assert all(r.diagnostics.all_ok for r in records)
 
 
 def test_impossible_newton_budget_collapses_step(coarse_setup):
-    grid, result = coarse_setup
+    grid, _, start = coarse_setup
     with pytest.raises(StepCollapse):
-        continue_wentzell(result.state, PARAMS, CUBIC, grid,
+        continue_wentzell(start, PARAMS, CUBIC, grid,
                           NewtonOptions(max_iters=1, tol_residual=1e-13), target_s=1.0)
 
 
 def test_exchange_rejects_decreasing_target(coarse_setup):
-    grid, _ = coarse_setup
+    grid, _, _ = coarse_setup
     psi = np.tile(np.linspace(0.0, 1.0, grid.nx), (grid.ny, 1))
     state = WaveState(c=0.3, psi=psi, phi=psi[-1, :].copy(),
                       family=HomotopyFamily.exchange(0.05))
+    start = make_record("C", state, 0.0, PARAMS, CUBIC, grid)
     with pytest.raises(ParameterNotMonotone):
-        continue_exchange(state, PARAMS, CUBIC, grid, NewtonOptions(), target_eps=0.025)
+        continue_exchange(start, PARAMS, CUBIC, grid, NewtonOptions(), target_eps=0.025)
 
 
 def test_family_guards(coarse_setup):
-    grid, result = coarse_setup
+    grid, _, start = coarse_setup
     with pytest.raises(WrongFamily):
-        continue_exchange(result.state, PARAMS, CUBIC, grid, NewtonOptions(), target_eps=1.0)
+        continue_exchange(start, PARAMS, CUBIC, grid, NewtonOptions(), target_eps=1.0)
 
 
 def test_handoff_degenerate_epsilon(coarse_setup):
-    grid, result = coarse_setup
+    grid, result, _ = coarse_setup
     state = result.state
     pred = handoff_to_system(state, 1e-12, PARAMS, grid)
     assert np.abs(PARAMS.mu * pred.phi - state.psi[-1, :]).max() < 1e-9
@@ -104,8 +112,8 @@ def test_extent_rule():
 
 def test_pinned_default_path_speeds(full_path, refined_wentzell_states):
     # regression values at the default 961 x 41 grid on [-160, 80]
-    assert full_path["stage_a"].final_state.c == pytest.approx(0.294006370441180, abs=1e-9)
-    assert full_path["stage_c"].final_state.c == pytest.approx(0.292337339704275, abs=1e-9)
+    assert full_path["stage_a"].state.c == pytest.approx(0.294006370441180, abs=1e-9)
+    assert full_path["stage_c"].state.c == pytest.approx(0.292337339704275, abs=1e-9)
     # grid-converged to three digits: one refinement moves c by < 5e-6
     c1, c2, _ = (s.c for s in refined_wentzell_states["states"])
     assert abs(c1 - c2) < 5e-6
@@ -115,17 +123,15 @@ def test_handoff_correction_budget(full_path):
     # the first-order predictor lands within a small Newton budget
     grid, params, spec = full_path["grid"], full_path["params"], full_path["spec"]
     from stripwave import handoff_to_system, newton_solve
-    pred = handoff_to_system(full_path["stage_a"].final_state, 0.05, params, grid)
+    pred = handoff_to_system(full_path["stage_a"].state, 0.05, params, grid)
     res = newton_solve(pred, params, spec, grid, full_path["newton"])
     assert res.iterations <= 6
 
 
 def test_exchange_zero_march_is_single_record(full_path):
-    from stripwave import continue_exchange
-    start = full_path["b_result"].state
-    path = continue_exchange(start, full_path["params"], full_path["spec"],
-                             full_path["grid"], full_path["newton"],
-                             target_eps=start.family.parameter,
-                             start_residual=full_path["b_result"].residual_norm)
-    assert len(path.records) == 1
-    assert path.records[0].parameter == start.family.parameter
+    start = next(r for r in full_path["records"] if r.stage == "B")
+    assert start.state is full_path["b_result"].state
+    end = continue_exchange(start, full_path["params"], full_path["spec"], full_path["grid"],
+                            full_path["newton"], target_eps=start.parameter, sink=refuse)
+    assert end is start
+    assert end.parameter == full_path["b_result"].state.family.parameter

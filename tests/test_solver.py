@@ -97,6 +97,25 @@ def test_shooting_lower_bracket_end_must_undershoot():
         solve_1d_ignition_shooting(1.0, oracle, tol=0.5)
 
 
+def test_shooting_lower_bracket_end_raises_at_the_confirmation(monkeypatch):
+    steps = []
+    rk4 = solver._rk4
+
+    def counted(c, d, f, theta, h, n_steps):
+        steps.append(h)
+        return rk4(c, d, f, theta, h, n_steps)
+
+    monkeypatch.setattr(solver, "_rk4", counted)
+    oracle = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.9)
+    with pytest.raises(BracketNotFound,
+                       match="lower bracket end c = 5.000e-01 does not undershoot"):
+        solve_1d_ignition_shooting(1.0, oracle, tol=0.5)
+    fine = min(steps)
+    assert set(steps) == {fine, solver.COARSE * fine}
+    # the upper end and the lower end at the confirmation: no bisection at the fine step
+    assert steps.count(fine) == 2
+
+
 def fine_shooting(d, spec, tol):
     """Reference: the bisection run at the fine step throughout.
 
