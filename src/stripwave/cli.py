@@ -23,6 +23,7 @@ import concurrent.futures
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -189,7 +190,7 @@ def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str,
         prev = control.prev_state
         ctrl = {
             "step": control.step,
-            "prev_parameter": control.prev_parameter,
+            "prev_parameter": None if prev is None else prev.family.parameter,
             "prev_c": None if prev is None else prev.c,
             "prev_psi": None if prev is None else prev.psi.ravel(),
             "prev_phi": None if prev is None else prev.phi,
@@ -217,8 +218,8 @@ CONTROL_FIELDS = ("step", "prev_parameter", "prev_c", "prev_psi", "prev_phi")
 ARRAY_FIELDS = {"": ("psi", "phi"), "control.": ("prev_psi", "prev_phi")}
 # the strip fields among them, of grid.nx * grid.ny values each
 STRIP_FIELDS = {"": "psi", "control.": "prev_psi"}
-# the scalar fields, with the JSON numbers each may be (never a bool); the
-# control's prev_* scalars may also be null when its prev_psi is
+# the scalar fields, with the JSON numbers each may be (never a bool, always
+# finite); the control's prev_* scalars may also be null when its prev_psi is
 NUMBER, INTEGER = ((int, float), "a number"), ((int,), "an integer")
 SCALAR_FIELDS = {"": {"parameter": NUMBER, "c": NUMBER},
                  "grid.": {"x_left": NUMBER, "x_right": NUMBER, "L": NUMBER,
@@ -296,6 +297,11 @@ def read_checkpoint(path) -> dict:
             if type(value) not in types:
                 raise ValueError(f"checkpoint {path}: field '{prefix}{name}' must be {kind}, "
                                  f"got {value!r}")
+            if not math.isfinite(value):  # json reads NaN and Infinity
+                raise ValueError(f"checkpoint {path}: field '{prefix}{name}' must be finite, "
+                                 f"got {value!r}")
+    if not data["c"] > 0:
+        raise ValueError(f"checkpoint {path}: field 'c' must be > 0, got {data['c']!r}")
     cells = data["grid"]["nx"] * data["grid"]["ny"]
     for prefix, section, _ in sections:
         name = STRIP_FIELDS.get(prefix)
@@ -323,8 +329,7 @@ def checkpoint_state(data: dict) -> tuple[WaveState, Grid, StepControl | None]:
             prev_phi = None if ctrl["prev_phi"] is None else np.asarray(ctrl["prev_phi"], dtype=float)
             prev = WaveState(c=ctrl["prev_c"], psi=prev_psi, phi=prev_phi,
                              family=family.with_parameter(ctrl["prev_parameter"]))
-        control = StepControl(step=ctrl["step"], prev_state=prev,
-                              prev_parameter=ctrl["prev_parameter"])
+        control = StepControl(step=ctrl["step"], prev_state=prev)
     return state, grid, control
 
 
@@ -573,19 +578,21 @@ def _sweep_start(data: dict) -> tuple[float, NewtonResult]:
     return run_start(config_from_dict(data), {})
 
 
-def _sweep_worker(payload: tuple[dict, str, tuple[float, NewtonResult]]) -> int:
+def _sweep_worker(payload: tuple[dict, str, tuple[float, NewtonResult]]) -> tuple[int, dict]:
+    """A point's exit code and summary, `{}` when it failed."""
     data, outdir, start = payload
     try:  # a pool process: its errors are reported here, not by `main`
-        execute_run(config_from_dict(data), Path(outdir), start)
+        return EXIT_OK, execute_run(config_from_dict(data), Path(outdir), start)
     except CLI_ERRORS as exc:
-        return _report(Path(outdir), exc)
-    return EXIT_OK
+        return _report(Path(outdir), exc), {}
 
 
 def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
     """One run per `D` value, each in its subdirectory `D_<value>`, on a
     process pool.  The points share their start (`run_start` does not depend
-    on `D`), which one pool task computes before the points run."""
+    on `D`), which one pool task computes before the points run.  Then
+    sweep.csv tabulates the speeds, one row per value: the shared 1-D speed
+    and each point's stage A and C end speeds, `nan` where none was reached."""
     name, _, values_txt = sweep.partition("=")
     texts = [v.strip() for v in values_txt.split(",")]
     try:
@@ -607,16 +614,22 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
     # the CPUs this process may run on (taskset, cpusets), not the machine's
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(jobs), cpus or 1)
+    c_one_dim = float("nan")
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             start = pool.submit(_sweep_start, cfg.raw).result()
         except CLI_ERRORS as exc:  # the start of every point failed
-            codes = [_report(sub, exc) for sub in value_of]
+            points = [(_report(sub, exc), {}) for sub in value_of]
         else:
-            codes = list(pool.map(_sweep_worker, [job + (start,) for job in jobs]))
-    for v, code in zip(values, codes):
+            c_one_dim = start[0]
+            points = list(pool.map(_sweep_worker, [job + (start,) for job in jobs]))
+    speeds = [[summary.get("stages", {}).get(stage, {}).get("c", float("nan"))
+               for _, summary in points] for stage in "AC"]
+    _write_csv(outdir / "sweep.csv", "D,c_one_dim,c_wentzell,c_system",
+               [values, [c_one_dim] * len(values), *speeds])
+    for v, (code, _) in zip(values, points):
         print(f"D = {v:g}: exit {code}")
-    return max(codes)
+    return max(code for code, _ in points)
 
 
 def cmd_resume(args) -> int:
@@ -668,7 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--sweep", help="e.g. D=1,2,4: one run per value, in subdirectory "
                                    "D_<value>; the runs share their D-independent start "
-                                   "(shooting and the s = 0 correction)")
+                                   "(shooting and the s = 0 correction), and sweep.csv "
+                                   "tabulates their speeds")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("resume", help="continue from a checkpoint")

@@ -83,8 +83,7 @@ class StepControl:
     """Adaptive-step state, checkpointable for exact resume."""
 
     step: float
-    prev_state: WaveState | None = None
-    prev_parameter: float | None = None
+    prev_state: WaveState | None = None  # the previous accepted state, for the secant predictor
 
     def __post_init__(self) -> None:
         if not self.step > 0:
@@ -158,21 +157,17 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
     if control is None:
         control = StepControl(step=opts.initial_step)
     record, state = start, start.state
-    u = state_to_vector(state, grid)
-    if control.prev_state is not None:
-        u_prev = state_to_vector(control.prev_state, grid)
-        param_prev = control.prev_parameter
-    else:
-        u_prev, param_prev = None, None
 
     while param < target - 1e-14:
         trial = min(param + control.step, target)
         family_trial = state.family.with_parameter(trial)
-        if u_prev is not None and param != param_prev:
-            factor = (trial - param) / (param - param_prev)
-            u_pred = u + factor * (u - u_prev)
+        u = state_to_vector(state, grid)
+        prev = control.prev_state
+        if prev is not None and param != prev.family.parameter:
+            factor = (trial - param) / (param - prev.family.parameter)
+            u_pred = u + factor * (u - state_to_vector(prev, grid))
         else:
-            u_pred = u.copy()
+            u_pred = u
         pred_state = vector_to_state(u_pred, grid, family_trial)
         failed = None
         try:
@@ -189,11 +184,7 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
                 raise StepCollapse(f"continuation step below {opts.min_step} at "
                                    f"{stage} parameter {param:.6f}: {failed}")
             continue
-        u_prev, param_prev = u, param
-        u = state_to_vector(result.state, grid)
-        state, param = result.state, trial
-        control.prev_state = vector_to_state(u_prev, grid, state.family.with_parameter(param_prev))
-        control.prev_parameter = param_prev
+        control.prev_state, state, param = state, result.state, trial
         # grow before emitting so a checkpoint taken at this record stores
         # the step the very next trial will use (exact resume)
         if result.factorizations <= GROWTH_FACTORIZATIONS:

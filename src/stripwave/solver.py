@@ -186,7 +186,7 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
     norm = float(np.abs(R).max())
     iterations = factorizations = 0
     lu = None
-    while norm > opts.tol_residual:
+    while not norm <= opts.tol_residual:  # a NaN residual is never converged
         if iterations >= opts.max_iters:
             raise MaxItersExceeded(f"residual {norm:.3e} after {opts.max_iters} iterations")
         fresh = lu is None

@@ -146,7 +146,15 @@ def test_invalid_json_is_validation_error(tmp_path):
            "'control.prev_parameter' must be a number, got None"),
           (lambda ckpt: ckpt["control"].update(prev_c=None),
            "'control.prev_c' must be a number, got None"),
-          (lambda ckpt: ckpt.update(stage="Z"), "'stage' must be one of A, B, C, got 'Z'")]
+          (lambda ckpt: ckpt.update(stage="Z"), "'stage' must be one of A, B, C, got 'Z'"),
+          (lambda ckpt: ckpt.update(c=0.0), "'c' must be > 0, got 0.0"),
+          (lambda ckpt: ckpt.update(c=-0.29), "'c' must be > 0, got -0.29"),
+          # json writes and reads NaN and Infinity, so these reach the file too
+          (lambda ckpt: ckpt.update(c=float("nan")), "'c' must be finite, got nan"),
+          (lambda ckpt: ckpt["grid"].update(L=float("inf")),
+           "'grid.L' must be finite, got inf"),
+          (lambda ckpt: ckpt["control"].update(step=float("inf")),
+           "'control.step' must be finite, got inf")]
       for command in ("resume", "profile")],
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "resume_no_psi",
         "profile_no_psi", "profile_no_grid_nx", "profile_short_phi", "resume_psi_short",
@@ -155,7 +163,8 @@ def test_invalid_json_is_validation_error(tmp_path):
         "profile_psi_12_bytes", "resume_step_zero", "resume_step_negative",
         *[f"{command}_{field}" for field in (
             "parameter_text", "c_text", "grid_x_left_text", "grid_x_right_bool",
-            "grid_L_text", "step_text", "prev_parameter_null", "prev_c_null", "stage_Z")
+            "grid_L_text", "step_text", "prev_parameter_null", "prev_c_null", "stage_Z",
+            "c_zero", "c_negative", "c_nan", "grid_L_inf", "step_inf")
           for command in ("resume", "profile")]])
 def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
                                            code, named):
@@ -469,6 +478,22 @@ def test_resume_from_stage_end(completed_run, tmp_path, stage):
         f"ckpt_{k:04d}_{r['stage']}.json" for k, r in enumerate(resumed, start=1)]
 
 
+@pytest.mark.parametrize("field", ["psi", "prev_psi"])
+def test_resume_from_nan_state_stops(completed_run, tmp_path, capsys, field):
+    # a NaN residual is never converged: every step fails, and none is a row
+    _, out, cfg, _ = completed_run
+    ckpt = read_checkpoint(out / "ckpt_0003_A.json")
+    (ckpt if field == "psi" else ckpt["control"])[field][100] = np.nan
+    write_checkpoint(tmp_path / "ckpt.json", ckpt)
+    resumed_out = tmp_path / "resumed"
+    cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out)))
+    capsys.readouterr()
+    assert main(["resume", str(tmp_path / "ckpt.json"), str(cfg_path)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("error: StepCollapse: ") and err.count("\n") == 1
+    assert (resumed_out / "path.csv").read_text().count("\n") == 1  # the header alone
+
+
 def test_resume_hash_check(completed_run, tmp_path):
     tmp, out, cfg, _ = completed_run
     ckpt = next(iter(sorted(out.glob("ckpt_*.json"))))
@@ -538,6 +563,10 @@ def test_sweep_runs_independent_configs(tmp_path):
     for v in ("2", "4"):
         rows = (out / f"D_{v}" / "path.csv").read_text().strip().splitlines()
         assert len(rows) > 2
+    # the points stop after stage A, so no row has a system speed
+    _, rows = read_rows(out / "sweep.csv")
+    assert [r["D"] for r in rows] == ["2", "4"]
+    assert all(np.isfinite(float(r["c_wentzell"])) and r["c_system"] == "nan" for r in rows)
 
 
 @pytest.mark.parametrize("sweep", ["D=abc", "mu=1,2", "D="])
@@ -602,6 +631,8 @@ def test_sweep_failed_start_is_reported_per_point(tmp_path, capsys):
         error = json.loads((out / f"D_{v}" / "error.json").read_text())
         assert error["error"] == "BracketNotFound" and error["exit_code"] == EXIT_SOLVER
     assert capsys.readouterr().out == "D = 2: exit 3\nD = 4: exit 3\n"
+    assert (out / "sweep.csv").read_text() == (
+        "D,c_one_dim,c_wentzell,c_system\n2,nan,nan,nan\n4,nan,nan,nan\n")
 
 
 def test_sweep_pool_fits_the_cpus_the_process_may_use(tmp_path, monkeypatch):
@@ -623,20 +654,37 @@ def test_sweep_pool_fits_the_cpus_the_process_may_use(tmp_path, monkeypatch):
     assert asked == [1]  # two points, but one CPU to run them on
 
 
-# --- scripts ------------------------------------------------------------------------
-
-def test_speed_vs_line_diffusivity_script(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "speed_vs_line_diffusivity.py"
-    out = tmp_path / "speed.csv"
-    proc = subprocess.run([sys.executable, str(script), str(out), "1"], capture_output=True,
-                          text=True, timeout=300, env=subprocess_env())
-    assert proc.returncode == 0, proc.stderr
-    header, rows = read_rows(out)
-    assert header == ["D", "c_neumann", "c_wentzell", "c_system"]
+def test_sweep_table(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, fast_config(out))), "--sweep", "D=1"]) \
+        == EXIT_OK
+    header, rows = read_rows(out / "sweep.csv")
+    assert header == ["D", "c_one_dim", "c_wentzell", "c_system"]
     assert len(rows) == 1 and float(rows[0]["D"]) == 1.0
     speeds = [float(rows[0][k]) for k in header[1:]]
     assert all(np.isfinite(speeds)) and min(speeds) > 0.0
+    # the row holds the point's own speeds, to the last bit
+    summary = json.loads((out / "D_1" / "summary.json").read_text())
+    assert speeds == [summary["c_one_dim"], summary["stages"]["A"]["c"],
+                      summary["stages"]["C"]["c"]]
 
+
+def test_sweep_table_row_of_a_failed_point(tmp_path, capsys):
+    # D = 64 needs |x_left| >= 8 D / c at s = 0, far beyond the grid's 160
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, fast_config(out))), "--sweep", "D=2,64"]) \
+        == EXIT_SOLVER
+    assert capsys.readouterr().out == "D = 2: exit 0\nD = 64: exit 3\n"
+    assert json.loads((out / "D_64" / "error.json").read_text())["error"] == "ExtentTooSmall"
+    _, rows = read_rows(out / "sweep.csv")
+    assert [r["D"] for r in rows] == ["2", "64"]
+    assert all(np.isfinite(float(v)) and float(v) > 0.0 for v in list(rows[0].values())[1:])
+    # the shared start succeeded, so the failed point keeps its 1-D speed
+    assert rows[1]["c_one_dim"] == rows[0]["c_one_dim"]
+    assert (rows[1]["c_wentzell"], rows[1]["c_system"]) == ("nan", "nan")
+
+
+# --- scripts ------------------------------------------------------------------------
 
 def test_dispersion_curves_script(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "dispersion_curves.py"

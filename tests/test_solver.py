@@ -294,3 +294,18 @@ def test_newton_max_iters(coarse_s0):
     init = embed_one_dim_wave(wave, grid, CUBIC)
     with pytest.raises(SolverError):
         newton_solve(init, PARAMS, CUBIC, grid, NewtonOptions(max_iters=1, tol_residual=1e-13))
+
+
+@pytest.mark.parametrize("where", ["psi", "c"])
+def test_newton_nan_state_is_never_converged(coarse_s0, where):
+    # a NaN residual fails `norm > tol` as it fails `norm <= tol`: it must not
+    # end the iteration as if converged
+    grid, _, result = coarse_s0
+    psi, c = result.state.psi.copy(), result.state.c
+    if where == "psi":
+        psi.flat[100] = np.nan
+    else:
+        c = np.nan
+    state = WaveState(c=c, psi=psi, phi=None, family=result.state.family)
+    with pytest.raises(SolverError):
+        newton_solve(state, PARAMS, CUBIC, grid, NewtonOptions())
