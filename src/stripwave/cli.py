@@ -311,6 +311,20 @@ def read_checkpoint(path) -> dict:
     return data
 
 
+def require_finite_arrays(data: dict, path) -> None:
+    """Raise ValueError naming the first array field of a `read_checkpoint`
+    result that holds a NaN or an infinity.  A resume starts Newton from
+    these arrays; `read_checkpoint` itself accepts them, so that `wave
+    profile` can print such a state."""
+    for prefix, section in (("", data), ("control.", data.get("control"))):
+        if section is None:
+            continue
+        for name in ARRAY_FIELDS[prefix]:
+            if section[name] is not None and not np.isfinite(section[name]).all():
+                raise ValueError(f"checkpoint {path}: field '{prefix}{name}' holds a "
+                                 "non-finite value")
+
+
 def checkpoint_state(data: dict) -> tuple[WaveState, Grid, StepControl | None]:
     gm = data["grid"]
     grid = Grid(x_left=gm["x_left"], x_right=gm["x_right"], L=gm["L"],
@@ -635,7 +649,9 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
 def cmd_resume(args) -> int:
     cfg = load_config(args.config)
     args.outdir = outdir = resolve_output_dir(cfg)
-    execute_resume(cfg, outdir, read_checkpoint(args.checkpoint), args.force)
+    ckpt = read_checkpoint(args.checkpoint)
+    require_finite_arrays(ckpt, args.checkpoint)
+    execute_resume(cfg, outdir, ckpt, args.force)
     print(f"resumed from {args.checkpoint} (artifacts in {outdir})")
     return EXIT_OK
 

@@ -2,8 +2,26 @@
 
 Newton iterates on the flat dof vector; each accepted step strictly
 decreases the residual infinity norm by the Armijo rule.  Linear systems
-are solved by direct sparse LU (deterministic, robust for the bordered
-nonsymmetric matrix at desk scale) with one step of iterative refinement.
+are solved by a direct LU (deterministic, robust for the bordered
+nonsymmetric matrix at desk scale), and every solve passes one shared
+backward-error test, with one step of iterative refinement when needed.
+
+Newton factors its Jacobian J in one of two ways, chosen by the grid.
+In a y-fastest order (strip node (i, j) at position i*m + j, line node i
+at i*m + ny) every entry of J outside its last row and column lies
+within m = (N - 1) // nx of the diagonal: m is ny for Wentzell and
+ny + 1 for exchange.  When m <= `BAND_MAX_WIDTH`, J is factored as a
+LAPACK band matrix (`dgbtrf`, partial pivoting).  The border (the c
+column b, and the phase row e_a^T, a single 1 at the anchor a) is
+removed as follows (Govaerts 2000, *Numerical Methods for Bifurcations
+of Dynamical Equilibria*): the phase row gives x_a = r_N, so the
+anchor column of J is moved to the right-hand side and replaced by e_a.
+The band matrix left, A~, is well conditioned because pinning the
+anchor removes the near-null translation mode, and J x = r becomes
+(A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
+rank-1 (Sherman-Morrison) correction solves.  Wider grids use SuperLU
+(COLAMD ordering), whose fill grows more slowly than the band's
+N (3m + 1) entries.
 
 The Jacobian is factored at the first iterate and its LU is reused for
 later steps (the chord method; Kelley 2003, *Solving Nonlinear Equations
@@ -40,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
                      NegativeSpeed, StepUnderflow)
@@ -61,6 +80,24 @@ REFRESH_RATIO = 0.25
 # 0.25 and 0.9); at 32x two cubic brackets moved by 5e-12 and 7e-12, which
 # would send those runs back to the bisection at the step itself
 COARSE = 16
+# `factorize(J, nx)` uses the band LU when the half-bandwidth m = (N - 1) // nx
+# is at most this, and SuperLU above it.  One factorization and one solve of a
+# Wentzell(1) Jacobian, each grid in a fresh process with one BLAS thread on a
+# shared 2-vCPU VM, SuperLU -> band (a range where repeats differed):
+#     grid        factor s                 solve s                peak RSS MB
+#     481 x 11    0.011 -> 0.005           0.0008 -> 0.0007        68 ->  67
+#     961 x 21    0.069 -> 0.030           0.005 -> 0.004          83 ->  82
+#     961 x 41    0.15-0.19 -> 0.085-0.095 0.008-0.011 -> 0.011   110 -> 118
+#     3841 x 41   0.62-0.78 -> 0.46-0.53   0.03-0.05 -> 0.04-0.06 251 -> 280
+#     961 x 61    0.25-0.35 -> 0.22-0.25   0.015-0.018 -> 0.023-0.026  140 -> 171
+#     961 x 81    0.47 -> 0.42             0.026 -> 0.037         176 -> 242
+#     1921 x 81   1.14 -> 0.90             0.054 -> 0.082         289 -> 420
+#     961 x 161   1.85 -> 1.76             0.057 -> 0.118         342 -> 701
+# The band array alone holds N (3m + 1) doubles, 2.4 GB on the 3841 x 161
+# refinement grid, where SuperLU peaks at 1.2 GB.  The band factors clearly
+# faster up to m = 42; from ny = 61 on it gains little, solves slower and
+# needs 1.2 to 2 times the memory.
+BAND_MAX_WIDTH = 48
 
 
 @dataclass(frozen=True)
@@ -110,13 +147,87 @@ class OneDimWave:
         return np.where(xq <= 0.0, tail, body)
 
 
+class BorderedBandLU:
+    """Band LU of a bordered Jacobian in the y-fastest order (module docstring).
+
+    `J` is the CSC Jacobian of an `nx`-column grid in the dof order of
+    `grid.dof_layout`; its last row must be the phase row, a single 1
+    (ValueError otherwise).  Raises LinearSolveFailed when the band matrix
+    is exactly singular or the rank-1 correction has a zero denominator.
+    """
+
+    def __init__(self, J: sp.csc_matrix, nx: int) -> None:
+        n = J.shape[0] - 1  # unknowns besides c
+        m = n // nx
+        if m * nx != n:
+            raise ValueError(f"a {J.shape[0]}-row Jacobian does not fit a grid with nx = {nx}")
+        # band position -> dof; the line field follows the strip as a row j = ny would
+        self.perm = np.arange(n).reshape(m, nx).T.ravel()
+        pos = np.arange(n).reshape(nx, m).T.ravel()  # dof -> band position
+        rows = J.indices
+        cols = np.repeat(np.arange(n + 1), np.diff(J.indptr))
+        phase = rows == n
+        if phase.sum() != 1 or cols[phase][0] == n or J.data[phase][0] != 1.0:
+            raise ValueError("the last row of J is not a unit phase row")
+        a = int(pos[cols[phase][0]])
+        border = cols == n
+        b = np.zeros(n)
+        b[pos[rows[border & ~phase]]] = J.data[border & ~phase]
+        inner = ~(phase | border)
+        r, c, v = pos[rows[inner]], pos[cols[inner]], J.data[inner]
+        if np.abs(r - c).max() > m:
+            raise ValueError(f"J has entries outside the half-bandwidth {m}")
+        at_a = c == a
+        self.col_a = r[at_a], v[at_a]  # column a of J, moved to the right-hand side
+        keep = ~at_a
+        # LAPACK band storage, column-major with ldab = 3m + 1: A~[r, c] goes to
+        # ab[2m + r - c, c]; the first m rows are workspace for the pivoting fill
+        ldab = 3 * m + 1
+        ab = np.zeros(n * ldab)
+        ab[c[keep] * (ldab - 1) + r[keep] + 2 * m] = v[keep]
+        ab[a * ldab + 2 * m] = 1.0
+        self.lu, self.piv, info = lapack.dgbtrf(ab.reshape(n, ldab).T, m, m,
+                                                    overwrite_ab=1)
+        if info > 0:
+            raise LinearSolveFailed(f"band factor is exactly singular: U({info}, {info}) = 0")
+        self.m, self.a = m, a
+        b[a] -= 1.0
+        self.w = self._band_solve(b)  # A~^{-1} (b - e_a)
+        self.denom = 1.0 + self.w[a]
+        if self.denom == 0.0:
+            raise LinearSolveFailed("bordered matrix is singular (rank-1 correction "
+                                    "has a zero denominator)")
+
+    def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
+        return lapack.dgbtrs(self.lu, self.m, self.m, rhs, self.piv, overwrite_b=1)[0]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with J x = rhs, to the band LU's accuracy (no backward-error test)."""
+        r_phase = rhs[-1]  # the phase row fixes x at the anchor
+        r = rhs[self.perm]
+        rows_a, vals_a = self.col_a
+        r[rows_a] -= vals_a * r_phase
+        y = self._band_solve(r)
+        z = y - self.w * (y[self.a] / self.denom)
+        x = np.empty(rhs.shape[0])
+        x[self.perm] = z
+        x[self.perm[self.a]] = r_phase
+        x[-1] = z[self.a]  # dc
+        return x
+
+
 @dataclass
 class Factorization:
-    """Sparse LU of a square matrix, made by `factorize`."""
+    """LU of a square matrix, made by `factorize`: a `BorderedBandLU` or a
+    SuperLU.  The backward-error test of `solve` is the same for both."""
 
     J: sp.csc_matrix
-    lu: spla.SuperLU
+    lu: BorderedBandLU | spla.SuperLU
     j_norm: float  # |J|_inf, for the backward-error test
+
+    @property
+    def kind(self) -> str:
+        return "band" if isinstance(self.lu, BorderedBandLU) else "superlu"
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution with relative residual <= 1e-12 against the factored matrix.
@@ -150,17 +261,26 @@ class Factorization:
         return x
 
 
-def factorize(J: sp.spmatrix) -> Factorization:
-    """Direct sparse LU of J.  Raises LinearSolveFailed on structural or
-    numerical singularity."""
+def factorize(J: sp.spmatrix, nx: int | None = None) -> Factorization:
+    """LU of J.  Raises LinearSolveFailed on structural or numerical singularity.
+
+    Given `nx`, J must be a bordered Jacobian of an `nx`-column grid
+    (`assemble_jacobian`); it is factored as a band (`BorderedBandLU`) when
+    its half-bandwidth (N - 1) // nx is at most `BAND_MAX_WIDTH`.  Otherwise,
+    and for a general J (no `nx`), SuperLU factors it.
+    """
     if J.shape[0] != J.shape[1]:
         raise LinearSolveFailed(f"matrix is not square: {J.shape}")
     Jc = J.tocsc()
+    Jc.sum_duplicates()
+    j_norm = float(np.abs(Jc).sum(axis=1).max())
+    if nx is not None and (Jc.shape[0] - 1) // nx <= BAND_MAX_WIDTH:
+        return Factorization(J=Jc, lu=BorderedBandLU(Jc, nx), j_norm=j_norm)
     try:
         lu = spla.splu(Jc)
     except RuntimeError as exc:
         raise LinearSolveFailed(str(exc)) from exc
-    return Factorization(J=Jc, lu=lu, j_norm=float(np.abs(Jc).sum(axis=1).max()))
+    return Factorization(J=Jc, lu=lu, j_norm=j_norm)
 
 
 def linear_solve(J: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -192,7 +312,7 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
         fresh = lu is None
         if fresh:
             lu = factorize(assemble_jacobian(vector_to_state(u, grid, family), params, spec,
-                                             grid))
+                                             grid), grid.nx)
             factorizations += 1
         du = lu.solve(-R)
         lam = 1.0

@@ -478,20 +478,32 @@ def test_resume_from_stage_end(completed_run, tmp_path, stage):
         f"ckpt_{k:04d}_{r['stage']}.json" for k, r in enumerate(resumed, start=1)]
 
 
-@pytest.mark.parametrize("field", ["psi", "prev_psi"])
-def test_resume_from_nan_state_stops(completed_run, tmp_path, capsys, field):
-    # a NaN residual is never converged: every step fails, and none is a row
+@pytest.mark.parametrize("stage, field", [("A", "psi"), ("A", "control.prev_psi"),
+                                          ("C", "control.prev_phi")],
+                         ids=["psi", "prev_psi", "prev_phi"])
+def test_resume_from_nan_state_stops(completed_run, tmp_path, capsys, monkeypatch, stage,
+                                     field):
+    # a NaN state is reported at once, by field, before any Newton solve
     _, out, cfg, _ = completed_run
-    ckpt = read_checkpoint(out / "ckpt_0003_A.json")
-    (ckpt if field == "psi" else ckpt["control"])[field][100] = np.nan
-    write_checkpoint(tmp_path / "ckpt.json", ckpt)
+    ckpt = read_checkpoint(sorted(out.glob(f"ckpt_*_{stage}.json"))[-1])
+    section, _, name = field.rpartition(".")
+    (ckpt[section] if section else ckpt)[name][100] = np.nan
+    ckpt_path = tmp_path / "ckpt.json"
+    write_checkpoint(ckpt_path, ckpt)
     resumed_out = tmp_path / "resumed"
     cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out)))
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("newton_solve called on a non-finite checkpoint")
+
+    for module in (cli, continuation):
+        monkeypatch.setattr(module, "newton_solve", no_newton)
     capsys.readouterr()
-    assert main(["resume", str(tmp_path / "ckpt.json"), str(cfg_path)]) == EXIT_SOLVER
-    err = capsys.readouterr().err
-    assert err.startswith("error: StepCollapse: ") and err.count("\n") == 1
-    assert (resumed_out / "path.csv").read_text().count("\n") == 1  # the header alone
+    assert main(["resume", str(ckpt_path), str(cfg_path)]) == EXIT_IO
+    assert capsys.readouterr().err == (f"error: ValueError: checkpoint {ckpt_path}: field "
+                                       f"'{field}' holds a non-finite value\n")
+    assert json.loads((resumed_out / "error.json").read_text())["exit_code"] == EXIT_IO
+    assert not (resumed_out / "path.csv").exists()
 
 
 def test_resume_hash_check(completed_run, tmp_path):

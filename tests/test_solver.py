@@ -9,8 +9,9 @@ import scipy.sparse.linalg as spla
 from stripwave import solver
 from stripwave import (HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, assemble_jacobian, assemble_residual,
-                       build_grid, c_max, embed_one_dim_wave, linear_solve, newton_solve,
-                       solve_1d_ignition_shooting, state_to_vector, vector_to_state)
+                       build_grid, c_max, embed_one_dim_wave, handoff_to_system, linear_solve,
+                       newton_solve, solve_1d_ignition_shooting, state_to_vector,
+                       vector_to_state)
 from stripwave.errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
                               SolverError, StepUnderflow)
 
@@ -53,6 +54,70 @@ def test_linear_solve_structurally_singular():
 def test_linear_solve_rejects_nonsquare():
     with pytest.raises(LinearSolveFailed):
         linear_solve(sp.csc_matrix(np.ones((3, 4))), np.ones(3))
+
+
+# --- band LU of the bordered Jacobian -------------------------------------------
+
+@pytest.fixture(scope="module", params=[(481, 11), (241, 21)], ids=["481x11", "241x21"])
+def converged_jacobians(request):
+    """Jacobians and residuals of converged Wentzell(0), Wentzell(1) and
+    exchange(0.05) states on the grid [-160, 80] x [-1, 0]."""
+    nx, ny = request.param
+    grid = build_grid(PARAMS, -160.0, 80.0, nx, ny)
+    s0 = newton_solve(embed_one_dim_wave(solve_1d_ignition_shooting(PARAMS.d, CUBIC, tol=1e-9),
+                                         grid, CUBIC), PARAMS, CUBIC, grid).state
+    s1 = newton_solve(WaveState(c=s0.c, psi=s0.psi, phi=None,
+                                family=HomotopyFamily.wentzell(1.0)), PARAMS, CUBIC, grid).state
+    e = newton_solve(handoff_to_system(s1, 0.05, PARAMS, grid), PARAMS, CUBIC, grid).state
+    return grid, [(assemble_jacobian(st, PARAMS, CUBIC, grid),
+                   assemble_residual(st, PARAMS, CUBIC, grid)) for st in (s0, s1, e)]
+
+
+def test_band_solve_matches_superlu(converged_jacobians):
+    grid, systems = converged_jacobians
+    rng = np.random.default_rng(7)
+    for J, R in systems:
+        band = solver.factorize(J, grid.nx)
+        assert band.kind == "band"
+        lu = spla.splu(J.tocsc())
+        for rhs in (rng.standard_normal(J.shape[0]), -R):
+            x = band.solve(rhs)
+            ref = lu.solve(rhs)
+            # both solves are backward stable, and each differs from an
+            # extended-precision solution by up to about 4e-12 here (the
+            # conditioning of J): so they are compared at 1e-11
+            assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
+            # the raw band solve needs no refinement
+            raw = band.lu.solve(rhs)
+            err = np.abs(J @ raw - rhs).max() / (band.j_norm * np.abs(raw).max()
+                                                  + np.abs(rhs).max())
+            assert err <= 1e-14
+
+
+@pytest.mark.parametrize("node", ["interior", "anchor"])
+def test_band_singular_jacobian_raises(converged_jacobians, node):
+    grid, systems = converged_jacobians
+    J = systems[1][0].tocsr()
+    row = (grid.node_index(grid.nx // 3, 1) if node == "interior"
+           else grid.node_index(grid.anchor_ix, grid.anchor_iy))
+    J.data[J.indptr[row]:J.indptr[row + 1]] = 0.0  # a zeroed strip row, c column included
+    with pytest.raises(LinearSolveFailed):
+        solver.factorize(J.tocsc(), grid.nx)
+
+
+@pytest.mark.parametrize("nx, ny, kind", [(481, 11, "band"), (961, 41, "band"),
+                                          (13, 81, "superlu"), (13, 161, "superlu")])
+def test_factorization_size_rule(nx, ny, kind):
+    # the tier-1 grids: 481 x 11 and 961 x 41 on the band; 961 x 81, and the
+    # refinement grids 1921 x 81 and 3841 x 161, on SuperLU (the rule reads
+    # only ny and the family, so nx = 13 stands in for them)
+    grid = build_grid(PARAMS, -160.0, 80.0, nx, ny)
+    psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (ny, 1))
+    wentzell = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(1.0))
+    for state in (wentzell, handoff_to_system(wentzell, 0.05, PARAMS, grid)):
+        J = assemble_jacobian(state, PARAMS, CUBIC, grid)
+        assert solver.factorize(J, grid.nx).kind == kind
+    assert solver.factorize(J).kind == "superlu"  # a general matrix keeps SuperLU
 
 
 # --- shooting -----------------------------------------------------------------
@@ -233,11 +298,17 @@ def test_newton_reuses_factorization(coarse_s0, monkeypatch):
     init = embed_one_dim_wave(wave, grid, CUBIC)
     opts = NewtonOptions()
     factored = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or splu(*a, **k))
+    factorize = solver.factorize
+
+    def counted(*args, **kwargs):
+        factored.append(factorize(*args, **kwargs))
+        return factored[-1]
+
+    monkeypatch.setattr(solver, "factorize", counted)
     result = newton_solve(init, PARAMS, CUBIC, grid, opts)
     monkeypatch.undo()
     assert result.factorizations == len(factored) < result.iterations
+    assert {f.kind for f in factored} == {"band"}
     assert result.residual_norm <= opts.tol_residual
 
     # reference: full Newton, a fresh factorization at every iteration, same Armijo rule
