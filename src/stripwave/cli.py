@@ -40,7 +40,7 @@ from .errors import (AnchorNotOnGrid, BadExtent, ConfigError, ConfigHashMismatch
                      StripWaveError)
 from .grid import Grid, build_grid
 from .model import ModelParams, NonlinearityKind, NonlinearitySpec
-from .residual import HomotopyFamily, WaveState, assemble_residual
+from .residual import EXCHANGE, WENTZELL, HomotopyFamily, WaveState, assemble_residual
 from .solver import NewtonOptions, NewtonResult, newton_solve, solve_1d_ignition_shooting
 from . import analysis
 
@@ -58,8 +58,6 @@ PATH_COLUMNS = ("stage", "family_param", "c", "residual_norm", "speed_identity_g
 def fmt_float(v: float) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
-    if v != v:
-        return "nan"
     return f"{v:.17g}"
 
 
@@ -68,9 +66,14 @@ def canonical_json(data) -> str:
 
 
 def config_hash(data: dict) -> str:
-    """SHA-256 of the config without `output_dir`: a deployment path, like
-    WAVE_OUT, does not change what a run computes."""
-    kept = {key: value for key, value in data.items() if key != "output_dir"}
+    """SHA-256 of the config without the fields that change no number a run
+    writes: `output_dir`, a deployment path like WAVE_OUT, and
+    `checkpoint_every` and `continuation.target_stage`, which decide only
+    which files are written and where the run stops."""
+    kept = {key: value for key, value in data.items()
+            if key not in ("output_dir", "checkpoint_every")}
+    kept["continuation"] = {key: value for key, value in data["continuation"].items()
+                            if key != "target_stage"}
     return hashlib.sha256(canonical_json(kept).encode()).hexdigest()
 
 
@@ -181,50 +184,29 @@ def resolve_output_dir(cfg: RunConfig) -> Path:
 
 
 # --- checkpoints --------------------------------------------------------------
+# A checkpoint holds two states of one layout, both of its stage's family: the
+# record's, as the top-level STATE_FIELDS, and the previous accepted state the
+# secant predictor needs, as `control.prev_<name>` (all four null for none).
+STATE_FIELDS = ("parameter", "c", "psi", "phi")
+GRID_FIELDS = {"x_left": float, "x_right": float, "L": float, "nx": int, "ny": int}
+STAGE_FAMILY = {"A": WENTZELL, "B": EXCHANGE, "C": EXCHANGE}
+
+
+def _state_fields(state: WaveState | None, prefix: str = "") -> dict:
+    """The checkpoint fields of `state`, each name with `prefix`; nulls for none."""
+    values = (None,) * 4 if state is None else (state.family.parameter, state.c,
+                                                 state.psi.ravel(), state.phi)
+    return {prefix + name: value for name, value in zip(STATE_FIELDS, values)}
+
 
 def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str,
                     control: StepControl | None) -> dict:
-    state = record.state
-    ctrl = None
-    if control is not None:
-        prev = control.prev_state
-        ctrl = {
-            "step": control.step,
-            "prev_parameter": None if prev is None else prev.family.parameter,
-            "prev_c": None if prev is None else prev.c,
-            "prev_psi": None if prev is None else prev.psi.ravel(),
-            "prev_phi": None if prev is None else prev.phi,
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "stage": record.stage,
-        "family": state.family.kind,
-        "parameter": state.family.parameter,
-        "c": state.c,
-        "grid": {"x_left": grid.x_left, "x_right": grid.x_right, "L": grid.L,
-                 "nx": grid.nx, "ny": grid.ny},
-        "psi": state.psi.ravel(),
-        "phi": state.phi,
-        "config_hash": cfg_hash,
-        "control": ctrl,
-    }
-
-
-# the fields `execute_resume` and `checkpoint_state` read; "control" may be null
-CHECKPOINT_FIELDS = ("stage", "family", "parameter", "c", "grid", "psi", "phi", "config_hash")
-GRID_FIELDS = ("x_left", "x_right", "L", "nx", "ny")
-CONTROL_FIELDS = ("step", "prev_parameter", "prev_c", "prev_psi", "prev_phi")
-# the array fields: null, or base64 text of little-endian float64 bytes
-ARRAY_FIELDS = {"": ("psi", "phi"), "control.": ("prev_psi", "prev_phi")}
-# the strip fields among them, of grid.nx * grid.ny values each
-STRIP_FIELDS = {"": "psi", "control.": "prev_psi"}
-# the scalar fields, with the JSON numbers each may be (never a bool, always
-# finite); the control's prev_* scalars may also be null when its prev_psi is
-NUMBER, INTEGER = ((int, float), "a number"), ((int,), "an integer")
-SCALAR_FIELDS = {"": {"parameter": NUMBER, "c": NUMBER},
-                 "grid.": {"x_left": NUMBER, "x_right": NUMBER, "L": NUMBER,
-                           "nx": INTEGER, "ny": INTEGER},
-                 "control.": {"step": NUMBER, "prev_parameter": NUMBER, "prev_c": NUMBER}}
+    return {"schema_version": SCHEMA_VERSION, "stage": record.stage,
+            "family": record.state.family.kind, **_state_fields(record.state),
+            "grid": {name: getattr(grid, name) for name in GRID_FIELDS},
+            "config_hash": cfg_hash,
+            "control": None if control is None else {"step": control.step,
+                                                     **_state_fields(control.prev_state, "prev_")}}
 
 
 def _encoded(data: dict) -> dict:
@@ -264,7 +246,54 @@ def write_checkpoint(path: Path, data: dict) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _states(data: dict) -> list[tuple[dict, str, str]]:
+    """Each state of a checkpoint as (section, key prefix, field prefix): the
+    record's, then the previous one unless its fields are all null."""
+    ctrl = data.get("control")
+    prev = ctrl is not None and any(ctrl["prev_" + name] is not None for name in STATE_FIELDS)
+    return [(data, "", "")] + ([(ctrl, "prev_", "control.prev_")] if prev else [])
+
+
+def _bad(path, field: str, text: str) -> ValueError:
+    return ValueError(f"checkpoint {path}: field '{field}' {text}")
+
+
+def _number(value, field: str, path, kind: type = float):
+    """`value`, a finite JSON number (an integer for `kind` int), never a bool."""
+    if type(value) not in ((int,) if kind is int else (int, float)):
+        raise _bad(path, field, f"must be {'an integer' if kind is int else 'a number'}, "
+                                f"got {value!r}")
+    if not math.isfinite(value):  # json reads NaN and Infinity
+        raise _bad(path, field, f"must be finite, got {value!r}")
+    return value
+
+
+def _check_state(section: dict, key: str, field: str, family: str, grid: dict, path) -> None:
+    """Check the state held as `section[key + name]` for each STATE_FIELDS
+    name, reported as field `field + name`, and decode its arrays in place."""
+    parameter = _number(section[key + "parameter"], field + "parameter", path)
+    try:
+        HomotopyFamily(kind=family, parameter=parameter)
+    except ValueError as exc:
+        raise _bad(path, field + "parameter", f"is out of range: {exc}") from exc
+    c = _number(section[key + "c"], field + "c", path)
+    if not c > 0:
+        raise _bad(path, field + "c", f"must be > 0, got {c!r}")
+    arrays = [("psi", grid["nx"] * grid["ny"], "nx * ny")]
+    if family == EXCHANGE:
+        arrays.append(("phi", grid["nx"], "nx"))
+    elif section[key + "phi"] is not None:
+        raise _bad(path, field + "phi", f"must be null in the {family} family")
+    for name, size, rule in arrays:
+        where = f"checkpoint {path}: field '{field}{name}'"
+        section[key + name] = values = _decoded(section[key + name], where)
+        if values.size != size:
+            raise ValueError(f"{where} holds {values.size} values, not {rule} = {size}")
+
+
 def read_checkpoint(path) -> dict:
+    """The checkpoint at `path` with its arrays decoded, once its header, its
+    grid, `control.step` and each of its states are checked."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -275,76 +304,50 @@ def read_checkpoint(path) -> dict:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"checkpoint schema {data.get('schema_version')!r} "
                              f"is not supported (want {SCHEMA_VERSION})")
-    sections = [("", data, CHECKPOINT_FIELDS), ("grid.", data.get("grid"), GRID_FIELDS)]
-    if data.get("control") is not None:
-        sections.append(("control.", data["control"], CONTROL_FIELDS))
+    ctrl = data.get("control")
+    sections = [("", data, ("stage", "family", "grid", "config_hash") + STATE_FIELDS),
+                ("grid.", data.get("grid"), GRID_FIELDS)]
+    if ctrl is not None:
+        sections.append(("control.", ctrl, ["step"] + ["prev_" + name for name in STATE_FIELDS]))
     for prefix, section, fields in sections:
         for name in fields:
             if not isinstance(section, dict) or name not in section:
                 raise ValueError(f"checkpoint {path}: missing field '{prefix}{name}'")
-        for name in ARRAY_FIELDS.get(prefix, ()):
-            if section[name] is not None:
-                section[name] = _decoded(section[name],
-                                         f"checkpoint {path}: field '{prefix}{name}'")
-    if data["stage"] not in STAGES:
-        raise ValueError(f"checkpoint {path}: field 'stage' must be one of A, B, C, "
-                         f"got {data['stage']!r}")
-    for prefix, section, _ in sections:
-        for name, (types, kind) in SCALAR_FIELDS[prefix].items():
-            value = section[name]
-            if value is None and name.startswith("prev_") and section["prev_psi"] is None:
-                continue
-            if type(value) not in types:
-                raise ValueError(f"checkpoint {path}: field '{prefix}{name}' must be {kind}, "
-                                 f"got {value!r}")
-            if not math.isfinite(value):  # json reads NaN and Infinity
-                raise ValueError(f"checkpoint {path}: field '{prefix}{name}' must be finite, "
-                                 f"got {value!r}")
-    if not data["c"] > 0:
-        raise ValueError(f"checkpoint {path}: field 'c' must be > 0, got {data['c']!r}")
-    cells = data["grid"]["nx"] * data["grid"]["ny"]
-    for prefix, section, _ in sections:
-        name = STRIP_FIELDS.get(prefix)
-        if name is not None and section[name] is not None and section[name].size != cells:
-            raise ValueError(f"checkpoint {path}: field '{prefix}{name}' holds "
-                             f"{section[name].size} values, not nx * ny = {cells}")
+    for name, kind in GRID_FIELDS.items():
+        _number(data["grid"][name], "grid." + name, path, kind)
+    if ctrl is not None:
+        _number(ctrl["step"], "control.step", path)
+    stage, family = data["stage"], data["family"]
+    if stage not in STAGES:
+        raise _bad(path, "stage", f"must be one of A, B, C, got {stage!r}")
+    if family != STAGE_FAMILY[stage]:
+        raise _bad(path, "family", f"must be {STAGE_FAMILY[stage]!r} at stage {stage}, "
+                                   f"got {family!r}")
+    for section, key, field in _states(data):
+        _check_state(section, key, field, family, data["grid"], path)
     return data
 
 
 def require_finite_arrays(data: dict, path) -> None:
-    """Raise ValueError naming the first array field of a `read_checkpoint`
-    result that holds a NaN or an infinity.  A resume starts Newton from
-    these arrays; `read_checkpoint` itself accepts them, so that `wave
-    profile` can print such a state."""
-    for prefix, section in (("", data), ("control.", data.get("control"))):
-        if section is None:
-            continue
-        for name in ARRAY_FIELDS[prefix]:
-            if section[name] is not None and not np.isfinite(section[name]).all():
-                raise ValueError(f"checkpoint {path}: field '{prefix}{name}' holds a "
-                                 "non-finite value")
+    """Raise ValueError naming the first array of a `read_checkpoint` result
+    that holds a NaN or an infinity, from which a resume would start Newton;
+    `read_checkpoint` accepts them, so that `wave profile` can print them."""
+    for section, key, field in _states(data):
+        for name in ("psi", "phi"):
+            values = section[key + name]
+            if values is not None and not np.isfinite(values).all():
+                raise _bad(path, field + name, "holds a non-finite value")
 
 
 def checkpoint_state(data: dict) -> tuple[WaveState, Grid, StepControl | None]:
-    gm = data["grid"]
-    grid = Grid(x_left=gm["x_left"], x_right=gm["x_right"], L=gm["L"],
-                nx=gm["nx"], ny=gm["ny"])
-    family = HomotopyFamily(kind=data["family"], parameter=data["parameter"])
-    psi = np.asarray(data["psi"], dtype=float).reshape(grid.ny, grid.nx)
-    phi = None if data["phi"] is None else np.asarray(data["phi"], dtype=float)
-    state = WaveState(c=data["c"], psi=psi, phi=phi, family=family)
-    state.check_consistent(grid)
-    control = None
-    ctrl = data.get("control")
-    if ctrl is not None:
-        prev = None
-        if ctrl["prev_psi"] is not None:
-            prev_psi = np.asarray(ctrl["prev_psi"], dtype=float).reshape(grid.ny, grid.nx)
-            prev_phi = None if ctrl["prev_phi"] is None else np.asarray(ctrl["prev_phi"], dtype=float)
-            prev = WaveState(c=ctrl["prev_c"], psi=prev_psi, phi=prev_phi,
-                             family=family.with_parameter(ctrl["prev_parameter"]))
-        control = StepControl(step=ctrl["step"], prev_state=prev)
-    return state, grid, control
+    """The record's state, the grid and the step control of a `read_checkpoint` result."""
+    grid = Grid(**{name: data["grid"][name] for name in GRID_FIELDS})
+    states = [WaveState(c=section[key + "c"], psi=section[key + "psi"].reshape(grid.ny, grid.nx),
+                        phi=section[key + "phi"],
+                        family=HomotopyFamily(data["family"], float(section[key + "parameter"])))
+              for section, key, _ in _states(data)]
+    ctrl, prev = data.get("control"), states[1] if len(states) > 1 else None
+    return states[0], grid, None if ctrl is None else StepControl(ctrl["step"], prev)
 
 
 # --- CSV sinks ----------------------------------------------------------------
@@ -570,7 +573,8 @@ def _report(outdir: Path | None, exc: Exception) -> int:
 
 # --- subcommand entry points --------------------------------------------------
 # Each raises on bad input or a failed run, and `main` reports CLI_ERRORS.  A run
-# or resume sets `args.outdir` once its config has loaded, for its error.json.
+# or resume sets `args.outdir` once its config has loaded, for its error.json; a
+# resume only once its output directory is not the checkpoint's.
 CLI_ERRORS = (StripWaveError, OSError, KeyError, ValueError)
 
 
@@ -648,7 +652,12 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
 
 def cmd_resume(args) -> int:
     cfg = load_config(args.config)
-    args.outdir = outdir = resolve_output_dir(cfg)
+    outdir = resolve_output_dir(cfg)
+    if outdir.resolve() == Path(args.checkpoint).resolve().parent:
+        raise ConfigError(f"resume: output directory {outdir} holds the checkpoint "
+                          f"{args.checkpoint}, whose run it would overwrite; set WAVE_OUT "
+                          f"or output_dir to another directory")
+    args.outdir = outdir
     ckpt = read_checkpoint(args.checkpoint)
     require_finite_arrays(ckpt, args.checkpoint)
     execute_resume(cfg, outdir, ckpt, args.force)

@@ -71,7 +71,6 @@ class DiagnosticsReport:
     min_psi: float
     max_psi: float
     min_dx_psi: float
-    details: dict = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -340,68 +339,34 @@ def translation_collapse(a: WaveState, b: WaveState, grid: Grid) -> tuple[float,
 
 def run_diagnostics(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
                     grid: Grid) -> DiagnosticsReport:
-    """Full per-record report.  Never raises: preconditions that fail
-    are recorded and the affected numbers become NaN."""
-    details: dict = {}
-
+    """Full per-record report.  Never raises: a check whose precondition
+    fails reports False, a number that cannot be computed NaN."""
     b = check_bounds(state)
-    bl = check_bounds_line(state, params)
-    bounds_ok = b.ok and bl.ok
-    details["bounds"] = {"worst_node": b.worst_node, "worst_value": b.worst_value, **b.info, **bl.info}
-
     m = check_monotonicity(state)
-    details["monotone"] = {"worst_node": m.worst_node, "worst_value": m.worst_value, **m.info}
-
-    if state.family.is_exchange:
-        s = check_sandwich(state, params)
-        sandwich_ok = s.ok
-        details["sandwich"] = {"worst_node": s.worst_node, "worst_value": s.worst_value, **s.info}
-    else:
-        sandwich_ok = True
-        details["sandwich"] = {"note": "vacuous for Wentzell states"}
-
-    c_est = speed_identity(state, params, spec, grid)
-    gap = abs(c_est - state.c) / abs(state.c)
-    details["speed_identity"] = {"c_est": c_est}
-
     try:
-        ld = left_decay_bound(state, params, grid, theta=spec.theta)
-        left_decay_ok = ld.ok
-        details["left_decay"] = {"worst_node": ld.worst_node, "worst_value": ld.worst_value, **ld.info}
-    except ThresholdNotCrossed as exc:
+        left_decay_ok = left_decay_bound(state, params, grid, theta=spec.theta).ok
+    except ThresholdNotCrossed:
         left_decay_ok = False
-        details["left_decay"] = {"error": str(exc)}
-
     try:
-        query = DispersionQuery(c=state.c, params=params, family_kind=state.family.kind,
-                                parameter=state.family.parameter,
-                                fprime1=spec.fprime_at_one)
-        root = dispersion_root(query)
-        gamma_pred = root.gamma
-        details["dispersion"] = {"gamma_lim": root.gamma_lim,
-                                 "gamma_lower_bound": supersolution_rate(query).gamma}
-    except NoRoot as exc:
+        gamma_pred = dispersion_root(DispersionQuery(
+            c=state.c, params=params, family_kind=state.family.kind,
+            parameter=state.family.parameter, fprime1=spec.fprime_at_one)).gamma
+    except NoRoot:
         gamma_pred = math.nan
-        details["dispersion"] = {"error": str(exc)}
-
     try:
         gamma_fit = fit_right_decay(state, grid)
-    except WindowEmpty as exc:
+    except WindowEmpty:
         gamma_fit = math.nan
-        details["right_decay_fit"] = {"error": str(exc)}
-
-    margin = c_max(params, spec) - state.c
     return DiagnosticsReport(
-        bounds_ok=bounds_ok,
+        bounds_ok=b.ok and check_bounds_line(state, params).ok,
         monotone_ok=m.ok,
-        sandwich_ok=sandwich_ok,
+        sandwich_ok=check_sandwich(state, params).ok if state.family.is_exchange else True,
         left_decay_ok=left_decay_ok,
-        speed_identity_gap=gap,
+        speed_identity_gap=abs(speed_identity(state, params, spec, grid) - state.c) / abs(state.c),
         gamma_fit=gamma_fit,
         gamma_pred=gamma_pred,
-        cmax_margin=margin,
+        cmax_margin=c_max(params, spec) - state.c,
         min_psi=b.info["min_psi"],
         max_psi=b.info["max_psi"],
         min_dx_psi=m.info["min_dx_psi"],
-        details=details,
     )

@@ -86,10 +86,6 @@ class Grid:
         """Flat strip index of node (i, j); x varies fastest."""
         return j * self.nx + i
 
-    def node_coords(self, index: int) -> tuple[int, int]:
-        """Inverse of node_index."""
-        return index % self.nx, index // self.nx
-
 
 @dataclass(frozen=True)
 class DofLayout:

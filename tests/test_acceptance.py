@@ -15,7 +15,7 @@ from stripwave import (DispersionQuery, ModelParams, NewtonOptions, Nonlinearity
                        NonlinearitySpec, WaveState, build_grid, c_max, continue_wentzell,
                        dispersion_root, embed_one_dim_wave, handoff_to_system, make_record,
                        newton_solve, solve_1d_ignition_shooting, speed_identity,
-                       translation_collapse)
+                       supersolution_rate, translation_collapse)
 from stripwave.cli import EXIT_OK, EXIT_VALIDATION, default_config_dict, main
 
 from conftest import DEFAULT_PARAMS, DEFAULT_SPEC
@@ -122,11 +122,16 @@ def test_criterion_06_handoff_first_order(full_path):
 def test_criterion_07_decay_rates(full_path):
     end_a = full_path["stage_a"].diagnostics
     end_c = full_path["stage_c"].diagnostics
-    for name, diag in (("s=1", end_a), ("eps=1", end_c)):
+    for name, end in (("s=1", full_path["stage_a"]), ("eps=1", full_path["stage_c"])):
+        diag = end.diagnostics
         rel = abs(diag.gamma_fit - diag.gamma_pred) / diag.gamma_pred
         assert rel <= 0.1, (name, diag.gamma_fit, diag.gamma_pred)
         # fitted decay must also beat the guaranteed halved-linearization bound
-        assert diag.gamma_fit > diag.details["dispersion"]["gamma_lower_bound"]
+        query = DispersionQuery(c=end.state.c, params=DEFAULT_PARAMS,
+                                family_kind=end.state.family.kind,
+                                parameter=end.state.family.parameter,
+                                fprime1=DEFAULT_SPEC.fprime_at_one)
+        assert diag.gamma_fit > supersolution_rate(query).gamma
     for rec in full_path["records"]:
         assert rec.diagnostics.left_decay_ok, rec.family
     c_w = full_path["stage_a"].state.c

@@ -6,14 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stripwave
 from stripwave import cli, continuation
 from stripwave.cli import (EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, checkpoint_dict,
-                           config_from_dict, config_hash, default_config_dict, emit_profile,
-                           fmt_float, load_config, main, read_checkpoint, write_checkpoint,
-                           write_profile_files)
-from stripwave.continuation import ContinuationRecord
+                           checkpoint_state, config_from_dict, config_hash, default_config_dict,
+                           emit_profile, fmt_float, load_config, main, read_checkpoint,
+                           write_checkpoint, write_profile_files)
+from stripwave.continuation import ContinuationRecord, StepControl
 from stripwave.errors import ConfigError
 from stripwave.grid import Grid
 from stripwave.residual import HomotopyFamily, WaveState
@@ -103,6 +104,12 @@ def test_invalid_json_is_validation_error(tmp_path):
     assert main(["run", str(path)]) == EXIT_VALIDATION
 
 
+def at(name, edit):
+    """`edit`, made to the completed run's checkpoint `name` instead of its last."""
+    edit.checkpoint = name
+    return edit
+
+
 @pytest.mark.parametrize("command, edit, code, named", [
     ("run", lambda cfg: cfg["params"].update(bogus=1.0), EXIT_VALIDATION, "params.bogus"),
     ("run", lambda cfg: cfg["newton"].update(maxiters=50), EXIT_VALIDATION, "newton.maxiters"),
@@ -111,7 +118,6 @@ def test_invalid_json_is_validation_error(tmp_path):
     ("profile", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "ckpt.json: missing field 'psi'"),
     ("profile", lambda ckpt: ckpt["grid"].pop("nx"), EXIT_IO,
      "ckpt.json: missing field 'grid.nx'"),
-    ("profile", lambda ckpt: ckpt.update(phi=ckpt["phi"][:-1]), EXIT_SOLVER, "phi"),
     ("resume", lambda ckpt: ckpt.update(psi=ckpt["psi"][:-1]), EXIT_IO,
      "ckpt.json: field 'psi' holds 5290 values, not nx * ny = 5291"),
     ("profile", lambda ckpt: ckpt.update(psi=ckpt["psi"][:-1]), EXIT_IO,
@@ -154,17 +160,41 @@ def test_invalid_json_is_validation_error(tmp_path):
           (lambda ckpt: ckpt["grid"].update(L=float("inf")),
            "'grid.L' must be finite, got inf"),
           (lambda ckpt: ckpt["control"].update(step=float("inf")),
-           "'control.step' must be finite, got inf")]
+           "'control.step' must be finite, got inf"),
+          # the previous state gets the checks of the record's, in the same words
+          (at("0003_A", lambda ckpt: ckpt["control"].update(prev_c=-5)),
+           "'control.prev_c' must be > 0, got -5"),
+          (lambda ckpt: ckpt["control"].update(prev_c=0.0),
+           "'control.prev_c' must be > 0, got 0.0"),
+          (lambda ckpt: ckpt["control"].update(prev_parameter=1.5),
+           "'control.prev_parameter' is out of range: exchange parameter eps must lie in (0, 1]"),
+          (at("0003_A", lambda ckpt: ckpt["control"].update(prev_psi=None)),
+           "'control.prev_psi' must be base64 text, got NoneType"),
+          (at("0009_C", lambda ckpt: ckpt["control"].update(
+              prev_phi=ckpt["control"]["prev_phi"][1:])),
+           "'control.prev_phi' holds 480 values, not nx = 481"),
+          (at("0009_C", lambda ckpt: ckpt["control"].update(prev_phi=None)),
+           "'control.prev_phi' must be base64 text, got NoneType"),
+          (at("0003_A", lambda ckpt: ckpt.update(psi=None)),
+           "'psi' must be base64 text, got NoneType"),
+          (lambda ckpt: ckpt.update(phi=ckpt["phi"][:-1]), "'phi' holds 480 values, not nx = 481"),
+          (at("0006_A", lambda ckpt: ckpt.update(phi=np.zeros(481))),
+           "'phi' must be null in the wentzell family"),
+          # the family follows the stage
+          (lambda ckpt: ckpt.update(stage="A"),
+           "'family' must be 'wentzell' at stage A, got 'exchange'")]
       for command in ("resume", "profile")],
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "resume_no_psi",
-        "profile_no_psi", "profile_no_grid_nx", "profile_short_phi", "resume_psi_short",
+        "profile_no_psi", "profile_no_grid_nx", "resume_psi_short",
         "profile_psi_short", "resume_prev_psi_short", "profile_grid_nx_float",
         "resume_psi_not_base64", "profile_psi_not_base64", "resume_psi_12_bytes",
         "profile_psi_12_bytes", "resume_step_zero", "resume_step_negative",
         *[f"{command}_{field}" for field in (
             "parameter_text", "c_text", "grid_x_left_text", "grid_x_right_bool",
             "grid_L_text", "step_text", "prev_parameter_null", "prev_c_null", "stage_Z",
-            "c_zero", "c_negative", "c_nan", "grid_L_inf", "step_inf")
+            "c_zero", "c_negative", "c_nan", "grid_L_inf", "step_inf", "prev_c_negative",
+            "prev_c_zero", "prev_parameter_out_of_range", "prev_psi_null", "prev_phi_short",
+            "prev_phi_null", "psi_null", "short_phi", "wentzell_phi", "stage_A_exchange")
           for command in ("resume", "profile")]])
 def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
                                            code, named):
@@ -174,7 +204,7 @@ def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, comm
         edit(cfg)
         argv = ["run", str(write_config(tmp_path, cfg))]
     else:
-        ckpt = read_checkpoint(sorted(out.glob("ckpt_*_C.json"))[-1])
+        ckpt = read_checkpoint(out / f"ckpt_{getattr(edit, 'checkpoint', '0012_C')}.json")
         edit(ckpt)
         write_checkpoint(tmp_path / "ckpt.json", ckpt)
         argv = [command, str(tmp_path / "ckpt.json"), str(write_config(tmp_path, cfg))
@@ -221,6 +251,53 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     # the scalars stay plain JSON, the arrays are text
     raw = json.loads(p1.read_text())
     assert raw["control"]["step"] == 0.15000000000000002 and isinstance(raw["psi"], str)
+
+
+def as_bits(state):
+    """Everything a state holds, its numbers as their bytes."""
+    return (state.family.kind, np.float64([state.family.parameter, state.c]).tobytes(),
+            state.psi.shape, state.psi.tobytes(),
+            None if state.phi is None else state.phi.tobytes())
+
+
+@st.composite
+def checkpointed_states(draw):
+    """A record, its grid and a step control, with or without a previous
+    state, on a small grid and of either family; the arrays hold any bits."""
+    nx, ny = draw(st.integers(5, 9)), draw(st.sampled_from([3, 5]))
+    stage = draw(st.sampled_from(cli.STAGES))
+    parameters = st.floats(0.0, 1.0, exclude_min=stage != "A")
+    make_family = HomotopyFamily.wentzell if stage == "A" else HomotopyFamily.exchange
+
+    def state():
+        def array(n):
+            return np.frombuffer(draw(st.binary(min_size=8 * n, max_size=8 * n)), dtype=float)
+        return WaveState(c=draw(st.floats(5e-324, 1e300)), psi=array(nx * ny).reshape(ny, nx),
+                         phi=None if stage == "A" else array(nx),
+                         family=make_family(draw(parameters)))
+
+    record_state = state()
+    record = ContinuationRecord(stage=stage, family=record_state.family, c=record_state.c,
+                                residual_norm=0.0, diagnostics=None, state=record_state)
+    prev = state() if draw(st.booleans()) else None
+    control = StepControl(step=draw(st.floats(5e-324, 1e300)), prev_state=prev)
+    return record, Grid(x_left=-2.0, x_right=1.0, L=1.0, nx=nx, ny=ny), control
+
+
+@settings(max_examples=60, deadline=None)
+@given(checkpointed_states())
+def test_checkpoint_round_trip_returns_both_states(tmp_path_factory, case):
+    record, grid, control = case
+    path = tmp_path_factory.mktemp("round_trip") / "ckpt.json"
+    write_checkpoint(path, checkpoint_dict(record, grid, "hash", control))
+    state, got_grid, got_control = checkpoint_state(read_checkpoint(path))
+    assert got_grid == grid
+    assert as_bits(state) == as_bits(record.state)
+    assert got_control.step == control.step
+    if control.prev_state is None:
+        assert got_control.prev_state is None
+    else:
+        assert as_bits(got_control.prev_state) == as_bits(control.prev_state)
 
 
 SCHEMA_1 = {  # a checkpoint of schema 1, whose arrays were JSON float lists
@@ -469,8 +546,8 @@ def test_resume_from_stage_end(completed_run, tmp_path, stage):
     end = max(k for k, r in enumerate(rows, start=1) if r["stage"] == stage)
     resumed_out = tmp_path / "resumed"
     cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out), checkpoint_every=1))
-    assert main(["resume", str(out / f"ckpt_{end:04d}_{stage}.json"), str(cfg_path),
-                 "--force"]) == EXIT_OK
+    # checkpoint_every is not hashed, so this needs no --force
+    assert main(["resume", str(out / f"ckpt_{end:04d}_{stage}.json"), str(cfg_path)]) == EXIT_OK
     _, resumed = read_rows(resumed_out / "path.csv")
     assert resumed == rows[end:]
     # the start record is not on path.csv, so it gets no checkpoint (no ckpt_0000_*)
@@ -504,6 +581,43 @@ def test_resume_from_nan_state_stops(completed_run, tmp_path, capsys, monkeypatc
                                        f"'{field}' holds a non-finite value\n")
     assert json.loads((resumed_out / "error.json").read_text())["exit_code"] == EXIT_IO
     assert not (resumed_out / "path.csv").exists()
+
+
+def test_resume_continues_a_run_stopped_at_stage_a(completed_run, tmp_path):
+    # target_stage is not hashed: the same config, continued to C, needs no --force
+    _, out, cfg, _ = completed_run
+    stopped = fast_config(tmp_path / "stopped")
+    stopped["continuation"]["target_stage"] = "A"
+    assert main(["run", str(write_config(tmp_path, stopped, "stopped.json"))]) == EXIT_OK
+    last = sorted((tmp_path / "stopped").glob("ckpt_*.json"))[-1]
+    resumed_out = tmp_path / "resumed"
+    cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out)))
+    assert main(["resume", str(last), str(cfg_path)]) == EXIT_OK
+    _, rows = read_rows(out / "path.csv")
+    _, resumed = read_rows(resumed_out / "path.csv")
+    assert last.name == "ckpt_0006_A.json" and resumed == rows[6:]
+
+
+def test_resume_refuses_the_checkpoint_directory(tmp_path, capsys, monkeypatch):
+    # a resume into the directory of its checkpoint would overwrite the run it resumes
+    out = tmp_path / "out"
+    cfg = fast_config(out, checkpoint_every=1)
+    cfg["continuation"]["target_stage"] = "A"
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["run", str(cfg_path)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    ckpt = out / "ckpt_0001_A.json"
+    capsys.readouterr()
+    assert main(["resume", str(ckpt), str(cfg_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+    assert str(out) in err and str(ckpt) in err and "WAVE_OUT" in err and "output_dir" in err
+    # the same directory by another name, through WAVE_OUT
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("WAVE_OUT", "out/../out")
+    assert main(["resume", str(ckpt), str(cfg_path)]) == EXIT_VALIDATION
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_resume_hash_check(completed_run, tmp_path):
@@ -560,6 +674,12 @@ def test_config_hash_is_stable():
     h2 = config_hash(json.loads(json.dumps(cfg)))
     assert h1 == h2
     cfg["output_dir"] = "elsewhere"  # a deployment path, not the numerics
+    cfg["checkpoint_every"] = 1  # which files a run writes, and where it stops
+    cfg["continuation"]["target_stage"] = "A"
+    assert config_hash(cfg) == h1 and len(h1) == 64
+    cfg["continuation"]["initial_step"] = 0.2
+    assert config_hash(cfg) != h1
+    cfg["continuation"]["initial_step"] = 0.1
     assert config_hash(cfg) == h1
     cfg["params"]["D"] = 8.0
     assert config_hash(cfg) != h1
