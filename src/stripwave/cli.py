@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
 from contextlib import closing
@@ -315,6 +316,12 @@ def read_checkpoint(path) -> dict:
                 raise ValueError(f"checkpoint {path}: missing field '{prefix}{name}'")
     for name, kind in GRID_FIELDS.items():
         _number(data["grid"][name], "grid." + name, path, kind)
+    try:
+        Grid(**{name: data["grid"][name] for name in GRID_FIELDS})
+    except ValueError as exc:  # Grid names the field it rejects, or none for a relation
+        named = re.match(r"Grid\.(\w+)", str(exc))
+        raise _bad(path, "grid" + (f".{named[1]}" if named else ""),
+                   f"is out of range: {exc}") from exc
     if ctrl is not None:
         _number(ctrl["step"], "control.step", path)
     stage, family = data["stage"], data["family"]
@@ -352,8 +359,15 @@ def checkpoint_state(data: dict) -> tuple[WaveState, Grid, StepControl | None]:
 
 # --- CSV sinks ----------------------------------------------------------------
 
+# the names `PathWriter.checkpoint` gives its files
+CHECKPOINT_NAME = re.compile(r"ckpt_\d{4,}_[ABC]\.json")
+
+
 class PathWriter:
     """Streams path.csv rows and checkpoints as records are accepted.
+
+    Opening path.csv deletes the directory's error.json and checkpoints, which
+    would otherwise describe an earlier run beside this one's rows.
 
     Every record it is given becomes a row: a march sends only the records
     of the steps it accepts, never its start, which is already on the path
@@ -367,6 +381,9 @@ class PathWriter:
         self.count = 0
         self.checkpointed = False  # whether the last row written has a checkpoint
         outdir.mkdir(parents=True, exist_ok=True)
+        for old in outdir.iterdir():
+            if old.name == "error.json" or CHECKPOINT_NAME.fullmatch(old.name):
+                old.unlink()
         self.fh = open(outdir / "path.csv", "w")
         self.fh.write(",".join(PATH_COLUMNS) + "\n")
         self.fh.flush()

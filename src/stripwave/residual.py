@@ -21,12 +21,14 @@ with a ghost node and eliminating the ghost against the quadratic
 interpolant through the three boundary-adjacent rows yields exactly the
 (3, -4, 1)/(2 hy) stencil, so no ghost unknowns are stored.  Convection
 uses centered differences to keep second order; the solver warns when
-the cell Peclet number c*hx/d reaches 2.
+the cell Peclet number c*hx/d reaches 2.  The Jacobian's sparsity structure
+(`JacobianPattern`) is built once per grid and family; each assembly computes
+only the values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +39,7 @@ from .model import ModelParams, NonlinearitySpec, eval_nonlinearity
 
 WENTZELL = "wentzell"
 EXCHANGE = "exchange"
+_PATTERNS: dict[tuple, JacobianPattern] = {}  # by key, the newest last (`JacobianPattern`)
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,40 @@ def assemble_residual(state: WaveState, params: ModelParams, spec: NonlinearityS
     return R
 
 
+@dataclass(frozen=True, eq=False)
+class JacobianPattern:
+    """The structure of `assemble_jacobian`'s CSC matrix, built at the first
+    assembly on a grid and family kind and kept in `_PATTERNS` for the two
+    newest (nx, ny, anchor, family kind): read-only integer arrays and no
+    values.  CSC data slot k takes block entry order[k]."""
+
+    sizes: tuple[int, ...]  # entries per block, in the order the blocks are written
+    indptr: np.ndarray
+    indices: np.ndarray
+    order: np.ndarray
+    bands: dict = field(default_factory=dict)  # `solver.band_map` by nx, made when first used
+
+
+def _build_pattern(n: int, index: list) -> JacobianPattern:
+    """The pattern of the n x n matrix whose blocks have the (rows, cols) `index`."""
+    keys = [np.ravel(cc * n + r) for r, cc in index]  # column-major position of each entry
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        raise ValueError("two blocks of the Jacobian write one entry")
+    arrays = [a.astype(np.int32) for a in (np.searchsorted(key, np.arange(n + 1) * n), key % n, order)]
+    for array in arrays:
+        array.flags.writeable = False
+    return JacobianPattern(tuple(k.size for k in keys), *arrays)
+
+
+def cached_pattern(J: sp.csc_matrix) -> JacobianPattern | None:
+    """The cached pattern whose arrays `J` holds (scipy keeps a view of the indices)."""
+    return next((p for p in _PATTERNS.values()
+                 if J.indptr is p.indptr and np.may_share_memory(J.indices, p.indices)), None)
+
+
 def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
                       grid: Grid) -> sp.csc_matrix:
     """Exact analytic derivative of assemble_residual.
@@ -184,7 +221,9 @@ def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearityS
     Bordered structure: the final column holds the derivative with
     respect to c (the centered x-derivatives of the fields on rows that
     carry convection) and the final row the phase condition (a single 1
-    at the anchor node, 0 in the c column).  Duplicate COO entries sum.
+    at the anchor node, 0 in the c column).  Each block is an index (a
+    function giving its rows and columns, called only to build the pattern)
+    and values; no two blocks write one entry.
     """
     layout = _layout_checked(state, grid)
     psi, phi, c = state.psi, state.phi, state.c
@@ -196,66 +235,65 @@ def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearityS
 
     _, f_prime = eval_nonlinearity(psi, spec)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    blocks: list[tuple] = []
 
-    def put(r, cc, v) -> None:
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(cc).ravel())
-        vals.append(np.broadcast_to(np.asarray(v, dtype=float), np.asarray(r).shape).ravel())
+    def put(index, v) -> None:
+        blocks.append((index, v))
 
-    jj, ii = np.meshgrid(np.arange(1, ny - 1), np.arange(1, nx - 1), indexing="ij")
-    r_int = jj * nx + ii
-    put(r_int, r_int, (2.0 * d / hx**2 + 2.0 * d / hy**2) - f_prime[1:-1, 1:-1])
-    put(r_int, r_int - 1, -d / hx**2 - c / (2.0 * hx))
-    put(r_int, r_int + 1, -d / hx**2 + c / (2.0 * hx))
-    put(r_int, r_int - nx, -d / hy**2)
-    put(r_int, r_int + nx, -d / hy**2)
-    put(r_int, np.full(r_int.shape, c_col), (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * hx))
+    def r_int() -> np.ndarray:  # the interior rows
+        return np.arange(1, ny - 1)[:, None] * nx + np.arange(1, nx - 1)
+
+    put(lambda: (r_int(), r_int()), (2.0 * d / hx**2 + 2.0 * d / hy**2) - f_prime[1:-1, 1:-1])
+    put(lambda: (r_int(), r_int() - 1), -d / hx**2 - c / (2.0 * hx))
+    put(lambda: (r_int(), r_int() + 1), -d / hx**2 + c / (2.0 * hx))
+    put(lambda: (r_int(), r_int() - nx), -d / hy**2)
+    put(lambda: (r_int(), r_int() + nx), -d / hy**2)
+    put(lambda: (r_int(), c_col), (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * hx))
 
     i = np.arange(1, nx - 1)
     r_bot = i  # j = 0
-    put(r_bot, i, -3.0 / (2.0 * hy))
-    put(r_bot, nx + i, 4.0 / (2.0 * hy))
-    put(r_bot, 2 * nx + i, -1.0 / (2.0 * hy))
+    put(lambda: (r_bot, i), -3.0 / (2.0 * hy))
+    put(lambda: (r_bot, nx + i), 4.0 / (2.0 * hy))
+    put(lambda: (r_bot, 2 * nx + i), -1.0 / (2.0 * hy))
 
     top = ny - 1
     r_top = top * nx + i
-    put(r_top, r_top, 3.0 * d / (2.0 * hy))
-    put(r_top, (top - 1) * nx + i, -4.0 * d / (2.0 * hy))
-    put(r_top, (top - 2) * nx + i, d / (2.0 * hy))
+    put(lambda: (r_top, (top - 1) * nx + i), -4.0 * d / (2.0 * hy))
+    put(lambda: (r_top, (top - 2) * nx + i), d / (2.0 * hy))
     if state.family.is_wentzell:
         s = state.family.parameter
-        put(r_top, r_top, (s / mu) * 2.0 * D / hx**2)
-        put(r_top, r_top - 1, -(s / mu) * D / hx**2 - (s / mu) * c / (2.0 * hx))
-        put(r_top, r_top + 1, -(s / mu) * D / hx**2 + (s / mu) * c / (2.0 * hx))
-        put(r_top, np.full(i.shape, c_col), (s / mu) * (psi[-1, 2:] - psi[-1, :-2]) / (2.0 * hx))
+        put(lambda: (r_top, r_top), 3.0 * d / (2.0 * hy) + (s / mu) * 2.0 * D / hx**2)
+        put(lambda: (r_top, r_top - 1), -(s / mu) * D / hx**2 - (s / mu) * c / (2.0 * hx))
+        put(lambda: (r_top, r_top + 1), -(s / mu) * D / hx**2 + (s / mu) * c / (2.0 * hx))
+        put(lambda: (r_top, c_col), (s / mu) * (psi[-1, 2:] - psi[-1, :-2]) / (2.0 * hx))
     else:
         eps = state.family.parameter
-        put(r_top, r_top, 1.0 / eps)
-        put(r_top, layout.line_offset + i, -mu / eps)
+        put(lambda: (r_top, r_top), 3.0 * d / (2.0 * hy) + 1.0 / eps)
+        put(lambda: (r_top, layout.line_offset + i), -mu / eps)
 
     j = np.arange(ny)
-    put(j * nx, j * nx, 1.0)
-    put(j * nx + nx - 1, j * nx + nx - 1, 1.0)
+    put(lambda: (j * nx, j * nx), 1.0)
+    put(lambda: (j * nx + nx - 1, j * nx + nx - 1), 1.0)
 
     if layout.line_offset is not None:
         eps = state.family.parameter
         off = layout.line_offset
         r_line = off + i
-        put(r_line, off + i, 2.0 * D / hx**2 + mu / eps)
-        put(r_line, off + i - 1, -D / hx**2 - c / (2.0 * hx))
-        put(r_line, off + i + 1, -D / hx**2 + c / (2.0 * hx))
-        put(r_line, top * nx + i, -1.0 / eps)
-        put(r_line, np.full(i.shape, c_col), (phi[2:] - phi[:-2]) / (2.0 * hx))
-        put(off, off, mu)
-        put(off + nx - 1, off + nx - 1, mu)
+        put(lambda: (r_line, off + i), 2.0 * D / hx**2 + mu / eps)
+        put(lambda: (r_line, off + i - 1), -D / hx**2 - c / (2.0 * hx))
+        put(lambda: (r_line, off + i + 1), -D / hx**2 + c / (2.0 * hx))
+        put(lambda: (r_line, top * nx + i), -1.0 / eps)
+        put(lambda: (r_line, c_col), (phi[2:] - phi[:-2]) / (2.0 * hx))
+        put(lambda: (off, off), mu)
+        put(lambda: (off + nx - 1, off + nx - 1), mu)
 
-    put(N - 1, grid.anchor_iy * nx + grid.anchor_ix, 1.0)
+    put(lambda: (N - 1, grid.anchor_iy * nx + grid.anchor_ix), 1.0)
 
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    )
-    return mat.tocsc()
+    key = (nx, ny, grid.anchor_ix, state.family.kind)  # ny fixes the anchor's row
+    pattern = _PATTERNS[key] = (_PATTERNS.pop(key, None)
+                                or _build_pattern(N, [index() for index, _ in blocks]))
+    if len(_PATTERNS) > 2:
+        del _PATTERNS[next(iter(_PATTERNS))]
+    vals = np.concatenate([np.broadcast_to(np.ravel(v), size)
+                           for (_, v), size in zip(blocks, pattern.sizes)])
+    return sp.csc_matrix((vals[pattern.order], pattern.indices, pattern.indptr), shape=(N, N))

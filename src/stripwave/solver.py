@@ -19,9 +19,10 @@ anchor column of J is moved to the right-hand side and replaced by e_a.
 The band matrix left, A~, is well conditioned because pinning the
 anchor removes the near-null translation mode, and J x = r becomes
 (A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
-rank-1 (Sherman-Morrison) correction solves.  Wider grids use SuperLU
-(COLAMD ordering), whose fill grows more slowly than the band's
-N (3m + 1) entries.
+rank-1 (Sherman-Morrison) correction solves.  Where each entry of J goes
+(`band_map`) is worked out once per cached Jacobian pattern (its `bands`).
+Wider grids use SuperLU (COLAMD ordering), whose fill grows more slowly
+than the band's N (3m + 1) entries.
 
 The Jacobian is factored at the first iterate and its LU is reused for
 later steps (the chord method; Kelley 2003, *Solving Nonlinear Equations
@@ -57,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
@@ -65,7 +65,8 @@ from .errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
 from .grid import Grid
 from .model import ModelParams, NonlinearitySpec, c_max, scalar_reaction
 from .model import eval_nonlinearity  # noqa: F401 (not called; kept for perfbench/tracer.py)
-from .residual import WaveState, assemble_jacobian, assemble_residual, state_to_vector, vector_to_state
+from .residual import (WaveState, assemble_jacobian, assemble_residual, cached_pattern,
+                       state_to_vector, vector_to_state)
 
 logger = logging.getLogger(__name__)
 
@@ -147,6 +148,33 @@ class OneDimWave:
         return np.where(xq <= 0.0, tail, body)
 
 
+def band_map(indptr: np.ndarray, indices: np.ndarray, nx: int) -> tuple:
+    """(m, a, perm, dst, rows_a) of a bordered CSC J on an `nx`-column grid (see
+    `BorderedBandLU`): J.data[k] goes to dst[k] in the band storage of A~ (the
+    phase entry to A~[a, a]), b, or column a (band rows rows_a) of J, in turn."""
+    n = indptr.size - 2  # unknowns besides c
+    m = n // nx
+    if m * nx != n:
+        raise ValueError(f"a {n + 1}-row Jacobian does not fit a grid with nx = {nx}")
+    # dof -> band position (c stays last); the line field follows the strip as a row j = ny would
+    pos = np.append(np.arange(n).reshape(nx, m).T.ravel(), n)
+    rows, cols = pos[indices], pos[np.repeat(np.arange(n + 1), np.diff(indptr))]
+    phase = rows == n
+    if phase.sum() != 1 or cols[phase][0] == n:
+        raise ValueError("the last row of J is not a unit phase row")
+    a = int(cols[phase][0])
+    at_a, border = (cols == a) & ~phase, cols == n
+    if np.abs(rows - cols)[~(border | phase)].max() > m:
+        raise ValueError(f"J has entries outside the half-bandwidth {m}")
+    # LAPACK band storage, column-major with ldab = 3m + 1: A~[r, c] goes to
+    # ab[2m + r - c, c]; the first m rows are workspace for the pivoting fill
+    ldab = 3 * m + 1
+    dst = np.where(border | at_a, n * ldab + rows, cols * ldab + 2 * m + rows - cols)
+    dst[at_a] = n * (ldab + 1) + np.arange(at_a.sum())
+    dst[phase] = a * ldab + 2 * m  # A~[a, a] = 1, the phase row's entry
+    return m, a, np.arange(n).reshape(m, nx).T.ravel(), dst.astype(np.int32), rows[at_a]
+
+
 class BorderedBandLU:
     """Band LU of a bordered Jacobian in the y-fastest order (module docstring).
 
@@ -157,35 +185,16 @@ class BorderedBandLU:
     """
 
     def __init__(self, J: sp.csc_matrix, nx: int) -> None:
-        n = J.shape[0] - 1  # unknowns besides c
-        m = n // nx
-        if m * nx != n:
-            raise ValueError(f"a {J.shape[0]}-row Jacobian does not fit a grid with nx = {nx}")
-        # band position -> dof; the line field follows the strip as a row j = ny would
-        self.perm = np.arange(n).reshape(m, nx).T.ravel()
-        pos = np.arange(n).reshape(nx, m).T.ravel()  # dof -> band position
-        rows = J.indices
-        cols = np.repeat(np.arange(n + 1), np.diff(J.indptr))
-        phase = rows == n
-        if phase.sum() != 1 or cols[phase][0] == n or J.data[phase][0] != 1.0:
+        bands = getattr(cached_pattern(J), "bands", {})  # a cached pattern keeps its maps
+        m, a, self.perm, dst, rows_a = (bands.get(nx)
+                                        or bands.setdefault(nx, band_map(J.indptr, J.indices, nx)))
+        n, ldab = self.perm.size, 3 * m + 1
+        buf = np.zeros(n * (ldab + 1) + rows_a.size)
+        buf[dst] = J.data
+        ab, b = buf[:n * ldab], buf[n * ldab:n * (ldab + 1)]
+        if ab[a * ldab + 2 * m] != 1.0:
             raise ValueError("the last row of J is not a unit phase row")
-        a = int(pos[cols[phase][0]])
-        border = cols == n
-        b = np.zeros(n)
-        b[pos[rows[border & ~phase]]] = J.data[border & ~phase]
-        inner = ~(phase | border)
-        r, c, v = pos[rows[inner]], pos[cols[inner]], J.data[inner]
-        if np.abs(r - c).max() > m:
-            raise ValueError(f"J has entries outside the half-bandwidth {m}")
-        at_a = c == a
-        self.col_a = r[at_a], v[at_a]  # column a of J, moved to the right-hand side
-        keep = ~at_a
-        # LAPACK band storage, column-major with ldab = 3m + 1: A~[r, c] goes to
-        # ab[2m + r - c, c]; the first m rows are workspace for the pivoting fill
-        ldab = 3 * m + 1
-        ab = np.zeros(n * ldab)
-        ab[c[keep] * (ldab - 1) + r[keep] + 2 * m] = v[keep]
-        ab[a * ldab + 2 * m] = 1.0
+        self.col_a = rows_a, buf[n * (ldab + 1):]  # column a of J, moved to the right-hand side
         self.lu, self.piv, info = lapack.dgbtrf(ab.reshape(n, ldab).T, m, m,
                                                     overwrite_ab=1)
         if info > 0:
@@ -222,7 +231,7 @@ class Factorization:
     SuperLU.  The backward-error test of `solve` is the same for both."""
 
     J: sp.csc_matrix
-    lu: BorderedBandLU | spla.SuperLU
+    lu: BorderedBandLU | sp.linalg.SuperLU
     j_norm: float  # |J|_inf, for the backward-error test
 
     @property
@@ -273,9 +282,11 @@ def factorize(J: sp.spmatrix, nx: int | None = None) -> Factorization:
         raise LinearSolveFailed(f"matrix is not square: {J.shape}")
     Jc = J.tocsc()
     Jc.sum_duplicates()
-    j_norm = float(np.abs(Jc).sum(axis=1).max())
+    # the row sums of |J| in column order, as `abs(Jc).sum(axis=1)` adds them
+    j_norm = float(np.bincount(Jc.indices, np.abs(Jc.data), Jc.shape[0]).max())
     if nx is not None and (Jc.shape[0] - 1) // nx <= BAND_MAX_WIDTH:
         return Factorization(J=Jc, lu=BorderedBandLU(Jc, nx), j_norm=j_norm)
+    import scipy.sparse.linalg as spla  # here: only wide grids and general matrices need it
     try:
         lu = spla.splu(Jc)
     except RuntimeError as exc:

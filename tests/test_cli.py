@@ -91,11 +91,13 @@ def test_missing_field_report_is_hash_seed_independent(tmp_path):
 
 
 def test_import_does_not_load_scipy_integrate():
-    code = "import sys, stripwave, stripwave.cli; print('scipy.integrate' in sys.modules)"
+    # nor scipy.sparse.linalg, which only SuperLU grids and general matrices use
+    code = ("import sys, stripwave, stripwave.cli; "
+            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.linalg')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_invalid_json_is_validation_error(tmp_path):
@@ -182,7 +184,12 @@ def at(name, edit):
            "'phi' must be null in the wentzell family"),
           # the family follows the stage
           (lambda ckpt: ckpt.update(stage="A"),
-           "'family' must be 'wentzell' at stage A, got 'exchange'")]
+           "'family' must be 'wentzell' at stage A, got 'exchange'"),
+          # Grid owns the ranges; the field it rejects is named, or the grid
+          (lambda ckpt: ckpt["grid"].update(nx=-481, ny=-11),
+           "'grid.nx' is out of range: Grid.nx must be >= 3, got -481"),
+          (lambda ckpt: ckpt["grid"].update(x_left=100.0),
+           "'grid' is out of range: Grid requires x_left < x_right")]
       for command in ("resume", "profile")],
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "resume_no_psi",
         "profile_no_psi", "profile_no_grid_nx", "resume_psi_short",
@@ -194,7 +201,8 @@ def at(name, edit):
             "grid_L_text", "step_text", "prev_parameter_null", "prev_c_null", "stage_Z",
             "c_zero", "c_negative", "c_nan", "grid_L_inf", "step_inf", "prev_c_negative",
             "prev_c_zero", "prev_parameter_out_of_range", "prev_psi_null", "prev_phi_short",
-            "prev_phi_null", "psi_null", "short_phi", "wentzell_phi", "stage_A_exchange")
+            "prev_phi_null", "psi_null", "short_phi", "wentzell_phi", "stage_A_exchange",
+            "grid_nx_negative", "grid_x_left_past_x_right")
           for command in ("resume", "profile")]])
 def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
                                            code, named):
@@ -468,6 +476,37 @@ def test_each_checkpoint_written_once(tmp_path, monkeypatch):
     # one checkpoint per path.csv record, named by its row and stage
     assert sorted(p.name for p in out.glob("ckpt_*")) == sorted(written) == [
         f"ckpt_{k:04d}_{r['stage']}.json" for k, r in enumerate(rows, start=1)]
+
+
+def test_rerun_deletes_an_earlier_error_json(tmp_path):
+    out = tmp_path / "out"
+    cfg = fast_config(out)
+    cfg["continuation"]["target_stage"] = "A"
+    cfg["grid"] = {"x_left": -20.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_SOLVER  # x_left too close
+    assert json.loads((out / "error.json").read_text())["exit_code"] == EXIT_SOLVER
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    assert not (out / "error.json").exists()
+
+
+def test_rerun_deletes_the_earlier_runs_checkpoints(tmp_path):
+    # a run at D = 4 with a checkpoint per row, then one at D = 2 with one per
+    # three rows, into the same directory: it ends as a lone D = 2 run's does
+    cfg = fast_config(tmp_path / "out", checkpoint_every=1)
+    cfg["continuation"]["target_stage"] = "A"
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    kept = ["notes.txt", "ckpt_1_A.json", "ckpt_0001_A.json.bak", "ckpt_0001_D.json"]
+    for name in kept:  # not the program's checkpoint names
+        (tmp_path / "out" / name).write_text("{}")
+    cfg["params"]["D"], cfg["checkpoint_every"] = 2.0, 3
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    lone = dict(cfg, output_dir=str(tmp_path / "lone"))
+    assert main(["run", str(write_config(tmp_path, lone, "lone.json"))]) == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "lone").iterdir())
+    assert "ckpt_0003_A.json" in names
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(names + kept)
 
 
 def test_determinism_byte_identical_paths(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stripwave import residual
 from stripwave import (HomotopyFamily, ModelParams, NonlinearityKind, NonlinearitySpec,
                        WaveState, assemble_jacobian, assemble_residual, build_grid,
                        dof_layout, eval_nonlinearity)
@@ -196,3 +198,50 @@ def test_interior_block_structurally_symmetric():
     sub = J[np.ix_(interior, interior)]
     pattern = (sub != 0).astype(int)
     assert (pattern != pattern.T).nnz == 0
+
+
+# --- the cached Jacobian pattern ------------------------------------------------
+
+def csc_bytes(J):
+    return J.indptr.tobytes(), J.indices.tobytes(), J.data.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(3, 30), half_ny=st.integers(1, 6), anchor=st.floats(0.0, 1.0),
+       family=st.sampled_from([HomotopyFamily.wentzell(0.0), HomotopyFamily.wentzell(0.6),
+                               HomotopyFamily.exchange(0.05), HomotopyFamily.exchange(1.0)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_jacobian_is_the_same_from_a_cold_or_a_warm_cache(nx, half_ny, anchor, family, seed):
+    ix = 1 + round(anchor * (nx - 3))  # the anchor column x = 0, strictly inside
+    grid = build_grid(PARAMS, -0.5 * ix, 0.5 * (nx - 1 - ix), nx, 2 * half_ny + 1)
+    state = random_state(grid, family, np.random.default_rng(seed))
+    residual._PATTERNS.clear()
+    cold = assemble_jacobian(state, PARAMS, SPEC, grid)
+    warm = assemble_jacobian(state, PARAMS, SPEC, grid)
+    assert warm.indptr is cold.indptr
+    # bit for bit, signed zeros included (at s = 0 the top rows hold -0.0)
+    assert csc_bytes(warm) == csc_bytes(cold)
+    assert cold.has_canonical_format and cold.indices.dtype == np.int32
+
+
+def test_pattern_is_shared_read_only_and_bounded():
+    grid = small_grid(nx=13, ny=5)
+    rng = np.random.default_rng(5)
+    family = HomotopyFamily.wentzell(0.5)
+    J1 = assemble_jacobian(random_state(grid, family, rng), PARAMS, SPEC, grid)
+    J2 = assemble_jacobian(random_state(grid, family, rng), PARAMS, SPEC, grid)
+    pattern = residual.cached_pattern(J2)
+    assert pattern is not None and residual.cached_pattern(J1) is pattern
+    assert J2.indptr is J1.indptr is pattern.indptr
+    assert J2.indices.base is J1.indices.base is pattern.indices  # scipy keeps a view
+    assert J2.data is not J1.data and not np.array_equal(J2.data, J1.data)
+    for array in (pattern.indptr, pattern.indices, pattern.order):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        J1.indices.sort()
+    # the two families of one grid stay; a third (grid, family) evicts the oldest
+    assemble_jacobian(random_state(grid, HomotopyFamily.exchange(0.5), rng), PARAMS, SPEC, grid)
+    assert residual.cached_pattern(J1) is pattern
+    finer = small_grid(nx=25, ny=9)
+    assemble_jacobian(random_state(finer, family, rng), PARAMS, SPEC, finer)
+    assert len(residual._PATTERNS) == 2 and residual.cached_pattern(J1) is None

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from stripwave import solver
+from stripwave import residual, solver
 from stripwave import (HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, assemble_jacobian, assemble_residual,
                        build_grid, c_max, embed_one_dim_wave, handoff_to_system, linear_solve,
@@ -103,6 +103,44 @@ def test_band_singular_jacobian_raises(converged_jacobians, node):
     J.data[J.indptr[row]:J.indptr[row + 1]] = 0.0  # a zeroed strip row, c column included
     with pytest.raises(LinearSolveFailed):
         solver.factorize(J.tocsc(), grid.nx)
+
+
+def smooth_states(grid):
+    """A Wentzell(0.5) state with a tanh front and its exchange(0.05) handoff."""
+    psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (grid.ny, 1))
+    wentzell = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(0.5))
+    return wentzell, handoff_to_system(wentzell, 0.05, PARAMS, grid)
+
+
+def test_band_map_of_a_foreign_jacobian_gives_the_same_bits():
+    # a copy with the same pattern gets its band map uncached, from the same function
+    grid = build_grid(PARAMS, -160.0, 80.0, 481, 11)
+    rng = np.random.default_rng(11)
+    for state in smooth_states(grid):
+        J = assemble_jacobian(state, PARAMS, CUBIC, grid)
+        copy = J.tocsr().tocsc()
+        assert residual.cached_pattern(J) is not None and residual.cached_pattern(copy) is None
+        cached, foreign = solver.factorize(J, grid.nx), solver.factorize(copy, grid.nx)
+        assert cached.lu.lu.tobytes() == foreign.lu.lu.tobytes()
+        for _ in range(3):
+            rhs = rng.standard_normal(J.shape[0])
+            assert cached.solve(rhs).tobytes() == foreign.solve(rhs).tobytes()
+        # |J|_inf sums each row in column order, as scipy's row sums do
+        assert cached.j_norm == float(np.abs(J).sum(axis=1).max())
+
+
+def test_structure_is_built_once_per_grid_and_family(monkeypatch):
+    built = []
+    for module, name in ((residual, "_build_pattern"), (solver, "band_map")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name:
+                            (built.append(_name), _real(*args))[1])
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 5)
+    residual._PATTERNS.clear()
+    for _ in range(3):
+        for state in smooth_states(grid):
+            solver.factorize(assemble_jacobian(state, PARAMS, CUBIC, grid), grid.nx)
+    assert sorted(built) == ["_build_pattern", "_build_pattern", "band_map", "band_map"]
 
 
 @pytest.mark.parametrize("nx, ny, kind", [(481, 11, "band"), (961, 41, "band"),
