@@ -18,20 +18,20 @@ from .diagnostics import (DiagnosticsReport, DispersionQuery, check_bounds,
                           check_monotonicity, check_sandwich, dispersion_root,
                           fit_right_decay, left_decay_bound, run_diagnostics,
                           speed_identity, supersolution_rate, translation_collapse)
-from .grid import DofLayout, Grid, build_grid, dof_layout
+from .grid import Grid, build_grid
 from .model import (ModelParams, NonlinearityKind, NonlinearitySpec, c_max,
                     eval_nonlinearity, lipschitz_constant)
 from .residual import (HomotopyFamily, WaveState, assemble_jacobian, assemble_residual,
-                       state_to_vector, vector_to_state)
+                       field_views, state_to_vector, vector_to_state)
 from .solver import (NewtonOptions, NewtonResult, OneDimWave, linear_solve, newton_solve,
                      solve_1d_ignition_shooting)
 
 __all__ = [
     "ModelParams", "NonlinearityKind", "NonlinearitySpec", "eval_nonlinearity",
     "lipschitz_constant", "c_max",
-    "Grid", "DofLayout", "build_grid", "dof_layout",
+    "Grid", "build_grid",
     "HomotopyFamily", "WaveState", "assemble_residual", "assemble_jacobian",
-    "state_to_vector", "vector_to_state",
+    "field_views", "state_to_vector", "vector_to_state",
     "NewtonOptions", "NewtonResult", "OneDimWave", "newton_solve", "linear_solve",
     "solve_1d_ignition_shooting",
     "ContinuationOptions", "ContinuationRecord", "StepControl", "continue_wentzell",

@@ -541,6 +541,11 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
     if ckpt["config_hash"] != cfg_hash and not force:
         raise ConfigHashMismatch("checkpoint was produced by a different configuration "
                                  "(rerun with --force to override)")
+    # a B checkpoint holds the corrected handoff, which is where stage C starts
+    stage = "C" if ckpt["stage"] == "B" else ckpt["stage"]
+    if STAGES.index(stage) > STAGES.index(cfg.target_stage):
+        raise ConfigError(f"continuation.target_stage: a stage {ckpt['stage']} checkpoint "
+                          f"resumes in stage {stage}, past the target {cfg.target_stage!r}")
     state, ck_grid, control = checkpoint_state(ckpt)
     if ck_grid != cfg.grid:
         raise ConfigHashMismatch("checkpoint grid does not match the configuration grid")
@@ -548,8 +553,6 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
                                                    cfg.grid)).max())
     summary: dict = {"config_hash": cfg_hash, "stages": {}, "timings_s": {},
                      "resumed_from": {"stage": ckpt["stage"], "parameter": ckpt["parameter"]}}
-    # a B checkpoint holds the corrected handoff, which is where stage C starts
-    stage = "C" if ckpt["stage"] == "B" else ckpt["stage"]
     with closing(PathWriter(outdir, cfg, cfg_hash)) as writer:
         t0 = time.perf_counter()
         start = make_record(stage, state, residual_norm, cfg.params, cfg.nonlinearity, cfg.grid)

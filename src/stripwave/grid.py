@@ -1,29 +1,22 @@
-"""Truncated computational domain and degree-of-freedom layout.
+"""Truncated computational domain.
 
 The strip R x (-L, 0) is truncated to [x_left, x_right] x [-L, 0] and
 discretized on a uniform tensor grid.  Node (i, j) sits at
 (x_left + i*hx, -L + j*hy); j = 0 is the bottom boundary y = -L and
 j = ny-1 the top boundary y = 0.  The phase-condition anchor
 (x, y) = (0, -L/2) must coincide with a node, which build_grid enforces
-rather than silently shifting it.
-
-Strip unknowns are stored row-major with x fastest (index = j*nx + i),
-followed by the line field (exchange family only), with the wave speed c
-as the final unknown.
+rather than silently shifting it.  The order of the unknowns on the grid
+is `residual`'s (`residual.field_views`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AnchorNotOnGrid, BadExtent
 from .model import ModelParams
-
-if TYPE_CHECKING:
-    from .residual import HomotopyFamily
 
 _ANCHOR_RTOL = 1e-9
 
@@ -63,10 +56,6 @@ class Grid:
         return np.linspace(-self.L, 0.0, self.ny)
 
     @property
-    def n_strip(self) -> int:
-        return self.nx * self.ny
-
-    @property
     def anchor_ix(self) -> int:
         """x-index of the anchor column x = 0."""
         ratio = -self.x_left / self.hx
@@ -81,19 +70,6 @@ class Grid:
         if (self.ny - 1) % 2 != 0:
             raise AnchorNotOnGrid(f"y = -L/2 is not a grid node (ny={self.ny} gives no midline node)")
         return (self.ny - 1) // 2
-
-    def node_index(self, i: int, j: int) -> int:
-        """Flat strip index of node (i, j); x varies fastest."""
-        return j * self.nx + i
-
-
-@dataclass(frozen=True)
-class DofLayout:
-    """Offsets of the unknown blocks in the flat solution vector."""
-
-    line_offset: int | None
-    c_index: int
-    total: int
 
 
 def build_grid(params: ModelParams, x_left: float, x_right: float, nx: int, ny: int) -> Grid:
@@ -115,11 +91,3 @@ def build_grid(params: ModelParams, x_left: float, x_right: float, nx: int, ny: 
     g.anchor_iy
     return g
 
-
-def dof_layout(grid: Grid, family: "HomotopyFamily") -> DofLayout:
-    """Flat layout: strip field first (x fastest), line field (exchange
-    family only), then c last."""
-    n = grid.n_strip
-    if family.is_exchange:
-        return DofLayout(line_offset=n, c_index=n + grid.nx, total=n + grid.nx + 1)
-    return DofLayout(line_offset=None, c_index=n, total=n + 1)

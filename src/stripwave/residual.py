@@ -3,7 +3,12 @@ travelling-wave problem.
 
 Unknowns are the strip field psi (and the line field phi for the
 exchange family) together with the speed c, closed by the phase
-condition psi(0, -L/2) = (1 + theta)/2.  Residual rows, in dof order:
+condition psi(0, -L/2) = (1 + theta)/2.  This module owns their one order
+in the flat vector (`field_views`): column by column, strip node (i, j) at
+i*m + j and line node i at i*m + ny, with m = ny (Wentzell) or ny + 1
+(exchange), and c last.  A row's coupling to its own column, its line node
+and its x-neighbours then lies within m of the diagonal, so J is banded
+apart from its last row and column.  Residual rows, one per unknown:
 
 * interior nodes:   -d * (5-point Laplacian) + c * centered d/dx - f(psi)
 * bottom row y=-L:  one-sided second-order d/dy psi = 0
@@ -34,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeMismatch
-from .grid import DofLayout, Grid, dof_layout
+from .grid import Grid
 from .model import ModelParams, NonlinearitySpec, eval_nonlinearity
 
 WENTZELL = "wentzell"
@@ -107,44 +112,47 @@ class WaveState:
             raise ShapeMismatch("Wentzell state must not carry a line field")
 
 
+def field_views(u: np.ndarray, grid: Grid, family: HomotopyFamily) -> tuple:
+    """(psi, phi) as views of the flat vector u: psi of shape (ny, nx), phi of
+    shape (nx,), or None for the Wentzell family.  Writes go through to u."""
+    cols = u[:-1].reshape(grid.nx, grid.ny + family.is_exchange)
+    return cols[:, :grid.ny].T, (cols[:, grid.ny] if family.is_exchange else None)
+
+
+def _size(grid: Grid, family: HomotopyFamily) -> int:
+    return grid.nx * (grid.ny + family.is_exchange) + 1
+
+
 def state_to_vector(state: WaveState, grid: Grid) -> np.ndarray:
     state.check_consistent(grid)
-    layout = dof_layout(grid, state.family)
-    u = np.empty(layout.total)
-    u[: grid.n_strip] = state.psi.ravel()
-    if layout.line_offset is not None:
-        u[layout.line_offset : layout.line_offset + grid.nx] = state.phi
-    u[layout.c_index] = state.c
+    u = np.empty(_size(grid, state.family))
+    psi, phi = field_views(u, grid, state.family)
+    psi[...] = state.psi
+    if phi is not None:
+        phi[...] = state.phi
+    u[-1] = state.c
     return u
 
 
 def vector_to_state(u: np.ndarray, grid: Grid, family: HomotopyFamily) -> WaveState:
-    layout = dof_layout(grid, family)
-    if u.shape != (layout.total,):
-        raise ShapeMismatch(f"vector length {u.shape} does not match layout total {layout.total}")
-    psi = u[: grid.n_strip].reshape(grid.ny, grid.nx).copy()
-    phi = None
-    if layout.line_offset is not None:
-        phi = u[layout.line_offset : layout.line_offset + grid.nx].copy()
-    return WaveState(c=float(u[layout.c_index]), psi=psi, phi=phi, family=family)
-
-
-def _layout_checked(state: WaveState, grid: Grid) -> DofLayout:
-    state.check_consistent(grid)
-    return dof_layout(grid, state.family)
+    n = _size(grid, family)
+    if u.shape != (n,):
+        raise ShapeMismatch(f"vector length {u.shape} does not match the {n} unknowns")
+    psi, phi = field_views(u, grid, family)
+    return WaveState(c=float(u[-1]), psi=psi.copy(), phi=None if phi is None else phi.copy(),
+                     family=family)
 
 
 def assemble_residual(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
                       grid: Grid) -> np.ndarray:
-    """Residual vector of length dof_layout(grid, state.family).total."""
-    layout = _layout_checked(state, grid)
+    """Residual vector, one row per unknown in the order of `field_views`."""
+    state.check_consistent(grid)
     psi, phi, c = state.psi, state.phi, state.c
     d, D, mu = params.d, params.D, params.mu
     hx, hy = grid.hx, grid.hy
-    nx = grid.nx
 
-    R = np.zeros(layout.total)
-    Rs = R[: grid.n_strip].reshape(grid.ny, grid.nx)
+    R = np.zeros(_size(grid, state.family))
+    Rs, Rl = field_views(R, grid, state.family)
 
     f_val, _ = eval_nonlinearity(psi, spec)
     lap = ((psi[1:-1, :-2] - 2.0 * psi[1:-1, 1:-1] + psi[1:-1, 2:]) / hx**2
@@ -167,16 +175,15 @@ def assemble_residual(state: WaveState, params: ModelParams, spec: NonlinearityS
     Rs[:, 0] = psi[:, 0]
     Rs[:, -1] = psi[:, -1] - 1.0
 
-    if layout.line_offset is not None:
+    if Rl is not None:
         eps = state.family.parameter
-        Rl = R[layout.line_offset : layout.line_offset + nx]
         Rl[1:-1] = (-D * (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / hx**2
                     + c * (phi[2:] - phi[:-2]) / (2.0 * hx)
                     - (psi[-1, 1:-1] - mu * phi[1:-1]) / eps)
         Rl[0] = mu * phi[0]
         Rl[-1] = mu * phi[-1] - 1.0
 
-    R[layout.c_index] = psi[grid.anchor_iy, grid.anchor_ix] - (1.0 + spec.theta) / 2.0
+    R[-1] = psi[grid.anchor_iy, grid.anchor_ix] - (1.0 + spec.theta) / 2.0
     return R
 
 
@@ -221,77 +228,73 @@ def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearityS
     Bordered structure: the final column holds the derivative with
     respect to c (the centered x-derivatives of the fields on rows that
     carry convection) and the final row the phase condition (a single 1
-    at the anchor node, 0 in the c column).  Each block is an index (a
-    function giving its rows and columns, called only to build the pattern)
-    and values; no two blocks write one entry.
+    at the anchor node, 0 in the c column).  Each block is an index (its
+    rows and columns, read only to build the pattern) and values; no two
+    blocks write one entry.
     """
-    layout = _layout_checked(state, grid)
+    state.check_consistent(grid)
     psi, phi, c = state.psi, state.phi, state.c
     d, D, mu = params.d, params.D, params.mu
     hx, hy = grid.hx, grid.hy
-    nx, ny = grid.nx, grid.ny
-    N = layout.total
-    c_col = layout.c_index
+    N = _size(grid, state.family)
+    c_col = N - 1
+    # the position of each unknown, laid out as its field: the index blocks
+    # below take the same slices as the residual's stencils
+    Ps, Pl = field_views(np.arange(N), grid, state.family)
 
     _, f_prime = eval_nonlinearity(psi, spec)
 
     blocks: list[tuple] = []
 
-    def put(index, v) -> None:
+    def put(index: tuple, v) -> None:
         blocks.append((index, v))
 
-    def r_int() -> np.ndarray:  # the interior rows
-        return np.arange(1, ny - 1)[:, None] * nx + np.arange(1, nx - 1)
+    r_int = Ps[1:-1, 1:-1]
+    put((r_int, r_int), (2.0 * d / hx**2 + 2.0 * d / hy**2) - f_prime[1:-1, 1:-1])
+    put((r_int, Ps[1:-1, :-2]), -d / hx**2 - c / (2.0 * hx))
+    put((r_int, Ps[1:-1, 2:]), -d / hx**2 + c / (2.0 * hx))
+    put((r_int, Ps[:-2, 1:-1]), -d / hy**2)
+    put((r_int, Ps[2:, 1:-1]), -d / hy**2)
+    put((r_int, c_col), (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * hx))
 
-    put(lambda: (r_int(), r_int()), (2.0 * d / hx**2 + 2.0 * d / hy**2) - f_prime[1:-1, 1:-1])
-    put(lambda: (r_int(), r_int() - 1), -d / hx**2 - c / (2.0 * hx))
-    put(lambda: (r_int(), r_int() + 1), -d / hx**2 + c / (2.0 * hx))
-    put(lambda: (r_int(), r_int() - nx), -d / hy**2)
-    put(lambda: (r_int(), r_int() + nx), -d / hy**2)
-    put(lambda: (r_int(), c_col), (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * hx))
+    r_bot = Ps[0, 1:-1]
+    put((r_bot, r_bot), -3.0 / (2.0 * hy))
+    put((r_bot, Ps[1, 1:-1]), 4.0 / (2.0 * hy))
+    put((r_bot, Ps[2, 1:-1]), -1.0 / (2.0 * hy))
 
-    i = np.arange(1, nx - 1)
-    r_bot = i  # j = 0
-    put(lambda: (r_bot, i), -3.0 / (2.0 * hy))
-    put(lambda: (r_bot, nx + i), 4.0 / (2.0 * hy))
-    put(lambda: (r_bot, 2 * nx + i), -1.0 / (2.0 * hy))
-
-    top = ny - 1
-    r_top = top * nx + i
-    put(lambda: (r_top, (top - 1) * nx + i), -4.0 * d / (2.0 * hy))
-    put(lambda: (r_top, (top - 2) * nx + i), d / (2.0 * hy))
+    r_top = Ps[-1, 1:-1]
+    put((r_top, Ps[-2, 1:-1]), -4.0 * d / (2.0 * hy))
+    put((r_top, Ps[-3, 1:-1]), d / (2.0 * hy))
     if state.family.is_wentzell:
         s = state.family.parameter
-        put(lambda: (r_top, r_top), 3.0 * d / (2.0 * hy) + (s / mu) * 2.0 * D / hx**2)
-        put(lambda: (r_top, r_top - 1), -(s / mu) * D / hx**2 - (s / mu) * c / (2.0 * hx))
-        put(lambda: (r_top, r_top + 1), -(s / mu) * D / hx**2 + (s / mu) * c / (2.0 * hx))
-        put(lambda: (r_top, c_col), (s / mu) * (psi[-1, 2:] - psi[-1, :-2]) / (2.0 * hx))
+        put((r_top, r_top), 3.0 * d / (2.0 * hy) + (s / mu) * 2.0 * D / hx**2)
+        put((r_top, Ps[-1, :-2]), -(s / mu) * D / hx**2 - (s / mu) * c / (2.0 * hx))
+        put((r_top, Ps[-1, 2:]), -(s / mu) * D / hx**2 + (s / mu) * c / (2.0 * hx))
+        put((r_top, c_col), (s / mu) * (psi[-1, 2:] - psi[-1, :-2]) / (2.0 * hx))
     else:
         eps = state.family.parameter
-        put(lambda: (r_top, r_top), 3.0 * d / (2.0 * hy) + 1.0 / eps)
-        put(lambda: (r_top, layout.line_offset + i), -mu / eps)
+        put((r_top, r_top), 3.0 * d / (2.0 * hy) + 1.0 / eps)
+        put((r_top, Pl[1:-1]), -mu / eps)
 
-    j = np.arange(ny)
-    put(lambda: (j * nx, j * nx), 1.0)
-    put(lambda: (j * nx + nx - 1, j * nx + nx - 1), 1.0)
+    put((Ps[:, 0], Ps[:, 0]), 1.0)
+    put((Ps[:, -1], Ps[:, -1]), 1.0)
 
-    if layout.line_offset is not None:
+    if Pl is not None:
         eps = state.family.parameter
-        off = layout.line_offset
-        r_line = off + i
-        put(lambda: (r_line, off + i), 2.0 * D / hx**2 + mu / eps)
-        put(lambda: (r_line, off + i - 1), -D / hx**2 - c / (2.0 * hx))
-        put(lambda: (r_line, off + i + 1), -D / hx**2 + c / (2.0 * hx))
-        put(lambda: (r_line, top * nx + i), -1.0 / eps)
-        put(lambda: (r_line, c_col), (phi[2:] - phi[:-2]) / (2.0 * hx))
-        put(lambda: (off, off), mu)
-        put(lambda: (off + nx - 1, off + nx - 1), mu)
+        r_line = Pl[1:-1]
+        put((r_line, r_line), 2.0 * D / hx**2 + mu / eps)
+        put((r_line, Pl[:-2]), -D / hx**2 - c / (2.0 * hx))
+        put((r_line, Pl[2:]), -D / hx**2 + c / (2.0 * hx))
+        put((r_line, r_top), -1.0 / eps)
+        put((r_line, c_col), (phi[2:] - phi[:-2]) / (2.0 * hx))
+        put((Pl[0], Pl[0]), mu)
+        put((Pl[-1], Pl[-1]), mu)
 
-    put(lambda: (N - 1, grid.anchor_iy * nx + grid.anchor_ix), 1.0)
+    put((N - 1, Ps[grid.anchor_iy, grid.anchor_ix]), 1.0)
 
-    key = (nx, ny, grid.anchor_ix, state.family.kind)  # ny fixes the anchor's row
+    key = (grid.nx, grid.ny, grid.anchor_ix, state.family.kind)  # ny fixes the anchor's row
     pattern = _PATTERNS[key] = (_PATTERNS.pop(key, None)
-                                or _build_pattern(N, [index() for index, _ in blocks]))
+                                or _build_pattern(N, [index for index, _ in blocks]))
     if len(_PATTERNS) > 2:
         del _PATTERNS[next(iter(_PATTERNS))]
     vals = np.concatenate([np.broadcast_to(np.ravel(v), size)

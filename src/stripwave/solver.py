@@ -7,22 +7,21 @@ nonsymmetric matrix at desk scale), and every solve passes one shared
 backward-error test, with one step of iterative refinement when needed.
 
 Newton factors its Jacobian J in one of two ways, chosen by the grid.
-In a y-fastest order (strip node (i, j) at position i*m + j, line node i
-at i*m + ny) every entry of J outside its last row and column lies
-within m = (N - 1) // nx of the diagonal: m is ny for Wentzell and
-ny + 1 for exchange.  When m <= `BAND_MAX_WIDTH`, J is factored as a
-LAPACK band matrix (`dgbtrf`, partial pivoting).  The border (the c
-column b, and the phase row e_a^T, a single 1 at the anchor a) is
-removed as follows (Govaerts 2000, *Numerical Methods for Bifurcations
-of Dynamical Equilibria*): the phase row gives x_a = r_N, so the
-anchor column of J is moved to the right-hand side and replaced by e_a.
-The band matrix left, A~, is well conditioned because pinning the
-anchor removes the near-null translation mode, and J x = r becomes
+J's natural order (`residual.field_views`) is banded: every entry
+outside its last row and column lies within m = (N - 1) // nx of the
+diagonal.  When m <= `BAND_MAX_WIDTH`, J is factored as a LAPACK band
+matrix (`dgbtrf`, partial pivoting).  The border (the c column b, and
+the phase row e_a^T, a single 1 at the anchor a) is removed as follows
+(Govaerts 2000, *Numerical Methods for Bifurcations of Dynamical
+Equilibria*): the phase row gives x_a = r_N, so the anchor column of J
+is moved to the right-hand side and replaced by e_a.  The band matrix
+left, A~, is well conditioned because pinning the anchor removes the
+near-null translation mode, and J x = r becomes
 (A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
-rank-1 (Sherman-Morrison) correction solves.  Where each entry of J goes
-(`band_map`) is worked out once per cached Jacobian pattern (its `bands`).
-Wider grids use SuperLU (COLAMD ordering), whose fill grows more slowly
-than the band's N (3m + 1) entries.
+rank-1 (Sherman-Morrison) correction solves.  Where each entry of J goes (`band_map`) is worked
+out once per cached Jacobian pattern (its `bands`).  Wider grids use
+SuperLU (COLAMD ordering), whose fill grows more slowly than the band's
+N (3m + 1) entries.
 
 The Jacobian is factored at the first iterate and its LU is reused for
 later steps (the chord method; Kelley 2003, *Solving Nonlinear Equations
@@ -149,16 +148,14 @@ class OneDimWave:
 
 
 def band_map(indptr: np.ndarray, indices: np.ndarray, nx: int) -> tuple:
-    """(m, a, perm, dst, rows_a) of a bordered CSC J on an `nx`-column grid (see
+    """(m, a, dst, rows_a) of a bordered CSC J on an `nx`-column grid (see
     `BorderedBandLU`): J.data[k] goes to dst[k] in the band storage of A~ (the
-    phase entry to A~[a, a]), b, or column a (band rows rows_a) of J, in turn."""
+    phase entry to A~[a, a]), b, or column a (rows rows_a) of J, in turn."""
     n = indptr.size - 2  # unknowns besides c
     m = n // nx
     if m * nx != n:
         raise ValueError(f"a {n + 1}-row Jacobian does not fit a grid with nx = {nx}")
-    # dof -> band position (c stays last); the line field follows the strip as a row j = ny would
-    pos = np.append(np.arange(n).reshape(nx, m).T.ravel(), n)
-    rows, cols = pos[indices], pos[np.repeat(np.arange(n + 1), np.diff(indptr))]
+    rows, cols = indices.astype(np.intp), np.repeat(np.arange(n + 1), np.diff(indptr))
     phase = rows == n
     if phase.sum() != 1 or cols[phase][0] == n:
         raise ValueError("the last row of J is not a unit phase row")
@@ -172,23 +169,23 @@ def band_map(indptr: np.ndarray, indices: np.ndarray, nx: int) -> tuple:
     dst = np.where(border | at_a, n * ldab + rows, cols * ldab + 2 * m + rows - cols)
     dst[at_a] = n * (ldab + 1) + np.arange(at_a.sum())
     dst[phase] = a * ldab + 2 * m  # A~[a, a] = 1, the phase row's entry
-    return m, a, np.arange(n).reshape(m, nx).T.ravel(), dst.astype(np.int32), rows[at_a]
+    return m, a, dst.astype(np.int32), rows[at_a]
 
 
 class BorderedBandLU:
-    """Band LU of a bordered Jacobian in the y-fastest order (module docstring).
+    """Band LU of a bordered Jacobian (module docstring).
 
-    `J` is the CSC Jacobian of an `nx`-column grid in the dof order of
-    `grid.dof_layout`; its last row must be the phase row, a single 1
+    `J` is the CSC Jacobian of an `nx`-column grid (`assemble_jacobian`); its
+    last row must be the phase row, a single 1, and the rest of J banded
     (ValueError otherwise).  Raises LinearSolveFailed when the band matrix
     is exactly singular or the rank-1 correction has a zero denominator.
     """
 
     def __init__(self, J: sp.csc_matrix, nx: int) -> None:
         bands = getattr(cached_pattern(J), "bands", {})  # a cached pattern keeps its maps
-        m, a, self.perm, dst, rows_a = (bands.get(nx)
-                                        or bands.setdefault(nx, band_map(J.indptr, J.indices, nx)))
-        n, ldab = self.perm.size, 3 * m + 1
+        m, a, dst, rows_a = (bands.get(nx)
+                             or bands.setdefault(nx, band_map(J.indptr, J.indices, nx)))
+        n, ldab = J.shape[0] - 1, 3 * m + 1
         buf = np.zeros(n * (ldab + 1) + rows_a.size)
         buf[dst] = J.data
         ab, b = buf[:n * ldab], buf[n * ldab:n * (ldab + 1)]
@@ -213,15 +210,13 @@ class BorderedBandLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with J x = rhs, to the band LU's accuracy (no backward-error test)."""
         r_phase = rhs[-1]  # the phase row fixes x at the anchor
-        r = rhs[self.perm]
+        r = rhs[:-1].copy()
         rows_a, vals_a = self.col_a
         r[rows_a] -= vals_a * r_phase
         y = self._band_solve(r)
         z = y - self.w * (y[self.a] / self.denom)
-        x = np.empty(rhs.shape[0])
-        x[self.perm] = z
-        x[self.perm[self.a]] = r_phase
-        x[-1] = z[self.a]  # dc
+        x = np.append(z, z[self.a])  # z_a is dc
+        x[self.a] = r_phase
         return x
 
 

@@ -155,33 +155,24 @@ def test_criterion_08_grid_convergence(refined_wentzell_states):
 
 
 def test_criterion_09_jacobian_consistency():
-    from stripwave import (HomotopyFamily, assemble_jacobian, assemble_residual, dof_layout)
+    from stripwave import (HomotopyFamily, assemble_jacobian, assemble_residual,
+                           state_to_vector, vector_to_state)
     grid = build_grid(DEFAULT_PARAMS, -2.0, 1.0, 22, 9)
     rng = np.random.default_rng(2024)
     h = 1e-6
     worst = 0.0
     for family in (HomotopyFamily.wentzell(0.6), HomotopyFamily.exchange(0.3)):
-        layout = dof_layout(grid, family)
         for _ in range(20):
             psi = rng.uniform(0.0, 1.0, size=(grid.ny, grid.nx))
             phi = rng.uniform(0.0, 1.0, size=grid.nx) if family.is_exchange else None
             c = rng.uniform(0.1, 1.0)
             state = WaveState(c=c, psi=psi, phi=phi, family=family)
-            u = np.empty(layout.total)
-            u[: grid.n_strip] = psi.ravel()
-            if family.is_exchange:
-                u[layout.line_offset:layout.line_offset + grid.nx] = phi
-            u[layout.c_index] = c
-            v = rng.uniform(-1.0, 1.0, size=layout.total)
+            u = state_to_vector(state, grid)
+            v = rng.uniform(-1.0, 1.0, size=u.size)
 
             def res(vec):
-                st = WaveState(
-                    c=float(vec[layout.c_index]),
-                    psi=vec[: grid.n_strip].reshape(grid.ny, grid.nx),
-                    phi=(vec[layout.line_offset:layout.line_offset + grid.nx]
-                         if family.is_exchange else None),
-                    family=family)
-                return assemble_residual(st, DEFAULT_PARAMS, DEFAULT_SPEC, grid)
+                return assemble_residual(vector_to_state(vec, grid, family), DEFAULT_PARAMS,
+                                         DEFAULT_SPEC, grid)
 
             jv = assemble_jacobian(state, DEFAULT_PARAMS, DEFAULT_SPEC, grid) @ v
             fd = (res(u + h * v) - res(u - h * v)) / (2.0 * h)

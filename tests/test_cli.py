@@ -637,6 +637,25 @@ def test_resume_continues_a_run_stopped_at_stage_a(completed_run, tmp_path):
     assert last.name == "ckpt_0006_A.json" and resumed == rows[6:]
 
 
+@pytest.mark.parametrize("stage, target, resumes_in", [("C", "A", "C"), ("B", "B", "C")])
+def test_resume_past_the_target_stage_is_refused(completed_run, tmp_path, capsys, stage,
+                                                 target, resumes_in):
+    # nothing is left to run: the resume stops before it touches its directory
+    _, out, cfg, _ = completed_run
+    ckpt = sorted(out.glob(f"ckpt_*_{stage}.json"))[-1]
+    resumed_out = tmp_path / "resumed"
+    resumed_out.mkdir()
+    (resumed_out / "ckpt_0001_A.json").write_text("{}")  # an earlier run's checkpoint
+    stopped = dict(cfg, output_dir=str(resumed_out))
+    stopped["continuation"] = dict(cfg["continuation"], target_stage=target)
+    capsys.readouterr()
+    assert main(["resume", str(ckpt), str(write_config(tmp_path, stopped))]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: continuation.target_stage: a stage {stage} checkpoint resumes "
+        f"in stage {resumes_in}, past the target '{target}'\n")
+    assert sorted(p.name for p in resumed_out.iterdir()) == ["ckpt_0001_A.json", "error.json"]
+
+
 def test_resume_refuses_the_checkpoint_directory(tmp_path, capsys, monkeypatch):
     # a resume into the directory of its checkpoint would overwrite the run it resumes
     out = tmp_path / "out"

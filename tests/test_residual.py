@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from stripwave import residual
 from stripwave import (HomotopyFamily, ModelParams, NonlinearityKind, NonlinearitySpec,
                        WaveState, assemble_jacobian, assemble_residual, build_grid,
-                       dof_layout, eval_nonlinearity)
+                       eval_nonlinearity, field_views, state_to_vector, vector_to_state)
 from stripwave.errors import ShapeMismatch
 
 PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
@@ -29,13 +29,12 @@ def test_zero_state_rows(family):
     grid = small_grid()
     state = make_state(grid, family)
     R = assemble_residual(state, PARAMS, SPEC, grid)
-    layout = dof_layout(grid, family)
-    expected = np.zeros(layout.total)
-    for j in range(grid.ny):
-        expected[grid.node_index(grid.nx - 1, j)] = -1.0
+    expected = np.zeros_like(R)
+    psi_rows, line_rows = field_views(expected, grid, family)
+    psi_rows[:, -1] = -1.0
     if family.is_exchange:
-        expected[layout.line_offset + grid.nx - 1] = -1.0
-    expected[layout.c_index] = -(1.0 + SPEC.theta) / 2.0
+        line_rows[-1] = -1.0
+    expected[-1] = -(1.0 + SPEC.theta) / 2.0
     assert np.allclose(R, expected, atol=1e-15)
 
 
@@ -46,13 +45,12 @@ def test_one_state_rows(family):
     phi = np.full(grid.nx, 1.0 / PARAMS.mu) if family.is_exchange else None
     state = make_state(grid, family, psi=psi, phi=phi)
     R = assemble_residual(state, PARAMS, SPEC, grid)
-    layout = dof_layout(grid, family)
-    expected = np.zeros(layout.total)
-    for j in range(grid.ny):
-        expected[grid.node_index(0, j)] = 1.0
+    expected = np.zeros_like(R)
+    psi_rows, line_rows = field_views(expected, grid, family)
+    psi_rows[:, 0] = 1.0
     if family.is_exchange:
-        expected[layout.line_offset] = 1.0
-    expected[layout.c_index] = 1.0 - (1.0 + SPEC.theta) / 2.0
+        line_rows[0] = 1.0
+    expected[-1] = 1.0 - (1.0 + SPEC.theta) / 2.0
     assert np.allclose(R, expected, atol=1e-15)
 
 
@@ -64,11 +62,10 @@ def test_quadratic_is_exact_in_interior():
     assert psi.max() < SPEC.theta
     c = 0.7
     state = make_state(grid, HomotopyFamily.wentzell(0.0), psi=psi, c=c)
-    R = assemble_residual(state, PARAMS, SPEC, grid)
+    R, _ = field_views(assemble_residual(state, PARAMS, SPEC, grid), grid, state.family)
     for j in range(1, grid.ny - 1):
         for i in range(1, grid.nx - 1):
-            assert R[grid.node_index(i, j)] == pytest.approx(-2.0 * PARAMS.d + 2.0 * c * x[i],
-                                                             abs=1e-12)
+            assert R[j, i] == pytest.approx(-2.0 * PARAMS.d + 2.0 * c * x[i], abs=1e-12)
 
 
 def test_shape_mismatch():
@@ -82,9 +79,8 @@ def test_c_column_zero_for_flat_state():
     grid = small_grid()
     family = HomotopyFamily.wentzell(0.8)
     state = make_state(grid, family)
-    layout = dof_layout(grid, family)
     J = assemble_jacobian(state, PARAMS, SPEC, grid)
-    col = np.asarray(J[:, layout.c_index].todense()).ravel()
+    col = np.asarray(J[:, -1].todense()).ravel()
     assert np.all(col == 0.0)
 
 
@@ -97,13 +93,16 @@ def test_interior_diagonal_matches_hand_stencil():
     psi = rng.uniform(0.0, 1.0, size=(5, 5))
     state = make_state(grid, HomotopyFamily.wentzell(0.3), psi=psi, c=0.4)
     J = assemble_jacobian(state, PARAMS, SPEC, grid).todense()
+    index, _ = field_views(np.arange(J.shape[0]), grid, state.family)
     for j in range(1, 4):
         for i in range(1, 4):
-            k = grid.node_index(i, j)
+            k = index[j, i]
             _, fp = eval_nonlinearity(float(psi[j, i]), SPEC)
             assert J[k, k] == pytest.approx(4.0 * PARAMS.d / h**2 - fp, rel=1e-14)
-            assert J[k, k - 1] == pytest.approx(-PARAMS.d / h**2 - 0.4 / (2 * h), rel=1e-14)
-            assert J[k, k + 1] == pytest.approx(-PARAMS.d / h**2 + 0.4 / (2 * h), rel=1e-14)
+            assert J[k, index[j, i - 1]] == pytest.approx(-PARAMS.d / h**2 - 0.4 / (2 * h),
+                                                          rel=1e-14)
+            assert J[k, index[j, i + 1]] == pytest.approx(-PARAMS.d / h**2 + 0.4 / (2 * h),
+                                                          rel=1e-14)
 
 
 def random_state(grid, family, rng):
@@ -116,24 +115,15 @@ def random_state(grid, family, rng):
 @pytest.mark.parametrize("family", [HomotopyFamily.wentzell(0.6), HomotopyFamily.exchange(0.3)])
 def test_jacobian_matches_directional_finite_difference(family):
     grid = small_grid(nx=22, ny=7)
-    layout = dof_layout(grid, family)
     rng = np.random.default_rng(42)
     h = 1e-6
     for _ in range(20):
         state = random_state(grid, family, rng)
-        u = np.empty(layout.total)
-        u[: grid.n_strip] = state.psi.ravel()
-        if family.is_exchange:
-            u[layout.line_offset : layout.line_offset + grid.nx] = state.phi
-        u[layout.c_index] = state.c
-        v = rng.uniform(-1.0, 1.0, size=layout.total)
+        u = state_to_vector(state, grid)
+        v = rng.uniform(-1.0, 1.0, size=u.size)
 
         def res(vec):
-            psi = vec[: grid.n_strip].reshape(grid.ny, grid.nx)
-            phi = (vec[layout.line_offset : layout.line_offset + grid.nx]
-                   if family.is_exchange else None)
-            st = WaveState(c=float(vec[layout.c_index]), psi=psi, phi=phi, family=family)
-            return assemble_residual(st, PARAMS, SPEC, grid)
+            return assemble_residual(vector_to_state(vec, grid, family), PARAMS, SPEC, grid)
 
         J = assemble_jacobian(state, PARAMS, SPEC, grid)
         jv = J @ v
@@ -154,13 +144,11 @@ def test_exchange_rows_collapse_to_wentzell_row():
     eps = 0.3
     ex = WaveState(c=c, psi=psi.copy(), phi=phi, family=HomotopyFamily.exchange(eps))
     wz = WaveState(c=c, psi=psi.copy(), phi=None, family=HomotopyFamily.wentzell(1.0))
-    R_ex = assemble_residual(ex, PARAMS, SPEC, grid)
-    R_wz = assemble_residual(wz, PARAMS, SPEC, grid)
-    lay_ex = dof_layout(grid, ex.family)
-    top = grid.ny - 1
+    R_ex, R_line = field_views(assemble_residual(ex, PARAMS, SPEC, grid), grid, ex.family)
+    R_wz, _ = field_views(assemble_residual(wz, PARAMS, SPEC, grid), grid, wz.family)
     for i in range(1, grid.nx - 1):
-        combined = R_ex[grid.node_index(i, top)] + R_ex[lay_ex.line_offset + i]
-        assert combined == pytest.approx(R_wz[grid.node_index(i, top)], abs=1e-11)
+        combined = R_ex[-1, i] + R_line[i]
+        assert combined == pytest.approx(R_wz[-1, i], abs=1e-11)
 
 
 def analytic_interior(psi_fn, d, c, spec, x, y, k, m):
@@ -181,7 +169,7 @@ def test_interior_stencil_is_second_order():
         state = make_state(grid, HomotopyFamily.wentzell(0.0), psi=psi, c=c)
         R = assemble_residual(state, PARAMS, SPEC, grid)
         exact = analytic_interior(None, PARAMS.d, c, SPEC, grid.x, grid.y, k, m)
-        R_grid = R[: grid.n_strip].reshape(grid.ny, grid.nx)
+        R_grid, _ = field_views(R, grid, state.family)
         errs.append(np.abs(R_grid[1:-1, 1:-1] - exact[1:-1, 1:-1]).max())
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0
@@ -193,8 +181,8 @@ def test_interior_block_structurally_symmetric():
     psi = rng.uniform(0.0, 1.0, size=(grid.ny, grid.nx))
     state = make_state(grid, HomotopyFamily.wentzell(0.7), psi=psi, c=0.4)
     J = assemble_jacobian(state, PARAMS, SPEC, grid).tocsr()
-    interior = [grid.node_index(i, j)
-                for j in range(1, grid.ny - 1) for i in range(1, grid.nx - 1)]
+    index, _ = field_views(np.arange(J.shape[0]), grid, state.family)
+    interior = index[1:-1, 1:-1].ravel()
     sub = J[np.ix_(interior, interior)]
     pattern = (sub != 0).astype(int)
     assert (pattern != pattern.T).nnz == 0
@@ -222,6 +210,13 @@ def test_jacobian_is_the_same_from_a_cold_or_a_warm_cache(nx, half_ny, anchor, f
     # bit for bit, signed zeros included (at s = 0 the top rows hold -0.0)
     assert csc_bytes(warm) == csc_bytes(cold)
     assert cold.has_canonical_format and cold.indices.dtype == np.int32
+    # banded in its own order: every stored entry outside the last row and
+    # column lies within m of the diagonal, and the phase row pins the anchor
+    m, n = grid.ny + family.is_exchange, cold.shape[0] - 1
+    rows, cols = cold.indices, np.repeat(np.arange(n + 1), np.diff(cold.indptr))
+    inner = (rows < n) & (cols < n)
+    assert np.abs(rows[inner] - cols[inner]).max() <= m
+    assert cols[rows == n].tolist() == [grid.anchor_ix * m + grid.anchor_iy]
 
 
 def test_pattern_is_shared_read_only_and_bounded():

@@ -9,9 +9,9 @@ import scipy.sparse.linalg as spla
 from stripwave import residual, solver
 from stripwave import (HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, assemble_jacobian, assemble_residual,
-                       build_grid, c_max, embed_one_dim_wave, handoff_to_system, linear_solve,
-                       newton_solve, solve_1d_ignition_shooting, state_to_vector,
-                       vector_to_state)
+                       build_grid, c_max, embed_one_dim_wave, field_views, handoff_to_system,
+                       linear_solve, newton_solve, solve_1d_ignition_shooting,
+                       state_to_vector, vector_to_state)
 from stripwave.errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
                               SolverError, StepUnderflow)
 
@@ -96,12 +96,16 @@ def test_band_solve_matches_superlu(converged_jacobians):
 
 @pytest.mark.parametrize("node", ["interior", "anchor"])
 def test_band_singular_jacobian_raises(converged_jacobians, node):
+    # a zeroed interior row makes the band exactly singular; a zeroed anchor
+    # row leaves the band regular but the rank-1 correction singular
+    message = {"interior": "exactly singular", "anchor": "zero denominator"}[node]
     grid, systems = converged_jacobians
     J = systems[1][0].tocsr()
-    row = (grid.node_index(grid.nx // 3, 1) if node == "interior"
-           else grid.node_index(grid.anchor_ix, grid.anchor_iy))
+    index, _ = field_views(np.arange(J.shape[0]), grid, HomotopyFamily.wentzell(1.0))
+    # the anchor is the one column of the phase row
+    row = index[1, grid.nx // 3] if node == "interior" else J[-1].indices[0]
     J.data[J.indptr[row]:J.indptr[row + 1]] = 0.0  # a zeroed strip row, c column included
-    with pytest.raises(LinearSolveFailed):
+    with pytest.raises(LinearSolveFailed, match=message):
         solver.factorize(J.tocsc(), grid.nx)
 
 
