@@ -17,7 +17,7 @@ from .continuation import (ContinuationOptions, ContinuationRecord, StepControl,
 from .diagnostics import (DiagnosticsReport, DispersionQuery, check_bounds,
                           check_monotonicity, check_sandwich, dispersion_root,
                           fit_right_decay, left_decay_bound, run_diagnostics,
-                          speed_identity, supersolution_rate, translation_collapse)
+                          speed_identity, supersolution_rate)
 from .grid import Grid, build_grid
 from .model import (ModelParams, NonlinearityKind, NonlinearitySpec, c_max,
                     eval_nonlinearity, lipschitz_constant)
@@ -38,7 +38,7 @@ __all__ = [
     "continue_exchange", "handoff_to_system", "embed_one_dim_wave", "make_record",
     "DiagnosticsReport", "DispersionQuery", "run_diagnostics", "check_bounds",
     "check_monotonicity", "check_sandwich", "speed_identity", "left_decay_bound",
-    "dispersion_root", "supersolution_rate", "fit_right_decay", "translation_collapse",
+    "dispersion_root", "supersolution_rate", "fit_right_decay",
     "symbol_denominator", "scan_symbol_zero_free", "bessel_k0",
     "k0_line_mass", "approximation_identity_mass",
 ]

@@ -201,13 +201,12 @@ def _state_fields(state: WaveState | None, prefix: str = "") -> dict:
 
 
 def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str,
-                    control: StepControl | None) -> dict:
+                    control: StepControl) -> dict:
     return {"schema_version": SCHEMA_VERSION, "stage": record.stage,
             "family": record.state.family.kind, **_state_fields(record.state),
             "grid": {name: getattr(grid, name) for name in GRID_FIELDS},
             "config_hash": cfg_hash,
-            "control": None if control is None else {"step": control.step,
-                                                     **_state_fields(control.prev_state, "prev_")}}
+            "control": {"step": control.step, **_state_fields(control.prev_state, "prev_")}}
 
 
 def _encoded(data: dict) -> dict:
@@ -250,8 +249,8 @@ def write_checkpoint(path: Path, data: dict) -> None:
 def _states(data: dict) -> list[tuple[dict, str, str]]:
     """Each state of a checkpoint as (section, key prefix, field prefix): the
     record's, then the previous one unless its fields are all null."""
-    ctrl = data.get("control")
-    prev = ctrl is not None and any(ctrl["prev_" + name] is not None for name in STATE_FIELDS)
+    ctrl = data["control"]
+    prev = any(ctrl["prev_" + name] is not None for name in STATE_FIELDS)
     return [(data, "", "")] + ([(ctrl, "prev_", "control.prev_")] if prev else [])
 
 
@@ -305,11 +304,9 @@ def read_checkpoint(path) -> dict:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"checkpoint schema {data.get('schema_version')!r} "
                              f"is not supported (want {SCHEMA_VERSION})")
-    ctrl = data.get("control")
     sections = [("", data, ("stage", "family", "grid", "config_hash") + STATE_FIELDS),
-                ("grid.", data.get("grid"), GRID_FIELDS)]
-    if ctrl is not None:
-        sections.append(("control.", ctrl, ["step"] + ["prev_" + name for name in STATE_FIELDS]))
+                ("grid.", data.get("grid"), GRID_FIELDS),
+                ("control.", data.get("control"), ["step"] + ["prev_" + n for n in STATE_FIELDS])]
     for prefix, section, fields in sections:
         for name in fields:
             if not isinstance(section, dict) or name not in section:
@@ -322,8 +319,7 @@ def read_checkpoint(path) -> dict:
         named = re.match(r"Grid\.(\w+)", str(exc))
         raise _bad(path, "grid" + (f".{named[1]}" if named else ""),
                    f"is out of range: {exc}") from exc
-    if ctrl is not None:
-        _number(ctrl["step"], "control.step", path)
+    _number(data["control"]["step"], "control.step", path)
     stage, family = data["stage"], data["family"]
     if stage not in STAGES:
         raise _bad(path, "stage", f"must be one of A, B, C, got {stage!r}")
@@ -346,15 +342,15 @@ def require_finite_arrays(data: dict, path) -> None:
                 raise _bad(path, field + name, "holds a non-finite value")
 
 
-def checkpoint_state(data: dict) -> tuple[WaveState, Grid, StepControl | None]:
+def checkpoint_state(data: dict) -> tuple[WaveState, Grid, StepControl]:
     """The record's state, the grid and the step control of a `read_checkpoint` result."""
     grid = Grid(**{name: data["grid"][name] for name in GRID_FIELDS})
     states = [WaveState(c=section[key + "c"], psi=section[key + "psi"].reshape(grid.ny, grid.nx),
                         phi=section[key + "phi"],
                         family=HomotopyFamily(data["family"], float(section[key + "parameter"])))
               for section, key, _ in _states(data)]
-    ctrl, prev = data.get("control"), states[1] if len(states) > 1 else None
-    return states[0], grid, None if ctrl is None else StepControl(ctrl["step"], prev)
+    prev = states[1] if len(states) > 1 else None
+    return states[0], grid, StepControl(data["control"]["step"], prev)
 
 
 # --- CSV sinks ----------------------------------------------------------------
@@ -400,7 +396,7 @@ class PathWriter:
         if every > 0 and self.count % every == 0:
             self.checkpoint(record, control)
 
-    def checkpoint(self, record: ContinuationRecord, control: StepControl | None) -> None:
+    def checkpoint(self, record: ContinuationRecord, control: StepControl) -> None:
         path = self.outdir / f"ckpt_{self.count:04d}_{record.stage}.json"
         write_checkpoint(path, checkpoint_dict(record, self.cfg.grid, self.cfg_hash, control))
         self.checkpointed = True
@@ -456,7 +452,7 @@ def _stage_summary(record: ContinuationRecord) -> dict:
 
 
 def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: ContinuationRecord,
-                control: StepControl | None, t0: float) -> dict[str, ContinuationRecord]:
+                control: StepControl, t0: float) -> dict[str, ContinuationRecord]:
     """Stages `start.stage` .. `cfg.target_stage`, from the record `start`.
 
     A and C march their parameter to 1 from the previous end record, with
@@ -549,6 +545,10 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
     state, ck_grid, control = checkpoint_state(ckpt)
     if ck_grid != cfg.grid:
         raise ConfigHashMismatch("checkpoint grid does not match the configuration grid")
+    if stage == cfg.target_stage and ckpt["parameter"] >= 1.0 - 1e-14:  # _march's end test
+        raise ConfigError(f"continuation.target_stage: a stage {ckpt['stage']} checkpoint at "
+                          f"parameter {ckpt['parameter']:g} already ends the target stage "
+                          f"{cfg.target_stage!r}")
     residual_norm = float(np.abs(assemble_residual(state, cfg.params, cfg.nonlinearity,
                                                    cfg.grid)).max())
     summary: dict = {"config_hash": cfg_hash, "stages": {}, "timings_s": {},

@@ -25,19 +25,21 @@ f'(1)/2 give a guaranteed lower bound on the decay rate; both are
 reported.  The two relations are algebraically identical at
 (eps -> 0, s = 1), which is asserted as pure algebra, not on solutions.
 
-Checks never raise on mere failure; they return report fragments.  Only
-preconditions that make a check meaningless raise.
+Each check returns a bool, and left_decay_bound its largest excess over
+the bound: a record carries only the verdicts and the few numbers of its
+DiagnosticsReport.  Checks never raise on mere failure; only preconditions
+that make a check meaningless raise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatch, NoRoot, ThresholdNotCrossed, WindowEmpty, WrongFamily
+from .errors import NoRoot, ThresholdNotCrossed, WindowEmpty, WrongFamily
 from .grid import Grid
 from .model import ModelParams, NonlinearitySpec, c_max, eval_nonlinearity
 from .residual import WaveState
@@ -48,14 +50,6 @@ SANDWICH_TOL = 1e-8
 LEFT_DECAY_TOL = 1e-8
 FIT_UPPER = 1e-2
 FIT_LOWER = 1e-8
-
-
-@dataclass
-class CheckResult:
-    ok: bool
-    worst_value: float
-    worst_node: tuple[int, ...] | None
-    info: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -99,64 +93,26 @@ class DispersionRoot(NamedTuple):
     gamma_lim: float
 
 
-def check_bounds(state: WaveState) -> CheckResult:
-    """Field bounds min psi >= -1e-8, max psi <= 1 + 1e-8, worst node
-    recorded; the line field is covered by check_bounds_line (it needs mu)."""
-    psi = state.psi
-    lo = float(psi.min())
-    hi = float(psi.max())
-    ok = lo >= -BOUNDS_TOL and hi <= 1.0 + BOUNDS_TOL
-    if 1.0 - hi < lo:  # the worse violation side
-        worst = np.unravel_index(int(np.argmax(psi)), psi.shape)
-        worst_value = hi
-    else:
-        worst = np.unravel_index(int(np.argmin(psi)), psi.shape)
-        worst_value = lo
-    info = {"min_psi": lo, "max_psi": hi}
-    return CheckResult(ok=ok, worst_value=worst_value, worst_node=tuple(int(v) for v in worst), info=info)
+def check_bounds(state: WaveState, params: ModelParams) -> bool:
+    """0 <= psi <= 1 and, on an exchange state, 0 <= mu*phi <= 1, each to 1e-8."""
+    fields = [state.psi] if state.phi is None else [state.psi, params.mu * state.phi]
+    return all(f.min() >= -BOUNDS_TOL and f.max() <= 1.0 + BOUNDS_TOL for f in fields)
 
 
-def check_bounds_line(state: WaveState, params: ModelParams) -> CheckResult:
-    if state.phi is None:
-        return CheckResult(ok=True, worst_value=math.nan, worst_node=None)
-    scaled = params.mu * state.phi
-    lo, hi = float(scaled.min()), float(scaled.max())
-    ok = lo >= -BOUNDS_TOL and hi <= 1.0 + BOUNDS_TOL
-    worst_idx = int(np.argmax(scaled)) if 1.0 - hi < lo else int(np.argmin(scaled))
-    return CheckResult(ok=ok, worst_value=hi if 1.0 - hi < lo else lo,
-                       worst_node=(worst_idx,), info={"min_mu_phi": lo, "max_mu_phi": hi})
-
-
-def check_monotonicity(state: WaveState) -> CheckResult:
+def check_monotonicity(state: WaveState) -> bool:
     """All forward x-differences of psi (every row) and of phi >= -1e-6."""
-    dpsi = np.diff(state.psi, axis=1)
-    min_d = float(dpsi.min())
-    worst = np.unravel_index(int(np.argmin(dpsi)), dpsi.shape)
-    info = {"min_dx_psi": min_d}
-    ok = min_d >= -MONOTONE_TOL
-    if state.phi is not None:
-        dphi = np.diff(state.phi)
-        min_dphi = float(dphi.min())
-        info["min_dx_phi"] = min_dphi
-        if min_dphi < min_d:
-            worst = (int(np.argmin(dphi)),)
-            min_d = min_dphi
-        ok = ok and min_dphi >= -MONOTONE_TOL
-    return CheckResult(ok=ok, worst_value=min_d, worst_node=tuple(int(v) for v in worst), info=info)
+    fields = [state.psi] if state.phi is None else [state.psi, state.phi]
+    # x is the last axis of both fields
+    return all(np.diff(f).min() >= -MONOTONE_TOL for f in fields)
 
 
-def check_sandwich(state: WaveState, params: ModelParams) -> CheckResult:
+def check_sandwich(state: WaveState, params: ModelParams) -> bool:
     """inf psi - 1e-8 <= mu*phi(x) <= sup psi + 1e-8 for every x."""
     if not state.family.is_exchange:
         raise WrongFamily("sandwich check applies to exchange states only")
     scaled = params.mu * state.phi
-    lo, hi = float(state.psi.min()), float(state.psi.max())
-    below = lo - scaled
-    above = scaled - hi
-    worst_excess = float(np.maximum(below, above).max())
-    worst_idx = int(np.argmax(np.maximum(below, above)))
-    return CheckResult(ok=worst_excess <= SANDWICH_TOL, worst_value=worst_excess,
-                       worst_node=(worst_idx,), info={"inf_psi": lo, "sup_psi": hi})
+    return bool(state.psi.min() - scaled.min() <= SANDWICH_TOL
+                and scaled.max() - state.psi.max() <= SANDWICH_TOL)
 
 
 def speed_identity(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
@@ -182,8 +138,9 @@ def speed_identity(state: WaveState, params: ModelParams, spec: NonlinearitySpec
 
 
 def left_decay_bound(state: WaveState, params: ModelParams, grid: Grid,
-                     theta: float) -> CheckResult:
-    """Pointwise check of psi <= theta * exp(r (x - x_theta)) + 1e-8.
+                     theta: float) -> float:
+    """Largest excess of psi over theta * exp(r (x - x_theta)); the bound
+    holds when it is at most 1e-8.
 
     x_theta is the rightmost column whose maximum over y stays at or
     below the ignition threshold; the rate is r = c / max(d, D), the
@@ -191,20 +148,14 @@ def left_decay_bound(state: WaveState, params: ModelParams, grid: Grid,
     so the inequality must hold on converged states).
     """
     psi = state.psi
-    col_max = psi.max(axis=0)
-    below = np.nonzero(col_max <= theta)[0]
+    below = np.nonzero(psi.max(axis=0) <= theta)[0]
     if below.size == 0:
         raise ThresholdNotCrossed("max_y psi exceeds theta at every column; extent too small")
     i_theta = int(below[-1])
     r = state.c / max(params.d, params.D)
     x = grid.x
     bound = theta * np.exp(r * (x[: i_theta + 1] - x[i_theta]))
-    excess = psi[:, : i_theta + 1] - bound[None, :]
-    worst = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    worst_value = float(excess[worst])
-    return CheckResult(ok=worst_value <= LEFT_DECAY_TOL, worst_value=worst_value,
-                       worst_node=tuple(int(v) for v in worst),
-                       info={"x_theta": float(x[i_theta]), "rate": r})
+    return float((psi[:, : i_theta + 1] - bound[None, :]).max())
 
 
 def dispersion_root(q: DispersionQuery) -> DispersionRoot:
@@ -271,80 +222,13 @@ def fit_right_decay(state: WaveState, grid: Grid) -> float:
     return float(-slope)
 
 
-def translation_collapse(a: WaveState, b: WaveState, grid: Grid) -> tuple[float, float]:
-    """Optimal x-shift aligning two states and the residual sup distance.
-
-    Integer-node search seeded by the midline half-crossing positions,
-    then quadratic refinement of the shift; fractional shifts evaluate
-    psi_a by linear interpolation, with the constant tails 0 and 1
-    re-imposed outside the grid.
-    """
-    if a.psi.shape != b.psi.shape:
-        raise GridMismatch(f"states have different shapes {a.psi.shape} vs {b.psi.shape}")
-    if a.family != b.family:
-        raise GridMismatch(f"states have different families {a.family} vs {b.family}")
-
-    nx = grid.nx
-
-    def shifted(psi: np.ndarray, k: int) -> np.ndarray:
-        out = np.empty_like(psi)
-        if k >= 0:
-            out[:, : nx - k] = psi[:, k:]
-            out[:, nx - k :] = 1.0
-        else:
-            out[:, -k:] = psi[:, :k]
-            out[:, : -k] = 0.0
-        return out
-
-    def sup_dist_int(k: int) -> float:
-        return float(np.abs(shifted(a.psi, k) - b.psi).max())
-
-    row_a = a.psi[grid.anchor_iy, :]
-    row_b = b.psi[grid.anchor_iy, :]
-    mid = 0.5 * (row_a.min() + row_a.max())
-    k0 = int(np.argmin(np.abs(row_a - mid))) - int(np.argmin(np.abs(row_b - mid)))
-
-    best_k, best_v = k0, sup_dist_int(k0)
-    improved = True
-    while improved:
-        improved = False
-        for k in (best_k - 1, best_k + 1):
-            if abs(k) < nx:
-                v = sup_dist_int(k)
-                if v < best_v:
-                    best_k, best_v, improved = k, v, True
-
-    vm = sup_dist_int(best_k - 1) if abs(best_k - 1) < nx else best_v
-    vp = sup_dist_int(best_k + 1) if abs(best_k + 1) < nx else best_v
-    denom = vm - 2.0 * best_v + vp
-    delta = 0.5 * (vm - vp) / denom if denom > 0 else 0.0
-    delta = float(np.clip(delta, -1.0, 1.0))
-
-    x = grid.x
-
-    def sup_dist_frac(shift_nodes: float) -> float:
-        xq = x + shift_nodes * grid.hx
-        worst = 0.0
-        for j in range(grid.ny):
-            va = np.interp(xq, x, a.psi[j, :], left=0.0, right=1.0)
-            worst = max(worst, float(np.abs(va - b.psi[j, :]).max()))
-        return worst
-
-    shift_nodes = best_k + delta
-    value = sup_dist_frac(shift_nodes)
-    if best_v < value:  # quadratic refinement is a heuristic; keep the better point
-        shift_nodes, value = float(best_k), best_v
-    return shift_nodes * grid.hx, value
-
-
 def run_diagnostics(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
                     grid: Grid) -> DiagnosticsReport:
     """Full per-record report.  Never raises: a check whose precondition
     fails reports False, a number that cannot be computed NaN."""
-    b = check_bounds(state)
-    m = check_monotonicity(state)
+    psi = state.psi
     try:
-        left_decay_ok = left_decay_bound(state, params, grid, theta=spec.theta).ok
+        left_decay_ok = left_decay_bound(state, params, grid, theta=spec.theta) <= LEFT_DECAY_TOL
     except ThresholdNotCrossed:
         left_decay_ok = False
     try:
@@ -358,15 +242,15 @@ def run_diagnostics(state: WaveState, params: ModelParams, spec: NonlinearitySpe
     except WindowEmpty:
         gamma_fit = math.nan
     return DiagnosticsReport(
-        bounds_ok=b.ok and check_bounds_line(state, params).ok,
-        monotone_ok=m.ok,
-        sandwich_ok=check_sandwich(state, params).ok if state.family.is_exchange else True,
+        bounds_ok=check_bounds(state, params),
+        monotone_ok=check_monotonicity(state),
+        sandwich_ok=check_sandwich(state, params) if state.family.is_exchange else True,
         left_decay_ok=left_decay_ok,
         speed_identity_gap=abs(speed_identity(state, params, spec, grid) - state.c) / abs(state.c),
         gamma_fit=gamma_fit,
         gamma_pred=gamma_pred,
         cmax_margin=c_max(params, spec) - state.c,
-        min_psi=b.info["min_psi"],
-        max_psi=b.info["max_psi"],
-        min_dx_psi=m.info["min_dx_psi"],
+        min_psi=float(psi.min()),
+        max_psi=float(psi.max()),
+        min_dx_psi=float(np.diff(psi, axis=1).min()),
     )

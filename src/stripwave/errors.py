@@ -28,10 +28,6 @@ class WrongFamily(StripWaveError):
     """An operation was called on a state of the wrong problem family."""
 
 
-class GridMismatch(StripWaveError):
-    """Two states live on incompatible grids or families."""
-
-
 class ConfigError(StripWaveError):
     """A run configuration failed validation; message names the field."""
 

@@ -15,7 +15,7 @@ from stripwave import (DispersionQuery, ModelParams, NewtonOptions, Nonlinearity
                        NonlinearitySpec, WaveState, build_grid, c_max, continue_wentzell,
                        dispersion_root, embed_one_dim_wave, handoff_to_system, make_record,
                        newton_solve, solve_1d_ignition_shooting, speed_identity,
-                       supersolution_rate, translation_collapse)
+                       supersolution_rate)
 from stripwave.cli import EXIT_OK, EXIT_VALIDATION, default_config_dict, main
 
 from conftest import DEFAULT_PARAMS, DEFAULT_SPEC
@@ -85,14 +85,13 @@ def test_criterion_05_uniqueness_up_to_translation(full_path):
                               target_s=1.0).state
     rel_c = abs(other.c - base_state.c) / base_state.c
     assert rel_c <= 1e-6
-    # the wide grid's nodes contain the base grid's nodes (same spacing class)
+    # the wide grid's nodes contain the base grid's nodes (same spacing class); the phase
+    # condition pins both waves at the anchor node, so they are compared with no shift
     offset = int(round((base_grid.x_left - wide_grid.x_left) / wide_grid.hx))
-    restricted = WaveState(c=other.c, psi=other.psi[:, offset:offset + base_grid.nx].copy(),
-                           phi=None, family=other.family)
-    shift, dist = translation_collapse(base_state, restricted, base_grid)
+    dist = float(np.abs(other.psi[:, offset:offset + base_grid.nx] - base_state.psi).max())
     assert dist <= 1e-4
     print(f"ACCEPTANCE 05 PASS - speeds agree to {rel_c:.2e}, profiles to {dist:.2e} "
-          f"after a {shift:.3f} shift")
+          "node by node")
 
 
 def test_criterion_06_handoff_first_order(full_path):

@@ -141,6 +141,11 @@ def at(name, edit):
      "StepControl.step must be > 0, got 0.0"),
     ("resume", lambda ckpt: ckpt["control"].update(step=-0.05), EXIT_IO,
      "StepControl.step must be > 0, got -0.05"),
+    # every writer gives a checkpoint a control object: a null one is malformed
+    ("resume", lambda ckpt: ckpt.update(control=None), EXIT_IO,
+     "ckpt.json: missing field 'control.step'"),
+    ("profile", lambda ckpt: ckpt.update(control=None), EXIT_IO,
+     "ckpt.json: missing field 'control.step'"),
     *[(command, edit, EXIT_IO, f"ckpt.json: field {named}")
       for edit, named in [
           (lambda ckpt: ckpt.update(parameter="x"), "'parameter' must be a number, got 'x'"),
@@ -196,6 +201,7 @@ def at(name, edit):
         "profile_psi_short", "resume_prev_psi_short", "profile_grid_nx_float",
         "resume_psi_not_base64", "profile_psi_not_base64", "resume_psi_12_bytes",
         "profile_psi_12_bytes", "resume_step_zero", "resume_step_negative",
+        "resume_control_null", "profile_control_null",
         *[f"{command}_{field}" for field in (
             "parameter_text", "c_text", "grid_x_left_text", "grid_x_right_bool",
             "grid_L_text", "step_text", "prev_parameter_null", "prev_c_null", "stage_Z",
@@ -366,7 +372,7 @@ def test_profile_writers_match_fmt_float(tmp_path):
     assert (tmp_path / "profile_B_0.05_line.csv").read_text() == want
 
     ckpt = tmp_path / "ckpt.json"
-    write_checkpoint(ckpt, checkpoint_dict(record, grid, "hash", None))
+    write_checkpoint(ckpt, checkpoint_dict(record, grid, "hash", StepControl(step=0.1)))
     emit_profile(ckpt, tmp_path / "slices.csv")
     want = "x,psi_top,psi_mid,psi_bottom,phi\n" + "".join(
         f"{fmt_float(x[i])},{fmt_float(psi[-1, i])},{fmt_float(psi[1, i])},"
@@ -578,7 +584,9 @@ def test_resume_matches_uninterrupted(completed_run, tmp_path, name):
         assert (resumed_out / profile).read_bytes() == (out / profile).read_bytes(), profile
 
 
-@pytest.mark.parametrize("stage", ["A", "C"])
+# a resume from the end of stage C, the last target, is refused: nothing is left to run
+# (test_resume_past_the_target_stage_is_refused)
+@pytest.mark.parametrize("stage", ["A"])
 def test_resume_from_stage_end(completed_run, tmp_path, stage):
     tmp, out, cfg, _ = completed_run
     _, rows = read_rows(out / "path.csv")
@@ -637,10 +645,12 @@ def test_resume_continues_a_run_stopped_at_stage_a(completed_run, tmp_path):
     assert last.name == "ckpt_0006_A.json" and resumed == rows[6:]
 
 
-@pytest.mark.parametrize("stage, target, resumes_in", [("C", "A", "C"), ("B", "B", "C")])
+@pytest.mark.parametrize("stage, target, resumes_in", [("C", "A", "C"), ("B", "B", "C"),
+                                                      ("A", "A", "A"), ("C", "C", "C")])
 def test_resume_past_the_target_stage_is_refused(completed_run, tmp_path, capsys, stage,
                                                  target, resumes_in):
-    # nothing is left to run: the resume stops before it touches its directory
+    # nothing is left to run, also from the last checkpoint of the target stage, which ends
+    # it at parameter 1: the resume stops before it touches its directory
     _, out, cfg, _ = completed_run
     ckpt = sorted(out.glob(f"ckpt_*_{stage}.json"))[-1]
     resumed_out = tmp_path / "resumed"
@@ -650,9 +660,10 @@ def test_resume_past_the_target_stage_is_refused(completed_run, tmp_path, capsys
     stopped["continuation"] = dict(cfg["continuation"], target_stage=target)
     capsys.readouterr()
     assert main(["resume", str(ckpt), str(write_config(tmp_path, stopped))]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        f"error: ConfigError: continuation.target_stage: a stage {stage} checkpoint resumes "
-        f"in stage {resumes_in}, past the target '{target}'\n")
+    reason = (f"resumes in stage {resumes_in}, past the target" if resumes_in != target
+              else "at parameter 1 already ends the target stage")
+    assert capsys.readouterr().err == (f"error: ConfigError: continuation.target_stage: a stage "
+                                       f"{stage} checkpoint {reason} '{target}'\n")
     assert sorted(p.name for p in resumed_out.iterdir()) == ["ckpt_0001_A.json", "error.json"]
 
 

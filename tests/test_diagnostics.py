@@ -6,9 +6,9 @@ import pytest
 from stripwave import (DispersionQuery, HomotopyFamily, ModelParams, NonlinearityKind,
                        NonlinearitySpec, WaveState, build_grid, check_bounds,
                        check_monotonicity, check_sandwich, dispersion_root, fit_right_decay,
-                       left_decay_bound, speed_identity, supersolution_rate,
-                       translation_collapse)
-from stripwave.errors import (GridMismatch, ThresholdNotCrossed, WindowEmpty, WrongFamily)
+                       left_decay_bound, run_diagnostics, speed_identity, supersolution_rate)
+from stripwave.diagnostics import LEFT_DECAY_TOL
+from stripwave.errors import (ThresholdNotCrossed, WindowEmpty, WrongFamily)
 
 PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 CUBIC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
@@ -26,39 +26,56 @@ def exchange_state(grid, psi, phi, c=0.5, eps=1.0):
 
 def test_bounds_constant_field_passes():
     grid = build_grid(PARAMS, -2.0, 1.0, 13, 5)
-    res = check_bounds(wentzell_state(grid, np.full((grid.ny, grid.nx), 0.5)))
-    assert res.ok
+    assert check_bounds(wentzell_state(grid, np.full((grid.ny, grid.nx), 0.5)), PARAMS)
 
 
 def test_bounds_reports_offender():
     grid = build_grid(PARAMS, -2.0, 1.0, 13, 5)
     psi = np.full((grid.ny, grid.nx), 0.5)
     psi[2, 7] = 1.2
-    res = check_bounds(wentzell_state(grid, psi))
-    assert not res.ok
-    assert res.worst_node == (2, 7)
-    assert res.worst_value == pytest.approx(1.2)
+    assert not check_bounds(wentzell_state(grid, psi), PARAMS)
+    # one node past the 1e-8 tolerance fails, one within it passes
+    psi[2, 7] = 1.0 + 2e-8
+    assert not check_bounds(wentzell_state(grid, psi), PARAMS)
+    psi[2, 7] = 1.0 + 0.5e-8
+    assert check_bounds(wentzell_state(grid, psi), PARAMS)
 
 
 def test_monotonicity_tanh_passes_inversion_fails():
     grid = build_grid(PARAMS, -2.0, 1.0, 13, 5)
     psi = np.tile(0.5 * (1 + np.tanh(grid.x)), (grid.ny, 1))
-    assert check_monotonicity(wentzell_state(grid, psi)).ok
+    assert check_monotonicity(wentzell_state(grid, psi))
     psi_bad = psi.copy()
     psi_bad[1, 5], psi_bad[1, 6] = psi_bad[1, 6], psi_bad[1, 5] + 1e-3
-    assert not check_monotonicity(wentzell_state(grid, psi_bad)).ok
+    assert not check_monotonicity(wentzell_state(grid, psi_bad))
 
 
 def test_sandwich():
     grid = build_grid(PARAMS, -2.0, 1.0, 13, 5)
     psi = np.tile(0.5 * (1 + np.tanh(grid.x)), (grid.ny, 1))
     state = exchange_state(grid, psi, psi[-1, :] / PARAMS.mu)
-    assert check_sandwich(state, PARAMS).ok
+    assert check_sandwich(state, PARAMS)
     bad = exchange_state(grid, psi, psi[-1, :] / PARAMS.mu + 2.0)
-    assert not check_sandwich(bad, PARAMS).ok
+    assert not check_sandwich(bad, PARAMS)
     with pytest.raises(WrongFamily):
         check_sandwich(wentzell_state(grid, psi), PARAMS)
 
+
+
+def test_run_diagnostics_checks_the_line_field():
+    # on an exchange state the verdicts cover mu*phi and phi; min_dx_psi stays psi's own
+    grid = build_grid(PARAMS, -2.0, 1.0, 13, 5)
+    psi = np.tile(0.5 * (1 + np.tanh(grid.x)), (grid.ny, 1))
+    good = run_diagnostics(exchange_state(grid, psi, psi[-1, :] / PARAMS.mu), PARAMS, CUBIC, grid)
+    assert good.bounds_ok and good.monotone_ok
+    high = run_diagnostics(exchange_state(grid, psi, np.full(grid.nx, (1.0 + 2e-8) / PARAMS.mu)),
+                           PARAMS, CUBIC, grid)
+    assert 0.0 <= high.min_psi and high.max_psi <= 1.0
+    assert not high.bounds_ok
+    falling = run_diagnostics(exchange_state(grid, psi, psi[-1, ::-1] / PARAMS.mu), PARAMS,
+                              CUBIC, grid)
+    assert not falling.monotone_ok
+    assert falling.min_dx_psi == float(np.diff(psi, axis=1).min()) > 0.0
 
 # --- speed identity -------------------------------------------------------------
 
@@ -90,9 +107,9 @@ def test_left_decay_exact_tail_passes_with_equality():
     c = 0.4
     row = np.where(grid.x <= 0.0, CUBIC.theta * np.exp(c * np.minimum(grid.x, 0.0)), 1.0)
     psi = np.tile(row, (grid.ny, 1))
-    res = left_decay_bound(wentzell_state(grid, psi, c=c), slow, grid, theta=CUBIC.theta)
-    assert res.ok
-    assert abs(res.worst_value) < 1e-12  # equality up to roundoff
+    excess = left_decay_bound(wentzell_state(grid, psi, c=c), slow, grid, theta=CUBIC.theta)
+    assert excess <= LEFT_DECAY_TOL
+    assert abs(excess) < 1e-12  # equality up to roundoff
 
 
 def test_left_decay_slow_tail_fails():
@@ -101,8 +118,8 @@ def test_left_decay_slow_tail_fails():
     c = 0.4
     row = np.where(grid.x <= 0.0, CUBIC.theta * np.exp(0.5 * c * np.minimum(grid.x, 0.0)), 1.0)
     psi = np.tile(row, (grid.ny, 1))
-    res = left_decay_bound(wentzell_state(grid, psi, c=c), slow, grid, theta=CUBIC.theta)
-    assert not res.ok
+    excess = left_decay_bound(wentzell_state(grid, psi, c=c), slow, grid, theta=CUBIC.theta)
+    assert excess > LEFT_DECAY_TOL
 
 
 def test_left_decay_threshold_never_crossed():
@@ -177,37 +194,3 @@ def test_fit_right_decay_window_empty():
     psi = np.full((grid.ny, grid.nx), 0.5)
     with pytest.raises(WindowEmpty):
         fit_right_decay(wentzell_state(grid, psi), grid)
-
-
-# --- translation collapse ------------------------------------------------------------
-
-def front_state(grid, shift=0.0, c=0.5):
-    psi = np.tile(0.5 * (1 + np.tanh(1.5 * (grid.x - shift))), (grid.ny, 1))
-    return wentzell_state(grid, psi, c=c)
-
-
-def test_translation_collapse_identical():
-    grid = build_grid(PARAMS, -10.0, 10.0, 201, 5)
-    a = front_state(grid)
-    shift, dist = translation_collapse(a, a, grid)
-    assert shift == pytest.approx(0.0, abs=1e-12)
-    assert dist == pytest.approx(0.0, abs=1e-14)
-
-
-def test_translation_collapse_constructed_shift():
-    grid = build_grid(PARAMS, -10.0, 10.0, 201, 5)
-    a = front_state(grid)
-    b = wentzell_state(grid, np.empty_like(a.psi))
-    k = 3
-    b.psi[:, : grid.nx - k] = a.psi[:, k:]
-    b.psi[:, grid.nx - k:] = 1.0
-    shift, dist = translation_collapse(a, b, grid)
-    assert shift == pytest.approx(k * grid.hx, abs=grid.hx / 10.0)
-    assert dist <= 1e-3
-
-
-def test_translation_collapse_grid_mismatch():
-    g1 = build_grid(PARAMS, -10.0, 10.0, 201, 5)
-    g2 = build_grid(PARAMS, -10.0, 10.0, 101, 5)
-    with pytest.raises(GridMismatch):
-        translation_collapse(front_state(g1), front_state(g2), g1)
