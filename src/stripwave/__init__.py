@@ -11,9 +11,9 @@ numerically on each converged state.
 
 from .analysis import (approximation_identity_mass, bessel_k0, k0_line_mass,
                        scan_symbol_zero_free, symbol_denominator)
-from .continuation import (ContinuationOptions, ContinuationRecord, StepControl,
-                           continue_exchange, continue_wentzell, embed_one_dim_wave,
-                           handoff_to_system, make_record)
+from .continuation import (ContinuationOptions, ContinuationRecord, continue_exchange,
+                           continue_wentzell, embed_one_dim_wave, handoff_to_system,
+                           make_record)
 from .diagnostics import (DiagnosticsReport, DispersionQuery, check_bounds,
                           check_monotonicity, check_sandwich, dispersion_root,
                           fit_right_decay, left_decay_bound, run_diagnostics,
@@ -34,8 +34,8 @@ __all__ = [
     "field_views", "state_to_vector", "vector_to_state",
     "NewtonOptions", "NewtonResult", "OneDimWave", "newton_solve", "linear_solve",
     "solve_1d_ignition_shooting",
-    "ContinuationOptions", "ContinuationRecord", "StepControl", "continue_wentzell",
-    "continue_exchange", "handoff_to_system", "embed_one_dim_wave", "make_record",
+    "ContinuationOptions", "ContinuationRecord", "continue_wentzell", "continue_exchange",
+    "handoff_to_system", "embed_one_dim_wave", "make_record",
     "DiagnosticsReport", "DispersionQuery", "run_diagnostics", "check_bounds",
     "check_monotonicity", "check_sandwich", "speed_identity", "left_decay_bound",
     "dispersion_root", "supersolution_rate", "fit_right_decay",

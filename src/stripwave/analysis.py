@@ -54,6 +54,9 @@ def symbol_scan_table(params: ModelParams, epsilon: float, c0: float, c1: float,
         raise ValueError(f"n must be >= 2, got {n}")
     if not xi_max > 0:
         raise ValueError(f"xi_max must be positive, got {xi_max}")
+    for name, value in (("epsilon", epsilon), ("c0", c0), ("c1", c1), ("xi_max", xi_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     xi = np.linspace(-xi_max, xi_max, n)
     F = symbol_denominator(params, epsilon, c0, c1, xi)
     return np.column_stack([xi, F.real, F.imag, np.abs(F)])

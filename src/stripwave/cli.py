@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuation import (ContinuationOptions, ContinuationRecord, StepControl,
+from .continuation import (PARAMETER_TOL, ContinuationOptions, ContinuationRecord,
                            continue_exchange, continue_wentzell, embed_one_dim_wave,
                            handoff_to_system, make_record)
 from .errors import (AnchorNotOnGrid, BadExtent, ConfigError, ConfigHashMismatch, SchemaMismatch,
@@ -57,8 +57,6 @@ PATH_COLUMNS = ("stage", "family_param", "c", "residual_norm", "speed_identity_g
 
 
 def fmt_float(v: float) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
     return f"{v:.17g}"
 
 
@@ -160,8 +158,8 @@ def config_from_dict(data: dict) -> RunConfig:
     # the fields no library object owns
     if target_stage not in STAGES:
         raise ConfigError(f"continuation.target_stage: must be one of A, B, C, got {target_stage!r}")
-    if not c["shooting_tol"] > 0:
-        raise ConfigError(f"shooting_tol: must be > 0, got {c['shooting_tol']!r}")
+    if not 0 < c["shooting_tol"] < math.inf:
+        raise ConfigError(f"shooting_tol: must lie in (0, inf), got {c['shooting_tol']!r}")
     if not c["output_dir"]:
         raise ConfigError("output_dir: must be nonempty")
     if c["checkpoint_every"] < 0:
@@ -185,9 +183,9 @@ def resolve_output_dir(cfg: RunConfig) -> Path:
 
 
 # --- checkpoints --------------------------------------------------------------
-# A checkpoint holds two states of one layout, both of its stage's family: the
-# record's, as the top-level STATE_FIELDS, and the previous accepted state the
-# secant predictor needs, as `control.prev_<name>` (all four null for none).
+# A checkpoint is a record's restart point: its state, as the top-level
+# STATE_FIELDS, and in `control` its step and the previous accepted state, of the
+# same layout and family, as `control.prev_<name>` (all four null for none).
 STATE_FIELDS = ("parameter", "c", "psi", "phi")
 GRID_FIELDS = {"x_left": float, "x_right": float, "L": float, "nx": int, "ny": int}
 STAGE_FAMILY = {"A": WENTZELL, "B": EXCHANGE, "C": EXCHANGE}
@@ -200,13 +198,12 @@ def _state_fields(state: WaveState | None, prefix: str = "") -> dict:
     return {prefix + name: value for name, value in zip(STATE_FIELDS, values)}
 
 
-def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str,
-                    control: StepControl) -> dict:
+def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str) -> dict:
     return {"schema_version": SCHEMA_VERSION, "stage": record.stage,
             "family": record.state.family.kind, **_state_fields(record.state),
             "grid": {name: getattr(grid, name) for name in GRID_FIELDS},
             "config_hash": cfg_hash,
-            "control": {"step": control.step, **_state_fields(control.prev_state, "prev_")}}
+            "control": {"step": record.step, **_state_fields(record.prev_state, "prev_")}}
 
 
 def _encoded(data: dict) -> dict:
@@ -319,7 +316,9 @@ def read_checkpoint(path) -> dict:
         named = re.match(r"Grid\.(\w+)", str(exc))
         raise _bad(path, "grid" + (f".{named[1]}" if named else ""),
                    f"is out of range: {exc}") from exc
-    _number(data["control"]["step"], "control.step", path)
+    step = _number(data["control"]["step"], "control.step", path)
+    if not step > 0:
+        raise _bad(path, "control.step", f"must be > 0, got {step!r}")
     stage, family = data["stage"], data["family"]
     if stage not in STAGES:
         raise _bad(path, "stage", f"must be one of A, B, C, got {stage!r}")
@@ -342,15 +341,14 @@ def require_finite_arrays(data: dict, path) -> None:
                 raise _bad(path, field + name, "holds a non-finite value")
 
 
-def checkpoint_state(data: dict) -> tuple[WaveState, Grid, StepControl]:
-    """The record's state, the grid and the step control of a `read_checkpoint` result."""
+def checkpoint_state(data: dict) -> tuple[WaveState, Grid, float, WaveState | None]:
+    """The state, grid, step and previous state (or None) of a `read_checkpoint` result."""
     grid = Grid(**{name: data["grid"][name] for name in GRID_FIELDS})
     states = [WaveState(c=section[key + "c"], psi=section[key + "psi"].reshape(grid.ny, grid.nx),
                         phi=section[key + "phi"],
                         family=HomotopyFamily(data["family"], float(section[key + "parameter"])))
               for section, key, _ in _states(data)]
-    prev = states[1] if len(states) > 1 else None
-    return states[0], grid, StepControl(data["control"]["step"], prev)
+    return states[0], grid, data["control"]["step"], states[1] if len(states) > 1 else None
 
 
 # --- CSV sinks ----------------------------------------------------------------
@@ -384,7 +382,7 @@ class PathWriter:
         self.fh.write(",".join(PATH_COLUMNS) + "\n")
         self.fh.flush()
 
-    def write(self, record: ContinuationRecord, control: StepControl) -> None:
+    def write(self, record: ContinuationRecord) -> None:
         values = [record.parameter, record.c, record.residual_norm]
         values += [getattr(record.diagnostics, name) for name in PATH_COLUMNS[4:]]
         row = [record.stage] + [fmt_float(v) for v in values]
@@ -394,11 +392,11 @@ class PathWriter:
         self.checkpointed = False
         every = self.cfg.checkpoint_every
         if every > 0 and self.count % every == 0:
-            self.checkpoint(record, control)
+            self.checkpoint(record)
 
-    def checkpoint(self, record: ContinuationRecord, control: StepControl) -> None:
+    def checkpoint(self, record: ContinuationRecord) -> None:
         path = self.outdir / f"ckpt_{self.count:04d}_{record.stage}.json"
-        write_checkpoint(path, checkpoint_dict(record, self.cfg.grid, self.cfg_hash, control))
+        write_checkpoint(path, checkpoint_dict(record, self.cfg.grid, self.cfg_hash))
         self.checkpointed = True
 
     def close(self) -> None:
@@ -452,12 +450,12 @@ def _stage_summary(record: ContinuationRecord) -> dict:
 
 
 def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: ContinuationRecord,
-                control: StepControl, t0: float) -> dict[str, ContinuationRecord]:
+                t0: float) -> dict[str, ContinuationRecord]:
     """Stages `start.stage` .. `cfg.target_stage`, from the record `start`.
 
-    A and C march their parameter to 1 from the previous end record, with
-    `control`, which the march advances in place; B hands the Wentzell state
-    over to the exchange system at eps0.  Each stage ends with a checkpoint
+    A and C march their parameter to 1 from the previous end record, their
+    restart point; B hands the Wentzell state over to the exchange system at
+    eps0, in a record with the initial step.  Each stage ends with a checkpoint
     of its end record, the last row written, unless that row has one, and
     with its entry in `summary`; its timing runs from the previous stage's
     end, or from `t0`.  Returns the end records by stage.
@@ -468,16 +466,15 @@ def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: Contin
         if name == "B":
             predictor = handoff_to_system(end.state, opts.epsilon0, params, grid)
             corrected = newton_solve(predictor, params, spec, grid, cfg.newton)
-            control = StepControl(step=opts.initial_step)
-            end = make_record("B", corrected.state, corrected.residual_norm, params, spec, grid)
-            writer.write(end, control)
+            end = make_record("B", corrected.state, corrected.residual_norm, params, spec, grid,
+                              opts.initial_step)
+            writer.write(end)
         else:
             march = continue_wentzell if name == "A" else continue_exchange
-            end = march(end, params, spec, grid, cfg.newton, 1.0, opts, sink=writer.write,
-                        control=control)
+            end = march(end, params, spec, grid, cfg.newton, 1.0, opts, sink=writer.write)
         # no row yet: the end record is the resume start, which is not on the path
         if writer.count and not writer.checkpointed:
-            writer.checkpoint(end, control)
+            writer.checkpoint(end)
         summary["stages"][name] = _stage_summary(end)
         now = time.perf_counter()
         summary["timings_s"][name] = now - t0
@@ -524,11 +521,10 @@ def execute_run(cfg: RunConfig, outdir: Path,
             start = run_start(cfg, summary["timings_s"])
             t0 += summary["timings_s"]["shooting"]  # stage A's time starts when shooting ends
         summary["c_one_dim"], corrected = start
-        control = StepControl(step=cfg.continuation.initial_step)
         first = make_record("A", corrected.state, corrected.residual_norm, cfg.params,
-                            cfg.nonlinearity, cfg.grid)
-        writer.write(first, control)
-        ends = _run_stages(cfg, writer, summary, first, control, t0)
+                            cfg.nonlinearity, cfg.grid, cfg.continuation.initial_step)
+        writer.write(first)
+        ends = _run_stages(cfg, writer, summary, first, t0)
     return _write_outputs(outdir, cfg.grid, ends, summary)
 
 
@@ -542,10 +538,10 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
     if STAGES.index(stage) > STAGES.index(cfg.target_stage):
         raise ConfigError(f"continuation.target_stage: a stage {ckpt['stage']} checkpoint "
                           f"resumes in stage {stage}, past the target {cfg.target_stage!r}")
-    state, ck_grid, control = checkpoint_state(ckpt)
+    state, ck_grid, step, prev_state = checkpoint_state(ckpt)
     if ck_grid != cfg.grid:
         raise ConfigHashMismatch("checkpoint grid does not match the configuration grid")
-    if stage == cfg.target_stage and ckpt["parameter"] >= 1.0 - 1e-14:  # _march's end test
+    if stage == cfg.target_stage and ckpt["parameter"] >= 1.0 - PARAMETER_TOL:
         raise ConfigError(f"continuation.target_stage: a stage {ckpt['stage']} checkpoint at "
                           f"parameter {ckpt['parameter']:g} already ends the target stage "
                           f"{cfg.target_stage!r}")
@@ -555,15 +551,16 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
                      "resumed_from": {"stage": ckpt["stage"], "parameter": ckpt["parameter"]}}
     with closing(PathWriter(outdir, cfg, cfg_hash)) as writer:
         t0 = time.perf_counter()
-        start = make_record(stage, state, residual_norm, cfg.params, cfg.nonlinearity, cfg.grid)
-        ends = _run_stages(cfg, writer, summary, start, control, t0)
+        start = make_record(stage, state, residual_norm, cfg.params, cfg.nonlinearity, cfg.grid,
+                            step, prev_state)
+        ends = _run_stages(cfg, writer, summary, start, t0)
     return _write_outputs(outdir, cfg.grid, ends, summary)
 
 
 def emit_profile(checkpoint_path, out_path) -> None:
     """Plot-ready slices psi(x, 0), psi(x, -L/2), psi(x, -L), phi(x)."""
     data = read_checkpoint(checkpoint_path)
-    state, grid, _ = checkpoint_state(data)
+    state, grid, _, _ = checkpoint_state(data)
     mid = (grid.ny - 1) // 2
     columns = [grid.x, state.psi[-1], state.psi[mid], state.psi[0]]
     if state.phi is None:  # a Wentzell state: the phi column stays empty

@@ -18,11 +18,13 @@ measure what a step cost); an accepted step whose speed jumps by more than
 `SPEED_JUMP_FRAC` relative is rejected and retried with half the step,
 guarding against branch jumping.
 
-Each march starts from a record, sends its sink only the records of
-the steps it accepts, and returns its end record: the start record
-itself when the target is already reached.  Every record carries a full
-diagnostics report, and the decay-based extent rule (x_right >= 8/gamma,
-|x_left| >= 8 max(d,D)/c) is re-checked as c and gamma evolve.
+Each march starts from a record, its restart point (a record holds the
+step of the next trial and the previous accepted state), sends its sink
+only the records of the steps it accepts, and returns its end record:
+the start record itself when the target is already reached.  Every
+record carries a full diagnostics report, and the decay-based extent
+rule (x_right >= 8/gamma, |x_left| >= 8 max(d,D)/c) is re-checked as c
+and gamma evolve.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ from .solver import NewtonOptions, OneDimWave, newton_solve
 
 logger = logging.getLogger(__name__)
 
-# called with each accepted record and the step control the march holds after it
-RecordSink = Callable[["ContinuationRecord", "StepControl"], None]
+RecordSink = Callable[["ContinuationRecord"], None]
+
+# a march ends once its parameter is within this of the target
+PARAMETER_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -64,30 +68,30 @@ class ContinuationOptions:
                                  f"got {getattr(self, name)!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContinuationRecord:
     stage: str
-    family: HomotopyFamily
-    c: float
+    state: WaveState
     residual_norm: float
     diagnostics: DiagnosticsReport
-    state: WaveState
-
-    @property
-    def parameter(self) -> float:
-        return self.family.parameter
-
-
-@dataclass
-class StepControl:
-    """Adaptive-step state, checkpointable for exact resume."""
-
-    step: float
-    prev_state: WaveState | None = None  # the previous accepted state, for the secant predictor
+    step: float  # of the next trial
+    prev_state: WaveState | None = None  # for the secant predictor; None at a march's start
 
     def __post_init__(self) -> None:
         if not self.step > 0:
-            raise ValueError(f"StepControl.step must be > 0, got {self.step!r}")
+            raise ValueError(f"ContinuationRecord.step must be > 0, got {self.step!r}")
+
+    @property
+    def c(self) -> float:
+        return self.state.c
+
+    @property
+    def family(self) -> HomotopyFamily:
+        return self.state.family
+
+    @property
+    def parameter(self) -> float:
+        return self.state.family.parameter
 
 
 def embed_one_dim_wave(wave: OneDimWave, grid: Grid, spec: NonlinearitySpec) -> WaveState:
@@ -131,11 +135,12 @@ def check_extents(grid: Grid, params: ModelParams, c: float, gamma_pred: float) 
 
 
 def make_record(stage: str, state: WaveState, residual_norm: float, params: ModelParams,
-                spec: NonlinearitySpec, grid: Grid) -> ContinuationRecord:
+                spec: NonlinearitySpec, grid: Grid, step: float,
+                prev_state: WaveState | None = None) -> ContinuationRecord:
     diag = run_diagnostics(state, params, spec, grid)
     check_extents(grid, params, state.c, diag.gamma_pred)
-    return ContinuationRecord(stage=stage, family=state.family, c=state.c,
-                              residual_norm=residual_norm, diagnostics=diag, state=state)
+    return ContinuationRecord(stage=stage, state=state, residual_norm=residual_norm,
+                              diagnostics=diag, step=step, prev_state=prev_state)
 
 
 # step policy of _march (see the module docstring)
@@ -146,29 +151,18 @@ SPEED_JUMP_FRAC = 0.2
 
 def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
            newton_opts: NewtonOptions, opts: ContinuationOptions, target: float,
-           stage: str, sink: RecordSink | None,
-           control: StepControl | None) -> ContinuationRecord:
-    param = start.parameter
-    if target < param - 1e-14:
-        raise ParameterNotMonotone(f"target {target} is below current parameter {param}")
-    if target <= param + 1e-14:
-        return start
-
-    if control is None:
-        control = StepControl(step=opts.initial_step)
-    record, state = start, start.state
-
-    while param < target - 1e-14:
-        trial = min(param + control.step, target)
-        family_trial = state.family.with_parameter(trial)
-        u = state_to_vector(state, grid)
-        prev = control.prev_state
+           stage: str, sink: RecordSink | None) -> ContinuationRecord:
+    if target < start.parameter - PARAMETER_TOL:
+        raise ParameterNotMonotone(f"target {target} is below current parameter {start.parameter}")
+    record, step = start, start.step
+    while record.parameter < target - PARAMETER_TOL:
+        state, prev, param = record.state, record.prev_state, record.parameter
+        trial = min(param + step, target)
+        u_pred = u = state_to_vector(state, grid)
         if prev is not None and param != prev.family.parameter:
             factor = (trial - param) / (param - prev.family.parameter)
             u_pred = u + factor * (u - state_to_vector(prev, grid))
-        else:
-            u_pred = u
-        pred_state = vector_to_state(u_pred, grid, family_trial)
+        pred_state = vector_to_state(u_pred, grid, state.family.with_parameter(trial))
         failed = None
         try:
             result = newton_solve(pred_state, params, spec, grid, newton_opts)
@@ -178,42 +172,38 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
         except SolverError as exc:
             failed = str(exc)
         if failed is not None:
-            control.step /= 2.0
-            logger.info("step rejected (%s); retrying with step %.3g", failed, control.step)
-            if control.step < opts.min_step:
+            step /= 2.0
+            logger.info("step rejected (%s); retrying with step %.3g", failed, step)
+            if step < opts.min_step:
                 raise StepCollapse(f"continuation step below {opts.min_step} at "
                                    f"{stage} parameter {param:.6f}: {failed}")
             continue
-        control.prev_state, state, param = state, result.state, trial
-        # grow before emitting so a checkpoint taken at this record stores
-        # the step the very next trial will use (exact resume)
         if result.factorizations <= GROWTH_FACTORIZATIONS:
-            control.step *= GROWTH_FACTOR
-        record = make_record(stage, state, result.residual_norm, params, spec, grid)
+            step *= GROWTH_FACTOR
+        record = make_record(stage, result.state, result.residual_norm, params, spec, grid,
+                             step, state)
         if sink is not None:
-            sink(record, control)
+            sink(record)
         logger.info("%s parameter %.6f: c = %.8f (%d iterations, %d factorizations)", stage,
-                    param, state.c, result.iterations, result.factorizations)
+                    trial, record.c, result.iterations, result.factorizations)
     return record
 
 
 def continue_wentzell(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec,
                       grid: Grid, newton_opts: NewtonOptions, target_s: float,
                       opts: ContinuationOptions = ContinuationOptions(),
-                      sink: RecordSink | None = None,
-                      control: StepControl | None = None) -> ContinuationRecord:
+                      sink: RecordSink | None = None) -> ContinuationRecord:
     """March the Wentzell strength from the start record's s up to target_s."""
     if not start.family.is_wentzell:
         raise WrongFamily("continue_wentzell needs a Wentzell-family start")
-    return _march(start, params, spec, grid, newton_opts, opts, target_s, "A", sink, control)
+    return _march(start, params, spec, grid, newton_opts, opts, target_s, "A", sink)
 
 
 def continue_exchange(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec,
                       grid: Grid, newton_opts: NewtonOptions, target_eps: float,
                       opts: ContinuationOptions = ContinuationOptions(),
-                      sink: RecordSink | None = None,
-                      control: StepControl | None = None) -> ContinuationRecord:
+                      sink: RecordSink | None = None) -> ContinuationRecord:
     """March the exchange parameter from the start record's eps up to target_eps."""
     if not start.family.is_exchange:
         raise WrongFamily("continue_exchange needs an exchange-family start")
-    return _march(start, params, spec, grid, newton_opts, opts, target_eps, "C", sink, control)
+    return _march(start, params, spec, grid, newton_opts, opts, target_eps, "C", sink)

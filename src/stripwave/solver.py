@@ -108,8 +108,8 @@ class NewtonOptions:
     min_step: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not self.tol_residual > 0:
-            raise ValueError(f"NewtonOptions.tol_residual must be > 0, got {self.tol_residual!r}")
+        if not 0 < self.tol_residual < math.inf:
+            raise ValueError(f"NewtonOptions.tol_residual must lie in (0, inf), got {self.tol_residual!r}")
         if not self.max_iters >= 1:
             raise ValueError(f"NewtonOptions.max_iters must be >= 1, got {self.max_iters!r}")
         if not 0.0 < self.damping < 1.0:
@@ -416,8 +416,8 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
     the same end.
     |c - c*| <= tol on return.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must lie in (0, inf), got {tol!r}")
     c_bound = c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
     h = 1e-3 * d / c_bound
     x_max = max(200.0 * d / c_bound, 100.0)

@@ -52,20 +52,17 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
     init = embed_one_dim_wave(one_dim_cubic, default_grid, default_spec)
     corrected = newton_solve(init, default_params, default_spec, default_grid, newton_opts)
     records = [make_record("A", corrected.state, corrected.residual_norm, default_params,
-                           default_spec, default_grid)]
-
-    def collect(record, control):
-        records.append(record)
-
+                           default_spec, default_grid, step=cont.initial_step)]
     end_a = continue_wentzell(records[0], default_params, default_spec, default_grid,
-                              newton_opts, target_s=1.0, opts=cont, sink=collect)
+                              newton_opts, target_s=1.0, opts=cont, sink=records.append)
     predictor = handoff_to_system(end_a.state, cont.epsilon0, default_params, default_grid)
     corrected_b = newton_solve(predictor, default_params, default_spec, default_grid,
                                newton_opts)
     records.append(make_record("B", corrected_b.state, corrected_b.residual_norm,
-                               default_params, default_spec, default_grid))
+                               default_params, default_spec, default_grid,
+                               step=cont.initial_step))
     end_c = continue_exchange(records[-1], default_params, default_spec, default_grid,
-                              newton_opts, target_eps=1.0, opts=cont, sink=collect)
+                              newton_opts, target_eps=1.0, opts=cont, sink=records.append)
     return {
         "params": default_params,
         "spec": default_spec,

@@ -14,7 +14,7 @@ from stripwave.cli import (EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, check
                            checkpoint_state, config_from_dict, config_hash, default_config_dict,
                            emit_profile, fmt_float, load_config, main, read_checkpoint,
                            write_checkpoint, write_profile_files)
-from stripwave.continuation import ContinuationRecord, StepControl
+from stripwave.continuation import ContinuationRecord
 from stripwave.errors import ConfigError
 from stripwave.grid import Grid
 from stripwave.residual import HomotopyFamily, WaveState
@@ -116,6 +116,11 @@ def at(name, edit):
     ("run", lambda cfg: cfg["params"].update(bogus=1.0), EXIT_VALIDATION, "params.bogus"),
     ("run", lambda cfg: cfg["newton"].update(maxiters=50), EXIT_VALIDATION, "newton.maxiters"),
     ("run", lambda cfg: cfg["newton"].update(max_iters=0), EXIT_VALIDATION, "newton.max_iters"),
+    # json writes and reads Infinity: an infinite tolerance would certify any iterate
+    ("run", lambda cfg: cfg["newton"].update(tol_residual=float("inf")), EXIT_VALIDATION,
+     "newton.tol_residual: NewtonOptions.tol_residual must lie in (0, inf), got inf"),
+    ("run", lambda cfg: cfg.update(shooting_tol=float("inf")), EXIT_VALIDATION,
+     "ConfigError: shooting_tol: must lie in (0, inf), got inf"),
     ("resume", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "ckpt.json: missing field 'psi'"),
     ("profile", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "ckpt.json: missing field 'psi'"),
     ("profile", lambda ckpt: ckpt["grid"].pop("nx"), EXIT_IO,
@@ -138,9 +143,12 @@ def at(name, edit):
     ("profile", lambda ckpt: ckpt.update(psi="AAAAAAAAAAAAAAAA"), EXIT_IO,
      "ckpt.json: field 'psi' holds 12 bytes"),
     ("resume", lambda ckpt: ckpt["control"].update(step=0.0), EXIT_IO,
-     "StepControl.step must be > 0, got 0.0"),
+     "ckpt.json: field 'control.step' must be > 0, got 0.0"),
     ("resume", lambda ckpt: ckpt["control"].update(step=-0.05), EXIT_IO,
-     "StepControl.step must be > 0, got -0.05"),
+     "ckpt.json: field 'control.step' must be > 0, got -0.05"),
+    # checked on reading, though a profile makes no record from the step
+    ("profile", lambda ckpt: ckpt["control"].update(step=0.0), EXIT_IO,
+     "ckpt.json: field 'control.step' must be > 0, got 0.0"),
     # every writer gives a checkpoint a control object: a null one is malformed
     ("resume", lambda ckpt: ckpt.update(control=None), EXIT_IO,
      "ckpt.json: missing field 'control.step'"),
@@ -196,11 +204,12 @@ def at(name, edit):
           (lambda ckpt: ckpt["grid"].update(x_left=100.0),
            "'grid' is out of range: Grid requires x_left < x_right")]
       for command in ("resume", "profile")],
-], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "resume_no_psi",
+], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "newton.tol_residual_inf",
+        "shooting_tol_inf", "resume_no_psi",
         "profile_no_psi", "profile_no_grid_nx", "resume_psi_short",
         "profile_psi_short", "resume_prev_psi_short", "profile_grid_nx_float",
         "resume_psi_not_base64", "profile_psi_not_base64", "resume_psi_12_bytes",
-        "profile_psi_12_bytes", "resume_step_zero", "resume_step_negative",
+        "profile_psi_12_bytes", "resume_step_zero", "resume_step_negative", "profile_step_zero",
         "resume_control_null", "profile_control_null",
         *[f"{command}_{field}" for field in (
             "parameter_text", "c_text", "grid_x_left_text", "grid_x_right_bool",
@@ -276,8 +285,8 @@ def as_bits(state):
 
 @st.composite
 def checkpointed_states(draw):
-    """A record, its grid and a step control, with or without a previous
-    state, on a small grid and of either family; the arrays hold any bits."""
+    """A record and its grid, with or without a previous state, on a small
+    grid and of either family; the arrays hold any bits."""
     nx, ny = draw(st.integers(5, 9)), draw(st.sampled_from([3, 5]))
     stage = draw(st.sampled_from(cli.STAGES))
     parameters = st.floats(0.0, 1.0, exclude_min=stage != "A")
@@ -291,27 +300,27 @@ def checkpointed_states(draw):
                          family=make_family(draw(parameters)))
 
     record_state = state()
-    record = ContinuationRecord(stage=stage, family=record_state.family, c=record_state.c,
-                                residual_norm=0.0, diagnostics=None, state=record_state)
     prev = state() if draw(st.booleans()) else None
-    control = StepControl(step=draw(st.floats(5e-324, 1e300)), prev_state=prev)
-    return record, Grid(x_left=-2.0, x_right=1.0, L=1.0, nx=nx, ny=ny), control
+    record = ContinuationRecord(stage=stage, state=record_state, residual_norm=0.0,
+                                diagnostics=None, step=draw(st.floats(5e-324, 1e300)),
+                                prev_state=prev)
+    return record, Grid(x_left=-2.0, x_right=1.0, L=1.0, nx=nx, ny=ny)
 
 
 @settings(max_examples=60, deadline=None)
 @given(checkpointed_states())
 def test_checkpoint_round_trip_returns_both_states(tmp_path_factory, case):
-    record, grid, control = case
+    record, grid = case
     path = tmp_path_factory.mktemp("round_trip") / "ckpt.json"
-    write_checkpoint(path, checkpoint_dict(record, grid, "hash", control))
-    state, got_grid, got_control = checkpoint_state(read_checkpoint(path))
+    write_checkpoint(path, checkpoint_dict(record, grid, "hash"))
+    state, got_grid, step, prev_state = checkpoint_state(read_checkpoint(path))
     assert got_grid == grid
     assert as_bits(state) == as_bits(record.state)
-    assert got_control.step == control.step
-    if control.prev_state is None:
-        assert got_control.prev_state is None
+    assert step == record.step
+    if record.prev_state is None:
+        assert prev_state is None
     else:
-        assert as_bits(got_control.prev_state) == as_bits(control.prev_state)
+        assert as_bits(prev_state) == as_bits(record.prev_state)
 
 
 SCHEMA_1 = {  # a checkpoint of schema 1, whose arrays were JSON float lists
@@ -360,8 +369,8 @@ def test_profile_writers_match_fmt_float(tmp_path):
                     [np.nan, 0.0, 0.7, 1.0]])
     phi = np.array([-0.0, np.nan, 0.25, 1.0 - 1e-16])
     state = WaveState(c=0.3, psi=psi, phi=phi, family=HomotopyFamily.exchange(0.05))
-    record = ContinuationRecord(stage="B", family=state.family, c=state.c, residual_norm=0.0,
-                                diagnostics=None, state=state)
+    record = ContinuationRecord(stage="B", state=state, residual_norm=0.0, diagnostics=None,
+                                step=0.1)
     write_profile_files(tmp_path, record, grid)
     x, y = list(grid.x), list(grid.y)
     want = "x,y,psi\n" + "".join(f"{fmt_float(x[i])},{fmt_float(y[j])},{fmt_float(psi[j, i])}\n"
@@ -372,7 +381,7 @@ def test_profile_writers_match_fmt_float(tmp_path):
     assert (tmp_path / "profile_B_0.05_line.csv").read_text() == want
 
     ckpt = tmp_path / "ckpt.json"
-    write_checkpoint(ckpt, checkpoint_dict(record, grid, "hash", StepControl(step=0.1)))
+    write_checkpoint(ckpt, checkpoint_dict(record, grid, "hash"))
     emit_profile(ckpt, tmp_path / "slices.csv")
     want = "x,psi_top,psi_mid,psi_bottom,phi\n" + "".join(
         f"{fmt_float(x[i])},{fmt_float(psi[-1, i])},{fmt_float(psi[1, i])},"
@@ -735,6 +744,15 @@ def test_symbol_scan_subcommand(tmp_path, capsys):
                  "--out", str(tmp_path / "negative.csv")]) == EXIT_IO
     assert capsys.readouterr().err == "error: ValueError: epsilon must be >= 0, got -1.0\n"
     assert not (tmp_path / "negative.csv").exists()
+    # a non-finite argument would print min |F| = nan, certifying nothing
+    for flag, value in [("--xi-max", "inf"), ("--epsilon", "nan"), ("--c0", "inf"),
+                        ("--c1", "inf")]:
+        dest = tmp_path / f"{flag[2:]}_{value}.csv"
+        assert main(["symbol-scan", str(path), flag, value, "--out", str(dest)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert f"{flag[2:].replace('-', '_')} must be finite, got {value}" in err
+        assert not dest.exists()
 
 
 def test_config_hash_is_stable():

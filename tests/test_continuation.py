@@ -21,10 +21,10 @@ def coarse_setup():
     init = embed_one_dim_wave(wave, grid, CUBIC)
     result = newton_solve(init, PARAMS, CUBIC, grid, NewtonOptions())
     return grid, result, make_record("A", result.state, result.residual_norm, PARAMS, CUBIC,
-                                     grid)
+                                     grid, step=ContinuationOptions().initial_step)
 
 
-def refuse(record, control):
+def refuse(record):
     raise AssertionError(f"sink called with the record at {record.parameter}")
 
 
@@ -41,12 +41,31 @@ def test_wentzell_path_reaches_target(coarse_setup):
     grid, _, start = coarse_setup
     records = [start]
     end = continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target_s=1.0,
-                            sink=lambda record, control: records.append(record))
+                            sink=records.append)
     assert end is records[-1] and end.parameter == 1.0
     params_seq = [r.parameter for r in records]
     assert all(b >= a for a, b in zip(params_seq, params_seq[1:]))
     assert all(r.c > 0 for r in records)
     assert all(r.diagnostics.all_ok for r in records)
+
+
+def test_a_record_alone_resumes_the_march(coarse_setup):
+    # a record carries the step and previous state the march continues with,
+    # so a march from any record repeats the rest of the march bit for bit
+    grid, _, start = coarse_setup
+
+    def march(first):
+        records = []
+        continue_wentzell(first, PARAMS, CUBIC, grid, NewtonOptions(), target_s=1.0,
+                          sink=records.append)
+        return [(r.state.psi.tobytes(), np.float64([r.parameter, r.c, r.step]).tobytes())
+                for r in records], records
+
+    full, records = march(start)
+    middle = len(records) // 2
+    assert start.prev_state is None and records[middle].prev_state is not None
+    assert march(start)[0] == full
+    assert march(records[middle])[0] == full[middle + 1:]
 
 
 def test_impossible_newton_budget_collapses_step(coarse_setup):
@@ -61,7 +80,7 @@ def test_exchange_rejects_decreasing_target(coarse_setup):
     psi = np.tile(np.linspace(0.0, 1.0, grid.nx), (grid.ny, 1))
     state = WaveState(c=0.3, psi=psi, phi=psi[-1, :].copy(),
                       family=HomotopyFamily.exchange(0.05))
-    start = make_record("C", state, 0.0, PARAMS, CUBIC, grid)
+    start = make_record("C", state, 0.0, PARAMS, CUBIC, grid, step=0.1)
     with pytest.raises(ParameterNotMonotone):
         continue_exchange(start, PARAMS, CUBIC, grid, NewtonOptions(), target_eps=0.025)
 

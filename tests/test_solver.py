@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -305,15 +306,18 @@ def test_shooting_fine_trajectories(monkeypatch, caplog):
     assert set(steps) == {fine, solver.COARSE * fine}
 
 
-@pytest.mark.parametrize("field, value", [("max_iters", 0), ("min_step", 0.0)])
+@pytest.mark.parametrize("field, value", [("max_iters", 0), ("min_step", 0.0),
+                                          ("tol_residual", math.inf)])
 def test_newton_options_reject_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"NewtonOptions.{field} "):
         NewtonOptions(**{field: value})
 
 
 def test_shooting_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        solve_1d_ignition_shooting(1.0, CUBIC, tol=-1.0)
+    # NaN and inf pass a `tol <= 0` test
+    for tol in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            solve_1d_ignition_shooting(1.0, CUBIC, tol=tol)
 
 
 # --- Newton on the strip ------------------------------------------------------
