@@ -85,6 +85,7 @@ class RunConfig:
     grid: Grid
     newton: NewtonOptions
     continuation: ContinuationOptions
+    initial_step: float  # of the first record of stages A and B
     target_stage: str
     shooting_tol: float
     output_dir: str
@@ -154,10 +155,13 @@ def config_from_dict(data: dict) -> RunConfig:
     grid = _build("grid", build_grid, params, **c["grid"])
     newton = _build("newton", NewtonOptions, **c["newton"])
     target_stage = c["continuation"].pop("target_stage")
+    initial_step = c["continuation"].pop("initial_step")
     cont = _build("continuation", ContinuationOptions, **c["continuation"])
     # the fields no library object owns
     if target_stage not in STAGES:
         raise ConfigError(f"continuation.target_stage: must be one of A, B, C, got {target_stage!r}")
+    if not initial_step > 0:
+        raise ConfigError(f"continuation.initial_step: must be > 0, got {initial_step!r}")
     if not 0 < c["shooting_tol"] < math.inf:
         raise ConfigError(f"shooting_tol: must lie in (0, inf), got {c['shooting_tol']!r}")
     if not c["output_dir"]:
@@ -165,7 +169,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if c["checkpoint_every"] < 0:
         raise ConfigError(f"checkpoint_every: must be >= 0, got {c['checkpoint_every']!r}")
     return RunConfig(params=params, nonlinearity=spec, grid=grid, newton=newton,
-                     continuation=cont, target_stage=target_stage,
+                     continuation=cont, initial_step=initial_step, target_stage=target_stage,
                      shooting_tol=c["shooting_tol"], output_dir=c["output_dir"],
                      checkpoint_every=c["checkpoint_every"], raw=data)
 
@@ -290,7 +294,8 @@ def _check_state(section: dict, key: str, field: str, family: str, grid: dict, p
 
 def read_checkpoint(path) -> dict:
     """The checkpoint at `path` with its arrays decoded, once its header, its
-    grid, `control.step` and each of its states are checked."""
+    grid, `control.step` and each of its states are checked, and the previous
+    state, if any, lies below the record's parameter."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -327,6 +332,10 @@ def read_checkpoint(path) -> dict:
                                    f"got {family!r}")
     for section, key, field in _states(data):
         _check_state(section, key, field, family, data["grid"], path)
+    prev = data["control"]["prev_parameter"]
+    if prev is not None and not prev < data["parameter"]:  # the secant needs a state behind
+        raise _bad(path, "control.prev_parameter",
+                   f"must be below 'parameter' = {data['parameter']!r}, got {prev!r}")
     return data
 
 
@@ -467,7 +476,7 @@ def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: Contin
             predictor = handoff_to_system(end.state, opts.epsilon0, params, grid)
             corrected = newton_solve(predictor, params, spec, grid, cfg.newton)
             end = make_record("B", corrected.state, corrected.residual_norm, params, spec, grid,
-                              opts.initial_step)
+                              cfg.initial_step)
             writer.write(end)
         else:
             march = continue_wentzell if name == "A" else continue_exchange
@@ -522,7 +531,7 @@ def execute_run(cfg: RunConfig, outdir: Path,
             t0 += summary["timings_s"]["shooting"]  # stage A's time starts when shooting ends
         summary["c_one_dim"], corrected = start
         first = make_record("A", corrected.state, corrected.residual_norm, cfg.params,
-                            cfg.nonlinearity, cfg.grid, cfg.continuation.initial_step)
+                            cfg.nonlinearity, cfg.grid, cfg.initial_step)
         writer.write(first)
         ends = _run_stages(cfg, writer, summary, first, t0)
     return _write_outputs(outdir, cfg.grid, ends, summary)

@@ -54,7 +54,6 @@ PARAMETER_TOL = 1e-14
 
 @dataclass(frozen=True)
 class ContinuationOptions:
-    initial_step: float = 0.1
     min_step: float = 1e-4
     epsilon0: float = 0.05
 
@@ -62,10 +61,8 @@ class ContinuationOptions:
         if not 0.0 < self.epsilon0 <= 0.1:
             raise ValueError(f"ContinuationOptions.epsilon0 must lie in (0, 0.1], "
                              f"got {self.epsilon0!r}")
-        for name in ("initial_step", "min_step"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"ContinuationOptions.{name} must be > 0, "
-                                 f"got {getattr(self, name)!r}")
+        if not self.min_step > 0:
+            raise ValueError(f"ContinuationOptions.min_step must be > 0, got {self.min_step!r}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +77,13 @@ class ContinuationRecord:
     def __post_init__(self) -> None:
         if not self.step > 0:
             raise ValueError(f"ContinuationRecord.step must be > 0, got {self.step!r}")
+        prev = self.prev_state
+        if prev is not None and prev.family.kind != self.family.kind:
+            raise ValueError(f"ContinuationRecord.prev_state must be of the {self.family.kind} "
+                             f"family, got {prev.family.kind}")
+        if prev is not None and not prev.family.parameter < self.parameter:
+            raise ValueError(f"ContinuationRecord.prev_state must lie below parameter "
+                             f"{self.parameter!r}, got {prev.family.parameter!r}")
 
     @property
     def c(self) -> float:
@@ -159,7 +163,7 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
         state, prev, param = record.state, record.prev_state, record.parameter
         trial = min(param + step, target)
         u_pred = u = state_to_vector(state, grid)
-        if prev is not None and param != prev.family.parameter:
+        if prev is not None:
             factor = (trial - param) / (param - prev.family.parameter)
             u_pred = u + factor * (u - state_to_vector(prev, grid))
         pred_state = vector_to_state(u_pred, grid, state.family.with_parameter(trial))

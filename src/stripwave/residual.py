@@ -198,7 +198,8 @@ class JacobianPattern:
     indptr: np.ndarray
     indices: np.ndarray
     order: np.ndarray
-    bands: dict = field(default_factory=dict)  # `solver.band_map` by nx, made when first used
+    # `solver.band_map` by nx and `solver.restrict_band_map` by (nx, K), made when first used
+    bands: dict = field(default_factory=dict)
 
 
 def _build_pattern(n: int, index: list) -> JacobianPattern:

@@ -23,6 +23,23 @@ out once per cached Jacobian pattern (its `bands`).  Wider grids use
 SuperLU (COLAMD ordering), whose fill grows more slowly than the band's
 N (3m + 1) entries.
 
+Left of the front the reaction vanishes (f = f' = 0 for psi <= theta), so
+A~ is block tridiagonal there with one (L, D, U) per block row of m
+unknowns: on the default 961 x 41 grid its block rows 1 .. T, T of about
+620, are bit-identical after the Dirichlet block row 0.  `cyclic_tail`
+finds T from J's values and eliminates rows 1 .. K, K = 2^p - 1 <= T,
+exactly by block cyclic reduction (Buzbee, Golub and Nielson, SIAM J.
+Numer. Anal. 7, 1970; Heller, SIAM J. Numer. Anal. 13, 1976): each of p
+levels eliminates every other remaining block row with one m x m LU, and
+leaves a Schur complement on the diagonal block of row K + 1.  The band LU
+then factors only the unknowns from block column K + 1 on (`restrict_band_map`,
+cached like the full map), and a solve reduces the right-hand side level by
+level, runs the band solve, and back-substitutes.  The discrete problem is
+the same, solved with less arithmetic (K = 511 of 961 columns on the
+default grid); the band and the tail differ from the whole band LU at
+roundoff.  With m < `TAIL_MIN_WIDTH`, T < 3, or a singular level, the
+whole band is factored as before.
+
 The Jacobian is factored at the first iterate and its LU is reused for
 later steps (the chord method; Kelley 2003, *Solving Nonlinear Equations
 with Newton's Method*).  A step made with a fresh LU gets the full Armijo
@@ -80,6 +97,22 @@ REFRESH_RATIO = 0.25
 # 0.25 and 0.9); at 32x two cubic brackets moved by 5e-12 and 7e-12, which
 # would send those runs back to the bisection at the step itself
 COARSE = 16
+# `BorderedBandLU` eliminates the left tail by cyclic reduction when m is at least
+# this.  One factorization and one solve of a Wentzell(1) and an exchange(0.05)
+# Jacobian of a tanh front, whole band -> tail eliminated (the best of 5 calls,
+# median of 5 interleaved rounds, one BLAS thread, shared 2-vCPU VM, ms):
+#     grid        m       K     factor                   solve
+#     481 x 11    11, 12  255   2.6 -> 3.2, 3.2 -> 3.5   0.55 -> 0.92, 0.62 -> 0.93
+#     961 x 11    11, 12  511   6.2 -> 5.2, 7.6 -> 5.6   0.97 -> 1.43, 1.14 -> 1.45
+#     961 x 15    15, 16  511   12.1 -> 8.6, 9.9 -> 7.3  1.67 -> 1.65, 1.59 -> 1.99
+#     961 x 21    21, 22  511   19.7 -> 12.2, 24.5 -> 13.6  2.6 -> 2.8, 4.3 -> 3.6
+#     961 x 31    31, 32  511   52.8 -> 25.8, 38.2 -> 22.2  7.1 -> 5.2, 6.5 -> 5.4
+#     961 x 41    41, 42  511   78.6 -> 37.6, 83.9 -> 39.7  11.1 -> 8.3, 10.9 -> 8.6
+# Each level costs a few m x m calls, whatever m.  On 481 x 11 both lose;
+# up to m = 16 the solve, which Newton runs about four times per
+# factorization, is up to 50% slower; from m = 21 on the factorization is
+# at least 38% faster and the solve at most 8% slower (at m = 21).
+TAIL_MIN_WIDTH = 21
 # `factorize(J, nx)` uses the band LU when the half-bandwidth m = (N - 1) // nx
 # is at most this, and SuperLU above it.  One factorization and one solve of a
 # Wentzell(1) Jacobian, each grid in a fresh process with one BLAS thread on a
@@ -150,7 +183,8 @@ class OneDimWave:
 def band_map(indptr: np.ndarray, indices: np.ndarray, nx: int) -> tuple:
     """(m, a, dst, rows_a) of a bordered CSC J on an `nx`-column grid (see
     `BorderedBandLU`): J.data[k] goes to dst[k] in the band storage of A~ (the
-    phase entry to A~[a, a]), b, or column a (rows rows_a) of J, in turn."""
+    phase entry to A~[a, a]), b, or column a (rows rows_a) of J, in turn.
+    Each of the three parts is laid out on all N - 1 unknowns."""
     n = indptr.size - 2  # unknowns besides c
     m = n // nx
     if m * nx != n:
@@ -172,6 +206,123 @@ def band_map(indptr: np.ndarray, indices: np.ndarray, nx: int) -> tuple:
     return m, a, dst.astype(np.int32), rows[at_a]
 
 
+def restrict_band_map(dst: np.ndarray, n: int, m: int, start: int) -> tuple:
+    """(keep, dst') of a `band_map` whose band storage holds only the
+    unknowns from `start` on: J.data[keep[k]] goes to dst'[k].  The entries
+    of A~ in an earlier row or column are left out; b and column a of J keep
+    all N - 1 rows, after the smaller band."""
+    ldab = 3 * m + 1
+    col = dst.astype(np.intp) // ldab
+    row = dst % ldab - 2 * m + col
+    keep = np.flatnonzero((col >= n) | ((col >= start) & (row >= start)))
+    return keep, dst[keep] - np.int32(start * ldab)
+
+
+def _block_column(J: sp.csc_matrix, j: int, m: int) -> np.ndarray:
+    """Block column j of J as a dense (3m, m) array: its blocks in block rows
+    j - 1, j and j + 1, in turn (`J`'s entries lie within m of the diagonal)."""
+    lo, hi = J.indptr[j * m], J.indptr[(j + 1) * m]
+    out = np.zeros((3 * m, m))
+    out[J.indices[lo:hi] - (j - 1) * m,
+        np.repeat(np.arange(m), np.diff(J.indptr[j * m:(j + 1) * m + 1]))] = J.data[lo:hi]
+    return out
+
+
+class CyclicTail:
+    """Block cyclic reduction (module docstring) of the block rows 1 .. K,
+    K = 2^p - 1, of A~ = tridiag(L, D, U) after its Dirichlet block row 0,
+    diag(d0), and before the block row K + 1 that leads the band part.  Row
+    K + 1's left block is L too.
+
+    Level l couples the unknowns at multiples of h = 2^l by one (L, D, U)
+    and eliminates the odd multiples; `schur` is what the p levels take from
+    row K + 1's diagonal block.  Raises LinearSolveFailed when a level's D
+    is exactly singular.
+    """
+
+    def __init__(self, d0: np.ndarray, L: np.ndarray, D: np.ndarray, U: np.ndarray,
+                 p: int) -> None:
+        self.d0, self.K, self.levels = d0, 2**p - 1, []
+        self.schur = np.zeros_like(D)
+        for level in range(p):
+            lu, piv, info = lapack.dgetrf(D)
+            if info != 0:
+                raise LinearSolveFailed(f"cyclic reduction level {level} is singular")
+            DL, DU = np.hsplit(lapack.dgetrs(lu, piv, np.hstack([L, U]))[0], 2)
+            self.levels.append((lu, piv, L, U))
+            LDU = L @ DU
+            self.schur += LDU
+            if level < p - 1:
+                L, D, U = -(L @ DL), D - LDU - U @ DL, -(U @ DU)
+
+    def _columns(self, r: np.ndarray) -> np.ndarray:
+        """Blocks 1 .. K + 1 of r as the columns of an (m, K + 1) view."""
+        m = self.d0.size
+        return r[m:(self.K + 2) * m].reshape(self.K + 1, m).T
+
+    def reduce(self, r: np.ndarray) -> None:
+        """Solve block row 0 and reduce blocks 1 .. K + 1 of r in place, level
+        by level: block K + 1 is then the band part's first right-hand side."""
+        m, R = self.d0.size, self._columns(r)
+        r[:m] /= self.d0
+        R[:, 0] -= self.levels[0][2] @ r[:m]  # row 1's L times the Dirichlet block
+        for l, (lu, piv, L, U) in enumerate(self.levels):
+            h = 1 << l
+            Y = lapack.dgetrs(lu, piv, R[:, h - 1::2 * h])[0]
+            R[:, 2 * h - 1::2 * h] -= L @ Y
+            R[:, 2 * h - 1:self.K:2 * h] -= U @ Y[:, 1:]
+
+    def back_substitute(self, r: np.ndarray) -> None:
+        """The eliminated blocks 1 .. K of r, in place, once `reduce` ran and
+        block K + 1 holds its solution."""
+        R = self._columns(r)
+        for l in reversed(range(len(self.levels))):
+            lu, piv, L, U = self.levels[l]
+            h = 1 << l
+            X = R[:, 2 * h - 1::2 * h]
+            B = R[:, h - 1::2 * h] - U @ X
+            B[:, 1:] -= L @ X[:, :-1]
+            R[:, h - 1::2 * h] = lapack.dgetrs(lu, piv, B)[0]
+
+
+def cyclic_tail(J: sp.csc_matrix, m: int, a: int) -> CyclicTail | None:
+    """The reduction of block rows 1 .. K = 2^p - 1 of a bordered CSC J
+    (anchor column a), when block row 0 is a diagonal with no off-diagonal
+    block and rows 1 .. T, T >= K >= 3, are equal: L v_{i-1} + D v_i +
+    U v_{i+1}.  None otherwise, or when a level is singular.
+
+    Read from J's values: rows 1 .. T are equal when rows 1 and 2 are
+    (block columns 0, 1 and 2) and block columns 2 .. T + 1 repeat.  The
+    anchor column, which holds the phase entry, ends any such run, and
+    block column K, one of them, holds row K + 1's left block.
+    """
+    if a < 3 * m:
+        return None
+    c0, c1, c2 = (_block_column(J, j, m) for j in range(3))
+    d0 = np.diag(c0[m:2 * m]).copy()
+    if (c1[:m].any() or not d0.all() or (c0[m:2 * m] != np.diag(d0)).any()
+            or (c0[2 * m:] != c2[2 * m:]).any() or (c1[m:] != c2[m:]).any()):
+        return None
+    nx = (J.shape[0] - 1) // m
+    ptr = J.indptr
+    starts = ptr[:nx * m + 1:m]
+    size = starts[3] - starts[2]
+    counts = np.diff(ptr[:nx * m + 1]).reshape(nx, m)
+    same = (np.diff(starts)[3:] == size) & (counts[3:] == counts[2]).all(axis=1)
+    end = 3 + (same.argmin() if not same.all() else same.size)
+    data = J.data[starts[3]:starts[end]].reshape(-1, size)
+    rows = J.indices[starts[3]:starts[end]].reshape(-1, size) - m * np.arange(3, end)[:, None]
+    same = ((data == J.data[starts[2]:starts[3]]).all(axis=1)
+            & (rows == J.indices[starts[2]:starts[3]] - 2 * m).all(axis=1))
+    T = 1 + int(same.argmin() if not same.all() else same.size)
+    if T < 3:
+        return None
+    try:
+        return CyclicTail(d0, c2[2 * m:], c2[m:2 * m], c2[:m], (T + 1).bit_length() - 1)
+    except LinearSolveFailed:
+        return None
+
+
 class BorderedBandLU:
     """Band LU of a bordered Jacobian (module docstring).
 
@@ -179,6 +330,9 @@ class BorderedBandLU:
     last row must be the phase row, a single 1, and the rest of J banded
     (ValueError otherwise).  Raises LinearSolveFailed when the band matrix
     is exactly singular or the rank-1 correction has a zero denominator.
+    When m >= `TAIL_MIN_WIDTH`, the equal block rows after the Dirichlet
+    column are eliminated first (`tail`, a `CyclicTail` or None), and the
+    band holds only the unknowns from `start` on.
     """
 
     def __init__(self, J: sp.csc_matrix, nx: int) -> None:
@@ -186,17 +340,27 @@ class BorderedBandLU:
         m, a, dst, rows_a = (bands.get(nx)
                              or bands.setdefault(nx, band_map(J.indptr, J.indices, nx)))
         n, ldab = J.shape[0] - 1, 3 * m + 1
-        buf = np.zeros(n * (ldab + 1) + rows_a.size)
-        buf[dst] = J.data
-        ab, b = buf[:n * ldab], buf[n * ldab:n * (ldab + 1)]
-        if ab[a * ldab + 2 * m] != 1.0:
+        self.tail = cyclic_tail(J, m, a) if m >= TAIL_MIN_WIDTH else None
+        values, start = J.data, 0
+        if self.tail is not None:
+            start, key = (self.tail.K + 1) * m, (nx, self.tail.K)
+            keep, dst = (bands.get(key)
+                         or bands.setdefault(key, restrict_band_map(dst, n, m, start)))
+            values = J.data[keep]
+        nb = n - start
+        buf = np.zeros(nb * ldab + n + rows_a.size)
+        buf[dst] = values
+        ab, b = buf[:nb * ldab].reshape(nb, ldab).T, buf[nb * ldab:nb * ldab + n]
+        if ab[2 * m, a - start] != 1.0:
             raise ValueError("the last row of J is not a unit phase row")
-        self.col_a = rows_a, buf[n * (ldab + 1):]  # column a of J, moved to the right-hand side
-        self.lu, self.piv, info = lapack.dgbtrf(ab.reshape(n, ldab).T, m, m,
-                                                    overwrite_ab=1)
+        if self.tail is not None:  # the tail's Schur complement, into block row K + 1
+            r, c = np.indices((m, m))
+            ab[2 * m + r - c, c] -= self.tail.schur
+        self.col_a = rows_a, buf[nb * ldab + n:]  # column a of J, moved to the right-hand side
+        self.lu, self.piv, info = lapack.dgbtrf(ab, m, m, overwrite_ab=1)
         if info > 0:
             raise LinearSolveFailed(f"band factor is exactly singular: U({info}, {info}) = 0")
-        self.m, self.a = m, a
+        self.m, self.a, self.start = m, a, start
         b[a] -= 1.0
         self.w = self._band_solve(b)  # A~^{-1} (b - e_a)
         self.denom = 1.0 + self.w[a]
@@ -205,7 +369,14 @@ class BorderedBandLU:
                                     "has a zero denominator)")
 
     def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lapack.dgbtrs(self.lu, self.m, self.m, rhs, self.piv, overwrite_b=1)[0]
+        """A~^{-1} rhs; overwrites rhs."""
+        if self.tail is None:
+            return lapack.dgbtrs(self.lu, self.m, self.m, rhs, self.piv, overwrite_b=1)[0]
+        self.tail.reduce(rhs)
+        rhs[self.start:] = lapack.dgbtrs(self.lu, self.m, self.m, rhs[self.start:], self.piv,
+                                         overwrite_b=1)[0]
+        self.tail.back_substitute(rhs)
+        return rhs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with J x = rhs, to the band LU's accuracy (no backward-error test)."""

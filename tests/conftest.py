@@ -9,6 +9,7 @@ from stripwave import (ContinuationOptions, ModelParams, NewtonOptions, Nonlinea
                        NonlinearitySpec, WaveState, build_grid, continue_exchange,
                        continue_wentzell, embed_one_dim_wave, handoff_to_system, make_record,
                        newton_solve, solve_1d_ignition_shooting)
+from stripwave import solver
 
 DEFAULT_PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 DEFAULT_SPEC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
@@ -45,24 +46,35 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
     """Complete A -> B -> C run at the default desk resolution.
 
     Returns a dict with the stage end records, the handoff result, every
-    record of the path (s = 0, the A steps, B, the C steps) and the shared
-    inputs, reused by most acceptance criteria.
+    record of the path (s = 0, the A steps, B, the C steps), the number of
+    block rows each Newton factorization eliminated by cyclic reduction
+    (`tails`, 0 for none) and the shared inputs, reused by most acceptance
+    criteria.
     """
     cont = ContinuationOptions()
-    init = embed_one_dim_wave(one_dim_cubic, default_grid, default_spec)
-    corrected = newton_solve(init, default_params, default_spec, default_grid, newton_opts)
-    records = [make_record("A", corrected.state, corrected.residual_norm, default_params,
-                           default_spec, default_grid, step=cont.initial_step)]
-    end_a = continue_wentzell(records[0], default_params, default_spec, default_grid,
-                              newton_opts, target_s=1.0, opts=cont, sink=records.append)
-    predictor = handoff_to_system(end_a.state, cont.epsilon0, default_params, default_grid)
-    corrected_b = newton_solve(predictor, default_params, default_spec, default_grid,
-                               newton_opts)
-    records.append(make_record("B", corrected_b.state, corrected_b.residual_norm,
-                               default_params, default_spec, default_grid,
-                               step=cont.initial_step))
-    end_c = continue_exchange(records[-1], default_params, default_spec, default_grid,
-                              newton_opts, target_eps=1.0, opts=cont, sink=records.append)
+    tails = []
+    with pytest.MonkeyPatch.context() as patch:
+        factorize = solver.factorize
+
+        def counted(*args):
+            lu = factorize(*args)
+            tails.append(0 if lu.lu.tail is None else lu.lu.tail.K)
+            return lu
+
+        patch.setattr(solver, "factorize", counted)
+        init = embed_one_dim_wave(one_dim_cubic, default_grid, default_spec)
+        corrected = newton_solve(init, default_params, default_spec, default_grid, newton_opts)
+        records = [make_record("A", corrected.state, corrected.residual_norm, default_params,
+                               default_spec, default_grid, step=0.1)]
+        end_a = continue_wentzell(records[0], default_params, default_spec, default_grid,
+                                  newton_opts, target_s=1.0, opts=cont, sink=records.append)
+        predictor = handoff_to_system(end_a.state, cont.epsilon0, default_params, default_grid)
+        corrected_b = newton_solve(predictor, default_params, default_spec, default_grid,
+                                   newton_opts)
+        records.append(make_record("B", corrected_b.state, corrected_b.residual_norm,
+                                   default_params, default_spec, default_grid, step=0.1))
+        end_c = continue_exchange(records[-1], default_params, default_spec, default_grid,
+                                  newton_opts, target_eps=1.0, opts=cont, sink=records.append)
     return {
         "params": default_params,
         "spec": default_spec,
@@ -75,6 +87,7 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
         "b_result": corrected_b,
         "stage_c": end_c,
         "records": records,
+        "tails": tails,
     }
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from stripwave import (ContinuationOptions, DispersionQuery, ModelParams, NewtonOptions,
+from stripwave import (DispersionQuery, ModelParams, NewtonOptions,
                        NonlinearityKind, NonlinearitySpec, WaveState, build_grid, c_max,
                        continue_wentzell, dispersion_root, embed_one_dim_wave,
                        handoff_to_system, make_record, newton_solve,
@@ -80,7 +80,7 @@ def test_criterion_05_uniqueness_up_to_translation(full_path):
     init = WaveState(c=init.c, psi=rolled, phi=None, family=init.family)
     corrected = newton_solve(init, DEFAULT_PARAMS, DEFAULT_SPEC, wide_grid, NewtonOptions())
     start = make_record("A", corrected.state, corrected.residual_norm, DEFAULT_PARAMS,
-                        DEFAULT_SPEC, wide_grid, step=ContinuationOptions().initial_step)
+                        DEFAULT_SPEC, wide_grid, step=0.1)
     other = continue_wentzell(start, DEFAULT_PARAMS, DEFAULT_SPEC, wide_grid, NewtonOptions(),
                               target_s=1.0).state
     rel_c = abs(other.c - base_state.c) / base_state.c

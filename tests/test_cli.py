@@ -121,6 +121,8 @@ def at(name, edit):
      "newton.tol_residual: NewtonOptions.tol_residual must lie in (0, inf), got inf"),
     ("run", lambda cfg: cfg.update(shooting_tol=float("inf")), EXIT_VALIDATION,
      "ConfigError: shooting_tol: must lie in (0, inf), got inf"),
+    ("run", lambda cfg: cfg["continuation"].update(initial_step=0.0), EXIT_VALIDATION,
+     "ConfigError: continuation.initial_step: must be > 0, got 0.0"),
     ("resume", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "ckpt.json: missing field 'psi'"),
     ("profile", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "ckpt.json: missing field 'psi'"),
     ("profile", lambda ckpt: ckpt["grid"].pop("nx"), EXIT_IO,
@@ -154,6 +156,13 @@ def at(name, edit):
      "ckpt.json: missing field 'control.step'"),
     ("profile", lambda ckpt: ckpt.update(control=None), EXIT_IO,
      "ckpt.json: missing field 'control.step'"),
+    # the secant predictor needs a previous state behind the record (0.25 here, after 0.1)
+    ("resume", at("0003_A", lambda ckpt: ckpt["control"].update(prev_parameter=0.25)), EXIT_IO,
+     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = 0.25, got 0.25"),
+    ("resume", at("0003_A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)), EXIT_IO,
+     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = 0.25, got 0.9"),
+    ("profile", at("0003_A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)), EXIT_IO,
+     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = 0.25, got 0.9"),
     *[(command, edit, EXIT_IO, f"ckpt.json: field {named}")
       for edit, named in [
           (lambda ckpt: ckpt.update(parameter="x"), "'parameter' must be a number, got 'x'"),
@@ -205,12 +214,13 @@ def at(name, edit):
            "'grid' is out of range: Grid requires x_left < x_right")]
       for command in ("resume", "profile")],
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "newton.tol_residual_inf",
-        "shooting_tol_inf", "resume_no_psi",
+        "shooting_tol_inf", "continuation.initial_step_zero", "resume_no_psi",
         "profile_no_psi", "profile_no_grid_nx", "resume_psi_short",
         "profile_psi_short", "resume_prev_psi_short", "profile_grid_nx_float",
         "resume_psi_not_base64", "profile_psi_not_base64", "resume_psi_12_bytes",
         "profile_psi_12_bytes", "resume_step_zero", "resume_step_negative", "profile_step_zero",
-        "resume_control_null", "profile_control_null",
+        "resume_control_null", "profile_control_null", "resume_prev_equal", "resume_prev_ahead",
+        "profile_prev_ahead",
         *[f"{command}_{field}" for field in (
             "parameter_text", "c_text", "grid_x_left_text", "grid_x_right_bool",
             "grid_L_text", "step_text", "prev_parameter_null", "prev_c_null", "stage_Z",
@@ -292,15 +302,17 @@ def checkpointed_states(draw):
     parameters = st.floats(0.0, 1.0, exclude_min=stage != "A")
     make_family = HomotopyFamily.wentzell if stage == "A" else HomotopyFamily.exchange
 
-    def state():
+    def state(parameter):
         def array(n):
             return np.frombuffer(draw(st.binary(min_size=8 * n, max_size=8 * n)), dtype=float)
         return WaveState(c=draw(st.floats(5e-324, 1e300)), psi=array(nx * ny).reshape(ny, nx),
                          phi=None if stage == "A" else array(nx),
-                         family=make_family(draw(parameters)))
+                         family=make_family(parameter))
 
-    record_state = state()
-    prev = state() if draw(st.booleans()) else None
+    # a previous state lies behind the record
+    behind, parameter = sorted([draw(parameters), draw(parameters)])
+    record_state = state(parameter)
+    prev = state(behind) if behind < parameter and draw(st.booleans()) else None
     record = ContinuationRecord(stage=stage, state=record_state, residual_norm=0.0,
                                 diagnostics=None, step=draw(st.floats(5e-324, 1e300)),
                                 prev_state=prev)

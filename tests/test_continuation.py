@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stripwave import (ContinuationOptions, HomotopyFamily, ModelParams, NewtonOptions,
+from stripwave import (HomotopyFamily, ModelParams, NewtonOptions,
                        NonlinearityKind, NonlinearitySpec, WaveState, build_grid,
                        continue_exchange, continue_wentzell, embed_one_dim_wave,
                        handoff_to_system, make_record, newton_solve,
@@ -21,7 +23,7 @@ def coarse_setup():
     init = embed_one_dim_wave(wave, grid, CUBIC)
     result = newton_solve(init, PARAMS, CUBIC, grid, NewtonOptions())
     return grid, result, make_record("A", result.state, result.residual_norm, PARAMS, CUBIC,
-                                     grid, step=ContinuationOptions().initial_step)
+                                     grid, step=0.1)
 
 
 def refuse(record):
@@ -85,6 +87,25 @@ def test_exchange_rejects_decreasing_target(coarse_setup):
         continue_exchange(start, PARAMS, CUBIC, grid, NewtonOptions(), target_eps=0.025)
 
 
+def test_record_rejects_a_previous_state_not_behind_it(coarse_setup):
+    # the secant predictor extrapolates from the previous state: it must lie
+    # strictly behind the record, in the record's family
+    _, _, start = coarse_setup
+    psi = start.state.psi
+
+    def at(family):
+        return WaveState(c=start.c, psi=psi, phi=psi[-1].copy() if family.is_exchange else None,
+                         family=family)
+
+    record = dataclasses.replace(start, state=at(HomotopyFamily.wentzell(0.25)))
+    assert dataclasses.replace(record, prev_state=start.state).prev_state is start.state
+    for prev, message in [(HomotopyFamily.wentzell(0.25), "must lie below parameter 0.25"),
+                          (HomotopyFamily.wentzell(0.9), "must lie below parameter 0.25"),
+                          (HomotopyFamily.exchange(0.1), "must be of the wentzell family")]:
+        with pytest.raises(ValueError, match=f"ContinuationRecord.prev_state {message}"):
+            dataclasses.replace(record, prev_state=at(prev))
+
+
 def test_family_guards(coarse_setup):
     grid, _, start = coarse_setup
     with pytest.raises(WrongFamily):
@@ -136,6 +157,19 @@ def test_pinned_default_path_speeds(full_path, refined_wentzell_states):
     # grid-converged to three digits: one refinement moves c by < 5e-6
     c1, c2, _ = (s.c for s in refined_wentzell_states["states"])
     assert abs(c1 - c2) < 5e-6
+
+
+def test_default_path_eliminates_the_tail_at_every_factorization(full_path):
+    # the records' (stage, parameter) as path.csv writes them, as before the
+    # left tail was eliminated; every Newton factorization of the 961 x 41 run
+    # eliminates 511 of its equal block rows by cyclic reduction
+    rows = [(r.stage, f"{r.parameter:.17g}") for r in full_path["records"]]
+    assert rows == [("A", "0"), ("A", "0.10000000000000001"), ("A", "0.25"),
+                    ("A", "0.47500000000000003"), ("A", "0.8125"), ("A", "1"),
+                    ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
+                    ("C", "0.30000000000000004"), ("C", "0.52500000000000013"),
+                    ("C", "0.86250000000000016"), ("C", "1")]
+    assert full_path["tails"] == [511] * 12
 
 
 def test_handoff_correction_budget(full_path):

@@ -59,11 +59,40 @@ def test_linear_solve_rejects_nonsquare():
 
 # --- band LU of the bordered Jacobian -------------------------------------------
 
-@pytest.fixture(scope="module", params=[(481, 11), (241, 21)], ids=["481x11", "241x21"])
+def tail_rows(factorization) -> int:
+    """How many block rows a band factorization eliminated by cyclic reduction."""
+    return 0 if factorization.lu.tail is None else factorization.lu.tail.K
+
+
+def same_bytes(one, other, rhs) -> bool:
+    """Whether two band factorizations hold the same LU and solve `rhs` alike."""
+    return (one.lu.lu.tobytes() == other.lu.lu.tobytes()
+            and one.lu.piv.tobytes() == other.lu.piv.tobytes()
+            and one.solve(rhs).tobytes() == other.solve(rhs).tobytes())
+
+
+def check_band_solve(band, J, rhs):
+    """The band solve of `rhs` against SuperLU's, and its raw backward error."""
+    x = band.solve(rhs)
+    ref = spla.splu(J.tocsc()).solve(rhs)
+    # both solves are backward stable, and each differs from an
+    # extended-precision solution by up to about 4e-12 here (the
+    # conditioning of J): so they are compared at 1e-11
+    assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
+    # the raw band solve needs no refinement
+    raw = band.lu.solve(rhs)
+    err = np.abs(J @ raw - rhs).max() / (band.j_norm * np.abs(raw).max() + np.abs(rhs).max())
+    assert err <= 1e-14
+
+
+# 481 x 11 lies below the width rule; on 241 x 21 the states have psi <= theta
+# left of x = -7, so rows 1 .. 150 or so are equal, of which 127 are eliminated
+@pytest.fixture(scope="module", params=[(481, 11, 0), (241, 21, 127)], ids=["481x11", "241x21"])
 def converged_jacobians(request):
     """Jacobians and residuals of converged Wentzell(0), Wentzell(1) and
-    exchange(0.05) states on the grid [-160, 80] x [-1, 0]."""
-    nx, ny = request.param
+    exchange(0.05) states on the grid [-160, 80] x [-1, 0], with the number
+    of block rows their band LU eliminates by cyclic reduction."""
+    nx, ny, tail = request.param
     grid = build_grid(PARAMS, -160.0, 80.0, nx, ny)
     s0 = newton_solve(embed_one_dim_wave(solve_1d_ignition_shooting(PARAMS.d, CUBIC, tol=1e-9),
                                          grid, CUBIC), PARAMS, CUBIC, grid).state
@@ -71,28 +100,83 @@ def converged_jacobians(request):
                                 family=HomotopyFamily.wentzell(1.0)), PARAMS, CUBIC, grid).state
     e = newton_solve(handoff_to_system(s1, 0.05, PARAMS, grid), PARAMS, CUBIC, grid).state
     return grid, [(assemble_jacobian(st, PARAMS, CUBIC, grid),
-                   assemble_residual(st, PARAMS, CUBIC, grid)) for st in (s0, s1, e)]
+                   assemble_residual(st, PARAMS, CUBIC, grid)) for st in (s0, s1, e)], tail
 
 
 def test_band_solve_matches_superlu(converged_jacobians):
-    grid, systems = converged_jacobians
+    grid, systems, tail = converged_jacobians
     rng = np.random.default_rng(7)
     for J, R in systems:
         band = solver.factorize(J, grid.nx)
-        assert band.kind == "band"
-        lu = spla.splu(J.tocsc())
+        assert band.kind == "band" and tail_rows(band) == tail
         for rhs in (rng.standard_normal(J.shape[0]), -R):
-            x = band.solve(rhs)
-            ref = lu.solve(rhs)
-            # both solves are backward stable, and each differs from an
-            # extended-precision solution by up to about 4e-12 here (the
-            # conditioning of J): so they are compared at 1e-11
-            assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
-            # the raw band solve needs no refinement
-            raw = band.lu.solve(rhs)
-            err = np.abs(J @ raw - rhs).max() / (band.j_norm * np.abs(raw).max()
-                                                  + np.abs(rhs).max())
-            assert err <= 1e-14
+            check_band_solve(band, J, rhs)
+
+
+@pytest.mark.parametrize("row, block, tail", [(0, "D", 127), (1, "D", 0), (1, "L", 0),
+                                              (2, "L", 0), (4, "D", 0), (4, "L", 0),
+                                              (40, "D", 31), (40, "L", 31), (200, "D", 127),
+                                              (200, "L", 127)])
+def test_a_changed_block_row_ends_the_tail(monkeypatch, row, block, tail):
+    # block row `row` of a Wentzell Jacobian on 241 x 21 gets a new diagonal
+    # entry, in its D block or its L block, so the equal rows 1 .. T (about 150
+    # unchanged, psi <= theta left of x = -8.5) end before it: T = row - 2 (D)
+    # or row - 3 (L), and the largest 2^p - 1 <= T are eliminated (none below
+    # 3).  Row 0, the Dirichlet row, stays a diagonal, and row 200 lies right
+    # of the front, past the tail.
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
+    m = grid.ny
+    column = row * m + 5 - (m if block == "L" else 0)
+    k = J.indptr[column] + np.searchsorted(J.indices[J.indptr[column]:J.indptr[column + 1]],
+                                           row * m + 5)
+    J.data[k] *= 1.001
+    band = solver.factorize(J, grid.nx)
+    assert tail_rows(band) == tail
+    rhs = np.random.default_rng(3).standard_normal(J.shape[0])
+    check_band_solve(band, J, rhs)
+    if not tail:  # fewer than 3 equal rows: the LU is the band LU of the whole matrix
+        monkeypatch.setattr(solver, "TAIL_MIN_WIDTH", math.inf)
+        assert same_bytes(band, solver.factorize(J, grid.nx), rhs)
+
+
+def test_a_singular_reduction_level_leaves_the_whole_band(monkeypatch):
+    # a level whose D block LAPACK reports exactly singular (here the third)
+    # gives up the tail, not the factorization
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
+    rhs = np.random.default_rng(9).standard_normal(J.shape[0])
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "TAIL_MIN_WIDTH", math.inf)
+        whole = solver.factorize(J, grid.nx)
+    calls, dgetrf = [], solver.lapack.dgetrf
+
+    def third_singular(a):
+        calls.append(a)
+        lu, piv, info = dgetrf(a)
+        return lu, piv, 3 if len(calls) == 3 else info
+
+    monkeypatch.setattr(solver.lapack, "dgetrf", third_singular)
+    band = solver.factorize(J, grid.nx)
+    assert len(calls) == 3 and tail_rows(band) == 0
+    assert same_bytes(band, whole, rhs)
+
+
+def test_below_the_width_rule_the_band_lu_is_unchanged(monkeypatch):
+    # 481 x 11 has a long tail of equal rows, but m = 11 or 12 is below the rule
+    grid = build_grid(PARAMS, -160.0, 80.0, 481, 11)
+    rng = np.random.default_rng(5)
+    for state in smooth_states(grid):
+        J = assemble_jacobian(state, PARAMS, CUBIC, grid)
+        rhs = rng.standard_normal(J.shape[0])
+        band = solver.factorize(J, grid.nx)
+        assert tail_rows(band) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "TAIL_MIN_WIDTH", math.inf)
+            assert same_bytes(band, solver.factorize(J, grid.nx), rhs)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "TAIL_MIN_WIDTH", 1)
+            assert tail_rows(solver.factorize(J, grid.nx)) == 255
 
 
 @pytest.mark.parametrize("node", ["interior", "anchor"])
@@ -100,7 +184,7 @@ def test_band_singular_jacobian_raises(converged_jacobians, node):
     # a zeroed interior row makes the band exactly singular; a zeroed anchor
     # row leaves the band regular but the rank-1 correction singular
     message = {"interior": "exactly singular", "anchor": "zero denominator"}[node]
-    grid, systems = converged_jacobians
+    grid, systems, _ = converged_jacobians
     J = systems[1][0].tocsr()
     index, _ = field_views(np.arange(J.shape[0]), grid, HomotopyFamily.wentzell(1.0))
     # the anchor is the one column of the phase row
@@ -135,17 +219,23 @@ def test_band_map_of_a_foreign_jacobian_gives_the_same_bits():
 
 
 def test_structure_is_built_once_per_grid_and_family(monkeypatch):
+    # on 241 x 21, past the width rule, the band map restricted to the columns
+    # after the tail is built once per family and tail length too
     built = []
-    for module, name in ((residual, "_build_pattern"), (solver, "band_map")):
+    for module, name in ((residual, "_build_pattern"), (solver, "band_map"),
+                         (solver, "restrict_band_map")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name:
                             (built.append(_name), _real(*args))[1])
-    grid = build_grid(PARAMS, -160.0, 80.0, 241, 5)
-    residual._PATTERNS.clear()
-    for _ in range(3):
-        for state in smooth_states(grid):
-            solver.factorize(assemble_jacobian(state, PARAMS, CUBIC, grid), grid.nx)
-    assert sorted(built) == ["_build_pattern", "_build_pattern", "band_map", "band_map"]
+    for ny, restricted in ((5, 0), (21, 2)):
+        grid = build_grid(PARAMS, -160.0, 80.0, 241, ny)
+        residual._PATTERNS.clear()
+        built.clear()
+        for _ in range(3):
+            for state in smooth_states(grid):
+                solver.factorize(assemble_jacobian(state, PARAMS, CUBIC, grid), grid.nx)
+        assert sorted(built) == (["_build_pattern"] * 2 + ["band_map"] * 2
+                                 + ["restrict_band_map"] * restricted)
 
 
 @pytest.mark.parametrize("nx, ny, kind", [(481, 11, "band"), (961, 41, "band"),
