@@ -162,6 +162,8 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"continuation.target_stage: must be one of A, B, C, got {target_stage!r}")
     if not initial_step > 0:
         raise ConfigError(f"continuation.initial_step: must be > 0, got {initial_step!r}")
+    if initial_step == math.inf:  # json reads Infinity; a march would halve it forever
+        raise ConfigError(f"continuation.initial_step: must be finite, got {initial_step!r}")
     if not 0 < c["shooting_tol"] < math.inf:
         raise ConfigError(f"shooting_tol: must lie in (0, inf), got {c['shooting_tol']!r}")
     if not c["output_dir"]:

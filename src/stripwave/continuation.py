@@ -75,8 +75,8 @@ class ContinuationRecord:
     prev_state: WaveState | None = None  # for the secant predictor; None at a march's start
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValueError(f"ContinuationRecord.step must be > 0, got {self.step!r}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"ContinuationRecord.step must be finite and > 0, got {self.step!r}")
         prev = self.prev_state
         if prev is not None and prev.family.kind != self.family.kind:
             raise ValueError(f"ContinuationRecord.prev_state must be of the {self.family.kind} "

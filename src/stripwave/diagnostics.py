@@ -21,9 +21,12 @@ beta(gamma) = sqrt(-f'(1)/d - gamma (gamma + c/d)) and
 
 with the full f'(1).  The comparison-function construction that proves
 the decay halves the linearization, so the same relations built with
-f'(1)/2 give a guaranteed lower bound on the decay rate; both are
-reported.  The two relations are algebraically identical at
-(eps -> 0, s = 1), which is asserted as pure algebra, not on solutions.
+f'(1)/2 give a guaranteed lower bound on the decay rate
+(`supersolution_rate`).  A record carries only the first, `gamma_pred`;
+the lower bound is tabulated by `scripts/dispersion_curves.py` and checked
+against the fitted rate by acceptance criterion 07.  The two relations
+are algebraically identical at (eps -> 0, s = 1), which is asserted as
+pure algebra, not on solutions.
 
 Each check returns a bool, and left_decay_bound its largest excess over
 the bound: a record carries only the verdicts and the few numbers of its

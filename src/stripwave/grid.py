@@ -34,6 +34,9 @@ class Grid:
             raise ValueError(f"Grid.nx must be >= 3, got {self.nx}")
         if self.ny < 2:
             raise ValueError(f"Grid.ny must be >= 2, got {self.ny}")
+        for name in ("x_left", "x_right"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"Grid.{name} must be finite, got {getattr(self, name)!r}")
         if not self.x_left < self.x_right:
             raise ValueError("Grid requires x_left < x_right")
         if self.L <= 0:

@@ -198,7 +198,7 @@ class JacobianPattern:
     indptr: np.ndarray
     indices: np.ndarray
     order: np.ndarray
-    # `solver.band_map` by nx and `solver.restrict_band_map` by (nx, K), made when first used
+    # `solver.band_map` by (nx, K), the tail length, made when first used
     bands: dict = field(default_factory=dict)
 
 

@@ -18,27 +18,26 @@ is moved to the right-hand side and replaced by e_a.  The band matrix
 left, A~, is well conditioned because pinning the anchor removes the
 near-null translation mode, and J x = r becomes
 (A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
-rank-1 (Sherman-Morrison) correction solves.  Where each entry of J goes (`band_map`) is worked
-out once per cached Jacobian pattern (its `bands`).  Wider grids use
-SuperLU (COLAMD ordering), whose fill grows more slowly than the band's
-N (3m + 1) entries.
+rank-1 (Sherman-Morrison) correction solves.  Where each entry of J goes
+(`band_map`) is worked out once per cached Jacobian pattern and K below
+(its `bands`).  Wider grids use SuperLU (COLAMD ordering), whose fill
+grows more slowly than the band's N (3m + 1) entries.
 
 Left of the front the reaction vanishes (f = f' = 0 for psi <= theta), so
 A~ is block tridiagonal there with one (L, D, U) per block row of m
 unknowns: on the default 961 x 41 grid its block rows 1 .. T, T of about
-620, are bit-identical after the Dirichlet block row 0.  `cyclic_tail`
-finds T from J's values and eliminates rows 1 .. K, K = 2^p - 1 <= T,
-exactly by block cyclic reduction (Buzbee, Golub and Nielson, SIAM J.
-Numer. Anal. 7, 1970; Heller, SIAM J. Numer. Anal. 13, 1976): each of p
-levels eliminates every other remaining block row with one m x m LU, and
-leaves a Schur complement on the diagonal block of row K + 1.  The band LU
-then factors only the unknowns from block column K + 1 on (`restrict_band_map`,
-cached like the full map), and a solve reduces the right-hand side level by
-level, runs the band solve, and back-substitutes.  The discrete problem is
-the same, solved with less arithmetic (K = 511 of 961 columns on the
-default grid); the band and the tail differ from the whole band LU at
-roundoff.  With m < `TAIL_MIN_WIDTH`, T < 3, or a singular level, the
-whole band is factored as before.
+620, are bit-identical after the Dirichlet block row 0, a diagonal.  A
+`CyclicTail` solves row 0 by one division and eliminates rows 1 .. K,
+K = 2^p - 1 <= T with p >= 0, exactly by block cyclic reduction (Buzbee,
+Golub and Nielson, SIAM J. Numer. Anal. 7, 1970; Heller, SIAM J. Numer.
+Anal. 13, 1976): each of p levels eliminates every other remaining block
+row with one m x m LU, and leaves a Schur complement on the diagonal block
+of row K + 1.  The band LU then factors only the unknowns from block
+column K + 1 on, and a solve reduces the right-hand side level by level,
+runs the band solve, and back-substitutes.  `cyclic_tail` reads T from
+J's values (K = 511 of 961 columns on the default grid) and takes p = 0
+when m < `TAIL_MIN_WIDTH`.  The discrete problem is the same, solved with
+less arithmetic; it differs from a band LU of all of A~ at roundoff.
 
 The Jacobian is factored at the first iterate and its LU is reused for
 later steps (the chord method; Kelley 2003, *Solving Nonlinear Equations
@@ -97,9 +96,9 @@ REFRESH_RATIO = 0.25
 # 0.25 and 0.9); at 32x two cubic brackets moved by 5e-12 and 7e-12, which
 # would send those runs back to the bisection at the step itself
 COARSE = 16
-# `BorderedBandLU` eliminates the left tail by cyclic reduction when m is at least
-# this.  One factorization and one solve of a Wentzell(1) and an exchange(0.05)
-# Jacobian of a tanh front, whole band -> tail eliminated (the best of 5 calls,
+# `cyclic_tail` takes p = 0 below this m.  One factorization and one solve of a
+# Wentzell(1) and an exchange(0.05) Jacobian of a tanh front, whole band (p = 0
+# as it was, with no Dirichlet division) -> tail eliminated (the best of 5 calls,
 # median of 5 interleaved rounds, one BLAS thread, shared 2-vCPU VM, ms):
 #     grid        m       K     factor                   solve
 #     481 x 11    11, 12  255   2.6 -> 3.2, 3.2 -> 3.5   0.55 -> 0.92, 0.62 -> 0.93
@@ -180,42 +179,42 @@ class OneDimWave:
         return np.where(xq <= 0.0, tail, body)
 
 
-def band_map(indptr: np.ndarray, indices: np.ndarray, nx: int) -> tuple:
-    """(m, a, dst, rows_a) of a bordered CSC J on an `nx`-column grid (see
-    `BorderedBandLU`): J.data[k] goes to dst[k] in the band storage of A~ (the
-    phase entry to A~[a, a]), b, or column a (rows rows_a) of J, in turn.
-    Each of the three parts is laid out on all N - 1 unknowns."""
+def _anchor(indptr: np.ndarray, indices: np.ndarray, m: int) -> int:
+    """The anchor a, the one column of a bordered CSC J's last row, the phase
+    row; ValueError unless a lies between block column 0 and the c column."""
+    at = np.flatnonzero(indices == indptr.size - 2)
+    a = int(np.searchsorted(indptr, at[0], side="right")) - 1 if at.size == 1 else -1
+    if not m <= a < indptr.size - 2:
+        raise ValueError("the last row of J is not a unit phase row past block column 0")
+    return a
+
+
+def band_map(indptr: np.ndarray, indices: np.ndarray, nx: int, K: int) -> tuple:
+    """(dst, rows_a) of a bordered CSC J on an `nx`-column grid whose block
+    rows 0 .. K a `CyclicTail` eliminates (see `BorderedBandLU`): J.data[k]
+    goes to dst[k] in the band storage of A~ on the unknowns from (K + 1) m
+    on (the phase entry to A~[a, a]), b, or column a (rows rows_a) of J, in
+    turn, and to one last scratch slot when it is an entry of A~ in an
+    earlier row or column.  b and column a are laid out on all N - 1
+    unknowns."""
     n = indptr.size - 2  # unknowns besides c
     m = n // nx
-    if m * nx != n:
-        raise ValueError(f"a {n + 1}-row Jacobian does not fit a grid with nx = {nx}")
+    a = _anchor(indptr, indices, m)
     rows, cols = indices.astype(np.intp), np.repeat(np.arange(n + 1), np.diff(indptr))
     phase = rows == n
-    if phase.sum() != 1 or cols[phase][0] == n:
-        raise ValueError("the last row of J is not a unit phase row")
-    a = int(cols[phase][0])
     at_a, border = (cols == a) & ~phase, cols == n
-    if np.abs(rows - cols)[~(border | phase)].max() > m:
+    band = ~(border | at_a | phase)
+    if np.abs(rows - cols)[band].max() > m:
         raise ValueError(f"J has entries outside the half-bandwidth {m}")
     # LAPACK band storage, column-major with ldab = 3m + 1: A~[r, c] goes to
-    # ab[2m + r - c, c]; the first m rows are workspace for the pivoting fill
-    ldab = 3 * m + 1
-    dst = np.where(border | at_a, n * ldab + rows, cols * ldab + 2 * m + rows - cols)
-    dst[at_a] = n * (ldab + 1) + np.arange(at_a.sum())
-    dst[phase] = a * ldab + 2 * m  # A~[a, a] = 1, the phase row's entry
-    return m, a, dst.astype(np.int32), rows[at_a]
-
-
-def restrict_band_map(dst: np.ndarray, n: int, m: int, start: int) -> tuple:
-    """(keep, dst') of a `band_map` whose band storage holds only the
-    unknowns from `start` on: J.data[keep[k]] goes to dst'[k].  The entries
-    of A~ in an earlier row or column are left out; b and column a of J keep
-    all N - 1 rows, after the smaller band."""
-    ldab = 3 * m + 1
-    col = dst.astype(np.intp) // ldab
-    row = dst % ldab - 2 * m + col
-    keep = np.flatnonzero((col >= n) | ((col >= start) & (row >= start)))
-    return keep, dst[keep] - np.int32(start * ldab)
+    # ab[2m + r - c, c - start]; the first m rows are workspace for the pivoting fill
+    start, ldab = (K + 1) * m, 3 * m + 1
+    nb = (n - start) * ldab
+    dst = np.where(band, (cols - start) * ldab + 2 * m + rows - cols, nb + rows)
+    dst[band & ((rows < start) | (cols < start))] = nb + n + at_a.sum()
+    dst[at_a] = nb + n + np.arange(at_a.sum())
+    dst[phase] = (a - start) * ldab + 2 * m  # A~[a, a] = 1, the phase row's entry
+    return dst.astype(np.int32), rows[at_a]
 
 
 def _block_column(J: sp.csc_matrix, j: int, m: int) -> np.ndarray:
@@ -229,31 +228,34 @@ def _block_column(J: sp.csc_matrix, j: int, m: int) -> np.ndarray:
 
 
 class CyclicTail:
-    """Block cyclic reduction (module docstring) of the block rows 1 .. K,
-    K = 2^p - 1, of A~ = tridiag(L, D, U) after its Dirichlet block row 0,
-    diag(d0), and before the block row K + 1 that leads the band part.  Row
-    K + 1's left block is L too.
+    """The elimination (module docstring) of block rows 0 .. K of A~: the
+    Dirichlet block row 0, diag(d0), by one division, then block cyclic
+    reduction of the rows 1 .. K, K = 2^p - 1 with p >= 0, equal to
+    tridiag(L, D, U).  L is also the left block of row K + 1, which leads
+    the band part.
 
     Level l couples the unknowns at multiples of h = 2^l by one (L, D, U)
-    and eliminates the odd multiples; `schur` is what the p levels take from
-    row K + 1's diagonal block.  Raises LinearSolveFailed when a level's D
-    is exactly singular.
+    and eliminates the odd multiples; `schur` is what the levels take from
+    row K + 1's diagonal block.  A level whose D is exactly singular ends the
+    reduction there, with p the levels that factored: row 2^l's Schur
+    complement is the sum over levels 0 .. l - 1, so the shorter tail is
+    exact too.
     """
 
-    def __init__(self, d0: np.ndarray, L: np.ndarray, D: np.ndarray, U: np.ndarray,
-                 p: int) -> None:
-        self.d0, self.K, self.levels = d0, 2**p - 1, []
-        self.schur = np.zeros_like(D)
-        for level in range(p):
+    def __init__(self, d0: np.ndarray, L: np.ndarray, D: np.ndarray | None,
+                 U: np.ndarray | None, p: int) -> None:
+        self.d0, self.L, self.levels = d0, L, []
+        self.schur = np.zeros_like(L)
+        for _ in range(p):
             lu, piv, info = lapack.dgetrf(D)
             if info != 0:
-                raise LinearSolveFailed(f"cyclic reduction level {level} is singular")
+                break
             DL, DU = np.hsplit(lapack.dgetrs(lu, piv, np.hstack([L, U]))[0], 2)
             self.levels.append((lu, piv, L, U))
             LDU = L @ DU
             self.schur += LDU
-            if level < p - 1:
-                L, D, U = -(L @ DL), D - LDU - U @ DL, -(U @ DU)
+            L, D, U = -(L @ DL), D - LDU - U @ DL, -(U @ DU)
+        self.K = 2 ** len(self.levels) - 1
 
     def _columns(self, r: np.ndarray) -> np.ndarray:
         """Blocks 1 .. K + 1 of r as the columns of an (m, K + 1) view."""
@@ -265,7 +267,7 @@ class CyclicTail:
         by level: block K + 1 is then the band part's first right-hand side."""
         m, R = self.d0.size, self._columns(r)
         r[:m] /= self.d0
-        R[:, 0] -= self.levels[0][2] @ r[:m]  # row 1's L times the Dirichlet block
+        R[:, 0] -= self.L @ r[:m]  # row 1's left block times the Dirichlet block
         for l, (lu, piv, L, U) in enumerate(self.levels):
             h = 1 << l
             Y = lapack.dgetrs(lu, piv, R[:, h - 1::2 * h])[0]
@@ -285,78 +287,77 @@ class CyclicTail:
             R[:, h - 1::2 * h] = lapack.dgetrs(lu, piv, B)[0]
 
 
-def cyclic_tail(J: sp.csc_matrix, m: int, a: int) -> CyclicTail | None:
-    """The reduction of block rows 1 .. K = 2^p - 1 of a bordered CSC J
-    (anchor column a), when block row 0 is a diagonal with no off-diagonal
-    block and rows 1 .. T, T >= K >= 3, are equal: L v_{i-1} + D v_i +
-    U v_{i+1}.  None otherwise, or when a level is singular.
+def cyclic_tail(J: sp.csc_matrix, m: int, a: int) -> CyclicTail:
+    """The elimination of block rows 0 .. K of a bordered CSC J (anchor
+    column a >= m).  Block row 0 must be a diagonal with no off-diagonal
+    block (ValueError otherwise, LinearSolveFailed for a zero on it).  When
+    m >= `TAIL_MIN_WIDTH`, K = 2^p - 1 is the largest with K <= T, where rows
+    1 .. T are equal: L v_{i-1} + D v_i + U v_{i+1}; otherwise K = 0.
 
     Read from J's values: rows 1 .. T are equal when rows 1 and 2 are
     (block columns 0, 1 and 2) and block columns 2 .. T + 1 repeat.  The
     anchor column, which holds the phase entry, ends any such run, and
-    block column K, one of them, holds row K + 1's left block.
+    block column K, one of them, holds row K + 1's left block.  T = 0 when
+    the anchor lies in block column 1 or 2.
     """
-    if a < 3 * m:
-        return None
-    c0, c1, c2 = (_block_column(J, j, m) for j in range(3))
+    c0 = _block_column(J, 0, m)
     d0 = np.diag(c0[m:2 * m]).copy()
-    if (c1[:m].any() or not d0.all() or (c0[m:2 * m] != np.diag(d0)).any()
-            or (c0[2 * m:] != c2[2 * m:]).any() or (c1[m:] != c2[m:]).any()):
-        return None
-    nx = (J.shape[0] - 1) // m
-    ptr = J.indptr
-    starts = ptr[:nx * m + 1:m]
-    size = starts[3] - starts[2]
-    counts = np.diff(ptr[:nx * m + 1]).reshape(nx, m)
-    same = (np.diff(starts)[3:] == size) & (counts[3:] == counts[2]).all(axis=1)
-    end = 3 + (same.argmin() if not same.all() else same.size)
-    data = J.data[starts[3]:starts[end]].reshape(-1, size)
-    rows = J.indices[starts[3]:starts[end]].reshape(-1, size) - m * np.arange(3, end)[:, None]
-    same = ((data == J.data[starts[2]:starts[3]]).all(axis=1)
-            & (rows == J.indices[starts[2]:starts[3]] - 2 * m).all(axis=1))
-    T = 1 + int(same.argmin() if not same.all() else same.size)
-    if T < 3:
-        return None
-    try:
-        return CyclicTail(d0, c2[2 * m:], c2[m:2 * m], c2[:m], (T + 1).bit_length() - 1)
-    except LinearSolveFailed:
-        return None
+    lo, hi = J.indptr[m], J.indptr[2 * m]  # row 0's entries in block column 1 must be 0
+    if (c0[m:2 * m] != np.diag(d0)).any() or J.data[lo:hi][J.indices[lo:hi] < m].any():
+        raise ValueError("block row 0 of J is not a diagonal")
+    if not d0.all():
+        raise LinearSolveFailed("band factor is exactly singular: block row 0 has a zero")
+    T, D, U = 0, None, None
+    if m >= TAIL_MIN_WIDTH and a >= 3 * m:
+        c1, c2 = _block_column(J, 1, m), _block_column(J, 2, m)
+        D, U = c2[m:2 * m], c2[:m]
+        if (c0[2 * m:] == c2[2 * m:]).all() and (c1[m:] == c2[m:]).all():
+            nx, ptr = (J.shape[0] - 1) // m, J.indptr
+            starts = ptr[:nx * m + 1:m]
+            size = starts[3] - starts[2]
+            counts = np.diff(ptr[:nx * m + 1]).reshape(nx, m)
+            same = (np.diff(starts)[3:] == size) & (counts[3:] == counts[2]).all(axis=1)
+            end = 3 + (same.argmin() if not same.all() else same.size)
+            data = J.data[starts[3]:starts[end]].reshape(-1, size)
+            rows = (J.indices[starts[3]:starts[end]].reshape(-1, size)
+                    - m * np.arange(3, end)[:, None])
+            same = ((data == J.data[starts[2]:starts[3]]).all(axis=1)
+                    & (rows == J.indices[starts[2]:starts[3]] - 2 * m).all(axis=1))
+            T = 1 + int(same.argmin() if not same.all() else same.size)
+    return CyclicTail(d0, c0[2 * m:], D, U, (T + 1).bit_length() - 1)
 
 
 class BorderedBandLU:
     """Band LU of a bordered Jacobian (module docstring).
 
     `J` is the CSC Jacobian of an `nx`-column grid (`assemble_jacobian`); its
-    last row must be the phase row, a single 1, and the rest of J banded
-    (ValueError otherwise).  Raises LinearSolveFailed when the band matrix
-    is exactly singular or the rank-1 correction has a zero denominator.
-    When m >= `TAIL_MIN_WIDTH`, the equal block rows after the Dirichlet
-    column are eliminated first (`tail`, a `CyclicTail` or None), and the
-    band holds only the unknowns from `start` on.
+    last row must be the phase row, a single 1, its block row 0 a Dirichlet
+    diagonal, and the rest of J banded (ValueError otherwise).  Raises
+    LinearSolveFailed when the band matrix is exactly singular or the rank-1
+    correction has a zero denominator.  Block rows 0 .. K are eliminated
+    first (`tail`, a `CyclicTail`), and the band holds only the unknowns from
+    `start` = (K + 1) m on.
     """
 
     def __init__(self, J: sp.csc_matrix, nx: int) -> None:
-        bands = getattr(cached_pattern(J), "bands", {})  # a cached pattern keeps its maps
-        m, a, dst, rows_a = (bands.get(nx)
-                             or bands.setdefault(nx, band_map(J.indptr, J.indices, nx)))
-        n, ldab = J.shape[0] - 1, 3 * m + 1
-        self.tail = cyclic_tail(J, m, a) if m >= TAIL_MIN_WIDTH else None
-        values, start = J.data, 0
-        if self.tail is not None:
-            start, key = (self.tail.K + 1) * m, (nx, self.tail.K)
-            keep, dst = (bands.get(key)
-                         or bands.setdefault(key, restrict_band_map(dst, n, m, start)))
-            values = J.data[keep]
+        n, m = J.shape[0] - 1, (J.shape[0] - 1) // nx
+        if m * nx != n:
+            raise ValueError(f"a {n + 1}-row Jacobian does not fit a grid with nx = {nx}")
+        a = _anchor(J.indptr, J.indices, m)
+        self.tail = cyclic_tail(J, m, a)
+        start, ldab, key = (self.tail.K + 1) * m, 3 * m + 1, (nx, self.tail.K)
         nb = n - start
-        buf = np.zeros(nb * ldab + n + rows_a.size)
-        buf[dst] = values
+        bands = getattr(cached_pattern(J), "bands", {})  # a cached pattern keeps its maps
+        dst, rows_a = (bands.get(key)
+                       or bands.setdefault(key, band_map(J.indptr, J.indices, nx, self.tail.K)))
+        buf = np.zeros(nb * ldab + n + rows_a.size + 1)
+        buf[dst] = J.data
         ab, b = buf[:nb * ldab].reshape(nb, ldab).T, buf[nb * ldab:nb * ldab + n]
         if ab[2 * m, a - start] != 1.0:
             raise ValueError("the last row of J is not a unit phase row")
-        if self.tail is not None:  # the tail's Schur complement, into block row K + 1
-            r, c = np.indices((m, m))
-            ab[2 * m + r - c, c] -= self.tail.schur
-        self.col_a = rows_a, buf[nb * ldab + n:]  # column a of J, moved to the right-hand side
+        r, c = np.indices((m, m))
+        ab[2 * m + r - c, c] -= self.tail.schur  # the tail's Schur complement, into block row K + 1
+        self.col_a = rows_a, buf[nb * ldab + n:-1]  # column a of J, moved to the right-hand side
         self.lu, self.piv, info = lapack.dgbtrf(ab, m, m, overwrite_ab=1)
         if info > 0:
             raise LinearSolveFailed(f"band factor is exactly singular: U({info}, {info}) = 0")
@@ -370,8 +371,6 @@ class BorderedBandLU:
 
     def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
         """A~^{-1} rhs; overwrites rhs."""
-        if self.tail is None:
-            return lapack.dgbtrs(self.lu, self.m, self.m, rhs, self.piv, overwrite_b=1)[0]
         self.tail.reduce(rhs)
         rhs[self.start:] = lapack.dgbtrs(self.lu, self.m, self.m, rhs[self.start:], self.piv,
                                          overwrite_b=1)[0]

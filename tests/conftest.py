@@ -58,7 +58,7 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
 
         def counted(*args):
             lu = factorize(*args)
-            tails.append(0 if lu.lu.tail is None else lu.lu.tail.K)
+            tails.append(lu.lu.tail.K)
             return lu
 
         patch.setattr(solver, "factorize", counted)

@@ -123,6 +123,12 @@ def at(name, edit):
      "ConfigError: shooting_tol: must lie in (0, inf), got inf"),
     ("run", lambda cfg: cfg["continuation"].update(initial_step=0.0), EXIT_VALIDATION,
      "ConfigError: continuation.initial_step: must be > 0, got 0.0"),
+    ("run", lambda cfg: cfg["continuation"].update(initial_step=float("inf")), EXIT_VALIDATION,
+     "ConfigError: continuation.initial_step: must be finite, got inf"),
+    ("run", lambda cfg: cfg["grid"].update(x_left=-float("inf")), EXIT_VALIDATION,
+     "ConfigError: grid.x_left: Grid.x_left must be finite, got -inf"),
+    ("run", lambda cfg: cfg["grid"].update(x_right=float("inf")), EXIT_VALIDATION,
+     "ConfigError: grid.x_right: Grid.x_right must be finite, got inf"),
     ("resume", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "ckpt.json: missing field 'psi'"),
     ("profile", lambda ckpt: ckpt.pop("psi"), EXIT_IO, "ckpt.json: missing field 'psi'"),
     ("profile", lambda ckpt: ckpt["grid"].pop("nx"), EXIT_IO,
@@ -214,7 +220,8 @@ def at(name, edit):
            "'grid' is out of range: Grid requires x_left < x_right")]
       for command in ("resume", "profile")],
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "newton.tol_residual_inf",
-        "shooting_tol_inf", "continuation.initial_step_zero", "resume_no_psi",
+        "shooting_tol_inf", "continuation.initial_step_zero", "continuation.initial_step_inf",
+        "grid.x_left_inf", "grid.x_right_inf", "resume_no_psi",
         "profile_no_psi", "profile_no_grid_nx", "resume_psi_short",
         "profile_psi_short", "resume_prev_psi_short", "profile_grid_nx_float",
         "resume_psi_not_base64", "profile_psi_not_base64", "resume_psi_12_bytes",
@@ -928,6 +935,18 @@ def test_dispersion_curves_script(tmp_path):
     assert len(rows) == 42
     gammas = [float(r["gamma"]) for r in rows]
     assert all(np.isfinite(gammas)) and min(gammas) > 0.0
+
+
+def test_run_default_script(tmp_path):
+    # the documented script runs the default A -> B -> C path on 961 x 41
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_default.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=600, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    _, rows = read_rows(tmp_path / "out" / "path.csv")
+    # the pinned stage-C speed of the default grid (test_pinned_default_path_speeds)
+    assert rows[-1]["stage"] == "C"
+    assert float(rows[-1]["c"]) == pytest.approx(0.292337339704275, abs=1e-9)
 
 
 def test_readme_library_snippet(tmp_path):

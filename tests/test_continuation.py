@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,14 @@ def test_record_rejects_a_previous_state_not_behind_it(coarse_setup):
                           (HomotopyFamily.exchange(0.1), "must be of the wentzell family")]:
         with pytest.raises(ValueError, match=f"ContinuationRecord.prev_state {message}"):
             dataclasses.replace(record, prev_state=at(prev))
+
+
+def test_record_rejects_an_infinite_step(coarse_setup):
+    # a march halves a rejected step: from inf it would retry forever
+    _, _, start = coarse_setup
+    for step in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="ContinuationRecord.step must be finite and > 0"):
+            dataclasses.replace(start, step=step)
 
 
 def test_family_guards(coarse_setup):

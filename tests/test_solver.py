@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 
 from stripwave import residual, solver
 from stripwave import (HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
@@ -61,14 +62,7 @@ def test_linear_solve_rejects_nonsquare():
 
 def tail_rows(factorization) -> int:
     """How many block rows a band factorization eliminated by cyclic reduction."""
-    return 0 if factorization.lu.tail is None else factorization.lu.tail.K
-
-
-def same_bytes(one, other, rhs) -> bool:
-    """Whether two band factorizations hold the same LU and solve `rhs` alike."""
-    return (one.lu.lu.tobytes() == other.lu.lu.tobytes()
-            and one.lu.piv.tobytes() == other.lu.piv.tobytes()
-            and one.solve(rhs).tobytes() == other.solve(rhs).tobytes())
+    return factorization.lu.tail.K
 
 
 def check_band_solve(band, J, rhs):
@@ -114,16 +108,16 @@ def test_band_solve_matches_superlu(converged_jacobians):
 
 
 @pytest.mark.parametrize("row, block, tail", [(0, "D", 127), (1, "D", 0), (1, "L", 0),
-                                              (2, "L", 0), (4, "D", 0), (4, "L", 0),
+                                              (2, "L", 0), (4, "D", 1), (4, "L", 1),
                                               (40, "D", 31), (40, "L", 31), (200, "D", 127),
                                               (200, "L", 127)])
-def test_a_changed_block_row_ends_the_tail(monkeypatch, row, block, tail):
+def test_a_changed_block_row_ends_the_tail(row, block, tail):
     # block row `row` of a Wentzell Jacobian on 241 x 21 gets a new diagonal
     # entry, in its D block or its L block, so the equal rows 1 .. T (about 150
     # unchanged, psi <= theta left of x = -8.5) end before it: T = row - 2 (D)
-    # or row - 3 (L), and the largest 2^p - 1 <= T are eliminated (none below
-    # 3).  Row 0, the Dirichlet row, stays a diagonal, and row 200 lies right
-    # of the front, past the tail.
+    # or row - 3 (L), and the largest 2^p - 1 <= T are eliminated (none when
+    # rows 1 and 2 differ).  Row 0, the Dirichlet row, stays a diagonal, and
+    # row 200 lies right of the front, past the tail.
     grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
     J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
     m = grid.ny
@@ -135,62 +129,109 @@ def test_a_changed_block_row_ends_the_tail(monkeypatch, row, block, tail):
     assert tail_rows(band) == tail
     rhs = np.random.default_rng(3).standard_normal(J.shape[0])
     check_band_solve(band, J, rhs)
-    if not tail:  # fewer than 3 equal rows: the LU is the band LU of the whole matrix
-        monkeypatch.setattr(solver, "TAIL_MIN_WIDTH", math.inf)
-        assert same_bytes(band, solver.factorize(J, grid.nx), rhs)
 
 
-def test_a_singular_reduction_level_leaves_the_whole_band(monkeypatch):
-    # a level whose D block LAPACK reports exactly singular (here the third)
-    # gives up the tail, not the factorization
+@pytest.mark.parametrize("level, tail", [(0, 0), (1, 1), (2, 3), (4, 15)])
+def test_a_singular_reduction_level_ends_the_tail(monkeypatch, level, tail):
+    # a level whose D block LAPACK reports exactly singular ends the reduction
+    # there, with the levels before it: row 2^level's Schur complement is their
+    # sum, so the shorter tail is exact (241 x 21 would eliminate 127 rows)
     grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
     J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
-    rhs = np.random.default_rng(9).standard_normal(J.shape[0])
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "TAIL_MIN_WIDTH", math.inf)
-        whole = solver.factorize(J, grid.nx)
     calls, dgetrf = [], solver.lapack.dgetrf
 
-    def third_singular(a):
+    def singular_at_level(a):
         calls.append(a)
         lu, piv, info = dgetrf(a)
-        return lu, piv, 3 if len(calls) == 3 else info
+        return lu, piv, 3 if len(calls) == level + 1 else info
 
-    monkeypatch.setattr(solver.lapack, "dgetrf", third_singular)
+    monkeypatch.setattr(solver.lapack, "dgetrf", singular_at_level)
     band = solver.factorize(J, grid.nx)
-    assert len(calls) == 3 and tail_rows(band) == 0
-    assert same_bytes(band, whole, rhs)
+    assert len(calls) == level + 1 and tail_rows(band) == tail
+    check_band_solve(band, J, np.random.default_rng(9).standard_normal(J.shape[0]))
 
 
 def test_below_the_width_rule_the_band_lu_is_unchanged(monkeypatch):
-    # 481 x 11 has a long tail of equal rows, but m = 11 or 12 is below the rule
+    # 481 x 11 has a long tail of equal rows, but m = 11 or 12 is below the
+    # rule: only the Dirichlet block row is eliminated
     grid = build_grid(PARAMS, -160.0, 80.0, 481, 11)
     rng = np.random.default_rng(5)
     for state in smooth_states(grid):
         J = assemble_jacobian(state, PARAMS, CUBIC, grid)
-        rhs = rng.standard_normal(J.shape[0])
         band = solver.factorize(J, grid.nx)
         assert tail_rows(band) == 0
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "TAIL_MIN_WIDTH", math.inf)
-            assert same_bytes(band, solver.factorize(J, grid.nx), rhs)
+        check_band_solve(band, J, rng.standard_normal(J.shape[0]))
         with monkeypatch.context() as patch:
             patch.setattr(solver, "TAIL_MIN_WIDTH", 1)
             assert tail_rows(solver.factorize(J, grid.nx)) == 255
 
 
-@pytest.mark.parametrize("node", ["interior", "anchor"])
+def equal_rows(J, m, a):
+    """T: how many block rows of A~ after its row 0 equal row 1, where A~ is
+    J without its border and with column a replaced by e_a."""
+    A = J[:-1, :-1].tolil()
+    A[:, a] = 0.0
+    A[a, a] = 1.0
+    A = A.tocsr()
+
+    def block_row(i):
+        return A[i * m:(i + 1) * m, (i - 1) * m:(i + 2) * m].toarray()
+
+    T = 1
+    while np.array_equal(block_row(T + 1), block_row(1)):
+        T += 1
+    return T
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(10, 120), half_ny=st.integers(2, 12), anchor=st.sampled_from([1, 2, 3, -2]),
+       exchange=st.booleans(), front=st.floats(-2.0, 2.0))
+@example(nx=10, half_ny=2, anchor=1, exchange=False, front=0.0)  # 10 x 5 on [-1, 8]
+def test_the_tail_on_small_grids(nx, half_ny, anchor, exchange, front):
+    # with the width rule off, the reduction runs on any grid; the anchor lies
+    # in block column 1, 2 or 3, next to the Dirichlet column, or far right.
+    # The front passes near the anchor, as the phase condition puts it: with
+    # psi = 1 or 0 there, pinning the anchor leaves J near singular
+    ix = anchor % nx
+    grid = build_grid(PARAMS, -float(ix), float(nx - 1 - ix), nx, 2 * half_ny + 1)
+    psi = np.tile(0.5 * (1.0 + np.tanh((grid.x - front) / 2.0)), (grid.ny, 1))
+    state = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(0.5))
+    if exchange:
+        state = handoff_to_system(state, 0.05, PARAMS, grid)
+    J = assemble_jacobian(state, PARAMS, CUBIC, grid)
+    m = grid.ny + exchange
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "TAIL_MIN_WIDTH", 1)
+        band = solver.factorize(J, grid.nx)
+    assert tail_rows(band) <= equal_rows(J, m, band.lu.a)
+    check_band_solve(band, J, np.random.default_rng(nx).standard_normal(J.shape[0]))
+
+
+@pytest.mark.parametrize("node", ["interior", "anchor", "dirichlet"])
 def test_band_singular_jacobian_raises(converged_jacobians, node):
-    # a zeroed interior row makes the band exactly singular; a zeroed anchor
+    # a zeroed interior row makes the band exactly singular, as a zeroed
+    # Dirichlet row makes the division that eliminates it; a zeroed anchor
     # row leaves the band regular but the rank-1 correction singular
-    message = {"interior": "exactly singular", "anchor": "zero denominator"}[node]
+    message = {"interior": "exactly singular", "anchor": "zero denominator",
+               "dirichlet": "exactly singular: block row 0"}[node]
     grid, systems, _ = converged_jacobians
     J = systems[1][0].tocsr()
     index, _ = field_views(np.arange(J.shape[0]), grid, HomotopyFamily.wentzell(1.0))
     # the anchor is the one column of the phase row
-    row = index[1, grid.nx // 3] if node == "interior" else J[-1].indices[0]
+    row = {"interior": index[1, grid.nx // 3], "anchor": J[-1].indices[0],
+           "dirichlet": index[grid.ny // 2, 0]}[node]
     J.data[J.indptr[row]:J.indptr[row + 1]] = 0.0  # a zeroed strip row, c column included
     with pytest.raises(LinearSolveFailed, match=message):
+        solver.factorize(J.tocsc(), grid.nx)
+
+
+@pytest.mark.parametrize("column", [1, 21], ids=["block_column_0", "block_column_1"])
+def test_a_dirichlet_row_with_an_off_diagonal_entry_is_refused(column):
+    # the band path solves block row 0 by one division: it must be a diagonal
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid).tolil()
+    J[0, column] = 0.5
+    with pytest.raises(ValueError, match="block row 0 of J is not a diagonal"):
         solver.factorize(J.tocsc(), grid.nx)
 
 
@@ -219,23 +260,27 @@ def test_band_map_of_a_foreign_jacobian_gives_the_same_bits():
 
 
 def test_structure_is_built_once_per_grid_and_family(monkeypatch):
-    # on 241 x 21, past the width rule, the band map restricted to the columns
-    # after the tail is built once per family and tail length too
+    # one band map per grid, family and tail length: K = 0 on 241 x 5, below
+    # the width rule, and K = 127 on 241 x 21, where the rule switched off
+    # adds the K = 0 maps
     built = []
-    for module, name in ((residual, "_build_pattern"), (solver, "band_map"),
-                         (solver, "restrict_band_map")):
+    for module, name in ((residual, "_build_pattern"), (solver, "band_map")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name:
-                            (built.append(_name), _real(*args))[1])
-    for ny, restricted in ((5, 0), (21, 2)):
+                            (built.append((_name, *args[3:])), _real(*args))[1])
+    for ny, tails in ((5, [0]), (21, [127, 0])):
         grid = build_grid(PARAMS, -160.0, 80.0, 241, ny)
         residual._PATTERNS.clear()
         built.clear()
-        for _ in range(3):
-            for state in smooth_states(grid):
-                solver.factorize(assemble_jacobian(state, PARAMS, CUBIC, grid), grid.nx)
-        assert sorted(built) == (["_build_pattern"] * 2 + ["band_map"] * 2
-                                 + ["restrict_band_map"] * restricted)
+        for tail in tails:
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "TAIL_MIN_WIDTH", 21 if tail else math.inf)
+                for _ in range(3):
+                    for state in smooth_states(grid):
+                        J = assemble_jacobian(state, PARAMS, CUBIC, grid)
+                        assert tail_rows(solver.factorize(J, grid.nx)) == tail
+        assert sorted(built) == sorted([("_build_pattern",)] * 2
+                                       + [("band_map", tail) for tail in tails] * 2)
 
 
 @pytest.mark.parametrize("nx, ny, kind", [(481, 11, "band"), (961, 41, "band"),
