@@ -8,8 +8,9 @@ wave profile <ckpt> <out.csv> plot-ready profile slices from a checkpoint
 wave symbol-scan <config>     boundary-symbol zero-free scan as CSV
 wave oned <config>            1-D shooting speed and profile only
 
-Exit codes: 0 ok, 2 validation, 3 solver, 4 I/O or malformed input.  The
-environment variable WAVE_OUT overrides the configured output directory.
+Exit codes: 0 ok, 2 validation, 3 solver or a failed certificate, 4 I/O or
+malformed input.  The environment variable WAVE_OUT, when nonempty, overrides
+the configured output directory.
 All float output is formatted with 17 significant digits so identical
 configs produce byte-identical path.csv files; checkpoints hold their arrays
 as base64 text of the float64 bytes, so a resume starts from the exact state.
@@ -37,8 +38,8 @@ import numpy as np
 from .continuation import (PARAMETER_TOL, ContinuationOptions, ContinuationRecord,
                            continue_exchange, continue_wentzell, embed_one_dim_wave,
                            handoff_to_system, make_record)
-from .errors import (AnchorNotOnGrid, BadExtent, ConfigError, ConfigHashMismatch, SchemaMismatch,
-                     StripWaveError)
+from .errors import (AnchorNotOnGrid, BadExtent, CertificateFailed, ConfigError,
+                     ConfigHashMismatch, SchemaMismatch, StripWaveError)
 from .grid import Grid, build_grid
 from .model import ModelParams, NonlinearityKind, NonlinearitySpec
 from .residual import EXCHANGE, WENTZELL, HomotopyFamily, WaveState, assemble_residual
@@ -185,7 +186,12 @@ def load_config(path) -> RunConfig:
 
 
 def resolve_output_dir(cfg: RunConfig) -> Path:
-    return Path(os.environ.get("WAVE_OUT", cfg.output_dir))
+    """WAVE_OUT if set, else the config's `output_dir`; an empty WAVE_OUT, which
+    would name the current directory, is refused."""
+    out = os.environ.get("WAVE_OUT", cfg.output_dir)
+    if not out:
+        raise ConfigError("WAVE_OUT: must be nonempty when set")
+    return Path(out)
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -368,6 +374,16 @@ def checkpoint_state(data: dict) -> tuple[WaveState, Grid, float, WaveState | No
 CHECKPOINT_NAME = re.compile(r"ckpt_\d{4,}_[ABC]\.json")
 
 
+def certify(record: ContinuationRecord) -> None:
+    """Raise CertificateFailed naming each certificate `record` fails."""
+    diag = record.diagnostics
+    if not diag.all_ok:
+        failed = [name for name in PATH_COLUMNS if name.endswith("_ok") and not getattr(diag, name)]
+        raise CertificateFailed(f"stage {record.stage} record at parameter "
+                                f"{fmt_float(record.parameter)}, c = {fmt_float(record.c)}, "
+                                f"fails {', '.join(failed)}")
+
+
 class PathWriter:
     """Streams path.csv rows and checkpoints as records are accepted.
 
@@ -376,7 +392,9 @@ class PathWriter:
 
     Every record it is given becomes a row: a march sends only the records
     of the steps it accepts, never its start, which is already on the path
-    or is the checkpoint a resume starts from.
+    or is the checkpoint a resume starts from.  A record that fails a
+    certificate stops the run (`certify`) once its row is written, before
+    its checkpoint.
     """
 
     def __init__(self, outdir: Path, cfg: RunConfig, cfg_hash: str) -> None:
@@ -401,6 +419,7 @@ class PathWriter:
         self.fh.flush()
         self.count += 1
         self.checkpointed = False
+        certify(record)
         every = self.cfg.checkpoint_every
         if every > 0 and self.count % every == 0:
             self.checkpoint(record)
@@ -560,10 +579,11 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
                                                    cfg.grid)).max())
     summary: dict = {"config_hash": cfg_hash, "stages": {}, "timings_s": {},
                      "resumed_from": {"stage": ckpt["stage"], "parameter": ckpt["parameter"]}}
+    t0 = time.perf_counter()
+    start = make_record(stage, state, residual_norm, cfg.params, cfg.nonlinearity, cfg.grid,
+                        step, prev_state)
+    certify(start)  # before the output directory is touched
     with closing(PathWriter(outdir, cfg, cfg_hash)) as writer:
-        t0 = time.perf_counter()
-        start = make_record(stage, state, residual_norm, cfg.params, cfg.nonlinearity, cfg.grid,
-                            step, prev_state)
         ends = _run_stages(cfg, writer, summary, start, t0)
     return _write_outputs(outdir, cfg.grid, ends, summary)
 

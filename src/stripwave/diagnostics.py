@@ -30,8 +30,10 @@ pure algebra, not on solutions.
 
 Each check returns a bool, and left_decay_bound its largest excess over
 the bound: a record carries only the verdicts and the few numbers of its
-DiagnosticsReport.  Checks never raise on mere failure; only preconditions
-that make a check meaningless raise.
+DiagnosticsReport.  A helper raises only for a caller error (a Wentzell
+state given to the sandwich check, c <= 0 or f'(1) >= 0 in a dispersion
+query).  A state on which its quantity is undefined gets the value a record
+carries for it: inf for the left-decay excess, NaN for a rate.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoRoot, ThresholdNotCrossed, WindowEmpty, WrongFamily
+from .errors import WrongFamily
 from .grid import Grid
 from .model import ModelParams, NonlinearitySpec, c_max, eval_nonlinearity
 from .residual import WaveState
@@ -143,7 +145,7 @@ def speed_identity(state: WaveState, params: ModelParams, spec: NonlinearitySpec
 def left_decay_bound(state: WaveState, params: ModelParams, grid: Grid,
                      theta: float) -> float:
     """Largest excess of psi over theta * exp(r (x - x_theta)); the bound
-    holds when it is at most 1e-8.
+    holds when it is at most 1e-8.  inf when no column has max_y psi <= theta.
 
     x_theta is the rightmost column whose maximum over y stays at or
     below the ignition threshold; the rate is r = c / max(d, D), the
@@ -153,7 +155,7 @@ def left_decay_bound(state: WaveState, params: ModelParams, grid: Grid,
     psi = state.psi
     below = np.nonzero(psi.max(axis=0) <= theta)[0]
     if below.size == 0:
-        raise ThresholdNotCrossed("max_y psi exceeds theta at every column; extent too small")
+        return math.inf
     i_theta = int(below[-1])
     r = state.c / max(params.d, params.D)
     x = grid.x
@@ -167,7 +169,8 @@ def dispersion_root(q: DispersionQuery) -> DispersionRoot:
     beta uses the full f'(1); gamma_lim is the positive root of beta = 0,
     i.e. of d g^2 + c g + f'(1) = 0.  At s = 0 the Wentzell relation
     forces beta = 0, so the root is gamma_lim itself, the rate of the
-    1-D linearization.  Returns the root together with gamma_lim.
+    1-D linearization.  Returns the root, NaN when the bracket does not
+    straddle one, together with gamma_lim.
     """
     d, D, mu, L = q.params.d, q.params.D, q.params.mu, q.params.L
     c, fp1 = q.c, q.fprime1
@@ -189,8 +192,7 @@ def dispersion_root(q: DispersionQuery) -> DispersionRoot:
 
     lo, hi = 1e-14 * gamma_lim, gamma_lim * (1.0 - 1e-14)
     if not (gap(lo) < 0.0 < gap(hi)):
-        raise NoRoot(f"dispersion bracket does not straddle: gap({lo:.3e})={gap(lo):.3e}, "
-                     f"gap({hi:.3e})={gap(hi):.3e}")
+        return DispersionRoot(gamma=math.nan, gamma_lim=gamma_lim)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
@@ -214,44 +216,32 @@ def fit_right_decay(state: WaveState, grid: Grid) -> float:
 
     Fits log(1 - psi(x, -L)) over nodes with 1e-8 < 1 - psi < 1e-2 and
     x <= x_right - 5 hx (keeping clear of the Dirichlet truncation),
-    returning the negated slope.
+    returning the negated slope, or NaN when fewer than 3 nodes qualify.
     """
     one_minus = 1.0 - state.psi[0, :]
     x = grid.x
     mask = (one_minus > FIT_LOWER) & (one_minus < FIT_UPPER) & (x <= grid.x_right - 5.0 * grid.hx)
     if int(mask.sum()) < 3:
-        raise WindowEmpty("fewer than 3 nodes with 1e-8 < 1 - psi < 1e-2 before the cutoff")
+        return math.nan
     slope = np.polyfit(x[mask], np.log(one_minus[mask]), 1)[0]
     return float(-slope)
 
 
 def run_diagnostics(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
                     grid: Grid) -> DiagnosticsReport:
-    """Full per-record report.  Never raises: a check whose precondition
-    fails reports False, a number that cannot be computed NaN."""
+    """Full per-record report: a quantity undefined on `state` reports what
+    its helper returns for it, so a left-decay verdict of False or a NaN rate."""
     psi = state.psi
-    try:
-        left_decay_ok = left_decay_bound(state, params, grid, theta=spec.theta) <= LEFT_DECAY_TOL
-    except ThresholdNotCrossed:
-        left_decay_ok = False
-    try:
-        gamma_pred = dispersion_root(DispersionQuery(
-            c=state.c, params=params, family_kind=state.family.kind,
-            parameter=state.family.parameter, fprime1=spec.fprime_at_one)).gamma
-    except NoRoot:
-        gamma_pred = math.nan
-    try:
-        gamma_fit = fit_right_decay(state, grid)
-    except WindowEmpty:
-        gamma_fit = math.nan
     return DiagnosticsReport(
         bounds_ok=check_bounds(state, params),
         monotone_ok=check_monotonicity(state),
         sandwich_ok=check_sandwich(state, params) if state.family.is_exchange else True,
-        left_decay_ok=left_decay_ok,
+        left_decay_ok=left_decay_bound(state, params, grid, spec.theta) <= LEFT_DECAY_TOL,
         speed_identity_gap=abs(speed_identity(state, params, spec, grid) - state.c) / abs(state.c),
-        gamma_fit=gamma_fit,
-        gamma_pred=gamma_pred,
+        gamma_fit=fit_right_decay(state, grid),
+        gamma_pred=dispersion_root(DispersionQuery(
+            c=state.c, params=params, family_kind=state.family.kind,
+            parameter=state.family.parameter, fprime1=spec.fprime_at_one)).gamma,
         cmax_margin=c_max(params, spec) - state.c,
         min_psi=float(psi.min()),
         max_psi=float(psi.max()),

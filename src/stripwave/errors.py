@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Grouped by origin: configuration/shape errors are raised eagerly on bad
-input, solver errors signal a failed nonlinear or linear solve, and
-continuation errors signal that the parameter march cannot proceed.
+input, solver errors signal a failed nonlinear or linear solve,
+continuation errors signal that the parameter march cannot proceed, and
+CertificateFailed that a run wrote a record its diagnostics do not certify.
 """
 
 
@@ -80,22 +81,10 @@ class ExtentTooSmall(ContinuationError):
     """Grid extents violate the decay-based adequacy rule at a record."""
 
 
-# --- diagnostics ------------------------------------------------------------
+# --- certificates -----------------------------------------------------------
 
-class DiagnosticsError(StripWaveError):
-    """Base class for diagnostic preconditions that cannot be met."""
-
-
-class ThresholdNotCrossed(DiagnosticsError):
-    """The field exceeds the ignition threshold everywhere."""
-
-
-class WindowEmpty(DiagnosticsError):
-    """No usable nodes in the decay-fitting window."""
-
-
-class NoRoot(DiagnosticsError):
-    """Dispersion bracket does not straddle a root."""
+class CertificateFailed(StripWaveError):
+    """A record fails a certificate of its diagnostics; the run stops at it."""
 
 
 # --- persistence ------------------------------------------------------------

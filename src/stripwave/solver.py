@@ -96,39 +96,40 @@ REFRESH_RATIO = 0.25
 # 0.25 and 0.9); at 32x two cubic brackets moved by 5e-12 and 7e-12, which
 # would send those runs back to the bisection at the step itself
 COARSE = 16
-# `cyclic_tail` takes p = 0 below this m.  One factorization and one solve of a
-# Wentzell(1) and an exchange(0.05) Jacobian of a tanh front, whole band (p = 0
-# as it was, with no Dirichlet division) -> tail eliminated (the best of 5 calls,
-# median of 5 interleaved rounds, one BLAS thread, shared 2-vCPU VM, ms):
-#     grid        m       K     factor                   solve
-#     481 x 11    11, 12  255   2.6 -> 3.2, 3.2 -> 3.5   0.55 -> 0.92, 0.62 -> 0.93
-#     961 x 11    11, 12  511   6.2 -> 5.2, 7.6 -> 5.6   0.97 -> 1.43, 1.14 -> 1.45
-#     961 x 15    15, 16  511   12.1 -> 8.6, 9.9 -> 7.3  1.67 -> 1.65, 1.59 -> 1.99
-#     961 x 21    21, 22  511   19.7 -> 12.2, 24.5 -> 13.6  2.6 -> 2.8, 4.3 -> 3.6
-#     961 x 31    31, 32  511   52.8 -> 25.8, 38.2 -> 22.2  7.1 -> 5.2, 6.5 -> 5.4
-#     961 x 41    41, 42  511   78.6 -> 37.6, 83.9 -> 39.7  11.1 -> 8.3, 10.9 -> 8.6
-# Each level costs a few m x m calls, whatever m.  On 481 x 11 both lose;
-# up to m = 16 the solve, which Newton runs about four times per
-# factorization, is up to 50% slower; from m = 21 on the factorization is
-# at least 38% faster and the solve at most 8% slower (at m = 21).
+# `cyclic_tail` takes p = 0 below this m.  One factorization and one solve of
+# `BorderedBandLU` on a Wentzell(1) and an exchange(0.05) Jacobian of the
+# embedded front on [-160, 80], p = 0 -> tail (the best of 5 calls, median of
+# 5 interleaved rounds, one BLAS thread, shared 2-vCPU VM, ms):
+#     grid        m       K     factor                      solve
+#     481 x 11    11, 12  255   2.9 -> 3.2, 3.5 -> 3.5      0.46 -> 0.74, 0.49 -> 0.74
+#     961 x 11    11, 12  511   3.9 -> 3.4, 4.9 -> 4.1      0.56 -> 0.73, 0.82 -> 0.79
+#     961 x 15    15, 16  511   11.7 -> 8.2, 9.6 -> 7.5     1.54 -> 1.63, 1.39 -> 1.59
+#     961 x 21    21, 22  511   18.3 -> 11.5, 20.1 -> 13.0  2.39 -> 2.35, 2.54 -> 2.32
+#     961 x 31    31, 32  511   43.6 -> 25.5, 33.6 -> 21.9  6.4 -> 4.5, 5.8 -> 4.7
+#     961 x 41    41, 42  511   61.3 -> 36.3, 66.2 -> 37.9  10.4 -> 7.6, 11.0 -> 7.7
+# Each level costs a few m x m calls, whatever m.  Below m = 21 the solve,
+# which Newton runs about four times per factorization, is up to 60% slower
+# with the tail (481 x 11, where the factorization gains nothing); from m = 21
+# on the factorization is at least 35% faster and the solve no slower.
 TAIL_MIN_WIDTH = 21
 # `factorize(J, nx)` uses the band LU when the half-bandwidth m = (N - 1) // nx
 # is at most this, and SuperLU above it.  One factorization and one solve of a
-# Wentzell(1) Jacobian, each grid in a fresh process with one BLAS thread on a
-# shared 2-vCPU VM, SuperLU -> band (a range where repeats differed):
-#     grid        factor s                 solve s                peak RSS MB
-#     481 x 11    0.011 -> 0.005           0.0008 -> 0.0007        68 ->  67
-#     961 x 21    0.069 -> 0.030           0.005 -> 0.004          83 ->  82
-#     961 x 41    0.15-0.19 -> 0.085-0.095 0.008-0.011 -> 0.011   110 -> 118
-#     3841 x 41   0.62-0.78 -> 0.46-0.53   0.03-0.05 -> 0.04-0.06 251 -> 280
-#     961 x 61    0.25-0.35 -> 0.22-0.25   0.015-0.018 -> 0.023-0.026  140 -> 171
-#     961 x 81    0.47 -> 0.42             0.026 -> 0.037         176 -> 242
-#     1921 x 81   1.14 -> 0.90             0.054 -> 0.082         289 -> 420
-#     961 x 161   1.85 -> 1.76             0.057 -> 0.118         342 -> 701
-# The band array alone holds N (3m + 1) doubles, 2.4 GB on the 3841 x 161
-# refinement grid, where SuperLU peaks at 1.2 GB.  The band factors clearly
-# faster up to m = 42; from ny = 61 on it gains little, solves slower and
-# needs 1.2 to 2 times the memory.
+# Wentzell(1) Jacobian of the embedded front (x_right = 80), each (grid, LU)
+# pair in a fresh process with one BLAS thread on a shared 2-vCPU VM, band
+# with its tail -> SuperLU (the range of 3 processes; peak RSS of the process):
+#     grid, x_left      K     factor s                 solve ms            peak MB
+#     961 x 81, -160    511   0.21-0.23 -> 0.52-0.56   25-28 -> 22-25      150-156 -> 170
+#     961 x 161, -160   511   0.87-0.98 -> 2.06-2.25   75-96 -> 57-61      383 -> 323
+#     1921 x 81, -160   1023  0.42-0.52 -> 1.01-1.12   41-53 -> 44-48      244 -> 279
+#     3841 x 161, -160  2047  3.70-3.76 -> 7.08-7.32   279-307 -> 229-238  1304 -> 1113
+#     961 x 81, -20     127   0.35-0.41 -> 0.50-0.60   36-44 -> 25-29      213 -> 170
+#     961 x 161, -20    127   1.66-1.72 -> 1.69-2.18   116-127 -> 59-68    610 -> 322
+# With the default window the band factors about twice as fast at every width
+# and needs less memory up to ny = 81.  With a short window (x_left = -20, 127
+# tail columns) it factors at most a third faster, solves about twice as slowly
+# and needs up to 1.9 times the memory.  So the rule below is right for short
+# windows and conservative for long ones; a rule on m and K together waits for
+# a benchmark workload on each side of it.
 BAND_MAX_WIDTH = 48
 
 

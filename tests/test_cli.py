@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -524,6 +525,77 @@ def test_rerun_deletes_an_earlier_error_json(tmp_path):
     assert not (out / "error.json").exists()
 
 
+def test_a_failed_certificate_stops_the_run(tmp_path, capsys, monkeypatch):
+    # the record's row is written, so path.csv shows the failure, but no checkpoint
+    made = []
+    real = continuation.run_diagnostics
+
+    def uncertified_from_the_third(*args):
+        made.append(real(*args))
+        return dataclasses.replace(made[-1], monotone_ok=len(made) < 3)
+
+    monkeypatch.setattr(continuation, "run_diagnostics", uncertified_from_the_third)
+    out = tmp_path / "out"
+    cfg = fast_config(out, checkpoint_every=1)
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    capsys.readouterr()
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_SOLVER
+    _, rows = read_rows(out / "path.csv")
+    assert [r["monotone_ok"] for r in rows] == ["1", "1", "0"]
+    assert sorted(p.name for p in out.glob("ckpt_*")) == ["ckpt_0001_A.json", "ckpt_0002_A.json"]
+    assert not (out / "summary.json").exists()
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "CertificateFailed" and error["exit_code"] == EXIT_SOLVER
+    last = rows[-1]
+    assert error["message"] == (f"stage {last['stage']} record at parameter "
+                                f"{last['family_param']}, c = {last['c']}, fails monotone_ok")
+    assert capsys.readouterr().err == f"error: CertificateFailed: {error['message']}\n"
+
+
+def test_a_failed_certificate_stops_its_sweep_point(tmp_path, capsys, monkeypatch):
+    real = continuation.run_diagnostics
+
+    def uncertified_at_d4(state, params, *args):  # forked pool workers inherit it
+        report = real(state, params, *args)
+        return dataclasses.replace(report, left_decay_ok=params.D != 4.0)
+
+    monkeypatch.setattr(continuation, "run_diagnostics", uncertified_at_d4)
+    out = tmp_path / "out"
+    cfg = fast_config(out)
+    cfg["continuation"]["target_stage"] = "A"
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--sweep", "D=2,4"]) == EXIT_SOLVER
+    assert capsys.readouterr().out == "D = 2: exit 0\nD = 4: exit 3\n"
+    error = json.loads((out / "D_4" / "error.json").read_text())
+    assert error["error"] == "CertificateFailed" and error["message"].startswith(
+        "stage A record at parameter 0, c = ")
+    assert error["message"].endswith(", fails left_decay_ok")
+    assert not (out / "D_2" / "error.json").exists()
+    _, rows = read_rows(out / "D_4" / "path.csv")
+    assert [(r["family_param"], r["left_decay_ok"]) for r in rows] == [("0", "0")]
+
+
+def test_wave_out_empty_is_refused(tmp_path, capsys, monkeypatch):
+    # an empty WAVE_OUT names the current directory, whose checkpoints a run would delete
+    cfg_path = write_config(tmp_path, fast_config(tmp_path / "out"))
+    work = tmp_path / "work"
+    work.mkdir()
+    files = {"ckpt_0001_A.json": "{}", "error.json": '{"exit_code": 3}'}
+    for name, text in files.items():
+        (work / name).write_text(text)
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("WAVE_OUT", "")
+    for argv in (["run", str(cfg_path)], ["run", str(cfg_path), "--sweep", "D=2"],
+                 ["resume", "ckpt_0001_A.json", str(cfg_path)],
+                 ["symbol-scan", str(cfg_path), "--n", "11"]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION, argv
+        assert capsys.readouterr().err == ("error: ConfigError: WAVE_OUT: must be nonempty "
+                                           "when set\n")
+        assert {p.name: p.read_text() for p in work.iterdir()} == files
+    assert not (tmp_path / "out").exists()
+
+
 def test_rerun_deletes_the_earlier_runs_checkpoints(tmp_path):
     # a run at D = 4 with a checkpoint per row, then one at D = 2 with one per
     # three rows, into the same directory: it ends as a lone D = 2 run's does
@@ -725,6 +797,63 @@ def test_resume_hash_check(completed_run, tmp_path):
     edited_path = tmp_path / "edited.json"
     edited_path.write_text(json.dumps(edited, indent=1))
     assert main(["resume", str(ckpt), str(edited_path)]) == EXIT_VALIDATION
+
+
+def test_resume_force_over_a_config_that_changes_no_number(completed_run, tmp_path, capsys):
+    # max_iters 50 -> 51 changes the hash but no iterate: Newton converges well within 50
+    _, out, cfg, _ = completed_run
+    full = (out / "path.csv").read_bytes().splitlines(keepends=True)
+    edited = dict(cfg, output_dir=str(tmp_path / "resumed"))
+    edited["newton"] = dict(cfg["newton"], max_iters=51)
+    edited_path = write_config(tmp_path, edited)
+    ckpt = str(out / "ckpt_0003_A.json")
+    assert main(["resume", ckpt, str(edited_path)]) == EXIT_VALIDATION
+    assert "ConfigHashMismatch" in capsys.readouterr().err
+    assert main(["resume", ckpt, str(edited_path), "--force"]) == EXIT_OK
+    resumed = (tmp_path / "resumed" / "path.csv").read_bytes().splitlines(keepends=True)
+    assert resumed == full[:1] + full[1 + 3:]
+
+
+def test_resume_force_does_not_override_the_grid(completed_run, tmp_path, capsys):
+    _, out, cfg, _ = completed_run
+    edited = dict(cfg, output_dir=str(tmp_path / "resumed"))
+    edited["grid"] = dict(cfg["grid"], nx=241)
+    capsys.readouterr()
+    assert main(["resume", str(out / "ckpt_0003_A.json"), str(write_config(tmp_path, edited)),
+                 "--force"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("error: ConfigHashMismatch: checkpoint grid does not "
+                                       "match the configuration grid\n")
+    assert not (tmp_path / "resumed" / "path.csv").exists()
+
+
+def test_resume_from_an_uncertified_checkpoint_stops(completed_run, tmp_path, capsys,
+                                                     monkeypatch):
+    # the start record is certified before any Newton solve and any write
+    _, out, cfg, _ = completed_run
+    ckpt = read_checkpoint(out / "ckpt_0003_A.json")
+    psi = ckpt["psi"].reshape(cfg["grid"]["ny"], cfg["grid"]["nx"])
+    front = int(np.argmax(psi[0] > 0.5))
+    psi[:, front + 1] = psi[:, front] - 1e-3  # psi now decreases in x there
+    ckpt_path = tmp_path / "ckpt.json"
+    write_checkpoint(ckpt_path, ckpt)
+    resumed_out = tmp_path / "resumed"
+    resumed_out.mkdir()
+    (resumed_out / "ckpt_0001_A.json").write_text("{}")  # an earlier run's checkpoint
+    cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out)))
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("newton_solve called from an uncertified checkpoint")
+
+    for module in (cli, continuation):
+        monkeypatch.setattr(module, "newton_solve", no_newton)
+    capsys.readouterr()
+    assert main(["resume", str(ckpt_path), str(cfg_path)]) == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        f"error: CertificateFailed: stage A record at parameter {fmt_float(ckpt['parameter'])}, "
+        f"c = {fmt_float(ckpt['c'])}, fails monotone_ok\n")
+    assert json.loads((resumed_out / "error.json").read_text())["exit_code"] == EXIT_SOLVER
+    # stopped before it touched its directory, as a refused resume is
+    assert sorted(p.name for p in resumed_out.iterdir()) == ["ckpt_0001_A.json", "error.json"]
 
 
 # --- other subcommands ------------------------------------------------------------
@@ -958,6 +1087,13 @@ def test_readme_library_snippet(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # the pinned stage-A speed of the default grid (test_pinned_default_path_speeds)
     assert float(proc.stdout.split()[-1]) == pytest.approx(0.294006370441180, abs=1e-9)
+
+
+def test_readme_default_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\nA full default configuration:\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == default_config_dict()
 
 
 # --- the benchmark's hook points ----------------------------------------------------

@@ -8,7 +8,7 @@ from stripwave import (DispersionQuery, HomotopyFamily, ModelParams, Nonlinearit
                        check_monotonicity, check_sandwich, dispersion_root, fit_right_decay,
                        left_decay_bound, run_diagnostics, speed_identity, supersolution_rate)
 from stripwave.diagnostics import LEFT_DECAY_TOL
-from stripwave.errors import (ThresholdNotCrossed, WindowEmpty, WrongFamily)
+from stripwave.errors import WrongFamily
 
 PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 CUBIC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
@@ -125,8 +125,7 @@ def test_left_decay_slow_tail_fails():
 def test_left_decay_threshold_never_crossed():
     grid = build_grid(PARAMS, -2.0, 1.0, 13, 5)
     psi = np.full((grid.ny, grid.nx), 0.9)
-    with pytest.raises(ThresholdNotCrossed):
-        left_decay_bound(wentzell_state(grid, psi), PARAMS, grid, theta=CUBIC.theta)
+    assert left_decay_bound(wentzell_state(grid, psi), PARAMS, grid, theta=CUBIC.theta) == math.inf
 
 
 # --- dispersion -------------------------------------------------------------------
@@ -172,6 +171,18 @@ def test_gamma_lim_algebra_both_conventions():
     assert supersolution_rate(q).gamma < dispersion_root(q).gamma
 
 
+def test_dispersion_without_a_root_is_nan():
+    # a tiny Wentzell strength against a huge mu: the gap is negative on the whole bracket
+    stiff = ModelParams(d=1.0, D=4.0, mu=1e8, L=1.0)
+    q = DispersionQuery(c=0.3, params=stiff, family_kind="wentzell", parameter=1e-12,
+                        fprime1=-0.49)
+    root = dispersion_root(q)
+    assert math.isnan(root.gamma)
+    # the closed form stays defined: 0.56589...
+    assert root.gamma_lim == pytest.approx((math.sqrt(0.09 + 4 * 0.49) - 0.3) / 2, rel=1e-14)
+    assert math.isnan(supersolution_rate(q).gamma)
+
+
 # --- right-decay fit ---------------------------------------------------------------
 
 def test_fit_right_decay_pure_exponential():
@@ -192,5 +203,15 @@ def test_fit_right_decay_perturbed_exponential():
 def test_fit_right_decay_window_empty():
     grid = build_grid(PARAMS, -2.0, 1.0, 13, 5)
     psi = np.full((grid.ny, grid.nx), 0.5)
-    with pytest.raises(WindowEmpty):
-        fit_right_decay(wentzell_state(grid, psi), grid)
+    assert math.isnan(fit_right_decay(wentzell_state(grid, psi), grid))
+
+
+def test_run_diagnostics_reports_undefined_quantities():
+    # psi > theta everywhere, no node in the fit window, and a dispersion bracket
+    # that does not straddle a root: each gets the value a record carries
+    stiff = ModelParams(d=1.0, D=4.0, mu=1e8, L=1.0)
+    grid = build_grid(stiff, -2.0, 1.0, 13, 5)
+    state = wentzell_state(grid, np.full((grid.ny, grid.nx), 0.9), c=0.3, s=1e-12)
+    report = run_diagnostics(state, stiff, CUBIC, grid)
+    assert not report.left_decay_ok
+    assert math.isnan(report.gamma_fit) and math.isnan(report.gamma_pred)

@@ -561,3 +561,120 @@ def test_newton_nan_state_is_never_converged(coarse_s0, where):
     state = WaveState(c=c, psi=psi, phi=None, family=result.state.family)
     with pytest.raises(SolverError):
         newton_solve(state, PARAMS, CUBIC, grid, NewtonOptions())
+
+
+# --- Newton's safety branches ---------------------------------------------------
+
+@pytest.fixture(scope="module")
+def coarse_start():
+    """The embedded shooting front at Wentzell s = 0 on 481 x 11."""
+    grid = build_grid(PARAMS, -160.0, 80.0, 481, 11)
+    return grid, embed_one_dim_wave(solve_1d_ignition_shooting(PARAMS.d, CUBIC, tol=1e-9),
+                                    grid, CUBIC)
+
+
+def rolled(state, k):
+    """`state` with psi rolled k columns right: a start Newton must work harder from."""
+    return WaveState(c=state.c, psi=np.roll(state.psi, k, axis=1), phi=None,
+                     family=state.family)
+
+
+def test_a_stale_step_that_fails_armijo_is_discarded(coarse_start, monkeypatch):
+    grid, init = coarse_start
+    start = rolled(init, 2)
+    unpatched = newton_solve(start, PARAMS, CUBIC, grid)
+    norms, refactored_at = [], []  # every residual norm; each Jacobian's iterate's norm
+    assemble_r, assemble_j = solver.assemble_residual, solver.assemble_jacobian
+
+    def traced_residual(*args):
+        R = assemble_r(*args)
+        norms.append(float(np.abs(R).max()))
+        return R
+
+    def traced_jacobian(*args):
+        refactored_at.append((len(norms), float(np.abs(assemble_r(*args)).max())))
+        return assemble_j(*args)
+
+    # only a failed stale step refactors now: no step leaves more than all of the residual
+    monkeypatch.setattr(solver, "REFRESH_RATIO", 1.0)
+    monkeypatch.setattr(solver, "assemble_residual", traced_residual)
+    monkeypatch.setattr(solver, "assemble_jacobian", traced_jacobian)
+    result = newton_solve(start, PARAMS, CUBIC, grid)
+    assert result.factorizations == 2
+    k, norm_at = refactored_at[1]
+    # the last trial before the refactorization raised the residual; it is discarded,
+    # and J is refactored at the iterate it started from
+    assert norms[k - 1] > norms[k - 2] == norm_at
+    assert result.residual_norm <= NewtonOptions().tol_residual
+    assert abs(result.state.c - unpatched.state.c) <= 2e-11
+
+
+def test_a_fresh_step_backtracks_to_the_damped_length(coarse_start, monkeypatch):
+    grid, init = coarse_start
+    start = rolled(init, 2)
+    unpatched = newton_solve(start, PARAMS, CUBIC, grid)
+    trials, factored_at = [], []
+    assemble_r, assemble_j = solver.assemble_residual, solver.assemble_jacobian
+
+    def first_full_trial_fails(state, *args):
+        trials.append(state_to_vector(state, grid))
+        R = assemble_r(state, *args)
+        return np.full_like(R, np.nan) if len(trials) == 2 else R  # NaN fails Armijo
+
+    def traced_jacobian(state, *args):
+        factored_at.append(state_to_vector(state, grid))
+        return assemble_j(state, *args)
+
+    monkeypatch.setattr(solver, "assemble_residual", first_full_trial_fails)
+    monkeypatch.setattr(solver, "assemble_jacobian", traced_jacobian)
+    result = newton_solve(start, PARAMS, CUBIC, grid)
+    u0, full, damped = trials[:3]
+    damping = NewtonOptions().damping
+    assert np.abs((damped - u0) - damping * (full - u0)).max() <= 1e-15 * np.abs(full - u0).max()
+    # the damped step is taken: it leaves more than REFRESH_RATIO of the residual, so
+    # the next Jacobian is factored at it
+    assert np.array_equal(factored_at[1], damped)
+    assert result.residual_norm <= NewtonOptions().tol_residual
+    assert abs(result.state.c - unpatched.state.c) <= 2e-11
+
+
+def test_backtracking_ends_in_step_underflow(coarse_start, monkeypatch):
+    grid, init = coarse_start
+    calls = []
+    assemble_r = solver.assemble_residual
+
+    def bounded(*args):  # a line search that never gives up would run on
+        calls.append(1)
+        assert len(calls) < 2000, "the line search did not stop"
+        return assemble_r(*args)
+
+    monkeypatch.setattr(solver, "assemble_residual", bounded)
+    with pytest.raises(StepUnderflow, match="line search stalled"):
+        newton_solve(rolled(init, 20), PARAMS, CUBIC, grid)
+
+
+@pytest.mark.parametrize("size", [1e-8, 1e-3])
+def test_one_refinement_step(coarse_start, monkeypatch, size):
+    # a band solve with an error of relative size `size`: one refinement step leaves
+    # size^2, which passes the 1e-12 backward-error test for 1e-8 and fails it for 1e-3
+    grid, init = coarse_start
+    lu = solver.factorize(assemble_jacobian(init, PARAMS, CUBIC, grid), grid.nx)
+    rhs = -assemble_residual(init, PARAMS, CUBIC, grid)
+    exact = lu.solve(rhs)
+    solves = []
+    band_solve = solver.BorderedBandLU.solve
+
+    def perturbed(self, r):
+        x = band_solve(self, r)
+        solves.append(1)
+        return x + size * np.abs(x).max() * np.cos(np.arange(x.size))
+
+    monkeypatch.setattr(solver.BorderedBandLU, "solve", perturbed)
+    if size > 1e-4:
+        with pytest.raises(LinearSolveFailed, match="after refinement"):
+            lu.solve(rhs)
+    else:
+        x = lu.solve(rhs)
+        # both are backward stable solves, compared as in check_band_solve
+        assert np.abs(x - exact).max() <= 1e-11 * np.abs(exact).max()
+    assert len(solves) == 2
