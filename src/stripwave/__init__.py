@@ -13,7 +13,7 @@ from .analysis import (approximation_identity_mass, bessel_k0, k0_line_mass,
                        scan_symbol_zero_free, symbol_denominator)
 from .continuation import (ContinuationOptions, ContinuationRecord, continue_exchange,
                            continue_wentzell, embed_one_dim_wave, handoff_to_system,
-                           make_record)
+                           make_record, one_dim_start)
 from .diagnostics import (DiagnosticsReport, DispersionQuery, check_bounds,
                           check_monotonicity, check_sandwich, dispersion_root,
                           fit_right_decay, left_decay_bound, run_diagnostics,
@@ -24,7 +24,7 @@ from .model import (ModelParams, NonlinearityKind, NonlinearitySpec, c_max,
 from .residual import (HomotopyFamily, WaveState, assemble_jacobian, assemble_residual,
                        field_views, state_to_vector, vector_to_state)
 from .solver import (NewtonOptions, NewtonResult, OneDimWave, linear_solve, newton_solve,
-                     solve_1d_ignition_shooting)
+                     one_dim_guess, solve_1d_ignition_shooting)
 
 __all__ = [
     "ModelParams", "NonlinearityKind", "NonlinearitySpec", "eval_nonlinearity",
@@ -33,9 +33,9 @@ __all__ = [
     "HomotopyFamily", "WaveState", "assemble_residual", "assemble_jacobian",
     "field_views", "state_to_vector", "vector_to_state",
     "NewtonOptions", "NewtonResult", "OneDimWave", "newton_solve", "linear_solve",
-    "solve_1d_ignition_shooting",
+    "solve_1d_ignition_shooting", "one_dim_guess",
     "ContinuationOptions", "ContinuationRecord", "continue_wentzell", "continue_exchange",
-    "handoff_to_system", "embed_one_dim_wave", "make_record",
+    "handoff_to_system", "embed_one_dim_wave", "one_dim_start", "make_record",
     "DiagnosticsReport", "DispersionQuery", "run_diagnostics", "check_bounds",
     "check_monotonicity", "check_sandwich", "speed_identity", "left_decay_bound",
     "dispersion_root", "supersolution_rate", "fit_right_decay",

@@ -36,14 +36,16 @@ from pathlib import Path
 import numpy as np
 
 from .continuation import (PARAMETER_TOL, ContinuationOptions, ContinuationRecord,
-                           continue_exchange, continue_wentzell, embed_one_dim_wave,
-                           handoff_to_system, make_record)
+                           continue_exchange, continue_wentzell, handoff_to_system, make_record,
+                           one_dim_start)
+from .continuation import embed_one_dim_wave  # noqa: F401 (not called; kept for perfbench/tracer.py)
 from .errors import (AnchorNotOnGrid, BadExtent, CertificateFailed, ConfigError,
                      ConfigHashMismatch, SchemaMismatch, StripWaveError)
 from .grid import Grid, build_grid
 from .model import ModelParams, NonlinearityKind, NonlinearitySpec
 from .residual import EXCHANGE, WENTZELL, HomotopyFamily, WaveState, assemble_residual
-from .solver import NewtonOptions, NewtonResult, newton_solve, solve_1d_ignition_shooting
+from .solver import (NewtonOptions, NewtonResult, newton_solve, one_dim_guess,
+                     solve_1d_ignition_shooting)
 from . import analysis
 
 logger = logging.getLogger(__name__)
@@ -522,10 +524,12 @@ def _write_outputs(outdir: Path, grid: Grid, ends: dict[str, ContinuationRecord]
     return summary
 
 
-def run_start(cfg: RunConfig, timings: dict) -> tuple[float, NewtonResult]:
-    """The start of a run: the 1-D front by shooting, embedded y-uniformly and
-    corrected at Wentzell s = 0, the Neumann strip problem.  Returns the 1-D
-    speed and the correction; the shooting time goes to `timings`.
+def run_start(cfg: RunConfig, timings: dict) -> NewtonResult:
+    """The start of a run, the solution at Wentzell s = 0 (the Neumann strip
+    problem): a coarse shooting guess of the 1-D front (`one_dim_guess`),
+    corrected on three rows and broadcast over y (`one_dim_start`).  Its
+    speed is the discrete 1-D speed, the run's `c_one_dim`; the guess's speed
+    is never reported.  The shooting time goes to `timings`.
 
     In the Wentzell family `D` enters only the top-row term
     `(s/mu)(D psi_xx - c psi_x)`, which with its Jacobian entries is exactly
@@ -533,14 +537,12 @@ def run_start(cfg: RunConfig, timings: dict) -> tuple[float, NewtonResult]:
     `--sweep D=...` computes it once for all its points.
     """
     t0 = time.perf_counter()
-    wave1d = solve_1d_ignition_shooting(cfg.params.d, cfg.nonlinearity, cfg.shooting_tol)
+    guess = one_dim_guess(cfg.params.d, cfg.nonlinearity, cfg.shooting_tol)
     timings["shooting"] = time.perf_counter() - t0
-    init = embed_one_dim_wave(wave1d, cfg.grid, cfg.nonlinearity)
-    return wave1d.c, newton_solve(init, cfg.params, cfg.nonlinearity, cfg.grid, cfg.newton)
+    return one_dim_start(guess, cfg.params, cfg.nonlinearity, cfg.grid, cfg.newton)
 
 
-def execute_run(cfg: RunConfig, outdir: Path,
-                start: tuple[float, NewtonResult] | None = None) -> dict:
+def execute_run(cfg: RunConfig, outdir: Path, start: NewtonResult | None = None) -> dict:
     """A full run.  Given `start`, the `run_start` of a config that differs
     from `cfg` at most in `D`, the run does not shoot: its summary then has
     no `shooting` time, and stage A's time is the march alone."""
@@ -550,8 +552,8 @@ def execute_run(cfg: RunConfig, outdir: Path,
         if start is None:
             start = run_start(cfg, summary["timings_s"])
             t0 += summary["timings_s"]["shooting"]  # stage A's time starts when shooting ends
-        summary["c_one_dim"], corrected = start
-        first = make_record("A", corrected.state, corrected.residual_norm, cfg.params,
+        summary["c_one_dim"] = start.state.c
+        first = make_record("A", start.state, start.residual_norm, cfg.params,
                             cfg.nonlinearity, cfg.grid, cfg.initial_step)
         writer.write(first)
         ends = _run_stages(cfg, writer, summary, first, t0)
@@ -639,12 +641,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_start(data: dict) -> tuple[float, NewtonResult]:
+def _sweep_start(data: dict) -> NewtonResult:
     """The `run_start` that every point of a sweep shares, run in the pool."""
     return run_start(config_from_dict(data), {})
 
 
-def _sweep_worker(payload: tuple[dict, str, tuple[float, NewtonResult]]) -> tuple[int, dict]:
+def _sweep_worker(payload: tuple[dict, str, NewtonResult]) -> tuple[int, dict]:
     """A point's exit code and summary, `{}` when it failed."""
     data, outdir, start = payload
     try:  # a pool process: its errors are reported here, not by `main`
@@ -657,8 +659,9 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
     """One run per `D` value, each in its subdirectory `D_<value>`, on a
     process pool.  The points share their start (`run_start` does not depend
     on `D`), which one pool task computes before the points run.  Then
-    sweep.csv tabulates the speeds, one row per value: the shared 1-D speed
-    and each point's stage A and C end speeds, `nan` where none was reached."""
+    sweep.csv tabulates the speeds, one row per value: the shared discrete
+    1-D speed (stage A's s = 0 speed) and each point's stage A and C end
+    speeds, `nan` where none was reached."""
     name, _, values_txt = sweep.partition("=")
     texts = [v.strip() for v in values_txt.split(",")]
     try:
@@ -687,7 +690,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
         except CLI_ERRORS as exc:  # the start of every point failed
             points = [(_report(sub, exc), {}) for sub in value_of]
         else:
-            c_one_dim = start[0]
+            c_one_dim = start.state.c
             points = list(pool.map(_sweep_worker, [job + (start,) for job in jobs]))
     speeds = [[summary.get("stages", {}).get(stage, {}).get("c", float("nan"))
                for _, summary in points] for stage in "AC"]
@@ -754,8 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--sweep", help="e.g. D=1,2,4: one run per value, in subdirectory "
                                    "D_<value>; the runs share their D-independent start "
-                                   "(shooting and the s = 0 correction), and sweep.csv "
-                                   "tabulates their speeds")
+                                   "(the coarse shooting guess and the s = 0 correction), "
+                                   "and sweep.csv tabulates their speeds")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("resume", help="continue from a checkpoint")

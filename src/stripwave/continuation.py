@@ -1,7 +1,8 @@
 """Homotopy driver: Neumann strip -> Wentzell -> exchange system.
 
 Stage A raises the Wentzell strength s from 0 to 1 starting from the
-y-uniform embedding of the 1-D front.  Stage B switches families at a
+y-uniform embedding of the 1-D front, corrected at s = 0 on three rows
+and broadcast over y (`one_dim_start`).  Stage B switches families at a
 small exchange parameter eps0 using the first-order predictor
 mu*phi = psi(.,0) + eps0 * d * dpsi/dy(.,0) (the exchange condition
 solved for phi at first order in eps).  Stage C raises eps from eps0
@@ -42,7 +43,7 @@ from .errors import (ExtentTooSmall, ParameterNotMonotone, SolverError, StepColl
 from .grid import Grid
 from .model import ModelParams, NonlinearitySpec
 from .residual import HomotopyFamily, WaveState, state_to_vector, vector_to_state
-from .solver import NewtonOptions, OneDimWave, newton_solve
+from .solver import NewtonOptions, NewtonResult, OneDimWave, newton_solve
 
 logger = logging.getLogger(__name__)
 
@@ -106,6 +107,26 @@ def embed_one_dim_wave(wave: OneDimWave, grid: Grid, spec: NonlinearitySpec) -> 
     row = wave.evaluate(grid.x + x_star)
     psi = np.tile(row, (grid.ny, 1))
     return WaveState(c=wave.c, psi=psi, phi=None, family=HomotopyFamily.wentzell(0.0))
+
+
+def one_dim_start(wave: OneDimWave, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
+                  newton_opts: NewtonOptions) -> NewtonResult:
+    """The Wentzell s = 0 solution on `grid`, corrected from the 1-D front `wave`.
+
+    At s = 0 the strip has Neumann conditions top and bottom, so the
+    y-uniform embedding of the discrete 1-D wave solves the problem on any
+    ny.  Newton therefore corrects the embedding on the three-row grid over
+    the same x, whose row 1 is the anchor row y = -L/2; that row, broadcast
+    to `grid.ny` rows, starts Newton on `grid`.  When the broadcast has
+    converged this is one residual evaluation, otherwise a correction: the
+    result carries `grid`'s residual either way.
+    """
+    narrow = Grid(grid.x_left, grid.x_right, grid.L, grid.nx, 3)
+    row = newton_solve(embed_one_dim_wave(wave, narrow, spec), params, spec, narrow,
+                       newton_opts).state
+    init = WaveState(c=row.c, psi=np.tile(row.psi[1], (grid.ny, 1)), phi=None,
+                     family=row.family)
+    return newton_solve(init, params, spec, grid, newton_opts)
 
 
 def handoff_to_system(wentzell_state: WaveState, epsilon0: float, params: ModelParams,

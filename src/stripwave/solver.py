@@ -62,7 +62,9 @@ then classified once more at h.  When h confirms it (lower end
 undershoots, upper end overshoots), it is the bracket a bisection at h
 finds, provided the classification at h is monotone in c; otherwise
 the bisection is redone at h.  The upper-end doubling and the profile
-pass run at h.
+pass run at h.  `one_dim_guess` is the same shooting without the
+confirmation: its profile pass runs at the coarse step, and it serves
+only as a start for Newton.
 """
 
 from __future__ import annotations
@@ -587,6 +589,24 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
     the same end.
     |c - c*| <= tol on return.
     """
+    return _shoot(d, spec, tol, confirm=True)
+
+
+def one_dim_guess(d: float, spec: NonlinearitySpec, tol: float) -> OneDimWave:
+    """A guess of the 1-D front for Newton: `solve_1d_ignition_shooting`'s
+    bracket growth and its bisection at the coarse step `COARSE * h`, with
+    the profile integrated at that step and nothing confirmed at h.
+
+    Raises BracketNotFound as the oracle does, the lower end checked at the
+    coarse step.  Its speed is not the oracle's: a caller must not report
+    it, only correct it (`continuation.one_dim_start`).
+    """
+    return _shoot(d, spec, tol, confirm=False)
+
+
+def _shoot(d: float, spec: NonlinearitySpec, tol: float, confirm: bool) -> OneDimWave:
+    """The shooting of `solve_1d_ignition_shooting` (`confirm`) and of
+    `one_dim_guess`: one RK4 loop, one bisection and one profile pass."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf), got {tol!r}")
     c_bound = c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
@@ -607,23 +627,26 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
         grow += 1
         if grow > 20:
             raise BracketNotFound("no overshooting speed found while doubling the upper bracket")
-    lo, hi = _bisect(c_floor, hi_start, tol, classify_at(COARSE * h, n_steps // COARSE))
-    lo_undershoots = fine(lo) == -1
-    if lo == c_floor and not lo_undershoots:
+    step, count = COARSE * h, n_steps // COARSE
+    coarse = classify_at(step, count)
+    lo, hi = _bisect(c_floor, hi_start, tol, coarse)
+    if lo == c_floor and (fine if confirm else coarse)(lo) != -1:
         raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
-    if not lo_undershoots or (hi != hi_start and fine(hi) != 1):
-        logger.info("shooting: bracket [%r, %r] from step %g is not confirmed at step %g; "
-                    "bisecting again at step %g", lo, hi, COARSE * h, h, h)
-        lo, hi = _bisect(c_floor, hi_start, tol, fine)
-        if lo == c_floor and fine(lo) != -1:
-            raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
+    if confirm:
+        step, count = h, n_steps
+        if (lo != c_floor and fine(lo) != -1) or (hi != hi_start and fine(hi) != 1):
+            logger.info("shooting: bracket [%r, %r] from step %g is not confirmed at step %g; "
+                        "bisecting again at step %g", lo, hi, COARSE * h, h, h)
+            lo, hi = _bisect(c_floor, hi_start, tol, fine)
+            if lo == c_floor and fine(lo) != -1:
+                raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
     c_star = 0.5 * (lo + hi)
 
     xs, ps = [0.0], [theta]
-    for psi, dpsi in _rk4(c_star, d, f, theta, h, n_steps):
+    for psi, dpsi in _rk4(c_star, d, f, theta, step, count):
         if psi <= ps[-1]:
             break  # turn-around of the near-critical trajectory; keep the profile increasing
-        xs.append(xs[-1] + h)
+        xs.append(xs[-1] + step)
         ps.append(min(psi, 1.0))
         if 1.0 - psi < 1e-13 or dpsi <= 0.0:
             break

@@ -7,8 +7,8 @@ from scipy.interpolate import RegularGridInterpolator
 
 from stripwave import (ContinuationOptions, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, build_grid, continue_exchange,
-                       continue_wentzell, embed_one_dim_wave, handoff_to_system, make_record,
-                       newton_solve, solve_1d_ignition_shooting)
+                       continue_wentzell, handoff_to_system, make_record, newton_solve,
+                       one_dim_guess, one_dim_start, solve_1d_ignition_shooting)
 from stripwave import solver
 
 DEFAULT_PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
@@ -43,13 +43,14 @@ def one_dim_cubic():
 
 @pytest.fixture(scope="session")
 def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_cubic):
-    """Complete A -> B -> C run at the default desk resolution.
+    """Complete A -> B -> C run at the default desk resolution, from the
+    start `wave run` takes (`one_dim_guess`, then `one_dim_start`).
 
     Returns a dict with the stage end records, the handoff result, every
     record of the path (s = 0, the A steps, B, the C steps), the number of
     block rows each Newton factorization eliminated by cyclic reduction
-    (`tails`, 0 for none) and the shared inputs, reused by most acceptance
-    criteria.
+    (`tails`, 0 for none), the shooting oracle's front (`one_dim`) and the
+    shared inputs, reused by most acceptance criteria.
     """
     cont = ContinuationOptions()
     tails = []
@@ -62,8 +63,9 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
             return lu
 
         patch.setattr(solver, "factorize", counted)
-        init = embed_one_dim_wave(one_dim_cubic, default_grid, default_spec)
-        corrected = newton_solve(init, default_params, default_spec, default_grid, newton_opts)
+        guess = one_dim_guess(default_params.d, default_spec, tol=1e-9)
+        corrected = one_dim_start(guess, default_params, default_spec, default_grid,
+                                  newton_opts)
         records = [make_record("A", corrected.state, corrected.residual_norm, default_params,
                                default_spec, default_grid, step=0.1)]
         end_a = continue_wentzell(records[0], default_params, default_spec, default_grid,

@@ -442,6 +442,18 @@ def test_run_artifacts(completed_run):
     assert all(r["bounds_ok"] == "1" for r in rows)
 
 
+def test_c_one_dim_is_the_certified_s0_speed(completed_run):
+    # the discrete 1-D speed: the c of path.csv row 1 (stage A, s = 0), whose
+    # certificates hold, and never the speed of the shooting guess
+    _, out, _, _ = completed_run
+    _, rows = read_rows(out / "path.csv")
+    summary = json.loads((out / "summary.json").read_text())
+    assert (rows[0]["stage"], rows[0]["family_param"]) == ("A", "0")
+    assert fmt_float(summary["c_one_dim"]) == rows[0]["c"]
+    assert all(rows[0][k] == "1" for k in ("bounds_ok", "monotone_ok", "sandwich_ok",
+                                           "left_decay_ok"))
+
+
 def test_run_path_parameters(completed_run):
     # step growth counts factorizations, not chord iterations: the path keeps
     # the parameters that full Newton, factoring at every iteration, took
@@ -868,6 +880,24 @@ def test_oned_subcommand(tmp_path, capsys):
     assert dest.read_text().splitlines()[0] == "x,psi"
 
 
+@pytest.mark.parametrize("nonlinearity", [{"kind": "smooth_cubic", "theta": 0.3},
+                                          {"kind": "piecewise_linear_oracle", "theta": 0.25}],
+                         ids=["cubic", "oracle"])
+def test_oned_prints_the_confirmed_oracle_speed(tmp_path, capsys, monkeypatch, nonlinearity):
+    # `wave oned` stays the shooting oracle, confirmed at the fine step, and
+    # never the coarse guess a run starts from
+    def refuse(*args):
+        raise AssertionError("wave oned called the run's guess")
+
+    monkeypatch.setattr(cli, "one_dim_guess", refuse)
+    path = write_config(tmp_path, fast_config(tmp_path / "out", nonlinearity=nonlinearity))
+    assert main(["oned", str(path)]) == EXIT_OK
+    cfg = load_config(path)
+    wave = stripwave.solve_1d_ignition_shooting(cfg.params.d, cfg.nonlinearity, cfg.shooting_tol)
+    printed = capsys.readouterr().out
+    assert printed == f"c = {fmt_float(wave.c)}\n" and float(printed[4:]) == wave.c
+
+
 def test_symbol_scan_subcommand(tmp_path, capsys):
     cfg = fast_config(tmp_path / "out")
     path = write_config(tmp_path, cfg)
@@ -957,18 +987,18 @@ def test_sweep_values_sharing_a_directory(tmp_path, capsys, sweep, named):
 
 
 def test_sweep_point_equals_standalone_run(tmp_path, monkeypatch):
-    calls = tmp_path / "shooting_calls"
-    real_shooting = cli.solve_1d_ignition_shooting
+    calls = tmp_path / "guess_calls"
+    real_guess = cli.one_dim_guess
 
-    def counted_shooting(*args, **kwargs):  # forked pool workers inherit it
+    def counted_guess(*args, **kwargs):  # forked pool workers inherit it
         with open(calls, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return real_shooting(*args, **kwargs)
+        return real_guess(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_1d_ignition_shooting", counted_shooting)
+    monkeypatch.setattr(cli, "one_dim_guess", counted_guess)
     cfg = fast_config(tmp_path / "sweep")
     assert main(["run", str(write_config(tmp_path, cfg)), "--sweep", "D=2,4"]) == EXIT_OK
-    assert len(calls.read_text().splitlines()) == 1  # one shooting for the whole sweep
+    assert len(calls.read_text().splitlines()) == 1  # one start for the whole sweep
     for v in (2.0, 4.0):
         point, alone = tmp_path / "sweep" / f"D_{v:g}", tmp_path / f"alone_{v:g}"
         data = json.loads(json.dumps(cfg))

@@ -1,17 +1,19 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from stripwave import continuation
 from stripwave import (HomotopyFamily, ModelParams, NewtonOptions,
-                       NonlinearityKind, NonlinearitySpec, WaveState, build_grid,
-                       continue_exchange, continue_wentzell, embed_one_dim_wave,
-                       handoff_to_system, make_record, newton_solve,
-                       solve_1d_ignition_shooting)
+                       NonlinearityKind, NonlinearitySpec, WaveState, assemble_residual,
+                       build_grid, continue_exchange, continue_wentzell, embed_one_dim_wave,
+                       handoff_to_system, make_record, newton_solve, one_dim_guess,
+                       one_dim_start, solve_1d_ignition_shooting)
 from stripwave.continuation import check_extents
-from stripwave.errors import (ExtentTooSmall, ParameterNotMonotone, StepCollapse,
-                              WrongFamily)
+from stripwave.errors import (ExtentTooSmall, NegativeSpeed, ParameterNotMonotone,
+                              StepCollapse, WrongFamily)
 
 PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 CUBIC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
@@ -171,14 +173,16 @@ def test_pinned_default_path_speeds(full_path, refined_wentzell_states):
 def test_default_path_eliminates_the_tail_at_every_factorization(full_path):
     # the records' (stage, parameter) as path.csv writes them, as before the
     # left tail was eliminated; every Newton factorization of the 961 x 41 run
-    # eliminates 511 of its equal block rows by cyclic reduction
+    # eliminates 511 of its equal block rows by cyclic reduction.  The s = 0
+    # start factors once on 961 x 3 (m = 3 < TAIL_MIN_WIDTH, so no tail), and
+    # its broadcast row needs no factorization on 961 x 41
     rows = [(r.stage, f"{r.parameter:.17g}") for r in full_path["records"]]
     assert rows == [("A", "0"), ("A", "0.10000000000000001"), ("A", "0.25"),
                     ("A", "0.47500000000000003"), ("A", "0.8125"), ("A", "1"),
                     ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
                     ("C", "0.30000000000000004"), ("C", "0.52500000000000013"),
                     ("C", "0.86250000000000016"), ("C", "1")]
-    assert full_path["tails"] == [511] * 12
+    assert full_path["tails"] == [0] + [511] * 11
 
 
 def test_handoff_correction_budget(full_path):
@@ -197,3 +201,81 @@ def test_exchange_zero_march_is_single_record(full_path):
                             full_path["newton"], target_eps=start.parameter, sink=refuse)
     assert end is start
     assert end.parameter == full_path["b_result"].state.family.parameter
+
+
+# --- the start at s = 0 ---------------------------------------------------------
+
+START_SCENARIOS = {
+    "default": (PARAMS, CUBIC),
+    "theta_0.05": (PARAMS, NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.05)),
+    "oracle_0.25": (PARAMS, NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE,
+                                             theta=0.25)),
+    "mu_0.2": (dataclasses.replace(PARAMS, mu=0.2), CUBIC),
+    "L_0.25": (dataclasses.replace(PARAMS, L=0.25), CUBIC),
+    "L_4": (dataclasses.replace(PARAMS, L=4.0), CUBIC),
+    "d_2": (dataclasses.replace(PARAMS, d=2.0), CUBIC),
+}
+START_GRIDS = [(961, 41), (481, 11)]
+
+
+@functools.cache
+def fronts(d, spec):
+    """The shooting oracle's front and the run's guess, at the CLI's tolerance."""
+    return solve_1d_ignition_shooting(d, spec, tol=1e-9), one_dim_guess(d, spec, tol=1e-9)
+
+
+@pytest.mark.parametrize("nx, ny", START_GRIDS, ids=[f"{nx}x{ny}" for nx, ny in START_GRIDS])
+@pytest.mark.parametrize("name", START_SCENARIOS)
+def test_one_dim_start_equals_the_full_grid_correction(name, nx, ny):
+    # at s = 0 the y-uniform embedding of the discrete 1-D wave solves the
+    # strip problem, so the correction on three rows, broadcast, is the
+    # correction of the oracle's embedding on the full grid
+    params, spec = START_SCENARIOS[name]
+    grid, opts = build_grid(params, -160.0, 80.0, nx, ny), NewtonOptions()
+    oracle, guess = fronts(params.d, spec)
+    full = newton_solve(embed_one_dim_wave(oracle, grid, spec), params, spec, grid, opts).state
+    start = one_dim_start(guess, params, spec, grid, opts)
+    assert abs(start.state.c - full.c) <= 1e-12 * full.c
+    assert np.abs(start.state.psi - full.psi).max() <= 1e-12
+    assert start.state.family == HomotopyFamily.wentzell(0.0)
+    # it carries the full grid's residual, within the Newton tolerance
+    norm = float(np.abs(assemble_residual(start.state, params, spec, grid)).max())
+    assert start.residual_norm == norm <= opts.tol_residual
+    # D drops out at s = 0: the start a sweep's points share is the same bits
+    other = one_dim_start(guess, dataclasses.replace(params, D=2.0 * params.D), spec, grid,
+                          opts)
+    assert other.state.c == start.state.c and other.residual_norm == start.residual_norm
+    assert other.state.psi.tobytes() == start.state.psi.tobytes()
+
+
+@pytest.mark.parametrize("nx, ny", START_GRIDS, ids=[f"{nx}x{ny}" for nx, ny in START_GRIDS])
+def test_both_starts_refuse_a_negative_speed(nx, ny):
+    spec = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.9)
+    grid, opts = build_grid(PARAMS, -160.0, 80.0, nx, ny), NewtonOptions()
+    oracle, guess = fronts(PARAMS.d, spec)
+    with pytest.raises(NegativeSpeed):
+        newton_solve(embed_one_dim_wave(oracle, grid, spec), PARAMS, spec, grid, opts)
+    with pytest.raises(NegativeSpeed):
+        one_dim_start(guess, PARAMS, spec, grid, opts)
+
+
+def test_one_dim_start_corrects_an_unconverged_broadcast(monkeypatch):
+    # when the narrow solution, broadcast, is not a solution on the full grid
+    # (here it is perturbed by 1e-6), Newton on the full grid corrects it
+    params, spec = START_SCENARIOS["default"]
+    grid, opts = build_grid(params, -160.0, 80.0, 481, 11), NewtonOptions()
+    _, guess = fronts(params.d, spec)
+    start = one_dim_start(guess, params, spec, grid, opts)
+    solve = continuation.newton_solve
+
+    def perturbed(init, params, spec, on, opts):
+        result = solve(init, params, spec, on, opts)
+        if on.ny == 3:
+            result.state.psi[:, 1:-1] += 1e-6
+        return result
+
+    monkeypatch.setattr(continuation, "newton_solve", perturbed)
+    off = one_dim_start(guess, params, spec, grid, opts)
+    assert start.iterations == 0 and off.iterations > 0
+    assert off.residual_norm <= opts.tol_residual
+    assert abs(off.state.c - start.state.c) <= 1e-9 * start.state.c

@@ -441,6 +441,35 @@ def test_shooting_fine_trajectories(monkeypatch, caplog):
     assert set(steps) == {fine, solver.COARSE * fine}
 
 
+def test_guess_runs_at_the_coarse_step(monkeypatch):
+    steps = []
+    rk4 = solver._rk4
+
+    def counted(c, d, f, theta, h, n_steps):
+        steps.append(h)
+        return rk4(c, d, f, theta, h, n_steps)
+
+    monkeypatch.setattr(solver, "_rk4", counted)
+    guess = solver.one_dim_guess(1.0, CUBIC, tol=1e-9)
+    fine = min(steps)
+    # the fine step only classifies the starting upper end; the bisection and
+    # the profile run at the coarse step
+    assert steps.count(fine) == 1 and set(steps) == {fine, solver.COARSE * fine}
+    assert np.diff(guess.x) == pytest.approx(solver.COARSE * fine, rel=1e-9)
+    assert abs(guess.c - 0.2634361718052042) <= 1e-9  # within tol of the oracle
+    assert np.all(np.diff(guess.psi) > 0.0) and guess.psi[0] == CUBIC.theta
+
+
+def test_guess_refuses_as_the_oracle_does():
+    oracle = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.9)
+    with pytest.raises(BracketNotFound,
+                       match="lower bracket end c = 5.000e-01 does not undershoot"):
+        solver.one_dim_guess(1.0, oracle, tol=0.5)
+    for tol in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            solver.one_dim_guess(1.0, CUBIC, tol=tol)
+
+
 @pytest.mark.parametrize("field, value", [("max_iters", 0), ("min_step", 0.0),
                                           ("tol_residual", math.inf)])
 def test_newton_options_reject_out_of_range(field, value):
