@@ -372,8 +372,9 @@ def checkpoint_state(data: dict) -> tuple[WaveState, Grid, float, WaveState | No
 
 # --- CSV sinks ----------------------------------------------------------------
 
-# the names `PathWriter.checkpoint` gives its files
+# the names `PathWriter.checkpoint` and `write_profile_files` give their files
 CHECKPOINT_NAME = re.compile(r"ckpt_\d{4,}_[ABC]\.json")
+PROFILE_NAME = re.compile(r"profile_[ABC]_[-+.0-9e]+(_line)?\.csv")
 
 
 def certify(record: ContinuationRecord) -> None:
@@ -389,8 +390,9 @@ def certify(record: ContinuationRecord) -> None:
 class PathWriter:
     """Streams path.csv rows and checkpoints as records are accepted.
 
-    Opening path.csv deletes the directory's error.json and checkpoints, which
-    would otherwise describe an earlier run beside this one's rows.
+    Opening path.csv deletes the directory's error.json, summary.json,
+    checkpoints and profiles, which would otherwise describe an earlier run
+    beside this one's rows.
 
     Every record it is given becomes a row: a march sends only the records
     of the steps it accepts, never its start, which is already on the path
@@ -407,7 +409,8 @@ class PathWriter:
         self.checkpointed = False  # whether the last row written has a checkpoint
         outdir.mkdir(parents=True, exist_ok=True)
         for old in outdir.iterdir():
-            if old.name == "error.json" or CHECKPOINT_NAME.fullmatch(old.name):
+            if (old.name in ("error.json", "summary.json") or CHECKPOINT_NAME.fullmatch(old.name)
+                    or PROFILE_NAME.fullmatch(old.name)):
                 old.unlink()
         self.fh = open(outdir / "path.csv", "w")
         self.fh.write(",".join(PATH_COLUMNS) + "\n")

@@ -6,11 +6,11 @@ are solved by a direct LU (deterministic, robust for the bordered
 nonsymmetric matrix at desk scale), and every solve passes one shared
 backward-error test, with one step of iterative refinement when needed.
 
-Newton factors its Jacobian J in one of two ways, chosen by the grid.
+Newton factors its Jacobian J as a band matrix on every grid.
 J's natural order (`residual.field_views`) is banded: every entry
 outside its last row and column lies within m = (N - 1) // nx of the
-diagonal.  When m <= `BAND_MAX_WIDTH`, J is factored as a LAPACK band
-matrix (`dgbtrf`, partial pivoting).  The border (the c column b, and
+diagonal, so J is factored as a LAPACK band matrix (`dgbtrf`, partial
+pivoting).  The border (the c column b, and
 the phase row e_a^T, a single 1 at the anchor a) is removed as follows
 (Govaerts 2000, *Numerical Methods for Bifurcations of Dynamical
 Equilibria*): the phase row gives x_a = r_N, so the anchor column of J
@@ -20,8 +20,8 @@ near-null translation mode, and J x = r becomes
 (A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
 rank-1 (Sherman-Morrison) correction solves.  Where each entry of J goes
 (`band_map`) is worked out once per cached Jacobian pattern and K below
-(its `bands`).  Wider grids use SuperLU (COLAMD ordering), whose fill
-grows more slowly than the band's N (3m + 1) entries.
+(its `bands`).  The band holds about N (3m + 1) entries, so its memory
+grows like nx ny^2.
 
 Left of the front the reaction vanishes (f = f' = 0 for psi <= theta), so
 A~ is block tridiagonal there with one (L, D, U) per block row of m
@@ -114,25 +114,6 @@ COARSE = 16
 # with the tail (481 x 11, where the factorization gains nothing); from m = 21
 # on the factorization is at least 35% faster and the solve no slower.
 TAIL_MIN_WIDTH = 21
-# `factorize(J, nx)` uses the band LU when the half-bandwidth m = (N - 1) // nx
-# is at most this, and SuperLU above it.  One factorization and one solve of a
-# Wentzell(1) Jacobian of the embedded front (x_right = 80), each (grid, LU)
-# pair in a fresh process with one BLAS thread on a shared 2-vCPU VM, band
-# with its tail -> SuperLU (the range of 3 processes; peak RSS of the process):
-#     grid, x_left      K     factor s                 solve ms            peak MB
-#     961 x 81, -160    511   0.21-0.23 -> 0.52-0.56   25-28 -> 22-25      150-156 -> 170
-#     961 x 161, -160   511   0.87-0.98 -> 2.06-2.25   75-96 -> 57-61      383 -> 323
-#     1921 x 81, -160   1023  0.42-0.52 -> 1.01-1.12   41-53 -> 44-48      244 -> 279
-#     3841 x 161, -160  2047  3.70-3.76 -> 7.08-7.32   279-307 -> 229-238  1304 -> 1113
-#     961 x 81, -20     127   0.35-0.41 -> 0.50-0.60   36-44 -> 25-29      213 -> 170
-#     961 x 161, -20    127   1.66-1.72 -> 1.69-2.18   116-127 -> 59-68    610 -> 322
-# With the default window the band factors about twice as fast at every width
-# and needs less memory up to ny = 81.  With a short window (x_left = -20, 127
-# tail columns) it factors at most a third faster, solves about twice as slowly
-# and needs up to 1.9 times the memory.  So the rule below is right for short
-# windows and conservative for long ones; a rule on m and K together waits for
-# a benchmark workload on each side of it.
-BAND_MAX_WIDTH = 48
 
 
 @dataclass(frozen=True)
@@ -395,16 +376,12 @@ class BorderedBandLU:
 
 @dataclass
 class Factorization:
-    """LU of a square matrix, made by `factorize`: a `BorderedBandLU` or a
-    SuperLU.  The backward-error test of `solve` is the same for both."""
+    """A `BorderedBandLU` of J, made by `factorize`, with the backward-error
+    test of every solve."""
 
     J: sp.csc_matrix
-    lu: BorderedBandLU | sp.linalg.SuperLU
+    lu: BorderedBandLU
     j_norm: float  # |J|_inf, for the backward-error test
-
-    @property
-    def kind(self) -> str:
-        return "band" if isinstance(self.lu, BorderedBandLU) else "superlu"
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution with relative residual <= 1e-12 against the factored matrix.
@@ -415,10 +392,7 @@ class Factorization:
         J = self.J
         if J.shape[0] != rhs.shape[0]:
             raise LinearSolveFailed("rhs length does not match matrix")
-        try:
-            x = self.lu.solve(rhs)
-        except RuntimeError as exc:
-            raise LinearSolveFailed(str(exc)) from exc
+        x = self.lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailed("factorization produced non-finite solution")
 
@@ -438,13 +412,10 @@ class Factorization:
         return x
 
 
-def factorize(J: sp.spmatrix, nx: int | None = None) -> Factorization:
-    """LU of J.  Raises LinearSolveFailed on structural or numerical singularity.
-
-    Given `nx`, J must be a bordered Jacobian of an `nx`-column grid
-    (`assemble_jacobian`); it is factored as a band (`BorderedBandLU`) when
-    its half-bandwidth (N - 1) // nx is at most `BAND_MAX_WIDTH`.  Otherwise,
-    and for a general J (no `nx`), SuperLU factors it.
+def factorize(J: sp.spmatrix, nx: int) -> Factorization:
+    """Band LU (`BorderedBandLU`) of J, a bordered Jacobian of an `nx`-column
+    grid (`assemble_jacobian`).  Raises LinearSolveFailed when J is not
+    square or is singular, ValueError when it is not such a Jacobian.
     """
     if J.shape[0] != J.shape[1]:
         raise LinearSolveFailed(f"matrix is not square: {J.shape}")
@@ -452,19 +423,13 @@ def factorize(J: sp.spmatrix, nx: int | None = None) -> Factorization:
     Jc.sum_duplicates()
     # the row sums of |J| in column order, as `abs(Jc).sum(axis=1)` adds them
     j_norm = float(np.bincount(Jc.indices, np.abs(Jc.data), Jc.shape[0]).max())
-    if nx is not None and (Jc.shape[0] - 1) // nx <= BAND_MAX_WIDTH:
-        return Factorization(J=Jc, lu=BorderedBandLU(Jc, nx), j_norm=j_norm)
-    import scipy.sparse.linalg as spla  # here: only wide grids and general matrices need it
-    try:
-        lu = spla.splu(Jc)
-    except RuntimeError as exc:
-        raise LinearSolveFailed(str(exc)) from exc
-    return Factorization(J=Jc, lu=lu, j_norm=j_norm)
+    return Factorization(J=Jc, lu=BorderedBandLU(Jc, nx), j_norm=j_norm)
 
 
-def linear_solve(J: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """One solve with a fresh factorization of J (see `Factorization.solve`)."""
-    return factorize(J).solve(rhs)
+def linear_solve(J: sp.spmatrix, rhs: np.ndarray, nx: int) -> np.ndarray:
+    """One solve with a fresh factorization of J (see `factorize` and
+    `Factorization.solve`)."""
+    return factorize(J, nx).solve(rhs)
 
 
 def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,

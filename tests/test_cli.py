@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +93,22 @@ def test_missing_field_report_is_hash_seed_independent(tmp_path):
 
 
 def test_import_does_not_load_scipy_integrate():
-    # nor scipy.sparse.linalg, which only SuperLU grids and general matrices use
-    code = ("import sys, stripwave, stripwave.cli; "
-            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.linalg')])")
+    # nor scipy.sparse.linalg, not even once a wide (13 x 161) bordered
+    # Jacobian is factored: every grid factors on the band
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import stripwave.cli
+        from stripwave import (HomotopyFamily, ModelParams, NonlinearityKind, NonlinearitySpec,
+                               WaveState, assemble_jacobian, build_grid, solver)
+        params = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
+        spec = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
+        grid = build_grid(params, -160.0, 80.0, 13, 161)
+        psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (grid.ny, 1))
+        state = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(1.0))
+        solver.factorize(assemble_jacobian(state, params, spec, grid), grid.nx)
+        print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.linalg')])
+    """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
@@ -625,6 +639,34 @@ def test_rerun_deletes_the_earlier_runs_checkpoints(tmp_path):
     names = sorted(p.name for p in (tmp_path / "lone").iterdir())
     assert "ckpt_0003_A.json" in names
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(names + kept)
+
+
+def test_a_rerun_leaves_no_earlier_summary_or_profiles(tmp_path):
+    # a full run, then into the same directory a run that stops at stage A and
+    # one that fails at its start (NegativeSpeed at theta = 0.9): neither
+    # leaves the earlier run's summary.json or the profiles of stages it did
+    # not reach
+    out = tmp_path / "out"
+    cfg = fast_config(out)
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    assert {p.name for p in out.glob("profile_*")} == {
+        "profile_A_1.csv", "profile_B_0.05.csv", "profile_B_0.05_line.csv", "profile_C_1.csv",
+        "profile_C_1_line.csv"}
+    kept = ["profile_A_1.csv.bak", "profile_D_1.csv", "profile_A_x.csv", "summary.json.bak"]
+    for name in kept:  # not the program's output names
+        (out / name).write_text("")
+    cfg["continuation"]["target_stage"] = "A"
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    lone = dict(cfg, output_dir=str(tmp_path / "lone"))
+    assert main(["run", str(write_config(tmp_path, lone, "lone.json"))]) == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "lone").iterdir())
+    assert "profile_A_1.csv" in names and "summary.json" in names
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + kept)
+    cfg["nonlinearity"]["theta"] = 0.9
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_SOLVER
+    assert json.loads((out / "error.json").read_text())["error"] == "NegativeSpeed"
+    assert sorted(p.name for p in out.iterdir()) == sorted(["error.json", "path.csv"] + kept)
 
 
 def test_determinism_byte_identical_paths(tmp_path):
