@@ -39,8 +39,8 @@ class Grid:
                 raise ValueError(f"Grid.{name} must be finite, got {getattr(self, name)!r}")
         if not self.x_left < self.x_right:
             raise ValueError("Grid requires x_left < x_right")
-        if self.L <= 0:
-            raise ValueError("Grid.L must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"Grid.L must be positive and finite, got {self.L!r}")
 
     @property
     def hx(self) -> float:

@@ -3,8 +3,9 @@
 Newton iterates on the flat dof vector; each accepted step strictly
 decreases the residual infinity norm by the Armijo rule.  Linear systems
 are solved by a direct LU (deterministic, robust for the bordered
-nonsymmetric matrix at desk scale), and every solve passes one shared
-backward-error test, with one step of iterative refinement when needed.
+nonsymmetric matrix at desk scale): `factorize` returns a `BorderedBandLU`,
+whose `solve` passes its own backward-error test, with one step of
+iterative refinement when needed.
 
 Newton factors its Jacobian J as a band matrix on every grid.
 J's natural order (`residual.field_views`) is banded: every entry
@@ -173,17 +174,15 @@ def _anchor(indptr: np.ndarray, indices: np.ndarray, m: int) -> int:
     return a
 
 
-def band_map(indptr: np.ndarray, indices: np.ndarray, nx: int, K: int) -> tuple:
-    """(dst, rows_a) of a bordered CSC J on an `nx`-column grid whose block
-    rows 0 .. K a `CyclicTail` eliminates (see `BorderedBandLU`): J.data[k]
-    goes to dst[k] in the band storage of A~ on the unknowns from (K + 1) m
-    on (the phase entry to A~[a, a]), b, or column a (rows rows_a) of J, in
-    turn, and to one last scratch slot when it is an entry of A~ in an
-    earlier row or column.  b and column a are laid out on all N - 1
-    unknowns."""
+def band_map(indptr: np.ndarray, indices: np.ndarray, m: int, a: int, K: int) -> tuple:
+    """(dst, rows_a) of a bordered CSC J with half-bandwidth m and anchor a
+    (`_anchor`) whose block rows 0 .. K a `CyclicTail` eliminates (see
+    `BorderedBandLU`): J.data[k] goes to dst[k] in the band storage of A~ on
+    the unknowns from (K + 1) m on (the phase entry to A~[a, a]), b, or
+    column a (rows rows_a) of J, in turn, and to one last scratch slot when
+    it is an entry of A~ in an earlier row or column.  b and column a are
+    laid out on all N - 1 unknowns."""
     n = indptr.size - 2  # unknowns besides c
-    m = n // nx
-    a = _anchor(indptr, indices, m)
     rows, cols = indices.astype(np.intp), np.repeat(np.arange(n + 1), np.diff(indptr))
     phase = rows == n
     at_a, border = (cols == a) & ~phase, cols == n
@@ -312,7 +311,8 @@ def cyclic_tail(J: sp.csc_matrix, m: int, a: int) -> CyclicTail:
 
 
 class BorderedBandLU:
-    """Band LU of a bordered Jacobian (module docstring).
+    """Band LU of a bordered Jacobian (module docstring), made by `factorize`,
+    with the backward-error test of every solve.
 
     `J` is the CSC Jacobian of an `nx`-column grid (`assemble_jacobian`); its
     last row must be the phase row, a single 1, its block row 0 a Dirichlet
@@ -327,13 +327,16 @@ class BorderedBandLU:
         n, m = J.shape[0] - 1, (J.shape[0] - 1) // nx
         if m * nx != n:
             raise ValueError(f"a {n + 1}-row Jacobian does not fit a grid with nx = {nx}")
+        # |J|_inf: the row sums of |J| in column order, as `abs(J).sum(axis=1)` adds them;
+        # made before the band buffers, so its temporaries do not raise the peak memory
+        self.J, self.j_norm = J, float(np.bincount(J.indices, np.abs(J.data), n + 1).max())
         a = _anchor(J.indptr, J.indices, m)
         self.tail = cyclic_tail(J, m, a)
         start, ldab, key = (self.tail.K + 1) * m, 3 * m + 1, (nx, self.tail.K)
         nb = n - start
         bands = getattr(cached_pattern(J), "bands", {})  # a cached pattern keeps its maps
         dst, rows_a = (bands.get(key)
-                       or bands.setdefault(key, band_map(J.indptr, J.indices, nx, self.tail.K)))
+                       or bands.setdefault(key, band_map(J.indptr, J.indices, m, a, self.tail.K)))
         buf = np.zeros(nb * ldab + n + rows_a.size + 1)
         buf[dst] = J.data
         ab, b = buf[:nb * ldab].reshape(nb, ldab).T, buf[nb * ldab:nb * ldab + n]
@@ -361,7 +364,7 @@ class BorderedBandLU:
         self.tail.back_substitute(rhs)
         return rhs
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _bordered_solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with J x = rhs, to the band LU's accuracy (no backward-error test)."""
         r_phase = rhs[-1]  # the phase row fixes x at the anchor
         r = rhs[:-1].copy()
@@ -373,16 +376,6 @@ class BorderedBandLU:
         x[self.a] = r_phase
         return x
 
-
-@dataclass
-class Factorization:
-    """A `BorderedBandLU` of J, made by `factorize`, with the backward-error
-    test of every solve."""
-
-    J: sp.csc_matrix
-    lu: BorderedBandLU
-    j_norm: float  # |J|_inf, for the backward-error test
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution with relative residual <= 1e-12 against the factored matrix.
 
@@ -392,7 +385,7 @@ class Factorization:
         J = self.J
         if J.shape[0] != rhs.shape[0]:
             raise LinearSolveFailed("rhs length does not match matrix")
-        x = self.lu.solve(rhs)
+        x = self._bordered_solve(rhs)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailed("factorization produced non-finite solution")
 
@@ -404,7 +397,7 @@ class Factorization:
             return float(np.abs(J @ sol - rhs).max() / scale)
 
         if backward_error(x) > 1e-12:
-            x = x + self.lu.solve(rhs - J @ x)
+            x = x + self._bordered_solve(rhs - J @ x)
             err = backward_error(x)
             if err > 1e-12:
                 raise LinearSolveFailed(f"relative linear residual {err:.3e} exceeds 1e-12 "
@@ -412,23 +405,22 @@ class Factorization:
         return x
 
 
-def factorize(J: sp.spmatrix, nx: int) -> Factorization:
-    """Band LU (`BorderedBandLU`) of J, a bordered Jacobian of an `nx`-column
-    grid (`assemble_jacobian`).  Raises LinearSolveFailed when J is not
-    square or is singular, ValueError when it is not such a Jacobian.
+def factorize(J: sp.spmatrix, nx: int) -> BorderedBandLU:
+    """The `BorderedBandLU` of J, a bordered Jacobian of an `nx`-column grid
+    (`assemble_jacobian`), whose `solve` checks its own backward error.
+    Raises LinearSolveFailed when J is not square or is singular, ValueError
+    when it is not such a Jacobian.
     """
     if J.shape[0] != J.shape[1]:
         raise LinearSolveFailed(f"matrix is not square: {J.shape}")
     Jc = J.tocsc()
     Jc.sum_duplicates()
-    # the row sums of |J| in column order, as `abs(Jc).sum(axis=1)` adds them
-    j_norm = float(np.bincount(Jc.indices, np.abs(Jc.data), Jc.shape[0]).max())
-    return Factorization(J=Jc, lu=BorderedBandLU(Jc, nx), j_norm=j_norm)
+    return BorderedBandLU(Jc, nx)
 
 
 def linear_solve(J: sp.spmatrix, rhs: np.ndarray, nx: int) -> np.ndarray:
-    """One solve with a fresh factorization of J (see `factorize` and
-    `Factorization.solve`)."""
+    """One checked solve with a fresh factorization of J (`factorize`, then
+    `BorderedBandLU.solve`)."""
     return factorize(J, nx).solve(rhs)
 
 
@@ -520,9 +512,12 @@ def _classify(trajectory) -> int:
 
 
 def _bisect(lo: float, hi: float, tol: float, classify_at) -> tuple[float, float]:
-    """Shrink [lo, hi] to width <= tol; `classify_at(mid)` is +1 (overshoot) or -1."""
+    """Shrink [lo, hi] to width <= tol, or until lo and hi are adjacent
+    doubles; `classify_at(mid)` is +1 (overshoot) or -1."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # below the resolution of doubles the bracket no longer shrinks
         if classify_at(mid) == 1:
             hi = mid
         else:
@@ -552,7 +547,7 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
     confirmation lower end that is still `c_floor` and does not undershoot
     raises at once: under that monotonicity the bisection at h would reach
     the same end.
-    |c - c*| <= tol on return.
+    |c - c*| <= max(tol, one spacing of doubles at c) on return.
     """
     return _shoot(d, spec, tol, confirm=True)
 

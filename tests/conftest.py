@@ -59,7 +59,7 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
 
         def counted(*args):
             lu = factorize(*args)
-            tails.append(lu.lu.tail.K)
+            tails.append(lu.tail.K)
             return lu
 
         patch.setattr(solver, "factorize", counted)

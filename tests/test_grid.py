@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +35,13 @@ def test_anchor_not_on_grid():
     # x nodes miss 0 for these extents
     with pytest.raises(AnchorNotOnGrid):
         build_grid(PARAMS, -20.5, 20.0, 401, 21)
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+def test_grid_refuses_a_depth_that_is_not_positive_and_finite(L):
+    # NaN and inf pass an `L <= 0` test; NaN would give hy = NaN
+    with pytest.raises(ValueError, match="Grid.L must be positive and finite"):
+        Grid(-160.0, 80.0, L, 481, 11)
 
 
 def flat_state(g, family, c=0.5):

@@ -44,7 +44,7 @@ def test_linear_solve_rejects_nonsquare():
 
 def tail_rows(factorization) -> int:
     """How many block rows a band factorization eliminated by cyclic reduction."""
-    return factorization.lu.tail.K
+    return factorization.tail.K
 
 
 def check_band_solve(band, J, rhs, tol=1e-11):
@@ -57,7 +57,7 @@ def check_band_solve(band, J, rhs, tol=1e-11):
     # by up to about 4e-12 (the conditioning of J): so they are compared at 1e-11
     assert np.abs(x - ref).max() <= tol * np.abs(ref).max()
     # the raw band solve needs no refinement
-    raw = band.lu.solve(rhs)
+    raw = band._bordered_solve(rhs)
     err = np.abs(J @ raw - rhs).max() / (band.j_norm * np.abs(raw).max() + np.abs(rhs).max())
     assert err <= 1e-14
 
@@ -186,7 +186,7 @@ def test_the_tail_on_small_grids(nx, half_ny, anchor, exchange, front):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "TAIL_MIN_WIDTH", 1)
         band = solver.factorize(J, grid.nx)
-    assert tail_rows(band) <= equal_rows(J, m, band.lu.a)
+    assert tail_rows(band) <= equal_rows(J, m, band.a)
     check_band_solve(band, J, np.random.default_rng(nx).standard_normal(J.shape[0]))
 
 
@@ -218,6 +218,42 @@ def test_a_dirichlet_row_with_an_off_diagonal_entry_is_refused(column):
         solver.factorize(J.tocsc(), grid.nx)
 
 
+@pytest.mark.parametrize("case, error, message", [
+    ("short_rhs", LinearSolveFailed, "rhs length does not match"),
+    ("infinite_rhs", LinearSolveFailed, "non-finite solution"),
+    ("phase_entry_2", ValueError, "not a unit phase row$"),
+    ("second_phase_entry", ValueError, "not a unit phase row past block column 0"),
+    ("nx_7", ValueError, "a 206-row Jacobian does not fit a grid with nx = 7"),
+    ("outside_the_band", ValueError, "outside the half-bandwidth 5"),
+])
+def test_every_refusal_of_the_band_lu(case, error, message):
+    # the refusals besides a singular matrix and a Dirichlet row that is not a
+    # diagonal, which the tests above cover: a bad right-hand side, a phase row
+    # that is not e_a^T, a size that fits no grid, and an entry off the band,
+    # on a Wentzell(0.5) Jacobian with a tanh front on 41 x 5
+    grid = build_grid(PARAMS, -20.0, 20.0, 41, 5)
+    psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 2.0)), (grid.ny, 1))
+    state = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(0.5))
+    J = assemble_jacobian(state, PARAMS, CUBIC, grid)
+    n, nx, rhs = J.shape[0], grid.nx, np.ones(J.shape[0])
+    J = J.tolil()  # a foreign pattern: its band map is made anew
+    a = J.rows[n - 1][0]  # the anchor, the one column of the phase row
+    if case == "short_rhs":
+        rhs = rhs[:-1]
+    elif case == "infinite_rhs":
+        rhs[n // 2] = math.inf  # an interior row, past the Dirichlet block
+    elif case == "phase_entry_2":
+        J[n - 1, a] = 2.0
+    elif case == "second_phase_entry":
+        J[n - 1, a + 1] = 1.0
+    elif case == "nx_7":
+        nx = 7
+    else:
+        J[20 * grid.ny, 10 * grid.ny] = 0.5
+    with pytest.raises(error, match=message):
+        solver.factorize(J.tocsc(), nx).solve(rhs)
+
+
 def smooth_states(grid):
     """A Wentzell(0.5) state with a tanh front and its exchange(0.05) handoff."""
     psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (grid.ny, 1))
@@ -234,7 +270,7 @@ def test_band_map_of_a_foreign_jacobian_gives_the_same_bits():
         copy = J.tocsr().tocsc()
         assert residual.cached_pattern(J) is not None and residual.cached_pattern(copy) is None
         cached, foreign = solver.factorize(J, grid.nx), solver.factorize(copy, grid.nx)
-        assert cached.lu.lu.tobytes() == foreign.lu.lu.tobytes()
+        assert cached.lu.tobytes() == foreign.lu.tobytes()
         for _ in range(3):
             rhs = rng.standard_normal(J.shape[0])
             assert cached.solve(rhs).tobytes() == foreign.solve(rhs).tobytes()
@@ -250,7 +286,7 @@ def test_structure_is_built_once_per_grid_and_family(monkeypatch):
     for module, name in ((residual, "_build_pattern"), (solver, "band_map")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name:
-                            (built.append((_name, *args[3:])), _real(*args))[1])
+                            (built.append((_name, *args[4:])), _real(*args))[1])
     for ny, tails in ((5, [0]), (21, [127, 0])):
         grid = build_grid(PARAMS, -160.0, 80.0, 241, ny)
         residual._PATTERNS.clear()
@@ -454,6 +490,39 @@ def test_guess_refuses_as_the_oracle_does():
     for tol in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tol must lie in"):
             solver.one_dim_guess(1.0, CUBIC, tol=tol)
+
+
+@pytest.mark.parametrize("root, tol", [(0.2634, 1e-17), (1.4895, 1e-16)])
+def test_bisection_ends_below_the_resolution_of_doubles(root, tol):
+    # tol lies below the spacing of doubles at the root (5.6e-17 and 2.2e-16):
+    # the bracket stops shrinking at two adjacent doubles, and the bisection ends there
+    calls = []
+
+    def classify(c):
+        calls.append(c)
+        assert len(calls) <= 500, "the bisection did not stop"
+        return 1 if c >= root else -1
+
+    lo, hi = solver._bisect(1e-10, 4.0, tol, classify)
+    assert lo < root <= hi and hi == math.nextafter(lo, math.inf)
+
+
+@pytest.mark.parametrize("shoot", [solve_1d_ignition_shooting, solver.one_dim_guess],
+                         ids=["oracle", "guess"])
+def test_shooting_below_the_resolution_of_doubles(monkeypatch, shoot):
+    # c = 1.5 for the oracle at theta = 0.25, where doubles lie 2.2e-16 apart:
+    # tol = 1e-16 ends at a bracket one spacing wide, with the speed of tol = 1e-15
+    c = shoot(1.0, PLO25, tol=1e-15).c
+    calls = []
+    classify = solver._classify
+
+    def bounded(trajectory):
+        calls.append(1)
+        assert len(calls) <= 500, "the shooting bisection did not stop"
+        return classify(trajectory)
+
+    monkeypatch.setattr(solver, "_classify", bounded)
+    assert abs(shoot(1.0, PLO25, tol=1e-16).c - c) <= 1e-15 * c
 
 
 @pytest.mark.parametrize("field, value", [("max_iters", 0), ("min_step", 0.0),
@@ -676,14 +745,14 @@ def test_one_refinement_step(coarse_start, monkeypatch, size):
     rhs = -assemble_residual(init, PARAMS, CUBIC, grid)
     exact = lu.solve(rhs)
     solves = []
-    band_solve = solver.BorderedBandLU.solve
+    band_solve = solver.BorderedBandLU._bordered_solve
 
     def perturbed(self, r):
         x = band_solve(self, r)
         solves.append(1)
         return x + size * np.abs(x).max() * np.cos(np.arange(x.size))
 
-    monkeypatch.setattr(solver.BorderedBandLU, "solve", perturbed)
+    monkeypatch.setattr(solver.BorderedBandLU, "_bordered_solve", perturbed)
     if size > 1e-4:
         with pytest.raises(LinearSolveFailed, match="after refinement"):
             lu.solve(rhs)
