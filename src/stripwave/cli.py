@@ -545,13 +545,18 @@ def run_start(cfg: RunConfig, timings: dict) -> NewtonResult:
     return one_dim_start(guess, cfg.params, cfg.nonlinearity, cfg.grid, cfg.newton)
 
 
-def execute_run(cfg: RunConfig, outdir: Path, start: NewtonResult | None = None) -> dict:
+def execute_run(cfg: RunConfig, outdir: Path,
+                start: NewtonResult | Exception | None = None) -> dict:
     """A full run.  Given `start`, the `run_start` of a config that differs
     from `cfg` at most in `D`, the run does not shoot: its summary then has
-    no `shooting` time, and stage A's time is the march alone."""
+    no `shooting` time, and stage A's time is the march alone.  A `start`
+    that is the error of that `run_start` fails the run as its own start
+    would, once the output directory is reset."""
     summary: dict = {"config_hash": config_hash(cfg.raw), "stages": {}, "timings_s": {}}
     with closing(PathWriter(outdir, cfg, summary["config_hash"])) as writer:
         t0 = time.perf_counter()
+        if isinstance(start, Exception):
+            raise start
         if start is None:
             start = run_start(cfg, summary["timings_s"])
             t0 += summary["timings_s"]["shooting"]  # stage A's time starts when shooting ends
@@ -649,7 +654,7 @@ def _sweep_start(data: dict) -> NewtonResult:
     return run_start(config_from_dict(data), {})
 
 
-def _sweep_worker(payload: tuple[dict, str, NewtonResult]) -> tuple[int, dict]:
+def _sweep_worker(payload: tuple[dict, str, NewtonResult | Exception]) -> tuple[int, dict]:
     """A point's exit code and summary, `{}` when it failed."""
     data, outdir, start = payload
     try:  # a pool process: its errors are reported here, not by `main`
@@ -661,7 +666,8 @@ def _sweep_worker(payload: tuple[dict, str, NewtonResult]) -> tuple[int, dict]:
 def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
     """One run per `D` value, each in its subdirectory `D_<value>`, on a
     process pool.  The points share their start (`run_start` does not depend
-    on `D`), which one pool task computes before the points run.  Then
+    on `D`), which one pool task computes before the points run; when it
+    fails, every point fails with its error.  Then
     sweep.csv tabulates the speeds, one row per value: the shared discrete
     1-D speed (stage A's s = 0 speed) and each point's stage A and C end
     speeds, `nan` where none was reached."""
@@ -690,11 +696,10 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             start = pool.submit(_sweep_start, cfg.raw).result()
-        except CLI_ERRORS as exc:  # the start of every point failed
-            points = [(_report(sub, exc), {}) for sub in value_of]
-        else:
             c_one_dim = start.state.c
-            points = list(pool.map(_sweep_worker, [job + (start,) for job in jobs]))
+        except CLI_ERRORS as exc:  # the start of every point failed
+            start = exc
+        points = list(pool.map(_sweep_worker, [job + (start,) for job in jobs]))
     speeds = [[summary.get("stages", {}).get(stage, {}).get("c", float("nan"))
                for _, summary in points] for stage in "AC"]
     _write_csv(outdir / "sweep.csv", "D,c_one_dim,c_wentzell,c_system",

@@ -48,6 +48,7 @@ from .errors import WrongFamily
 from .grid import Grid
 from .model import ModelParams, NonlinearitySpec, c_max, eval_nonlinearity
 from .residual import WaveState
+from .solver import _bisect
 
 BOUNDS_TOL = 1e-8
 MONOTONE_TOL = 1e-6
@@ -193,12 +194,7 @@ def dispersion_root(q: DispersionQuery) -> DispersionRoot:
     lo, hi = 1e-14 * gamma_lim, gamma_lim * (1.0 - 1e-14)
     if not (gap(lo) < 0.0 < gap(hi)):
         return DispersionRoot(gamma=math.nan, gamma_lim=gamma_lim)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lo, hi, 0.0, lambda g: 1 if gap(g) > 0.0 else -1)  # to adjacent doubles
     return DispersionRoot(gamma=0.5 * (lo + hi), gamma_lim=gamma_lim)
 
 

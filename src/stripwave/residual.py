@@ -28,7 +28,7 @@ interpolant through the three boundary-adjacent rows yields exactly the
 uses centered differences to keep second order; the solver warns when
 the cell Peclet number c*hx/d reaches 2.  The Jacobian's sparsity structure
 (`JacobianPattern`) is built once per grid and family; each assembly computes
-only the values.
+only the values, and the matrix carries its pattern.
 """
 
 from __future__ import annotations
@@ -189,20 +189,22 @@ def assemble_residual(state: WaveState, params: ModelParams, spec: NonlinearityS
 
 @dataclass(frozen=True, eq=False)
 class JacobianPattern:
-    """The structure of `assemble_jacobian`'s CSC matrix, built at the first
-    assembly on a grid and family kind and kept in `_PATTERNS` for the two
-    newest (nx, ny, anchor, family kind): read-only integer arrays and no
+    """The structure that `assemble_jacobian`'s CSC matrix J carries as
+    `J.pattern`, built at its first assembly on a grid and family kind and
+    kept in `_PATTERNS` for the two newest (nx, ny, anchor, family kind): no
     values.  CSC data slot k takes block entry order[k]."""
 
+    m: int  # unknowns per grid column, J's half-bandwidth outside its last row and column
+    anchor: int  # the phase row's one column
     sizes: tuple[int, ...]  # entries per block, in the order the blocks are written
     indptr: np.ndarray
     indices: np.ndarray
     order: np.ndarray
-    # `solver.band_map` by (nx, K), the tail length, made when first used
+    # `solver.band_map` by K, the tail length, made when first used
     bands: dict = field(default_factory=dict)
 
 
-def _build_pattern(n: int, index: list) -> JacobianPattern:
+def _build_pattern(n: int, m: int, anchor: int, index: list) -> JacobianPattern:
     """The pattern of the n x n matrix whose blocks have the (rows, cols) `index`."""
     keys = [np.ravel(cc * n + r) for r, cc in index]  # column-major position of each entry
     key = np.concatenate(keys)
@@ -213,13 +215,7 @@ def _build_pattern(n: int, index: list) -> JacobianPattern:
     arrays = [a.astype(np.int32) for a in (np.searchsorted(key, np.arange(n + 1) * n), key % n, order)]
     for array in arrays:
         array.flags.writeable = False
-    return JacobianPattern(tuple(k.size for k in keys), *arrays)
-
-
-def cached_pattern(J: sp.csc_matrix) -> JacobianPattern | None:
-    """The cached pattern whose arrays `J` holds (scipy keeps a view of the indices)."""
-    return next((p for p in _PATTERNS.values()
-                 if J.indptr is p.indptr and np.may_share_memory(J.indices, p.indices)), None)
+    return JacobianPattern(m, anchor, tuple(k.size for k in keys), *arrays)
 
 
 def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
@@ -231,7 +227,8 @@ def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearityS
     carry convection) and the final row the phase condition (a single 1
     at the anchor node, 0 in the c column).  Each block is an index (its
     rows and columns, read only to build the pattern) and values; no two
-    blocks write one entry.
+    blocks write one entry.  J holds its pattern's arrays and carries the
+    pattern as `J.pattern`.
     """
     state.check_consistent(grid)
     psi, phi, c = state.psi, state.phi, state.c
@@ -291,13 +288,17 @@ def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearityS
         put((Pl[0], Pl[0]), mu)
         put((Pl[-1], Pl[-1]), mu)
 
-    put((N - 1, Ps[grid.anchor_iy, grid.anchor_ix]), 1.0)
+    anchor = int(Ps[grid.anchor_iy, grid.anchor_ix])
+    put((N - 1, anchor), 1.0)
 
     key = (grid.nx, grid.ny, grid.anchor_ix, state.family.kind)  # ny fixes the anchor's row
     pattern = _PATTERNS[key] = (_PATTERNS.pop(key, None)
-                                or _build_pattern(N, [index for index, _ in blocks]))
+                                or _build_pattern(N, (N - 1) // grid.nx, anchor,
+                                                  [index for index, _ in blocks]))
     if len(_PATTERNS) > 2:
         del _PATTERNS[next(iter(_PATTERNS))]
     vals = np.concatenate([np.broadcast_to(np.ravel(v), size)
                            for (_, v), size in zip(blocks, pattern.sizes)])
-    return sp.csc_matrix((vals[pattern.order], pattern.indices, pattern.indptr), shape=(N, N))
+    J = sp.csc_matrix((vals[pattern.order], pattern.indices, pattern.indptr), shape=(N, N))
+    J.pattern = pattern
+    return J

@@ -7,22 +7,21 @@ nonsymmetric matrix at desk scale): `factorize` returns a `BorderedBandLU`,
 whose `solve` passes its own backward-error test, with one step of
 iterative refinement when needed.
 
-Newton factors its Jacobian J as a band matrix on every grid.
-J's natural order (`residual.field_views`) is banded: every entry
-outside its last row and column lies within m = (N - 1) // nx of the
-diagonal, so J is factored as a LAPACK band matrix (`dgbtrf`, partial
-pivoting).  The border (the c column b, and
-the phase row e_a^T, a single 1 at the anchor a) is removed as follows
-(Govaerts 2000, *Numerical Methods for Bifurcations of Dynamical
-Equilibria*): the phase row gives x_a = r_N, so the anchor column of J
-is moved to the right-hand side and replaced by e_a.  The band matrix
-left, A~, is well conditioned because pinning the anchor removes the
-near-null translation mode, and J x = r becomes
+Newton factors its Jacobian J as a band matrix on every grid.  J comes
+from `assemble_jacobian` and carries its structure, `J.pattern`.  J's
+natural order (`residual.field_views`) is banded: every entry outside its
+last row and column lies within m (`J.pattern.m`) of the diagonal, so J is
+factored as a LAPACK band matrix (`dgbtrf`, partial pivoting).  The border
+(the c column b, and the phase row e_a^T, a single 1 at the anchor a =
+`J.pattern.anchor`) is removed as follows (Govaerts 2000, *Numerical
+Methods for Bifurcations of Dynamical Equilibria*): the phase row gives
+x_a = r_N, so the anchor column of J is moved to the right-hand side and
+replaced by e_a.  The band matrix left, A~, is well conditioned because
+pinning the anchor removes the near-null translation mode, and J x = r becomes
 (A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
 rank-1 (Sherman-Morrison) correction solves.  Where each entry of J goes
-(`band_map`) is worked out once per cached Jacobian pattern and K below
-(its `bands`).  The band holds about N (3m + 1) entries, so its memory
-grows like nx ny^2.
+(`band_map`) is worked out once per pattern and K below (`J.pattern.bands`).
+The band holds about N (3m + 1) entries, so its memory grows like nx ny^2.
 
 Left of the front the reaction vanishes (f = f' = 0 for psi <= theta), so
 A~ is block tridiagonal there with one (L, D, U) per block row of m
@@ -83,8 +82,8 @@ from .errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
 from .grid import Grid
 from .model import ModelParams, NonlinearitySpec, c_max, scalar_reaction
 from .model import eval_nonlinearity  # noqa: F401 (not called; kept for perfbench/tracer.py)
-from .residual import (WaveState, assemble_jacobian, assemble_residual, cached_pattern,
-                       state_to_vector, vector_to_state)
+from .residual import (WaveState, assemble_jacobian, assemble_residual, state_to_vector,
+                       vector_to_state)
 
 logger = logging.getLogger(__name__)
 
@@ -164,24 +163,15 @@ class OneDimWave:
         return np.where(xq <= 0.0, tail, body)
 
 
-def _anchor(indptr: np.ndarray, indices: np.ndarray, m: int) -> int:
-    """The anchor a, the one column of a bordered CSC J's last row, the phase
-    row; ValueError unless a lies between block column 0 and the c column."""
-    at = np.flatnonzero(indices == indptr.size - 2)
-    a = int(np.searchsorted(indptr, at[0], side="right")) - 1 if at.size == 1 else -1
-    if not m <= a < indptr.size - 2:
-        raise ValueError("the last row of J is not a unit phase row past block column 0")
-    return a
-
-
 def band_map(indptr: np.ndarray, indices: np.ndarray, m: int, a: int, K: int) -> tuple:
     """(dst, rows_a) of a bordered CSC J with half-bandwidth m and anchor a
-    (`_anchor`) whose block rows 0 .. K a `CyclicTail` eliminates (see
-    `BorderedBandLU`): J.data[k] goes to dst[k] in the band storage of A~ on
-    the unknowns from (K + 1) m on (the phase entry to A~[a, a]), b, or
-    column a (rows rows_a) of J, in turn, and to one last scratch slot when
-    it is an entry of A~ in an earlier row or column.  b and column a are
-    laid out on all N - 1 unknowns."""
+    (`residual.JacobianPattern`) whose block rows 0 .. K a `CyclicTail`
+    eliminates (see `BorderedBandLU`): J.data[k] goes to dst[k] in the band
+    storage of A~ on the unknowns from (K + 1) m on (the phase entry to
+    A~[a, a]), b, or column a (rows rows_a) of J, in turn, and to one last
+    scratch slot when it is an entry of A~ in an earlier row or column.  b
+    and column a are laid out on all N - 1 unknowns.  ValueError unless A~
+    is banded and its block row 0 a diagonal, as `assemble_jacobian` writes it."""
     n = indptr.size - 2  # unknowns besides c
     rows, cols = indices.astype(np.intp), np.repeat(np.arange(n + 1), np.diff(indptr))
     phase = rows == n
@@ -189,6 +179,8 @@ def band_map(indptr: np.ndarray, indices: np.ndarray, m: int, a: int, K: int) ->
     band = ~(border | at_a | phase)
     if np.abs(rows - cols)[band].max() > m:
         raise ValueError(f"J has entries outside the half-bandwidth {m}")
+    if (band & (rows < m) & (rows != cols)).any():
+        raise ValueError("block row 0 of J is not a diagonal")
     # LAPACK band storage, column-major with ldab = 3m + 1: A~[r, c] goes to
     # ab[2m + r - c, c - start]; the first m rows are workspace for the pivoting fill
     start, ldab = (K + 1) * m, 3 * m + 1
@@ -272,10 +264,10 @@ class CyclicTail:
 
 def cyclic_tail(J: sp.csc_matrix, m: int, a: int) -> CyclicTail:
     """The elimination of block rows 0 .. K of a bordered CSC J (anchor
-    column a >= m).  Block row 0 must be a diagonal with no off-diagonal
-    block (ValueError otherwise, LinearSolveFailed for a zero on it).  When
-    m >= `TAIL_MIN_WIDTH`, K = 2^p - 1 is the largest with K <= T, where rows
-    1 .. T are equal: L v_{i-1} + D v_i + U v_{i+1}; otherwise K = 0.
+    column a >= m) whose block row 0 is a diagonal (`band_map` checks it);
+    LinearSolveFailed for a zero on it.  When m >= `TAIL_MIN_WIDTH`,
+    K = 2^p - 1 is the largest with K <= T, where rows 1 .. T are equal:
+    L v_{i-1} + D v_i + U v_{i+1}; otherwise K = 0.
 
     Read from J's values: rows 1 .. T are equal when rows 1 and 2 are
     (block columns 0, 1 and 2) and block columns 2 .. T + 1 repeat.  The
@@ -285,9 +277,6 @@ def cyclic_tail(J: sp.csc_matrix, m: int, a: int) -> CyclicTail:
     """
     c0 = _block_column(J, 0, m)
     d0 = np.diag(c0[m:2 * m]).copy()
-    lo, hi = J.indptr[m], J.indptr[2 * m]  # row 0's entries in block column 1 must be 0
-    if (c0[m:2 * m] != np.diag(d0)).any() or J.data[lo:hi][J.indices[lo:hi] < m].any():
-        raise ValueError("block row 0 of J is not a diagonal")
     if not d0.all():
         raise LinearSolveFailed("band factor is exactly singular: block row 0 has a zero")
     T, D, U = 0, None, None
@@ -314,29 +303,32 @@ class BorderedBandLU:
     """Band LU of a bordered Jacobian (module docstring), made by `factorize`,
     with the backward-error test of every solve.
 
-    `J` is the CSC Jacobian of an `nx`-column grid (`assemble_jacobian`); its
-    last row must be the phase row, a single 1, its block row 0 a Dirichlet
-    diagonal, and the rest of J banded (ValueError otherwise).  Raises
+    `J` is a Jacobian as `assemble_jacobian` returns it, holding the arrays
+    of `J.pattern`, which gives m, the anchor a past block column 0 and the
+    band maps; its phase entry must be 1 (ValueError otherwise).  Raises
     LinearSolveFailed when the band matrix is exactly singular or the rank-1
     correction has a zero denominator.  Block rows 0 .. K are eliminated
     first (`tail`, a `CyclicTail`), and the band holds only the unknowns from
     `start` = (K + 1) m on.
     """
 
-    def __init__(self, J: sp.csc_matrix, nx: int) -> None:
-        n, m = J.shape[0] - 1, (J.shape[0] - 1) // nx
-        if m * nx != n:
-            raise ValueError(f"a {n + 1}-row Jacobian does not fit a grid with nx = {nx}")
+    def __init__(self, J: sp.csc_matrix) -> None:
+        pattern = getattr(J, "pattern", None)
+        if (pattern is None or J.indptr is not pattern.indptr
+                or not np.may_share_memory(J.indices, pattern.indices)):
+            raise ValueError("J is not a Jacobian as assemble_jacobian returns it")
+        n, m, a = J.shape[0] - 1, pattern.m, pattern.anchor
+        if a < m:
+            raise ValueError(f"the anchor of J, column {a}, lies in block column 0")
         # |J|_inf: the row sums of |J| in column order, as `abs(J).sum(axis=1)` adds them;
         # made before the band buffers, so its temporaries do not raise the peak memory
         self.J, self.j_norm = J, float(np.bincount(J.indices, np.abs(J.data), n + 1).max())
-        a = _anchor(J.indptr, J.indices, m)
         self.tail = cyclic_tail(J, m, a)
-        start, ldab, key = (self.tail.K + 1) * m, 3 * m + 1, (nx, self.tail.K)
+        K = self.tail.K
+        start, ldab = (K + 1) * m, 3 * m + 1
         nb = n - start
-        bands = getattr(cached_pattern(J), "bands", {})  # a cached pattern keeps its maps
-        dst, rows_a = (bands.get(key)
-                       or bands.setdefault(key, band_map(J.indptr, J.indices, m, a, self.tail.K)))
+        dst, rows_a = (pattern.bands.get(K)
+                       or pattern.bands.setdefault(K, band_map(J.indptr, J.indices, m, a, K)))
         buf = np.zeros(nb * ldab + n + rows_a.size + 1)
         buf[dst] = J.data
         ab, b = buf[:nb * ldab].reshape(nb, ldab).T, buf[nb * ldab:nb * ldab + n]
@@ -385,6 +377,8 @@ class BorderedBandLU:
         J = self.J
         if J.shape[0] != rhs.shape[0]:
             raise LinearSolveFailed("rhs length does not match matrix")
+        if not np.all(np.isfinite(rhs)):
+            raise LinearSolveFailed("non-finite right-hand side")
         x = self._bordered_solve(rhs)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailed("factorization produced non-finite solution")
@@ -405,23 +399,18 @@ class BorderedBandLU:
         return x
 
 
-def factorize(J: sp.spmatrix, nx: int) -> BorderedBandLU:
-    """The `BorderedBandLU` of J, a bordered Jacobian of an `nx`-column grid
-    (`assemble_jacobian`), whose `solve` checks its own backward error.
-    Raises LinearSolveFailed when J is not square or is singular, ValueError
-    when it is not such a Jacobian.
+def factorize(J: sp.csc_matrix) -> BorderedBandLU:
+    """The `BorderedBandLU` of J, a Jacobian as `assemble_jacobian` returns
+    it, whose `solve` checks its own backward error.  Raises
+    LinearSolveFailed when J is singular, ValueError for any other matrix.
     """
-    if J.shape[0] != J.shape[1]:
-        raise LinearSolveFailed(f"matrix is not square: {J.shape}")
-    Jc = J.tocsc()
-    Jc.sum_duplicates()
-    return BorderedBandLU(Jc, nx)
+    return BorderedBandLU(J)
 
 
-def linear_solve(J: sp.spmatrix, rhs: np.ndarray, nx: int) -> np.ndarray:
+def linear_solve(J: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     """One checked solve with a fresh factorization of J (`factorize`, then
     `BorderedBandLU.solve`)."""
-    return factorize(J, nx).solve(rhs)
+    return factorize(J).solve(rhs)
 
 
 def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
@@ -448,7 +437,7 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
         fresh = lu is None
         if fresh:
             lu = factorize(assemble_jacobian(vector_to_state(u, grid, family), params, spec,
-                                             grid), grid.nx)
+                                             grid))
             factorizations += 1
         du = lu.solve(-R)
         lam = 1.0
@@ -513,7 +502,7 @@ def _classify(trajectory) -> int:
 
 def _bisect(lo: float, hi: float, tol: float, classify_at) -> tuple[float, float]:
     """Shrink [lo, hi] to width <= tol, or until lo and hi are adjacent
-    doubles; `classify_at(mid)` is +1 (overshoot) or -1."""
+    doubles; `classify_at(mid)` is +1 (mid lies above the root) or -1."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

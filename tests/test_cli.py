@@ -32,9 +32,10 @@ def fast_config(outdir, **overrides):
 
 
 def subprocess_env(**extra):
-    """Environment in which a child interpreter imports this stripwave."""
+    """Environment in which a child interpreter imports this stripwave and,
+    as the tests in this process do, treats every warning as an error."""
     src = str(Path(stripwave.__file__).resolve().parents[1])
-    return dict(os.environ, **extra,
+    return dict(os.environ, PYTHONWARNINGS="error", **extra,
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
@@ -106,7 +107,7 @@ def test_import_does_not_load_scipy_integrate():
         grid = build_grid(params, -160.0, 80.0, 13, 161)
         psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (grid.ny, 1))
         state = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(1.0))
-        solver.factorize(assemble_jacobian(state, params, spec, grid), grid.nx)
+        solver.factorize(assemble_jacobian(state, params, spec, grid))
         print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.linalg')])
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1072,6 +1073,30 @@ def test_sweep_failed_start_is_reported_per_point(tmp_path, capsys):
     assert capsys.readouterr().out == "D = 2: exit 3\nD = 4: exit 3\n"
     assert (out / "sweep.csv").read_text() == (
         "D,c_one_dim,c_wentzell,c_system\n2,nan,nan,nan\n4,nan,nan,nan\n")
+
+
+def test_a_failed_sweep_start_leaves_each_point_as_its_plain_run(tmp_path):
+    # the start fails (theta 0.9 gives c <= 0) over a sweep that succeeded:
+    # each point's directory is then reset as a plain run's whose start fails,
+    # with no checkpoint, profile or summary of the earlier run left in it
+    out = tmp_path / "out"
+    cfg = fast_config(out)
+    cfg["continuation"]["target_stage"] = "A"
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--sweep", "D=2,4"]) == EXIT_OK
+    cfg["nonlinearity"]["theta"] = 0.9
+    assert main(["run", str(write_config(tmp_path, cfg)), "--sweep", "D=2,4"]) == EXIT_SOLVER
+    for v in (2.0, 4.0):
+        point, alone = out / f"D_{v:g}", tmp_path / f"alone_{v:g}"
+        data = json.loads(json.dumps(cfg))
+        data["params"]["D"], data["output_dir"] = v, str(alone)
+        assert main(["run", str(write_config(tmp_path, data, f"alone_{v:g}.json"))]) \
+            == EXIT_SOLVER
+        assert sorted(p.name for p in alone.iterdir()) == ["error.json", "path.csv"]
+        assert sorted(p.name for p in point.iterdir()) == ["error.json", "path.csv"]
+        for name in ("error.json", "path.csv"):
+            assert (point / name).read_bytes() == (alone / name).read_bytes(), (v, name)
+        assert json.loads((point / "error.json").read_text())["error"] == "NegativeSpeed"
 
 
 def test_sweep_pool_fits_the_cpus_the_process_may_use(tmp_path, monkeypatch):

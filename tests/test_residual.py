@@ -206,7 +206,7 @@ def test_jacobian_is_the_same_from_a_cold_or_a_warm_cache(nx, half_ny, anchor, f
     residual._PATTERNS.clear()
     cold = assemble_jacobian(state, PARAMS, SPEC, grid)
     warm = assemble_jacobian(state, PARAMS, SPEC, grid)
-    assert warm.indptr is cold.indptr
+    assert warm.pattern is cold.pattern and warm.indptr is cold.indptr
     # bit for bit, signed zeros included (at s = 0 the top rows hold -0.0)
     assert csc_bytes(warm) == csc_bytes(cold)
     assert cold.has_canonical_format and cold.indices.dtype == np.int32
@@ -215,8 +215,9 @@ def test_jacobian_is_the_same_from_a_cold_or_a_warm_cache(nx, half_ny, anchor, f
     m, n = grid.ny + family.is_exchange, cold.shape[0] - 1
     rows, cols = cold.indices, np.repeat(np.arange(n + 1), np.diff(cold.indptr))
     inner = (rows < n) & (cols < n)
-    assert np.abs(rows[inner] - cols[inner]).max() <= m
+    assert np.abs(rows[inner] - cols[inner]).max() <= m == cold.pattern.m
     assert cols[rows == n].tolist() == [grid.anchor_ix * m + grid.anchor_iy]
+    assert cold.pattern.anchor == grid.anchor_ix * m + grid.anchor_iy
 
 
 def test_pattern_is_shared_read_only_and_bounded():
@@ -225,8 +226,8 @@ def test_pattern_is_shared_read_only_and_bounded():
     family = HomotopyFamily.wentzell(0.5)
     J1 = assemble_jacobian(random_state(grid, family, rng), PARAMS, SPEC, grid)
     J2 = assemble_jacobian(random_state(grid, family, rng), PARAMS, SPEC, grid)
-    pattern = residual.cached_pattern(J2)
-    assert pattern is not None and residual.cached_pattern(J1) is pattern
+    pattern = J2.pattern
+    assert J1.pattern is pattern
     assert J2.indptr is J1.indptr is pattern.indptr
     assert J2.indices.base is J1.indices.base is pattern.indices  # scipy keeps a view
     assert J2.data is not J1.data and not np.array_equal(J2.data, J1.data)
@@ -236,7 +237,9 @@ def test_pattern_is_shared_read_only_and_bounded():
         J1.indices.sort()
     # the two families of one grid stay; a third (grid, family) evicts the oldest
     assemble_jacobian(random_state(grid, HomotopyFamily.exchange(0.5), rng), PARAMS, SPEC, grid)
-    assert residual.cached_pattern(J1) is pattern
+    assert any(p is pattern for p in residual._PATTERNS.values())
     finer = small_grid(nx=25, ny=9)
     assemble_jacobian(random_state(finer, family, rng), PARAMS, SPEC, finer)
-    assert len(residual._PATTERNS) == 2 and residual.cached_pattern(J1) is None
+    assert len(residual._PATTERNS) == 2
+    assert not any(p is pattern for p in residual._PATTERNS.values())
+    assert J1.pattern is pattern  # an assembled J keeps its pattern past the eviction

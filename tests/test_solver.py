@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 from stripwave import residual, solver
-from stripwave import (HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
+from stripwave import (Grid, HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, assemble_jacobian, assemble_residual,
                        build_grid, c_max, embed_one_dim_wave, field_views, handoff_to_system,
                        linear_solve, newton_solve, solve_1d_ignition_shooting,
@@ -25,19 +25,26 @@ PLO25 = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.
 # --- linear solve -------------------------------------------------------------
 
 def test_linear_solve_structurally_singular():
-    # a bordered Jacobian with an interior column missing from its pattern
+    # a bordered Jacobian with a zeroed interior column
     grid = build_grid(PARAMS, -160.0, 80.0, 481, 11)
-    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid).tolil()
-    J[:, (grid.nx // 3) * grid.ny + 5] = 0.0
-    J = J.tocsc()
-    J.eliminate_zeros()
+    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
+    column = (grid.nx // 3) * grid.ny + 5
+    J.data[J.indptr[column]:J.indptr[column + 1]] = 0.0
     with pytest.raises(LinearSolveFailed, match="exactly singular"):
-        linear_solve(J, np.ones(J.shape[0]), grid.nx)
+        linear_solve(J, np.ones(J.shape[0]))
 
 
-def test_linear_solve_rejects_nonsquare():
-    with pytest.raises(LinearSolveFailed, match="not square"):
-        linear_solve(sp.csc_matrix(np.ones((3, 4))), np.ones(3), 1)
+@pytest.mark.parametrize("other", ["csr_to_csc", "lil", "3x4"])
+def test_only_an_assembled_jacobian_is_factored(other):
+    # the band LU reads J's structure from the pattern it carries: a matrix
+    # that does not hold its pattern's arrays is refused, even one with the
+    # same entries
+    grid = build_grid(PARAMS, -20.0, 20.0, 41, 5)
+    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
+    J = {"csr_to_csc": J.tocsr().tocsc(), "lil": J.tolil(),
+         "3x4": sp.csc_matrix(np.ones((3, 4)))}[other]
+    with pytest.raises(ValueError, match="^J is not a Jacobian as assemble_jacobian returns it$"):
+        solver.factorize(J)
 
 
 # --- band LU of the bordered Jacobian -------------------------------------------
@@ -84,10 +91,12 @@ def test_band_solve_matches_superlu(converged_jacobians):
     grid, systems, tail = converged_jacobians
     rng = np.random.default_rng(7)
     for J, R in systems:
-        band = solver.factorize(J, grid.nx)
+        band = solver.factorize(J)
         assert tail_rows(band) == tail
         for rhs in (rng.standard_normal(J.shape[0]), -R):
             check_band_solve(band, J, rhs)
+        # |J|_inf sums each row in column order, as scipy's row sums do
+        assert band.j_norm == float(np.abs(J).sum(axis=1).max())
 
 
 @pytest.mark.parametrize("row, block, tail", [(0, "D", 127), (1, "D", 0), (1, "L", 0),
@@ -108,7 +117,7 @@ def test_a_changed_block_row_ends_the_tail(row, block, tail):
     k = J.indptr[column] + np.searchsorted(J.indices[J.indptr[column]:J.indptr[column + 1]],
                                            row * m + 5)
     J.data[k] *= 1.001
-    band = solver.factorize(J, grid.nx)
+    band = solver.factorize(J)
     assert tail_rows(band) == tail
     rhs = np.random.default_rng(3).standard_normal(J.shape[0])
     check_band_solve(band, J, rhs)
@@ -129,7 +138,7 @@ def test_a_singular_reduction_level_ends_the_tail(monkeypatch, level, tail):
         return lu, piv, 3 if len(calls) == level + 1 else info
 
     monkeypatch.setattr(solver.lapack, "dgetrf", singular_at_level)
-    band = solver.factorize(J, grid.nx)
+    band = solver.factorize(J)
     assert len(calls) == level + 1 and tail_rows(band) == tail
     check_band_solve(band, J, np.random.default_rng(9).standard_normal(J.shape[0]))
 
@@ -141,12 +150,12 @@ def test_below_the_width_rule_the_band_lu_is_unchanged(monkeypatch):
     rng = np.random.default_rng(5)
     for state in smooth_states(grid):
         J = assemble_jacobian(state, PARAMS, CUBIC, grid)
-        band = solver.factorize(J, grid.nx)
+        band = solver.factorize(J)
         assert tail_rows(band) == 0
         check_band_solve(band, J, rng.standard_normal(J.shape[0]))
         with monkeypatch.context() as patch:
             patch.setattr(solver, "TAIL_MIN_WIDTH", 1)
-            assert tail_rows(solver.factorize(J, grid.nx)) == 255
+            assert tail_rows(solver.factorize(J)) == 255
 
 
 def equal_rows(J, m, a):
@@ -185,73 +194,83 @@ def test_the_tail_on_small_grids(nx, half_ny, anchor, exchange, front):
     m = grid.ny + exchange
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "TAIL_MIN_WIDTH", 1)
-        band = solver.factorize(J, grid.nx)
+        band = solver.factorize(J)
     assert tail_rows(band) <= equal_rows(J, m, band.a)
     check_band_solve(band, J, np.random.default_rng(nx).standard_normal(J.shape[0]))
 
 
 @pytest.mark.parametrize("node", ["interior", "anchor", "dirichlet"])
-def test_band_singular_jacobian_raises(converged_jacobians, node):
+def test_band_singular_jacobian_raises(converged_jacobians, monkeypatch, node):
     # a zeroed interior row makes the band exactly singular, as a zeroed
     # Dirichlet row makes the division that eliminates it; a zeroed anchor
     # row leaves the band regular but the rank-1 correction singular
     message = {"interior": "exactly singular", "anchor": "zero denominator",
                "dirichlet": "exactly singular: block row 0"}[node]
     grid, systems, _ = converged_jacobians
-    J = systems[1][0].tocsr()
+    J = systems[1][0]
+    monkeypatch.setattr(J, "data", J.data.copy())  # the fixture's values come back after the test
     index, _ = field_views(np.arange(J.shape[0]), grid, HomotopyFamily.wentzell(1.0))
-    # the anchor is the one column of the phase row
-    row = {"interior": index[1, grid.nx // 3], "anchor": J[-1].indices[0],
+    row = {"interior": index[1, grid.nx // 3], "anchor": J.pattern.anchor,
            "dirichlet": index[grid.ny // 2, 0]}[node]
-    J.data[J.indptr[row]:J.indptr[row + 1]] = 0.0  # a zeroed strip row, c column included
+    J.data[J.indices == row] = 0.0  # a zeroed strip row, c column included
     with pytest.raises(LinearSolveFailed, match=message):
-        solver.factorize(J.tocsc(), grid.nx)
+        solver.factorize(J)
 
 
 @pytest.mark.parametrize("column", [1, 21], ids=["block_column_0", "block_column_1"])
 def test_a_dirichlet_row_with_an_off_diagonal_entry_is_refused(column):
-    # the band path solves block row 0 by one division: it must be a diagonal
+    # the band path solves block row 0 by one division: it must be a diagonal.
+    # `band_map`, run once per pattern and tail length, refuses the arrays of
+    # an assembled J with one entry added there
     grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
-    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid).tolil()
+    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
+    m, a = J.pattern.m, J.pattern.anchor
+    J = J.tolil()
     J[0, column] = 0.5
+    J = J.tocsc()
     with pytest.raises(ValueError, match="block row 0 of J is not a diagonal"):
-        solver.factorize(J.tocsc(), grid.nx)
+        solver.band_map(J.indptr, J.indices, m, a, 0)
 
 
 @pytest.mark.parametrize("case, error, message", [
     ("short_rhs", LinearSolveFailed, "rhs length does not match"),
-    ("infinite_rhs", LinearSolveFailed, "non-finite solution"),
+    ("infinite_rhs", LinearSolveFailed, "^non-finite right-hand side$"),
+    ("infinite_rhs_in_block_row_0", LinearSolveFailed, "^non-finite right-hand side$"),
     ("phase_entry_2", ValueError, "not a unit phase row$"),
-    ("second_phase_entry", ValueError, "not a unit phase row past block column 0"),
-    ("nx_7", ValueError, "a 206-row Jacobian does not fit a grid with nx = 7"),
+    ("anchor_in_block_column_0", ValueError,
+     "^the anchor of J, column 2, lies in block column 0$"),
     ("outside_the_band", ValueError, "outside the half-bandwidth 5"),
 ])
 def test_every_refusal_of_the_band_lu(case, error, message):
-    # the refusals besides a singular matrix and a Dirichlet row that is not a
-    # diagonal, which the tests above cover: a bad right-hand side, a phase row
-    # that is not e_a^T, a size that fits no grid, and an entry off the band,
-    # on a Wentzell(0.5) Jacobian with a tanh front on 41 x 5
-    grid = build_grid(PARAMS, -20.0, 20.0, 41, 5)
+    # the refusals besides a singular matrix, a matrix that is not assembled
+    # and a Dirichlet row that is not a diagonal, which the tests above cover:
+    # a bad right-hand side, a phase entry that is not 1, an anchor in the
+    # Dirichlet column 0 (x_left = 0, a valid domain that only build_grid
+    # refuses), and an entry off the band, on a Wentzell(0.5) Jacobian with a
+    # tanh front on 41 x 5
+    x_left = 0.0 if case == "anchor_in_block_column_0" else -20.0
+    grid = Grid(x_left=x_left, x_right=x_left + 40.0, L=PARAMS.L, nx=41, ny=5)
     psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 2.0)), (grid.ny, 1))
     state = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(0.5))
     J = assemble_jacobian(state, PARAMS, CUBIC, grid)
-    n, nx, rhs = J.shape[0], grid.nx, np.ones(J.shape[0])
-    J = J.tolil()  # a foreign pattern: its band map is made anew
-    a = J.rows[n - 1][0]  # the anchor, the one column of the phase row
+    n, rhs, pattern = J.shape[0], np.ones(J.shape[0]), J.pattern
     if case == "short_rhs":
         rhs = rhs[:-1]
     elif case == "infinite_rhs":
         rhs[n // 2] = math.inf  # an interior row, past the Dirichlet block
+    elif case == "infinite_rhs_in_block_row_0":
+        rhs[3] = math.inf
     elif case == "phase_entry_2":
-        J[n - 1, a] = 2.0
-    elif case == "second_phase_entry":
-        J[n - 1, a + 1] = 1.0
-    elif case == "nx_7":
-        nx = 7
-    else:
+        J.data[J.indices == n - 1] = 2.0
+    elif case == "outside_the_band":
+        J = J.tolil()
         J[20 * grid.ny, 10 * grid.ny] = 0.5
+        J = J.tocsc()
     with pytest.raises(error, match=message):
-        solver.factorize(J.tocsc(), nx).solve(rhs)
+        if case == "outside_the_band":  # `band_map` refuses the arrays of such a J
+            solver.band_map(J.indptr, J.indices, pattern.m, pattern.anchor, 0)
+        else:
+            solver.factorize(J).solve(rhs)
 
 
 def smooth_states(grid):
@@ -261,25 +280,8 @@ def smooth_states(grid):
     return wentzell, handoff_to_system(wentzell, 0.05, PARAMS, grid)
 
 
-def test_band_map_of_a_foreign_jacobian_gives_the_same_bits():
-    # a copy with the same pattern gets its band map uncached, from the same function
-    grid = build_grid(PARAMS, -160.0, 80.0, 481, 11)
-    rng = np.random.default_rng(11)
-    for state in smooth_states(grid):
-        J = assemble_jacobian(state, PARAMS, CUBIC, grid)
-        copy = J.tocsr().tocsc()
-        assert residual.cached_pattern(J) is not None and residual.cached_pattern(copy) is None
-        cached, foreign = solver.factorize(J, grid.nx), solver.factorize(copy, grid.nx)
-        assert cached.lu.tobytes() == foreign.lu.tobytes()
-        for _ in range(3):
-            rhs = rng.standard_normal(J.shape[0])
-            assert cached.solve(rhs).tobytes() == foreign.solve(rhs).tobytes()
-        # |J|_inf sums each row in column order, as scipy's row sums do
-        assert cached.j_norm == float(np.abs(J).sum(axis=1).max())
-
-
 def test_structure_is_built_once_per_grid_and_family(monkeypatch):
-    # one band map per grid, family and tail length: K = 0 on 241 x 5, below
+    # one band map per pattern and tail length: K = 0 on 241 x 5, below
     # the width rule, and K = 127 on 241 x 21, where the rule switched off
     # adds the K = 0 maps
     built = []
@@ -297,7 +299,7 @@ def test_structure_is_built_once_per_grid_and_family(monkeypatch):
                 for _ in range(3):
                     for state in smooth_states(grid):
                         J = assemble_jacobian(state, PARAMS, CUBIC, grid)
-                        assert tail_rows(solver.factorize(J, grid.nx)) == tail
+                        assert tail_rows(solver.factorize(J)) == tail
         assert sorted(built) == sorted([("_build_pattern",)] * 2
                                        + [("band_map", tail) for tail in tails] * 2)
 
@@ -316,7 +318,7 @@ def test_every_grid_factors_on_the_band(nx, ny):
     rng = np.random.default_rng(nx + ny)
     for state in (wentzell, handoff_to_system(wentzell, 0.05, PARAMS, grid)):
         J = assemble_jacobian(state, PARAMS, CUBIC, grid)
-        check_band_solve(solver.factorize(J, grid.nx), J, rng.standard_normal(J.shape[0]),
+        check_band_solve(solver.factorize(J), J, rng.standard_normal(J.shape[0]),
                          tol=1e-9)
 
 
@@ -586,7 +588,7 @@ def test_newton_reuses_factorization(coarse_s0, monkeypatch):
         if norm <= opts.tol_residual:
             break
         J = assemble_jacobian(vector_to_state(u, grid, init.family), PARAMS, CUBIC, grid)
-        du = linear_solve(J, -R, grid.nx)
+        du = linear_solve(J, -R)
         lam = 1.0
         while True:
             R_trial = res_of(u + lam * du)
@@ -741,7 +743,7 @@ def test_one_refinement_step(coarse_start, monkeypatch, size):
     # a band solve with an error of relative size `size`: one refinement step leaves
     # size^2, which passes the 1e-12 backward-error test for 1e-8 and fails it for 1e-3
     grid, init = coarse_start
-    lu = solver.factorize(assemble_jacobian(init, PARAMS, CUBIC, grid), grid.nx)
+    lu = solver.factorize(assemble_jacobian(init, PARAMS, CUBIC, grid))
     rhs = -assemble_residual(init, PARAMS, CUBIC, grid)
     exact = lu.solve(rhs)
     solves = []
