@@ -4,16 +4,18 @@ Subcommands
 -----------
 wave run <config.json>        full continuation run (stages A -> B -> C)
 wave resume <ckpt> <config>   continue an interrupted run from a checkpoint
-wave profile <ckpt> <out.csv> plot-ready profile slices from a checkpoint
+wave profile <ckpt> <out.csv> a checkpoint's full field as CSV
 wave symbol-scan <config>     boundary-symbol zero-free scan as CSV
 wave oned <config>            1-D shooting speed and profile only
 
 Exit codes: 0 ok, 2 validation, 3 solver or a failed certificate, 4 I/O or
 malformed input.  The environment variable WAVE_OUT, when nonempty, overrides
 the configured output directory.
-All float output is formatted with 17 significant digits so identical
-configs produce byte-identical path.csv files; checkpoints hold their arrays
-as base64 text of the float64 bytes, so a resume starts from the exact state.
+A run writes path.csv, checkpoints and summary.json; each stage's end state
+is a checkpoint, which `wave profile` turns into CSV.  All float output is
+formatted with 17 significant digits so identical configs produce
+byte-identical files; checkpoints hold their arrays as base64 text of the
+float64 bytes, so a resume starts from the exact state.
 """
 
 from __future__ import annotations
@@ -352,7 +354,7 @@ def read_checkpoint(path) -> dict:
 def require_finite_arrays(data: dict, path) -> None:
     """Raise ValueError naming the first array of a `read_checkpoint` result
     that holds a NaN or an infinity, from which a resume would start Newton;
-    `read_checkpoint` accepts them, so that `wave profile` can print them."""
+    `read_checkpoint` accepts them, so that `wave profile` can write them."""
     for section, key, field in _states(data):
         for name in ("psi", "phi"):
             values = section[key + name]
@@ -372,7 +374,8 @@ def checkpoint_state(data: dict) -> tuple[WaveState, Grid, float, WaveState | No
 
 # --- CSV sinks ----------------------------------------------------------------
 
-# the names `PathWriter.checkpoint` and `write_profile_files` give their files
+# the name `PathWriter.checkpoint` gives its files, and the name of the profiles
+# that runs wrote before `wave profile` took them over, which a rerun still deletes
 CHECKPOINT_NAME = re.compile(r"ckpt_\d{4,}_[ABC]\.json")
 PROFILE_NAME = re.compile(r"profile_[ABC]_[-+.0-9e]+(_line)?\.csv")
 
@@ -391,8 +394,8 @@ class PathWriter:
     """Streams path.csv rows and checkpoints as records are accepted.
 
     Opening path.csv deletes the directory's error.json, summary.json,
-    checkpoints and profiles, which would otherwise describe an earlier run
-    beside this one's rows.
+    checkpoints and the profiles of an older version, which would otherwise
+    describe an earlier run beside this one's rows.
 
     Every record it is given becomes a row: a march sends only the records
     of the steps it accepts, never its start, which is already on the path
@@ -441,15 +444,12 @@ class PathWriter:
 CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path, header: str, columns: list, fmt: str = "%.17g") -> None:
-    """Columns of floats as CSV, each value formatted like `fmt_float`.
-
-    `fmt` is the format of each value, or of a whole row when it holds more
-    than one `%`, as for `np.savetxt`, whose output this matches byte for
-    byte; each block of rows is formatted by one `%` on a repeated row format.
-    """
+def _write_csv(path, header: str, columns: list) -> None:
+    """Columns of floats as CSV, each value formatted like `fmt_float`, as
+    `np.savetxt` with `fmt="%.17g"` writes them, byte for byte; each block of
+    rows is formatted by one `%` on a repeated row format."""
     table = np.column_stack(columns)
-    row = (fmt if fmt.count("%") > 1 else ",".join([fmt] * table.shape[1])) + "\n"
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), CSV_BLOCK_ROWS):
@@ -457,13 +457,18 @@ def _write_csv(path, header: str, columns: list, fmt: str = "%.17g") -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def write_profile_files(outdir: Path, record: ContinuationRecord, grid: Grid) -> None:
-    tag = f"{record.stage}_{record.parameter:.6g}"
-    state, x = record.state, grid.x
-    _write_csv(outdir / f"profile_{tag}.csv", "x,y,psi",
-              [np.tile(x, grid.ny), np.repeat(grid.y, grid.nx), state.psi.ravel()])
+def _line_path(out: Path) -> Path:
+    """Where `write_profile_files` writes the line profile of `out`."""
+    return out.with_name(f"{out.stem}_line.csv")
+
+
+def write_profile_files(out: Path, state: WaveState, grid: Grid) -> None:
+    """The full field of `state`: `x,y,psi` in `out`, row by row from y = -L,
+    and for an exchange state `x,phi` in `_line_path(out)`."""
+    x = grid.x
+    _write_csv(out, "x,y,psi", [np.tile(x, grid.ny), np.repeat(grid.y, grid.nx), state.psi.ravel()])
     if state.phi is not None:
-        _write_csv(outdir / f"profile_{tag}_line.csv", "x,phi", [x, state.phi])
+        _write_csv(_line_path(out), "x,phi", [x, state.phi])
 
 
 # --- drivers ------------------------------------------------------------------
@@ -485,7 +490,7 @@ def _stage_summary(record: ContinuationRecord) -> dict:
 
 
 def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: ContinuationRecord,
-                t0: float) -> dict[str, ContinuationRecord]:
+                t0: float) -> None:
     """Stages `start.stage` .. `cfg.target_stage`, from the record `start`.
 
     A and C march their parameter to 1 from the previous end record, their
@@ -493,10 +498,10 @@ def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: Contin
     eps0, in a record with the initial step.  Each stage ends with a checkpoint
     of its end record, the last row written, unless that row has one, and
     with its entry in `summary`; its timing runs from the previous stage's
-    end, or from `t0`.  Returns the end records by stage.
+    end, or from `t0`.
     """
     grid, params, spec, opts = cfg.grid, cfg.params, cfg.nonlinearity, cfg.continuation
-    ends, end = {}, start
+    end = start
     for name in STAGES[STAGES.index(start.stage):STAGES.index(cfg.target_stage) + 1]:
         if name == "B":
             predictor = handoff_to_system(end.state, opts.epsilon0, params, grid)
@@ -514,15 +519,9 @@ def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: Contin
         now = time.perf_counter()
         summary["timings_s"][name] = now - t0
         t0 = now
-        ends[name] = end
-    return ends
 
 
-def _write_outputs(outdir: Path, grid: Grid, ends: dict[str, ContinuationRecord],
-                   summary: dict) -> dict:
-    """The profiles of every stage run, then summary.json; returns `summary`."""
-    for end in ends.values():
-        write_profile_files(outdir, end, grid)
+def _write_summary(outdir: Path, summary: dict) -> dict:
     (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     return summary
 
@@ -564,8 +563,8 @@ def execute_run(cfg: RunConfig, outdir: Path,
         first = make_record("A", start.state, start.residual_norm, cfg.params,
                             cfg.nonlinearity, cfg.grid, cfg.initial_step)
         writer.write(first)
-        ends = _run_stages(cfg, writer, summary, first, t0)
-    return _write_outputs(outdir, cfg.grid, ends, summary)
+        _run_stages(cfg, writer, summary, first, t0)
+    return _write_summary(outdir, summary)
 
 
 def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dict:
@@ -594,20 +593,8 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
                         step, prev_state)
     certify(start)  # before the output directory is touched
     with closing(PathWriter(outdir, cfg, cfg_hash)) as writer:
-        ends = _run_stages(cfg, writer, summary, start, t0)
-    return _write_outputs(outdir, cfg.grid, ends, summary)
-
-
-def emit_profile(checkpoint_path, out_path) -> None:
-    """Plot-ready slices psi(x, 0), psi(x, -L/2), psi(x, -L), phi(x)."""
-    data = read_checkpoint(checkpoint_path)
-    state, grid, _, _ = checkpoint_state(data)
-    mid = (grid.ny - 1) // 2
-    columns = [grid.x, state.psi[-1], state.psi[mid], state.psi[0]]
-    if state.phi is None:  # a Wentzell state: the phi column stays empty
-        _write_csv(out_path, "x,psi_top,psi_mid,psi_bottom,phi", columns, "%.17g," * 4)
-    else:
-        _write_csv(out_path, "x,psi_top,psi_mid,psi_bottom,phi", columns + [state.phi])
+        _run_stages(cfg, writer, summary, start, t0)
+    return _write_summary(outdir, summary)
 
 
 def _report(outdir: Path | None, exc: Exception) -> int:
@@ -725,7 +712,15 @@ def cmd_resume(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    emit_profile(args.checkpoint, args.out)
+    """The checkpoint's full field (`write_profile_files`), refused when a file
+    it would write is the checkpoint, the only copy of a stage's end state."""
+    state, grid, _, _ = checkpoint_state(read_checkpoint(args.checkpoint))
+    out, ckpt = Path(args.out), Path(args.checkpoint).resolve()
+    for target in [out] + ([_line_path(out)] if state.phi is not None else []):
+        if target.resolve() == ckpt:
+            raise ValueError(f"profile: {target} is the checkpoint {args.checkpoint}, "
+                             f"which it would overwrite")
+    write_profile_files(out, state, grid)
     return EXIT_OK
 
 
@@ -762,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="full continuation run from a JSON config")
-    p.add_argument("config")
+    p.add_argument("config", metavar="config.json")
     p.add_argument("--sweep", help="e.g. D=1,2,4: one run per value, in subdirectory "
                                    "D_<value>; the runs share their D-independent start "
                                    "(the coarse shooting guess and the s = 0 correction), "
@@ -770,18 +765,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("resume", help="continue from a checkpoint")
-    p.add_argument("checkpoint")
-    p.add_argument("config")
+    p.add_argument("checkpoint", metavar="ckpt.json")
+    p.add_argument("config", metavar="config.json")
     p.add_argument("--force", action="store_true", help="ignore config hash mismatch")
     p.set_defaults(func=cmd_resume)
 
-    p = sub.add_parser("profile", help="emit plot-ready profile slices from a checkpoint")
-    p.add_argument("checkpoint")
-    p.add_argument("out")
+    p = sub.add_parser("profile", help="write a checkpoint's full field: x,y,psi to out.csv "
+                                       "and, for an exchange state, x,phi to out_line.csv")
+    p.add_argument("checkpoint", metavar="ckpt.json")
+    p.add_argument("out", metavar="out.csv")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("symbol-scan", help="scan the boundary symbol denominator")
-    p.add_argument("config")
+    p.add_argument("config", metavar="config.json")
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--c0", type=float, default=1.0)
     p.add_argument("--c1", type=float, default=0.0)
@@ -791,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_symbol_scan)
 
     p = sub.add_parser("oned", help="1-D shooting speed and profile only")
-    p.add_argument("config")
+    p.add_argument("config", metavar="config.json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_oned)
     return parser

@@ -44,7 +44,8 @@ class SolverError(StripWaveError):
 
 
 class LinearSolveFailed(SolverError):
-    """Direct sparse factorization hit a singular or broken matrix."""
+    """The band LU of a Newton Jacobian is exactly singular, or its solve got a
+    bad right-hand side or missed the 1e-12 backward error after refinement."""
 
 
 class MaxItersExceeded(SolverError):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -14,8 +15,8 @@ import stripwave
 from stripwave import cli, continuation
 from stripwave.cli import (EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, checkpoint_dict,
                            checkpoint_state, config_from_dict, config_hash, default_config_dict,
-                           emit_profile, fmt_float, load_config, main, read_checkpoint,
-                           write_checkpoint, write_profile_files)
+                           fmt_float, load_config, main, read_checkpoint, write_checkpoint,
+                           write_profile_files)
 from stripwave.continuation import ContinuationRecord
 from stripwave.errors import ConfigError
 from stripwave.grid import Grid
@@ -404,24 +405,29 @@ def test_profile_writers_match_fmt_float(tmp_path):
                     [np.nan, 0.0, 0.7, 1.0]])
     phi = np.array([-0.0, np.nan, 0.25, 1.0 - 1e-16])
     state = WaveState(c=0.3, psi=psi, phi=phi, family=HomotopyFamily.exchange(0.05))
-    record = ContinuationRecord(stage="B", state=state, residual_norm=0.0, diagnostics=None,
-                                step=0.1)
-    write_profile_files(tmp_path, record, grid)
+    write_profile_files(tmp_path / "field.csv", state, grid)
     x, y = list(grid.x), list(grid.y)
     want = "x,y,psi\n" + "".join(f"{fmt_float(x[i])},{fmt_float(y[j])},{fmt_float(psi[j, i])}\n"
                                  for j in range(grid.ny) for i in range(grid.nx))
-    assert (tmp_path / "profile_B_0.05.csv").read_text() == want
+    assert (tmp_path / "field.csv").read_text() == want
     want = "x,phi\n" + "".join(f"{fmt_float(x[i])},{fmt_float(phi[i])}\n"
                                for i in range(grid.nx))
-    assert (tmp_path / "profile_B_0.05_line.csv").read_text() == want
+    assert (tmp_path / "field_line.csv").read_text() == want
 
-    ckpt = tmp_path / "ckpt.json"
-    write_checkpoint(ckpt, checkpoint_dict(record, grid, "hash"))
-    emit_profile(ckpt, tmp_path / "slices.csv")
-    want = "x,psi_top,psi_mid,psi_bottom,phi\n" + "".join(
-        f"{fmt_float(x[i])},{fmt_float(psi[-1, i])},{fmt_float(psi[1, i])},"
-        f"{fmt_float(psi[0, i])},{fmt_float(phi[i])}\n" for i in range(grid.nx))
-    assert (tmp_path / "slices.csv").read_text() == want
+
+@pytest.mark.parametrize("rows", [cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
+                                  cli.CSV_BLOCK_ROWS + 1, 2 * cli.CSV_BLOCK_ROWS + 1])
+def test_block_csv_writer_past_one_block(tmp_path, rows):
+    # a default-grid profile has 39 401 rows: each block boundary keeps every
+    # row, in order, formatted by fmt_float
+    values = np.random.default_rng(rows).standard_normal((rows, 3)) * [1e-5, 1.0, 1e5]
+    special = [np.nan, -0.0, np.inf, 2e-300, -1e300, 1.0 / 3.0]
+    values[::997, 1] = np.resize(special, len(values[::997]))
+    cli._write_csv(tmp_path / "t.csv", "a,b,c", list(values.T))
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[0] == "a,b,c" and len(lines) == rows + 1
+    for line, row in zip(lines[1:], values.tolist()):
+        assert line == ",".join(map(fmt_float, row))
 
 
 def test_truncated_checkpoint_is_io_error(tmp_path):
@@ -491,24 +497,76 @@ def test_stage_filter_a_only(tmp_path):
     assert all(r["stage"] == "A" for r in rows)
 
 
+def read_field(path):
+    """The float columns of a CSV that `write_profile_files` wrote, after its header."""
+    header, _, body = Path(path).read_text().partition("\n")
+    return header, np.array([[float(v) for v in line.split(",")] for line in body.splitlines()])
+
+
 def test_profile_emission(completed_run):
+    # an exchange checkpoint: psi on every node as x,y,psi, row by row from
+    # y = -L, and phi as x,phi beside it, each value the checkpoint's own
     tmp, out, _, _ = completed_run
-    ckpts = sorted(out.glob("ckpt_*_C.json"))
-    assert ckpts
-    dest = tmp / "slices.csv"
-    assert main(["profile", str(ckpts[-1]), str(dest)]) == EXIT_OK
-    lines = dest.read_text().splitlines()
-    assert lines[0] == "x,psi_top,psi_mid,psi_bottom,phi"
-    assert lines[1].count(",") == 4
-    assert lines[1].split(",")[4] != ""  # exchange checkpoint carries phi
+    ckpt = sorted(out.glob("ckpt_*_C.json"))[-1]
+    state, grid, _, _ = checkpoint_state(read_checkpoint(ckpt))
+    assert state.phi is not None
+    dest = tmp / "field_c.csv"
+    assert main(["profile", str(ckpt), str(dest)]) == EXIT_OK
+    header, field = read_field(dest)
+    assert header == "x,y,psi" and field.shape == (grid.nx * grid.ny, 3)
+    x, y, psi = field.T.reshape(3, grid.ny, grid.nx)
+    assert np.array_equal(x, np.broadcast_to(grid.x, x.shape))
+    assert np.array_equal(y, np.broadcast_to(grid.y[:, None], y.shape))
+    assert np.array_equal(psi, state.psi)
+    # the slices y = 0, -L/2 and -L are rows of the file, in 17-digit text
+    lines = dest.read_text().splitlines()[1:]
+    for j in (grid.ny - 1, (grid.ny - 1) // 2, 0):
+        assert [ln.rpartition(",")[2] for ln in lines[j * grid.nx:(j + 1) * grid.nx]] == [
+            fmt_float(v) for v in state.psi[j]]
+    header, line = read_field(tmp / "field_c_line.csv")
+    assert header == "x,phi" and np.array_equal(line, np.column_stack([grid.x, state.phi]))
+    assert sorted(p.name for p in tmp.glob("field_c*")) == ["field_c.csv", "field_c_line.csv"]
 
 
-def test_profile_wentzell_has_empty_phi(completed_run):
-    tmp, out, _, _ = completed_run
-    ckpts = sorted(out.glob("ckpt_*_A.json"))
-    dest = tmp / "slices_a.csv"
-    assert main(["profile", str(ckpts[0]), str(dest)]) == EXIT_OK
-    assert dest.read_text().splitlines()[1].endswith(",")
+def test_profile_of_a_wentzell_state_has_no_line_file(completed_run, tmp_path):
+    _, out, _, _ = completed_run
+    ckpt = sorted(out.glob("ckpt_*_A.json"))[0]
+    state, grid, _, _ = checkpoint_state(read_checkpoint(ckpt))
+    dest = tmp_path / "field_a.csv"
+    assert main(["profile", str(ckpt), str(dest)]) == EXIT_OK
+    header, field = read_field(dest)
+    assert header == "x,y,psi" and np.array_equal(field[:, 2], state.psi.ravel())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["field_a.csv"]
+
+
+@pytest.mark.parametrize("ckpt_name, out_name", [("a.json", "a.json"), ("a.json", "sub/../a.json"),
+                                                 ("a_line.csv", "a.csv")],
+                         ids=["same_path", "same_file", "line_file"])
+def test_profile_refuses_to_overwrite_its_checkpoint(completed_run, tmp_path, capsys, ckpt_name,
+                                                     out_name):
+    # the checkpoint is the only copy of a stage's end state: refused, no file written
+    _, out, _, _ = completed_run
+    ckpt = tmp_path / ckpt_name
+    ckpt.write_bytes(sorted(out.glob("ckpt_*_C.json"))[-1].read_bytes())
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["profile", str(ckpt), str(tmp_path / out_name)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: profile: ") and err.count("\n") == 1
+    assert "which it would overwrite" in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert read_checkpoint(ckpt)["stage"] == "C"
+
+
+def test_profile_of_a_wentzell_state_may_share_a_line_name(completed_run, tmp_path):
+    # a Wentzell state writes no line file, so a checkpoint named like one is kept
+    _, out, _, _ = completed_run
+    ckpt = tmp_path / "a_line.csv"
+    ckpt.write_bytes(sorted(out.glob("ckpt_*_A.json"))[-1].read_bytes())
+    assert main(["profile", str(ckpt), str(tmp_path / "a.csv")]) == EXIT_OK
+    assert read_checkpoint(ckpt)["stage"] == "A"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a_line.csv"]
 
 
 def test_wave_out_env_override(tmp_path, monkeypatch):
@@ -645,25 +703,28 @@ def test_rerun_deletes_the_earlier_runs_checkpoints(tmp_path):
 def test_a_rerun_leaves_no_earlier_summary_or_profiles(tmp_path):
     # a full run, then into the same directory a run that stops at stage A and
     # one that fails at its start (NegativeSpeed at theta = 0.9): neither
-    # leaves the earlier run's summary.json or the profiles of stages it did
-    # not reach
+    # leaves the earlier run's summary.json, or the profiles an older version
+    # wrote beside its rows; a run itself writes no profile
     out = tmp_path / "out"
     cfg = fast_config(out)
     cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
     assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
-    assert {p.name for p in out.glob("profile_*")} == {
-        "profile_A_1.csv", "profile_B_0.05.csv", "profile_B_0.05_line.csv", "profile_C_1.csv",
-        "profile_C_1_line.csv"}
+    assert sorted(p.name for p in out.iterdir() if not cli.CHECKPOINT_NAME.fullmatch(p.name)) \
+        == ["path.csv", "summary.json"]
+    stale = ["profile_A_1.csv", "profile_B_0.05.csv", "profile_B_0.05_line.csv",
+             "profile_C_1.csv", "profile_C_1_line.csv"]
     kept = ["profile_A_1.csv.bak", "profile_D_1.csv", "profile_A_x.csv", "summary.json.bak"]
-    for name in kept:  # not the program's output names
+    for name in stale + kept:  # the names of an older version's profiles, then other names
         (out / name).write_text("")
     cfg["continuation"]["target_stage"] = "A"
     assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
     lone = dict(cfg, output_dir=str(tmp_path / "lone"))
     assert main(["run", str(write_config(tmp_path, lone, "lone.json"))]) == EXIT_OK
     names = sorted(p.name for p in (tmp_path / "lone").iterdir())
-    assert "profile_A_1.csv" in names and "summary.json" in names
+    assert "summary.json" in names and not any(cli.PROFILE_NAME.fullmatch(n) for n in names)
     assert sorted(p.name for p in out.iterdir()) == sorted(names + kept)
+    for name in stale:
+        (out / name).write_text("")
     cfg["nonlinearity"]["theta"] = 0.9
     assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_SOLVER
     assert json.loads((out / "error.json").read_text())["error"] == "NegativeSpeed"
@@ -731,12 +792,17 @@ def test_resume_matches_uninterrupted(completed_run, tmp_path, name):
     resumed = (resumed_out / "path.csv").read_bytes().splitlines(keepends=True)
     # the header, then the rows after the checkpoint's record
     assert resumed == full[:1] + full[1 + int(name[5:9]):]
-    # the profiles of every stage the resume ran, as the run wrote them
-    ran = {"A": "ABC", "B": "C", "C": "C"}[name[-1]]
-    profiles = sorted(p.name for p in out.glob("profile_*") if p.name[8] in ran)
-    assert sorted(p.name for p in resumed_out.glob("profile_*")) == profiles
-    for profile in profiles:
-        assert (resumed_out / profile).read_bytes() == (out / profile).read_bytes(), profile
+    # a resume writes no profile; the end state of each stage it ran, its
+    # highest-row checkpoint, profiles byte for byte as the run's does
+    assert not list(resumed_out.glob("profile_*"))
+    for stage in {"A": "ABC", "B": "C", "C": "C"}[name[-1]]:
+        fields = []
+        for run in (out, resumed_out):
+            field = tmp_path / f"{run.name}_{stage}.csv"
+            end = sorted(run.glob(f"ckpt_*_{stage}.json"))[-1]
+            assert main(["profile", str(end), str(field)]) == EXIT_OK
+            fields.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{run.name}_{stage}*"))])
+        assert fields[0] == fields[1] and len(fields[0]) == (1 if stage == "A" else 2), stage
 
 
 # a resume from the end of stage C, the last target, is refused: nothing is left to run
@@ -1049,7 +1115,7 @@ def test_sweep_point_equals_standalone_run(tmp_path, monkeypatch):
         assert main(["run", str(write_config(tmp_path, data, f"alone_{v:g}.json"))]) == EXIT_OK
         names = sorted(p.name for p in alone.iterdir())
         assert sorted(p.name for p in point.iterdir()) == names
-        assert {"path.csv", "ckpt_0012_C.json", "profile_C_1_line.csv"} <= set(names)
+        assert {"path.csv", "ckpt_0012_C.json", "summary.json"} <= set(names)
         for name in names:
             if name != "summary.json":
                 assert (point / name).read_bytes() == (alone / name).read_bytes(), (v, name)
@@ -1193,6 +1259,21 @@ def test_readme_default_config(tmp_path):
     assert json.loads(block) == default_config_dict()
 
 
+def test_readme_command_line_names_every_subcommand():
+    # each subcommand of the parser, with its positional arguments in order,
+    # starts a line of README's command-line block, and the block names no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        usage = " ".join(["wave", name] + [f"<{a.metavar or a.dest}>" for a in sub._actions
+                                           if not a.option_strings])
+        assert any(f"{line} ".startswith(f"{usage} ") for line in lines), usage
+    assert {line.split()[1] for line in lines} == set(commands.choices)
+
+
 # --- the benchmark's hook points ----------------------------------------------------
 
 TRACED_MAIN = """
@@ -1224,8 +1305,7 @@ def test_benchmark_hook_points(completed_run, tmp_path):
                         WAVE_OUT=str(tmp_path / "traced"))
     assert {"continuation.continue_wentzell", "continuation.handoff_to_system",
             "continuation.continue_exchange", "cli.write_checkpoint", "cli.read_checkpoint",
-            "cli.checkpoint_dict", "cli.checkpoint_state", "cli.write_profile_files",
-            "cli.PathWriter.write"} <= names
+            "cli.checkpoint_dict", "cli.checkpoint_state", "cli.PathWriter.write"} <= names
     # a sweep: one dump per point, named after its directory, with the point's march
     dumps = tmp_path / "dumps"
     dumps.mkdir()
