@@ -57,14 +57,15 @@ overshoot (psi passes 1 with psi' > 0, speed too large) or undershoot
 that exhaust the integration window are classified as undershoot: only
 at-or-below-critical speeds linger.  One RK4 stepper serves the
 classification and the profile pass, each with its own stop rule.  The
-bisection runs at `COARSE` times the RK4 step h; its final bracket is
-then classified once more at h.  When h confirms it (lower end
-undershoots, upper end overshoots), it is the bracket a bisection at h
-finds, provided the classification at h is monotone in c; otherwise
-the bisection is redone at h.  The upper-end doubling and the profile
-pass run at h.  `one_dim_guess` is the same shooting without the
-confirmation: its profile pass runs at the coarse step, and it serves
-only as a start for Newton.
+bisection climbs a ladder of steps, `LADDER * COARSE` times, `COARSE`
+times and once the RK4 step h: it bisects on the coarsest rung, and each
+finer rung classifies the final bracket once more.  When a rung confirms
+it (lower end undershoots, upper end overshoots), it is the bracket a
+bisection at that rung finds, provided the classification there is
+monotone in c; otherwise the bisection is redone at that rung.  The
+upper-end doubling and the profile pass run on the last rung, h.
+`one_dim_guess` is the same shooting without the last rung: it ends at
+`COARSE * h`, and serves only as a start for Newton.
 """
 
 from __future__ import annotations
@@ -91,13 +92,26 @@ _ARMIJO_SLOPE = 1e-4
 # an accepted step that leaves more than this fraction of the residual
 # refactors the Jacobian before the next step
 REFRESH_RATIO = 0.25
-# the shooting bisection runs at COARSE times the RK4 step, then confirms its
-# final bracket at the step itself.  At 4x, 8x and 16x the step, bisections to
-# tol = 1e-11 ended in the fine step's bracket in all six cases tried (cubic at
-# theta 0.05, 0.3, 0.9 with d = 1 and 0.45 with d = 2.5, the oracle at theta
-# 0.25 and 0.9); at 32x two cubic brackets moved by 5e-12 and 7e-12, which
-# would send those runs back to the bisection at the step itself
+# the middle rung of the shooting ladder (module docstring): the step of
+# `one_dim_guess`, and the oracle's first confirmation.  At 4x, 8x and 16x the
+# step, bisections to tol = 1e-11 ended in the fine step's bracket in all six
+# cases tried (cubic at theta 0.05, 0.3, 0.9 with d = 1 and 0.45 with d = 2.5,
+# the oracle at theta 0.25 and 0.9); at 32x two cubic brackets moved by 5e-12
+# and 7e-12, which would send those runs back to the bisection at the step itself
 COARSE = 16
+# the shooting bisects at LADDER * COARSE times the RK4 step.  `one_dim_guess`
+# over both kinds x theta 0.05, 0.3, 0.6, 0.9 x d 0.5, 1, 2.5 (24 cases):
+# brackets confirmed at COARSE, and RK4 steps per call (growth, bisection,
+# confirmation and profile; the mean of 24):
+#     LADDER   tol = 1e-9                tol = 1e-11
+#     1        -      26.6k              -      37.1k   (bisection at COARSE)
+#     2        24/24  16.3k              20/24  30.2k
+#     4        23/24  11.9k              15/24  29.9k
+#     8        16/24  18.1k              12/24  29.5k
+# A bracket that is not confirmed costs a bisection at COARSE.  Every guess and
+# every `solve_1d_ignition_shooting` result was the same floats as with a
+# bisection at COARSE (and h); no bracket was confirmed that differed
+LADDER = 4
 # `cyclic_tail` takes p = 0 below this m.  One factorization and one solve of
 # `BorderedBandLU` on a Wentzell(1) and an exchange(0.05) Jacobian of the
 # embedded front on [-160, 80], p = 0 -> tail (the best of 5 calls, median of
@@ -520,34 +534,37 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
     The initial speed bracket is [tol, c_max]; when the reaction term
     violates the premise of the closed-form bound (the discontinuous
     oracle nonlinearity does) the upper end is grown by doubling, at the
-    fine step h, until it overshoots.  The bisection runs at the coarse
-    step `COARSE * h`, and its final bracket is then confirmed at h: the
-    lower end must undershoot and the upper end overshoot (an upper end
-    that is still the starting one is known to overshoot and is not
-    integrated again).
+    fine step h, until it overshoots.  The bisection runs at the coarsest
+    step `LADDER * COARSE * h`, and its final bracket is then confirmed at
+    `COARSE * h` and at h: the lower end must undershoot and the upper end
+    overshoot (an end that is still the starting one is not integrated
+    again).
 
-    Every midpoint the bisection visits lies at or below the final lower
-    end or at or above the final upper end.  So if the classification at
-    h is monotone in c, which bisection assumes anyway, a confirmed
-    bracket means every coarse decision matched the fine one: the bracket,
-    c and the profile are the same floats as from a bisection at h.  An
-    unconfirmed bracket is logged and the bisection is redone at h, where
-    the lower end is checked to undershoot only if no midpoint did.  A
-    confirmation lower end that is still `c_floor` and does not undershoot
-    raises at once: under that monotonicity the bisection at h would reach
-    the same end.
+    Every midpoint a bisection visits lies at or below its final lower end
+    or at or above its final upper end.  So if the classification at the
+    finer step is monotone in c, which bisection assumes anyway, a
+    confirmed bracket means every coarse decision matched the finer one:
+    the bracket is the one a bisection at the finer step finds, and at h
+    the bracket, c and the profile are the same floats as from a bisection
+    at h.  An unconfirmed bracket is logged and the bisection is redone at
+    that step, where the lower end is checked to undershoot only if no
+    midpoint did.  A lower end that is still `c_floor` and does not
+    undershoot at h raises at once: under that monotonicity the bisection
+    at h would reach the same end.
     |c - c*| <= max(tol, one spacing of doubles at c) on return.
     """
     return _shoot(d, spec, tol, confirm=True)
 
 
 def one_dim_guess(d: float, spec: NonlinearitySpec, tol: float) -> OneDimWave:
-    """A guess of the 1-D front for Newton: `solve_1d_ignition_shooting`'s
-    bracket growth and its bisection at the coarse step `COARSE * h`, with
-    the profile integrated at that step and nothing confirmed at h.
+    """A guess of the 1-D front for Newton: `solve_1d_ignition_shooting`
+    without its last rung.  Its upper end is grown, its lower end checked
+    and its profile integrated at `COARSE * h`, and its bracket is the one
+    a bisection at that step finds, under the oracle's monotonicity
+    argument.
 
-    Raises BracketNotFound as the oracle does, the lower end checked at the
-    coarse step.  Its speed is not the oracle's: a caller must not report
+    Raises BracketNotFound as the oracle does, the lower end checked at
+    `COARSE * h`.  Its speed is not the oracle's: a caller must not report
     it, only correct it (`continuation.one_dim_start`).
     """
     return _shoot(d, spec, tol, confirm=False)
@@ -555,7 +572,13 @@ def one_dim_guess(d: float, spec: NonlinearitySpec, tol: float) -> OneDimWave:
 
 def _shoot(d: float, spec: NonlinearitySpec, tol: float, confirm: bool) -> OneDimWave:
     """The shooting of `solve_1d_ignition_shooting` (`confirm`) and of
-    `one_dim_guess`: one RK4 loop, one bisection and one profile pass."""
+    `one_dim_guess`: one RK4 loop, one bisection ladder and one profile pass.
+
+    The rungs are the steps `LADDER * COARSE * h`, `COARSE * h` and, when
+    `confirm`, h.  The bisection runs on the first rung; each finer rung
+    confirms the bracket of the rung before it, or bisects again.  The upper
+    end is grown, the lower end checked and the profile integrated on the
+    last rung, the step of the result."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf), got {tol!r}")
     c_bound = c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
@@ -567,28 +590,29 @@ def _shoot(d: float, spec: NonlinearitySpec, tol: float, confirm: bool) -> OneDi
     def classify_at(step: float, count: int):
         return lambda c: _classify(_rk4(c, d, f, theta, step, count))
 
-    fine = classify_at(h, n_steps)
+    rungs = [(k * h, n_steps // k)
+             for k in (LADDER * COARSE, COARSE, 1)[:3 if confirm else 2]]
+    step, count = rungs[-1]
+    last = classify_at(step, count)
     c_floor = max(tol, 1e-10)
     hi_start = c_bound
     grow = 0
-    while fine(hi_start) != 1:
+    while last(hi_start) != 1:
         hi_start *= 2.0
         grow += 1
         if grow > 20:
             raise BracketNotFound("no overshooting speed found while doubling the upper bracket")
-    step, count = COARSE * h, n_steps // COARSE
-    coarse = classify_at(step, count)
-    lo, hi = _bisect(c_floor, hi_start, tol, coarse)
-    if lo == c_floor and (fine if confirm else coarse)(lo) != -1:
-        raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
-    if confirm:
-        step, count = h, n_steps
-        if (lo != c_floor and fine(lo) != -1) or (hi != hi_start and fine(hi) != 1):
+    lo, hi = c_floor, hi_start
+    for i, rung in enumerate(rungs):
+        at = classify_at(*rung)
+        if i > 0:
+            if (lo == c_floor or at(lo) == -1) and (hi == hi_start or at(hi) == 1):
+                continue
             logger.info("shooting: bracket [%r, %r] from step %g is not confirmed at step %g; "
-                        "bisecting again at step %g", lo, hi, COARSE * h, h, h)
-            lo, hi = _bisect(c_floor, hi_start, tol, fine)
-            if lo == c_floor and fine(lo) != -1:
-                raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
+                        "bisecting again at step %g", lo, hi, rungs[i - 1][0], rung[0], rung[0])
+        lo, hi = _bisect(c_floor, hi_start, tol, at)
+        if lo == c_floor and last(lo) != -1:
+            raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
     c_star = 0.5 * (lo + hi)
 
     xs, ps = [0.0], [theta]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import logging
 import math
@@ -20,6 +21,7 @@ from stripwave.errors import (BracketNotFound, LinearSolveFailed, MaxItersExceed
 PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 CUBIC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
 PLO25 = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.25)
+ORACLE90 = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.9)
 
 
 # --- linear solve -------------------------------------------------------------
@@ -359,12 +361,13 @@ def test_shooting_exact_output(spec, tol, c, n):
 
 def test_shooting_lower_bracket_end_must_undershoot():
     # tol = 0.5 puts the lower end above c* = 0.1/sqrt(0.9): every midpoint overshoots
-    oracle = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.9)
     with pytest.raises(BracketNotFound, match="lower bracket end c = 5.000e-01"):
-        solve_1d_ignition_shooting(1.0, oracle, tol=0.5)
+        solve_1d_ignition_shooting(1.0, ORACLE90, tol=0.5)
 
 
-def test_shooting_lower_bracket_end_raises_at_the_confirmation(monkeypatch):
+@pytest.fixture
+def rk4_steps(monkeypatch):
+    """The step of every RK4 trajectory the shooting integrates, in turn."""
     steps = []
     rk4 = solver._rk4
 
@@ -373,28 +376,50 @@ def test_shooting_lower_bracket_end_raises_at_the_confirmation(monkeypatch):
         return rk4(c, d, f, theta, h, n_steps)
 
     monkeypatch.setattr(solver, "_rk4", counted)
-    oracle = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.9)
+    return steps
+
+
+def fine_step(d, spec):
+    return 1e-3 * d / c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
+
+
+def rungs(steps, d, spec):
+    """{step in multiples of the fine step: trajectories} of `rk4_steps`."""
+    h = fine_step(d, spec)
+    return collections.Counter(round(step / h) for step in steps)
+
+
+def test_shooting_lower_bracket_end_raises_at_the_confirmation(rk4_steps):
     with pytest.raises(BracketNotFound,
                        match="lower bracket end c = 5.000e-01 does not undershoot"):
-        solve_1d_ignition_shooting(1.0, oracle, tol=0.5)
-    fine = min(steps)
-    assert set(steps) == {fine, solver.COARSE * fine}
-    # the upper end and the lower end at the confirmation: no bisection at the fine step
-    assert steps.count(fine) == 2
+        solve_1d_ignition_shooting(1.0, ORACLE90, tol=0.5)
+    # the upper end and the lower end at the fine step, after the 2 midpoints
+    # on the coarsest rung: nothing is integrated at COARSE
+    assert rungs(rk4_steps, 1.0, ORACLE90) == {1: 2, solver.LADDER * solver.COARSE: 2}
 
 
-def fine_shooting(d, spec, tol):
-    """Reference: the bisection run at the fine step throughout.
+def test_guess_lower_bracket_end_raises_at_the_confirmation(rk4_steps):
+    with pytest.raises(BracketNotFound,
+                       match="lower bracket end c = 5.000e-01 does not undershoot"):
+        solver.one_dim_guess(1.0, ORACLE90, tol=0.5)
+    # the same pattern one rung up: its last rung is COARSE
+    assert rungs(rk4_steps, 1.0, ORACLE90) == {solver.COARSE: 2,
+                                               solver.LADDER * solver.COARSE: 2}
+
+
+def reference_shooting(d, spec, tol, factor):
+    """Reference: a plain bisection run wholly at `factor` times the fine step.
 
     Returns x, psi, c and whether the upper end had to be doubled."""
     c_bound = c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
-    h = 1e-3 * d / c_bound
+    h = fine_step(d, spec)
     x_max = max(200.0 * d / c_bound, 100.0)
     n_steps = int(x_max / h)
+    step, count = factor * h, n_steps // factor
     theta, f = spec.theta, solver.scalar_reaction(spec)
 
     def classify(c):
-        return solver._classify(solver._rk4(c, d, f, theta, h, n_steps))
+        return solver._classify(solver._rk4(c, d, f, theta, step, count))
 
     lo = c_floor = max(tol, 1e-10)
     hi = c_bound
@@ -411,14 +436,24 @@ def fine_shooting(d, spec, tol):
         raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
     c_star = 0.5 * (lo + hi)
     xs, ps = [0.0], [theta]
-    for psi, dpsi in solver._rk4(c_star, d, f, theta, h, n_steps):
+    for psi, dpsi in solver._rk4(c_star, d, f, theta, step, count):
         if psi <= ps[-1]:
             break
-        xs.append(xs[-1] + h)
+        xs.append(xs[-1] + step)
         ps.append(min(psi, 1.0))
         if 1.0 - psi < 1e-13 or dpsi <= 0.0:
             break
     return np.array(xs), np.clip(np.array(ps), 0.0, 1.0), c_star, doubled
+
+
+def fine_shooting(d, spec, tol):
+    """Reference: the bisection run at the fine step throughout."""
+    return reference_shooting(d, spec, tol, 1)
+
+
+def coarse_shooting(d, spec, tol):
+    """Reference: the bisection run at `COARSE` times the fine step throughout."""
+    return reference_shooting(d, spec, tol, solver.COARSE)
 
 
 def test_shooting_equals_fine_bisection():
@@ -435,60 +470,82 @@ def test_shooting_equals_fine_bisection():
     assert any(doubled)
 
 
-def test_shooting_fallback_to_the_fine_step(monkeypatch, caplog):
-    # no coarse step fits the window: every coarse trajectory reads as an
-    # undershoot, the final lower end overshoots at the fine step, and the
-    # bisection is redone there
+def test_guess_equals_coarse_bisection():
+    doubled = []
+    for kind, theta, d, tol in itertools.product(NonlinearityKind, (0.05, 0.9), (0.5, 2.5),
+                                                 (1e-6, 1e-9)):
+        spec = NonlinearitySpec(kind=kind, theta=theta)
+        x, psi, c, grew = coarse_shooting(d, spec, tol)
+        guess = solver.one_dim_guess(d, spec, tol=tol)
+        assert guess.c == c, (kind, theta, d, tol)
+        assert guess.x.tobytes() == x.tobytes() and guess.psi.tobytes() == psi.tobytes()
+        doubled.append(grew)
+    assert any(doubled)  # the oracle at theta = 0.05, as in the fine bisection
+
+
+@pytest.mark.parametrize("shoot, reference", [(solve_1d_ignition_shooting, fine_shooting),
+                                              (solver.one_dim_guess, coarse_shooting)],
+                         ids=["oracle", "guess"])
+def test_shooting_fallback_to_the_coarse_step(monkeypatch, caplog, rk4_steps, shoot, reference):
+    # no trajectory on the coarsest rung fits the window: every one reads as an
+    # undershoot, the final lower end overshoots at COARSE times the fine step,
+    # and the bisection is redone there
+    x, psi, c, _ = reference(1.0, CUBIC, 1e-9)
+    monkeypatch.setattr(solver, "LADDER", 10**9)
+    rk4_steps.clear()
+    with caplog.at_level(logging.INFO, logger="stripwave.solver"):
+        wave = shoot(1.0, CUBIC, tol=1e-9)
+    assert caplog.text.count("is not confirmed at step") == 1
+    assert wave.c == c and wave.x.tobytes() == x.tobytes() and wave.psi.tobytes() == psi.tobytes()
+    # 31 midpoints on the coarsest rung, then at COARSE the lower end and 31
+    # midpoints; the oracle confirms the new bracket at the fine step (two
+    # ends), and the last rung grows the upper end and integrates the profile
+    coarsest = 10**9 * solver.COARSE
+    if shoot is solve_1d_ignition_shooting:
+        assert rungs(rk4_steps, 1.0, CUBIC) == {1: 4, solver.COARSE: 32, coarsest: 31}
+    else:
+        assert rungs(rk4_steps, 1.0, CUBIC) == {solver.COARSE: 34, coarsest: 31}
+
+
+def test_shooting_fallback_to_the_fine_step(monkeypatch, caplog, rk4_steps):
+    # no trajectory on the two coarse rungs fits the window: every one reads as
+    # an undershoot, so COARSE confirms the bracket of the coarsest rung, whose
+    # lower end overshoots at the fine step, and the bisection is redone there
     monkeypatch.setattr(solver, "COARSE", 10**9)
     with caplog.at_level(logging.INFO, logger="stripwave.solver"):
         wave = solve_1d_ignition_shooting(1.0, CUBIC, tol=1e-9)
-    assert "is not confirmed at step" in caplog.text
+    assert caplog.text.count("is not confirmed at step") == 1
     assert wave.c == 0.2634361718052042
     assert wave.x.size == wave.psi.size == 27766
+    # the upper end, the lower end, 31 midpoints and the profile at the fine step
+    assert rungs(rk4_steps, 1.0, CUBIC) == {1: 34, 10**9: 1, solver.LADDER * 10**9: 31}
 
 
-def test_shooting_fine_trajectories(monkeypatch, caplog):
-    steps = []
-    rk4 = solver._rk4
-
-    def counted(c, d, f, theta, h, n_steps):
-        steps.append(h)
-        return rk4(c, d, f, theta, h, n_steps)
-
-    monkeypatch.setattr(solver, "_rk4", counted)
+def test_shooting_fine_trajectories(caplog, rk4_steps):
     with caplog.at_level(logging.INFO, logger="stripwave.solver"):
         wave = solve_1d_ignition_shooting(1.0, CUBIC, tol=1e-9)
     assert wave.c == 0.2634361718052042 and "not confirmed" not in caplog.text
-    fine = min(steps)
-    # the upper end, the two ends of the final bracket and the profile
-    assert steps.count(fine) <= 4
-    assert set(steps) == {fine, solver.COARSE * fine}
+    # 31 midpoints on the coarsest rung; the two ends of the final bracket at
+    # COARSE; the upper end, the two ends and the profile at the fine step
+    assert rungs(rk4_steps, 1.0, CUBIC) == {1: 4, solver.COARSE: 2,
+                                            solver.LADDER * solver.COARSE: 31}
 
 
-def test_guess_runs_at_the_coarse_step(monkeypatch):
-    steps = []
-    rk4 = solver._rk4
-
-    def counted(c, d, f, theta, h, n_steps):
-        steps.append(h)
-        return rk4(c, d, f, theta, h, n_steps)
-
-    monkeypatch.setattr(solver, "_rk4", counted)
+def test_guess_runs_at_the_coarse_step(rk4_steps):
     guess = solver.one_dim_guess(1.0, CUBIC, tol=1e-9)
-    fine = min(steps)
-    # the fine step only classifies the starting upper end; the bisection and
-    # the profile run at the coarse step
-    assert steps.count(fine) == 1 and set(steps) == {fine, solver.COARSE * fine}
-    assert np.diff(guess.x) == pytest.approx(solver.COARSE * fine, rel=1e-9)
+    # 31 midpoints on the coarsest rung; the upper end, the two ends of the
+    # final bracket and the profile at COARSE; nothing at the fine step
+    assert rungs(rk4_steps, 1.0, CUBIC) == {solver.COARSE: 4,
+                                            solver.LADDER * solver.COARSE: 31}
+    assert np.diff(guess.x) == pytest.approx(solver.COARSE * fine_step(1.0, CUBIC), rel=1e-9)
     assert abs(guess.c - 0.2634361718052042) <= 1e-9  # within tol of the oracle
     assert np.all(np.diff(guess.psi) > 0.0) and guess.psi[0] == CUBIC.theta
 
 
 def test_guess_refuses_as_the_oracle_does():
-    oracle = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.9)
     with pytest.raises(BracketNotFound,
                        match="lower bracket end c = 5.000e-01 does not undershoot"):
-        solver.one_dim_guess(1.0, oracle, tol=0.5)
+        solver.one_dim_guess(1.0, ORACLE90, tol=0.5)
     for tol in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tol must lie in"):
             solver.one_dim_guess(1.0, CUBIC, tol=tol)
