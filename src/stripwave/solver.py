@@ -602,7 +602,6 @@ def _shoot(d: float, spec: NonlinearitySpec, tol: float, confirm: bool) -> OneDi
         grow += 1
         if grow > 20:
             raise BracketNotFound("no overshooting speed found while doubling the upper bracket")
-    lo, hi = c_floor, hi_start
     for i, rung in enumerate(rungs):
         at = classify_at(*rung)
         if i > 0:
