@@ -200,8 +200,8 @@ class JacobianPattern:
     indptr: np.ndarray
     indices: np.ndarray
     order: np.ndarray
-    # `solver.band_map` by K, the tail length, made when first used
-    bands: dict = field(default_factory=dict)
+    # [`solver.band_map` of this pattern], made at its first factorization
+    band: list = field(default_factory=list)
 
 
 def _build_pattern(n: int, m: int, anchor: int, index: list) -> JacobianPattern:

@@ -20,22 +20,24 @@ replaced by e_a.  The band matrix left, A~, is well conditioned because
 pinning the anchor removes the near-null translation mode, and J x = r becomes
 (A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
 rank-1 (Sherman-Morrison) correction solves.  Where each entry of J goes
-(`band_map`) is worked out once per pattern and K below (`J.pattern.bands`).
-The band holds about N (3m + 1) entries, so its memory grows like nx ny^2.
+(`band_map`) is worked out once per pattern (`J.pattern.band`), whatever
+the tail below.  The band holds about N (3m + 1) entries, so its memory
+grows like nx ny^2.
 
 Left of the front the reaction vanishes (f = f' = 0 for psi <= theta), so
 A~ is block tridiagonal there with one (L, D, U) per block row of m
-unknowns: on the default 961 x 41 grid its block rows 1 .. T, T of about
-620, are bit-identical after the Dirichlet block row 0, a diagonal.  A
-`CyclicTail` solves row 0 by one division and eliminates rows 1 .. K,
-K = 2^p - 1 <= T with p >= 0, exactly by block cyclic reduction (Buzbee,
-Golub and Nielson, SIAM J. Numer. Anal. 7, 1970; Heller, SIAM J. Numer.
-Anal. 13, 1976): each of p levels eliminates every other remaining block
-row with one m x m LU, and leaves a Schur complement on the diagonal block
-of row K + 1.  The band LU then factors only the unknowns from block
-column K + 1 on, and a solve reduces the right-hand side level by level,
-runs the band solve, and back-substitutes.  `cyclic_tail` reads T from
-J's values (K = 511 of 961 columns on the default grid) and takes p = 0
+unknowns: on the default 961 x 41 grid its block rows 1 .. T, T of 610 to
+627, are bit-identical after the Dirichlet block row 0, a diagonal.  A
+`CyclicTail` solves row 0 by one division and eliminates all T rows,
+exactly, by block cyclic reduction (Buzbee, Golub and Nielson, SIAM J.
+Numer. Anal. 7, 1970; Heller, SIAM J. Numer. Anal. 13, 1976) of any
+number of rows (Sweet, SIAM J. Numer. Anal. 14, 1977): each of the
+bit_length(T) levels eliminates every other remaining block row with one or
+two m x m LUs, and leaves a Schur complement on the diagonal block of row
+T + 1.  The band LU then factors only the unknowns from block column T + 1
+on (333 to 350 of 961 block columns on the default grid), and a solve
+reduces the right-hand side level by level, runs the band solve, and
+back-substitutes.  `cyclic_tail` reads T from J's values and takes T = 0
 when m < `TAIL_MIN_WIDTH`.  The discrete problem is the same, solved with
 less arithmetic; it differs from a band LU of all of A~ at roundoff.
 
@@ -112,21 +114,21 @@ COARSE = 16
 # every `solve_1d_ignition_shooting` result was the same floats as with a
 # bisection at COARSE (and h); no bracket was confirmed that differed
 LADDER = 4
-# `cyclic_tail` takes p = 0 below this m.  One factorization and one solve of
+# `cyclic_tail` takes K = 0 below this m.  One factorization and one solve of
 # `BorderedBandLU` on a Wentzell(1) and an exchange(0.05) Jacobian of the
-# embedded front on [-160, 80], p = 0 -> tail (the best of 5 calls, median of
+# embedded front on [-160, 80], K = 0 -> tail (the best of 5 calls, median of
 # 5 interleaved rounds, one BLAS thread, shared 2-vCPU VM, ms):
 #     grid        m       K     factor                      solve
-#     481 x 11    11, 12  255   2.9 -> 3.2, 3.5 -> 3.5      0.46 -> 0.74, 0.49 -> 0.74
-#     961 x 11    11, 12  511   3.9 -> 3.4, 4.9 -> 4.1      0.56 -> 0.73, 0.82 -> 0.79
-#     961 x 15    15, 16  511   11.7 -> 8.2, 9.6 -> 7.5     1.54 -> 1.63, 1.39 -> 1.59
-#     961 x 21    21, 22  511   18.3 -> 11.5, 20.1 -> 13.0  2.39 -> 2.35, 2.54 -> 2.32
-#     961 x 31    31, 32  511   43.6 -> 25.5, 33.6 -> 21.9  6.4 -> 4.5, 5.8 -> 4.7
-#     961 x 41    41, 42  511   61.3 -> 36.3, 66.2 -> 37.9  10.4 -> 7.6, 11.0 -> 7.7
+#     481 x 11    11, 12  313   2.1 -> 2.7, 3.0 -> 3.1      0.48 -> 1.00, 0.76 -> 1.07
+#     961 x 11    11, 12  627   5.7 -> 4.6, 7.4 -> 5.2      1.30 -> 1.64, 1.56 -> 1.71
+#     961 x 15    15, 16  627   10.6 -> 6.6, 8.9 -> 6.3     2.17 -> 2.20, 2.01 -> 2.24
+#     961 x 21    21, 22  627   15.2 -> 7.1, 13.9 -> 9.9    2.62 -> 2.22, 2.85 -> 2.78
+#     961 x 31    31, 32  627   37.7 -> 15.4, 28.4 -> 13.3  6.67 -> 3.69, 6.08 -> 3.72
+#     961 x 41    41, 42  627   55.5 -> 22.9, 53.7 -> 22.7  8.58 -> 5.67, 8.79 -> 5.89
 # Each level costs a few m x m calls, whatever m.  Below m = 21 the solve,
-# which Newton runs about four times per factorization, is up to 60% slower
+# which Newton runs about four times per factorization, is up to twice as slow
 # with the tail (481 x 11, where the factorization gains nothing); from m = 21
-# on the factorization is at least 35% faster and the solve no slower.
+# on the factorization is 29-59% faster and the solve no slower.
 TAIL_MIN_WIDTH = 21
 
 
@@ -177,15 +179,15 @@ class OneDimWave:
         return np.where(xq <= 0.0, tail, body)
 
 
-def band_map(indptr: np.ndarray, indices: np.ndarray, m: int, a: int, K: int) -> tuple:
+def band_map(indptr: np.ndarray, indices: np.ndarray, m: int, a: int) -> tuple:
     """(dst, rows_a) of a bordered CSC J with half-bandwidth m and anchor a
-    (`residual.JacobianPattern`) whose block rows 0 .. K a `CyclicTail`
-    eliminates (see `BorderedBandLU`): J.data[k] goes to dst[k] in the band
-    storage of A~ on the unknowns from (K + 1) m on (the phase entry to
-    A~[a, a]), b, or column a (rows rows_a) of J, in turn, and to one last
-    scratch slot when it is an entry of A~ in an earlier row or column.  b
-    and column a are laid out on all N - 1 unknowns.  ValueError unless A~
-    is banded and its block row 0 a diagonal, as `assemble_jacobian` writes it."""
+    (`residual.JacobianPattern`): J.data[k] goes to dst[k] in the LAPACK band
+    storage of A~ on all N - 1 unknowns (the phase entry to A~[a, a]), then
+    b, then column a (rows rows_a) of J.  The map does not depend on the
+    tail: a band that starts at unknown `start` (`BorderedBandLU`) takes the
+    entries of the columns from `start` on, a suffix of J.data, at dst minus
+    start (3m + 1).  ValueError unless A~ is banded and its block row 0 a
+    diagonal, as `assemble_jacobian` writes it."""
     n = indptr.size - 2  # unknowns besides c
     rows, cols = indices.astype(np.intp), np.repeat(np.arange(n + 1), np.diff(indptr))
     phase = rows == n
@@ -196,13 +198,12 @@ def band_map(indptr: np.ndarray, indices: np.ndarray, m: int, a: int, K: int) ->
     if (band & (rows < m) & (rows != cols)).any():
         raise ValueError("block row 0 of J is not a diagonal")
     # LAPACK band storage, column-major with ldab = 3m + 1: A~[r, c] goes to
-    # ab[2m + r - c, c - start]; the first m rows are workspace for the pivoting fill
-    start, ldab = (K + 1) * m, 3 * m + 1
-    nb = (n - start) * ldab
-    dst = np.where(band, (cols - start) * ldab + 2 * m + rows - cols, nb + rows)
-    dst[band & ((rows < start) | (cols < start))] = nb + n + at_a.sum()
+    # ab[2m + r - c, c]; the first m rows are workspace for the pivoting fill
+    ldab = 3 * m + 1
+    nb = n * ldab
+    dst = np.where(band, cols * ldab + 2 * m + rows - cols, nb + rows)
     dst[at_a] = nb + n + np.arange(at_a.sum())
-    dst[phase] = (a - start) * ldab + 2 * m  # A~[a, a] = 1, the phase row's entry
+    dst[phase] = a * ldab + 2 * m  # A~[a, a] = 1, the phase row's entry
     return dst.astype(np.int32), rows[at_a]
 
 
@@ -217,100 +218,147 @@ def _block_column(J: sp.csc_matrix, j: int, m: int) -> np.ndarray:
 
 
 class CyclicTail:
-    """The elimination (module docstring) of block rows 0 .. K of A~: the
-    Dirichlet block row 0, diag(d0), by one division, then block cyclic
-    reduction of the rows 1 .. K, K = 2^p - 1 with p >= 0, equal to
-    tridiag(L, D, U).  L is also the left block of row K + 1, which leads
-    the band part.
+    """The elimination (module docstring) of block rows 0 .. K of A~, for
+    any K >= 0: the Dirichlet block row 0, diag(d0), by one division, then
+    block cyclic reduction of the rows 1 .. K, equal to tridiag(L, D, U).  L
+    is also the left block of row K + 1, the boundary row, which leads the
+    band part.
 
-    Level l couples the unknowns at multiples of h = 2^l by one (L, D, U)
-    and eliminates the odd multiples; `schur` is what the levels take from
-    row K + 1's diagonal block.  A level whose D is exactly singular ends the
-    reduction there, with p the levels that factored: row 2^l's Schur
-    complement is the sum over levels 0 .. l - 1, so the shorter tail is
-    exact too.
+    Level l works on the live rows K + 1 - j 2^l, j = 1 .. n with n = K >> l,
+    and eliminates those with j odd, so the row next to the boundary row
+    goes at every level and `schur` is what the levels take from its
+    diagonal block.  The live rows share one (L, D, U) at each level, but the
+    first, j = n, has no left neighbour left: once a level keeps it (n
+    even), it carries its own diagonal block, factored at the level that
+    eliminates it (n odd).  While every level eliminates it (K = 2^p - 1),
+    it stays equal to the others.
+
+    A level whose D or first block LAPACK reports exactly singular ends the
+    reduction there: at K = 2^l - 1, with the levels before it.  For that K
+    each of them eliminates the first row with D, and row 2^l's Schur
+    complement is the sum of their updates from the left, so the shorter
+    tail is exact too.
     """
 
     def __init__(self, d0: np.ndarray, L: np.ndarray, D: np.ndarray | None,
-                 U: np.ndarray | None, p: int) -> None:
-        self.d0, self.L, self.levels = d0, L, []
+                 U: np.ndarray | None, K: int) -> None:
+        self.d0, self.L, self.K, self.levels = d0, L, K, []
         self.schur = np.zeros_like(L)
-        for _ in range(p):
-            lu, piv, info = lapack.dgetrf(D)
-            if info != 0:
-                break
-            DL, DU = np.hsplit(lapack.dgetrs(lu, piv, np.hstack([L, U]))[0], 2)
-            self.levels.append((lu, piv, L, U))
-            LDU = L @ DU
-            self.schur += LDU
-            L, D, U = -(L @ DL), D - LDU - U @ DL, -(U @ DU)
-        self.K = 2 ** len(self.levels) - 1
+        first = None  # the first live row's own diagonal block, once it differs from D
+        for l in range(K.bit_length()):
+            n = K >> l
+            lu = piv = DL = DU = own = None
+            if n > 1 or first is None:  # a row with the blocks (L, D, U) is eliminated
+                lu, piv, info = lapack.dgetrf(D)
+                if info != 0:
+                    break
+                DL, DU = np.hsplit(lapack.dgetrs(lu, piv, np.hstack([L, U]))[0], 2)
+                LDU = LFU = L @ DU
+            if first is not None and n % 2:  # the first row is eliminated, with its own block
+                first_lu, first_piv, info = lapack.dgetrf(first)
+                if info != 0:
+                    break
+                own = first_lu, first_piv, lapack.dgetrs(first_lu, first_piv, U)[0]
+                LFU = L @ own[2]
+            self.levels.append((lu, piv, L, U, DL, DU, own))
+            self.schur += LFU if n == 1 else LDU  # the boundary row's left neighbour
+            if n > 1:
+                UDL = U @ DL
+                if n % 2:  # the row after the eliminated first row comes first
+                    first = None if first is None else D - LFU - UDL
+                else:  # the first row is kept, without the left neighbour's update
+                    first = (D if first is None else first) - UDL
+                L, D, U = -(L @ DL), D - LDU - UDL, -(U @ DU)
+        else:
+            return
+        self.K = 2 ** len(self.levels) - 1  # a singular level l; `schur` has its levels only
+        self.levels = [level[:6] + (None,) for level in self.levels]
 
     def _columns(self, r: np.ndarray) -> np.ndarray:
         """Blocks 1 .. K + 1 of r as the columns of an (m, K + 1) view."""
         m = self.d0.size
         return r[m:(self.K + 2) * m].reshape(self.K + 1, m).T
 
+    def _split(self, l: int, R: np.ndarray) -> tuple:
+        """The columns of `_columns` that level l keeps (the boundary row's
+        last) and those it eliminates, as views, and s = 1 when it keeps its
+        first row, 0 when it eliminates it."""
+        h, n = 1 << l, self.K >> l
+        first, s = self.K - n * h, 1 - n % 2
+        return R[:, first + (1 - s) * h::2 * h], R[:, first + s * h:self.K:2 * h], s
+
     def reduce(self, r: np.ndarray) -> None:
         """Solve block row 0 and reduce blocks 1 .. K + 1 of r in place, level
-        by level: block K + 1 is then the band part's first right-hand side."""
+        by level: block K + 1 is then the band part's first right-hand side.
+        Each eliminated block is left as its diagonal block's inverse times
+        it, which `back_substitute` starts from."""
         m, R = self.d0.size, self._columns(r)
         r[:m] /= self.d0
         R[:, 0] -= self.L @ r[:m]  # row 1's left block times the Dirichlet block
-        for l, (lu, piv, L, U) in enumerate(self.levels):
-            h = 1 << l
-            Y = lapack.dgetrs(lu, piv, R[:, h - 1::2 * h])[0]
-            R[:, 2 * h - 1::2 * h] -= L @ Y
-            R[:, 2 * h - 1:self.K:2 * h] -= U @ Y[:, 1:]
+        for l, (lu, piv, L, U, _, _, own) in enumerate(self.levels):
+            kept, gone, s = self._split(l, R)
+            if own is not None:  # the first row, eliminated with its own block
+                gone[:, :1] = lapack.dgetrs(own[0], own[1], gone[:, :1])[0]
+            if lu is not None:
+                j = 0 if own is None else 1
+                gone[:, j:] = lapack.dgetrs(lu, piv, gone[:, j:])[0]
+            kept[:, s:] -= L @ gone
+            kept[:, :-1] -= U @ gone[:, 1 - s:]
 
     def back_substitute(self, r: np.ndarray) -> None:
         """The eliminated blocks 1 .. K of r, in place, once `reduce` ran and
         block K + 1 holds its solution."""
         R = self._columns(r)
         for l in reversed(range(len(self.levels))):
-            lu, piv, L, U = self.levels[l]
-            h = 1 << l
-            X = R[:, 2 * h - 1::2 * h]
-            B = R[:, h - 1::2 * h] - U @ X
-            B[:, 1:] -= L @ X[:, :-1]
-            R[:, h - 1::2 * h] = lapack.dgetrs(lu, piv, B)[0]
+            lu, _, _, _, DL, DU, own = self.levels[l]
+            X, gone, s = self._split(l, R)
+            if own is not None:  # the first row: no left neighbour, its own block
+                gone[:, :1] -= own[2] @ X[:, :1]
+            if lu is not None:
+                j = 0 if own is None else 1
+                gone[:, j:] -= DU @ X[:, s + j:]
+                gone[:, 1 - s:] -= DL @ X[:, :-1]
 
 
 def cyclic_tail(J: sp.csc_matrix, m: int, a: int) -> CyclicTail:
     """The elimination of block rows 0 .. K of a bordered CSC J (anchor
     column a >= m) whose block row 0 is a diagonal (`band_map` checks it);
-    LinearSolveFailed for a zero on it.  When m >= `TAIL_MIN_WIDTH`,
-    K = 2^p - 1 is the largest with K <= T, where rows 1 .. T are equal:
-    L v_{i-1} + D v_i + U v_{i+1}; otherwise K = 0.
+    LinearSolveFailed for a zero on it.  When m >= `TAIL_MIN_WIDTH`, K is the
+    largest with rows 1 .. K equal, L v_{i-1} + D v_i + U v_{i+1}, and row
+    K + 1's left block L; otherwise K = 0.
 
-    Read from J's values: rows 1 .. T are equal when rows 1 and 2 are
-    (block columns 0, 1 and 2) and block columns 2 .. T + 1 repeat.  The
-    anchor column, which holds the phase entry, ends any such run, and
-    block column K, one of them, holds row K + 1's left block.  T = 0 when
-    the anchor lies in block column 1 or 2.
+    Read from J's values, where block column j holds row j - 1's right, row
+    j's diagonal and row j + 1's left block: block column 1 ends with (D, L),
+    block columns 2 .. K repeat (U, D, L) (values, row offsets and entries per
+    column) and block column K + 1 starts with U.  The anchor column, e_a in
+    A~, lies in none of them: it holds the phase entry, so its block column
+    never repeats, and K <= a // m - 2.
     """
     c0 = _block_column(J, 0, m)
     d0 = np.diag(c0[m:2 * m]).copy()
     if not d0.all():
         raise LinearSolveFailed("band factor is exactly singular: block row 0 has a zero")
-    T, D, U = 0, None, None
+    L, D, U, K = c0[2 * m:], None, None, 0
     if m >= TAIL_MIN_WIDTH and a >= 3 * m:
         c1, c2 = _block_column(J, 1, m), _block_column(J, 2, m)
-        D, U = c2[m:2 * m], c2[:m]
-        if (c0[2 * m:] == c2[2 * m:]).all() and (c1[m:] == c2[m:]).all():
-            nx, ptr = (J.shape[0] - 1) // m, J.indptr
-            starts = ptr[:nx * m + 1:m]
-            size = starts[3] - starts[2]
-            counts = np.diff(ptr[:nx * m + 1]).reshape(nx, m)
-            same = (np.diff(starts)[3:] == size) & (counts[3:] == counts[2]).all(axis=1)
-            end = 3 + (same.argmin() if not same.all() else same.size)
-            data = J.data[starts[3]:starts[end]].reshape(-1, size)
-            rows = (J.indices[starts[3]:starts[end]].reshape(-1, size)
-                    - m * np.arange(3, end)[:, None])
-            same = ((data == J.data[starts[2]:starts[3]]).all(axis=1)
-                    & (rows == J.indices[starts[2]:starts[3]] - 2 * m).all(axis=1))
-            T = 1 + int(same.argmin() if not same.all() else same.size)
-    return CyclicTail(d0, c0[2 * m:], D, U, (T + 1).bit_length() - 1)
+        D, U = c1[m:2 * m], c2[:m]
+        if (c1[2 * m:] == L).all():
+            k = 1  # block columns 2 .. k repeat (U, D, L)
+            if (c2[m:] == c1[m:]).all():
+                nx, ptr = (J.shape[0] - 1) // m, J.indptr
+                starts = ptr[:nx * m + 1:m]
+                size = starts[3] - starts[2]
+                counts = np.diff(ptr[:nx * m + 1]).reshape(nx, m)
+                same = (np.diff(starts)[3:] == size) & (counts[3:] == counts[2]).all(axis=1)
+                end = 3 + (same.argmin() if not same.all() else same.size)
+                data = J.data[starts[3]:starts[end]].reshape(-1, size)
+                rows = (J.indices[starts[3]:starts[end]].reshape(-1, size)
+                        - m * np.arange(3, end)[:, None])
+                same = ((data == J.data[starts[2]:starts[3]]).all(axis=1)
+                        & (rows == J.indices[starts[2]:starts[3]] - 2 * m).all(axis=1))
+                k = 2 + int(same.argmin() if not same.all() else same.size)
+            K = k if k + 2 <= a // m and (_block_column(J, k + 1, m)[:m] == U).all() else k - 1
+    return CyclicTail(d0, L, D, U, K)
 
 
 class BorderedBandLU:
@@ -319,11 +367,12 @@ class BorderedBandLU:
 
     `J` is a Jacobian as `assemble_jacobian` returns it, holding the arrays
     of `J.pattern`, which gives m, the anchor a past block column 0 and the
-    band maps; its phase entry must be 1 (ValueError otherwise).  Raises
+    band map; its phase entry must be 1 (ValueError otherwise).  Raises
     LinearSolveFailed when the band matrix is exactly singular or the rank-1
     correction has a zero denominator.  Block rows 0 .. K are eliminated
     first (`tail`, a `CyclicTail`), and the band holds only the unknowns from
-    `start` = (K + 1) m on.
+    `start` = (K + 1) m on: J's entries in those columns, shifted by K + 1
+    block columns in the band map.
     """
 
     def __init__(self, J: sp.csc_matrix) -> None:
@@ -338,19 +387,23 @@ class BorderedBandLU:
         # made before the band buffers, so its temporaries do not raise the peak memory
         self.J, self.j_norm = J, float(np.bincount(J.indices, np.abs(J.data), n + 1).max())
         self.tail = cyclic_tail(J, m, a)
-        K = self.tail.K
-        start, ldab = (K + 1) * m, 3 * m + 1
+        start, ldab = (self.tail.K + 1) * m, 3 * m + 1
         nb = n - start
-        dst, rows_a = (pattern.bands.get(K)
-                       or pattern.bands.setdefault(K, band_map(J.indptr, J.indices, m, a, K)))
-        buf = np.zeros(nb * ldab + n + rows_a.size + 1)
-        buf[dst] = J.data
+        if not pattern.band:
+            pattern.band.append(band_map(J.indptr, J.indices, m, a))
+        dst, rows_a = pattern.band[0]
+        buf = np.zeros(nb * ldab + n + rows_a.size)
+        # the entries of the columns from `start` on; those of row K, the last
+        # eliminated, land in the corner above the band's row 0 (LAPACK's unused
+        # `*` entries, which dgbtrf and dgbtrs never read)
+        lo = J.indptr[start]
+        buf[dst[lo:] - start * ldab] = J.data[lo:]
         ab, b = buf[:nb * ldab].reshape(nb, ldab).T, buf[nb * ldab:nb * ldab + n]
         if ab[2 * m, a - start] != 1.0:
             raise ValueError("the last row of J is not a unit phase row")
         r, c = np.indices((m, m))
         ab[2 * m + r - c, c] -= self.tail.schur  # the tail's Schur complement, into block row K + 1
-        self.col_a = rows_a, buf[nb * ldab + n:-1]  # column a of J, moved to the right-hand side
+        self.col_a = rows_a, buf[nb * ldab + n:]  # column a of J, moved to the right-hand side
         self.lu, self.piv, info = lapack.dgbtrf(ab, m, m, overwrite_ab=1)
         if info > 0:
             raise LinearSolveFailed(f"band factor is exactly singular: U({info}, {info}) = 0")

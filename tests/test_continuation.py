@@ -173,16 +173,17 @@ def test_pinned_default_path_speeds(full_path, refined_wentzell_states):
 def test_default_path_eliminates_the_tail_at_every_factorization(full_path):
     # the records' (stage, parameter) as path.csv writes them, as before the
     # left tail was eliminated; every Newton factorization of the 961 x 41 run
-    # eliminates 511 of its equal block rows by cyclic reduction.  The s = 0
-    # start factors once on 961 x 3 (m = 3 < TAIL_MIN_WIDTH, so no tail), and
-    # its broadcast row needs no factorization on 961 x 41
+    # eliminates all its equal block rows, 610 to 627 as the front moves, by
+    # cyclic reduction.  The s = 0 start factors once on 961 x 3 (m = 3 <
+    # TAIL_MIN_WIDTH, so no tail), and its broadcast row needs no
+    # factorization on 961 x 41
     rows = [(r.stage, f"{r.parameter:.17g}") for r in full_path["records"]]
     assert rows == [("A", "0"), ("A", "0.10000000000000001"), ("A", "0.25"),
                     ("A", "0.47500000000000003"), ("A", "0.8125"), ("A", "1"),
                     ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
                     ("C", "0.30000000000000004"), ("C", "0.52500000000000013"),
                     ("C", "0.86250000000000016"), ("C", "1")]
-    assert full_path["tails"] == [0] + [511] * 11
+    assert full_path["tails"] == [0, 627, 620, 616, 611, 610, 611, 611, 612, 612, 612, 613]
 
 
 def test_handoff_correction_budget(full_path):

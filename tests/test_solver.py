@@ -72,13 +72,15 @@ def check_band_solve(band, J, rhs, tol=1e-11):
 
 
 # 481 x 11 lies below the width rule; on 241 x 21 the states have psi <= theta
-# left of x = -7, so rows 1 .. 150 or so are equal, of which 127 are eliminated
-@pytest.fixture(scope="module", params=[(481, 11, 0), (241, 21, 127)], ids=["481x11", "241x21"])
+# left of x = -4, -8 and -8, so their rows 1 .. 156, 152 and 152 are equal, and
+# all are eliminated
+@pytest.fixture(scope="module", params=[(481, 11, (0, 0, 0)), (241, 21, (156, 152, 152))],
+                ids=["481x11", "241x21"])
 def converged_jacobians(request):
     """Jacobians and residuals of converged Wentzell(0), Wentzell(1) and
     exchange(0.05) states on the grid [-160, 80] x [-1, 0], with the number
     of block rows their band LU eliminates by cyclic reduction."""
-    nx, ny, tail = request.param
+    nx, ny, tails = request.param
     grid = build_grid(PARAMS, -160.0, 80.0, nx, ny)
     s0 = newton_solve(embed_one_dim_wave(solve_1d_ignition_shooting(PARAMS.d, CUBIC, tol=1e-9),
                                          grid, CUBIC), PARAMS, CUBIC, grid).state
@@ -86,13 +88,13 @@ def converged_jacobians(request):
                                 family=HomotopyFamily.wentzell(1.0)), PARAMS, CUBIC, grid).state
     e = newton_solve(handoff_to_system(s1, 0.05, PARAMS, grid), PARAMS, CUBIC, grid).state
     return grid, [(assemble_jacobian(st, PARAMS, CUBIC, grid),
-                   assemble_residual(st, PARAMS, CUBIC, grid)) for st in (s0, s1, e)], tail
+                   assemble_residual(st, PARAMS, CUBIC, grid)) for st in (s0, s1, e)], tails
 
 
 def test_band_solve_matches_superlu(converged_jacobians):
-    grid, systems, tail = converged_jacobians
+    grid, systems, tails = converged_jacobians
     rng = np.random.default_rng(7)
-    for J, R in systems:
+    for (J, R), tail in zip(systems, tails):
         band = solver.factorize(J)
         assert tail_rows(band) == tail
         for rhs in (rng.standard_normal(J.shape[0]), -R):
@@ -101,53 +103,97 @@ def test_band_solve_matches_superlu(converged_jacobians):
         assert band.j_norm == float(np.abs(J).sum(axis=1).max())
 
 
-@pytest.mark.parametrize("row, block, tail", [(0, "D", 127), (1, "D", 0), (1, "L", 0),
-                                              (2, "L", 0), (4, "D", 1), (4, "L", 1),
-                                              (40, "D", 31), (40, "L", 31), (200, "D", 127),
-                                              (200, "L", 127)])
-def test_a_changed_block_row_ends_the_tail(row, block, tail):
-    # block row `row` of a Wentzell Jacobian on 241 x 21 gets a new diagonal
-    # entry, in its D block or its L block, so the equal rows 1 .. T (about 150
-    # unchanged, psi <= theta left of x = -8.5) end before it: T = row - 2 (D)
-    # or row - 3 (L), and the largest 2^p - 1 <= T are eliminated (none when
-    # rows 1 and 2 differ).  Row 0, the Dirichlet row, stays a diagonal, and
-    # row 200 lies right of the front, past the tail.
-    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
-    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
-    m = grid.ny
-    column = row * m + 5 - (m if block == "L" else 0)
+def changed_block_row(grid, state, row, block):
+    """The Jacobian of `state` with a new entry on the diagonal of block row
+    `row`'s L, D or U block."""
+    J = assemble_jacobian(state, PARAMS, CUBIC, grid)
+    m = J.pattern.m
+    column = row * m + 2 + {"L": -m, "D": 0, "U": m}[block]
     k = J.indptr[column] + np.searchsorted(J.indices[J.indptr[column]:J.indptr[column + 1]],
-                                           row * m + 5)
+                                           row * m + 2)
     J.data[k] *= 1.001
-    band = solver.factorize(J)
-    assert tail_rows(band) == tail
+    return J
+
+
+def failing_dgetrf(monkeypatch, call):
+    """Make LAPACK report the `call`-th dgetrf (from 0) exactly singular; the
+    list of the matrices it was called with."""
+    calls, dgetrf = [], solver.lapack.dgetrf
+
+    def singular_at_call(a):
+        calls.append(a)
+        lu, piv, info = dgetrf(a)
+        return lu, piv, 3 if len(calls) == call + 1 else info
+
+    monkeypatch.setattr(solver.lapack, "dgetrf", singular_at_call)
+    return calls
+
+
+@pytest.mark.parametrize("row, block, tail, shorter", [
+    pytest.param(row, block, tail, shorter, id=f"{row}-{block}-{shorter}")
+    for row, block, tail, shorter in [(0, "D", 151, 127), (1, "D", 1, 0), (1, "L", 0, 0),
+                                      (2, "L", 0, 0), (4, "D", 3, 1), (4, "L", 2, 1),
+                                      (40, "D", 39, 31), (40, "L", 38, 31), (40, "U", 39, 31),
+                                      (200, "D", 151, 127), (200, "L", 151, 127)]])
+def test_a_changed_block_row_ends_the_tail(monkeypatch, row, block, tail, shorter):
+    # block row `row` of a Wentzell Jacobian on 241 x 21 gets a new entry on
+    # the diagonal of one block, so the equal rows 1 .. 151 (psi <= theta
+    # left of x = -8.5) end before it: T = row - 1 with its D or U block
+    # changed, or row - 2 with its L block changed, where row - 1 is equal but
+    # is not followed by the left block L.  Row 1 sets the blocks: its D
+    # changed leaves T = 1, its L T = 0.  Row 0, the Dirichlet row, stays a
+    # diagonal, and row 200 lies right of the front, past the tail.  A
+    # singular block at the last of the T.bit_length() levels leaves the
+    # largest power-of-two tail 2^p - 1 < T
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    J = changed_block_row(grid, smooth_states(grid)[0], row, block)
     rhs = np.random.default_rng(3).standard_normal(J.shape[0])
+    with monkeypatch.context() as patch:
+        calls = failing_dgetrf(patch, -1)  # none fails
+        band = solver.factorize(J)
+    assert tail_rows(band) == tail
+    check_band_solve(band, J, rhs)
+    failing_dgetrf(monkeypatch, len(calls) - 1)
+    band = solver.factorize(J)
+    assert tail_rows(band) == shorter
     check_band_solve(band, J, rhs)
 
 
-@pytest.mark.parametrize("level, tail", [(0, 0), (1, 1), (2, 3), (4, 15)])
+@pytest.mark.parametrize("level, tail", [(0, 0), (1, 1), (2, 3), (4, 15), (5, 15), (8, 127)])
 def test_a_singular_reduction_level_ends_the_tail(monkeypatch, level, tail):
-    # a level whose D block LAPACK reports exactly singular ends the reduction
-    # there, with the levels before it: row 2^level's Schur complement is their
-    # sum, so the shorter tail is exact (241 x 21 would eliminate 127 rows)
+    # the `level`-th dgetrf (from 0) that LAPACK reports exactly singular ends
+    # the reduction at its level l, with the levels before it: the tail is
+    # 2^l - 1.  On 241 x 21, T = 151 = 0b10010111: levels 3, 5 and 6 keep
+    # their first row, so from level 4 on it has its own block, factored at
+    # levels 4 and 7, the 6th and 9th dgetrf: D at levels 0 .. 6 and that
+    # block are factored in turn
     grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
     J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
-    calls, dgetrf = [], solver.lapack.dgetrf
-
-    def singular_at_level(a):
-        calls.append(a)
-        lu, piv, info = dgetrf(a)
-        return lu, piv, 3 if len(calls) == level + 1 else info
-
-    monkeypatch.setattr(solver.lapack, "dgetrf", singular_at_level)
+    calls = failing_dgetrf(monkeypatch, level)
     band = solver.factorize(J)
     assert len(calls) == level + 1 and tail_rows(band) == tail
     check_band_solve(band, J, np.random.default_rng(9).standard_normal(J.shape[0]))
 
 
+@pytest.mark.parametrize("tail", range(41))
+@pytest.mark.parametrize("family", ["wentzell", "exchange"])
+def test_a_tail_of_any_length(monkeypatch, family, tail):
+    # with the width rule off, a 241 x 5 Jacobian (m = 5, or 6 with the line)
+    # whose equal rows end at T: a changed D block in row T + 1, or for T = 0
+    # a changed L block in row 2.  Over T = 0 .. 40 every level of the
+    # reduction meets an odd and an even number of live rows
+    monkeypatch.setattr(solver, "TAIL_MIN_WIDTH", 1)
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 5)
+    state = smooth_states(grid)[family == "exchange"]
+    J = changed_block_row(grid, state, tail + 1 if tail else 2, "D" if tail else "L")
+    band = solver.factorize(J)
+    assert tail_rows(band) == tail
+    check_band_solve(band, J, np.random.default_rng(tail).standard_normal(J.shape[0]))
+
+
 def test_below_the_width_rule_the_band_lu_is_unchanged(monkeypatch):
-    # 481 x 11 has a long tail of equal rows, but m = 11 or 12 is below the
-    # rule: only the Dirichlet block row is eliminated
+    # 481 x 11 has a long tail of equal rows, 303, but m = 11 or 12 is below
+    # the rule: only the Dirichlet block row is eliminated
     grid = build_grid(PARAMS, -160.0, 80.0, 481, 11)
     rng = np.random.default_rng(5)
     for state in smooth_states(grid):
@@ -157,22 +203,28 @@ def test_below_the_width_rule_the_band_lu_is_unchanged(monkeypatch):
         check_band_solve(band, J, rng.standard_normal(J.shape[0]))
         with monkeypatch.context() as patch:
             patch.setattr(solver, "TAIL_MIN_WIDTH", 1)
-            assert tail_rows(solver.factorize(J)) == 255
+            assert tail_rows(solver.factorize(J)) == 303
 
 
 def equal_rows(J, m, a):
-    """T: how many block rows of A~ after its row 0 equal row 1, where A~ is
-    J without its border and with column a replaced by e_a."""
+    """T: the largest with block rows 1 .. T of A~ equal to row 1 and row
+    T + 1's left block equal to row 1's, where A~ is J without its border and
+    with column a replaced by e_a, and the anchor's block column lies past
+    T + 1 (the tail's blocks are J's, and J's column a is not A~'s)."""
     A = J[:-1, :-1].tolil()
     A[:, a] = 0.0
     A[a, a] = 1.0
     A = A.tocsr()
 
-    def block_row(i):
-        return A[i * m:(i + 1) * m, (i - 1) * m:(i + 2) * m].toarray()
+    def block(i, j):
+        return A[i * m:(i + 1) * m, j * m:(j + 1) * m].toarray()
 
-    T = 1
-    while np.array_equal(block_row(T + 1), block_row(1)):
+    def row(i):
+        return np.hstack([block(i, i - 1), block(i, i), block(i, i + 1)])
+
+    T = 0
+    while (T + 2 < a // m and np.array_equal(row(T + 1), row(1))
+           and np.array_equal(block(T + 2, T + 1), block(1, 0))):
         T += 1
     return T
 
@@ -197,7 +249,7 @@ def test_the_tail_on_small_grids(nx, half_ny, anchor, exchange, front):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "TAIL_MIN_WIDTH", 1)
         band = solver.factorize(J)
-    assert tail_rows(band) <= equal_rows(J, m, band.a)
+    assert tail_rows(band) == equal_rows(J, m, band.a)
     check_band_solve(band, J, np.random.default_rng(nx).standard_normal(J.shape[0]))
 
 
@@ -222,8 +274,8 @@ def test_band_singular_jacobian_raises(converged_jacobians, monkeypatch, node):
 @pytest.mark.parametrize("column", [1, 21], ids=["block_column_0", "block_column_1"])
 def test_a_dirichlet_row_with_an_off_diagonal_entry_is_refused(column):
     # the band path solves block row 0 by one division: it must be a diagonal.
-    # `band_map`, run once per pattern and tail length, refuses the arrays of
-    # an assembled J with one entry added there
+    # `band_map`, run once per pattern, refuses the arrays of an assembled J
+    # with one entry added there
     grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
     J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
     m, a = J.pattern.m, J.pattern.anchor
@@ -231,7 +283,7 @@ def test_a_dirichlet_row_with_an_off_diagonal_entry_is_refused(column):
     J[0, column] = 0.5
     J = J.tocsc()
     with pytest.raises(ValueError, match="block row 0 of J is not a diagonal"):
-        solver.band_map(J.indptr, J.indices, m, a, 0)
+        solver.band_map(J.indptr, J.indices, m, a)
 
 
 @pytest.mark.parametrize("case, error, message", [
@@ -270,40 +322,44 @@ def test_every_refusal_of_the_band_lu(case, error, message):
         J = J.tocsc()
     with pytest.raises(error, match=message):
         if case == "outside_the_band":  # `band_map` refuses the arrays of such a J
-            solver.band_map(J.indptr, J.indices, pattern.m, pattern.anchor, 0)
+            solver.band_map(J.indptr, J.indices, pattern.m, pattern.anchor)
         else:
             solver.factorize(J).solve(rhs)
 
 
-def smooth_states(grid):
-    """A Wentzell(0.5) state with a tanh front and its exchange(0.05) handoff."""
-    psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (grid.ny, 1))
+def smooth_states(grid, front=0.0):
+    """A Wentzell(0.5) state with a tanh front at x = `front` and its
+    exchange(0.05) handoff."""
+    psi = np.tile(0.5 * (1.0 + np.tanh((grid.x - front) / 20.0)), (grid.ny, 1))
     wentzell = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(0.5))
     return wentzell, handoff_to_system(wentzell, 0.05, PARAMS, grid)
 
 
 def test_structure_is_built_once_per_grid_and_family(monkeypatch):
-    # one band map per pattern and tail length: K = 0 on 241 x 5, below
-    # the width rule, and K = 127 on 241 x 21, where the rule switched off
-    # adds the K = 0 maps
-    built = []
+    # one pattern per grid and family kind, and one band map per pattern
+    # whatever tail a factorization finds: on 241 x 21 the Wentzell states,
+    # then their exchange handoffs, with fronts at x = -20, 0 and 20 have
+    # tails of three lengths, and 0 with the width rule off; 241 x 5 lies
+    # below the rule
+    built = collections.Counter()
     for module, name in ((residual, "_build_pattern"), (solver, "band_map")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name:
-                            (built.append((_name, *args[4:])), _real(*args))[1])
-    for ny, tails in ((5, [0]), (21, [127, 0])):
+                            (built.update([_name]), _real(*args))[1])
+    for ny, widths in ((5, [21]), (21, [21, math.inf])):
         grid = build_grid(PARAMS, -160.0, 80.0, 241, ny)
         residual._PATTERNS.clear()
         built.clear()
-        for tail in tails:
-            with monkeypatch.context() as patch:
-                patch.setattr(solver, "TAIL_MIN_WIDTH", 21 if tail else math.inf)
-                for _ in range(3):
-                    for state in smooth_states(grid):
-                        J = assemble_jacobian(state, PARAMS, CUBIC, grid)
-                        assert tail_rows(solver.factorize(J)) == tail
-        assert sorted(built) == sorted([("_build_pattern",)] * 2
-                                       + [("band_map", tail) for tail in tails] * 2)
+        tails = collections.defaultdict(set)
+        for family in (0, 1):
+            for width in widths:
+                monkeypatch.setattr(solver, "TAIL_MIN_WIDTH", width)
+                for front in (-20.0, 0.0, 20.0, -20.0):
+                    J = assemble_jacobian(smooth_states(grid, front)[family], PARAMS, CUBIC, grid)
+                    tails[family].add(tail_rows(solver.factorize(J)))
+        assert built == {"_build_pattern": 2, "band_map": 2}
+        assert tails == ({0: {0}, 1: {0}} if ny == 5
+                         else {0: {0, 131, 151, 158}, 1: {0, 131, 151, 158}})
 
 
 @pytest.mark.parametrize("nx, ny", [(481, 11), (961, 41), (13, 81), (13, 161)])
