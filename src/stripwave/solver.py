@@ -260,6 +260,7 @@ class CyclicTail:
                     break
                 own = first_lu, first_piv, lapack.dgetrs(first_lu, first_piv, U)[0]
                 LFU = L @ own[2]
+            # D's LU, the blocks, D^{-1} L, D^{-1} U, and the first row's LU and F^{-1} U
             self.levels.append((lu, piv, L, U, DL, DU, own))
             self.schur += LFU if n == 1 else LDU  # the boundary row's left neighbour
             if n > 1:
