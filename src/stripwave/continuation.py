@@ -11,13 +11,19 @@ to 1.
 Natural-parameter continuation with a secant predictor is sufficient:
 the wave speed is a single-valued function of the stage parameter (no
 folds), so a Newton failure at the minimum step aborts loudly instead
-of triggering arclength machinery.  Steps halve on failure and grow by
-`GROWTH_FACTOR` (1.5x) when Newton converges with at most
-`GROWTH_FACTORIZATIONS` Jacobian factorizations (the chord Newton reuses
-one LU across iterations, so its factorizations, not its iterations,
-measure what a step cost); an accepted step whose speed jumps by more than
-`SPEED_JUMP_FRAC` relative is rejected and retried with half the step,
-guarding against branch jumping.
+of triggering arclength machinery.  Steps halve on failure; an accepted
+step grows by `FAST_GROWTH_FACTOR` (3x) when its chord Newton converged in
+at most `FAST_ITERATIONS` iterations, and by `GROWTH_FACTOR` (1.5x)
+otherwise.  The chord Newton factors about once per step whatever the
+step, so its factorizations say nothing about how far the predictor
+missed; its iteration count does: few iterations mean the secant predictor
+landed well inside Newton's contraction region, and a longer step is
+still cheap (the step-length adaptation of predictor-corrector
+continuation, Allgower and Georg, *Introduction to Numerical Continuation
+Methods*, SIAM 2003, ch. 6).  The growth reads only the step just solved
+and travels in its record's `step`.  An accepted step whose speed jumps by
+more than `SPEED_JUMP_FRAC` relative is rejected and retried with half
+the step, guarding against branch jumping.
 
 Each march starts from a record, its restart point (a record holds the
 step of the next trial and the previous accepted state), sends its sink
@@ -168,9 +174,32 @@ def make_record(stage: str, state: WaveState, residual_norm: float, params: Mode
                               diagnostics=diag, step=step, prev_state=prev_state)
 
 
-# step policy of _march (see the module docstring)
+# step policy of _march (see the module docstring).  Stage A steps take 3-13
+# chord iterations, stage C steps 1-4.  Growth rules over the default config
+# and one change each of D in {0.5, 1, 2}, theta in {0.05, 0.6}, mu in
+# {0.2, 5}, L in {0.25, 4} and d = 2 on 481 x 11 (11 runs; factorizations
+# summed, rejected steps), and the default run on 961 x 41 (factorizations,
+# checked solves):
+#     growth                            481 x 11     961 x 41
+#     x1.5 on every step                125, 0       12, 46
+#     x3 at <= 3 iterations, else x1.5  106, 0       10, 43
+#     x4 at <= 3 iterations, else x1.5  106, 0       10, 43
+#     x4 at <= 2 iterations, else x1.5  113, 0       11, 45
+#     x3 at <= 4 iterations, else x1.5  100, 0       10, 43
+#     x3 on every step                  97, 3        9, 36
+# The three rejected steps of plain x3 are speed jumps of 21-23% in stage A
+# (D = 0.5, mu = 0.2, L = 0.25).  On twelve more runs (D 0.25 and 8, theta
+# 0.1, 0.2, 0.4 and 0.5, mu 0.5 and 2, L 0.5 and 2, d 0.5 and 4), x3 at <= 3
+# iterations took 87 factorizations against 102 and rejected one step (a
+# 22.5% jump at D = 0.25); x3 at <= 4 iterations rejected two there
+FAST_ITERATIONS = 3
+FAST_GROWTH_FACTOR = 3.0
 GROWTH_FACTOR = 1.5
-GROWTH_FACTORIZATIONS = 4
+# an accepted step whose speed moves by more than this fraction is rejected.
+# Largest relative change of c in one accepted step over the 23 runs above on
+# 481 x 11, under the growth rule: 0.155 in stage A (D = 0.25), 0.0066 in
+# stage C (L = 2); the steps it rejected there, under any rule of the table,
+# jumped by 0.204-0.252
 SPEED_JUMP_FRAC = 0.2
 
 
@@ -203,14 +232,16 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
                 raise StepCollapse(f"continuation step below {opts.min_step} at "
                                    f"{stage} parameter {param:.6f}: {failed}")
             continue
-        if result.factorizations <= GROWTH_FACTORIZATIONS:
-            step *= GROWTH_FACTOR
+        fast = result.iterations <= FAST_ITERATIONS
+        growth = FAST_GROWTH_FACTOR if fast else GROWTH_FACTOR
+        step *= growth
         record = make_record(stage, result.state, result.residual_norm, params, spec, grid,
                              step, state)
         if sink is not None:
             sink(record)
-        logger.info("%s parameter %.6f: c = %.8f (%d iterations, %d factorizations)", stage,
-                    trial, record.c, result.iterations, result.factorizations)
+        logger.info("%s parameter %.6f: c = %.8f (%d iterations, %d factorizations); next step "
+                    "%.6g, x%g for %s %d iterations", stage, trial, record.c, result.iterations,
+                    result.factorizations, step, growth, "<=" if fast else ">", FAST_ITERATIONS)
     return record
 
 

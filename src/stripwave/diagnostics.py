@@ -3,7 +3,7 @@
 Every qualitative property the continuous problem guarantees is turned
 into a numeric check with an explicit tolerance:
 
-* bounds: 0 < psi, mu*phi < 1 (to 1e-8)
+* bounds: 0 <= psi <= 1 and 0 <= mu*phi <= 1 (each to 1e-8)
 * monotonicity: psi and phi increase in x (forward differences >= -1e-6)
 * sandwich: inf psi <= mu*phi <= sup psi (exchange family, 1e-8)
 * speed identity: c * (L + s/mu) = integral of f(psi) over the strip

@@ -261,7 +261,7 @@ def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, comm
         edit(cfg)
         argv = ["run", str(write_config(tmp_path, cfg))]
     else:
-        ckpt = read_checkpoint(out / f"ckpt_{getattr(edit, 'checkpoint', '0012_C')}.json")
+        ckpt = read_checkpoint(out / f"ckpt_{getattr(edit, 'checkpoint', '0010_C')}.json")
         edit(ckpt)
         write_checkpoint(tmp_path / "ckpt.json", ckpt)
         argv = [command, str(tmp_path / "ckpt.json"), str(write_config(tmp_path, cfg))
@@ -476,15 +476,15 @@ def test_c_one_dim_is_the_certified_s0_speed(completed_run):
 
 
 def test_run_path_parameters(completed_run):
-    # step growth counts factorizations, not chord iterations: the path keeps
-    # the parameters that full Newton, factoring at every iteration, took
+    # a step grows 1.5 times after a Newton of more than 3 chord iterations
+    # (every stage A step, 4-8 of them) and 3 times after one of at most 3
+    # (every stage C step, 2-3), so stage C reaches 1 in three steps
     _, out, _, _ = completed_run
     _, rows = read_rows(out / "path.csv")
     assert [(r["stage"], r["family_param"]) for r in rows] == [
         ("A", "0"), ("A", "0.10000000000000001"), ("A", "0.25"), ("A", "0.47500000000000003"),
         ("A", "0.8125"), ("A", "1"), ("B", "0.050000000000000003"),
-        ("C", "0.15000000000000002"), ("C", "0.30000000000000004"),
-        ("C", "0.52500000000000013"), ("C", "0.86250000000000016"), ("C", "1")]
+        ("C", "0.15000000000000002"), ("C", "0.45000000000000007"), ("C", "1")]
 
 
 def test_stage_filter_a_only(tmp_path):
@@ -1115,7 +1115,7 @@ def test_sweep_point_equals_standalone_run(tmp_path, monkeypatch):
         assert main(["run", str(write_config(tmp_path, data, f"alone_{v:g}.json"))]) == EXIT_OK
         names = sorted(p.name for p in alone.iterdir())
         assert sorted(p.name for p in point.iterdir()) == names
-        assert {"path.csv", "ckpt_0012_C.json", "summary.json"} <= set(names)
+        assert {"path.csv", "ckpt_0010_C.json", "summary.json"} <= set(names)
         for name in names:
             if name != "summary.json":
                 assert (point / name).read_bytes() == (alone / name).read_bytes(), (v, name)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import logging
 import math
 
 import numpy as np
@@ -54,23 +55,79 @@ def test_wentzell_path_reaches_target(coarse_setup):
     assert all(r.diagnostics.all_ok for r in records)
 
 
-def test_a_record_alone_resumes_the_march(coarse_setup):
-    # a record carries the step and previous state the march continues with,
-    # so a march from any record repeats the rest of the march bit for bit
+@pytest.fixture(scope="module")
+def coarse_exchange_start(coarse_setup):
+    """The stage B record of the coarse path: exchange(0.05), initial step 0.1."""
     grid, _, start = coarse_setup
+    end = continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target_s=1.0)
+    result = newton_solve(handoff_to_system(end.state, 0.05, PARAMS, grid), PARAMS, CUBIC,
+                          grid, NewtonOptions())
+    return make_record("B", result.state, result.residual_norm, PARAMS, CUBIC, grid, step=0.1)
 
-    def march(first):
-        records = []
-        continue_wentzell(first, PARAMS, CUBIC, grid, NewtonOptions(), target_s=1.0,
+
+# (parameter, step of the next trial) of each record of the coarse marches: a
+# step grows 1.5 times after more than 3 chord iterations, 3 times after at
+# most 3
+RESUMED_MARCHES = {
+    "wentzell": [(0.1, 0.15000000000000002), (0.25, 0.22500000000000003),
+                 (0.47500000000000003, 0.3375), (0.8125, 0.50625000000000009),
+                 (1.0, 0.75937500000000013)],
+    "exchange": [(0.15000000000000002, 0.30000000000000004),
+                 (0.45000000000000007, 0.90000000000000013), (1.0, 2.7000000000000002)],
+}
+
+
+def test_a_record_alone_resumes_the_march(coarse_setup, coarse_exchange_start):
+    # a record carries the step and previous state the march continues with,
+    # so a march from any record repeats the rest of the march bit for bit;
+    # the step is the growth rule's decision on the record's own Newton solve
+    grid, _, wentzell_start = coarse_setup
+    for family, start, march in [("wentzell", wentzell_start, continue_wentzell),
+                                 ("exchange", coarse_exchange_start, continue_exchange)]:
+
+        def run(first):
+            records = []
+            march(first, PARAMS, CUBIC, grid, NewtonOptions(), 1.0, sink=records.append)
+            return [(r.state.psi.tobytes(), np.float64([r.parameter, r.c, r.step]).tobytes())
+                    for r in records], records
+
+        full, records = run(start)
+        assert [(r.parameter, r.step) for r in records] == RESUMED_MARCHES[family]
+        assert start.prev_state is None and all(r.prev_state is not None for r in records)
+        assert run(start)[0] == full
+        for k, record in enumerate(records):
+            assert run(record)[0] == full[k + 1:], (family, k)
+
+
+def test_a_speed_jump_is_rejected_and_the_step_halved(coarse_setup, monkeypatch, caplog):
+    # the first trial's Newton returns a speed 50% above the start's: the
+    # guard rejects it before a record is made, and the march retries at half
+    # the step, accepts that, and reaches the jumped parameter with the true c
+    grid, _, start = coarse_setup
+    solve, trials = continuation.newton_solve, []
+    jumped = 1.5 * start.c
+
+    def jumping(init, params, spec, on, opts):
+        trials.append(init.family.parameter)
+        result = solve(init, params, spec, on, opts)
+        if len(trials) == 1:
+            return dataclasses.replace(result, state=dataclasses.replace(result.state, c=jumped))
+        return result
+
+    monkeypatch.setattr(continuation, "newton_solve", jumping)
+    records = []
+    with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
+        continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target_s=0.1,
                           sink=records.append)
-        return [(r.state.psi.tobytes(), np.float64([r.parameter, r.c, r.step]).tobytes())
-                for r in records], records
-
-    full, records = march(start)
-    middle = len(records) // 2
-    assert start.prev_state is None and records[middle].prev_state is not None
-    assert march(start)[0] == full
-    assert march(records[middle])[0] == full[middle + 1:]
+    assert trials == [0.1, 0.05, 0.1]
+    assert [r.parameter for r in records] == [0.05, 0.1]
+    assert all(abs(r.c - start.c) < 0.2 * start.c for r in records)
+    assert records[0].prev_state is start.state
+    rejected, *accepted = caplog.messages
+    assert rejected.startswith("step rejected (speed jump")
+    assert rejected.endswith("retrying with step 0.05")
+    # each accepted step's line names its Newton's iterations and the next step
+    assert [f"next step {r.step:.6g}" in line for r, line in zip(records, accepted)] == [True] * 2
 
 
 def test_impossible_newton_budget_collapses_step(coarse_setup):
@@ -171,19 +228,18 @@ def test_pinned_default_path_speeds(full_path, refined_wentzell_states):
 
 
 def test_default_path_eliminates_the_tail_at_every_factorization(full_path):
-    # the records' (stage, parameter) as path.csv writes them, as before the
-    # left tail was eliminated; every Newton factorization of the 961 x 41 run
-    # eliminates all its equal block rows, 610 to 627 as the front moves, by
-    # cyclic reduction.  The s = 0 start factors once on 961 x 3 (m = 3 <
-    # TAIL_MIN_WIDTH, so no tail), and its broadcast row needs no
-    # factorization on 961 x 41
+    # the records' (stage, parameter) as path.csv writes them, with stage C
+    # steps grown 3 times after 2-3 chord iterations; every Newton
+    # factorization of the 961 x 41 run, one per step, eliminates all its
+    # equal block rows, 610 to 627 as the front moves, by cyclic reduction.
+    # The s = 0 start factors once on 961 x 3 (m = 3 < TAIL_MIN_WIDTH, so no
+    # tail), and its broadcast row needs no factorization on 961 x 41
     rows = [(r.stage, f"{r.parameter:.17g}") for r in full_path["records"]]
     assert rows == [("A", "0"), ("A", "0.10000000000000001"), ("A", "0.25"),
                     ("A", "0.47500000000000003"), ("A", "0.8125"), ("A", "1"),
                     ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
-                    ("C", "0.30000000000000004"), ("C", "0.52500000000000013"),
-                    ("C", "0.86250000000000016"), ("C", "1")]
-    assert full_path["tails"] == [0, 627, 620, 616, 611, 610, 611, 611, 612, 612, 612, 613]
+                    ("C", "0.45000000000000007"), ("C", "1")]
+    assert full_path["tails"] == [0, 627, 620, 616, 611, 610, 611, 611, 612, 613]
 
 
 def test_handoff_correction_budget(full_path):
