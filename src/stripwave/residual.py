@@ -1,4 +1,4 @@
-"""Nonlinear residual and analytic sparse Jacobian of the discretized
+"""Nonlinear residual and analytic banded Jacobian of the discretized
 travelling-wave problem.
 
 Unknowns are the strip field psi (and the line field phi for the
@@ -26,17 +26,18 @@ with a ghost node and eliminating the ghost against the quadratic
 interpolant through the three boundary-adjacent rows yields exactly the
 (3, -4, 1)/(2 hy) stencil, so no ghost unknowns are stored.  Convection
 uses centered differences to keep second order; the solver warns when
-the cell Peclet number c*hx/d reaches 2.  The Jacobian's sparsity structure
-(`JacobianPattern`) is built once per grid and family; each assembly computes
-only the values, and the matrix carries its pattern.
+the cell Peclet number c*hx/d reaches 2.  Every stencil couples a row to
+the nodes at offsets -m, -2, -1, 0, 1, 2 and m from it in this order, so
+J is stored as those seven diagonals, its c column and its anchor
+(`Jacobian`), each term written by the same field-shaped slices as the
+residual's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ShapeMismatch
 from .grid import Grid
@@ -44,7 +45,9 @@ from .model import ModelParams, NonlinearitySpec, eval_nonlinearity
 
 WENTZELL = "wentzell"
 EXCHANGE = "exchange"
-_PATTERNS: dict[tuple, JacobianPattern] = {}  # by key, the newest last (`JacobianPattern`)
+# the diagonals of `Jacobian`, at the offsets -m, -2, -1, 0, 1, 2 and m: a
+# node's x-neighbours (LEFT, RIGHT) and the nodes below and above it in its column
+LEFT, DOWN2, DOWN, SELF, UP, UP2, RIGHT = range(7)
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,19 @@ class WaveState:
             raise ShapeMismatch("Wentzell state must not carry a line field")
 
 
+def _node_views(v: np.ndarray, grid: Grid, family: HomotopyFamily) -> tuple:
+    """(strip, line) views of v's last axis, one entry per node in the order
+    of `field_views`: of shape (..., ny, nx) and (..., nx), or None for the
+    Wentzell family."""
+    cols = v.reshape(*v.shape[:-1], grid.nx, grid.ny + family.is_exchange)
+    line = cols[..., grid.ny] if family.is_exchange else None
+    return cols[..., :grid.ny].swapaxes(-1, -2), line
+
+
 def field_views(u: np.ndarray, grid: Grid, family: HomotopyFamily) -> tuple:
     """(psi, phi) as views of the flat vector u: psi of shape (ny, nx), phi of
     shape (nx,), or None for the Wentzell family.  Writes go through to u."""
-    cols = u[:-1].reshape(grid.nx, grid.ny + family.is_exchange)
-    return cols[:, :grid.ny].T, (cols[:, grid.ny] if family.is_exchange else None)
+    return _node_views(u[:-1], grid, family)
 
 
 def _size(grid: Grid, family: HomotopyFamily) -> int:
@@ -187,118 +198,121 @@ def assemble_residual(state: WaveState, params: ModelParams, spec: NonlinearityS
     return R
 
 
-@dataclass(frozen=True, eq=False)
-class JacobianPattern:
-    """The structure that `assemble_jacobian`'s CSC matrix J carries as
-    `J.pattern`, built at its first assembly on a grid and family kind and
-    kept in `_PATTERNS` for the two newest (nx, ny, anchor, family kind): no
-    values.  CSC data slot k takes block entry order[k]."""
 
+
+@dataclass(frozen=True, eq=False)
+class Jacobian:
+    """The bordered N x N Jacobian of `assemble_jacobian`, stored as its
+    stencil.  Outside the phase row, J[r, r + offsets[k]] is `diags[k, r]`
+    (the diagonals `LEFT` .. `RIGHT`) and J[r, N - 1] is `b[r]`, the
+    derivative with respect to c; the phase row is e_a^T, a single 1 at the
+    anchor a.  A slot no stencil term writes, or whose column lies outside
+    J, holds 0."""
+
+    diags: np.ndarray  # (7, N - 1)
+    b: np.ndarray  # (N - 1,)
     m: int  # unknowns per grid column, J's half-bandwidth outside its last row and column
     anchor: int  # the phase row's one column
-    sizes: tuple[int, ...]  # entries per block, in the order the blocks are written
-    indptr: np.ndarray
-    indices: np.ndarray
-    order: np.ndarray
-    # [`solver.band_map` of this pattern], made at its first factorization
-    band: list = field(default_factory=list)
+    nnz: int  # the stencil's slots, b's and the phase entry included, whatever their values
 
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.array([-self.m, -2, -1, 0, 1, 2, self.m])
 
-def _build_pattern(n: int, m: int, anchor: int, index: list) -> JacobianPattern:
-    """The pattern of the n x n matrix whose blocks have the (rows, cols) `index`."""
-    keys = [np.ravel(cc * n + r) for r, cc in index]  # column-major position of each entry
-    key = np.concatenate(keys)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        raise ValueError("two blocks of the Jacobian write one entry")
-    arrays = [a.astype(np.int32) for a in (np.searchsorted(key, np.arange(n + 1) * n), key % n, order)]
-    for array in arrays:
-        array.flags.writeable = False
-    return JacobianPattern(m, anchor, tuple(k.size for k in keys), *arrays)
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.b.size + 1,) * 2
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """J x, each row summed in column order, as a CSC product adds it."""
+        n, m = self.b.size, self.m
+        xp = np.zeros(n + 2 * m)  # x without c, between m zeros at each end
+        xp[m:m + n] = x[:n]
+        y = np.empty(n + 1)
+        np.multiply(self.diags[0], xp[:n], out=y[:n])
+        for row, o in zip(self.diags[1:], self.offsets[1:]):
+            y[:n] += row * xp[m + o:m + o + n]
+        y[:n] += self.b * x[n]
+        y[n] = x[self.anchor]
+        return y
+
+    def toarray(self) -> np.ndarray:
+        """J as a dense array."""
+        n = self.b.size
+        out = np.zeros(self.shape)
+        r = np.arange(n)
+        for row, o in zip(self.diags, self.offsets):
+            inside = (r + o >= 0) & (r + o < n)
+            out[r[inside], r[inside] + o] = row[inside]
+        out[:n, n], out[n, self.anchor] = self.b, 1.0
+        return out
 
 
 def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
-                      grid: Grid) -> sp.csc_matrix:
-    """Exact analytic derivative of assemble_residual.
+                      grid: Grid) -> Jacobian:
+    """Exact analytic derivative of assemble_residual, as a `Jacobian`.
 
     Bordered structure: the final column holds the derivative with
     respect to c (the centered x-derivatives of the fields on rows that
     carry convection) and the final row the phase condition (a single 1
-    at the anchor node, 0 in the c column).  Each block is an index (its
-    rows and columns, read only to build the pattern) and values; no two
-    blocks write one entry.  J holds its pattern's arrays and carries the
-    pattern as `J.pattern`.
+    at the anchor node, 0 in the c column).  Each stencil term is written
+    into its diagonal, or into the c column, through the residual's
+    field-shaped slices of its rows; no two terms write one slot.
     """
     state.check_consistent(grid)
     psi, phi, c = state.psi, state.phi, state.c
     d, D, mu = params.d, params.D, params.mu
     hx, hy = grid.hx, grid.hy
     N = _size(grid, state.family)
-    c_col = N - 1
-    # the position of each unknown, laid out as its field: the index blocks
-    # below take the same slices as the residual's stencils
-    Ps, Pl = field_views(np.arange(N), grid, state.family)
+    m = (N - 1) // grid.nx
+    # the seven diagonals, then the c column (row C), each laid out as the fields of its rows
+    out = np.zeros((8, N - 1))
+    S, Ln = _node_views(out, grid, state.family)
+    C = 7
+    slots = 1  # the phase row's entry
+
+    def put(view: np.ndarray, v) -> None:
+        nonlocal slots
+        view[...] = v
+        slots += view.size
 
     _, f_prime = eval_nonlinearity(psi, spec)
 
-    blocks: list[tuple] = []
+    put(S[SELF, 1:-1, 1:-1], (2.0 * d / hx**2 + 2.0 * d / hy**2) - f_prime[1:-1, 1:-1])
+    put(S[LEFT, 1:-1, 1:-1], -d / hx**2 - c / (2.0 * hx))
+    put(S[RIGHT, 1:-1, 1:-1], -d / hx**2 + c / (2.0 * hx))
+    put(S[DOWN, 1:-1, 1:-1], -d / hy**2)
+    put(S[UP, 1:-1, 1:-1], -d / hy**2)
+    put(S[C, 1:-1, 1:-1], (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * hx))
 
-    def put(index: tuple, v) -> None:
-        blocks.append((index, v))
+    put(S[SELF, 0, 1:-1], -3.0 / (2.0 * hy))
+    put(S[UP, 0, 1:-1], 4.0 / (2.0 * hy))
+    put(S[UP2, 0, 1:-1], -1.0 / (2.0 * hy))
 
-    r_int = Ps[1:-1, 1:-1]
-    put((r_int, r_int), (2.0 * d / hx**2 + 2.0 * d / hy**2) - f_prime[1:-1, 1:-1])
-    put((r_int, Ps[1:-1, :-2]), -d / hx**2 - c / (2.0 * hx))
-    put((r_int, Ps[1:-1, 2:]), -d / hx**2 + c / (2.0 * hx))
-    put((r_int, Ps[:-2, 1:-1]), -d / hy**2)
-    put((r_int, Ps[2:, 1:-1]), -d / hy**2)
-    put((r_int, c_col), (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * hx))
-
-    r_bot = Ps[0, 1:-1]
-    put((r_bot, r_bot), -3.0 / (2.0 * hy))
-    put((r_bot, Ps[1, 1:-1]), 4.0 / (2.0 * hy))
-    put((r_bot, Ps[2, 1:-1]), -1.0 / (2.0 * hy))
-
-    r_top = Ps[-1, 1:-1]
-    put((r_top, Ps[-2, 1:-1]), -4.0 * d / (2.0 * hy))
-    put((r_top, Ps[-3, 1:-1]), d / (2.0 * hy))
+    put(S[DOWN, -1, 1:-1], -4.0 * d / (2.0 * hy))
+    put(S[DOWN2, -1, 1:-1], d / (2.0 * hy))
     if state.family.is_wentzell:
         s = state.family.parameter
-        put((r_top, r_top), 3.0 * d / (2.0 * hy) + (s / mu) * 2.0 * D / hx**2)
-        put((r_top, Ps[-1, :-2]), -(s / mu) * D / hx**2 - (s / mu) * c / (2.0 * hx))
-        put((r_top, Ps[-1, 2:]), -(s / mu) * D / hx**2 + (s / mu) * c / (2.0 * hx))
-        put((r_top, c_col), (s / mu) * (psi[-1, 2:] - psi[-1, :-2]) / (2.0 * hx))
+        put(S[SELF, -1, 1:-1], 3.0 * d / (2.0 * hy) + (s / mu) * 2.0 * D / hx**2)
+        put(S[LEFT, -1, 1:-1], -(s / mu) * D / hx**2 - (s / mu) * c / (2.0 * hx))
+        put(S[RIGHT, -1, 1:-1], -(s / mu) * D / hx**2 + (s / mu) * c / (2.0 * hx))
+        put(S[C, -1, 1:-1], (s / mu) * (psi[-1, 2:] - psi[-1, :-2]) / (2.0 * hx))
     else:
         eps = state.family.parameter
-        put((r_top, r_top), 3.0 * d / (2.0 * hy) + 1.0 / eps)
-        put((r_top, Pl[1:-1]), -mu / eps)
+        put(S[SELF, -1, 1:-1], 3.0 * d / (2.0 * hy) + 1.0 / eps)
+        put(S[UP, -1, 1:-1], -mu / eps)  # the line node follows the top node
 
-    put((Ps[:, 0], Ps[:, 0]), 1.0)
-    put((Ps[:, -1], Ps[:, -1]), 1.0)
+    put(S[SELF, :, 0], 1.0)
+    put(S[SELF, :, -1], 1.0)
 
-    if Pl is not None:
+    if Ln is not None:
         eps = state.family.parameter
-        r_line = Pl[1:-1]
-        put((r_line, r_line), 2.0 * D / hx**2 + mu / eps)
-        put((r_line, Pl[:-2]), -D / hx**2 - c / (2.0 * hx))
-        put((r_line, Pl[2:]), -D / hx**2 + c / (2.0 * hx))
-        put((r_line, r_top), -1.0 / eps)
-        put((r_line, c_col), (phi[2:] - phi[:-2]) / (2.0 * hx))
-        put((Pl[0], Pl[0]), mu)
-        put((Pl[-1], Pl[-1]), mu)
+        put(Ln[SELF, 1:-1], 2.0 * D / hx**2 + mu / eps)
+        put(Ln[LEFT, 1:-1], -D / hx**2 - c / (2.0 * hx))
+        put(Ln[RIGHT, 1:-1], -D / hx**2 + c / (2.0 * hx))
+        put(Ln[DOWN, 1:-1], -1.0 / eps)
+        put(Ln[C, 1:-1], (phi[2:] - phi[:-2]) / (2.0 * hx))
+        put(Ln[SELF, :1], mu)
+        put(Ln[SELF, -1:], mu)
 
-    anchor = int(Ps[grid.anchor_iy, grid.anchor_ix])
-    put((N - 1, anchor), 1.0)
-
-    key = (grid.nx, grid.ny, grid.anchor_ix, state.family.kind)  # ny fixes the anchor's row
-    pattern = _PATTERNS[key] = (_PATTERNS.pop(key, None)
-                                or _build_pattern(N, (N - 1) // grid.nx, anchor,
-                                                  [index for index, _ in blocks]))
-    if len(_PATTERNS) > 2:
-        del _PATTERNS[next(iter(_PATTERNS))]
-    vals = np.concatenate([np.broadcast_to(np.ravel(v), size)
-                           for (_, v), size in zip(blocks, pattern.sizes)])
-    J = sp.csc_matrix((vals[pattern.order], pattern.indices, pattern.indptr), shape=(N, N))
-    J.pattern = pattern
-    return J
+    return Jacobian(out[:C], out[C], m, grid.anchor_ix * m + grid.anchor_iy, slots)

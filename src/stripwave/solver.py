@@ -8,21 +8,20 @@ whose `solve` passes its own backward-error test, with one step of
 iterative refinement when needed.
 
 Newton factors its Jacobian J as a band matrix on every grid.  J comes
-from `assemble_jacobian` and carries its structure, `J.pattern`.  J's
-natural order (`residual.field_views`) is banded: every entry outside its
-last row and column lies within m (`J.pattern.m`) of the diagonal, so J is
-factored as a LAPACK band matrix (`dgbtrf`, partial pivoting).  The border
-(the c column b, and the phase row e_a^T, a single 1 at the anchor a =
-`J.pattern.anchor`) is removed as follows (Govaerts 2000, *Numerical
+from `assemble_jacobian` as a `residual.Jacobian`: its seven diagonals,
+at offsets 0, +-1, +-2 and +-m in its natural order (`residual.field_views`),
+its c column b and its anchor.  Every entry outside J's last row and column
+lies within m (`J.m`) of the diagonal, so J is factored as a LAPACK band
+matrix (`dgbtrf`, partial pivoting), filled by one strided slice per
+diagonal.  The border (b, and the phase row e_a^T, a single 1 at the anchor
+a = `J.anchor`) is removed as follows (Govaerts 2000, *Numerical
 Methods for Bifurcations of Dynamical Equilibria*): the phase row gives
 x_a = r_N, so the anchor column of J is moved to the right-hand side and
 replaced by e_a.  The band matrix left, A~, is well conditioned because
 pinning the anchor removes the near-null translation mode, and J x = r becomes
 (A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
-rank-1 (Sherman-Morrison) correction solves.  Where each entry of J goes
-(`band_map`) is worked out once per pattern (`J.pattern.band`), whatever
-the tail below.  The band holds about N (3m + 1) entries, so its memory
-grows like nx ny^2.
+rank-1 (Sherman-Morrison) correction solves.  The band holds about
+N (3m + 1) entries, so its memory grows like nx ny^2.
 
 Left of the front the reaction vanishes (f = f' = 0 for psi <= theta), so
 A~ is block tridiagonal there with one (L, D, U) per block row of m
@@ -37,7 +36,7 @@ two m x m LUs, and leaves a Schur complement on the diagonal block of row
 T + 1.  The band LU then factors only the unknowns from block column T + 1
 on (333 to 350 of 961 block columns on the default grid), and a solve
 reduces the right-hand side level by level, runs the band solve, and
-back-substitutes.  `cyclic_tail` reads T from J's values and takes T = 0
+back-substitutes.  `cyclic_tail` reads T from J's diagonals and takes T = 0
 when m < `TAIL_MIN_WIDTH`.  The discrete problem is the same, solved with
 less arithmetic; it differs from a band LU of all of A~ at roundoff.
 
@@ -77,7 +76,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
@@ -85,8 +83,8 @@ from .errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
 from .grid import Grid
 from .model import ModelParams, NonlinearitySpec, c_max, scalar_reaction
 from .model import eval_nonlinearity  # noqa: F401 (not called; kept for perfbench/tracer.py)
-from .residual import (WaveState, assemble_jacobian, assemble_residual, state_to_vector,
-                       vector_to_state)
+from .residual import (SELF, Jacobian, WaveState, assemble_jacobian, assemble_residual,
+                       state_to_vector, vector_to_state)
 
 logger = logging.getLogger(__name__)
 
@@ -179,41 +177,14 @@ class OneDimWave:
         return np.where(xq <= 0.0, tail, body)
 
 
-def band_map(indptr: np.ndarray, indices: np.ndarray, m: int, a: int) -> tuple:
-    """(dst, rows_a) of a bordered CSC J with half-bandwidth m and anchor a
-    (`residual.JacobianPattern`): J.data[k] goes to dst[k] in the LAPACK band
-    storage of A~ on all N - 1 unknowns (the phase entry to A~[a, a]), then
-    b, then column a (rows rows_a) of J.  The map does not depend on the
-    tail: a band that starts at unknown `start` (`BorderedBandLU`) takes the
-    entries of the columns from `start` on, a suffix of J.data, at dst minus
-    start (3m + 1).  ValueError unless A~ is banded and its block row 0 a
-    diagonal, as `assemble_jacobian` writes it."""
-    n = indptr.size - 2  # unknowns besides c
-    rows, cols = indices.astype(np.intp), np.repeat(np.arange(n + 1), np.diff(indptr))
-    phase = rows == n
-    at_a, border = (cols == a) & ~phase, cols == n
-    band = ~(border | at_a | phase)
-    if np.abs(rows - cols)[band].max() > m:
-        raise ValueError(f"J has entries outside the half-bandwidth {m}")
-    if (band & (rows < m) & (rows != cols)).any():
-        raise ValueError("block row 0 of J is not a diagonal")
-    # LAPACK band storage, column-major with ldab = 3m + 1: A~[r, c] goes to
-    # ab[2m + r - c, c]; the first m rows are workspace for the pivoting fill
-    ldab = 3 * m + 1
-    nb = n * ldab
-    dst = np.where(band, cols * ldab + 2 * m + rows - cols, nb + rows)
-    dst[at_a] = nb + n + np.arange(at_a.sum())
-    dst[phase] = a * ldab + 2 * m  # A~[a, a] = 1, the phase row's entry
-    return dst.astype(np.int32), rows[at_a]
-
-
-def _block_column(J: sp.csc_matrix, j: int, m: int) -> np.ndarray:
-    """Block column j of J as a dense (3m, m) array: its blocks in block rows
-    j - 1, j and j + 1, in turn (`J`'s entries lie within m of the diagonal)."""
-    lo, hi = J.indptr[j * m], J.indptr[(j + 1) * m]
-    out = np.zeros((3 * m, m))
-    out[J.indices[lo:hi] - (j - 1) * m,
-        np.repeat(np.arange(m), np.diff(J.indptr[j * m:(j + 1) * m + 1]))] = J.data[lo:hi]
+def _block_row(J: Jacobian, i: int) -> np.ndarray:
+    """Block row i of J as a dense (m, 3m) array: its blocks in block columns
+    i - 1, i and i + 1, in turn."""
+    m = J.m
+    out = np.zeros((m, 3 * m))
+    j = np.arange(m)
+    rows, cols = np.tile(j, 7), (m + j + J.offsets[:, None]).ravel()
+    out[rows, cols] = J.diags[:, i * m:(i + 1) * m].ravel()
     return out
 
 
@@ -321,44 +292,33 @@ class CyclicTail:
                 gone[:, 1 - s:] -= DL @ X[:, :-1]
 
 
-def cyclic_tail(J: sp.csc_matrix, m: int, a: int) -> CyclicTail:
-    """The elimination of block rows 0 .. K of a bordered CSC J (anchor
-    column a >= m) whose block row 0 is a diagonal (`band_map` checks it);
-    LinearSolveFailed for a zero on it.  When m >= `TAIL_MIN_WIDTH`, K is the
-    largest with rows 1 .. K equal, L v_{i-1} + D v_i + U v_{i+1}, and row
-    K + 1's left block L; otherwise K = 0.
+def cyclic_tail(J: Jacobian) -> CyclicTail:
+    """The elimination of block rows 0 .. K of a `Jacobian` J (anchor column
+    a >= m).  ValueError unless block row 0 is a diagonal, as
+    `assemble_jacobian` writes it, and LinearSolveFailed for a zero on it.
+    When m >= `TAIL_MIN_WIDTH`, K is the largest with rows 1 .. K equal,
+    L v_{i-1} + D v_i + U v_{i+1}, and row K + 1's left block L; otherwise
+    K = 0.
 
-    Read from J's values, where block column j holds row j - 1's right, row
-    j's diagonal and row j + 1's left block: block column 1 ends with (D, L),
-    block columns 2 .. K repeat (U, D, L) (values, row offsets and entries per
-    column) and block column K + 1 starts with U.  The anchor column, e_a in
-    A~, lies in none of them: it holds the phase entry, so its block column
-    never repeats, and K <= a // m - 2.
+    Read from J's diagonals reshaped to (7, nx, m), where block row i is
+    [:, i]: rows 1 .. K are equal where their diagonals are.  The anchor
+    column, e_a in A~ but not in J, lies in none of their blocks, nor in row
+    K + 1's left block: K <= a // m - 2.
     """
-    c0 = _block_column(J, 0, m)
-    d0 = np.diag(c0[m:2 * m]).copy()
+    m, a = J.m, J.anchor
+    V = J.diags.reshape(7, -1, m)
+    if np.delete(V[:, 0], SELF, axis=0).any():
+        raise ValueError("block row 0 of J is not a diagonal")
+    d0 = V[SELF, 0].copy()
     if not d0.all():
         raise LinearSolveFailed("band factor is exactly singular: block row 0 has a zero")
-    L, D, U, K = c0[2 * m:], None, None, 0
+    L, D, U = np.hsplit(_block_row(J, 1), 3)
+    K = 0
     if m >= TAIL_MIN_WIDTH and a >= 3 * m:
-        c1, c2 = _block_column(J, 1, m), _block_column(J, 2, m)
-        D, U = c1[m:2 * m], c2[:m]
-        if (c1[2 * m:] == L).all():
-            k = 1  # block columns 2 .. k repeat (U, D, L)
-            if (c2[m:] == c1[m:]).all():
-                nx, ptr = (J.shape[0] - 1) // m, J.indptr
-                starts = ptr[:nx * m + 1:m]
-                size = starts[3] - starts[2]
-                counts = np.diff(ptr[:nx * m + 1]).reshape(nx, m)
-                same = (np.diff(starts)[3:] == size) & (counts[3:] == counts[2]).all(axis=1)
-                end = 3 + (same.argmin() if not same.all() else same.size)
-                data = J.data[starts[3]:starts[end]].reshape(-1, size)
-                rows = (J.indices[starts[3]:starts[end]].reshape(-1, size)
-                        - m * np.arange(3, end)[:, None])
-                same = ((data == J.data[starts[2]:starts[3]]).all(axis=1)
-                        & (rows == J.indices[starts[2]:starts[3]] - 2 * m).all(axis=1))
-                k = 2 + int(same.argmin() if not same.all() else same.size)
-            K = k if k + 2 <= a // m and (_block_column(J, k + 1, m)[:m] == U).all() else k - 1
+        same = (V[:, 2:a // m - 1] == V[:, 1:2]).all(axis=(0, 2))  # rows 2 .. a // m - 2
+        K = 1 + int(same.argmin() if not same.all() else same.size)  # rows 1 .. K are equal
+        if not (_block_row(J, K + 1)[:, :m] == L).all():
+            K -= 1
     return CyclicTail(d0, L, D, U, K)
 
 
@@ -366,49 +326,49 @@ class BorderedBandLU:
     """Band LU of a bordered Jacobian (module docstring), made by `factorize`,
     with the backward-error test of every solve.
 
-    `J` is a Jacobian as `assemble_jacobian` returns it, holding the arrays
-    of `J.pattern`, which gives m, the anchor a past block column 0 and the
-    band map; its phase entry must be 1 (ValueError otherwise).  Raises
-    LinearSolveFailed when the band matrix is exactly singular or the rank-1
-    correction has a zero denominator.  Block rows 0 .. K are eliminated
-    first (`tail`, a `CyclicTail`), and the band holds only the unknowns from
-    `start` = (K + 1) m on: J's entries in those columns, shifted by K + 1
-    block columns in the band map.
+    `J` is a `Jacobian` as `assemble_jacobian` returns it, whose `m` and
+    anchor a lie past block column 0 (ValueError otherwise).  Raises
+    LinearSolveFailed when the band matrix is exactly singular or the
+    rank-1 correction has a zero denominator.  Block rows 0 .. K are
+    eliminated first (`tail`, a `CyclicTail`), and the band holds only the
+    unknowns from `start` = (K + 1) m on: one strided slice of each of J's
+    diagonals.
     """
 
-    def __init__(self, J: sp.csc_matrix) -> None:
-        pattern = getattr(J, "pattern", None)
-        if (pattern is None or J.indptr is not pattern.indptr
-                or not np.may_share_memory(J.indices, pattern.indices)):
+    def __init__(self, J: Jacobian) -> None:
+        if not isinstance(J, Jacobian):
             raise ValueError("J is not a Jacobian as assemble_jacobian returns it")
-        n, m, a = J.shape[0] - 1, pattern.m, pattern.anchor
+        n, m, a = J.b.size, J.m, J.anchor
         if a < m:
             raise ValueError(f"the anchor of J, column {a}, lies in block column 0")
-        # |J|_inf: the row sums of |J| in column order, as `abs(J).sum(axis=1)` adds them;
-        # made before the band buffers, so its temporaries do not raise the peak memory
-        self.J, self.j_norm = J, float(np.bincount(J.indices, np.abs(J.data), n + 1).max())
-        self.tail = cyclic_tail(J, m, a)
+        # |J|_inf: the row sums of |J|, each added in column order as a CSC row sum
+        # adds it, and the phase row's 1; made before the band, so its temporaries
+        # do not raise the peak memory
+        sums = np.abs(J.diags).sum(axis=0)
+        sums += np.abs(J.b)
+        self.J, self.j_norm = J, float(max(sums.max(), 1.0))
+        self.tail = cyclic_tail(J)
         start, ldab = (self.tail.K + 1) * m, 3 * m + 1
         nb = n - start
-        if not pattern.band:
-            pattern.band.append(band_map(J.indptr, J.indices, m, a))
-        dst, rows_a = pattern.band[0]
-        buf = np.zeros(nb * ldab + n + rows_a.size)
-        # the entries of the columns from `start` on; those of row K, the last
-        # eliminated, land in the corner above the band's row 0 (LAPACK's unused
-        # `*` entries, which dgbtrf and dgbtrs never read)
-        lo = J.indptr[start]
-        buf[dst[lo:] - start * ldab] = J.data[lo:]
-        ab, b = buf[:nb * ldab].reshape(nb, ldab).T, buf[nb * ldab:nb * ldab + n]
-        if ab[2 * m, a - start] != 1.0:
-            raise ValueError("the last row of J is not a unit phase row")
+        # LAPACK band storage of A~ from `start` on, column-major: A~[r, r + o] goes to
+        # ab[2m - o, r + o - start]; the first m rows are workspace for the pivoting
+        # fill.  Diagonal o > 0 of row K, the last eliminated, lands in the corner
+        # above the band's row 0 (LAPACK's unused `*` entries, which dgbtrf and
+        # dgbtrs never read)
+        ab = np.zeros((ldab, nb), order="F")
+        for row, o in zip(J.diags, J.offsets):
+            ab[2 * m - o, :nb - max(-o, 0)] = row[start - o:n - max(o, 0)]
+        rows_a = a - J.offsets  # column a of J, moved to the right-hand side
+        self.col_a = rows_a, J.diags[np.arange(7), rows_a]
+        ab[m:, a - start] = 0.0
+        ab[2 * m, a - start] = 1.0  # A~[a, a], the phase row's entry
         r, c = np.indices((m, m))
         ab[2 * m + r - c, c] -= self.tail.schur  # the tail's Schur complement, into block row K + 1
-        self.col_a = rows_a, buf[nb * ldab + n:]  # column a of J, moved to the right-hand side
         self.lu, self.piv, info = lapack.dgbtrf(ab, m, m, overwrite_ab=1)
         if info > 0:
             raise LinearSolveFailed(f"band factor is exactly singular: U({info}, {info}) = 0")
         self.m, self.a, self.start = m, a, start
+        b = J.b.copy()
         b[a] -= 1.0
         self.w = self._band_solve(b)  # A~^{-1} (b - e_a)
         self.denom = 1.0 + self.w[a]
@@ -467,7 +427,7 @@ class BorderedBandLU:
         return x
 
 
-def factorize(J: sp.csc_matrix) -> BorderedBandLU:
+def factorize(J: Jacobian) -> BorderedBandLU:
     """The `BorderedBandLU` of J, a Jacobian as `assemble_jacobian` returns
     it, whose `solve` checks its own backward error.  Raises
     LinearSolveFailed when J is singular, ValueError for any other matrix.
@@ -475,7 +435,7 @@ def factorize(J: sp.csc_matrix) -> BorderedBandLU:
     return BorderedBandLU(J)
 
 
-def linear_solve(J: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+def linear_solve(J: Jacobian, rhs: np.ndarray) -> np.ndarray:
     """One checked solve with a fresh factorization of J (`factorize`, then
     `BorderedBandLU.solve`)."""
     return factorize(J).solve(rhs)

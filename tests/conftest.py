@@ -1,8 +1,10 @@
 """Shared fixtures: default physics, the full three-stage path at desk
-resolution, and grid-refined endpoint states for convergence studies."""
+resolution, grid-refined endpoint states for convergence studies, and a
+CSC reference of an assembled Jacobian."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 
 from stripwave import (ContinuationOptions, ModelParams, NewtonOptions, NonlinearityKind,
@@ -91,6 +93,17 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
         "records": records,
         "tails": tails,
     }
+
+
+def csc_reference(J) -> sp.csc_matrix:
+    """The `Jacobian` J as a scipy CSC matrix, built from its diagonals, its
+    c column and its phase row by scipy alone: a reference for J's own
+    product and for the band LU."""
+    n = J.b.size
+    A = sp.diags([row[max(-o, 0):n - max(o, 0)] for row, o in zip(J.diags, J.offsets)],
+                 J.offsets, shape=(n, n))
+    phase = sp.csr_matrix(([1.0], ([0], [J.anchor])), shape=(1, n))
+    return sp.bmat([[A, sp.csc_matrix(J.b[:, None])], [phase, None]], format="csc")
 
 
 def regrid_state(state: WaveState, grid_from, grid_to) -> WaveState:

@@ -1,10 +1,12 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -95,8 +97,8 @@ def test_missing_field_report_is_hash_seed_independent(tmp_path):
 
 
 def test_import_does_not_load_scipy_integrate():
-    # nor scipy.sparse.linalg, not even once a wide (13 x 161) bordered
-    # Jacobian is factored: every grid factors on the band
+    # nor scipy.sparse, not even once a wide (13 x 161) bordered Jacobian is
+    # assembled and factored: J is its diagonals, factored on the band
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -109,7 +111,7 @@ def test_import_does_not_load_scipy_integrate():
         psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (grid.ny, 1))
         state = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(1.0))
         solver.factorize(assemble_jacobian(state, params, spec, grid))
-        print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.linalg')])
+        print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse')])
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=subprocess_env())
@@ -1317,3 +1319,28 @@ def test_benchmark_hook_points(completed_run, tmp_path):
         assert {"cli._sweep_worker", "cli.execute_run",
                 "continuation.continue_wentzell"} <= spans, dump.name
         assert "solver.solve_1d_ignition_shooting" not in spans, dump.name  # the shared start
+
+
+def test_a_traced_benchmark_call(tmp_path, monkeypatch):
+    # one call of perfbench/rep.py with a spans path, as a traced benchmark call
+    # makes it, on a 481 x 11 run: the tracer patches every name it wraps
+    # (`solver.assemble_jacobian`, `solver.linear_solve`, `solver.eval_nonlinearity`,
+    # `cli.embed_one_dim_wave`, ...), so a name the program lost fails the call,
+    # and its layer metrics read the exchange Jacobian's 31 639 stencil slots.
+    # Nothing is written under perfbench/, not even a bytecode cache
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    config = write_config(tmp_path, fast_config(tmp_path / "out"))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(perfbench / "rep.py"), str(perfbench.parent),
+                           str(spans), config.name, "run", config.name],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300,
+                          env=subprocess_env(PERFBENCH_SPAWN_TIME=repr(time.time()),
+                                             PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["exit"] == EXIT_OK
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", perfbench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    metrics = tracer.layer_metrics(json.loads(spans.read_text())["processes"])
+    assert metrics["residual.jacobian_nnz"] == 31_639

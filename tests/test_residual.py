@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripwave import residual
+from conftest import csc_reference
 from stripwave import (HomotopyFamily, ModelParams, NonlinearityKind, NonlinearitySpec,
                        WaveState, assemble_jacobian, assemble_residual, build_grid,
                        eval_nonlinearity, field_views, state_to_vector, vector_to_state)
@@ -80,7 +80,7 @@ def test_c_column_zero_for_flat_state():
     family = HomotopyFamily.wentzell(0.8)
     state = make_state(grid, family)
     J = assemble_jacobian(state, PARAMS, SPEC, grid)
-    col = np.asarray(J[:, -1].todense()).ravel()
+    col = J.toarray()[:, -1]
     assert np.all(col == 0.0)
 
 
@@ -92,7 +92,7 @@ def test_interior_diagonal_matches_hand_stencil():
     rng = np.random.default_rng(7)
     psi = rng.uniform(0.0, 1.0, size=(5, 5))
     state = make_state(grid, HomotopyFamily.wentzell(0.3), psi=psi, c=0.4)
-    J = assemble_jacobian(state, PARAMS, SPEC, grid).todense()
+    J = assemble_jacobian(state, PARAMS, SPEC, grid).toarray()
     index, _ = field_views(np.arange(J.shape[0]), grid, state.family)
     for j in range(1, 4):
         for i in range(1, 4):
@@ -180,66 +180,59 @@ def test_interior_block_structurally_symmetric():
     rng = np.random.default_rng(3)
     psi = rng.uniform(0.0, 1.0, size=(grid.ny, grid.nx))
     state = make_state(grid, HomotopyFamily.wentzell(0.7), psi=psi, c=0.4)
-    J = assemble_jacobian(state, PARAMS, SPEC, grid).tocsr()
+    J = assemble_jacobian(state, PARAMS, SPEC, grid).toarray()
     index, _ = field_views(np.arange(J.shape[0]), grid, state.family)
     interior = index[1:-1, 1:-1].ravel()
     sub = J[np.ix_(interior, interior)]
     pattern = (sub != 0).astype(int)
-    assert (pattern != pattern.T).nnz == 0
+    assert np.array_equal(pattern, pattern.T)
 
 
-# --- the cached Jacobian pattern ------------------------------------------------
-
-def csc_bytes(J):
-    return J.indptr.tobytes(), J.indices.tobytes(), J.data.tobytes()
-
+# --- the Jacobian's diagonals -----------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(nx=st.integers(3, 30), half_ny=st.integers(1, 6), anchor=st.floats(0.0, 1.0),
        family=st.sampled_from([HomotopyFamily.wentzell(0.0), HomotopyFamily.wentzell(0.6),
                                HomotopyFamily.exchange(0.05), HomotopyFamily.exchange(1.0)]),
        seed=st.integers(0, 2**32 - 1))
-def test_jacobian_is_the_same_from_a_cold_or_a_warm_cache(nx, half_ny, anchor, family, seed):
+def test_jacobian_is_banded_and_pins_its_anchor(nx, half_ny, anchor, family, seed):
     ix = 1 + round(anchor * (nx - 3))  # the anchor column x = 0, strictly inside
     grid = build_grid(PARAMS, -0.5 * ix, 0.5 * (nx - 1 - ix), nx, 2 * half_ny + 1)
     state = random_state(grid, family, np.random.default_rng(seed))
-    residual._PATTERNS.clear()
-    cold = assemble_jacobian(state, PARAMS, SPEC, grid)
-    warm = assemble_jacobian(state, PARAMS, SPEC, grid)
-    assert warm.pattern is cold.pattern and warm.indptr is cold.indptr
+    J = assemble_jacobian(state, PARAMS, SPEC, grid)
+    again = assemble_jacobian(state, PARAMS, SPEC, grid)
     # bit for bit, signed zeros included (at s = 0 the top rows hold -0.0)
-    assert csc_bytes(warm) == csc_bytes(cold)
-    assert cold.has_canonical_format and cold.indices.dtype == np.int32
-    # banded in its own order: every stored entry outside the last row and
-    # column lies within m of the diagonal, and the phase row pins the anchor
-    m, n = grid.ny + family.is_exchange, cold.shape[0] - 1
-    rows, cols = cold.indices, np.repeat(np.arange(n + 1), np.diff(cold.indptr))
-    inner = (rows < n) & (cols < n)
-    assert np.abs(rows[inner] - cols[inner]).max() <= m == cold.pattern.m
-    assert cols[rows == n].tolist() == [grid.anchor_ix * m + grid.anchor_iy]
-    assert cold.pattern.anchor == grid.anchor_ix * m + grid.anchor_iy
+    assert J.diags.tobytes() == again.diags.tobytes() and J.b.tobytes() == again.b.tobytes()
+    # every diagonal slot whose column lies outside J holds 0: the dense J's
+    # diagonals are J.diags, and the phase row pins the anchor
+    dense = J.toarray()
+    m, n = grid.ny + family.is_exchange, J.shape[0] - 1
+    assert J.m == m and J.anchor == grid.anchor_ix * m + grid.anchor_iy
+    for row, o in zip(J.diags, J.offsets):
+        assert np.array_equal(np.pad(np.diagonal(dense[:n, :n], o), (max(-o, 0), max(o, 0))),
+                              row)
+    assert np.array_equal(dense[:n, n], J.b)
+    assert np.flatnonzero(dense[n]).tolist() == [J.anchor] and dense[n, J.anchor] == 1.0
+    x = np.random.default_rng(seed).standard_normal(n + 1)
+    assert np.allclose(J @ x, dense @ x, rtol=1e-14, atol=1e-14 * np.abs(dense).sum(axis=1).max())
 
 
-def test_pattern_is_shared_read_only_and_bounded():
-    grid = small_grid(nx=13, ny=5)
-    rng = np.random.default_rng(5)
-    family = HomotopyFamily.wentzell(0.5)
-    J1 = assemble_jacobian(random_state(grid, family, rng), PARAMS, SPEC, grid)
-    J2 = assemble_jacobian(random_state(grid, family, rng), PARAMS, SPEC, grid)
-    pattern = J2.pattern
-    assert J1.pattern is pattern
-    assert J2.indptr is J1.indptr is pattern.indptr
-    assert J2.indices.base is J1.indices.base is pattern.indices  # scipy keeps a view
-    assert J2.data is not J1.data and not np.array_equal(J2.data, J1.data)
-    for array in (pattern.indptr, pattern.indices, pattern.order):
-        assert not array.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        J1.indices.sort()
-    # the two families of one grid stay; a third (grid, family) evicts the oldest
-    assemble_jacobian(random_state(grid, HomotopyFamily.exchange(0.5), rng), PARAMS, SPEC, grid)
-    assert any(p is pattern for p in residual._PATTERNS.values())
-    finer = small_grid(nx=25, ny=9)
-    assemble_jacobian(random_state(finer, family, rng), PARAMS, SPEC, finer)
-    assert len(residual._PATTERNS) == 2
-    assert not any(p is pattern for p in residual._PATTERNS.values())
-    assert J1.pattern is pattern  # an assembled J keeps its pattern past the eviction
+@pytest.mark.parametrize("nx, ny, slots", [(481, 11, (30_200, 31_639)),
+                                           (961, 41, (233_120, 235_999))])
+def test_nnz_counts_the_stencil_slots(nx, ny, slots):
+    # J.nnz counts each slot a stencil term writes, whatever its value: at
+    # Wentzell s = 0 the top rows' x-terms are zeros, and where psi is flat
+    # the c column is.  J @ x is the product of its CSC reference to roundoff
+    grid = build_grid(PARAMS, -160.0, 80.0, nx, ny)
+    psi = np.tile(np.clip((grid.x + 10.0) / 20.0, 0.0, 1.0), (ny, 1))  # flat away from the front
+    rng = np.random.default_rng(nx)
+    for family, count in zip((HomotopyFamily.wentzell(0.0), HomotopyFamily.exchange(0.05)), slots):
+        state = make_state(grid, family, psi=psi, phi=psi[-1] if family.is_exchange else None)
+        J = assemble_jacobian(state, PARAMS, SPEC, grid)
+        assert J.nnz == count
+        reference = csc_reference(J)
+        assert np.count_nonzero(J.diags) + np.count_nonzero(J.b) + 1 < J.nnz
+        assert reference.count_nonzero() < J.nnz
+        x = rng.standard_normal(J.shape[0])
+        scale = np.abs(reference).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(J @ x - reference @ x).max() <= 1e-14 * scale

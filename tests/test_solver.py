@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import logging
 import math
@@ -9,7 +10,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from stripwave import residual, solver
+from conftest import csc_reference
+from stripwave import solver
 from stripwave import (Grid, HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, assemble_jacobian, assemble_residual,
                        build_grid, c_max, embed_one_dim_wave, field_views, handoff_to_system,
@@ -31,18 +33,17 @@ def test_linear_solve_structurally_singular():
     grid = build_grid(PARAMS, -160.0, 80.0, 481, 11)
     J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
     column = (grid.nx // 3) * grid.ny + 5
-    J.data[J.indptr[column]:J.indptr[column + 1]] = 0.0
+    J.diags[np.arange(7), column - J.offsets] = 0.0
     with pytest.raises(LinearSolveFailed, match="exactly singular"):
         linear_solve(J, np.ones(J.shape[0]))
 
 
 @pytest.mark.parametrize("other", ["csr_to_csc", "lil", "3x4"])
 def test_only_an_assembled_jacobian_is_factored(other):
-    # the band LU reads J's structure from the pattern it carries: a matrix
-    # that does not hold its pattern's arrays is refused, even one with the
-    # same entries
+    # the band LU reads J's diagonals: any other matrix is refused, even one
+    # with the same entries
     grid = build_grid(PARAMS, -20.0, 20.0, 41, 5)
-    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
+    J = csc_reference(assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid))
     J = {"csr_to_csc": J.tocsr().tocsc(), "lil": J.tolil(),
          "3x4": sp.csc_matrix(np.ones((3, 4)))}[other]
     with pytest.raises(ValueError, match="^J is not a Jacobian as assemble_jacobian returns it$"):
@@ -60,7 +61,7 @@ def check_band_solve(band, J, rhs, tol=1e-11):
     """The band solve of `rhs` against SuperLU's, to `tol` relative, and its
     raw backward error."""
     x = band.solve(rhs)
-    ref = spla.splu(J.tocsc()).solve(rhs)
+    ref = spla.splu(csc_reference(J)).solve(rhs)
     # both solves are backward stable, and on the converged states of
     # `converged_jacobians` each differs from an extended-precision solution
     # by up to about 4e-12 (the conditioning of J): so they are compared at 1e-11
@@ -100,18 +101,14 @@ def test_band_solve_matches_superlu(converged_jacobians):
         for rhs in (rng.standard_normal(J.shape[0]), -R):
             check_band_solve(band, J, rhs)
         # |J|_inf sums each row in column order, as scipy's row sums do
-        assert band.j_norm == float(np.abs(J).sum(axis=1).max())
+        assert band.j_norm == float(np.abs(csc_reference(J)).sum(axis=1).max())
 
 
 def changed_block_row(grid, state, row, block):
     """The Jacobian of `state` with a new entry on the diagonal of block row
     `row`'s L, D or U block."""
     J = assemble_jacobian(state, PARAMS, CUBIC, grid)
-    m = J.pattern.m
-    column = row * m + 2 + {"L": -m, "D": 0, "U": m}[block]
-    k = J.indptr[column] + np.searchsorted(J.indices[J.indptr[column]:J.indptr[column + 1]],
-                                           row * m + 2)
-    J.data[k] *= 1.001
+    J.diags[{"L": 0, "D": 3, "U": 6}[block], row * J.m + 2] *= 1.001  # offset -m, 0 or m
     return J
 
 
@@ -211,7 +208,7 @@ def equal_rows(J, m, a):
     T + 1's left block equal to row 1's, where A~ is J without its border and
     with column a replaced by e_a, and the anchor's block column lies past
     T + 1 (the tail's blocks are J's, and J's column a is not A~'s)."""
-    A = J[:-1, :-1].tolil()
+    A = csc_reference(J)[:-1, :-1].tolil()
     A[:, a] = 0.0
     A[a, a] = 1.0
     A = A.tocsr()
@@ -254,7 +251,7 @@ def test_the_tail_on_small_grids(nx, half_ny, anchor, exchange, front):
 
 
 @pytest.mark.parametrize("node", ["interior", "anchor", "dirichlet"])
-def test_band_singular_jacobian_raises(converged_jacobians, monkeypatch, node):
+def test_band_singular_jacobian_raises(converged_jacobians, node):
     # a zeroed interior row makes the band exactly singular, as a zeroed
     # Dirichlet row makes the division that eliminates it; a zeroed anchor
     # row leaves the band regular but the rank-1 correction singular
@@ -262,11 +259,12 @@ def test_band_singular_jacobian_raises(converged_jacobians, monkeypatch, node):
                "dirichlet": "exactly singular: block row 0"}[node]
     grid, systems, _ = converged_jacobians
     J = systems[1][0]
-    monkeypatch.setattr(J, "data", J.data.copy())  # the fixture's values come back after the test
+    # the fixture's J keeps its values
+    J = dataclasses.replace(J, diags=J.diags.copy(), b=J.b.copy())
     index, _ = field_views(np.arange(J.shape[0]), grid, HomotopyFamily.wentzell(1.0))
-    row = {"interior": index[1, grid.nx // 3], "anchor": J.pattern.anchor,
+    row = {"interior": index[1, grid.nx // 3], "anchor": J.anchor,
            "dirichlet": index[grid.ny // 2, 0]}[node]
-    J.data[J.indices == row] = 0.0  # a zeroed strip row, c column included
+    J.diags[:, row] = J.b[row] = 0.0  # a zeroed strip row, c column included
     with pytest.raises(LinearSolveFailed, match=message):
         solver.factorize(J)
 
@@ -274,57 +272,42 @@ def test_band_singular_jacobian_raises(converged_jacobians, monkeypatch, node):
 @pytest.mark.parametrize("column", [1, 21], ids=["block_column_0", "block_column_1"])
 def test_a_dirichlet_row_with_an_off_diagonal_entry_is_refused(column):
     # the band path solves block row 0 by one division: it must be a diagonal.
-    # `band_map`, run once per pattern, refuses the arrays of an assembled J
-    # with one entry added there
+    # An assembled J with one entry added there, on its diagonal at offset
+    # 1 or m = 21, is refused
     grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
     J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
-    m, a = J.pattern.m, J.pattern.anchor
-    J = J.tolil()
-    J[0, column] = 0.5
-    J = J.tocsc()
+    J.diags[list(J.offsets).index(column), 0] = 0.5
     with pytest.raises(ValueError, match="block row 0 of J is not a diagonal"):
-        solver.band_map(J.indptr, J.indices, m, a)
+        solver.factorize(J)
 
 
 @pytest.mark.parametrize("case, error, message", [
     ("short_rhs", LinearSolveFailed, "rhs length does not match"),
     ("infinite_rhs", LinearSolveFailed, "^non-finite right-hand side$"),
     ("infinite_rhs_in_block_row_0", LinearSolveFailed, "^non-finite right-hand side$"),
-    ("phase_entry_2", ValueError, "not a unit phase row$"),
     ("anchor_in_block_column_0", ValueError,
      "^the anchor of J, column 2, lies in block column 0$"),
-    ("outside_the_band", ValueError, "outside the half-bandwidth 5"),
 ])
 def test_every_refusal_of_the_band_lu(case, error, message):
     # the refusals besides a singular matrix, a matrix that is not assembled
     # and a Dirichlet row that is not a diagonal, which the tests above cover:
-    # a bad right-hand side, a phase entry that is not 1, an anchor in the
-    # Dirichlet column 0 (x_left = 0, a valid domain that only build_grid
-    # refuses), and an entry off the band, on a Wentzell(0.5) Jacobian with a
-    # tanh front on 41 x 5
+    # a bad right-hand side and an anchor in the Dirichlet column 0 (x_left =
+    # 0, a valid domain that only build_grid refuses), on a Wentzell(0.5)
+    # Jacobian with a tanh front on 41 x 5
     x_left = 0.0 if case == "anchor_in_block_column_0" else -20.0
     grid = Grid(x_left=x_left, x_right=x_left + 40.0, L=PARAMS.L, nx=41, ny=5)
     psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 2.0)), (grid.ny, 1))
     state = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(0.5))
     J = assemble_jacobian(state, PARAMS, CUBIC, grid)
-    n, rhs, pattern = J.shape[0], np.ones(J.shape[0]), J.pattern
+    n, rhs = J.shape[0], np.ones(J.shape[0])
     if case == "short_rhs":
         rhs = rhs[:-1]
     elif case == "infinite_rhs":
         rhs[n // 2] = math.inf  # an interior row, past the Dirichlet block
     elif case == "infinite_rhs_in_block_row_0":
         rhs[3] = math.inf
-    elif case == "phase_entry_2":
-        J.data[J.indices == n - 1] = 2.0
-    elif case == "outside_the_band":
-        J = J.tolil()
-        J[20 * grid.ny, 10 * grid.ny] = 0.5
-        J = J.tocsc()
     with pytest.raises(error, match=message):
-        if case == "outside_the_band":  # `band_map` refuses the arrays of such a J
-            solver.band_map(J.indptr, J.indices, pattern.m, pattern.anchor)
-        else:
-            solver.factorize(J).solve(rhs)
+        solver.factorize(J).solve(rhs)
 
 
 def smooth_states(grid, front=0.0):
@@ -333,33 +316,6 @@ def smooth_states(grid, front=0.0):
     psi = np.tile(0.5 * (1.0 + np.tanh((grid.x - front) / 20.0)), (grid.ny, 1))
     wentzell = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(0.5))
     return wentzell, handoff_to_system(wentzell, 0.05, PARAMS, grid)
-
-
-def test_structure_is_built_once_per_grid_and_family(monkeypatch):
-    # one pattern per grid and family kind, and one band map per pattern
-    # whatever tail a factorization finds: on 241 x 21 the Wentzell states,
-    # then their exchange handoffs, with fronts at x = -20, 0 and 20 have
-    # tails of three lengths, and 0 with the width rule off; 241 x 5 lies
-    # below the rule
-    built = collections.Counter()
-    for module, name in ((residual, "_build_pattern"), (solver, "band_map")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name:
-                            (built.update([_name]), _real(*args))[1])
-    for ny, widths in ((5, [21]), (21, [21, math.inf])):
-        grid = build_grid(PARAMS, -160.0, 80.0, 241, ny)
-        residual._PATTERNS.clear()
-        built.clear()
-        tails = collections.defaultdict(set)
-        for family in (0, 1):
-            for width in widths:
-                monkeypatch.setattr(solver, "TAIL_MIN_WIDTH", width)
-                for front in (-20.0, 0.0, 20.0, -20.0):
-                    J = assemble_jacobian(smooth_states(grid, front)[family], PARAMS, CUBIC, grid)
-                    tails[family].add(tail_rows(solver.factorize(J)))
-        assert built == {"_build_pattern": 2, "band_map": 2}
-        assert tails == ({0: {0}, 1: {0}} if ny == 5
-                         else {0: {0, 131, 151, 158}, 1: {0, 131, 151, 158}})
 
 
 @pytest.mark.parametrize("nx, ny", [(481, 11), (961, 41), (13, 81), (13, 161)])
