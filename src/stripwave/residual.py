@@ -310,7 +310,7 @@ def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearityS
         put(Ln[SELF, 1:-1], 2.0 * D / hx**2 + mu / eps)
         put(Ln[LEFT, 1:-1], -D / hx**2 - c / (2.0 * hx))
         put(Ln[RIGHT, 1:-1], -D / hx**2 + c / (2.0 * hx))
-        put(Ln[DOWN, 1:-1], -1.0 / eps)
+        put(Ln[DOWN, 1:-1], -1.0 / eps)  # the top node precedes the line node
         put(Ln[C, 1:-1], (phi[2:] - phi[:-2]) / (2.0 * hx))
         put(Ln[SELF, :1], mu)
         put(Ln[SELF, -1:], mu)

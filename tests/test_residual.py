@@ -218,7 +218,8 @@ def test_jacobian_is_banded_and_pins_its_anchor(nx, half_ny, anchor, family, see
 
 
 @pytest.mark.parametrize("nx, ny, slots", [(481, 11, (30_200, 31_639)),
-                                           (961, 41, (233_120, 235_999))])
+                                           (961, 41, (233_120, 235_999))],
+                         ids=["481x11", "961x41"])
 def test_nnz_counts_the_stencil_slots(nx, ny, slots):
     # J.nnz counts each slot a stencil term writes, whatever its value: at
     # Wentzell s = 0 the top rows' x-terms are zeros, and where psi is flat
