@@ -382,9 +382,8 @@ PROFILE_NAME = re.compile(r"profile_[ABC]_[-+.0-9e]+(_line)?\.csv")
 
 def certify(record: ContinuationRecord) -> None:
     """Raise CertificateFailed naming each certificate `record` fails."""
-    diag = record.diagnostics
-    if not diag.all_ok:
-        failed = [name for name in PATH_COLUMNS if name.endswith("_ok") and not getattr(diag, name)]
+    failed = record.diagnostics.failed
+    if failed:
         raise CertificateFailed(f"stage {record.stage} record at parameter "
                                 f"{fmt_float(record.parameter)}, c = {fmt_float(record.c)}, "
                                 f"fails {', '.join(failed)}")
@@ -399,9 +398,10 @@ class PathWriter:
 
     Every record it is given becomes a row: a march sends only the records
     of the steps it accepts, never its start, which is already on the path
-    or is the checkpoint a resume starts from.  A record that fails a
-    certificate stops the run (`certify`) once its row is written, before
-    its checkpoint.
+    or is the checkpoint a resume starts from.  A march rejects a trial whose
+    record fails a certificate, so only a record no march made, the run's
+    start or stage B's, can reach a row uncertified: it stops the run
+    (`certify`) once its row is written, before its checkpoint.
     """
 
     def __init__(self, outdir: Path, cfg: RunConfig, cfg_hash: str) -> None:

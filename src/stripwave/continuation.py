@@ -10,20 +10,20 @@ to 1.
 
 Natural-parameter continuation with a secant predictor is sufficient:
 the wave speed is a single-valued function of the stage parameter (no
-folds), so a Newton failure at the minimum step aborts loudly instead
-of triggering arclength machinery.  Steps halve on failure; an accepted
-step grows by `FAST_GROWTH_FACTOR` (3x) when its chord Newton converged in
-at most `FAST_ITERATIONS` iterations, and by `GROWTH_FACTOR` (1.5x)
-otherwise.  The chord Newton factors about once per step whatever the
-step, so its factorizations say nothing about how far the predictor
-missed; its iteration count does: few iterations mean the secant predictor
-landed well inside Newton's contraction region, and a longer step is
-still cheap (the step-length adaptation of predictor-corrector
-continuation, Allgower and Georg, *Introduction to Numerical Continuation
-Methods*, SIAM 2003, ch. 6).  The growth reads only the step just solved
-and travels in its record's `step`.  An accepted step whose speed jumps by
-more than `SPEED_JUMP_FRAC` relative is rejected and retried with half
-the step, guarding against branch jumping.
+folds), so a failure at the minimum step aborts loudly instead of
+triggering arclength machinery.  The paper proves the wave unique up to
+translation and the phase condition fixes the translate, so a step cannot
+jump to another branch: the only wrong state a trial can reach is a
+non-physical discrete solution, which its record's certificates catch.
+Each solved trial is therefore made into a record first, and a trial
+whose Newton fails or whose record fails a certificate is rejected: its
+step halves, and once it falls below `min_step` the march ends in
+`StepCollapse`, naming the Newton error or the failed certificates.  An
+accepted step grows by `STEP_GROWTH` (3x): the chord Newton factors about
+once per step whatever the step, so a longer step is still cheap (the
+step-length adaptation of predictor-corrector continuation, Allgower and
+Georg, *Introduction to Numerical Continuation Methods*, SIAM 2003,
+ch. 6).  The next step travels in the accepted record's `step`.
 
 Each march starts from a record, its restart point (a record holds the
 step of the next trial and the previous accepted state), sends its sink
@@ -31,7 +31,7 @@ only the records of the steps it accepts, and returns its end record:
 the start record itself when the target is already reached.  Every
 record carries a full diagnostics report, and the decay-based extent
 rule (x_right >= 8/gamma, |x_left| >= 8 max(d,D)/c) is re-checked as c
-and gamma evolve.
+and gamma evolve, on every record that passes its certificates.
 """
 
 from __future__ import annotations
@@ -168,39 +168,16 @@ def check_extents(grid: Grid, params: ModelParams, c: float, gamma_pred: float) 
 def make_record(stage: str, state: WaveState, residual_norm: float, params: ModelParams,
                 spec: NonlinearitySpec, grid: Grid, step: float,
                 prev_state: WaveState | None = None) -> ContinuationRecord:
+    """The record of `state`: the extent rule is checked once its certificates pass."""
     diag = run_diagnostics(state, params, spec, grid)
-    check_extents(grid, params, state.c, diag.gamma_pred)
+    if not diag.failed:
+        check_extents(grid, params, state.c, diag.gamma_pred)
     return ContinuationRecord(stage=stage, state=state, residual_norm=residual_norm,
                               diagnostics=diag, step=step, prev_state=prev_state)
 
 
-# step policy of _march (see the module docstring).  Stage A steps take 3-13
-# chord iterations, stage C steps 1-4.  Growth rules over the default config
-# and one change each of D in {0.5, 1, 2}, theta in {0.05, 0.6}, mu in
-# {0.2, 5}, L in {0.25, 4} and d = 2 on 481 x 11 (11 runs; factorizations
-# summed, rejected steps), and the default run on 961 x 41 (factorizations,
-# checked solves):
-#     growth                            481 x 11     961 x 41
-#     x1.5 on every step                125, 0       12, 46
-#     x3 at <= 3 iterations, else x1.5  106, 0       10, 43
-#     x4 at <= 3 iterations, else x1.5  106, 0       10, 43
-#     x4 at <= 2 iterations, else x1.5  113, 0       11, 45
-#     x3 at <= 4 iterations, else x1.5  100, 0       10, 43
-#     x3 on every step                  97, 3        9, 36
-# The three rejected steps of plain x3 are speed jumps of 21-23% in stage A
-# (D = 0.5, mu = 0.2, L = 0.25).  On twelve more runs (D 0.25 and 8, theta
-# 0.1, 0.2, 0.4 and 0.5, mu 0.5 and 2, L 0.5 and 2, d 0.5 and 4), x3 at <= 3
-# iterations took 87 factorizations against 102 and rejected one step (a
-# 22.5% jump at D = 0.25); x3 at <= 4 iterations rejected two there
-FAST_ITERATIONS = 3
-FAST_GROWTH_FACTOR = 3.0
-GROWTH_FACTOR = 1.5
-# an accepted step whose speed moves by more than this fraction is rejected.
-# Largest relative change of c in one accepted step over the 23 runs above on
-# 481 x 11, under the growth rule: 0.155 in stage A (D = 0.25), 0.0066 in
-# stage C (L = 2); the steps it rejected there, under any rule of the table,
-# jumped by 0.204-0.252
-SPEED_JUMP_FRAC = 0.2
+# an accepted step's growth (see the module docstring)
+STEP_GROWTH = 3.0
 
 
 def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
@@ -217,31 +194,29 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
             factor = (trial - param) / (param - prev.family.parameter)
             u_pred = u + factor * (u - state_to_vector(prev, grid))
         pred_state = vector_to_state(u_pred, grid, state.family.with_parameter(trial))
-        failed = None
         try:
             result = newton_solve(pred_state, params, spec, grid, newton_opts)
-            if abs(result.state.c - state.c) > SPEED_JUMP_FRAC * abs(state.c):
-                failed = (f"speed jump {state.c:.6f} -> {result.state.c:.6f} "
-                          f"at {stage} parameter {trial:.6f}")
         except SolverError as exc:
-            failed = str(exc)
-        if failed is not None:
+            reason = str(exc)
+        else:
+            solved = make_record(stage, result.state, result.residual_norm, params, spec, grid,
+                                 STEP_GROWTH * step, state)
+            failed = solved.diagnostics.failed
+            reason = (f"record at parameter {trial:.6f}, c = {solved.c:.8f}, fails "
+                      f"{', '.join(failed)}") if failed else None
+        if reason is not None:
             step /= 2.0
-            logger.info("step rejected (%s); retrying with step %.3g", failed, step)
+            logger.info("step rejected (%s); retrying with step %.3g", reason, step)
             if step < opts.min_step:
                 raise StepCollapse(f"continuation step below {opts.min_step} at "
-                                   f"{stage} parameter {param:.6f}: {failed}")
+                                   f"{stage} parameter {param:.6f}: {reason}")
             continue
-        fast = result.iterations <= FAST_ITERATIONS
-        growth = FAST_GROWTH_FACTOR if fast else GROWTH_FACTOR
-        step *= growth
-        record = make_record(stage, result.state, result.residual_norm, params, spec, grid,
-                             step, state)
+        record, step = solved, solved.step
         if sink is not None:
             sink(record)
         logger.info("%s parameter %.6f: c = %.8f (%d iterations, %d factorizations); next step "
-                    "%.6g, x%g for %s %d iterations", stage, trial, record.c, result.iterations,
-                    result.factorizations, step, growth, "<=" if fast else ">", FAST_ITERATIONS)
+                    "%.6g", stage, trial, record.c, result.iterations, result.factorizations,
+                    step)
     return record
 
 

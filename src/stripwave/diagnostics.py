@@ -56,6 +56,8 @@ SANDWICH_TOL = 1e-8
 LEFT_DECAY_TOL = 1e-8
 FIT_UPPER = 1e-2
 FIT_LOWER = 1e-8
+# the verdicts of a DiagnosticsReport, each a certificate a record must pass
+CERTIFICATES = ("bounds_ok", "monotone_ok", "sandwich_ok", "left_decay_ok")
 
 
 @dataclass
@@ -73,8 +75,9 @@ class DiagnosticsReport:
     min_dx_psi: float
 
     @property
-    def all_ok(self) -> bool:
-        return self.bounds_ok and self.monotone_ok and self.sandwich_ok and self.left_decay_ok
+    def failed(self) -> list[str]:
+        """The names of the certificates this report fails, in field order."""
+        return [name for name in CERTIFICATES if not getattr(self, name)]
 
 
 @dataclass(frozen=True)

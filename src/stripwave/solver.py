@@ -25,7 +25,7 @@ N (3m + 1) entries, so its memory grows like nx ny^2.
 
 Left of the front the reaction vanishes (f = f' = 0 for psi <= theta), so
 A~ is block tridiagonal there with one (L, D, U) per block row of m
-unknowns: on the default 961 x 41 grid its block rows 1 .. T, T of 610 to
+unknowns: on the default 961 x 41 grid its block rows 1 .. T, T of 604 to
 627, are bit-identical after the Dirichlet block row 0, a diagonal.  A
 `CyclicTail` solves row 0 by one division and eliminates all T rows,
 exactly, by block cyclic reduction (Buzbee, Golub and Nielson, SIAM J.

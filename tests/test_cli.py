@@ -125,10 +125,15 @@ def test_invalid_json_is_validation_error(tmp_path):
     assert main(["run", str(path)]) == EXIT_VALIDATION
 
 
-def at(name, edit):
-    """`edit`, made to the completed run's checkpoint `name` instead of its last."""
-    edit.checkpoint = name
+def at(stage, edit):
+    """`edit`, made to the completed run's first checkpoint of `stage` instead of its last."""
+    edit.stage = stage
     return edit
+
+
+def checkpoints(out, stage="[ABC]"):
+    """The checkpoints of a run's `stage` in `out`, in row order."""
+    return sorted(out.glob(f"ckpt_*_{stage}.json"))
 
 
 @pytest.mark.parametrize("command, edit, code, named", [
@@ -181,13 +186,17 @@ def at(name, edit):
      "ckpt.json: missing field 'control.step'"),
     ("profile", lambda ckpt: ckpt.update(control=None), EXIT_IO,
      "ckpt.json: missing field 'control.step'"),
-    # the secant predictor needs a previous state behind the record (0.25 here, after 0.1)
-    ("resume", at("0003_A", lambda ckpt: ckpt["control"].update(prev_parameter=0.25)), EXIT_IO,
-     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = 0.25, got 0.25"),
-    ("resume", at("0003_A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)), EXIT_IO,
-     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = 0.25, got 0.9"),
-    ("profile", at("0003_A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)), EXIT_IO,
-     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = 0.25, got 0.9"),
+    # the secant predictor needs a previous state behind the record; `{parameter}` is the
+    # checkpoint's, below 0.9 at the first stage A checkpoint
+    ("resume", at("A", lambda ckpt: ckpt["control"].update(prev_parameter=ckpt["parameter"])),
+     EXIT_IO, "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = "
+     "{parameter!r}, got {parameter!r}"),
+    ("resume", at("A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)), EXIT_IO,
+     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = {parameter!r}, "
+     "got 0.9"),
+    ("profile", at("A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)), EXIT_IO,
+     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = {parameter!r}, "
+     "got 0.9"),
     *[(command, edit, EXIT_IO, f"ckpt.json: field {named}")
       for edit, named in [
           (lambda ckpt: ckpt.update(parameter="x"), "'parameter' must be a number, got 'x'"),
@@ -211,23 +220,23 @@ def at(name, edit):
           (lambda ckpt: ckpt["control"].update(step=float("inf")),
            "'control.step' must be finite, got inf"),
           # the previous state gets the checks of the record's, in the same words
-          (at("0003_A", lambda ckpt: ckpt["control"].update(prev_c=-5)),
+          (at("A", lambda ckpt: ckpt["control"].update(prev_c=-5)),
            "'control.prev_c' must be > 0, got -5"),
           (lambda ckpt: ckpt["control"].update(prev_c=0.0),
            "'control.prev_c' must be > 0, got 0.0"),
           (lambda ckpt: ckpt["control"].update(prev_parameter=1.5),
            "'control.prev_parameter' is out of range: exchange parameter eps must lie in (0, 1]"),
-          (at("0003_A", lambda ckpt: ckpt["control"].update(prev_psi=None)),
+          (at("A", lambda ckpt: ckpt["control"].update(prev_psi=None)),
            "'control.prev_psi' must be base64 text, got NoneType"),
-          (at("0009_C", lambda ckpt: ckpt["control"].update(
+          (at("C", lambda ckpt: ckpt["control"].update(
               prev_phi=ckpt["control"]["prev_phi"][1:])),
            "'control.prev_phi' holds 480 values, not nx = 481"),
-          (at("0009_C", lambda ckpt: ckpt["control"].update(prev_phi=None)),
+          (at("C", lambda ckpt: ckpt["control"].update(prev_phi=None)),
            "'control.prev_phi' must be base64 text, got NoneType"),
-          (at("0003_A", lambda ckpt: ckpt.update(psi=None)),
+          (at("A", lambda ckpt: ckpt.update(psi=None)),
            "'psi' must be base64 text, got NoneType"),
           (lambda ckpt: ckpt.update(phi=ckpt["phi"][:-1]), "'phi' holds 480 values, not nx = 481"),
-          (at("0006_A", lambda ckpt: ckpt.update(phi=np.zeros(481))),
+          (at("A", lambda ckpt: ckpt.update(phi=np.zeros(481))),
            "'phi' must be null in the wentzell family"),
           # the family follows the stage
           (lambda ckpt: ckpt.update(stage="A"),
@@ -263,7 +272,9 @@ def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, comm
         edit(cfg)
         argv = ["run", str(write_config(tmp_path, cfg))]
     else:
-        ckpt = read_checkpoint(out / f"ckpt_{getattr(edit, 'checkpoint', '0010_C')}.json")
+        ckpt = read_checkpoint(checkpoints(out, edit.stage)[0] if hasattr(edit, "stage")
+                               else checkpoints(out)[-1])
+        named = named.format(parameter=ckpt["parameter"])
         edit(ckpt)
         write_checkpoint(tmp_path / "ckpt.json", ckpt)
         argv = [command, str(tmp_path / "ckpt.json"), str(write_config(tmp_path, cfg))
@@ -478,15 +489,13 @@ def test_c_one_dim_is_the_certified_s0_speed(completed_run):
 
 
 def test_run_path_parameters(completed_run):
-    # a step grows 1.5 times after a Newton of more than 3 chord iterations
-    # (every stage A step, 4-8 of them) and 3 times after one of at most 3
-    # (every stage C step, 2-3), so stage C reaches 1 in three steps
+    # every accepted step grows 3 times, so stages A and C each reach 1 in three steps
     _, out, _, _ = completed_run
     _, rows = read_rows(out / "path.csv")
     assert [(r["stage"], r["family_param"]) for r in rows] == [
-        ("A", "0"), ("A", "0.10000000000000001"), ("A", "0.25"), ("A", "0.47500000000000003"),
-        ("A", "0.8125"), ("A", "1"), ("B", "0.050000000000000003"),
-        ("C", "0.15000000000000002"), ("C", "0.45000000000000007"), ("C", "1")]
+        ("A", "0"), ("A", "0.10000000000000001"), ("A", "0.40000000000000002"), ("A", "1"),
+        ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
+        ("C", "0.45000000000000007"), ("C", "1")]
 
 
 def test_stage_filter_a_only(tmp_path):
@@ -509,7 +518,7 @@ def test_profile_emission(completed_run):
     # an exchange checkpoint: psi on every node as x,y,psi, row by row from
     # y = -L, and phi as x,phi beside it, each value the checkpoint's own
     tmp, out, _, _ = completed_run
-    ckpt = sorted(out.glob("ckpt_*_C.json"))[-1]
+    ckpt = checkpoints(out, "C")[-1]
     state, grid, _, _ = checkpoint_state(read_checkpoint(ckpt))
     assert state.phi is not None
     dest = tmp / "field_c.csv"
@@ -532,7 +541,7 @@ def test_profile_emission(completed_run):
 
 def test_profile_of_a_wentzell_state_has_no_line_file(completed_run, tmp_path):
     _, out, _, _ = completed_run
-    ckpt = sorted(out.glob("ckpt_*_A.json"))[0]
+    ckpt = checkpoints(out, "A")[0]
     state, grid, _, _ = checkpoint_state(read_checkpoint(ckpt))
     dest = tmp_path / "field_a.csv"
     assert main(["profile", str(ckpt), str(dest)]) == EXIT_OK
@@ -549,7 +558,7 @@ def test_profile_refuses_to_overwrite_its_checkpoint(completed_run, tmp_path, ca
     # the checkpoint is the only copy of a stage's end state: refused, no file written
     _, out, _, _ = completed_run
     ckpt = tmp_path / ckpt_name
-    ckpt.write_bytes(sorted(out.glob("ckpt_*_C.json"))[-1].read_bytes())
+    ckpt.write_bytes(checkpoints(out, "C")[-1].read_bytes())
     (tmp_path / "sub").mkdir()
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
@@ -565,7 +574,7 @@ def test_profile_of_a_wentzell_state_may_share_a_line_name(completed_run, tmp_pa
     # a Wentzell state writes no line file, so a checkpoint named like one is kept
     _, out, _, _ = completed_run
     ckpt = tmp_path / "a_line.csv"
-    ckpt.write_bytes(sorted(out.glob("ckpt_*_A.json"))[-1].read_bytes())
+    ckpt.write_bytes(checkpoints(out, "A")[-1].read_bytes())
     assert main(["profile", str(ckpt), str(tmp_path / "a.csv")]) == EXIT_OK
     assert read_checkpoint(ckpt)["stage"] == "A"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a_line.csv"]
@@ -613,7 +622,10 @@ def test_rerun_deletes_an_earlier_error_json(tmp_path):
 
 
 def test_a_failed_certificate_stops_the_run(tmp_path, capsys, monkeypatch):
-    # the record's row is written, so path.csv shows the failure, but no checkpoint
+    # from the third record made on, every record fails monotone_ok: the start
+    # and the first stage A step are rows with checkpoints; the march rejects
+    # every later trial, halving its step until it collapses, and writes no
+    # row for a rejected trial
     made = []
     real = continuation.run_diagnostics
 
@@ -628,14 +640,45 @@ def test_a_failed_certificate_stops_the_run(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_SOLVER
     _, rows = read_rows(out / "path.csv")
-    assert [r["monotone_ok"] for r in rows] == ["1", "1", "0"]
+    assert [r["monotone_ok"] for r in rows] == ["1", "1"] and len(made) > 3
     assert sorted(p.name for p in out.glob("ckpt_*")) == ["ckpt_0001_A.json", "ckpt_0002_A.json"]
     assert not (out / "summary.json").exists()
     error = json.loads((out / "error.json").read_text())
-    assert error["error"] == "CertificateFailed" and error["exit_code"] == EXIT_SOLVER
+    assert error["error"] == "StepCollapse" and error["exit_code"] == EXIT_SOLVER
     last = rows[-1]
-    assert error["message"] == (f"stage {last['stage']} record at parameter "
-                                f"{last['family_param']}, c = {last['c']}, fails monotone_ok")
+    assert error["message"].startswith(f"continuation step below 0.0001 at A parameter "
+                                       f"{float(last['family_param']):.6f}: record at parameter ")
+    assert error["message"].endswith(", fails monotone_ok")
+    assert capsys.readouterr().err == f"error: StepCollapse: {error['message']}\n"
+
+
+def test_a_failed_stage_b_record_stops_the_run(tmp_path, capsys, monkeypatch):
+    # stage B's record is made by no march, which would reject it: it stops the
+    # run once its row is written, so path.csv shows the failure, but gets no
+    # checkpoint
+    real = continuation.run_diagnostics
+
+    def uncertified_exchange(state, *args):
+        report = real(state, *args)
+        return dataclasses.replace(report, sandwich_ok=not state.family.is_exchange)
+
+    monkeypatch.setattr(continuation, "run_diagnostics", uncertified_exchange)
+    out = tmp_path / "out"
+    cfg = fast_config(out, checkpoint_every=1)
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
+    capsys.readouterr()
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_SOLVER
+    _, rows = read_rows(out / "path.csv")
+    *marched, last = rows
+    assert [r["stage"] for r in rows] == ["A"] * len(marched) + ["B"]
+    assert [r["sandwich_ok"] for r in rows] == ["1"] * len(marched) + ["0"]
+    assert sorted(p.name for p in out.glob("ckpt_*")) == [
+        f"ckpt_{k:04d}_A.json" for k in range(1, len(rows))]
+    assert not (out / "summary.json").exists()
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "CertificateFailed" and error["exit_code"] == EXIT_SOLVER
+    assert error["message"] == (f"stage B record at parameter {last['family_param']}, "
+                                f"c = {last['c']}, fails sandwich_ok")
     assert capsys.readouterr().err == f"error: CertificateFailed: {error['message']}\n"
 
 
@@ -753,8 +796,9 @@ def test_determinism_byte_identical_paths(tmp_path):
 # --- resume ---------------------------------------------------------------------
 
 def test_one_record_per_row(tmp_path, monkeypatch):
-    # a march records only the steps it accepts: every record made is a row,
-    # apart from a resume's start, the record of its checkpoint
+    # a march makes a record of each trial it solves and sends only those it
+    # accepts, none rejected here: every record made is a row, apart from a
+    # resume's start, the record of its checkpoint
     made = []
 
     def counting(make):
@@ -779,12 +823,14 @@ def test_one_record_per_row(tmp_path, monkeypatch):
     assert made == ["A"] + [r["stage"] for r in rows]
 
 
-@pytest.mark.parametrize("name", ["ckpt_0003_A", "ckpt_0007_B", "ckpt_0009_C"])
-def test_resume_matches_uninterrupted(completed_run, tmp_path, name):
+# from the first checkpoint of each stage: the last, of stage C, ends the run
+@pytest.mark.parametrize("stage", ["A", "B", "C"])
+def test_resume_matches_uninterrupted(completed_run, tmp_path, stage):
     tmp, out, cfg, cfg_path = completed_run
     full = (out / "path.csv").read_bytes().splitlines(keepends=True)
-    ckpt = out / f"{name}.json"
-    assert ckpt.exists()
+    ckpt = checkpoints(out, stage)[0]
+    row = int(ckpt.name[5:9])
+    assert row < len(full) - 1
     resumed_out = tmp_path / "resumed"
     cfg_resume = dict(cfg, output_dir=str(resumed_out))
     cfg_resume_path = tmp_path / "resume.json"
@@ -793,18 +839,18 @@ def test_resume_matches_uninterrupted(completed_run, tmp_path, name):
     assert main(["resume", str(ckpt), str(cfg_resume_path)]) == EXIT_OK
     resumed = (resumed_out / "path.csv").read_bytes().splitlines(keepends=True)
     # the header, then the rows after the checkpoint's record
-    assert resumed == full[:1] + full[1 + int(name[5:9]):]
+    assert resumed == full[:1] + full[1 + row:]
     # a resume writes no profile; the end state of each stage it ran, its
     # highest-row checkpoint, profiles byte for byte as the run's does
     assert not list(resumed_out.glob("profile_*"))
-    for stage in {"A": "ABC", "B": "C", "C": "C"}[name[-1]]:
+    for ran in {"A": "ABC", "B": "C", "C": "C"}[stage]:
         fields = []
         for run in (out, resumed_out):
-            field = tmp_path / f"{run.name}_{stage}.csv"
-            end = sorted(run.glob(f"ckpt_*_{stage}.json"))[-1]
+            field = tmp_path / f"{run.name}_{ran}.csv"
+            end = checkpoints(run, ran)[-1]
             assert main(["profile", str(end), str(field)]) == EXIT_OK
-            fields.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{run.name}_{stage}*"))])
-        assert fields[0] == fields[1] and len(fields[0]) == (1 if stage == "A" else 2), stage
+            fields.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{run.name}_{ran}*"))])
+        assert fields[0] == fields[1] and len(fields[0]) == (1 if ran == "A" else 2), ran
 
 
 # a resume from the end of stage C, the last target, is refused: nothing is left to run
@@ -832,7 +878,7 @@ def test_resume_from_nan_state_stops(completed_run, tmp_path, capsys, monkeypatc
                                      field):
     # a NaN state is reported at once, by field, before any Newton solve
     _, out, cfg, _ = completed_run
-    ckpt = read_checkpoint(sorted(out.glob(f"ckpt_*_{stage}.json"))[-1])
+    ckpt = read_checkpoint(checkpoints(out, stage)[-1])
     section, _, name = field.rpartition(".")
     (ckpt[section] if section else ckpt)[name][100] = np.nan
     ckpt_path = tmp_path / "ckpt.json"
@@ -859,13 +905,15 @@ def test_resume_continues_a_run_stopped_at_stage_a(completed_run, tmp_path):
     stopped = fast_config(tmp_path / "stopped")
     stopped["continuation"]["target_stage"] = "A"
     assert main(["run", str(write_config(tmp_path, stopped, "stopped.json"))]) == EXIT_OK
-    last = sorted((tmp_path / "stopped").glob("ckpt_*.json"))[-1]
+    last = checkpoints(tmp_path / "stopped")[-1]
     resumed_out = tmp_path / "resumed"
     cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out)))
     assert main(["resume", str(last), str(cfg_path)]) == EXIT_OK
     _, rows = read_rows(out / "path.csv")
     _, resumed = read_rows(resumed_out / "path.csv")
-    assert last.name == "ckpt_0006_A.json" and resumed == rows[6:]
+    _, stopped_rows = read_rows(tmp_path / "stopped" / "path.csv")
+    end = len(stopped_rows)
+    assert last.name == f"ckpt_{end:04d}_A.json" and resumed == rows[end:]
 
 
 @pytest.mark.parametrize("stage, target, resumes_in", [("C", "A", "C"), ("B", "B", "C"),
@@ -875,7 +923,7 @@ def test_resume_past_the_target_stage_is_refused(completed_run, tmp_path, capsys
     # nothing is left to run, also from the last checkpoint of the target stage, which ends
     # it at parameter 1: the resume stops before it touches its directory
     _, out, cfg, _ = completed_run
-    ckpt = sorted(out.glob(f"ckpt_*_{stage}.json"))[-1]
+    ckpt = checkpoints(out, stage)[-1]
     resumed_out = tmp_path / "resumed"
     resumed_out.mkdir()
     (resumed_out / "ckpt_0001_A.json").write_text("{}")  # an earlier run's checkpoint
@@ -1117,7 +1165,8 @@ def test_sweep_point_equals_standalone_run(tmp_path, monkeypatch):
         assert main(["run", str(write_config(tmp_path, data, f"alone_{v:g}.json"))]) == EXIT_OK
         names = sorted(p.name for p in alone.iterdir())
         assert sorted(p.name for p in point.iterdir()) == names
-        assert {"path.csv", "ckpt_0010_C.json", "summary.json"} <= set(names)
+        _, rows = read_rows(alone / "path.csv")
+        assert {"path.csv", f"ckpt_{len(rows):04d}_C.json", "summary.json"} <= set(names)
         for name in names:
             if name != "summary.json":
                 assert (point / name).read_bytes() == (alone / name).read_bytes(), (v, name)

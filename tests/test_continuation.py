@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stripwave import continuation
-from stripwave import (HomotopyFamily, ModelParams, NewtonOptions,
+from stripwave import (ContinuationOptions, HomotopyFamily, ModelParams, NewtonOptions,
                        NonlinearityKind, NonlinearitySpec, WaveState, assemble_residual,
                        build_grid, continue_exchange, continue_wentzell, embed_one_dim_wave,
                        handoff_to_system, make_record, newton_solve, one_dim_guess,
@@ -52,7 +52,7 @@ def test_wentzell_path_reaches_target(coarse_setup):
     params_seq = [r.parameter for r in records]
     assert all(b >= a for a, b in zip(params_seq, params_seq[1:]))
     assert all(r.c > 0 for r in records)
-    assert all(r.diagnostics.all_ok for r in records)
+    assert not any(r.diagnostics.failed for r in records)
 
 
 @pytest.fixture(scope="module")
@@ -65,13 +65,10 @@ def coarse_exchange_start(coarse_setup):
     return make_record("B", result.state, result.residual_norm, PARAMS, CUBIC, grid, step=0.1)
 
 
-# (parameter, step of the next trial) of each record of the coarse marches: a
-# step grows 1.5 times after more than 3 chord iterations, 3 times after at
-# most 3
+# (parameter, step of the next trial) of each record of the coarse marches: an
+# accepted step grows 3 times
 RESUMED_MARCHES = {
-    "wentzell": [(0.1, 0.15000000000000002), (0.25, 0.22500000000000003),
-                 (0.47500000000000003, 0.3375), (0.8125, 0.50625000000000009),
-                 (1.0, 0.75937500000000013)],
+    "wentzell": [(0.1, 0.30000000000000004), (0.4, 0.90000000000000013), (1.0, 2.7000000000000002)],
     "exchange": [(0.15000000000000002, 0.30000000000000004),
                  (0.45000000000000007, 0.90000000000000013), (1.0, 2.7000000000000002)],
 }
@@ -80,7 +77,6 @@ RESUMED_MARCHES = {
 def test_a_record_alone_resumes_the_march(coarse_setup, coarse_exchange_start):
     # a record carries the step and previous state the march continues with,
     # so a march from any record repeats the rest of the march bit for bit;
-    # the step is the growth rule's decision on the record's own Newton solve
     grid, _, wentzell_start = coarse_setup
     for family, start, march in [("wentzell", wentzell_start, continue_wentzell),
                                  ("exchange", coarse_exchange_start, continue_exchange)]:
@@ -99,35 +95,58 @@ def test_a_record_alone_resumes_the_march(coarse_setup, coarse_exchange_start):
             assert run(record)[0] == full[k + 1:], (family, k)
 
 
-def test_a_speed_jump_is_rejected_and_the_step_halved(coarse_setup, monkeypatch, caplog):
-    # the first trial's Newton returns a speed 50% above the start's: the
-    # guard rejects it before a record is made, and the march retries at half
-    # the step, accepts that, and reaches the jumped parameter with the true c
+def test_a_failed_certificate_rejects_the_trial_and_halves_the_step(coarse_setup, monkeypatch,
+                                                                     caplog):
+    # the first trial's record fails monotone_ok: the march rejects it as it
+    # rejects a Newton failure, retries at half the step, accepts that, and
+    # reaches the rejected parameter from there with certified records
     grid, _, start = coarse_setup
-    solve, trials = continuation.newton_solve, []
-    jumped = 1.5 * start.c
+    solve, diagnose, trials, made = continuation.newton_solve, continuation.run_diagnostics, [], []
 
-    def jumping(init, params, spec, on, opts):
+    def tracked(init, *args):
         trials.append(init.family.parameter)
-        result = solve(init, params, spec, on, opts)
-        if len(trials) == 1:
-            return dataclasses.replace(result, state=dataclasses.replace(result.state, c=jumped))
-        return result
+        return solve(init, *args)
 
-    monkeypatch.setattr(continuation, "newton_solve", jumping)
+    def uncertified_first(*args):
+        made.append(diagnose(*args))
+        return dataclasses.replace(made[-1], monotone_ok=len(made) > 1)
+
+    monkeypatch.setattr(continuation, "newton_solve", tracked)
+    monkeypatch.setattr(continuation, "run_diagnostics", uncertified_first)
     records = []
     with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
         continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target_s=0.1,
                           sink=records.append)
-    assert trials == [0.1, 0.05, 0.1]
+    assert trials == [0.1, 0.05, 0.1] and len(made) == 3
     assert [r.parameter for r in records] == [0.05, 0.1]
-    assert all(abs(r.c - start.c) < 0.2 * start.c for r in records)
+    assert not any(r.diagnostics.failed for r in records)
     assert records[0].prev_state is start.state
     rejected, *accepted = caplog.messages
-    assert rejected.startswith("step rejected (speed jump")
-    assert rejected.endswith("retrying with step 0.05")
+    assert rejected.startswith("step rejected (record at parameter 0.100000, c = ")
+    assert rejected.endswith(", fails monotone_ok); retrying with step 0.05")
     # each accepted step's line names its Newton's iterations and the next step
     assert [f"next step {r.step:.6g}" in line for r, line in zip(records, accepted)] == [True] * 2
+
+
+def test_a_certificate_failing_at_every_trial_collapses_the_step(coarse_setup, monkeypatch,
+                                                                 caplog):
+    # every trial's record fails left_decay_ok: each is rejected and its step
+    # halved, 0.1 -> 0.05 -> 0.025 -> 0.0125, below min_step; no record is sent
+    grid, _, start = coarse_setup
+    diagnose = continuation.run_diagnostics
+    monkeypatch.setattr(continuation, "run_diagnostics",
+                        lambda *args: dataclasses.replace(diagnose(*args), left_decay_ok=False))
+    with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
+        with pytest.raises(StepCollapse) as collapse:
+            continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target_s=1.0,
+                              opts=ContinuationOptions(min_step=0.02), sink=refuse)
+    message = str(collapse.value)
+    assert message.startswith("continuation step below 0.02 at A parameter 0.000000: record at "
+                              "parameter 0.025000, c = ")
+    assert message.endswith(", fails left_decay_ok")
+    assert [line.partition("; ")[2] for line in caplog.messages] == [
+        f"retrying with step {step}" for step in (0.05, 0.025, 0.0125)]
+    assert all(", fails left_decay_ok)" in line for line in caplog.messages)
 
 
 def test_impossible_newton_budget_collapses_step(coarse_setup):
@@ -228,18 +247,17 @@ def test_pinned_default_path_speeds(full_path, refined_wentzell_states):
 
 
 def test_default_path_eliminates_the_tail_at_every_factorization(full_path):
-    # the records' (stage, parameter) as path.csv writes them, with stage C
-    # steps grown 3 times after 2-3 chord iterations; every Newton
-    # factorization of the 961 x 41 run, one per step, eliminates all its
-    # equal block rows, 610 to 627 as the front moves, by cyclic reduction.
-    # The s = 0 start factors once on 961 x 3 (m = 3 < TAIL_MIN_WIDTH, so no
-    # tail), and its broadcast row needs no factorization on 961 x 41
+    # the records' (stage, parameter) as path.csv writes them, every step grown
+    # 3 times; every Newton factorization of the 961 x 41 run, one per step,
+    # eliminates all its equal block rows, 604 to 627 as the front moves, by
+    # cyclic reduction. The s = 0 start factors once on 961 x 3 (m = 3 <
+    # TAIL_MIN_WIDTH, so no tail), and its broadcast row needs no
+    # factorization on 961 x 41
     rows = [(r.stage, f"{r.parameter:.17g}") for r in full_path["records"]]
-    assert rows == [("A", "0"), ("A", "0.10000000000000001"), ("A", "0.25"),
-                    ("A", "0.47500000000000003"), ("A", "0.8125"), ("A", "1"),
-                    ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
+    assert rows == [("A", "0"), ("A", "0.10000000000000001"), ("A", "0.40000000000000002"),
+                    ("A", "1"), ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
                     ("C", "0.45000000000000007"), ("C", "1")]
-    assert full_path["tails"] == [0, 627, 620, 616, 611, 610, 611, 611, 612, 613]
+    assert full_path["tails"] == [0, 627, 615, 604, 611, 611, 611, 612, 613]
 
 
 def test_handoff_correction_budget(full_path):
