@@ -71,12 +71,15 @@ upper-end doubling and the profile pass run on the last rung, h.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
                      NegativeSpeed, StepUnderflow)
@@ -87,6 +90,29 @@ from .residual import (SELF, Jacobian, WaveState, assemble_jacobian, assemble_re
                        state_to_vector, vector_to_state)
 
 logger = logging.getLogger(__name__)
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`: the very
+    objects `scipy.linalg.lapack` re-exports, loaded from their file without
+    importing the scipy package, whose import is most of a run's start-up.
+    The module is registered under its own name, so a later `import
+    scipy.linalg` reuses it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        # finding the scipy package, and a file in it, executes none of scipy
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ModuleNotFoundError("stripwave needs scipy", name="scipy")
+        linalg = [os.path.join(path, "linalg") for path in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(name, linalg)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+lapack = _load_flapack()
 
 _ARMIJO_SLOPE = 1e-4
 # an accepted step that leaves more than this fraction of the residual

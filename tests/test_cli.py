@@ -97,8 +97,10 @@ def test_missing_field_report_is_hash_seed_independent(tmp_path):
 
 
 def test_import_does_not_load_scipy_integrate():
-    # nor scipy.sparse, not even once a wide (13 x 161) bordered Jacobian is
-    # assembled and factored: J is its diagonals, factored on the band
+    # nor scipy.sparse, nor the scipy package itself, not even once a wide
+    # (13 x 161) bordered Jacobian is assembled, factored (dgetrf, dgetrs and
+    # dgbtrf: its tail has K = 6) and solved (dgetrs and dgbtrs): J is its
+    # diagonals, factored on the band by scipy's LAPACK wrappers alone
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -110,13 +112,38 @@ def test_import_does_not_load_scipy_integrate():
         grid = build_grid(params, -160.0, 80.0, 13, 161)
         psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (grid.ny, 1))
         state = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(1.0))
-        solver.factorize(assemble_jacobian(state, params, spec, grid))
-        print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse')])
+        J = assemble_jacobian(state, params, spec, grid)
+        lu = solver.factorize(J)
+        assert lu.tail.K > 0
+        lu.solve(np.ones(J.shape[0]))
+        print([m in sys.modules
+               for m in ('scipy', 'scipy.linalg', 'scipy.integrate', 'scipy.sparse')])
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False]"
+
+
+@pytest.mark.parametrize("first, then", [("stripwave.solver", "scipy.linalg"),
+                                         ("scipy.linalg", "stripwave.solver")])
+def test_solver_lapack_is_scipys_in_either_import_order(first, then):
+    # solver binds scipy's compiled wrappers without the scipy package; a
+    # later `import scipy.linalg` (analysis's lazy scipy.integrate imports it)
+    # still works and re-exports the same objects, as does the reverse order
+    code = textwrap.dedent(f"""
+        import importlib
+        importlib.import_module({first!r})
+        importlib.import_module({then!r})
+        from scipy.linalg import lapack
+        from stripwave import solver
+        print([getattr(solver.lapack, r) is getattr(lapack, r)
+               for r in ('dgetrf', 'dgetrs', 'dgbtrf', 'dgbtrs')])
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True, True, True]"
 
 
 def test_invalid_json_is_validation_error(tmp_path):
