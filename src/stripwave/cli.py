@@ -222,20 +222,27 @@ def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str) -> di
             "control": {"step": record.step, **_state_fields(record.prev_state, "prev_")}}
 
 
-def _encoded(data: dict) -> dict:
-    """`data` with each array or list, at any depth, as base64 float64 text."""
-    out = {}
-    for key, value in data.items():
+def _json_chunks(data: dict, chunks: list) -> None:
+    """Append to `chunks` the bytes of `data` as canonical JSON, each array or
+    list at any depth as a string of the base64 of its float64 bytes.  The
+    base64 bytes are appended as they are: they need no JSON escaping."""
+    opening = b"{"
+    for key in sorted(data):
+        value = data[key]
+        chunks.append(opening + json.dumps(key).encode() + b":")
+        opening = b","
         if isinstance(value, dict):
-            value = _encoded(value)
+            _json_chunks(value, chunks)
         elif isinstance(value, (np.ndarray, list)):
-            value = base64.b64encode(np.ascontiguousarray(value, dtype="<f8").tobytes()).decode()
-        out[key] = value
-    return out
+            raw = np.ascontiguousarray(value, dtype="<f8").tobytes()
+            chunks += (b'"', base64.b64encode(raw), b'"')
+        else:
+            chunks.append(json.dumps(value).encode())
+    chunks.append(b"{}" if opening == b"{" else b"}")
 
 
 def _decoded(text, where: str) -> np.ndarray:
-    """The writable float array that `_encoded` wrote as `text`."""
+    """The writable float array that `_json_chunks` wrote as `text`."""
     if not isinstance(text, str):
         raise ValueError(f"{where} must be base64 text, got {type(text).__name__}")
     try:
@@ -248,12 +255,14 @@ def _decoded(text, where: str) -> np.ndarray:
 
 
 def write_checkpoint(path: Path, data: dict) -> None:
-    """`data` as canonical JSON, arrays in base64.  It is written to a
-    temporary file that then replaces `path`, so a write that fails or is
-    killed leaves no partial checkpoint."""
+    """`data` as canonical JSON (`canonical_json`), arrays in base64.  It is
+    written to a temporary file that then replaces `path`, so a write that
+    fails or is killed leaves no partial checkpoint."""
     tmp = path.with_name(f".{path.name}.tmp")
+    chunks = []
+    _json_chunks(data, chunks)
     try:
-        tmp.write_text(canonical_json(_encoded(data)))
+        tmp.write_bytes(b"".join(chunks))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -77,45 +77,42 @@ class NonlinearitySpec:
         return -1.0
 
 
-def eval_nonlinearity(u, spec: NonlinearitySpec):
-    """Evaluate f(u) and its one-sided derivative f'(u).
-
-    Accepts a scalar or ndarray and returns matching shapes.  The
-    extension convention is applied: f = 0 for u <= theta (hence for
-    u < 0 as well) and f = f'(1) (u - 1) for u > 1.  At the ignition
-    kink u = theta the right derivative is returned.
-    """
+def reaction(u, spec: NonlinearitySpec) -> np.ndarray:
+    """f(u) for an ndarray u, with the extension convention: f = 0 for
+    u <= theta (hence for u < 0 as well) and f = f'(1) (u - 1) for u > 1."""
     theta = spec.theta
-    fp1 = spec.fprime_at_one
-    u_arr = np.asarray(u, dtype=float)
     if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
-        mid_f = (u_arr - theta) ** 2 * (1.0 - u_arr)
-        mid_fp = 2.0 * (u_arr - theta) * (1.0 - u_arr) - (u_arr - theta) ** 2
+        mid = (u - theta) ** 2 * (1.0 - u)
     else:
-        mid_f = 1.0 - u_arr
-        mid_fp = np.full_like(u_arr, -1.0)
-    f = np.where(u_arr <= theta, 0.0, np.where(u_arr <= 1.0, mid_f, fp1 * (u_arr - 1.0)))
+        mid = 1.0 - u
+    return np.where(u <= theta, 0.0, np.where(u <= 1.0, mid, spec.fprime_at_one * (u - 1.0)))
+
+
+def reaction_derivative(u, spec: NonlinearitySpec) -> np.ndarray:
+    """The one-sided derivative f'(u) for an ndarray u, with the extension
+    convention of `reaction`; at the ignition kink u = theta the right
+    derivative."""
+    theta = spec.theta
+    if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
+        mid = 2.0 * (u - theta) * (1.0 - u) - (u - theta) ** 2
+    else:
+        mid = np.full_like(u, -1.0)
     # strict '<' keeps f'(theta) = right derivative at the kink
-    fp = np.where(u_arr < theta, 0.0, np.where(u_arr <= 1.0, mid_fp, fp1))
+    return np.where(u < theta, 0.0, np.where(u <= 1.0, mid, spec.fprime_at_one))
+
+
+def eval_nonlinearity(u, spec: NonlinearitySpec):
+    """Evaluate f(u) and its one-sided derivative f'(u) (`reaction` and
+    `reaction_derivative`).
+
+    Accepts a scalar or ndarray and returns matching shapes: floats for a
+    scalar.
+    """
+    u_arr = np.asarray(u, dtype=float)
+    f, fp = reaction(u_arr, spec), reaction_derivative(u_arr, spec)
     if np.ndim(u) == 0:
         return float(f), float(fp)
     return f, fp
-
-
-def scalar_reaction(spec: NonlinearitySpec):
-    """f(u) for one float u, its branch chosen once; the shooting RK4 calls it per stage."""
-    theta, fp1 = spec.theta, spec.fprime_at_one
-    if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
-        def f(u: float) -> float:
-            if u > 1.0:
-                return fp1 * (u - 1.0)
-            return (u - theta) ** 2 * (1.0 - u) if u > theta else 0.0
-    else:
-        def f(u: float) -> float:
-            if u > 1.0:
-                return fp1 * (u - 1.0)
-            return 1.0 - u if u > theta else 0.0
-    return f
 
 
 def lipschitz_constant(spec: NonlinearitySpec) -> float:

@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .grid import Grid
-from .model import ModelParams, NonlinearitySpec, eval_nonlinearity
+from .model import ModelParams, NonlinearitySpec, reaction, reaction_derivative
+from .model import eval_nonlinearity  # noqa: F401 (not called; kept for perfbench/tracer.py)
 
 WENTZELL = "wentzell"
 EXCHANGE = "exchange"
@@ -165,7 +166,7 @@ def assemble_residual(state: WaveState, params: ModelParams, spec: NonlinearityS
     R = np.zeros(_size(grid, state.family))
     Rs, Rl = field_views(R, grid, state.family)
 
-    f_val, _ = eval_nonlinearity(psi, spec)
+    f_val = reaction(psi, spec)
     lap = ((psi[1:-1, :-2] - 2.0 * psi[1:-1, 1:-1] + psi[1:-1, 2:]) / hx**2
            + (psi[:-2, 1:-1] - 2.0 * psi[1:-1, 1:-1] + psi[2:, 1:-1]) / hy**2)
     dx = (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * hx)
@@ -229,10 +230,13 @@ class Jacobian:
         xp = np.zeros(n + 2 * m)  # x without c, between m zeros at each end
         xp[m:m + n] = x[:n]
         y = np.empty(n + 1)
-        np.multiply(self.diags[0], xp[:n], out=y[:n])
+        out, tmp = y[:n], np.empty(n)  # each term goes through one temporary
+        np.multiply(self.diags[0], xp[:n], out=out)
         for row, o in zip(self.diags[1:], self.offsets[1:]):
-            y[:n] += row * xp[m + o:m + o + n]
-        y[:n] += self.b * x[n]
+            np.multiply(row, xp[m + o:m + o + n], out=tmp)
+            out += tmp
+        np.multiply(self.b, x[n], out=tmp)
+        out += tmp
         y[n] = x[self.anchor]
         return y
 
@@ -276,7 +280,7 @@ def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearityS
         view[...] = v
         slots += view.size
 
-    _, f_prime = eval_nonlinearity(psi, spec)
+    f_prime = reaction_derivative(psi, spec)
 
     put(S[SELF, 1:-1, 1:-1], (2.0 * d / hx**2 + 2.0 * d / hy**2) - f_prime[1:-1, 1:-1])
     put(S[LEFT, 1:-1, 1:-1], -d / hx**2 - c / (2.0 * hx))

@@ -56,8 +56,12 @@ psi(x) = theta exp(c x / d) (x <= 0), classifying each trial speed as
 overshoot (psi passes 1 with psi' > 0, speed too large) or undershoot
 (psi' vanishes below 1, speed too small) and bisecting.  Trajectories
 that exhaust the integration window are classified as undershoot: only
-at-or-below-critical speeds linger.  One RK4 stepper serves the
-classification and the profile pass, each with its own stop rule.  The
+at-or-below-critical speeds linger.  Every trajectory is one call of one
+RK4 stepper, `_trajectory`, which serves the classification and the profile
+pass, each with its own stop rule.  The shooting is interpreter-bound, so
+the stepper is one loop with the reaction written inline, one expression for
+both kinds, instead of a generator and a reaction closure called per stage:
+the same arithmetic, in the same order, in about two thirds of the time.  The
 bisection climbs a ladder of steps, `LADDER * COARSE` times, `COARSE`
 times and once the RK4 step h: it bisects on the coarsest rung, and each
 finer rung classifies the final bracket once more.  When a rung confirms
@@ -84,7 +88,7 @@ import numpy as np
 from .errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
                      NegativeSpeed, StepUnderflow)
 from .grid import Grid
-from .model import ModelParams, NonlinearitySpec, c_max, scalar_reaction
+from .model import ModelParams, NonlinearityKind, NonlinearitySpec, c_max
 from .model import eval_nonlinearity  # noqa: F401 (not called; kept for perfbench/tracer.py)
 from .residual import (SELF, Jacobian, WaveState, assemble_jacobian, assemble_residual,
                        state_to_vector, vector_to_state)
@@ -154,6 +158,17 @@ LADDER = 4
 # with the tail (481 x 11, where the factorization gains nothing); from m = 21
 # on the factorization is 29-59% faster and the solve no slower.
 TAIL_MIN_WIDTH = 21
+# `BorderedBandLU` takes its band from the head of an array of at least this many
+# floats, just over 32 MiB: glibc's malloc maps every request that large and
+# unmaps it when it is freed, without raising its mmap threshold, so no band
+# stays in its heap.  Bands allocated at their own sizes, which vary with the
+# tail, were kept in the heap beside later mapped ones, and the default run's
+# peak memory moved between 63 and 76 MB with unrelated changes to small
+# allocations.  The pages past the band are never touched, so they take no
+# memory.  Peak memory of a default run with the band at its own size -> this
+# size (one run each): 961 x 41 63.4 (76 after those changes) -> 64.8 MB, 961 x 31
+# 54.8 -> 56.7, 961 x 21 48.3 -> 48.3, 481 x 11 42.2 -> 42.0
+BAND_MIN_FLOATS = 2**22 + 1
 
 
 @dataclass(frozen=True)
@@ -380,8 +395,8 @@ class BorderedBandLU:
         # ab[2m - o, r + o - start]; the first m rows are workspace for the pivoting
         # fill.  Diagonal o > 0 of row K, the last eliminated, lands in the corner
         # above the band's row 0 (LAPACK's unused `*` entries, which dgbtrf and
-        # dgbtrs never read)
-        ab = np.zeros((ldab, nb), order="F")
+        # dgbtrs never read).  It is the head of a larger array (`BAND_MIN_FLOATS`)
+        ab = np.zeros(max(ldab * nb, BAND_MIN_FLOATS))[:ldab * nb].reshape((ldab, nb), order="F")
         for row, o in zip(J.diags, J.offsets):
             ab[2 * m - o, :nb - max(-o, 0)] = row[start - o:n - max(o, 0)]
         rows_a = a - J.offsets  # column a of J, moved to the right-hand side
@@ -413,12 +428,14 @@ class BorderedBandLU:
     def _bordered_solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with J x = rhs, to the band LU's accuracy (no backward-error test)."""
         r_phase = rhs[-1]  # the phase row fixes x at the anchor
-        r = rhs[:-1].copy()
+        x = np.empty(rhs.size)
+        z = x[:-1]  # the right-hand side, then y = A~^{-1} of it, then z, in place
+        z[...] = rhs[:-1]
         rows_a, vals_a = self.col_a
-        r[rows_a] -= vals_a * r_phase
-        y = self._band_solve(r)
-        z = y - self.w * (y[self.a] / self.denom)
-        x = np.append(z, z[self.a])  # z_a is dc
+        z[rows_a] -= vals_a * r_phase
+        self._band_solve(z)
+        z -= self.w * (z[self.a] / self.denom)
+        x[-1] = z[self.a]  # z_a is dc
         x[self.a] = r_phase
         return x
 
@@ -523,35 +540,58 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
                         factorizations=factorizations)
 
 
-def _rk4(c: float, d: float, f, theta: float, h: float, n_steps: int):
-    """Yield (psi, psi') after each RK4 step of d psi'' = c psi' - f(psi) from x = 0."""
+def _trajectory(c: float, d: float, spec: NonlinearitySpec, h: float, n_steps: int,
+                profile: bool = False):
+    """One shooting trajectory: up to `n_steps` RK4 steps of h of
+    d psi'' = c psi' - f(psi) from psi = theta, psi' = c theta / d at x = 0.
+
+    Without `profile` it returns the trajectory's class: +1 overshoot (psi
+    passes 1 with psi' > 0, or psi' vanishes at or above 1), -1 undershoot
+    (psi' vanishes below 1, or the window is exhausted).  With `profile` it
+    returns the lists (x, psi) of the increasing profile from (0, theta),
+    psi capped at 1: it stops before a step that does not increase psi (the
+    turn-around of a near-critical trajectory), and after one that reaches
+    1 to within 1e-13 or ends with psi' <= 0.
+    """
+    theta, fp1 = spec.theta, spec.fprime_at_one
+    # f is written inline, once per stage: f = (u - theta)^k (1 - u) on (theta, 1],
+    # k = 2 for the cubic and 0 for the oracle, where (u - theta) ** 0 is exactly
+    # 1.0, so f is 1.0 - u to the bit
+    k = 2 if spec.kind is NonlinearityKind.SMOOTH_CUBIC else 0
+    half, sixth = 0.5 * h, h / 6.0
     psi, dpsi = theta, c * theta / d
     # the first stage is evaluated on the active reaction branch; the
     # trajectory leaves u = theta immediately and f is defined one-sidedly
-    f1 = f(math.nextafter(theta, 1.0))
+    u = math.nextafter(theta, 1.0)
+    x, xs, ps = 0.0, [0.0], [theta]
     for _ in range(n_steps):
-        p, dp = psi, dpsi
-        a1 = (c * dp - f1) / d
-        p2, dp2 = p + 0.5 * h * dp, dp + 0.5 * h * a1
-        a2 = (c * dp2 - f(p2)) / d
-        p3, dp3 = p + 0.5 * h * dp2, dp + 0.5 * h * a2
-        a3 = (c * dp3 - f(p3)) / d
-        p4, dp4 = p + h * dp3, dp + h * a3
-        a4 = (c * dp4 - f(p4)) / d
-        psi = p + h / 6.0 * (dp + 2.0 * dp2 + 2.0 * dp3 + dp4)
-        dpsi = dp + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        yield psi, dpsi
-        f1 = f(psi)
-
-
-def _classify(trajectory) -> int:
-    """+1 overshoot, -1 undershoot for one shooting trajectory."""
-    for psi, dpsi in trajectory:
-        if psi > 1.0 and dpsi > 0.0:
+        f = fp1 * (u - 1.0) if u > 1.0 else (u - theta) ** k * (1.0 - u) if u > theta else 0.0
+        a1 = (c * dpsi - f) / d
+        p2, dp2 = psi + half * dpsi, dpsi + half * a1
+        f = fp1 * (p2 - 1.0) if p2 > 1.0 else (p2 - theta) ** k * (1.0 - p2) if p2 > theta else 0.0
+        a2 = (c * dp2 - f) / d
+        p3, dp3 = psi + half * dp2, dpsi + half * a2
+        f = fp1 * (p3 - 1.0) if p3 > 1.0 else (p3 - theta) ** k * (1.0 - p3) if p3 > theta else 0.0
+        a3 = (c * dp3 - f) / d
+        p4, dp4 = psi + h * dp3, dpsi + h * a3
+        f = fp1 * (p4 - 1.0) if p4 > 1.0 else (p4 - theta) ** k * (1.0 - p4) if p4 > theta else 0.0
+        a4 = (c * dp4 - f) / d
+        psi, dpsi = (psi + sixth * (dpsi + 2.0 * dp2 + 2.0 * dp3 + dp4),
+                     dpsi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+        if profile:
+            if psi <= ps[-1]:
+                break
+            x += h
+            xs.append(x)
+            ps.append(min(psi, 1.0))
+            if 1.0 - psi < 1e-13 or dpsi <= 0.0:
+                break
+        elif psi > 1.0 and dpsi > 0.0:
             return 1
-        if dpsi <= 0.0:
+        elif dpsi <= 0.0:
             return 1 if psi >= 1.0 else -1
-    return -1
+        u = psi
+    return (xs, ps) if profile else -1
 
 
 def _bisect(lo: float, hi: float, tol: float, classify_at) -> tuple[float, float]:
@@ -625,10 +665,9 @@ def _shoot(d: float, spec: NonlinearitySpec, tol: float, confirm: bool) -> OneDi
     h = 1e-3 * d / c_bound
     x_max = max(200.0 * d / c_bound, 100.0)
     n_steps = int(x_max / h)
-    theta, f = spec.theta, scalar_reaction(spec)
 
     def classify_at(step: float, count: int):
-        return lambda c: _classify(_rk4(c, d, f, theta, step, count))
+        return lambda c: _trajectory(c, d, spec, step, count)
 
     rungs = [(k * h, n_steps // k)
              for k in (LADDER * COARSE, COARSE, 1)[:3 if confirm else 2]]
@@ -654,13 +693,6 @@ def _shoot(d: float, spec: NonlinearitySpec, tol: float, confirm: bool) -> OneDi
             raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
     c_star = 0.5 * (lo + hi)
 
-    xs, ps = [0.0], [theta]
-    for psi, dpsi in _rk4(c_star, d, f, theta, step, count):
-        if psi <= ps[-1]:
-            break  # turn-around of the near-critical trajectory; keep the profile increasing
-        xs.append(xs[-1] + step)
-        ps.append(min(psi, 1.0))
-        if 1.0 - psi < 1e-13 or dpsi <= 0.0:
-            break
+    xs, ps = _trajectory(c_star, d, spec, step, count, profile=True)
     return OneDimWave(c=c_star, x=np.array(xs), psi=np.clip(np.array(ps), 0.0, 1.0),
-                      theta=theta, d=d)
+                      theta=spec.theta, d=d)

@@ -1,6 +1,9 @@
 """Shared fixtures: default physics, the full three-stage path at desk
-resolution, grid-refined endpoint states for convergence studies, and a
-CSC reference of an assembled Jacobian."""
+resolution, grid-refined endpoint states for convergence studies, a CSC
+reference of an assembled Jacobian, and a reference of the shooting's RK4
+trajectories."""
+
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +107,75 @@ def csc_reference(J) -> sp.csc_matrix:
                  J.offsets, shape=(n, n))
     phase = sp.csr_matrix(([1.0], ([0], [J.anchor])), shape=(1, n))
     return sp.bmat([[A, sp.csc_matrix(J.b[:, None])], [phase, None]], format="csc")
+
+
+def scalar_reaction(spec: NonlinearitySpec):
+    """f(u) for one float u, its branch chosen once: a reference for the
+    reaction that the shooting's stepper writes inline."""
+    theta, fp1 = spec.theta, spec.fprime_at_one
+    if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
+        def f(u: float) -> float:
+            if u > 1.0:
+                return fp1 * (u - 1.0)
+            return (u - theta) ** 2 * (1.0 - u) if u > theta else 0.0
+    else:
+        def f(u: float) -> float:
+            if u > 1.0:
+                return fp1 * (u - 1.0)
+            return 1.0 - u if u > theta else 0.0
+    return f
+
+
+def rk4(c: float, d: float, f, theta: float, h: float, n_steps: int):
+    """Yield (psi, psi') after each RK4 step of d psi'' = c psi' - f(psi) from
+    x = 0, psi = theta, psi' = c theta / d: a reference for the shooting's
+    stepper, with the first stage on the active reaction branch."""
+    psi, dpsi = theta, c * theta / d
+    f1 = f(math.nextafter(theta, 1.0))
+    for _ in range(n_steps):
+        p, dp = psi, dpsi
+        a1 = (c * dp - f1) / d
+        p2, dp2 = p + 0.5 * h * dp, dp + 0.5 * h * a1
+        a2 = (c * dp2 - f(p2)) / d
+        p3, dp3 = p + 0.5 * h * dp2, dp + 0.5 * h * a2
+        a3 = (c * dp3 - f(p3)) / d
+        p4, dp4 = p + h * dp3, dp + h * a3
+        a4 = (c * dp4 - f(p4)) / d
+        psi = p + h / 6.0 * (dp + 2.0 * dp2 + 2.0 * dp3 + dp4)
+        dpsi = dp + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        yield psi, dpsi
+        f1 = f(psi)
+
+
+def classify(trajectory) -> int:
+    """+1 overshoot, -1 undershoot for one `rk4` trajectory."""
+    for psi, dpsi in trajectory:
+        if psi > 1.0 and dpsi > 0.0:
+            return 1
+        if dpsi <= 0.0:
+            return 1 if psi >= 1.0 else -1
+    return -1
+
+
+def sampled_profile(trajectory, theta: float, h: float) -> tuple[list, list]:
+    """The increasing profile (x, psi) of one `rk4` trajectory from (0, theta),
+    psi capped at 1, as the shooting's profile pass samples it."""
+    xs, ps = [0.0], [theta]
+    for psi, dpsi in trajectory:
+        if psi <= ps[-1]:
+            break
+        xs.append(xs[-1] + h)
+        ps.append(min(psi, 1.0))
+        if 1.0 - psi < 1e-13 or dpsi <= 0.0:
+            break
+    return xs, ps
+
+
+def reference_trajectory(c, d, spec, h, n_steps, profile=False):
+    """`solver._trajectory` made of the references `scalar_reaction`, `rk4`,
+    `classify` and `sampled_profile`."""
+    trajectory = rk4(c, d, scalar_reaction(spec), spec.theta, h, n_steps)
+    return sampled_profile(trajectory, spec.theta, h) if profile else classify(trajectory)
 
 
 def regrid_state(state: WaveState, grid_from, grid_to) -> WaveState:

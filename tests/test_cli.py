@@ -1,4 +1,5 @@
 import argparse
+import base64
 import dataclasses
 import importlib.util
 import json
@@ -350,6 +351,52 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     assert raw["control"]["step"] == 0.15000000000000002 and isinstance(raw["psi"], str)
 
 
+def canonical_checkpoint_bytes(data: dict) -> bytes:
+    """A reference for `write_checkpoint`'s bytes: `data` as canonical JSON
+    (`cli.canonical_json`), each array or list at any depth replaced by the
+    base64 text of its float64 bytes first."""
+    def encoded(section: dict) -> dict:
+        return {key: encoded(value) if isinstance(value, dict)
+                else base64.b64encode(np.asarray(value, dtype="<f8").tobytes()).decode()
+                if isinstance(value, (np.ndarray, list)) else value
+                for key, value in section.items()}
+    return cli.canonical_json(encoded(data)).encode()
+
+
+@pytest.mark.parametrize("stage, prev", [("A", False), ("A", True), ("C", False), ("C", True)],
+                         ids=["wentzell", "wentzell_prev", "exchange", "exchange_prev"])
+def test_checkpoint_bytes_are_the_canonical_json(tmp_path, stage, prev):
+    nx, ny = 7, 3
+    rng = np.random.default_rng(nx)
+    family = HomotopyFamily.wentzell if stage == "A" else HomotopyFamily.exchange
+
+    def state(parameter, c):
+        psi = rng.standard_normal((ny, nx))
+        psi.ravel()[:len(EDGE_VALUES)] = EDGE_VALUES
+        return WaveState(c=c, psi=psi, phi=None if stage == "A" else rng.standard_normal(nx),
+                         family=family(parameter))
+
+    record = ContinuationRecord(stage=stage, state=state(0.45000000000000007, 0.30000000000000004),
+                                residual_norm=0.0, diagnostics=None, step=5e-324,
+                                prev_state=state(0.15, 0.28) if prev else None)
+    grid = Grid(x_left=-2.0, x_right=1.0, L=1.0, nx=nx, ny=ny)
+    data = checkpoint_dict(record, grid, "hashé")  # JSON escapes the non-ASCII letter
+    path = tmp_path / "ckpt.json"
+    write_checkpoint(path, data)
+    assert path.read_bytes() == canonical_checkpoint_bytes(data)
+    loaded = read_checkpoint(path)
+    assert loaded["control"]["prev_c"] == (0.28 if prev else None)
+    assert loaded["psi"].tobytes() == record.state.psi.tobytes()
+    write_checkpoint(tmp_path / "again.json", loaded)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_bytes_of_an_empty_section(tmp_path):
+    data = {"b": {}, "a": [0.5], "c": {"z": None, "y": {}}}
+    write_checkpoint(tmp_path / "ckpt.json", data)
+    assert (tmp_path / "ckpt.json").read_bytes() == canonical_checkpoint_bytes(data)
+
+
 def as_bits(state):
     """Everything a state holds, its numbers as their bytes."""
     return (state.family.kind, np.float64([state.family.parameter, state.c]).tobytes(),
@@ -423,13 +470,13 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     old = tmp_path / "ckpt_0001_A.json"
     write_checkpoint(old, data)
     before = old.read_bytes()
-    real_write_text = Path.write_text
+    real_write_bytes = Path.write_bytes
 
-    def write_half(self, text, *args, **kwargs):  # a write that fails partway, as on a full disk
-        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+    def write_half(self, data):  # a write that fails partway, as on a full disk
+        real_write_bytes(self, data[:len(data) // 2])
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(Path, "write_text", write_half)
+    monkeypatch.setattr(Path, "write_bytes", write_half)
     for path in (old, tmp_path / "ckpt_0002_A.json"):
         with pytest.raises(OSError, match="No space"):
             write_checkpoint(path, data)
@@ -1317,6 +1364,36 @@ def test_run_default_script(tmp_path):
     # the pinned stage-C speed of the default grid (test_pinned_default_path_speeds)
     assert rows[-1]["stage"] == "C"
     assert float(rows[-1]["c"]) == pytest.approx(0.292337339704275, abs=1e-9)
+
+
+def test_scenario_scan_script(tmp_path):
+    # two scenarios of the scan, compared with this same checkout
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "scenario_scan.py"),
+                           "--against", str(root), "--keep", str(tmp_path / "scan"),
+                           "default", "D=8"],
+                          capture_output=True, text=True, timeout=600, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    default, d8 = proc.stdout.splitlines()
+    assert default.startswith("default    exit=0 error=- rows=8 ") and default.endswith(" same")
+    assert d8.startswith("D=8        exit=3 error=ExtentTooSmall rows=0 ")
+    assert d8.endswith(" same")
+    # the comparison reads every file, and a summary.json without its timings
+    spec = importlib.util.spec_from_file_location("scenario_scan",
+                                                  root / "scripts" / "scenario_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    ours, theirs = tmp_path / "scan" / "this" / "default" / "out", tmp_path / "theirs"
+    theirs.mkdir()
+    for path in ours.iterdir():
+        (theirs / path.name).write_bytes(path.read_bytes())
+    summary = json.loads((theirs / "summary.json").read_text())
+    summary["timings_s"]["A"] += 1.0
+    (theirs / "summary.json").write_text(json.dumps(summary))
+    assert scan.differing(ours, theirs) == []
+    (theirs / "path.csv").write_bytes((ours / "path.csv").read_bytes() + b"\n")
+    (theirs / "extra.csv").write_text("")
+    assert scan.differing(ours, theirs) == ["extra.csv", "path.csv"]
 
 
 def test_readme_library_snippet(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stripwave import (ModelParams, NonlinearityKind, NonlinearitySpec, c_max,
                        eval_nonlinearity, lipschitz_constant)
-from stripwave.model import scalar_reaction
+from conftest import scalar_reaction
 
 CUBIC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
 PLO = NonlinearitySpec(kind=NonlinearityKind.PIECEWISE_LINEAR_ORACLE, theta=0.25)

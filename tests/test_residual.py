@@ -237,3 +237,31 @@ def test_nnz_counts_the_stencil_slots(nx, ny, slots):
         x = rng.standard_normal(J.shape[0])
         scale = np.abs(reference).sum(axis=1).max() * np.abs(x).max()
         assert np.abs(J @ x - reference @ x).max() <= 1e-14 * scale
+
+
+def column_order_product(J, x):
+    """J x, each row summed over its diagonals LEFT .. RIGHT and then its c
+    column, one vector expression per term: a reference for `Jacobian.__matmul__`."""
+    n, m = J.b.size, J.m
+    xp = np.zeros(n + 2 * m)
+    xp[m:m + n] = x[:n]
+    y = np.empty(n + 1)
+    y[:n] = J.diags[0] * xp[:n]
+    for row, o in zip(J.diags[1:], J.offsets[1:]):
+        y[:n] = y[:n] + row * xp[m + o:m + o + n]
+    y[:n] = y[:n] + J.b * x[n]
+    y[n] = x[J.anchor]
+    return y
+
+
+@pytest.mark.parametrize("family", [HomotopyFamily.wentzell(0.0), HomotopyFamily.wentzell(0.7),
+                                    HomotopyFamily.exchange(0.05)], ids=str)
+def test_product_is_the_column_order_sum(family):
+    # bit for bit, on random states and vectors, so that the backward-error
+    # test of every linear solve reads the same residual
+    grid = build_grid(PARAMS, -20.0, 10.0, 121, 9)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        J = assemble_jacobian(random_state(grid, family, rng), PARAMS, SPEC, grid)
+        x = rng.standard_normal(J.shape[0])
+        assert (J @ x).tobytes() == column_order_product(J, x).tobytes()

@@ -10,7 +10,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import csc_reference
+from conftest import (classify, csc_reference, reference_trajectory, rk4, sampled_profile,
+                      scalar_reaction)
 from stripwave import solver
 from stripwave import (Grid, HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, assemble_jacobian, assemble_residual,
@@ -381,13 +382,13 @@ def test_shooting_lower_bracket_end_must_undershoot():
 def rk4_steps(monkeypatch):
     """The step of every RK4 trajectory the shooting integrates, in turn."""
     steps = []
-    rk4 = solver._rk4
+    trajectory = solver._trajectory
 
-    def counted(c, d, f, theta, h, n_steps):
+    def counted(c, d, spec, h, n_steps, profile=False):
         steps.append(h)
-        return rk4(c, d, f, theta, h, n_steps)
+        return trajectory(c, d, spec, h, n_steps, profile)
 
-    monkeypatch.setattr(solver, "_rk4", counted)
+    monkeypatch.setattr(solver, "_trajectory", counted)
     return steps
 
 
@@ -420,7 +421,8 @@ def test_guess_lower_bracket_end_raises_at_the_confirmation(rk4_steps):
 
 
 def reference_shooting(d, spec, tol, factor):
-    """Reference: a plain bisection run wholly at `factor` times the fine step.
+    """Reference: a plain bisection run wholly at `factor` times the fine step,
+    on the reference RK4 (`conftest.rk4`).
 
     Returns x, psi, c and whether the upper end had to be doubled."""
     c_bound = c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
@@ -428,33 +430,26 @@ def reference_shooting(d, spec, tol, factor):
     x_max = max(200.0 * d / c_bound, 100.0)
     n_steps = int(x_max / h)
     step, count = factor * h, n_steps // factor
-    theta, f = spec.theta, solver.scalar_reaction(spec)
+    theta, f = spec.theta, scalar_reaction(spec)
 
-    def classify(c):
-        return solver._classify(solver._rk4(c, d, f, theta, step, count))
+    def classify_at(c):
+        return classify(rk4(c, d, f, theta, step, count))
 
     lo = c_floor = max(tol, 1e-10)
     hi = c_bound
-    while classify(hi) != 1:
+    while classify_at(hi) != 1:
         hi *= 2.0
     doubled = hi != c_bound
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if classify(mid) == 1:
+        if classify_at(mid) == 1:
             hi = mid
         else:
             lo = mid
-    if lo == c_floor and classify(lo) != -1:
+    if lo == c_floor and classify_at(lo) != -1:
         raise BracketNotFound(f"lower bracket end c = {lo:.3e} does not undershoot")
     c_star = 0.5 * (lo + hi)
-    xs, ps = [0.0], [theta]
-    for psi, dpsi in solver._rk4(c_star, d, f, theta, step, count):
-        if psi <= ps[-1]:
-            break
-        xs.append(xs[-1] + step)
-        ps.append(min(psi, 1.0))
-        if 1.0 - psi < 1e-13 or dpsi <= 0.0:
-            break
+    xs, ps = sampled_profile(rk4(c_star, d, f, theta, step, count), theta, step)
     return np.array(xs), np.clip(np.array(ps), 0.0, 1.0), c_star, doubled
 
 
@@ -493,6 +488,39 @@ def test_guess_equals_coarse_bisection():
         assert guess.x.tobytes() == x.tobytes() and guess.psi.tobytes() == psi.tobytes()
         doubled.append(grew)
     assert any(doubled)  # the oracle at theta = 0.05, as in the fine bisection
+
+
+@pytest.mark.parametrize("shoot", [solve_1d_ignition_shooting, solver.one_dim_guess],
+                         ids=["oracle", "guess"])
+@pytest.mark.parametrize("kind, theta, d, tol",
+                         list(itertools.product(NonlinearityKind, (0.05, 0.3, 0.6, 0.9),
+                                                (0.5, 1.0, 2.5), (1e-6, 1e-9))),
+                         ids=lambda v: getattr(v, "name", None) or repr(v))
+def test_shooting_equals_the_reference_rk4(monkeypatch, shoot, kind, theta, d, tol):
+    # the same ladder on the reference trajectories (`conftest.rk4`, its scalar
+    # reaction and its two stop rules) gives the same floats, bit for bit
+    spec = NonlinearitySpec(kind=kind, theta=theta)
+    wave = shoot(d, spec, tol=tol)
+    monkeypatch.setattr(solver, "_trajectory", reference_trajectory)
+    reference = shoot(d, spec, tol=tol)
+    assert wave.c == reference.c
+    assert wave.x.tobytes() == reference.x.tobytes()
+    assert wave.psi.tobytes() == reference.psi.tobytes()
+
+
+def test_trajectory_classes_and_profiles_equal_the_reference():
+    # around the speed of each case, where trajectories run longest, and at
+    # speeds that leave the window or pass 1 at once
+    for spec, d in itertools.product((CUBIC, PLO25, ORACLE90), (0.5, 2.5)):
+        c_star = solver.one_dim_guess(d, spec, tol=1e-9).c
+        h = solver.COARSE * fine_step(d, spec)
+        for c in (1e-10, 0.5 * c_star, c_star * (1 - 1e-7), c_star, c_star * (1 + 1e-7),
+                  2.0 * c_star, 50.0 * c_star):
+            for count in (10, 3000):
+                assert (solver._trajectory(c, d, spec, h, count)
+                        == reference_trajectory(c, d, spec, h, count)), (spec, d, c, count)
+                assert (solver._trajectory(c, d, spec, h, count, profile=True)
+                        == reference_trajectory(c, d, spec, h, count, profile=True))
 
 
 @pytest.mark.parametrize("shoot, reference", [(solve_1d_ignition_shooting, fine_shooting),
@@ -585,14 +613,14 @@ def test_shooting_below_the_resolution_of_doubles(monkeypatch, shoot):
     # tol = 1e-16 ends at a bracket one spacing wide, with the speed of tol = 1e-15
     c = shoot(1.0, PLO25, tol=1e-15).c
     calls = []
-    classify = solver._classify
+    trajectory = solver._trajectory
 
-    def bounded(trajectory):
+    def bounded(*args, **kwargs):
         calls.append(1)
         assert len(calls) <= 500, "the shooting bisection did not stop"
-        return classify(trajectory)
+        return trajectory(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_classify", bounded)
+    monkeypatch.setattr(solver, "_trajectory", bounded)
     assert abs(shoot(1.0, PLO25, tol=1e-16).c - c) <= 1e-15 * c
 
 
