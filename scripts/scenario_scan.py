@@ -8,13 +8,15 @@ of D (0.25, 0.5, 1, 2, 8), theta (0.05, 0.1, 0.2, 0.4, 0.5, 0.6), mu (0.2,
 0.5, 2, 5), L (0.25, 0.5, 2, 4) and d (0.5, 2, 4); NAMEs pick some of them.
 Each one is a `wave run` in a fresh interpreter that imports stripwave from
 a checkout's `src/`.  One line per scenario gives the exit code, the error
-type (`-` for none), the `path.csv` rows, the Newton factorizations and the
-final `c` to 17 digits.
+type (`-` for none), the `path.csv` rows, the Newton factorizations, the
+Newton iterations of the s = 0 start's correction on three rows (`-` when it
+raised) and the final `c` to 17 digits.
 
 With `--against CHECKOUT` every scenario also runs on that checkout, and
 every output file of the two runs is compared byte for byte, `summary.json`
-without its `timings_s`, and so are the factorization counts; a line ends in
-`same` or in what differs, and the exit status is 1 when anything does.
+without its `timings_s`, and so are the factorization and start iteration
+counts; a line ends in `same` or in what differs, and the exit status is 1
+when anything does.
 """
 
 from __future__ import annotations
@@ -29,20 +31,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# one `wave run` with every Newton factorization counted; prints the count
+# one `wave run` with every Newton factorization counted and the Newton
+# iterations of its s = 0 start's correction on three rows, the run's first
+# Newton solve (`continuation.one_dim_start`), recorded; prints both
 CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from stripwave import cli, solver
-count = 0
-factorize = solver.factorize
+from stripwave import cli, continuation, solver
+count, start = 0, []
+factorize, newton_solve = solver.factorize, continuation.newton_solve
 def counted(*args):
     global count
     count += 1
     return factorize(*args)
-solver.factorize = counted
+def recorded(*args):
+    result = newton_solve(*args)
+    start.append(result.iterations)
+    return result
+solver.factorize, continuation.newton_solve = counted, recorded
 code = cli.main(["run", sys.argv[2]])
-print(json.dumps({"exit": code, "factorizations": count}))
+print(json.dumps({"exit": code, "factorizations": count,
+                  "start_iterations": start[0] if start else "-"}))
 """
 
 BASE = {
@@ -129,11 +138,13 @@ def main(argv=None) -> int:
         for name in args.names or table:
             ours = run(ROOT, table[name], base / "this" / name)
             line = (f"{name:10} exit={ours['exit']} error={ours['error']} rows={ours['rows']} "
-                    f"factorizations={ours['factorizations']} c={ours['c']}")
+                    f"factorizations={ours['factorizations']} "
+                    f"start_iterations={ours['start_iterations']} c={ours['c']}")
             if args.against:
                 theirs = run(args.against.resolve(), table[name], base / "against" / name)
                 diff = differing(base / "this" / name / "out", base / "against" / name / "out")
-                diff += ["factorizations"] * (theirs["factorizations"] != ours["factorizations"])
+                diff += [key for key in ("factorizations", "start_iterations")
+                         if theirs[key] != ours[key]]
                 line += "  " + ("same" if not diff else "DIFFER: " + " ".join(diff))
                 status |= bool(diff)
             print(line, flush=True)

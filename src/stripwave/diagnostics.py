@@ -46,7 +46,8 @@ import numpy as np
 
 from .errors import WrongFamily
 from .grid import Grid
-from .model import ModelParams, NonlinearitySpec, c_max, eval_nonlinearity
+from .model import ModelParams, NonlinearitySpec, c_max, reaction
+from .model import eval_nonlinearity  # noqa: F401 (not called; kept for perfbench/tracer.py)
 from .residual import WaveState
 from .solver import _bisect
 
@@ -133,7 +134,7 @@ def speed_identity(state: WaveState, params: ModelParams, spec: NonlinearitySpec
     family (the exchange denominator is eps-independent: the 1/eps
     boundary flux integrates to c/mu for every eps).
     """
-    f_val, _ = eval_nonlinearity(state.psi, spec)
+    f_val = reaction(state.psi, spec)
     wx = np.full(grid.nx, grid.hx)
     wx[0] = wx[-1] = grid.hx / 2.0
     wy = np.full(grid.ny, grid.hy)

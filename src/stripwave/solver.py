@@ -69,8 +69,9 @@ it (lower end undershoots, upper end overshoots), it is the bracket a
 bisection at that rung finds, provided the classification there is
 monotone in c; otherwise the bisection is redone at that rung.  The
 upper-end doubling and the profile pass run on the last rung, h.
-`one_dim_guess` is the same shooting without the last rung: it ends at
-`COARSE * h`, and serves only as a start for Newton.
+`one_dim_guess`, only a start for Newton, is the same shooting on the first
+rung alone, `LADDER * COARSE * h`, and bisects only to `GUESS_TOL`: the
+discrete 1-D speed Newton finds lies further than that from the shot speed.
 """
 
 from __future__ import annotations
@@ -122,26 +123,42 @@ _ARMIJO_SLOPE = 1e-4
 # an accepted step that leaves more than this fraction of the residual
 # refactors the Jacobian before the next step
 REFRESH_RATIO = 0.25
-# the middle rung of the shooting ladder (module docstring): the step of
-# `one_dim_guess`, and the oracle's first confirmation.  At 4x, 8x and 16x the
-# step, bisections to tol = 1e-11 ended in the fine step's bracket in all six
-# cases tried (cubic at theta 0.05, 0.3, 0.9 with d = 1 and 0.45 with d = 2.5,
-# the oracle at theta 0.25 and 0.9); at 32x two cubic brackets moved by 5e-12
-# and 7e-12, which would send those runs back to the bisection at the step itself
+# the middle rung of the shooting ladder (module docstring), the oracle's first
+# confirmation.  At 4x, 8x and 16x the step, bisections to tol = 1e-11 ended in
+# the fine step's bracket in all six cases tried (cubic at theta 0.05, 0.3, 0.9
+# with d = 1 and 0.45 with d = 2.5, the oracle at theta 0.25 and 0.9); at 32x two
+# cubic brackets moved by 5e-12 and 7e-12, which would send those runs back to
+# the bisection at the step itself
 COARSE = 16
-# the shooting bisects at LADDER * COARSE times the RK4 step.  `one_dim_guess`
-# over both kinds x theta 0.05, 0.3, 0.6, 0.9 x d 0.5, 1, 2.5 (24 cases):
-# brackets confirmed at COARSE, and RK4 steps per call (growth, bisection,
-# confirmation and profile; the mean of 24):
+# the shooting bisects at LADDER * COARSE times the RK4 step.  The oracle's first
+# two rungs, with the growth and the profile at COARSE, over both kinds x theta
+# 0.05, 0.3, 0.6, 0.9 x d 0.5, 1, 2.5 (24 cases): brackets confirmed at COARSE,
+# and RK4 steps per call (growth, bisection, confirmation and profile; the mean
+# of 24):
 #     LADDER   tol = 1e-9                tol = 1e-11
 #     1        -      26.6k              -      37.1k   (bisection at COARSE)
 #     2        24/24  16.3k              20/24  30.2k
 #     4        23/24  11.9k              15/24  29.9k
 #     8        16/24  18.1k              12/24  29.5k
-# A bracket that is not confirmed costs a bisection at COARSE.  Every guess and
-# every `solve_1d_ignition_shooting` result was the same floats as with a
+# A bracket that is not confirmed costs a bisection at COARSE.  Every such result
+# and every `solve_1d_ignition_shooting` result was the same floats as with a
 # bisection at COARSE (and h); no bracket was confirmed that differed
 LADDER = 4
+# `one_dim_guess` bisects to a bracket of max(tol, GUESS_TOL): its speed is only
+# Newton's start, and the discrete 1-D speed Newton finds lies 4e-5 to 2e-4 from
+# it.  Over the 23 scenarios of `scripts/scenario_scan.py`, the number whose s = 0
+# start takes more Newton iterations on three rows (481 or 961 columns) than from
+# the two-rung guess at tol = 1e-9 it replaced (none took fewer), and the time of
+# the guess for the default cubic and summed over the 10 distinct (d, theta)
+# (median of 5 calls, ms; 21 and 258 for the two-rung guess):
+#     GUESS_TOL   481   961   default   sum
+#     1e-9        0     0     13.1      116
+#     1e-8        0     0     8.5       85
+#     1e-7        0     15    5.5       64
+#     1e-6        3     19    4.6       48
+#     1e-5        6     21    4.1       53
+# One more iteration on 961 x 3 costs about 0.5 ms
+GUESS_TOL = 1e-7
 # `cyclic_tail` takes K = 0 below this m.  One factorization and one solve of
 # `BorderedBandLU` on a Wentzell(1) and an exchange(0.05) Jacobian of the
 # embedded front on [-160, 80], K = 0 -> tail (the best of 5 calls, median of
@@ -633,34 +650,39 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
     at h would reach the same end.
     |c - c*| <= max(tol, one spacing of doubles at c) on return.
     """
-    return _shoot(d, spec, tol, confirm=True)
+    return _shoot(d, spec, _checked_tol(tol), (LADDER * COARSE, COARSE, 1))
 
 
 def one_dim_guess(d: float, spec: NonlinearitySpec, tol: float) -> OneDimWave:
-    """A guess of the 1-D front for Newton: `solve_1d_ignition_shooting`
-    without its last rung.  Its upper end is grown, its lower end checked
-    and its profile integrated at `COARSE * h`, and its bracket is the one
-    a bisection at that step finds, under the oracle's monotonicity
-    argument.
+    """A guess of the 1-D front for Newton: the shooting of
+    `solve_1d_ignition_shooting` on its first rung only.  Its upper end is
+    grown, its bracket bisected to width max(tol, `GUESS_TOL`), its lower
+    end checked and its profile integrated at `LADDER * COARSE * h`: the
+    floats of a plain bisection at that step.
 
-    Raises BracketNotFound as the oracle does, the lower end checked at
-    `COARSE * h`.  Its speed is not the oracle's: a caller must not report
-    it, only correct it (`continuation.one_dim_start`).
+    Raises ValueError for a tol outside (0, inf), checked before the floor,
+    and BracketNotFound as the oracle does, the lower end checked on that
+    rung.  Its speed is not the oracle's: a caller must not report it, only
+    correct it (`continuation.one_dim_start`).
     """
-    return _shoot(d, spec, tol, confirm=False)
+    return _shoot(d, spec, max(_checked_tol(tol), GUESS_TOL), (LADDER * COARSE,))
 
 
-def _shoot(d: float, spec: NonlinearitySpec, tol: float, confirm: bool) -> OneDimWave:
-    """The shooting of `solve_1d_ignition_shooting` (`confirm`) and of
-    `one_dim_guess`: one RK4 loop, one bisection ladder and one profile pass.
-
-    The rungs are the steps `LADDER * COARSE * h`, `COARSE * h` and, when
-    `confirm`, h.  The bisection runs on the first rung; each finer rung
-    confirms the bracket of the rung before it, or bisects again.  The upper
-    end is grown, the lower end checked and the profile integrated on the
-    last rung, the step of the result."""
+def _checked_tol(tol: float) -> float:
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf), got {tol!r}")
+    return tol
+
+
+def _shoot(d: float, spec: NonlinearitySpec, tol: float, factors: tuple) -> OneDimWave:
+    """The shooting of `solve_1d_ignition_shooting` and of `one_dim_guess`:
+    one RK4 loop, one bisection ladder and one profile pass.
+
+    The rungs are the steps `factors` times h, coarsest first.  The
+    bisection runs on the first rung; each finer rung confirms the bracket
+    of the rung before it, or bisects again.  The upper end is grown, the
+    lower end checked and the profile integrated on the last rung, the step
+    of the result."""
     c_bound = c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
     h = 1e-3 * d / c_bound
     x_max = max(200.0 * d / c_bound, 100.0)
@@ -669,8 +691,7 @@ def _shoot(d: float, spec: NonlinearitySpec, tol: float, confirm: bool) -> OneDi
     def classify_at(step: float, count: int):
         return lambda c: _trajectory(c, d, spec, step, count)
 
-    rungs = [(k * h, n_steps // k)
-             for k in (LADDER * COARSE, COARSE, 1)[:3 if confirm else 2]]
+    rungs = [(k * h, n_steps // k) for k in factors]
     step, count = rungs[-1]
     last = classify_at(step, count)
     c_floor = max(tol, 1e-10)

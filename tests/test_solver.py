@@ -415,9 +415,9 @@ def test_guess_lower_bracket_end_raises_at_the_confirmation(rk4_steps):
     with pytest.raises(BracketNotFound,
                        match="lower bracket end c = 5.000e-01 does not undershoot"):
         solver.one_dim_guess(1.0, ORACLE90, tol=0.5)
-    # the same pattern one rung up: its last rung is COARSE
-    assert rungs(rk4_steps, 1.0, ORACLE90) == {solver.COARSE: 2,
-                                               solver.LADDER * solver.COARSE: 2}
+    # the upper end, the 2 midpoints and the lower end, all on the guess's one
+    # rung, the coarsest
+    assert rungs(rk4_steps, 1.0, ORACLE90) == {solver.LADDER * solver.COARSE: 4}
 
 
 def reference_shooting(d, spec, tol, factor):
@@ -458,9 +458,10 @@ def fine_shooting(d, spec, tol):
     return reference_shooting(d, spec, tol, 1)
 
 
-def coarse_shooting(d, spec, tol):
-    """Reference: the bisection run at `COARSE` times the fine step throughout."""
-    return reference_shooting(d, spec, tol, solver.COARSE)
+def guess_shooting(d, spec, tol):
+    """Reference for `one_dim_guess`: the bisection to max(tol, `GUESS_TOL`) run
+    at `LADDER * COARSE` times the fine step throughout."""
+    return reference_shooting(d, spec, max(tol, solver.GUESS_TOL), solver.LADDER * solver.COARSE)
 
 
 def test_shooting_equals_fine_bisection():
@@ -478,15 +479,28 @@ def test_shooting_equals_fine_bisection():
 
 
 def test_guess_equals_coarse_bisection():
+    # the guess is a plain bisection on the coarsest rung to max(tol, GUESS_TOL):
+    # tol = 1e-9 is floored, 1e-6 and 1e-3 are not, and tol = 0.5 puts the lower
+    # end above the oracle's speed at theta = 0.9, which both refuse
+    cases = [*itertools.product(NonlinearityKind, (0.05, 0.3, 0.6, 0.9), (0.5, 1.0, 2.5),
+                                (1e-9, 1e-6, 1e-3)),
+             (NonlinearityKind.PIECEWISE_LINEAR_ORACLE, 0.9, 1.0, 0.5)]
     doubled = []
-    for kind, theta, d, tol in itertools.product(NonlinearityKind, (0.05, 0.9), (0.5, 2.5),
-                                                 (1e-6, 1e-9)):
+    for kind, theta, d, tol in cases:
         spec = NonlinearitySpec(kind=kind, theta=theta)
-        x, psi, c, grew = coarse_shooting(d, spec, tol)
-        guess = solver.one_dim_guess(d, spec, tol=tol)
-        assert guess.c == c, (kind, theta, d, tol)
-        assert guess.x.tobytes() == x.tobytes() and guess.psi.tobytes() == psi.tobytes()
+        try:
+            x, psi, c, grew = guess_shooting(d, spec, tol)
+            reference = x.tobytes(), psi.tobytes(), c
+        except BracketNotFound as error:
+            reference, grew = str(error), False
+        try:
+            guess = solver.one_dim_guess(d, spec, tol)
+            assert (guess.x.tobytes(), guess.psi.tobytes(), guess.c) == reference, \
+                (kind, theta, d, tol)
+        except BracketNotFound as error:
+            assert str(error) == reference
         doubled.append(grew)
+    assert reference == "lower bracket end c = 5.000e-01 does not undershoot"
     assert any(doubled)  # the oracle at theta = 0.05, as in the fine bisection
 
 
@@ -523,14 +537,25 @@ def test_trajectory_classes_and_profiles_equal_the_reference():
                         == reference_trajectory(c, d, spec, h, count, profile=True))
 
 
-@pytest.mark.parametrize("shoot, reference", [(solve_1d_ignition_shooting, fine_shooting),
-                                              (solver.one_dim_guess, coarse_shooting)],
+@pytest.mark.parametrize("shoot", [solve_1d_ignition_shooting, solver.one_dim_guess],
                          ids=["oracle", "guess"])
-def test_shooting_fallback_to_the_coarse_step(monkeypatch, caplog, rk4_steps, shoot, reference):
+def test_shooting_fallback_to_the_coarse_step(monkeypatch, caplog, rk4_steps, shoot):
     # no trajectory on the coarsest rung fits the window: every one reads as an
-    # undershoot, the final lower end overshoots at COARSE times the fine step,
+    # undershoot
+    coarsest = 10**9 * solver.COARSE
+    if shoot is solver.one_dim_guess:
+        # the guess has no finer rung to fall back to: its upper end never
+        # overshoots, and it refuses after 20 doublings
+        monkeypatch.setattr(solver, "LADDER", 10**9)
+        with caplog.at_level(logging.INFO, logger="stripwave.solver"):
+            with pytest.raises(BracketNotFound, match="while doubling the upper bracket"):
+                shoot(1.0, CUBIC, tol=1e-9)
+        assert "not confirmed" not in caplog.text
+        assert rungs(rk4_steps, 1.0, CUBIC) == {coarsest: 21}
+        return
+    # the oracle: the final lower end overshoots at COARSE times the fine step,
     # and the bisection is redone there
-    x, psi, c, _ = reference(1.0, CUBIC, 1e-9)
+    x, psi, c, _ = fine_shooting(1.0, CUBIC, 1e-9)
     monkeypatch.setattr(solver, "LADDER", 10**9)
     rk4_steps.clear()
     with caplog.at_level(logging.INFO, logger="stripwave.solver"):
@@ -538,13 +563,9 @@ def test_shooting_fallback_to_the_coarse_step(monkeypatch, caplog, rk4_steps, sh
     assert caplog.text.count("is not confirmed at step") == 1
     assert wave.c == c and wave.x.tobytes() == x.tobytes() and wave.psi.tobytes() == psi.tobytes()
     # 31 midpoints on the coarsest rung, then at COARSE the lower end and 31
-    # midpoints; the oracle confirms the new bracket at the fine step (two
-    # ends), and the last rung grows the upper end and integrates the profile
-    coarsest = 10**9 * solver.COARSE
-    if shoot is solve_1d_ignition_shooting:
-        assert rungs(rk4_steps, 1.0, CUBIC) == {1: 4, solver.COARSE: 32, coarsest: 31}
-    else:
-        assert rungs(rk4_steps, 1.0, CUBIC) == {solver.COARSE: 34, coarsest: 31}
+    # midpoints; the new bracket is confirmed at the fine step (two ends), and
+    # the last rung grows the upper end and integrates the profile
+    assert rungs(rk4_steps, 1.0, CUBIC) == {1: 4, solver.COARSE: 32, coarsest: 31}
 
 
 def test_shooting_fallback_to_the_fine_step(monkeypatch, caplog, rk4_steps):
@@ -573,12 +594,12 @@ def test_shooting_fine_trajectories(caplog, rk4_steps):
 
 def test_guess_runs_at_the_coarse_step(rk4_steps):
     guess = solver.one_dim_guess(1.0, CUBIC, tol=1e-9)
-    # 31 midpoints on the coarsest rung; the upper end, the two ends of the
-    # final bracket and the profile at COARSE; nothing at the fine step
-    assert rungs(rk4_steps, 1.0, CUBIC) == {solver.COARSE: 4,
-                                            solver.LADDER * solver.COARSE: 31}
-    assert np.diff(guess.x) == pytest.approx(solver.COARSE * fine_step(1.0, CUBIC), rel=1e-9)
-    assert abs(guess.c - 0.2634361718052042) <= 1e-9  # within tol of the oracle
+    # the upper end, 24 midpoints to GUESS_TOL and the profile, all on
+    # the coarsest rung; nothing at COARSE or at the fine step
+    coarsest = solver.LADDER * solver.COARSE
+    assert rungs(rk4_steps, 1.0, CUBIC) == {coarsest: 26}
+    assert np.diff(guess.x) == pytest.approx(coarsest * fine_step(1.0, CUBIC), rel=1e-9)
+    assert abs(guess.c - 0.2634361718052042) <= solver.GUESS_TOL  # within its tol of the oracle
     assert np.all(np.diff(guess.psi) > 0.0) and guess.psi[0] == CUBIC.theta
 
 
@@ -586,7 +607,8 @@ def test_guess_refuses_as_the_oracle_does():
     with pytest.raises(BracketNotFound,
                        match="lower bracket end c = 5.000e-01 does not undershoot"):
         solver.one_dim_guess(1.0, ORACLE90, tol=0.5)
-    for tol in (-1.0, math.inf, math.nan):
+    # tol is checked as given, before the guess's floor could lift it into range
+    for tol in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tol must lie in"):
             solver.one_dim_guess(1.0, CUBIC, tol=tol)
 
