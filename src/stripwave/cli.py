@@ -41,6 +41,7 @@ from .continuation import (PARAMETER_TOL, ContinuationOptions, ContinuationRecor
                            continue_exchange, continue_wentzell, handoff_to_system, make_record,
                            one_dim_start)
 from .continuation import embed_one_dim_wave  # noqa: F401 (not called; kept for perfbench/tracer.py)
+from .diagnostics import CERTIFICATES
 from .errors import (AnchorNotOnGrid, BadExtent, CertificateFailed, ConfigError,
                      ConfigHashMismatch, SchemaMismatch, StripWaveError)
 from .grid import Grid, build_grid
@@ -136,14 +137,20 @@ def _checked(data, template: dict, prefix: str = "") -> dict:
     return out
 
 
+def _named_field(exc: Exception) -> str:
+    """The field an error names by starting its message with `Class.field`,
+    as the ValueErrors of the library objects do, or "" for none."""
+    return str(exc).partition(" ")[0].partition(".")[2]
+
+
 def _build(section: str, make, *args, **fields):
     """`make(*args, **fields)`, its error as a ConfigError that names
-    `section.field` when the message starts with `Class.field`, as the
-    ValueErrors of the library objects do, and `section` otherwise."""
+    `section.field` when it names a field (`_named_field`), and `section`
+    otherwise."""
     try:
         return make(*args, **fields)
     except (ValueError, BadExtent, AnchorNotOnGrid) as exc:
-        field = str(exc).partition(" ")[0].partition(".")[2]
+        field = _named_field(exc)
         raise ConfigError(f"{section}.{field}: {exc}" if field else f"{section}: {exc}") from exc
 
 
@@ -339,9 +346,8 @@ def read_checkpoint(path) -> dict:
     try:
         Grid(**{name: data["grid"][name] for name in GRID_FIELDS})
     except ValueError as exc:  # Grid names the field it rejects, or none for a relation
-        named = re.match(r"Grid\.(\w+)", str(exc))
-        raise _bad(path, "grid" + (f".{named[1]}" if named else ""),
-                   f"is out of range: {exc}") from exc
+        field = _named_field(exc)
+        raise _bad(path, f"grid.{field}" if field else "grid", f"is out of range: {exc}") from exc
     step = _number(data["control"]["step"], "control.step", path)
     if not step > 0:
         raise _bad(path, "control.step", f"must be > 0, got {step!r}")
@@ -482,20 +488,13 @@ def write_profile_files(out: Path, state: WaveState, grid: Grid) -> None:
 
 # --- drivers ------------------------------------------------------------------
 
+# the diagnostics of a stage's end record that its summary entry holds
+SUMMARY_FIELDS = CERTIFICATES + ("speed_identity_gap", "gamma_fit", "gamma_pred")
+
+
 def _stage_summary(record: ContinuationRecord) -> dict:
-    d = record.diagnostics
-    return {
-        "parameter": record.parameter,
-        "c": record.c,
-        "residual_norm": record.residual_norm,
-        "bounds_ok": d.bounds_ok,
-        "monotone_ok": d.monotone_ok,
-        "sandwich_ok": d.sandwich_ok,
-        "left_decay_ok": d.left_decay_ok,
-        "speed_identity_gap": d.speed_identity_gap,
-        "gamma_fit": d.gamma_fit,
-        "gamma_pred": d.gamma_pred,
-    }
+    return {"parameter": record.parameter, "c": record.c, "residual_norm": record.residual_norm,
+            **{name: getattr(record.diagnostics, name) for name in SUMMARY_FIELDS}}
 
 
 def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: ContinuationRecord,
@@ -553,18 +552,14 @@ def run_start(cfg: RunConfig, timings: dict) -> NewtonResult:
     return one_dim_start(guess, cfg.params, cfg.nonlinearity, cfg.grid, cfg.newton)
 
 
-def execute_run(cfg: RunConfig, outdir: Path,
-                start: NewtonResult | Exception | None = None) -> dict:
+def execute_run(cfg: RunConfig, outdir: Path, start: NewtonResult | None = None) -> dict:
     """A full run.  Given `start`, the `run_start` of a config that differs
     from `cfg` at most in `D`, the run does not shoot: its summary then has
-    no `shooting` time, and stage A's time is the march alone.  A `start`
-    that is the error of that `run_start` fails the run as its own start
-    would, once the output directory is reset."""
+    no `shooting` time, and stage A's time is the march alone.  Without it
+    the run computes its own start."""
     summary: dict = {"config_hash": config_hash(cfg.raw), "stages": {}, "timings_s": {}}
     with closing(PathWriter(outdir, cfg, summary["config_hash"])) as writer:
         t0 = time.perf_counter()
-        if isinstance(start, Exception):
-            raise start
         if start is None:
             start = run_start(cfg, summary["timings_s"])
             t0 += summary["timings_s"]["shooting"]  # stage A's time starts when shooting ends
@@ -645,12 +640,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_start(data: dict) -> NewtonResult:
-    """The `run_start` that every point of a sweep shares, run in the pool."""
-    return run_start(config_from_dict(data), {})
-
-
-def _sweep_worker(payload: tuple[dict, str, NewtonResult | Exception]) -> tuple[int, dict]:
+def _sweep_worker(payload: tuple[dict, str, NewtonResult | None]) -> tuple[int, dict]:
     """A point's exit code and summary, `{}` when it failed."""
     data, outdir, start = payload
     try:  # a pool process: its errors are reported here, not by `main`
@@ -663,10 +653,11 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
     """One run per `D` value, each in its subdirectory `D_<value>`, on a
     process pool.  The points share their start (`run_start` does not depend
     on `D`), which one pool task computes before the points run; when it
-    fails, every point fails with its error.  Then
-    sweep.csv tabulates the speeds, one row per value: the shared discrete
-    1-D speed (stage A's s = 0 speed) and each point's stage A and C end
-    speeds, `nan` where none was reached."""
+    fails, each point computes its own start, and so fails as its plain run
+    does.  Then sweep.csv tabulates the speeds, one row per value: the
+    shared discrete 1-D speed (stage A's s = 0 speed, `nan` when the shared
+    start failed) and each point's stage A and C end speeds, `nan` where
+    none was reached."""
     name, _, values_txt = sweep.partition("=")
     texts = [v.strip() for v in values_txt.split(",")]
     try:
@@ -691,10 +682,10 @@ def _run_sweep(cfg: RunConfig, outdir: Path, sweep: str) -> int:
     c_one_dim = float("nan")
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            start = pool.submit(_sweep_start, cfg.raw).result()
+            start = pool.submit(run_start, cfg, {}).result()
             c_one_dim = start.state.c
-        except CLI_ERRORS as exc:  # the start of every point failed
-            start = exc
+        except CLI_ERRORS:  # each point runs its own start, which fails the same way
+            start = None
         points = list(pool.map(_sweep_worker, [job + (start,) for job in jobs]))
     speeds = [[summary.get("stages", {}).get(stage, {}).get("c", float("nan"))
                for _, summary in points] for stage in "AC"]

@@ -199,8 +199,6 @@ def assemble_residual(state: WaveState, params: ModelParams, spec: NonlinearityS
     return R
 
 
-
-
 @dataclass(frozen=True, eq=False)
 class Jacobian:
     """The bordered N x N Jacobian of `assemble_jacobian`, stored as its
@@ -239,17 +237,6 @@ class Jacobian:
         out += tmp
         y[n] = x[self.anchor]
         return y
-
-    def toarray(self) -> np.ndarray:
-        """J as a dense array."""
-        n = self.b.size
-        out = np.zeros(self.shape)
-        r = np.arange(n)
-        for row, o in zip(self.diags, self.offsets):
-            inside = (r + o >= 0) & (r + o < n)
-            out[r[inside], r[inside] + o] = row[inside]
-        out[:n, n], out[n, self.anchor] = self.b, 1.0
-        return out
 
 
 def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearitySpec,

@@ -101,7 +101,7 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
 def csc_reference(J) -> sp.csc_matrix:
     """The `Jacobian` J as a scipy CSC matrix, built from its diagonals, its
     c column and its phase row by scipy alone: a reference for J's own
-    product and for the band LU."""
+    product and for the band LU, and the tests' dense J (`.toarray()`)."""
     n = J.b.size
     A = sp.diags([row[max(-o, 0):n - max(o, 0)] for row, o in zip(J.diags, J.offsets)],
                  J.offsets, shape=(n, n))

@@ -1219,19 +1219,28 @@ def test_sweep_values_sharing_a_directory(tmp_path, capsys, sweep, named):
     assert not out.exists()  # refused before any work
 
 
-def test_sweep_point_equals_standalone_run(tmp_path, monkeypatch):
+@pytest.fixture
+def guess_calls(tmp_path, monkeypatch):
+    """A function that counts the `one_dim_guess` calls of the CLI so far,
+    in this process and in the pool workers, which are forked from it and
+    so inherit the patch: each call appends a line to a file."""
     calls = tmp_path / "guess_calls"
+    calls.touch()
     real_guess = cli.one_dim_guess
 
-    def counted_guess(*args, **kwargs):  # forked pool workers inherit it
+    def counted_guess(*args, **kwargs):
         with open(calls, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return real_guess(*args, **kwargs)
 
     monkeypatch.setattr(cli, "one_dim_guess", counted_guess)
+    return lambda: len(calls.read_text().splitlines())
+
+
+def test_sweep_point_equals_standalone_run(tmp_path, guess_calls):
     cfg = fast_config(tmp_path / "sweep")
     assert main(["run", str(write_config(tmp_path, cfg)), "--sweep", "D=2,4"]) == EXIT_OK
-    assert len(calls.read_text().splitlines()) == 1  # one start for the whole sweep
+    assert guess_calls() == 1  # one start for the whole sweep
     for v in (2.0, 4.0):
         point, alone = tmp_path / "sweep" / f"D_{v:g}", tmp_path / f"alone_{v:g}"
         data = json.loads(json.dumps(cfg))
@@ -1250,7 +1259,7 @@ def test_sweep_point_equals_standalone_run(tmp_path, monkeypatch):
         # the point did not shoot, so it reports no shooting time
         assert sorted(timings[0]) == ["A", "B", "C"]
         assert sorted(timings[1]) == ["A", "B", "C", "shooting"]
-    assert len(calls.read_text().splitlines()) == 3
+    assert guess_calls() == 3
 
 
 def test_sweep_failed_start_is_reported_per_point(tmp_path, capsys):
@@ -1266,17 +1275,20 @@ def test_sweep_failed_start_is_reported_per_point(tmp_path, capsys):
         "D,c_one_dim,c_wentzell,c_system\n2,nan,nan,nan\n4,nan,nan,nan\n")
 
 
-def test_a_failed_sweep_start_leaves_each_point_as_its_plain_run(tmp_path):
+def test_a_failed_sweep_start_leaves_each_point_as_its_plain_run(tmp_path, guess_calls):
     # the start fails (theta 0.9 gives c <= 0) over a sweep that succeeded:
-    # each point's directory is then reset as a plain run's whose start fails,
-    # with no checkpoint, profile or summary of the earlier run left in it
+    # each point then runs its own start, which fails as its plain run's does,
+    # so its directory is reset as that run's, with no checkpoint, profile or
+    # summary of the earlier run left in it
     out = tmp_path / "out"
     cfg = fast_config(out)
     cfg["continuation"]["target_stage"] = "A"
     cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 5}
     assert main(["run", str(write_config(tmp_path, cfg)), "--sweep", "D=2,4"]) == EXIT_OK
+    assert guess_calls() == 1  # the shared start alone
     cfg["nonlinearity"]["theta"] = 0.9
     assert main(["run", str(write_config(tmp_path, cfg)), "--sweep", "D=2,4"]) == EXIT_SOLVER
+    assert guess_calls() == 1 + 1 + 2  # the shared start, then each point's own
     for v in (2.0, 4.0):
         point, alone = out / f"D_{v:g}", tmp_path / f"alone_{v:g}"
         data = json.loads(json.dumps(cfg))
@@ -1472,6 +1484,43 @@ def test_benchmark_hook_points(completed_run, tmp_path):
         assert {"cli._sweep_worker", "cli.execute_run",
                 "continuation.continue_wentzell"} <= spans, dump.name
         assert "solver.solve_1d_ignition_shooting" not in spans, dump.name  # the shared start
+
+
+TRACER_ONLY = "# noqa: F401 (not called; kept for perfbench/tracer.py)"
+
+TRACER_REPLACES = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+names = json.loads(sys.argv[3])
+owners = [(importlib.import_module("stripwave." + name.partition(".")[0]),
+           name.partition(".")[2]) for name in names]
+before = [getattr(module, attr) for module, attr in owners]
+tracer.instrument(tracer.Tracer(), sys.argv[2])
+print(json.dumps([name for name, (module, attr), value in zip(names, owners, before)
+                  if getattr(module, attr) is value]))
+"""
+
+
+def test_the_names_kept_for_the_tracer_are_the_ones_it_replaces(tmp_path):
+    # src/ keeps a few names only for perfbench/tracer.py: each import tagged
+    # TRACER_ONLY, and solver.linear_solve, which Newton does not call.  Each
+    # must be an attribute that the tracer's `instrument` replaces on its
+    # module; once the tracer stops patching one, this fails, and the name
+    # can go (ROADMAP item 14).  Nothing is written under perfbench/
+    src = Path(stripwave.__file__).resolve().parent
+    kept = ["solver.linear_solve"]
+    for path in sorted(src.glob("*.py")):
+        for line in path.read_text().splitlines():
+            if line.endswith(TRACER_ONLY):
+                kept.append(f"{path.stem}.{line.split(' import ')[1].split()[0]}")
+    assert len(kept) > 1, "no import carries the tag"
+    perfbench = src.parents[1] / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", TRACER_REPLACES, str(perfbench), str(tmp_path),
+                           json.dumps(kept)], capture_output=True, text=True, timeout=120,
+                          env=subprocess_env(PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [], kept
 
 
 def test_a_traced_benchmark_call(tmp_path, monkeypatch):

@@ -80,7 +80,7 @@ def test_c_column_zero_for_flat_state():
     family = HomotopyFamily.wentzell(0.8)
     state = make_state(grid, family)
     J = assemble_jacobian(state, PARAMS, SPEC, grid)
-    col = J.toarray()[:, -1]
+    col = csc_reference(J).toarray()[:, -1]
     assert np.all(col == 0.0)
 
 
@@ -92,7 +92,7 @@ def test_interior_diagonal_matches_hand_stencil():
     rng = np.random.default_rng(7)
     psi = rng.uniform(0.0, 1.0, size=(5, 5))
     state = make_state(grid, HomotopyFamily.wentzell(0.3), psi=psi, c=0.4)
-    J = assemble_jacobian(state, PARAMS, SPEC, grid).toarray()
+    J = csc_reference(assemble_jacobian(state, PARAMS, SPEC, grid)).toarray()
     index, _ = field_views(np.arange(J.shape[0]), grid, state.family)
     for j in range(1, 4):
         for i in range(1, 4):
@@ -180,7 +180,7 @@ def test_interior_block_structurally_symmetric():
     rng = np.random.default_rng(3)
     psi = rng.uniform(0.0, 1.0, size=(grid.ny, grid.nx))
     state = make_state(grid, HomotopyFamily.wentzell(0.7), psi=psi, c=0.4)
-    J = assemble_jacobian(state, PARAMS, SPEC, grid).toarray()
+    J = csc_reference(assemble_jacobian(state, PARAMS, SPEC, grid)).toarray()
     index, _ = field_views(np.arange(J.shape[0]), grid, state.family)
     interior = index[1:-1, 1:-1].ravel()
     sub = J[np.ix_(interior, interior)]
@@ -203,9 +203,10 @@ def test_jacobian_is_banded_and_pins_its_anchor(nx, half_ny, anchor, family, see
     again = assemble_jacobian(state, PARAMS, SPEC, grid)
     # bit for bit, signed zeros included (at s = 0 the top rows hold -0.0)
     assert J.diags.tobytes() == again.diags.tobytes() and J.b.tobytes() == again.b.tobytes()
-    # every diagonal slot whose column lies outside J holds 0: the dense J's
-    # diagonals are J.diags, and the phase row pins the anchor
-    dense = J.toarray()
+    # every diagonal slot whose column lies outside J holds 0: the diagonals of
+    # the dense J (its scipy reference, equal by value: it drops the sign of a
+    # -0.0) are J.diags, and the phase row pins the anchor
+    dense = csc_reference(J).toarray()
     m, n = grid.ny + family.is_exchange, J.shape[0] - 1
     assert J.m == m and J.anchor == grid.anchor_ix * m + grid.anchor_iy
     for row, o in zip(J.diags, J.offsets):

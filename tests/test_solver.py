@@ -422,7 +422,8 @@ def test_guess_lower_bracket_end_raises_at_the_confirmation(rk4_steps):
 
 def reference_shooting(d, spec, tol, factor):
     """Reference: a plain bisection run wholly at `factor` times the fine step,
-    on the reference RK4 (`conftest.rk4`).
+    on the reference RK4 (`conftest.rk4`).  Its upper end is doubled at most
+    20 times, as the shooting's is, before it refuses.
 
     Returns x, psi, c and whether the upper end had to be doubled."""
     c_bound = c_max(ModelParams(d=d, D=d, mu=1.0, L=1.0), spec)
@@ -437,7 +438,11 @@ def reference_shooting(d, spec, tol, factor):
 
     lo = c_floor = max(tol, 1e-10)
     hi = c_bound
-    while classify_at(hi) != 1:
+    for doublings in itertools.count():
+        if classify_at(hi) == 1:
+            break
+        if doublings == 20:
+            raise BracketNotFound("no overshooting speed found while doubling the upper bracket")
         hi *= 2.0
     doubled = hi != c_bound
     while hi - lo > tol:
@@ -545,11 +550,16 @@ def test_shooting_fallback_to_the_coarse_step(monkeypatch, caplog, rk4_steps, sh
     coarsest = 10**9 * solver.COARSE
     if shoot is solver.one_dim_guess:
         # the guess has no finer rung to fall back to: its upper end never
-        # overshoots, and it refuses after 20 doublings
+        # overshoots, and it refuses after 20 doublings, as the plain
+        # bisection on that rung does
         monkeypatch.setattr(solver, "LADDER", 10**9)
+        with pytest.raises(BracketNotFound) as reference:
+            guess_shooting(1.0, CUBIC, 1e-9)
         with caplog.at_level(logging.INFO, logger="stripwave.solver"):
-            with pytest.raises(BracketNotFound, match="while doubling the upper bracket"):
+            with pytest.raises(BracketNotFound) as refusal:
                 shoot(1.0, CUBIC, tol=1e-9)
+        assert str(refusal.value) == str(reference.value)
+        assert "while doubling the upper bracket" in str(refusal.value)
         assert "not confirmed" not in caplog.text
         assert rungs(rk4_steps, 1.0, CUBIC) == {coarsest: 21}
         return
@@ -631,6 +641,15 @@ def test_bisection_ends_below_the_resolution_of_doubles(root, tol):
 @pytest.mark.parametrize("shoot", [solve_1d_ignition_shooting, solver.one_dim_guess],
                          ids=["oracle", "guess"])
 def test_shooting_below_the_resolution_of_doubles(monkeypatch, shoot):
+    if shoot is solver.one_dim_guess:
+        # the guess floors its tol at GUESS_TOL, far above the spacing of
+        # doubles: tol = 1e-16 gives the floats of tol = GUESS_TOL
+        floor = shoot(1.0, PLO25, tol=solver.GUESS_TOL)
+        wave = shoot(1.0, PLO25, tol=1e-16)
+        assert wave.c == floor.c
+        assert wave.x.tobytes() == floor.x.tobytes()
+        assert wave.psi.tobytes() == floor.psi.tobytes()
+        return
     # c = 1.5 for the oracle at theta = 0.25, where doubles lie 2.2e-16 apart:
     # tol = 1e-16 ends at a bracket one spacing wide, with the speed of tol = 1e-15
     c = shoot(1.0, PLO25, tol=1e-15).c
