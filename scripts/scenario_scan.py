@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Run the 23-scenario scan on the 481 x 11 grid, optionally against a second checkout.
+"""Run the 23-scenario scan on one grid, optionally against a second checkout.
 
-Usage: python scripts/scenario_scan.py [--against CHECKOUT] [--keep DIR] [NAME ...]
+Usage: python scripts/scenario_scan.py [--grid NXxNY] [--against CHECKOUT] [--keep DIR]
+                                       [NAME ...]
 
-The scenarios are the default configuration on 481 x 11 and one change each
-of D (0.25, 0.5, 1, 2, 8), theta (0.05, 0.1, 0.2, 0.4, 0.5, 0.6), mu (0.2,
-0.5, 2, 5), L (0.25, 0.5, 2, 4) and d (0.5, 2, 4); NAMEs pick some of them.
-Each one is a `wave run` in a fresh interpreter that imports stripwave from
-a checkout's `src/`.  One line per scenario gives the exit code, the error
-type (`-` for none), the `path.csv` rows, the Newton factorizations, the
-Newton iterations of the s = 0 start's correction on three rows (`-` when it
-raised) and the final `c` to 17 digits.
+The scenarios are the default configuration on the grid (`--grid`, 481 x 11
+unless given, always over [-160, 80]) and one change each of D (0.25, 0.5,
+1, 2, 8), theta (0.05, 0.1, 0.2, 0.4, 0.5, 0.6), mu (0.2, 0.5, 2, 5), L
+(0.25, 0.5, 2, 4) and d (0.5, 2, 4); NAMEs pick some of them.  Each one is a
+`wave run` in a fresh interpreter that imports stripwave from a checkout's
+`src/`.  One line per scenario gives the exit code, the error type (`-` for
+none), the `path.csv` rows, the Newton factorizations on the grid's columns
+(the s = 0 start's three rows included) and on fewer columns (a Wentzell
+march's coarse level), the Newton iterations of the s = 0 start's
+correction on three rows (`-` when it raised) and the final `c` to 17
+digits.
 
 With `--against CHECKOUT` every scenario also runs on that checkout, and
 every output file of the two runs is compared byte for byte, `summary.json`
@@ -31,26 +35,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# one `wave run` with every Newton factorization counted and the Newton
+# one `wave run` with every Newton factorization counted, on the grid's
+# columns or on fewer (J holds `m` unknowns per column), and the Newton
 # iterations of its s = 0 start's correction on three rows, the run's first
-# Newton solve (`continuation.one_dim_start`), recorded; prints both
+# Newton solve (`continuation.one_dim_start`), recorded; prints all three
 CHILD = """
 import json, sys
+from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from stripwave import cli, continuation, solver
-count, start = 0, []
+nx = json.loads(Path(sys.argv[2]).read_text())["grid"]["nx"]
+count, coarse, start = 0, 0, []
 factorize, newton_solve = solver.factorize, continuation.newton_solve
-def counted(*args):
-    global count
-    count += 1
-    return factorize(*args)
+def counted(J):
+    global count, coarse
+    if J.b.size // J.m < nx:
+        coarse += 1
+    else:
+        count += 1
+    return factorize(J)
 def recorded(*args):
     result = newton_solve(*args)
     start.append(result.iterations)
     return result
 solver.factorize, continuation.newton_solve = counted, recorded
 code = cli.main(["run", sys.argv[2]])
-print(json.dumps({"exit": code, "factorizations": count,
+print(json.dumps({"exit": code, "factorizations": count, "coarse_factorizations": coarse,
                   "start_iterations": start[0] if start else "-"}))
 """
 
@@ -72,11 +82,13 @@ CHANGES = [("D", v) for v in (0.25, 0.5, 1.0, 2.0, 8.0)] + \
     [("d", v) for v in (0.5, 2.0, 4.0)]
 
 
-def scenarios() -> dict[str, dict]:
-    """{name: config}, the default first."""
-    out = {"default": BASE}
+def scenarios(grid: tuple[int, int] = (481, 11)) -> dict[str, dict]:
+    """{name: config} on the grid (nx, ny), the default first."""
+    base = json.loads(json.dumps(BASE))
+    base["grid"].update(nx=grid[0], ny=grid[1])
+    out = {"default": base}
     for field, value in CHANGES:
-        cfg = json.loads(json.dumps(BASE))
+        cfg = json.loads(json.dumps(base))
         section = "nonlinearity" if field == "theta" else "params"
         cfg[section][field] = value
         out[f"{field}={value:g}"] = cfg
@@ -120,13 +132,23 @@ def differing(ours: Path, theirs: Path) -> list[str]:
                           and comparable(ours / name) == comparable(theirs / name)))
 
 
+def grid_size(text: str) -> tuple[int, int]:
+    """(nx, ny) of an `NXxNY` argument."""
+    nx, sep, ny = text.partition("x")
+    if not (sep and nx.isdigit() and ny.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected NXxNY, such as 961x41, got {text!r}")
+    return int(nx), int(ny)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--grid", type=grid_size, default=(481, 11),
+                        help="the grid's nodes as NXxNY (default 481x11)")
     parser.add_argument("names", nargs="*", help="scenarios to run (default: all)")
     parser.add_argument("--against", type=Path, help="a second checkout to compare with")
     parser.add_argument("--keep", type=Path, help="keep every output under this new directory")
     args = parser.parse_args(argv)
-    table = scenarios()
+    table = scenarios(args.grid)
     unknown = set(args.names) - set(table)
     if unknown:
         parser.error(f"unknown scenarios {sorted(unknown)}; known: {', '.join(table)}")
@@ -139,11 +161,13 @@ def main(argv=None) -> int:
             ours = run(ROOT, table[name], base / "this" / name)
             line = (f"{name:10} exit={ours['exit']} error={ours['error']} rows={ours['rows']} "
                     f"factorizations={ours['factorizations']} "
+                    f"coarse_factorizations={ours['coarse_factorizations']} "
                     f"start_iterations={ours['start_iterations']} c={ours['c']}")
             if args.against:
                 theirs = run(args.against.resolve(), table[name], base / "against" / name)
                 diff = differing(base / "this" / name / "out", base / "against" / name / "out")
-                diff += [key for key in ("factorizations", "start_iterations")
+                diff += [key for key in ("factorizations", "coarse_factorizations",
+                                         "start_iterations")
                          if theirs[key] != ours[key]]
                 line += "  " + ("same" if not diff else "DIFFER: " + " ".join(diff))
                 status |= bool(diff)

@@ -8,10 +8,10 @@ mu*phi = psi(.,0) + eps0 * d * dpsi/dy(.,0) (the exchange condition
 solved for phi at first order in eps).  Stage C raises eps from eps0
 to 1.
 
-Natural-parameter continuation with a secant predictor is sufficient:
-the wave speed is a single-valued function of the stage parameter (no
-folds), so a failure at the minimum step aborts loudly instead of
-triggering arclength machinery.  The paper proves the wave unique up to
+Natural-parameter continuation is sufficient: the wave speed is a
+single-valued function of the stage parameter (no folds), so a failure at
+the minimum step aborts loudly instead of triggering arclength machinery.
+The paper proves the wave unique up to
 translation and the phase condition fixes the translate, so a step cannot
 jump to another branch: the only wrong state a trial can reach is a
 non-physical discrete solution, which its record's certificates catch.
@@ -24,6 +24,21 @@ once per step whatever the step, so a longer step is still cheap (the
 step-length adaptation of predictor-corrector continuation, Allgower and
 Georg, *Introduction to Numerical Continuation Methods*, SIAM 2003,
 ch. 6).  The next step travels in the accepted record's `step`.
+
+A Wentzell trial's Newton starts from a two-grid predictor (Xu, SIAM J.
+Numer. Anal. 33, 1996) on grids with a coarse level (`coarse_level`: every
+second column and `COARSE_ROWS` rows of the same window): the record's
+state plus the bilinear prolongation of u_H(trial) - u_H(s), with c moved
+by the same coarse increment, where u_H(s) is the record's injected state
+solved on the coarse level at its s and u_H(trial) that solution solved
+again at the trial.  A secant step misses the Wentzell path by enough that
+the chord Newton contracts slowly; the two-grid predictor starts it inside
+its quadratic region.  The secant through the record's previous state (the
+record's state itself at a march's start) remains for stage C, where it
+already lands within a few iterations, on grids without a coarse level,
+and as the fallback when a coarse solve fails.  The predictor is a
+function of the record alone, so nothing but the record is carried from
+one step to the next.
 
 Each march starts from a record, its restart point (a record holds the
 step of the next trial and the previous accepted state), sends its sink
@@ -178,22 +193,112 @@ def make_record(stage: str, state: WaveState, residual_norm: float, params: Mode
 
 # an accepted step's growth (see the module docstring)
 STEP_GROWTH = 3.0
+# the rows of a Wentzell march's coarse level (`coarse_level`)
+COARSE_ROWS = 5
+# the fewest rows of a grid with a coarse level.  Stage A of the default run
+# in process, the secant -> the two-grid predictor (wall ms, medians of 16
+# alternating pairs, 8 from 41 rows on; one BLAS thread, shared 2-vCPU VM;
+# 11 rows on a 3-row coarse level):
+#     rows   481 columns            961 columns            1921 columns
+#     11     23.3 -> 23.9 (+0.5)    43.4 -> 40.0 (-4.1)
+#     13     39.4 -> 43.5 (+4.1)    75.4 -> 66.7 (-8.1)
+#     17     49.8 -> 51.4 (+2.0)    92.0 -> 73.3 (-19)
+#     21     60.4 -> 57.2 (-5.1)    99.6 -> 78.2 (-25)
+#     41     149 -> 109 (-41)       247 -> 150 (-97)       468 -> 248 (-228)
+# The coarse solves cost a few ms whatever ny, and save fine iterations whose
+# cost grows like nx ny^2: from 21 rows on they pay on both widths
+TWO_GRID_MIN_ROWS = 21
+
+
+def coarse_level(grid: Grid) -> Grid | None:
+    """The nested grid of every second column and `COARSE_ROWS` rows of
+    `grid`'s window, anchor included, on which a Wentzell march predicts its
+    trials; None when `grid` has too few rows or the nodes do not nest."""
+    if (grid.ny < TWO_GRID_MIN_ROWS or (grid.nx - 1) % 2 or (grid.ny - 1) % (COARSE_ROWS - 1)
+            or grid.anchor_ix % 2):
+        return None
+    return Grid(grid.x_left, grid.x_right, grid.L, (grid.nx - 1) // 2 + 1, COARSE_ROWS)
+
+
+def _prolong(coarse: np.ndarray, ny: int) -> np.ndarray:
+    """Bilinear prolongation of a field on a coarse level to `ny` rows and
+    the columns between its columns."""
+    rows, cols = coarse.shape
+    fy = (ny - 1) // (rows - 1)
+    along_x = np.empty((rows, 2 * cols - 1))
+    along_x[:, ::2] = coarse
+    along_x[:, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
+    w = (np.arange(fy) / fy)[:, None]
+    out = np.empty((ny, along_x.shape[1]))
+    out[:-1].reshape(rows - 1, fy, -1)[...] = (along_x[:-1, None] * (1.0 - w)
+                                              + along_x[1:, None] * w)
+    out[-1] = along_x[-1]
+    return out
+
+
+def _predict(record: ContinuationRecord, trial: float, base: NewtonResult | SolverError | None,
+             params: ModelParams, spec: NonlinearitySpec, grid: Grid, coarse: Grid | None,
+             newton_opts: NewtonOptions) -> tuple[WaveState, NewtonResult | SolverError | None,
+                                                  str]:
+    """The start of the trial at `trial` from `record`, u_H(s) for the
+    record's retries, and how the start was made.
+
+    `base` is u_H(s), the record's injected state solved on the coarse level,
+    as a `NewtonResult` or the `SolverError` its solve raised; None before
+    the record's first trial, which solves it.  Without a coarse level, or
+    when a coarse solve fails, the start is the secant predictor.
+    """
+    state, prev, param = record.state, record.prev_state, record.parameter
+    family = state.family.with_parameter(trial)
+    if coarse is not None:
+        if base is None:
+            fy = (grid.ny - 1) // (coarse.ny - 1)
+            injected = WaveState(c=state.c, psi=state.psi[::fy, ::2].copy(), phi=None,
+                                 family=state.family)
+            try:
+                base = newton_solve(injected, params, spec, coarse, newton_opts)
+            except SolverError as exc:
+                base = exc
+        failure = base
+        if isinstance(base, NewtonResult):
+            try:
+                at_trial = newton_solve(WaveState(c=base.state.c, psi=base.state.psi, phi=None,
+                                                  family=family), params, spec, coarse,
+                                        newton_opts)
+            except SolverError as exc:
+                failure = exc
+            else:
+                psi = _prolong(at_trial.state.psi - base.state.psi, grid.ny)
+                psi += state.psi
+                how = (f"two-grid predictor, {base.iterations + at_trial.iterations} iterations "
+                       f"and {base.factorizations + at_trial.factorizations} factorizations on "
+                       f"{coarse.nx} x {coarse.ny}")
+                return (WaveState(c=state.c + (at_trial.state.c - base.state.c), psi=psi,
+                                  phi=None, family=family), base, how)
+        logger.info("two-grid predictor failed on %d x %d (%s); secant predictor", coarse.nx,
+                    coarse.ny, failure)
+    u_pred = u = state_to_vector(state, grid)
+    if prev is not None:
+        factor = (trial - param) / (param - prev.family.parameter)
+        u_pred = u + factor * (u - state_to_vector(prev, grid))
+    return vector_to_state(u_pred, grid, family), base, "secant predictor"
 
 
 def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
            newton_opts: NewtonOptions, opts: ContinuationOptions, target: float,
            stage: str, sink: RecordSink | None) -> ContinuationRecord:
+    """March from `start` to `target`: each trial starts from `_predict`'s
+    predictor, two-grid for a Wentzell march on a grid with a coarse level,
+    otherwise the secant (module docstring)."""
     if target < start.parameter - PARAMETER_TOL:
         raise ParameterNotMonotone(f"target {target} is below current parameter {start.parameter}")
-    record, step = start, start.step
+    coarse = coarse_level(grid) if start.family.is_wentzell else None
+    record, step, base = start, start.step, None
     while record.parameter < target - PARAMETER_TOL:
-        state, prev, param = record.state, record.prev_state, record.parameter
+        state, param = record.state, record.parameter
         trial = min(param + step, target)
-        u_pred = u = state_to_vector(state, grid)
-        if prev is not None:
-            factor = (trial - param) / (param - prev.family.parameter)
-            u_pred = u + factor * (u - state_to_vector(prev, grid))
-        pred_state = vector_to_state(u_pred, grid, state.family.with_parameter(trial))
+        pred_state, base, how = _predict(record, trial, base, params, spec, grid, coarse,
+                                         newton_opts)
         try:
             result = newton_solve(pred_state, params, spec, grid, newton_opts)
         except SolverError as exc:
@@ -211,12 +316,12 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
                 raise StepCollapse(f"continuation step below {opts.min_step} at "
                                    f"{stage} parameter {param:.6f}: {reason}")
             continue
-        record, step = solved, solved.step
+        record, step, base = solved, solved.step, None
         if sink is not None:
             sink(record)
-        logger.info("%s parameter %.6f: c = %.8f (%d iterations, %d factorizations); next step "
-                    "%.6g", stage, trial, record.c, result.iterations, result.factorizations,
-                    step)
+        logger.info("%s parameter %.6f: c = %.8f (%d iterations, %d factorizations; %s); next "
+                    "step %.6g", stage, trial, record.c, result.iterations,
+                    result.factorizations, how, step)
     return record
 
 

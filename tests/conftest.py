@@ -52,19 +52,20 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
     start `wave run` takes (`one_dim_guess`, then `one_dim_start`).
 
     Returns a dict with the stage end records, the handoff result, every
-    record of the path (s = 0, the A steps, B, the C steps), the number of
-    block rows each Newton factorization eliminated by cyclic reduction
-    (`tails`, 0 for none), the shooting oracle's front (`one_dim`) and the
-    shared inputs, reused by most acceptance criteria.
+    record of the path (s = 0, the A steps, B, the C steps), each Newton
+    factorization's columns, block width m and the number of block rows it
+    eliminated by cyclic reduction (`tails`, K = 0 for none), the shooting
+    oracle's front (`one_dim`) and the shared inputs, reused by most
+    acceptance criteria.
     """
     cont = ContinuationOptions()
     tails = []
     with pytest.MonkeyPatch.context() as patch:
         factorize = solver.factorize
 
-        def counted(*args):
-            lu = factorize(*args)
-            tails.append(lu.tail.K)
+        def counted(J):
+            lu = factorize(J)
+            tails.append((J.b.size // J.m, J.m, lu.tail.K))
             return lu
 
         patch.setattr(solver, "factorize", counted)

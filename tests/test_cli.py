@@ -3,6 +3,7 @@ import base64
 import dataclasses
 import importlib.util
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -927,6 +928,50 @@ def test_resume_matches_uninterrupted(completed_run, tmp_path, stage):
         assert fields[0] == fields[1] and len(fields[0]) == (1 if ran == "A" else 2), ran
 
 
+def test_resume_on_a_grid_with_a_coarse_level_matches_uninterrupted(tmp_path, caplog):
+    # 241 x 21, the fewest rows with a coarse level (121 x 5): each stage A trial
+    # starts from the two-grid predictor, a function of its record alone, so a
+    # resume from the run's first records writes the uninterrupted rows byte for byte
+    out = tmp_path / "out"
+    cfg = fast_config(out, checkpoint_every=1)
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 21}
+    with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
+        assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    assert sum("; two-grid predictor, " in line for line in caplog.messages) == 3
+    full = (out / "path.csv").read_bytes().splitlines(keepends=True)
+    for row in (1, 2):
+        resumed_out = tmp_path / f"resumed_{row}"
+        cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out)), "resume.json")
+        assert main(["resume", str(out / f"ckpt_{row:04d}_A.json"), str(cfg_path)]) == EXIT_OK
+        resumed = (resumed_out / "path.csv").read_bytes().splitlines(keepends=True)
+        assert resumed == full[:1] + full[1 + row:]
+
+
+def test_a_run_without_a_coarse_level_keeps_the_secant_path(completed_run, monkeypatch,
+                                                             tmp_path):
+    # 481 x 11 has no coarse level: its stage A marches on the secant
+    # predictor, every Newton solve is on the run's grid or the start's three
+    # rows, and its speeds are the bits the secant-only march wrote
+    _, out, cfg, _ = completed_run
+    assert continuation.coarse_level(config_from_dict(cfg).grid) is None
+    _, rows = read_rows(out / "path.csv")
+    assert [r["c"] for r in rows] == [
+        "0.26338322826838345", "0.28311981735407071", "0.30265263685368021",
+        "0.29399400704061945", "0.29391476264584637", "0.29375489429815704",
+        "0.29326260675474575", "0.29232586899203317"]
+    solve, grids = continuation.newton_solve, set()
+
+    def recorded(init, params, spec, grid, opts):
+        grids.add((grid.nx, grid.ny))
+        return solve(init, params, spec, grid, opts)
+
+    monkeypatch.setattr(continuation, "newton_solve", recorded)
+    rerun = tmp_path / "rerun"
+    assert main(["run", str(write_config(tmp_path, dict(cfg, output_dir=str(rerun))))]) == EXIT_OK
+    assert grids == {(481, 3), (481, 11)}
+    assert (rerun / "path.csv").read_bytes() == (out / "path.csv").read_bytes()
+
+
 # a resume from the end of stage C, the last target, is refused: nothing is left to run
 # (test_resume_past_the_target_stage_is_refused)
 @pytest.mark.parametrize("stage", ["A"])
@@ -1406,6 +1451,22 @@ def test_scenario_scan_script(tmp_path):
     (theirs / "path.csv").write_bytes((ours / "path.csv").read_bytes() + b"\n")
     (theirs / "extra.csv").write_text("")
     assert scan.differing(ours, theirs) == ["extra.csv", "path.csv"]
+
+
+def test_scenario_scan_counts_the_coarse_level_apart():
+    # on 241 x 21, the fewest rows with a coarse level, each stage A step factors
+    # twice on 121 x 5; the fine count keeps the s = 0 start's three rows
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "scenario_scan.py"),
+                           "--grid", "241x21", "default"],
+                          capture_output=True, text=True, timeout=600, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("default    exit=0 error=- rows=8 factorizations=8 "
+                                  "coarse_factorizations=6 start_iterations=")
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "scenario_scan.py"),
+                           "--grid", "241by21", "default"],
+                          capture_output=True, text=True, timeout=600, env=subprocess_env())
+    assert proc.returncode == 2 and "expected NXxNY, such as 961x41, got '241by21'" in proc.stderr
 
 
 def test_readme_library_snippet(tmp_path):

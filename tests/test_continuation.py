@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from stripwave import continuation
+from stripwave import continuation, solver
 from stripwave import (ContinuationOptions, HomotopyFamily, ModelParams, NewtonOptions,
                        NonlinearityKind, NonlinearitySpec, WaveState, assemble_residual,
                        build_grid, continue_exchange, continue_wentzell, embed_one_dim_wave,
                        handoff_to_system, make_record, newton_solve, one_dim_guess,
                        one_dim_start, solve_1d_ignition_shooting)
 from stripwave.continuation import check_extents
-from stripwave.errors import (ExtentTooSmall, NegativeSpeed, ParameterNotMonotone,
-                              StepCollapse, WrongFamily)
+from stripwave.errors import (ExtentTooSmall, MaxItersExceeded, NegativeSpeed,
+                              ParameterNotMonotone, StepCollapse, WrongFamily)
 
 PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 CUBIC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
@@ -249,15 +249,22 @@ def test_pinned_default_path_speeds(full_path, refined_wentzell_states):
 def test_default_path_eliminates_the_tail_at_every_factorization(full_path):
     # the records' (stage, parameter) as path.csv writes them, every step grown
     # 3 times; every Newton factorization of the 961 x 41 run, one per step,
-    # eliminates all its equal block rows, 604 to 627 as the front moves, by
+    # eliminates all its equal block rows, 611 to 624 as the front moves, by
     # cyclic reduction. The s = 0 start factors once on 961 x 3 (m = 3 <
     # TAIL_MIN_WIDTH, so no tail), and its broadcast row needs no
-    # factorization on 961 x 41
+    # factorization on 961 x 41. Each stage A step first solves twice on the
+    # coarse level 481 x 5, one factorization each (m = 5, no tail)
     rows = [(r.stage, f"{r.parameter:.17g}") for r in full_path["records"]]
     assert rows == [("A", "0"), ("A", "0.10000000000000001"), ("A", "0.40000000000000002"),
                     ("A", "1"), ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
                     ("C", "0.45000000000000007"), ("C", "1")]
-    assert full_path["tails"] == [0, 627, 615, 604, 611, 611, 611, 612, 613]
+    fine = [(m, K) for columns, m, K in full_path["tails"] if columns == 961]
+    assert fine == [(3, 0), (41, 624), (41, 619), (41, 611), (42, 611), (42, 611), (42, 612),
+                    (42, 613)]
+    coarse = [(m, K) for columns, m, K in full_path["tails"] if columns != 961]
+    assert coarse == [(5, 0)] * 6 and continuation.COARSE_ROWS < solver.TAIL_MIN_WIDTH
+    order = [columns for columns, _, _ in full_path["tails"]]
+    assert order == [961] + [481, 481, 961] * 3 + [961] * 4
 
 
 def test_handoff_correction_budget(full_path):
@@ -364,3 +371,155 @@ def test_one_dim_start_corrects_an_unconverged_broadcast(monkeypatch):
     assert start.iterations == 0 and off.iterations > 0
     assert off.residual_norm <= opts.tol_residual
     assert abs(off.state.c - start.state.c) <= 1e-9 * start.state.c
+
+
+# --- the two-grid predictor -------------------------------------------------------
+
+# (nx, ny, x_left, x_right): the coarse level's (nx, ny), or None
+COARSE_LEVELS = {
+    "961x41": (961, 41, -160.0, 80.0, (481, 5)),
+    "241x21": (241, 21, -160.0, 80.0, (121, 5)),
+    "481x11": (481, 11, -160.0, 80.0, None),  # too few rows
+    "961x11": (961, 11, -160.0, 80.0, None),
+    "961x31": (961, 31, -160.0, 80.0, None),  # the rows do not nest: 30 % 4 != 0
+    "even_nx": (960, 41, -160.0, 79.75, None),  # the columns do not nest
+    "odd_anchor": (963, 41, -160.25, 80.25, None),  # anchor column 641 is no coarse node
+}
+
+
+@pytest.mark.parametrize("name", COARSE_LEVELS)
+def test_coarse_level(name):
+    nx, ny, x_left, x_right, expected = COARSE_LEVELS[name]
+    grid = build_grid(PARAMS, x_left, x_right, nx, ny)
+    coarse = continuation.coarse_level(grid)
+    if expected is None:
+        assert coarse is None
+        return
+    assert (coarse.nx, coarse.ny) == expected
+    assert (coarse.x_left, coarse.x_right, coarse.L) == (grid.x_left, grid.x_right, grid.L)
+    # the anchor is a node of both grids, in the same place
+    assert 2 * coarse.anchor_ix == grid.anchor_ix and coarse.y[coarse.anchor_iy] == -PARAMS.L / 2
+
+
+def test_prolongation_is_bilinear_and_injection_undoes_it():
+    fine = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    coarse = continuation.coarse_level(fine)
+
+    def bilinear(grid):
+        return 0.3 + np.add.outer(2.0 * grid.y, 0.01 * grid.x) + np.outer(grid.y, 0.05 * grid.x)
+
+    prolonged = continuation._prolong(bilinear(coarse), fine.ny)
+    assert np.abs(prolonged - bilinear(fine)).max() <= 1e-12
+    assert np.array_equal(prolonged[::5, ::2], bilinear(coarse))
+
+
+@pytest.fixture(scope="module")
+def two_grid_setup():
+    """The s = 0 start record on 241 x 21, the fewest rows with a coarse level."""
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    start = one_dim_start(fronts(PARAMS.d, CUBIC)[1], PARAMS, CUBIC, grid, NewtonOptions())
+    return grid, make_record("A", start.state, start.residual_norm, PARAMS, CUBIC, grid,
+                             step=0.1)
+
+
+def march_records(grid, start, target=1.0):
+    records = []
+    continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target, sink=records.append)
+    return records
+
+
+def record_bits(records):
+    return [(r.state.psi.tobytes(), np.float64([r.parameter, r.c, r.step]).tobytes())
+            for r in records]
+
+
+def test_the_two_grid_predictor_changes_only_newtons_start(two_grid_setup, monkeypatch, caplog):
+    # each trial's fine Newton starts closer: fewer iterations, the same steps,
+    # and every record within Newton's tolerance of the secant march's
+    grid, start = two_grid_setup
+    solve, fine_iterations = continuation.newton_solve, {"two-grid": 0, "secant": 0}
+
+    def counting(side):
+        def counted(init, params, spec, on, opts):
+            result = solve(init, params, spec, on, opts)
+            fine_iterations[side] += result.iterations if on == grid else 0
+            return result
+        return counted
+
+    monkeypatch.setattr(continuation, "newton_solve", counting("two-grid"))
+    with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
+        two_grid = march_records(grid, start)
+    assert [line.partition("; ")[2].partition(")")[0] for line in caplog.messages] == [
+        "two-grid predictor, 13 iterations and 2 factorizations on 121 x 5",
+        "two-grid predictor, 14 iterations and 2 factorizations on 121 x 5",
+        "two-grid predictor, 15 iterations and 2 factorizations on 121 x 5"]
+    monkeypatch.setattr(continuation, "coarse_level", lambda grid: None)
+    monkeypatch.setattr(continuation, "newton_solve", counting("secant"))
+    secant = march_records(grid, start)
+    assert fine_iterations["two-grid"] < fine_iterations["secant"]
+    assert [r.parameter for r in two_grid] == [r.parameter for r in secant] == [0.1, 0.4, 1.0]
+    for ours, theirs in zip(two_grid, secant):
+        assert abs(ours.c - theirs.c) <= 1e-9 * theirs.c
+        assert np.abs(ours.state.psi - theirs.state.psi).max() <= 1e-8
+    # the predictor is a function of the record: a march resumed from any record
+    # takes the rest of the march's steps bit for bit
+    monkeypatch.undo()
+    for k, record in enumerate(two_grid):
+        assert record_bits(march_records(grid, record)) == record_bits(two_grid[k + 1:])
+
+
+@pytest.mark.parametrize("failing", ["record", "trial"])
+def test_a_failed_coarse_solve_falls_back_to_the_secant(two_grid_setup, monkeypatch, caplog,
+                                                        failing):
+    # a coarse solve that raises leaves each trial on the secant predictor: the
+    # march succeeds with the secant march's records, bit for bit, and the log
+    # names the failure. "record": u_H(s), solved once per record, fails;
+    # "trial": u_H(trial) fails
+    grid, start = two_grid_setup
+    monkeypatch.setattr(continuation, "coarse_level", lambda grid: None)
+    secant = record_bits(march_records(grid, start))
+    monkeypatch.undo()
+    solve, coarse_calls = continuation.newton_solve, []
+
+    def failing_coarse(init, params, spec, on, opts):
+        if on != grid:
+            coarse_calls.append(init.family.parameter)
+            # with u_H(s) failing no u_H(trial) is solved, else the two alternate
+            if failing == "record" or len(coarse_calls) % 2 == 0:
+                raise MaxItersExceeded("residual 1.000e+00 after 50 iterations")
+        return solve(init, params, spec, on, opts)
+
+    monkeypatch.setattr(continuation, "newton_solve", failing_coarse)
+    with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
+        assert record_bits(march_records(grid, start)) == secant
+    assert coarse_calls == ([0.0, 0.1, 0.4] if failing == "record"
+                            else [0.0, 0.1, 0.1, 0.4, 0.4, 1.0])
+    fallbacks = [line for line in caplog.messages if "failed" in line]
+    assert fallbacks == ["two-grid predictor failed on 121 x 5 (residual 1.000e+00 after 50 "
+                         "iterations); secant predictor"] * 3
+    assert all(line.endswith("; secant predictor); next step " + next_step)
+               for line, next_step in zip([m for m in caplog.messages if "failed" not in m],
+                                          ["0.3", "0.9", "2.7"]))
+
+
+def test_a_rejected_trial_reuses_the_records_coarse_solve(two_grid_setup, monkeypatch):
+    # the first trial's record fails a certificate; its retry at half the step
+    # solves u_H(trial) again, but not u_H(s)
+    grid, start = two_grid_setup
+    solve, diagnose = continuation.newton_solve, continuation.run_diagnostics
+    coarse_calls, made = [], []
+
+    def tracked(init, params, spec, on, opts):
+        if on != grid:
+            coarse_calls.append(init.family.parameter)
+        return solve(init, params, spec, on, opts)
+
+    def uncertified_first(*args):
+        made.append(diagnose(*args))
+        return dataclasses.replace(made[-1], monotone_ok=len(made) > 1)
+
+    monkeypatch.setattr(continuation, "newton_solve", tracked)
+    monkeypatch.setattr(continuation, "run_diagnostics", uncertified_first)
+    records = march_records(grid, start, target=0.1)
+    assert [r.parameter for r in records] == [0.05, 0.1]
+    assert coarse_calls == [0.0, 0.1, 0.05, 0.05, 0.1]
