@@ -47,15 +47,15 @@ from stripwave import cli, continuation, solver
 nx = json.loads(Path(sys.argv[2]).read_text())["grid"]["nx"]
 count, coarse, start = 0, 0, []
 factorize, newton_solve = solver.factorize, continuation.newton_solve
-def counted(J):
+def counted(J, *args, **kwargs):
     global count, coarse
     if J.b.size // J.m < nx:
         coarse += 1
     else:
         count += 1
-    return factorize(J)
-def recorded(*args):
-    result = newton_solve(*args)
+    return factorize(J, *args, **kwargs)
+def recorded(*args, **kwargs):
+    result = newton_solve(*args, **kwargs)
     start.append(result.iterations)
     return result
 solver.factorize, continuation.newton_solve = counted, recorded

@@ -20,8 +20,12 @@ x_a = r_N, so the anchor column of J is moved to the right-hand side and
 replaced by e_a.  The band matrix left, A~, is well conditioned because
 pinning the anchor removes the near-null translation mode, and J x = r becomes
 (A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
-rank-1 (Sherman-Morrison) correction solves.  The band holds about
-N (3m + 1) entries, so its memory grows like nx ny^2.
+rank-1 (Sherman-Morrison) correction solves.  Its w = A~^{-1} (b - e_a) is
+the second column of the first solve's band solve.  The band holds about
+N (3m + 1) entries, so its memory grows like nx ny^2.  It is the head of a
+workspace the caller owns (`band_workspace`, one per run) and passes to each
+factorization in turn; each rewrites every band entry LAPACK reads, so the
+workspace is memory, not solver state.
 
 Left of the front the reaction vanishes (f = f' = 0 for psi <= theta), so
 A~ is block tridiagonal there with one (L, D, U) per block row of m
@@ -31,14 +35,15 @@ unknowns: on the default 961 x 41 grid its block rows 1 .. T, T of 604 to
 exactly, by block cyclic reduction (Buzbee, Golub and Nielson, SIAM J.
 Numer. Anal. 7, 1970; Heller, SIAM J. Numer. Anal. 13, 1976) of any
 number of rows (Sweet, SIAM J. Numer. Anal. 14, 1977): each of the
-bit_length(T) levels eliminates every other remaining block row with one or
-two m x m LUs, and leaves a Schur complement on the diagonal block of row
-T + 1.  The band LU then factors only the unknowns from block column T + 1
-on (333 to 350 of 961 block columns on the default grid), and a solve
-reduces the right-hand side level by level, runs the band solve, and
-back-substitutes.  `cyclic_tail` reads T from J's diagonals and takes T = 0
-when m < `TAIL_MIN_WIDTH`.  The discrete problem is the same, solved with
-less arithmetic; it differs from a band LU of all of A~ at roundoff.
+bit_length(T) levels eliminates every other remaining block row with the
+inverses of one or two m x m blocks, applied as matrix products, and leaves
+a Schur complement on the diagonal block of row T + 1.  The band LU then
+factors only the unknowns from block column T + 1 on (333 to 350 of 961
+block columns on the default grid), and a solve reduces the right-hand side
+level by level, runs the band solve, and back-substitutes.  `cyclic_tail`
+reads T from J's diagonals and takes T = 0 when m < `TAIL_MIN_WIDTH`.  The
+discrete problem is the same, solved with less arithmetic; it differs from
+a band LU of all of A~ at roundoff.
 
 The Jacobian is factored at the first iterate and its LU is reused for
 later steps (the chord method; Kelley 2003, *Solving Nonlinear Equations
@@ -186,17 +191,6 @@ GUESS_TOL = 1e-7
 # with the tail (481 x 11, where the factorization gains nothing); from m = 21
 # on the factorization is 29-59% faster and the solve no slower.
 TAIL_MIN_WIDTH = 21
-# `BorderedBandLU` takes its band from the head of an array of at least this many
-# floats, just over 32 MiB: glibc's malloc maps every request that large and
-# unmaps it when it is freed, without raising its mmap threshold, so no band
-# stays in its heap.  Bands allocated at their own sizes, which vary with the
-# tail, were kept in the heap beside later mapped ones, and the default run's
-# peak memory moved between 63 and 76 MB with unrelated changes to small
-# allocations.  The pages past the band are never touched, so they take no
-# memory.  Peak memory of a default run with the band at its own size -> this
-# size (one run each): 961 x 41 63.4 (76 after those changes) -> 64.8 MB, 961 x 31
-# 54.8 -> 56.7, 961 x 21 48.3 -> 48.3, 481 x 11 42.2 -> 42.0
-BAND_MIN_FLOATS = 2**22 + 1
 
 
 @dataclass(frozen=True)
@@ -269,15 +263,17 @@ class CyclicTail:
     goes at every level and `schur` is what the levels take from its
     diagonal block.  The live rows share one (L, D, U) at each level, but the
     first, j = n, has no left neighbour left: once a level keeps it (n
-    even), it carries its own diagonal block, factored at the level that
+    even), it carries its own diagonal block, inverted at the level that
     eliminates it (n odd).  While every level eliminates it (K = 2^p - 1),
-    it stays equal to the others.
+    it stays equal to the others.  A level keeps the inverses of its blocks
+    and applies them as matrix products, to its own L and U and in `reduce`:
+    at m = 42 a GEMM ran 3 to 6 times as fast as dgetrs on 8 to 300 columns.
 
-    A level whose D or first block LAPACK reports exactly singular ends the
-    reduction there: at K = 2^l - 1, with the levels before it.  For that K
-    each of them eliminates the first row with D, and row 2^l's Schur
-    complement is the sum of their updates from the left, so the shorter
-    tail is exact too.
+    A level whose D or first block LAPACK's dgetrf reports exactly singular
+    ends the reduction there: at K = 2^l - 1, with the levels before it.
+    For that K each of them eliminates the first row with D, and row 2^l's
+    Schur complement is the sum of their updates from the left, so the
+    shorter tail is exact too.
     """
 
     def __init__(self, d0: np.ndarray, L: np.ndarray, D: np.ndarray | None,
@@ -287,21 +283,21 @@ class CyclicTail:
         first = None  # the first live row's own diagonal block, once it differs from D
         for l in range(K.bit_length()):
             n = K >> l
-            lu = piv = DL = DU = own = None
+            inv = DL = DU = own = None
             if n > 1 or first is None:  # a row with the blocks (L, D, U) is eliminated
-                lu, piv, info = lapack.dgetrf(D)
-                if info != 0:
+                inv = _inverse(D)
+                if inv is None:
                     break
-                DL, DU = np.hsplit(lapack.dgetrs(lu, piv, np.hstack([L, U]))[0], 2)
+                DL, DU = inv @ L, inv @ U
                 LDU = LFU = L @ DU
             if first is not None and n % 2:  # the first row is eliminated, with its own block
-                first_lu, first_piv, info = lapack.dgetrf(first)
-                if info != 0:
+                first_inv = _inverse(first)
+                if first_inv is None:
                     break
-                own = first_lu, first_piv, lapack.dgetrs(first_lu, first_piv, U)[0]
-                LFU = L @ own[2]
-            # D's LU, the blocks, D^{-1} L, D^{-1} U, and the first row's LU and F^{-1} U
-            self.levels.append((lu, piv, L, U, DL, DU, own))
+                own = first_inv, first_inv @ U
+                LFU = L @ own[1]
+            # D^{-1}, the blocks, D^{-1} L, D^{-1} U, and the first row's F^{-1} and F^{-1} U
+            self.levels.append((inv, L, U, DL, DU, own))
             self.schur += LFU if n == 1 else LDU  # the boundary row's left neighbour
             if n > 1:
                 UDL = U @ DL
@@ -313,12 +309,13 @@ class CyclicTail:
         else:
             return
         self.K = 2 ** len(self.levels) - 1  # a singular level l; `schur` has its levels only
-        self.levels = [level[:6] + (None,) for level in self.levels]
+        self.levels = [level[:5] + (None,) for level in self.levels]
 
     def _columns(self, r: np.ndarray) -> np.ndarray:
-        """Blocks 1 .. K + 1 of r as the columns of an (m, K + 1) view."""
+        """Blocks 1 .. K + 1 of r as the columns of an (m, K + 1) view, one
+        for each row of a (k, n) r."""
         m = self.d0.size
-        return r[m:(self.K + 2) * m].reshape(self.K + 1, m).T
+        return r[..., m:(self.K + 2) * m].reshape(r.shape[:-1] + (self.K + 1, m)).swapaxes(-1, -2)
 
     def _split(self, l: int, R: np.ndarray) -> tuple:
         """The columns of `_columns` that level l keeps (the boundary row's
@@ -326,39 +323,47 @@ class CyclicTail:
         first row, 0 when it eliminates it."""
         h, n = 1 << l, self.K >> l
         first, s = self.K - n * h, 1 - n % 2
-        return R[:, first + (1 - s) * h::2 * h], R[:, first + s * h:self.K:2 * h], s
+        return R[..., first + (1 - s) * h::2 * h], R[..., first + s * h:self.K:2 * h], s
 
     def reduce(self, r: np.ndarray) -> None:
         """Solve block row 0 and reduce blocks 1 .. K + 1 of r in place, level
         by level: block K + 1 is then the band part's first right-hand side.
         Each eliminated block is left as its diagonal block's inverse times
-        it, which `back_substitute` starts from."""
+        it, which `back_substitute` starts from.  r is one right-hand side or
+        a (k, n) array of k, reduced together."""
         m, R = self.d0.size, self._columns(r)
-        r[:m] /= self.d0
-        R[:, 0] -= self.L @ r[:m]  # row 1's left block times the Dirichlet block
-        for l, (lu, piv, L, U, _, _, own) in enumerate(self.levels):
+        r[..., :m] /= self.d0
+        R[..., :1] -= self.L @ r[..., :m, None]  # row 1's left block times the Dirichlet block
+        for l, (inv, L, U, _, _, own) in enumerate(self.levels):
             kept, gone, s = self._split(l, R)
             if own is not None:  # the first row, eliminated with its own block
-                gone[:, :1] = lapack.dgetrs(own[0], own[1], gone[:, :1])[0]
-            if lu is not None:
+                gone[..., :1] = own[0] @ gone[..., :1]
+            if inv is not None:
                 j = 0 if own is None else 1
-                gone[:, j:] = lapack.dgetrs(lu, piv, gone[:, j:])[0]
-            kept[:, s:] -= L @ gone
-            kept[:, :-1] -= U @ gone[:, 1 - s:]
+                gone[..., j:] = inv @ gone[..., j:]
+            kept[..., s:] -= L @ gone
+            kept[..., :-1] -= U @ gone[..., 1 - s:]
 
     def back_substitute(self, r: np.ndarray) -> None:
         """The eliminated blocks 1 .. K of r, in place, once `reduce` ran and
         block K + 1 holds its solution."""
         R = self._columns(r)
         for l in reversed(range(len(self.levels))):
-            lu, _, _, _, DL, DU, own = self.levels[l]
+            inv, _, _, DL, DU, own = self.levels[l]
             X, gone, s = self._split(l, R)
             if own is not None:  # the first row: no left neighbour, its own block
-                gone[:, :1] -= own[2] @ X[:, :1]
-            if lu is not None:
+                gone[..., :1] -= own[1] @ X[..., :1]
+            if inv is not None:
                 j = 0 if own is None else 1
-                gone[:, j:] -= DU @ X[:, s + j:]
-                gone[:, 1 - s:] -= DL @ X[:, :-1]
+                gone[..., j:] -= DU @ X[..., s + j:]
+                gone[..., 1 - s:] -= DL @ X[..., :-1]
+
+
+def _inverse(block: np.ndarray) -> np.ndarray | None:
+    """The inverse of a square block, None when dgetrf reports it exactly
+    singular; solved from I, as dgetri's left 10-100 times the backward error."""
+    lu, piv, info = lapack.dgetrf(block)
+    return None if info else lapack.dgetrs(lu, piv, np.eye(block.shape[0]), overwrite_b=1)[0]
 
 
 def cyclic_tail(J: Jacobian) -> CyclicTail:
@@ -397,14 +402,17 @@ class BorderedBandLU:
 
     `J` is a `Jacobian` as `assemble_jacobian` returns it, whose `m` and
     anchor a lie past block column 0 (ValueError otherwise).  Raises
-    LinearSolveFailed when the band matrix is exactly singular or the
-    rank-1 correction has a zero denominator.  Block rows 0 .. K are
-    eliminated first (`tail`, a `CyclicTail`), and the band holds only the
-    unknowns from `start` = (K + 1) m on: one strided slice of each of J's
-    diagonals.
+    LinearSolveFailed when the band matrix is exactly singular, and the
+    first solve raises it when the rank-1 correction has a zero denominator:
+    w = A~^{-1} (b - e_a) is the second column of that solve's band solve.
+    Block rows 0 .. K are eliminated first (`tail`, a `CyclicTail`), and the
+    band holds only the unknowns from `start` = (K + 1) m on: one strided
+    slice of each of J's diagonals, at the head of `work` (`band_workspace`)
+    or of an array of the band's size.  An LU whose band a later
+    factorization has taken refuses to solve.
     """
 
-    def __init__(self, J: Jacobian) -> None:
+    def __init__(self, J: Jacobian, work: np.ndarray | None = None) -> None:
         if not isinstance(J, Jacobian):
             raise ValueError("J is not a Jacobian as assemble_jacobian returns it")
         n, m, a = J.b.size, J.m, J.anchor
@@ -419,12 +427,17 @@ class BorderedBandLU:
         self.tail = cyclic_tail(J)
         start, ldab = (self.tail.K + 1) * m, 3 * m + 1
         nb = n - start
+        if work is None:
+            work = np.empty(ldab * nb)
+        elif work.size < ldab * nb:
+            raise ValueError(f"the band workspace holds {work.size} floats, not {ldab * nb}")
         # LAPACK band storage of A~ from `start` on, column-major: A~[r, r + o] goes to
-        # ab[2m - o, r + o - start]; the first m rows are workspace for the pivoting
-        # fill.  Diagonal o > 0 of row K, the last eliminated, lands in the corner
-        # above the band's row 0 (LAPACK's unused `*` entries, which dgbtrf and
-        # dgbtrs never read).  It is the head of a larger array (`BAND_MIN_FLOATS`)
-        ab = np.zeros(max(ldab * nb, BAND_MIN_FLOATS))[:ldab * nb].reshape((ldab, nb), order="F")
+        # ab[2m - o, r + o - start]; dgbtrf writes its pivoting fill into the first m
+        # rows without reading them.  Diagonal o > 0 of row K, the last eliminated,
+        # lands in the corner above the band's row 0 (LAPACK's unused `*` entries,
+        # which dgbtrf and dgbtrs never read)
+        ab = work[:ldab * nb].reshape((ldab, nb), order="F")
+        ab[m:] = 0.0
         for row, o in zip(J.diags, J.offsets):
             ab[2 * m - o, :nb - max(-o, 0)] = row[start - o:n - max(o, 0)]
         rows_a = a - J.offsets  # column a of J, moved to the right-hand side
@@ -436,32 +449,42 @@ class BorderedBandLU:
         self.lu, self.piv, info = lapack.dgbtrf(ab, m, m, overwrite_ab=1)
         if info > 0:
             raise LinearSolveFailed(f"band factor is exactly singular: U({info}, {info}) = 0")
+        # the owner's token, in an unused corner entry: no live LU has the same id
+        self.lu[0, 0] = self.token = float(id(self))
         self.m, self.a, self.start = m, a, start
-        b = J.b.copy()
-        b[a] -= 1.0
-        self.w = self._band_solve(b)  # A~^{-1} (b - e_a)
-        self.denom = 1.0 + self.w[a]
-        if self.denom == 0.0:
-            raise LinearSolveFailed("bordered matrix is singular (rank-1 correction "
-                                    "has a zero denominator)")
+        self.w = self.denom = None  # made by the first solve
 
     def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A~^{-1} rhs; overwrites rhs."""
+        """A~^{-1} rhs, in place, for one right-hand side or a (k, n) array of k."""
+        if self.lu[0, 0] != self.token:
+            raise RuntimeError("the band workspace was taken by a later factorization")
         self.tail.reduce(rhs)
-        rhs[self.start:] = lapack.dgbtrs(self.lu, self.m, self.m, rhs[self.start:], self.piv,
-                                         overwrite_b=1)[0]
+        rhs[..., self.start:] = lapack.dgbtrs(self.lu, self.m, self.m, rhs[..., self.start:].T,
+                                              self.piv, overwrite_b=1)[0].T
         self.tail.back_substitute(rhs)
         return rhs
 
     def _bordered_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with J x = rhs, to the band LU's accuracy (no backward-error test)."""
+        """x with J x = rhs, to the band LU's accuracy (no backward-error test).
+        The first also makes w = A~^{-1} (b - e_a), as a second column."""
         r_phase = rhs[-1]  # the phase row fixes x at the anchor
-        x = np.empty(rhs.size)
-        z = x[:-1]  # the right-hand side, then y = A~^{-1} of it, then z, in place
-        z[...] = rhs[:-1]
+        first = self.w is None
+        x = np.empty((1 + first, rhs.size))
+        z = x[:, :-1]  # the right-hand sides, then A~^{-1} of them, then z in row 0, in place
+        z[0] = rhs[:-1]
         rows_a, vals_a = self.col_a
-        z[rows_a] -= vals_a * r_phase
+        z[0, rows_a] -= vals_a * r_phase
+        if first:
+            z[1] = self.J.b
+            z[1, self.a] -= 1.0
         self._band_solve(z)
+        if first:
+            self.denom = 1.0 + z[1, self.a]
+            if self.denom == 0.0:  # w stays unmade: every solve refuses
+                raise LinearSolveFailed("bordered matrix is singular (rank-1 correction "
+                                        "has a zero denominator)")
+            self.w = z[1]
+        x, z = x[0], z[0]
         z -= self.w * (z[self.a] / self.denom)
         x[-1] = z[self.a]  # z_a is dc
         x[self.a] = r_phase
@@ -498,12 +521,20 @@ class BorderedBandLU:
         return x
 
 
-def factorize(J: Jacobian) -> BorderedBandLU:
+def band_workspace(grid: Grid) -> np.ndarray:
+    """`work` for every factorization on `grid` or a smaller grid: the largest
+    band, an exchange J's without a tail.  A page takes memory once a band
+    reaches it."""
+    return np.empty((3 * grid.ny + 4) * (grid.nx - 1) * (grid.ny + 1))
+
+
+def factorize(J: Jacobian, *, work: np.ndarray | None = None) -> BorderedBandLU:
     """The `BorderedBandLU` of J, a Jacobian as `assemble_jacobian` returns
-    it, whose `solve` checks its own backward error.  Raises
-    LinearSolveFailed when J is singular, ValueError for any other matrix.
+    it, whose `solve` checks its own backward error, with its band in `work`
+    (`band_workspace`) when given.  Raises LinearSolveFailed when J is
+    singular, ValueError for any other matrix or a short `work`.
     """
-    return BorderedBandLU(J)
+    return BorderedBandLU(J, work)
 
 
 def linear_solve(J: Jacobian, rhs: np.ndarray) -> np.ndarray:
@@ -513,8 +544,10 @@ def linear_solve(J: Jacobian, rhs: np.ndarray) -> np.ndarray:
 
 
 def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
-                 grid: Grid, opts: NewtonOptions = NewtonOptions()) -> NewtonResult:
-    """Chord Newton iteration on the bordered system (see the module docstring).
+                 grid: Grid, opts: NewtonOptions = NewtonOptions(), *,
+                 work: np.ndarray | None = None) -> NewtonResult:
+    """Chord Newton iteration on the bordered system (see the module docstring),
+    each factorization's band in `work` when given (`factorize`).
 
     Deterministic given its inputs.  Raises MaxItersExceeded,
     LinearSolveFailed, StepUnderflow, or NegativeSpeed (converged speed
@@ -536,7 +569,7 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
         fresh = lu is None
         if fresh:
             lu = factorize(assemble_jacobian(vector_to_state(u, grid, family), params, spec,
-                                             grid))
+                                             grid), work=work)
             factorizations += 1
         du = lu.solve(-R)
         lam = 1.0

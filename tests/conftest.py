@@ -63,8 +63,8 @@ def full_path(default_params, default_spec, default_grid, newton_opts, one_dim_c
     with pytest.MonkeyPatch.context() as patch:
         factorize = solver.factorize
 
-        def counted(J):
-            lu = factorize(J)
+        def counted(J, *args, **kwargs):
+            lu = factorize(J, *args, **kwargs)
             tails.append((J.b.size // J.m, J.m, lu.tail.K))
             return lu
 

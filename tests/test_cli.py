@@ -5,6 +5,7 @@ import importlib.util
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -961,9 +962,9 @@ def test_a_run_without_a_coarse_level_keeps_the_secant_path(completed_run, monke
         "0.29326260675474575", "0.29232586899203317"]
     solve, grids = continuation.newton_solve, set()
 
-    def recorded(init, params, spec, grid, opts):
+    def recorded(init, params, spec, grid, opts, **kwargs):
         grids.add((grid.nx, grid.ny))
-        return solve(init, params, spec, grid, opts)
+        return solve(init, params, spec, grid, opts, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_solve", recorded)
     rerun = tmp_path / "rerun"
@@ -1452,6 +1453,24 @@ def test_scenario_scan_script(tmp_path):
     (theirs / "extra.csv").write_text("")
     assert scan.differing(ours, theirs) == ["extra.csv", "path.csv"]
 
+
+
+def test_lu_layer_script():
+    # a seconds-long run of the LU timing script on 241 x 21, against this same
+    # checkout: each shape of J the default run factors (the grid in either
+    # family, its 3-row start and its 5-row coarse level) gets one line per
+    # part, before -> after
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "lu_layer.py"), "--grid",
+                           "241x21", "--rounds", "2", "--pairs", "1", "--against", str(root)],
+                          capture_output=True, text=True, timeout=600, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line[:26] for line in lines] == [
+        f"{shape:10} {part:14} " for shape in ("241 x 22", "241 x 21", "241 x 3", "121 x 5")
+        for part in ("fill", "tail", "dgbtrf", "first solve", "checked solve")]
+    times = r"\d+\.\d\d \(\d+\.\d\d-\d+\.\d\d\)"
+    assert all(re.fullmatch(rf".{{26}}{times} -> {times} ms", line) for line in lines), lines
 
 def test_scenario_scan_counts_the_coarse_level_apart():
     # on 241 x 21, the fewest rows with a coarse level, each stage A step factors

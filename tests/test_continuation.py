@@ -103,9 +103,9 @@ def test_a_failed_certificate_rejects_the_trial_and_halves_the_step(coarse_setup
     grid, _, start = coarse_setup
     solve, diagnose, trials, made = continuation.newton_solve, continuation.run_diagnostics, [], []
 
-    def tracked(init, *args):
+    def tracked(init, *args, **kwargs):
         trials.append(init.family.parameter)
-        return solve(init, *args)
+        return solve(init, *args, **kwargs)
 
     def uncertified_first(*args):
         made.append(diagnose(*args))
@@ -360,8 +360,8 @@ def test_one_dim_start_corrects_an_unconverged_broadcast(monkeypatch):
     start = one_dim_start(guess, params, spec, grid, opts)
     solve = continuation.newton_solve
 
-    def perturbed(init, params, spec, on, opts):
-        result = solve(init, params, spec, on, opts)
+    def perturbed(init, params, spec, on, opts, **kwargs):
+        result = solve(init, params, spec, on, opts, **kwargs)
         if on.ny == 3:
             result.state.psi[:, 1:-1] += 1e-6
         return result
@@ -440,8 +440,8 @@ def test_the_two_grid_predictor_changes_only_newtons_start(two_grid_setup, monke
     solve, fine_iterations = continuation.newton_solve, {"two-grid": 0, "secant": 0}
 
     def counting(side):
-        def counted(init, params, spec, on, opts):
-            result = solve(init, params, spec, on, opts)
+        def counted(init, params, spec, on, opts, **kwargs):
+            result = solve(init, params, spec, on, opts, **kwargs)
             fine_iterations[side] += result.iterations if on == grid else 0
             return result
         return counted
@@ -481,13 +481,13 @@ def test_a_failed_coarse_solve_falls_back_to_the_secant(two_grid_setup, monkeypa
     monkeypatch.undo()
     solve, coarse_calls = continuation.newton_solve, []
 
-    def failing_coarse(init, params, spec, on, opts):
+    def failing_coarse(init, params, spec, on, opts, **kwargs):
         if on != grid:
             coarse_calls.append(init.family.parameter)
             # with u_H(s) failing no u_H(trial) is solved, else the two alternate
             if failing == "record" or len(coarse_calls) % 2 == 0:
                 raise MaxItersExceeded("residual 1.000e+00 after 50 iterations")
-        return solve(init, params, spec, on, opts)
+        return solve(init, params, spec, on, opts, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_solve", failing_coarse)
     with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
@@ -509,10 +509,10 @@ def test_a_rejected_trial_reuses_the_records_coarse_solve(two_grid_setup, monkey
     solve, diagnose = continuation.newton_solve, continuation.run_diagnostics
     coarse_calls, made = [], []
 
-    def tracked(init, params, spec, on, opts):
+    def tracked(init, params, spec, on, opts, **kwargs):
         if on != grid:
             coarse_calls.append(init.family.parameter)
-        return solve(init, params, spec, on, opts)
+        return solve(init, params, spec, on, opts, **kwargs)
 
     def uncertified_first(*args):
         made.append(diagnose(*args))

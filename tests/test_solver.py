@@ -254,8 +254,10 @@ def test_the_tail_on_small_grids(nx, half_ny, anchor, exchange, front):
 @pytest.mark.parametrize("node", ["interior", "anchor", "dirichlet"])
 def test_band_singular_jacobian_raises(converged_jacobians, node):
     # a zeroed interior row makes the band exactly singular, as a zeroed
-    # Dirichlet row makes the division that eliminates it; a zeroed anchor
-    # row leaves the band regular but the rank-1 correction singular
+    # Dirichlet row makes the division that eliminates it: `factorize` refuses.
+    # A zeroed anchor row leaves the band regular but the rank-1 correction
+    # singular: the first solve, whose band solve makes w, refuses, and so
+    # does every later one, before any solution is returned
     message = {"interior": "exactly singular", "anchor": "zero denominator",
                "dirichlet": "exactly singular: block row 0"}[node]
     grid, systems, _ = converged_jacobians
@@ -266,8 +268,14 @@ def test_band_singular_jacobian_raises(converged_jacobians, node):
     row = {"interior": index[1, grid.nx // 3], "anchor": J.anchor,
            "dirichlet": index[grid.ny // 2, 0]}[node]
     J.diags[:, row] = J.b[row] = 0.0  # a zeroed strip row, c column included
-    with pytest.raises(LinearSolveFailed, match=message):
-        solver.factorize(J)
+    if node != "anchor":
+        with pytest.raises(LinearSolveFailed, match=message):
+            solver.factorize(J)
+        return
+    lu = solver.factorize(J)
+    for _ in range(2):
+        with pytest.raises(LinearSolveFailed, match=message):
+            lu.solve(np.ones(J.shape[0]))
 
 
 @pytest.mark.parametrize("column", [1, 21], ids=["block_column_0", "block_column_1"])
@@ -335,6 +343,90 @@ def test_every_grid_factors_on_the_band(nx, ny):
         J = assemble_jacobian(state, PARAMS, CUBIC, grid)
         check_band_solve(solver.factorize(J), J, rng.standard_normal(J.shape[0]),
                          tol=1e-9)
+
+
+
+def test_one_workspace_serves_every_band_bit_for_bit():
+    # one workspace, sized for 961 x 41 and filled with NaN, taken in turn by
+    # Jacobians of other shapes and tails: 961 x 41 Wentzell and exchange with a
+    # tail, 481 x 5 and 481 x 11 without one.  Each factorization rewrites every
+    # band entry LAPACK reads, so each solve is the bits of a fresh band's
+    big = build_grid(PARAMS, -160.0, 80.0, 961, 41)
+    work = solver.band_workspace(big)
+    work[:] = np.nan
+    wentzell, exchange = smooth_states(big)
+    cases = [(big, wentzell), (build_grid(PARAMS, -160.0, 80.0, 481, 5), None), (big, exchange),
+             (build_grid(PARAMS, -160.0, 80.0, 481, 11), None)]
+    tails = []
+    for i, (grid, state) in enumerate(cases):
+        J = assemble_jacobian(state or smooth_states(grid)[0], PARAMS, CUBIC, grid)
+        rhs = np.random.default_rng(i).standard_normal((2, J.shape[0]))
+        lu = solver.factorize(J, work=work)
+        assert np.shares_memory(lu.lu, work)
+        ours = [lu.solve(r) for r in rhs]
+        fresh = solver.factorize(J)
+        assert all(np.array_equal(x, fresh.solve(r)) for x, r in zip(ours, rhs))
+        tails.append(tail_rows(lu))
+    assert tails[0] > 0 and tails[2] > 0 and tails[1] == tails[3] == 0
+
+
+@pytest.mark.parametrize("nx, ny", [(481, 11), (241, 21)])
+def test_the_first_solve_makes_w_bit_for_bit(nx, ny):
+    # w = A~^{-1} (b - e_a) is the second column of the first solve's band
+    # solve: the bits of a band solve of b - e_a alone, with and without a tail
+    grid = build_grid(PARAMS, -160.0, 80.0, nx, ny)
+    for state in smooth_states(grid):
+        J = assemble_jacobian(state, PARAMS, CUBIC, grid)
+        lu = solver.factorize(J)
+        assert lu.w is None
+        lu.solve(np.random.default_rng(nx).standard_normal(J.shape[0]))
+        b = J.b.copy()
+        b[lu.a] -= 1.0
+        assert np.array_equal(lu.w, lu._band_solve(b))
+        assert lu.denom == 1.0 + lu.w[lu.a]
+        assert (tail_rows(lu) > 0) == (ny == 21)
+
+
+def test_an_lu_whose_workspace_was_taken_refuses_to_solve():
+    # the LU that owns the workspace solves; one whose band a later
+    # factorization took refuses, whether or not it has solved before
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    wentzell, exchange = (assemble_jacobian(st, PARAMS, CUBIC, grid)
+                          for st in smooth_states(grid))
+    work = solver.band_workspace(grid)
+    rhs = np.ones(wentzell.shape[0])
+    solved = solver.factorize(wentzell, work=work)
+    solved.solve(rhs)
+    unsolved = solver.factorize(wentzell, work=work)
+    owner = solver.factorize(exchange, work=work)
+    for stale in (solved, unsolved):
+        with pytest.raises(RuntimeError, match="^the band workspace was taken by a later "
+                                               "factorization$"):
+            stale.solve(rhs)
+    owner.solve(np.ones(exchange.shape[0]))
+    with pytest.raises(ValueError, match="^the band workspace holds 100 floats, not "):
+        solver.factorize(wentzell, work=np.empty(100))
+
+
+@pytest.mark.parametrize("singular_call, tail, own", [(None, 151, [4, 7]), (8, 127, [])],
+                         ids=["own_first_block", "truncated"])
+def test_the_tail_applies_block_inverses(monkeypatch, singular_call, tail, own):
+    # each level keeps its block inverses and a solve applies them by GEMM: no
+    # dgetrs runs in a solve.  On 241 x 21 (T = 151) levels 4 and 7 eliminate the
+    # first row with its own block; a singular block at level 7 (the 9th
+    # dgetrf) truncates the tail to 127, where every level uses D.  Either way
+    # the solve agrees with SuperLU's at the raw backward error of 1e-14
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
+    if singular_call is not None:
+        failing_dgetrf(monkeypatch, singular_call)
+    band = solver.factorize(J)
+    assert tail_rows(band) == tail
+    assert [l for l, level in enumerate(band.tail.levels) if level[5] is not None] == own
+    dgetrs = []
+    monkeypatch.setattr(solver.lapack, "dgetrs", lambda *args, **kwargs: dgetrs.append(1))
+    check_band_solve(band, J, np.random.default_rng(tail).standard_normal(J.shape[0]))
+    assert dgetrs == []
 
 
 # --- shooting -----------------------------------------------------------------
