@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Time the parts of the band LU on the Jacobians of the default run.
 
-Usage: python scripts/lu_layer.py [--grid NXxNY] [--rounds N] [--pairs P]
-                                  [--against CHECKOUT]
+Usage: python scripts/lu_layer.py [--grid NXxNY] [--scenario NAME] [--rounds N]
+                                  [--pairs P] [--against CHECKOUT]
 
-A fresh interpreter that imports stripwave from a checkout's `src/` runs the
-default configuration of `scripts/scenario_scan.py` on the grid (`--grid`,
-961 x 41 unless given) and keeps every Jacobian Newton factors, by wrapping
-`solver.factorize`.  Then, over `--rounds` rounds, each round going through
+A fresh interpreter that imports stripwave from a checkout's `src/` runs a
+scenario of `scripts/scenario_scan.py` (`--scenario`, the default
+configuration unless given) on the grid (`--grid`, 961 x 41 unless given)
+and keeps every Jacobian Newton factors, by wrapping `solver.factorize`.  Then, over `--rounds` rounds, each round going through
 all of them in turn, it factors each one and solves two random right-hand
 sides, with one BLAS thread and, where the checkout has one, one
 `solver.band_workspace` for every factorization, as a run does.  The parts,
@@ -23,7 +23,9 @@ in ms per Jacobian:
 
 Each line gives a part's median (quartiles) over the rounds for the
 Jacobians of one shape, its columns x unknowns per column (a Wentzell J has
-ny, an exchange J ny + 1).  With `--against CHECKOUT` the two checkouts run
+ny, an exchange J ny + 1).  A last line per shape gives the pivot reach of
+`dgbtrf`, max(piv[j] - j) over one factorization: its median and, in
+brackets, its largest over the shape's Jacobians.  With `--against CHECKOUT` the two checkouts run
 in `--pairs` alternating pairs of interpreters, and each line reads before
 (CHECKOUT) -> after (this checkout).
 """
@@ -55,9 +57,9 @@ def capture(J, *args, **kwargs):
     return factorize(J, *args, **kwargs)
 solver.factorize = capture
 if cli.main(["run", sys.argv[2]]) != 0:
-    raise SystemExit("the default run failed")
+    raise SystemExit("the run failed")
 solver.factorize = factorize
-spent, inside = {"tail": 0.0, "dgbtrf": 0.0, "w": 0.0}, []
+spent, inside, pivots = {"tail": 0.0, "dgbtrf": 0.0, "w": 0.0}, [], []
 # a band solve counts as w's only inside a factorization, where older checkouts solve w
 def timed(part, fn):
     def call(*args, **kwargs):
@@ -65,6 +67,8 @@ def timed(part, fn):
         out = fn(*args, **kwargs)
         if part != "w" or inside:
             spent[part] += time.perf_counter() - t
+        if part == "dgbtrf":
+            pivots.append(out[1])
         return out
     return call
 solver.cyclic_tail = timed("tail", solver.cyclic_tail)
@@ -90,15 +94,18 @@ for _ in range(int(sys.argv[3])):
         t3 = time.perf_counter()
         parts = [t1 - t0 - spent["tail"] - spent["dgbtrf"] - spent["w"], spent["tail"],
                  spent["dgbtrf"], t2 - t1 + spent["w"], t3 - t2]
-        shape = samples.setdefault(f"{J.b.size // J.m} x {J.m}", [[] for _ in parts])
+        shape = samples.setdefault(f"{J.b.size // J.m} x {J.m}", [[] for _ in range(6)])
         for values, value in zip(shape, parts):
             values.append(1e3 * value)
+        piv = pivots.pop()
+        shape[5].append(int((piv - np.arange(piv.size)).max()))
 print(json.dumps(samples))
 """
 
 
 def measure(checkout: Path, cfg: dict, rounds: int, work: Path) -> dict:
-    """{shape: [samples of each part]} from one interpreter on `checkout`."""
+    """{shape: [samples of each part, then pivot reaches]} from one interpreter
+    on `checkout`."""
     work.mkdir(parents=True)
     cfg_path = work / "config.json"
     cfg_path.write_text(json.dumps(dict(cfg, output_dir=str(work / "out"))))
@@ -120,16 +127,26 @@ def summary(values: list[float]) -> str:
     return f"{median:.2f} ({q1:.2f}-{q3:.2f})"
 
 
+def reach(values: list[int]) -> str:
+    """The median [largest] of pivot reaches."""
+    return f"{statistics.median(values):g} [{max(values)}]"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", type=grid_size, default=(961, 41),
                         help="the grid's nodes as NXxNY (default 961x41)")
+    parser.add_argument("--scenario", default="default",
+                        help="a scenario of scripts/scenario_scan.py (default: default)")
     parser.add_argument("--rounds", type=int, default=10, help="rounds per interpreter")
     parser.add_argument("--pairs", type=int, default=3,
                         help="interpreters per checkout, alternating with --against")
     parser.add_argument("--against", type=Path, help="a second checkout, the before side")
     args = parser.parse_args(argv)
-    cfg = scenarios(args.grid)["default"]
+    table = scenarios(args.grid)
+    if args.scenario not in table:
+        parser.error(f"unknown scenario {args.scenario!r}; known: {', '.join(table)}")
+    cfg = table[args.scenario]
     sides = [ROOT] if args.against is None else [args.against.resolve(), ROOT]
     pooled: list[dict] = [{} for _ in sides]
     with tempfile.TemporaryDirectory() as tmp:
@@ -137,7 +154,7 @@ def main(argv=None) -> int:
             for side, checkout in enumerate(sides):
                 got = measure(checkout, cfg, args.rounds, Path(tmp) / f"{pair}-{side}")
                 for shape, parts in got.items():
-                    into = pooled[side].setdefault(shape, [[] for _ in PARTS])
+                    into = pooled[side].setdefault(shape, [[] for _ in parts])
                     for values, new in zip(into, parts):
                         values.extend(new)
     shapes = sorted(pooled[-1], key=lambda key: [-int(n) for n in key.split(" x ")])
@@ -145,6 +162,8 @@ def main(argv=None) -> int:
         for i, part in enumerate(PARTS):
             cells = [summary(side[shape][i]) for side in pooled if shape in side]
             print(f"{shape:10} {part:14} {' -> '.join(cells)} ms", flush=True)
+        cells = [reach(side[shape][-1]) for side in pooled if shape in side]
+        print(f"{shape:10} {'pivot reach':14} {' -> '.join(cells)} rows", flush=True)
     return 0
 
 

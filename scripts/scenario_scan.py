@@ -20,12 +20,15 @@ With `--against CHECKOUT` every scenario also runs on that checkout, and
 every output file of the two runs is compared byte for byte, `summary.json`
 without its `timings_s`, and so are the factorization and start iteration
 counts; a line ends in `same` or in what differs, and the exit status is 1
-when anything does.
+when anything does.  When `path.csv` differs, the line ends in the largest
+relative difference of `c` over the two files' rows, matched by (stage,
+family_param), or in `rows differ` when the rows do not match.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -132,6 +135,22 @@ def differing(ours: Path, theirs: Path) -> list[str]:
                           and comparable(ours / name) == comparable(theirs / name)))
 
 
+def c_change(ours: Path, theirs: Path) -> str:
+    """The largest relative difference of `c` between two `path.csv` files, their
+    rows matched by (stage, family_param), or that their rows differ."""
+    sides = []
+    for path in (ours, theirs):
+        with path.open(newline="") as f:
+            rows = [((r["stage"], r["family_param"]), float(r["c"])) for r in csv.DictReader(f)]
+        sides.append(dict(rows))
+        if len(sides[-1]) != len(rows):
+            return "rows differ"
+    if sides[0].keys() != sides[1].keys():
+        return "rows differ"
+    worst = max(abs(c - sides[1][key]) / abs(sides[1][key]) for key, c in sides[0].items())
+    return f"c within {worst:.1e} relative"
+
+
 def grid_size(text: str) -> tuple[int, int]:
     """(nx, ny) of an `NXxNY` argument."""
     nx, sep, ny = text.partition("x")
@@ -165,7 +184,10 @@ def main(argv=None) -> int:
                     f"start_iterations={ours['start_iterations']} c={ours['c']}")
             if args.against:
                 theirs = run(args.against.resolve(), table[name], base / "against" / name)
-                diff = differing(base / "this" / name / "out", base / "against" / name / "out")
+                outs = base / "this" / name / "out", base / "against" / name / "out"
+                diff = differing(*outs)
+                if "path.csv" in diff and all((out / "path.csv").exists() for out in outs):
+                    diff.append(f"({c_change(*(out / 'path.csv' for out in outs))})")
                 diff += [key for key in ("factorizations", "coarse_factorizations",
                                          "start_iterations")
                          if theirs[key] != ours[key]]

@@ -13,7 +13,11 @@ at offsets 0, +-1, +-2 and +-m in its natural order (`residual.field_views`),
 its c column b and its anchor.  Every entry outside J's last row and column
 lies within m (`J.m`) of the diagonal, so J is factored as a LAPACK band
 matrix (`dgbtrf`, partial pivoting), filled by one strided slice per
-diagonal.  The border (b, and the phase row e_a^T, a single 1 at the anchor
+diagonal, each row scaled by 1/max|row| (row equilibration, as LAPACK's
+dgbequ; Higham 2002, ch. 9).  Unscaled, pivoting on the default run reached
+up to 41 rows past the weak one-sided boundary rows; scaled, one.  U then
+has m + p superdiagonals at most, p the pivots' reach, and the solve reads
+only those.  The border (b, and the phase row e_a^T, a single 1 at the anchor
 a = `J.anchor`) is removed as follows (Govaerts 2000, *Numerical
 Methods for Bifurcations of Dynamical Equilibria*): the phase row gives
 x_a = r_N, so the anchor column of J is moved to the right-hand side and
@@ -407,8 +411,11 @@ class BorderedBandLU:
     w = A~^{-1} (b - e_a) is the second column of that solve's band solve.
     Block rows 0 .. K are eliminated first (`tail`, a `CyclicTail`), and the
     band holds only the unknowns from `start` = (K + 1) m on: one strided
-    slice of each of J's diagonals, at the head of `work` (`band_workspace`)
-    or of an array of the band's size.  An LU whose band a later
+    slice of each of J's diagonals, each row times `scale` (1/max|row|), at
+    the head of `work` (`band_workspace`) or of an array of the band's size
+    and m floats more.  dgbtrs solves with U's `reach` superdiagonals past m,
+    on the view `u` of the band shifted by m - `reach` rows.  `j_norm` and the
+    backward-error test are of the unscaled J.  An LU whose band a later
     factorization has taken refuses to solve.
     """
 
@@ -421,36 +428,49 @@ class BorderedBandLU:
         # |J|_inf: the row sums of |J|, each added in column order as a CSC row sum
         # adds it, and the phase row's 1; made before the band, so its temporaries
         # do not raise the peak memory
-        sums = np.abs(J.diags).sum(axis=0)
+        size = np.abs(J.diags)
+        sums = size.sum(axis=0)
         sums += np.abs(J.b)
         self.J, self.j_norm = J, float(max(sums.max(), 1.0))
         self.tail = cyclic_tail(J)
         start, ldab = (self.tail.K + 1) * m, 3 * m + 1
         nb = n - start
+        # the scale of each row from K on, 1 / max|row| over J's diagonals, 1 for a
+        # zero row: scale[i] is row K m + i's
+        size = size[:, start - m:].max(axis=0)
+        size[size == 0.0] = 1.0
+        scale = np.divide(1.0, size, out=size)
         if work is None:
-            work = np.empty(ldab * nb)
-        elif work.size < ldab * nb:
-            raise ValueError(f"the band workspace holds {work.size} floats, not {ldab * nb}")
-        # LAPACK band storage of A~ from `start` on, column-major: A~[r, r + o] goes to
-        # ab[2m - o, r + o - start]; dgbtrf writes its pivoting fill into the first m
-        # rows without reading them.  Diagonal o > 0 of row K, the last eliminated,
-        # lands in the corner above the band's row 0 (LAPACK's unused `*` entries,
-        # which dgbtrf and dgbtrs never read)
+            work = np.empty(ldab * nb + m)
+        elif work.size < ldab * nb + m:
+            raise ValueError(f"the band workspace holds {work.size} floats, not {ldab * nb + m}")
+        # LAPACK band storage of A~ from `start` on, each row scaled, column-major:
+        # A~[r, r + o] goes to ab[2m - o, r + o - start]; dgbtrf writes its pivoting
+        # fill into the first m rows without reading them.  Diagonal o > 0 of row K,
+        # the last eliminated, lands in the corner above the band's row 0 (LAPACK's
+        # unused `*` entries, which dgbtrf and dgbtrs never read)
         ab = work[:ldab * nb].reshape((ldab, nb), order="F")
         ab[m:] = 0.0
         for row, o in zip(J.diags, J.offsets):
-            ab[2 * m - o, :nb - max(-o, 0)] = row[start - o:n - max(o, 0)]
+            np.multiply(row[start - o:n - max(o, 0)], scale[m - o:m + nb - max(o, 0)],
+                        out=ab[2 * m - o, :nb - max(-o, 0)])
         rows_a = a - J.offsets  # column a of J, moved to the right-hand side
         self.col_a = rows_a, J.diags[np.arange(7), rows_a]
+        self.scale = scale[m:]  # the band's rows'
         ab[m:, a - start] = 0.0
-        ab[2 * m, a - start] = 1.0  # A~[a, a], the phase row's entry
+        ab[2 * m, a - start] = self.scale[a - start]  # A~[a, a], the phase row's entry
         r, c = np.indices((m, m))
-        ab[2 * m + r - c, c] -= self.tail.schur  # the tail's Schur complement, into block row K + 1
+        # the tail's Schur complement, into block row K + 1
+        ab[2 * m + r - c, c] -= self.scale[:m, None] * self.tail.schur
         self.lu, self.piv, info = lapack.dgbtrf(ab, m, m, overwrite_ab=1)
         if info > 0:
             raise LinearSolveFailed(f"band factor is exactly singular: U({info}, {info}) = 0")
         # the owner's token, in an unused corner entry: no live LU has the same id
         self.lu[0, 0] = self.token = float(id(self))
+        # U has m + p superdiagonals at most, p the pivots' reach (0-based): dgbtrs
+        # with ku = p reads it from the band shifted by m - p rows, past the zeros
+        self.reach = p = int((self.piv - np.arange(nb)).max())
+        self.u = work[m - p:m - p + ldab * nb].reshape((ldab, nb), order="F")
         self.m, self.a, self.start = m, a, start
         self.w = self.denom = None  # made by the first solve
 
@@ -459,8 +479,10 @@ class BorderedBandLU:
         if self.lu[0, 0] != self.token:
             raise RuntimeError("the band workspace was taken by a later factorization")
         self.tail.reduce(rhs)
-        rhs[..., self.start:] = lapack.dgbtrs(self.lu, self.m, self.m, rhs[..., self.start:].T,
-                                              self.piv, overwrite_b=1)[0].T
+        band = rhs[..., self.start:]
+        band *= self.scale
+        rhs[..., self.start:] = lapack.dgbtrs(self.u, self.m, self.reach, band.T, self.piv,
+                                              overwrite_b=1)[0].T
         self.tail.back_substitute(rhs)
         return rhs
 
@@ -523,9 +545,9 @@ class BorderedBandLU:
 
 def band_workspace(grid: Grid) -> np.ndarray:
     """`work` for every factorization on `grid` or a smaller grid: the largest
-    band, an exchange J's without a tail.  A page takes memory once a band
-    reaches it."""
-    return np.empty((3 * grid.ny + 4) * (grid.nx - 1) * (grid.ny + 1))
+    band, an exchange J's without a tail, and its m floats of slack.  A page
+    takes memory once a band reaches it."""
+    return np.empty(((3 * grid.ny + 4) * (grid.nx - 1) + 1) * (grid.ny + 1))
 
 
 def factorize(J: Jacobian, *, work: np.ndarray | None = None) -> BorderedBandLU:

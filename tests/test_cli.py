@@ -957,9 +957,9 @@ def test_a_run_without_a_coarse_level_keeps_the_secant_path(completed_run, monke
     assert continuation.coarse_level(config_from_dict(cfg).grid) is None
     _, rows = read_rows(out / "path.csv")
     assert [r["c"] for r in rows] == [
-        "0.26338322826838345", "0.28311981735407071", "0.30265263685368021",
-        "0.29399400704061945", "0.29391476264584637", "0.29375489429815704",
-        "0.29326260675474575", "0.29232586899203317"]
+        "0.26338322826838345", "0.28311981735407105", "0.30265263685368288",
+        "0.29399400704061951", "0.29391476264584776", "0.29375489429815871",
+        "0.2932626067547458", "0.29232586899203239"]
     solve, grids = continuation.newton_solve, set()
 
     def recorded(init, params, spec, grid, opts, **kwargs):
@@ -1452,6 +1452,16 @@ def test_scenario_scan_script(tmp_path):
     (theirs / "path.csv").write_bytes((ours / "path.csv").read_bytes() + b"\n")
     (theirs / "extra.csv").write_text("")
     assert scan.differing(ours, theirs) == ["extra.csv", "path.csv"]
+    # a differing path.csv is measured: the largest relative difference of c over
+    # the rows matched by (stage, family_param), or that the rows differ
+    assert scan.c_change(ours / "path.csv", theirs / "path.csv") == "c within 0.0e+00 relative"
+    lines = (ours / "path.csv").read_text().splitlines(keepends=True)
+    row = lines[2].split(",")
+    row[2] = repr(float(row[2]) * (1.0 + 1e-13))
+    (theirs / "path.csv").write_text("".join(lines[:2] + [",".join(row)] + lines[3:]))
+    assert scan.c_change(theirs / "path.csv", ours / "path.csv") == "c within 1.0e-13 relative"
+    (theirs / "path.csv").write_text("".join(lines[:-1]))
+    assert scan.c_change(ours / "path.csv", theirs / "path.csv") == "rows differ"
 
 
 
@@ -1459,7 +1469,7 @@ def test_lu_layer_script():
     # a seconds-long run of the LU timing script on 241 x 21, against this same
     # checkout: each shape of J the default run factors (the grid in either
     # family, its 3-row start and its 5-row coarse level) gets one line per
-    # part, before -> after
+    # part, before -> after, and one for its pivot reach
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, str(root / "scripts" / "lu_layer.py"), "--grid",
                            "241x21", "--rounds", "2", "--pairs", "1", "--against", str(root)],
@@ -1468,9 +1478,21 @@ def test_lu_layer_script():
     lines = proc.stdout.splitlines()
     assert [line[:26] for line in lines] == [
         f"{shape:10} {part:14} " for shape in ("241 x 22", "241 x 21", "241 x 3", "121 x 5")
-        for part in ("fill", "tail", "dgbtrf", "first solve", "checked solve")]
+        for part in ("fill", "tail", "dgbtrf", "first solve", "checked solve", "pivot reach")]
     times = r"\d+\.\d\d \(\d+\.\d\d-\d+\.\d\d\)"
-    assert all(re.fullmatch(rf".{{26}}{times} -> {times} ms", line) for line in lines), lines
+    reach = r"\d+(\.5)? \[\d+\]"
+    assert all(re.fullmatch(rf".{{26}}{times} -> {times} ms", line)
+               or line[11:22] == "pivot reach" and re.fullmatch(rf".{{26}}{reach} -> {reach} rows",
+                                                                 line) for line in lines), lines
+    # a scenario of the scan by name; an unknown one is refused
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "lu_layer.py"), "--grid",
+                           "241x21", "--rounds", "1", "--pairs", "1", "--scenario", "L=4"],
+                          capture_output=True, text=True, timeout=600, env=subprocess_env())
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == len(lines), proc.stderr
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "lu_layer.py"), "--scenario",
+                           "L=3"], capture_output=True, text=True, timeout=600,
+                          env=subprocess_env())
+    assert proc.returncode == 2 and "unknown scenario 'L=3'; known: default, D=0.25" in proc.stderr
 
 def test_scenario_scan_counts_the_coarse_level_apart():
     # on 241 x 21, the fewest rows with a coarse level, each stage A step factors

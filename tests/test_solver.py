@@ -327,6 +327,16 @@ def smooth_states(grid, front=0.0):
     return wentzell, handoff_to_system(wentzell, 0.05, PARAMS, grid)
 
 
+def tanh_states(grid):
+    """Wentzell(1), Wentzell(0.1), exchange(0.05) and exchange(1) states with
+    a tanh front at x = 0 on `grid`, both exchange states with the handoff's phi."""
+    psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (grid.ny, 1))
+    wentzell = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(1.0))
+    exchange = handoff_to_system(wentzell, 0.05, PARAMS, grid)
+    return [wentzell, dataclasses.replace(wentzell, family=HomotopyFamily.wentzell(0.1)),
+            exchange, dataclasses.replace(exchange, family=HomotopyFamily.exchange(1.0))]
+
+
 @pytest.mark.parametrize("nx, ny", [(481, 11), (961, 41), (13, 81), (13, 161)])
 def test_every_grid_factors_on_the_band(nx, ny):
     # the tier-1 grids 481 x 11 and 961 x 41, and the widths of 961 x 81 and of
@@ -334,16 +344,48 @@ def test_every_grid_factors_on_the_band(nx, ny):
     # J of these unconverged fronts is worse conditioned than at a solution
     # (cond_1 about 5e8 on 13 x 81 and 4e9 on 13 x 161): the band and SuperLU
     # solves each differ from a dense LU's by up to 3.3e-10, so they are
-    # compared at 1e-9; the raw band solve's backward error is held to 1e-14
+    # compared at 1e-9; the raw band solve's backward error is held to 1e-14.
+    # Without row scaling, partial pivoting on 961 x 41 swapped rows up to 22-23
+    # apart in Wentzell(1) and exchange(0.05), and 40-41 in Wentzell(0.1) and
+    # exchange(1)
     grid = build_grid(PARAMS, -160.0, 80.0, nx, ny)
-    psi = np.tile(0.5 * (1.0 + np.tanh(grid.x / 20.0)), (ny, 1))
-    wentzell = WaveState(c=0.3, psi=psi, phi=None, family=HomotopyFamily.wentzell(1.0))
     rng = np.random.default_rng(nx + ny)
-    for state in (wentzell, handoff_to_system(wentzell, 0.05, PARAMS, grid)):
+    for state in tanh_states(grid):
         J = assemble_jacobian(state, PARAMS, CUBIC, grid)
         check_band_solve(solver.factorize(J), J, rng.standard_normal(J.shape[0]),
                          tol=1e-9)
 
+
+def test_row_scaling_keeps_every_pivot_within_one_row():
+    # each band row is scaled by 1 / max|row| before dgbtrf: on a 961 x 41
+    # exchange(1) J partial pivoting then swaps rows at most one apart, where
+    # unscaled it swapped them up to 41 apart behind the one-sided boundary rows
+    grid = build_grid(PARAMS, -160.0, 80.0, 961, 41)
+    J = assemble_jacobian(tanh_states(grid)[3], PARAMS, CUBIC, grid)
+    lu = solver.factorize(J)
+    reach = lu.piv - np.arange(lu.piv.size)  # scipy's pivots are 0-based
+    assert reach.min() == 0 and reach.max() == 1
+    assert lu.reach == 1
+
+
+@pytest.mark.parametrize("nx, ny, state, reach", [(481, 5, 0, 0), (481, 3, 1, 2),
+                                                  (961, 41, 3, 1), (961, 41, 1, 41)])
+def test_the_narrowed_band_solve_returns_the_full_width_bits(nx, ny, state, reach):
+    # U has m + p superdiagonals at most, p = max(piv[j] - j): dgbtrs with ku = p
+    # on the band shifted by m - p rows skips only exact zeros, so it returns the
+    # bits of the full-width call (ku = m): p = 0 on 481 x 5, 2 on 481 x 3, 1 and
+    # p = m = 41 on 961 x 41, where a tail is eliminated first
+    grid = build_grid(PARAMS, -160.0, 80.0, nx, ny)
+    J = assemble_jacobian(tanh_states(grid)[state], PARAMS, CUBIC, grid)
+    lu = solver.factorize(J)
+    m, p = lu.m, lu.reach
+    assert p == reach and (tail_rows(lu) > 0) == (ny == 41)
+    # the shifted view: its row m + p is the band's diagonal, row 2m
+    assert np.shares_memory(lu.u, lu.lu) and np.array_equal(lu.u[m + p:2 * m + p + 1],
+                                                             lu.lu[2 * m:])
+    rhs = np.asfortranarray(np.random.default_rng(nx).standard_normal((lu.piv.size, 2)))
+    full = solver.lapack.dgbtrs(lu.lu, m, m, rhs, lu.piv)[0]
+    assert np.array_equal(solver.lapack.dgbtrs(lu.u, m, p, rhs, lu.piv)[0], full)
 
 
 def test_one_workspace_serves_every_band_bit_for_bit():
