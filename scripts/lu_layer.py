@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the parts of the band LU on the Jacobians of the default run.
+"""Time the parts of the band LU on the Jacobians of one scenario's run.
 
 Usage: python scripts/lu_layer.py [--grid NXxNY] [--scenario NAME] [--rounds N]
                                   [--pairs P] [--against CHECKOUT]
@@ -7,11 +7,11 @@ Usage: python scripts/lu_layer.py [--grid NXxNY] [--scenario NAME] [--rounds N]
 A fresh interpreter that imports stripwave from a checkout's `src/` runs a
 scenario of `scripts/scenario_scan.py` (`--scenario`, the default
 configuration unless given) on the grid (`--grid`, 961 x 41 unless given)
-and keeps every Jacobian Newton factors, by wrapping `solver.factorize`.  Then, over `--rounds` rounds, each round going through
-all of them in turn, it factors each one and solves two random right-hand
-sides, with one BLAS thread and, where the checkout has one, one
-`solver.band_workspace` for every factorization, as a run does.  The parts,
-in ms per Jacobian:
+and keeps every Jacobian Newton factors, by wrapping `solver.factorize`.
+Then, over `--rounds` rounds, each round going through all of them in turn,
+it factors each one and solves two random right-hand sides, with one BLAS
+thread and, where the checkout has one, one `solver.band_workspace` for
+every factorization, as a run does.  The parts, in ms per Jacobian:
 
   fill           the factorization less the three parts below: the band's
                  allocation, zero fill and slices, and |J|_inf
@@ -25,9 +25,10 @@ Each line gives a part's median (quartiles) over the rounds for the
 Jacobians of one shape, its columns x unknowns per column (a Wentzell J has
 ny, an exchange J ny + 1).  A last line per shape gives the pivot reach of
 `dgbtrf`, max(piv[j] - j) over one factorization: its median and, in
-brackets, its largest over the shape's Jacobians.  With `--against CHECKOUT` the two checkouts run
-in `--pairs` alternating pairs of interpreters, and each line reads before
-(CHECKOUT) -> after (this checkout).
+brackets, its largest over the shape's Jacobians.  With `--against
+CHECKOUT` the two checkouts run in `--pairs` alternating pairs of
+interpreters, and each line reads before (CHECKOUT) -> after (this
+checkout).
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ for _ in range(int(sys.argv[3])):
         t3 = time.perf_counter()
         parts = [t1 - t0 - spent["tail"] - spent["dgbtrf"] - spent["w"], spent["tail"],
                  spent["dgbtrf"], t2 - t1 + spent["w"], t3 - t2]
+        # the parts' samples, then the pivot reaches
         shape = samples.setdefault(f"{J.b.size // J.m} x {J.m}", [[] for _ in range(6)])
         for values, value in zip(shape, parts):
             values.append(1e3 * value)

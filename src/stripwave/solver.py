@@ -469,7 +469,7 @@ class BorderedBandLU:
         self.lu[0, 0] = self.token = float(id(self))
         # U has m + p superdiagonals at most, p the pivots' reach (0-based): dgbtrs
         # with ku = p reads it from the band shifted by m - p rows, past the zeros
-        self.reach = p = int((self.piv - np.arange(nb)).max())
+        self.reach = p = int((self.piv - np.arange(nb, dtype=self.piv.dtype)).max())
         self.u = work[m - p:m - p + ldab * nb].reshape((ldab, nb), order="F")
         self.m, self.a, self.start = m, a, start
         self.w = self.denom = None  # made by the first solve
