@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the parts of the band LU on the Jacobians of one scenario's run.
+"""Time the parts of the band LU, and the residual and Jacobian assembly, on
+the states of one scenario's run.
 
 Usage: python scripts/lu_layer.py [--grid NXxNY] [--scenario NAME] [--rounds N]
                                   [--pairs P] [--against CHECKOUT]
@@ -7,11 +8,14 @@ Usage: python scripts/lu_layer.py [--grid NXxNY] [--scenario NAME] [--rounds N]
 A fresh interpreter that imports stripwave from a checkout's `src/` runs a
 scenario of `scripts/scenario_scan.py` (`--scenario`, the default
 configuration unless given) on the grid (`--grid`, 961 x 41 unless given)
-and keeps every Jacobian Newton factors, by wrapping `solver.factorize`.
-Then, over `--rounds` rounds, each round going through all of them in turn,
-it factors each one and solves two random right-hand sides, with one BLAS
-thread and, where the checkout has one, one `solver.band_workspace` for
-every factorization, as a run does.  The parts, in ms per Jacobian:
+and keeps every Jacobian Newton factors, by wrapping `solver.factorize`, and
+every state whose residual or Jacobian Newton assembles, by wrapping
+`solver.assemble_residual` and `solver.assemble_jacobian`.  Then, over
+`--rounds` rounds, each round going through all of them in turn, it factors
+each Jacobian and solves two random right-hand sides, with one BLAS thread
+and, where the checkout has one, one `solver.band_workspace` for every
+factorization, as a run does, and assembles each state's residual and
+Jacobian once more.  The parts, in ms per Jacobian or per state:
 
   fill           the factorization less the three parts below: the band's
                  allocation, zero fill and slices, and |J|_inf
@@ -20,12 +24,14 @@ every factorization, as a run does.  The parts, in ms per Jacobian:
   first solve    the first checked solve, with the band solve of w, wherever
                  it runs (inside the factorization at older checkouts)
   checked solve  a later checked solve
+  residual       `assemble_residual` of one state Newton evaluates
+  jacobian       `assemble_jacobian` of one state Newton factors at
 
 Each line gives a part's median (quartiles) over the rounds for the
-Jacobians of one shape, its columns x unknowns per column (a Wentzell J has
-ny, an exchange J ny + 1).  A last line per shape gives the pivot reach of
-`dgbtrf`, max(piv[j] - j) over one factorization: its median and, in
-brackets, its largest over the shape's Jacobians.  With `--against
+Jacobians or states of one shape, its columns x unknowns per column (a
+Wentzell J has ny, an exchange J ny + 1).  A last line per shape gives the
+pivot reach of `dgbtrf`, max(piv[j] - j) over one factorization: its median
+and, in brackets, its largest over the shape's Jacobians.  With `--against
 CHECKOUT` the two checkouts run in `--pairs` alternating pairs of
 interpreters, and each line reads before (CHECKOUT) -> after (this
 checkout).
@@ -45,7 +51,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from scenario_scan import ROOT, scenarios, grid_size  # noqa: E402
 
-PARTS = ("fill", "tail", "dgbtrf", "first solve", "checked solve")
+PARTS = ("fill", "tail", "dgbtrf", "first solve", "checked solve", "residual", "jacobian")
 
 CHILD = """
 import json, sys, time
@@ -56,10 +62,22 @@ captured, factorize = [], solver.factorize
 def capture(J, *args, **kwargs):
     captured.append(J)
     return factorize(J, *args, **kwargs)
+# the arguments of each assembly Newton runs, by part
+assembled = {part: [] for part in ("residual", "jacobian")}
+assemble = {part: getattr(solver, "assemble_" + part) for part in assembled}
+def keep(part):
+    def call(*args):
+        assembled[part].append(args)
+        return assemble[part](*args)
+    return call
 solver.factorize = capture
+for part in assembled:
+    setattr(solver, "assemble_" + part, keep(part))
 if cli.main(["run", sys.argv[2]]) != 0:
     raise SystemExit("the run failed")
 solver.factorize = factorize
+for part in assembled:
+    setattr(solver, "assemble_" + part, assemble[part])
 spent, inside, pivots = {"tail": 0.0, "dgbtrf": 0.0, "w": 0.0}, [], []
 # a band solve counts as w's only inside a factorization, where older checkouts solve w
 def timed(part, fn):
@@ -93,21 +111,29 @@ for _ in range(int(sys.argv[3])):
         t2 = time.perf_counter()
         lu.solve(later)
         t3 = time.perf_counter()
-        parts = [t1 - t0 - spent["tail"] - spent["dgbtrf"] - spent["w"], spent["tail"],
-                 spent["dgbtrf"], t2 - t1 + spent["w"], t3 - t2]
-        # the parts' samples, then the pivot reaches
-        shape = samples.setdefault(f"{J.b.size // J.m} x {J.m}", [[] for _ in range(6)])
-        for values, value in zip(shape, parts):
-            values.append(1e3 * value)
+        parts = {"fill": t1 - t0 - spent["tail"] - spent["dgbtrf"] - spent["w"],
+                 "tail": spent["tail"], "dgbtrf": spent["dgbtrf"],
+                 "first solve": t2 - t1 + spent["w"], "checked solve": t3 - t2}
+        shape = samples.setdefault(f"{J.b.size // J.m} x {J.m}", {})
+        for part, value in parts.items():
+            shape.setdefault(part, []).append(1e3 * value)
         piv = pivots.pop()
-        shape[5].append(int((piv - np.arange(piv.size)).max()))
+        shape.setdefault("pivot reach", []).append(int((piv - np.arange(piv.size)).max()))
+    for part, calls in assembled.items():
+        for state, *rest in calls:
+            t0 = time.perf_counter()
+            assemble[part](state, *rest)
+            t1 = time.perf_counter()
+            ny, nx = state.psi.shape
+            shape = samples.setdefault(f"{nx} x {ny + (state.phi is not None)}", {})
+            shape.setdefault(part, []).append(1e3 * (t1 - t0))
 print(json.dumps(samples))
 """
 
 
 def measure(checkout: Path, cfg: dict, rounds: int, work: Path) -> dict:
-    """{shape: [samples of each part, then pivot reaches]} from one interpreter
-    on `checkout`."""
+    """{shape: {part or "pivot reach": samples}} from one interpreter on
+    `checkout`."""
     work.mkdir(parents=True)
     cfg_path = work / "config.json"
     cfg_path.write_text(json.dumps(dict(cfg, output_dir=str(work / "out"))))
@@ -156,16 +182,15 @@ def main(argv=None) -> int:
             for side, checkout in enumerate(sides):
                 got = measure(checkout, cfg, args.rounds, Path(tmp) / f"{pair}-{side}")
                 for shape, parts in got.items():
-                    into = pooled[side].setdefault(shape, [[] for _ in parts])
-                    for values, new in zip(into, parts):
-                        values.extend(new)
+                    for part, values in parts.items():
+                        pooled[side].setdefault(shape, {}).setdefault(part, []).extend(values)
     shapes = sorted(pooled[-1], key=lambda key: [-int(n) for n in key.split(" x ")])
     for shape in shapes:
-        for i, part in enumerate(PARTS):
-            cells = [summary(side[shape][i]) for side in pooled if shape in side]
-            print(f"{shape:10} {part:14} {' -> '.join(cells)} ms", flush=True)
-        cells = [reach(side[shape][-1]) for side in pooled if shape in side]
-        print(f"{shape:10} {'pivot reach':14} {' -> '.join(cells)} rows", flush=True)
+        for part, show, unit in [(part, summary, "ms") for part in PARTS] + [
+                ("pivot reach", reach, "rows")]:
+            cells = [show(side[shape][part]) for side in pooled if part in side.get(shape, {})]
+            if cells:
+                print(f"{shape:10} {part:14} {' -> '.join(cells)} {unit}", flush=True)
     return 0
 
 

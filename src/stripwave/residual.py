@@ -30,7 +30,10 @@ the cell Peclet number c*hx/d reaches 2.  Every stencil couples a row to
 the nodes at offsets -m, -2, -1, 0, 1, 2 and m from it in this order, so
 J is stored as those seven diagonals, its c column and its anchor
 (`Jacobian`), each term written by the same field-shaped slices as the
-residual's.
+residual's.  f = 0 for psi <= theta and f' = 0 for psi < theta, so f (f') is
+evaluated only from the first interior column with an interior node above
+(at or above) theta: the oracle's f'(theta) is -1.  x - 0 = x, so the rows
+left of it keep the bits of the full-array forms.
 """
 
 from __future__ import annotations
@@ -155,6 +158,14 @@ def vector_to_state(u: np.ndarray, grid: Grid, family: HomotopyFamily) -> WaveSt
                      family=family)
 
 
+def _quiet(psi: np.ndarray, below, theta: float) -> int:
+    """The number of leading interior columns whose interior nodes all have
+    below(psi, theta): np.less_equal for f = 0, np.less for f' = 0.  A NaN
+    node ends them."""
+    quiet = below(psi[1:-1, 1:-1].max(axis=0), theta)
+    return quiet.size if quiet.all() else int(quiet.argmin())
+
+
 def assemble_residual(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
                       grid: Grid) -> np.ndarray:
     """Residual vector, one row per unknown in the order of `field_views`."""
@@ -166,11 +177,24 @@ def assemble_residual(state: WaveState, params: ModelParams, spec: NonlinearityS
     R = np.zeros(_size(grid, state.family))
     Rs, Rl = field_views(R, grid, state.family)
 
-    f_val = reaction(psi, spec)
-    lap = ((psi[1:-1, :-2] - 2.0 * psi[1:-1, 1:-1] + psi[1:-1, 2:]) / hx**2
-           + (psi[:-2, 1:-1] - 2.0 * psi[1:-1, 1:-1] + psi[2:, 1:-1]) / hy**2)
-    dx = (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * hx)
-    Rs[1:-1, 1:-1] = -d * lap + c * dx - f_val[1:-1, 1:-1]
+    # -d * lap + c * dx - f in place, in the full-array expression's order
+    left, right = psi[1:-1, :-2], psi[1:-1, 2:]
+    lap = np.multiply(psi[1:-1, 1:-1], 2.0)
+    tmp = np.subtract(psi[:-2, 1:-1], lap)
+    np.subtract(left, lap, out=lap)
+    lap += right
+    lap /= hx**2
+    tmp += psi[2:, 1:-1]
+    tmp /= hy**2
+    lap += tmp
+    lap *= -d
+    np.subtract(right, left, out=tmp)
+    tmp /= 2.0 * hx
+    tmp *= c
+    lap += tmp
+    k = _quiet(psi, np.less_equal, spec.theta)
+    lap[:, k:] -= reaction(psi[1:-1, 1 + k:-1], spec)
+    Rs[1:-1, 1:-1] = lap
 
     Rs[0, 1:-1] = (-3.0 * psi[0, 1:-1] + 4.0 * psi[1, 1:-1] - psi[2, 1:-1]) / (2.0 * hy)
 
@@ -267,9 +291,9 @@ def assemble_jacobian(state: WaveState, params: ModelParams, spec: NonlinearityS
         view[...] = v
         slots += view.size
 
-    f_prime = reaction_derivative(psi, spec)
-
-    put(S[SELF, 1:-1, 1:-1], (2.0 * d / hx**2 + 2.0 * d / hy**2) - f_prime[1:-1, 1:-1])
+    put(S[SELF, 1:-1, 1:-1], 2.0 * d / hx**2 + 2.0 * d / hy**2)
+    k = _quiet(psi, np.less, spec.theta)
+    S[SELF, 1:-1, 1 + k:-1] -= reaction_derivative(psi[1:-1, 1 + k:-1], spec)
     put(S[LEFT, 1:-1, 1:-1], -d / hx**2 - c / (2.0 * hx))
     put(S[RIGHT, 1:-1, 1:-1], -d / hx**2 + c / (2.0 * hx))
     put(S[DOWN, 1:-1, 1:-1], -d / hy**2)

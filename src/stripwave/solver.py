@@ -415,8 +415,10 @@ class BorderedBandLU:
     the head of `work` (`band_workspace`) or of an array of the band's size
     and m floats more.  dgbtrs solves with U's `reach` superdiagonals past m,
     on the view `u` of the band shifted by m - `reach` rows.  `j_norm` and the
-    backward-error test are of the unscaled J.  An LU whose band a later
-    factorization has taken refuses to solve.
+    backward-error test are of the unscaled J; `j_norm` sums block rows 0, 1
+    and K on, and rows 2 .. K - 1, which have row 1's diagonals, as row 1's
+    diagonal sums plus their largest |b| at each position.  An LU whose band a
+    later factorization has taken refuses to solve.
     """
 
     def __init__(self, J: Jacobian, work: np.ndarray | None = None) -> None:
@@ -425,19 +427,24 @@ class BorderedBandLU:
         n, m, a = J.b.size, J.m, J.anchor
         if a < m:
             raise ValueError(f"the anchor of J, column {a}, lies in block column 0")
+        self.J, self.tail = J, cyclic_tail(J)
+        K = self.tail.K
+        start, ldab = (K + 1) * m, 3 * m + 1
+        nb = n - start
         # |J|_inf: the row sums of |J|, each added in column order as a CSC row sum
         # adds it, and the phase row's 1; made before the band, so its temporaries
         # do not raise the peak memory
-        size = np.abs(J.diags)
+        size = np.abs(J.diags[:, start - m:])
         sums = size.sum(axis=0)
-        sums += np.abs(J.b)
-        self.J, self.j_norm = J, float(max(sums.max(), 1.0))
-        self.tail = cyclic_tail(J)
-        start, ldab = (self.tail.K + 1) * m, 3 * m + 1
-        nb = n - start
+        sums += np.abs(J.b[start - m:])
+        head = np.abs(J.diags[:, :min(K, 2) * m]).sum(axis=0)
+        norms = [sums.max(), (head + np.abs(J.b[:head.size])).max(initial=0.0)]
+        if K > 2:
+            norms.append((head[m:] + np.abs(J.b[2 * m:K * m]).reshape(-1, m).max(axis=0)).max())
+        self.j_norm = float(max(np.max(norms), 1.0))
         # the scale of each row from K on, 1 / max|row| over J's diagonals, 1 for a
         # zero row: scale[i] is row K m + i's
-        size = size[:, start - m:].max(axis=0)
+        size = size.max(axis=0)
         size[size == 0.0] = 1.0
         scale = np.divide(1.0, size, out=size)
         if work is None:
@@ -480,9 +487,10 @@ class BorderedBandLU:
             raise RuntimeError("the band workspace was taken by a later factorization")
         self.tail.reduce(rhs)
         band = rhs[..., self.start:]
-        band *= self.scale
-        rhs[..., self.start:] = lapack.dgbtrs(self.u, self.m, self.reach, band.T, self.piv,
-                                              overwrite_b=1)[0].T
+        # the scaled columns, Fortran-ordered, for dgbtrs to solve in place
+        b = np.empty(band.shape[::-1], order="F")
+        np.multiply(band, self.scale, out=b.T)
+        band[...] = lapack.dgbtrs(self.u, self.m, self.reach, b, self.piv, overwrite_b=1)[0].T
         self.tail.back_substitute(rhs)
         return rhs
 
@@ -521,22 +529,28 @@ class BorderedBandLU:
         J = self.J
         if J.shape[0] != rhs.shape[0]:
             raise LinearSolveFailed("rhs length does not match matrix")
-        if not np.all(np.isfinite(rhs)):
+        # max|rhs| and max|x| are NaN or inf exactly when an entry is
+        rhs_max = np.abs(rhs).max()
+        if not math.isfinite(rhs_max):
             raise LinearSolveFailed("non-finite right-hand side")
         x = self._bordered_solve(rhs)
-        if not np.all(np.isfinite(x)):
+        x_max = np.abs(x).max()
+        if not math.isfinite(x_max):
             raise LinearSolveFailed("factorization produced non-finite solution")
 
         # backward-error test: |J x - rhs| <= 1e-12 (|J| |x| + |rhs|), inf-norms
-        def backward_error(sol: np.ndarray) -> float:
-            scale = self.j_norm * np.abs(sol).max() + np.abs(rhs).max()
+        def backward_error(sol: np.ndarray, sol_max: float) -> float:
+            scale = self.j_norm * sol_max + rhs_max
             if scale == 0.0:
                 return 0.0
-            return float(np.abs(J @ sol - rhs).max() / scale)
+            r = J @ sol
+            r -= rhs
+            return float(np.abs(r, out=r).max() / scale)
 
-        if backward_error(x) > 1e-12:
-            x = x + self._bordered_solve(rhs - J @ x)
-            err = backward_error(x)
+        if backward_error(x, x_max) > 1e-12:
+            r = J @ x
+            x = x + self._bordered_solve(np.subtract(rhs, r, out=r))
+            err = backward_error(x, np.abs(x).max())
             if err > 1e-12:
                 raise LinearSolveFailed(f"relative linear residual {err:.3e} exceeds 1e-12 "
                                         "after refinement")
@@ -596,7 +610,7 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
         du = lu.solve(-R)
         lam = 1.0
         while True:
-            u_trial = u + lam * du
+            u_trial = u + du if lam == 1.0 else u + lam * du
             R_trial = res_of(u_trial)
             norm_trial = float(np.abs(R_trial).max())
             armijo = norm_trial <= (1.0 - _ARMIJO_SLOPE * lam) * norm  # False for NaN

@@ -1,7 +1,8 @@
 """Shared fixtures: default physics, the full three-stage path at desk
 resolution, grid-refined endpoint states for convergence studies, a CSC
-reference of an assembled Jacobian, and a reference of the shooting's RK4
-trajectories."""
+reference of an assembled Jacobian, full-array references of the
+residual's interior rows and of J's interior diagonal, and a reference of the
+shooting's RK4 trajectories."""
 
 import math
 
@@ -15,6 +16,8 @@ from stripwave import (ContinuationOptions, ModelParams, NewtonOptions, Nonlinea
                        continue_wentzell, handoff_to_system, make_record, newton_solve,
                        one_dim_guess, one_dim_start, solve_1d_ignition_shooting)
 from stripwave import solver
+from stripwave.model import reaction, reaction_derivative
+from stripwave.residual import assemble_residual, field_views
 
 DEFAULT_PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 DEFAULT_SPEC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
@@ -108,6 +111,30 @@ def csc_reference(J) -> sp.csc_matrix:
                  J.offsets, shape=(n, n))
     phase = sp.csr_matrix(([1.0], ([0], [J.anchor])), shape=(1, n))
     return sp.bmat([[A, sp.csc_matrix(J.b[:, None])], [phase, None]], format="csc")
+
+
+def residual_reference(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
+                       grid) -> np.ndarray:
+    """`assemble_residual` with its interior rows as one full-array expression,
+    f over every node: a reference for the in-place interior and the column
+    from which it evaluates f."""
+    R = assemble_residual(state, params, spec, grid)
+    psi, c, d, hx, hy = state.psi, state.c, params.d, grid.hx, grid.hy
+    lap = ((psi[1:-1, :-2] - 2.0 * psi[1:-1, 1:-1] + psi[1:-1, 2:]) / hx**2
+           + (psi[:-2, 1:-1] - 2.0 * psi[1:-1, 1:-1] + psi[2:, 1:-1]) / hy**2)
+    dx = (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * hx)
+    field_views(R, grid, state.family)[0][1:-1, 1:-1] = (-d * lap + c * dx
+                                                         - reaction(psi, spec)[1:-1, 1:-1])
+    return R
+
+
+def self_reference(state: WaveState, params: ModelParams, spec: NonlinearitySpec,
+                   grid) -> np.ndarray:
+    """The interior nodes' SELF diagonal of `assemble_jacobian`, of shape
+    (ny - 2, nx - 2), with f' over every node."""
+    d, hx, hy = params.d, grid.hx, grid.hy
+    return ((2.0 * d / hx**2 + 2.0 * d / hy**2)
+            - reaction_derivative(state.psi, spec)[1:-1, 1:-1])
 
 
 def scalar_reaction(spec: NonlinearitySpec):

@@ -1469,7 +1469,8 @@ def test_lu_layer_script():
     # a seconds-long run of the LU timing script on 241 x 21, against this same
     # checkout: each shape of J the default run factors (the grid in either
     # family, its 3-row start and its 5-row coarse level) gets one line per
-    # part, before -> after, and one for its pivot reach
+    # part, the residual and Jacobian assembly included, before -> after, and
+    # one for its pivot reach
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, str(root / "scripts" / "lu_layer.py"), "--grid",
                            "241x21", "--rounds", "2", "--pairs", "1", "--against", str(root)],
@@ -1478,7 +1479,8 @@ def test_lu_layer_script():
     lines = proc.stdout.splitlines()
     assert [line[:26] for line in lines] == [
         f"{shape:10} {part:14} " for shape in ("241 x 22", "241 x 21", "241 x 3", "121 x 5")
-        for part in ("fill", "tail", "dgbtrf", "first solve", "checked solve", "pivot reach")]
+        for part in ("fill", "tail", "dgbtrf", "first solve", "checked solve", "residual",
+                     "jacobian", "pivot reach")]
     times = r"\d+\.\d\d \(\d+\.\d\d-\d+\.\d\d\)"
     reach = r"\d+(\.5)? \[\d+\]"
     assert all(re.fullmatch(rf".{{26}}{times} -> {times} ms", line)

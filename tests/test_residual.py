@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import csc_reference
+from conftest import csc_reference, residual_reference, self_reference
 from stripwave import (HomotopyFamily, ModelParams, NonlinearityKind, NonlinearitySpec,
                        WaveState, assemble_jacobian, assemble_residual, build_grid,
                        eval_nonlinearity, field_views, state_to_vector, vector_to_state)
 from stripwave.errors import ShapeMismatch
+from stripwave.residual import SELF
 
 PARAMS = ModelParams(d=1.0, D=4.0, mu=1.0, L=1.0)
 SPEC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
@@ -266,3 +267,32 @@ def test_product_is_the_column_order_sum(family):
         J = assemble_jacobian(random_state(grid, family, rng), PARAMS, SPEC, grid)
         x = rng.standard_normal(J.shape[0])
         assert (J @ x).tobytes() == column_order_product(J, x).tobytes()
+
+
+def front_variants(state, theta):
+    """A converged front, the same front at or below theta everywhere, with one
+    node far left of it exactly at theta, and scaled to reach above 1."""
+    at_theta = state.psi.copy()
+    at_theta[3, 100] = theta  # x = -135, where the front is below 1e-6
+    variants = {"converged": state.psi, "at_or_below": np.minimum(state.psi, theta),
+                "at_theta": at_theta, "above_one": 1.1 * state.psi}
+    return {name: WaveState(c=state.c, psi=psi, family=state.family,
+                            phi=None if state.phi is None else 1.1 * state.phi)
+            for name, psi in variants.items()}
+
+
+@pytest.mark.parametrize("kind", list(NonlinearityKind))
+@pytest.mark.parametrize("stage", ["stage_a", "stage_c"])
+def test_residual_and_diagonal_are_the_full_array_bits(full_path, stage, kind):
+    # f and f' are evaluated only from the first column with a node above
+    # theta (at or above, for f'); the bits are those of the full-array forms.
+    # The oracle's f'(theta) = -1 catches a column rule off by one
+    grid, spec = full_path["grid"], NonlinearitySpec(kind=kind, theta=SPEC.theta)
+    for name, state in front_variants(full_path[stage].state, spec.theta).items():
+        R = assemble_residual(state, PARAMS, spec, grid)
+        assert np.array_equal(R.view(np.int64),
+                              residual_reference(state, PARAMS, spec, grid).view(np.int64)), name
+        J = assemble_jacobian(state, PARAMS, spec, grid)
+        diag = field_views(np.append(J.diags[SELF], 0.0), grid, state.family)[0][1:-1, 1:-1]
+        assert np.array_equal(diag.view(np.int64),
+                              self_reference(state, PARAMS, spec, grid).view(np.int64)), name

@@ -105,6 +105,21 @@ def test_band_solve_matches_superlu(converged_jacobians):
         assert band.j_norm == float(np.abs(csc_reference(J)).sum(axis=1).max())
 
 
+@pytest.mark.parametrize("stage", ["stage_a", "stage_c"])
+def test_j_norm_reads_the_tail_rows(full_path, stage):
+    # |J|_inf sums only block rows 0, 1 and K on; rows 2 .. K - 1 add row 1's
+    # diagonal sums to their largest |b|.  One raised b entry there is the max
+    grid = full_path["grid"]
+    J = assemble_jacobian(full_path[stage].state, PARAMS, CUBIC, grid)
+    K, m = solver.cyclic_tail(J).K, J.m
+    row = (K // 2) * m + 7
+    J.b[row] = -3.0 * float(np.abs(csc_reference(J)).sum(axis=1).max())
+    band = solver.factorize(J)
+    sums = np.abs(csc_reference(J)).sum(axis=1)
+    assert band.tail.K == K > 2 and sums.argmax() == row
+    assert band.j_norm == float(sums.max())
+
+
 def changed_block_row(grid, state, row, block):
     """The Jacobian of `state` with a new entry on the diagonal of block row
     `row`'s L, D or U block."""
@@ -427,6 +442,26 @@ def test_the_first_solve_makes_w_bit_for_bit(nx, ny):
         assert np.array_equal(lu.w, lu._band_solve(b))
         assert lu.denom == 1.0 + lu.w[lu.a]
         assert (tail_rows(lu) > 0) == (ny == 21)
+
+
+def test_the_first_solve_passes_dgbtrs_fortran_columns(monkeypatch):
+    # the two scaled columns of the first solve go to dgbtrs Fortran-ordered,
+    # and it solves them in place, without f2py's copy in and out
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    J = assemble_jacobian(smooth_states(grid)[0], PARAMS, CUBIC, grid)
+    calls, dgbtrs = [], solver.lapack.dgbtrs
+
+    def spy(ab, kl, ku, b, *args, **kwargs):
+        out = dgbtrs(ab, kl, ku, b, *args, **kwargs)
+        calls.append((b, out[0]))
+        return out
+
+    monkeypatch.setattr(solver.lapack, "dgbtrs", spy)
+    lu = solver.factorize(J)
+    lu.solve(np.ones(J.shape[0]))
+    b, x = calls[0]  # the first solve's
+    assert b.shape == (J.b.size - lu.start, 2)
+    assert b.flags.f_contiguous and np.shares_memory(x, b)
 
 
 def test_an_lu_whose_workspace_was_taken_refuses_to_solve():
