@@ -274,11 +274,12 @@ def front_variants(state, theta):
     node far left of it exactly at theta, and scaled to reach above 1."""
     at_theta = state.psi.copy()
     at_theta[3, 100] = theta  # x = -135, where the front is below 1e-6
-    variants = {"converged": state.psi, "at_or_below": np.minimum(state.psi, theta),
-                "at_theta": at_theta, "above_one": 1.1 * state.psi}
-    return {name: WaveState(c=state.c, psi=psi, family=state.family,
-                            phi=None if state.phi is None else 1.1 * state.phi)
-            for name, psi in variants.items()}
+    phi = state.phi
+    variants = {"converged": (state.psi, phi), "at_or_below": (np.minimum(state.psi, theta), phi),
+                "at_theta": (at_theta, phi),
+                "above_one": (1.1 * state.psi, None if phi is None else 1.1 * phi)}
+    return {name: WaveState(c=state.c, psi=psi, phi=phi, family=state.family)
+            for name, (psi, phi) in variants.items()}
 
 
 @pytest.mark.parametrize("kind", list(NonlinearityKind))
