@@ -10,7 +10,8 @@ wave oned <config>            1-D shooting speed and profile only
 
 Exit codes: 0 ok, 2 validation, 3 solver or a failed certificate, 4 I/O or
 malformed input.  The environment variable WAVE_OUT, when nonempty, overrides
-the configured output directory.
+the configured output directory; an empty one, which would name the current
+directory, is refused with exit 2 before any directory is touched.
 A run writes path.csv, checkpoints and summary.json; each stage's end state
 is a checkpoint, which `wave profile` turns into CSV.  All float output is
 formatted with 17 significant digits so identical configs produce
@@ -47,7 +48,7 @@ from .errors import (AnchorNotOnGrid, BadExtent, CertificateFailed, ConfigError,
 from .grid import Grid, build_grid
 from .model import ModelParams, NonlinearityKind, NonlinearitySpec
 from .residual import EXCHANGE, WENTZELL, HomotopyFamily, WaveState, assemble_residual
-from .solver import (NewtonOptions, NewtonResult, band_workspace, newton_solve, one_dim_guess,
+from .solver import (NewtonOptions, NewtonResult, newton_solve, one_dim_guess,
                      solve_1d_ignition_shooting)
 from . import analysis
 
@@ -498,7 +499,7 @@ def _stage_summary(record: ContinuationRecord) -> dict:
 
 
 def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: ContinuationRecord,
-                t0: float, work: np.ndarray) -> None:
+                t0: float) -> None:
     """Stages `start.stage` .. `cfg.target_stage`, from the record `start`.
 
     A and C march their parameter to 1 from the previous end record, their
@@ -506,21 +507,20 @@ def _run_stages(cfg: RunConfig, writer: PathWriter, summary: dict, start: Contin
     eps0, in a record with the initial step.  Each stage ends with a checkpoint
     of its end record, the last row written, unless that row has one, and
     with its entry in `summary`; its timing runs from the previous stage's
-    end, or from `t0`.  Every Newton solve factors in `work`.
+    end, or from `t0`.
     """
     grid, params, spec, opts = cfg.grid, cfg.params, cfg.nonlinearity, cfg.continuation
     end = start
     for name in STAGES[STAGES.index(start.stage):STAGES.index(cfg.target_stage) + 1]:
         if name == "B":
             predictor = handoff_to_system(end.state, opts.epsilon0, params, grid)
-            corrected = newton_solve(predictor, params, spec, grid, cfg.newton, work=work)
+            corrected = newton_solve(predictor, params, spec, grid, cfg.newton)
             end = make_record("B", corrected.state, corrected.residual_norm, params, spec, grid,
                               cfg.initial_step)
             writer.write(end)
         else:
             march = continue_wentzell if name == "A" else continue_exchange
-            end = march(end, params, spec, grid, cfg.newton, 1.0, opts, sink=writer.write,
-                        work=work)
+            end = march(end, params, spec, grid, cfg.newton, 1.0, opts, sink=writer.write)
         # no row yet: the end record is the resume start, which is not on the path
         if writer.count and not writer.checkpointed:
             writer.checkpoint(end)
@@ -535,7 +535,7 @@ def _write_summary(outdir: Path, summary: dict) -> dict:
     return summary
 
 
-def run_start(cfg: RunConfig, timings: dict, work: np.ndarray | None = None) -> NewtonResult:
+def run_start(cfg: RunConfig, timings: dict) -> NewtonResult:
     """The start of a run, the solution at Wentzell s = 0 (the Neumann strip
     problem): a coarse shooting guess of the 1-D front (`one_dim_guess`),
     corrected on three rows and broadcast over y (`one_dim_start`).  Its
@@ -545,14 +545,12 @@ def run_start(cfg: RunConfig, timings: dict, work: np.ndarray | None = None) -> 
     In the Wentzell family `D` enters only the top-row term
     `(s/mu)(D psi_xx - c psi_x)`, which with its Jacobian entries is exactly
     +-0 at s = 0; so the start is the same, bit for bit, for every `D`, and a
-    `--sweep D=...` computes it once for all its points.  Newton factors in
-    `work`, or in a `band_workspace` of its own.
+    `--sweep D=...` computes it once for all its points.
     """
     t0 = time.perf_counter()
     guess = one_dim_guess(cfg.params.d, cfg.nonlinearity, cfg.shooting_tol)
     timings["shooting"] = time.perf_counter() - t0
-    return one_dim_start(guess, cfg.params, cfg.nonlinearity, cfg.grid, cfg.newton,
-                         work=band_workspace(cfg.grid) if work is None else work)
+    return one_dim_start(guess, cfg.params, cfg.nonlinearity, cfg.grid, cfg.newton)
 
 
 def execute_run(cfg: RunConfig, outdir: Path, start: NewtonResult | None = None) -> dict:
@@ -561,17 +559,16 @@ def execute_run(cfg: RunConfig, outdir: Path, start: NewtonResult | None = None)
     no `shooting` time, and stage A's time is the march alone.  Without it
     the run computes its own start."""
     summary: dict = {"config_hash": config_hash(cfg.raw), "stages": {}, "timings_s": {}}
-    work = band_workspace(cfg.grid)  # every factorization of the run, one at a time
     with closing(PathWriter(outdir, cfg, summary["config_hash"])) as writer:
         t0 = time.perf_counter()
         if start is None:
-            start = run_start(cfg, summary["timings_s"], work)
+            start = run_start(cfg, summary["timings_s"])
             t0 += summary["timings_s"]["shooting"]  # stage A's time starts when shooting ends
         summary["c_one_dim"] = start.state.c
         first = make_record("A", start.state, start.residual_norm, cfg.params,
                             cfg.nonlinearity, cfg.grid, cfg.initial_step)
         writer.write(first)
-        _run_stages(cfg, writer, summary, first, t0, work)
+        _run_stages(cfg, writer, summary, first, t0)
     return _write_summary(outdir, summary)
 
 
@@ -601,7 +598,7 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
                         step, prev_state)
     certify(start)  # before the output directory is touched
     with closing(PathWriter(outdir, cfg, cfg_hash)) as writer:
-        _run_stages(cfg, writer, summary, start, t0, band_workspace(cfg.grid))
+        _run_stages(cfg, writer, summary, start, t0)
     return _write_summary(outdir, summary)
 
 

@@ -72,6 +72,8 @@ RecordSink = Callable[["ContinuationRecord"], None]
 
 # a march ends once its parameter is within this of the target
 PARAMETER_TOL = 1e-14
+# the largest eps0 at which stage B hands the Wentzell state to the exchange system
+EPSILON0_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ class ContinuationOptions:
     epsilon0: float = 0.05
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon0 <= 0.1:
-            raise ValueError(f"ContinuationOptions.epsilon0 must lie in (0, 0.1], "
+        if not 0.0 < self.epsilon0 <= EPSILON0_MAX:
+            raise ValueError(f"ContinuationOptions.epsilon0 must lie in (0, {EPSILON0_MAX}], "
                              f"got {self.epsilon0!r}")
         if not self.min_step > 0:
             raise ValueError(f"ContinuationOptions.min_step must be > 0, got {self.min_step!r}")
@@ -131,7 +133,7 @@ def embed_one_dim_wave(wave: OneDimWave, grid: Grid, spec: NonlinearitySpec) -> 
 
 
 def one_dim_start(wave: OneDimWave, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
-                  newton_opts: NewtonOptions, *, work: np.ndarray | None = None) -> NewtonResult:
+                  newton_opts: NewtonOptions) -> NewtonResult:
     """The Wentzell s = 0 solution on `grid`, corrected from the 1-D front `wave`.
 
     At s = 0 the strip has Neumann conditions top and bottom, so the
@@ -140,15 +142,14 @@ def one_dim_start(wave: OneDimWave, params: ModelParams, spec: NonlinearitySpec,
     the same x, whose row 1 is the anchor row y = -L/2; that row, broadcast
     to `grid.ny` rows, starts Newton on `grid`.  When the broadcast has
     converged this is one residual evaluation, otherwise a correction: the
-    result carries `grid`'s residual either way.  Both Newton solves factor
-    in `work` (`solver.factorize`).
+    result carries `grid`'s residual either way.
     """
     narrow = Grid(grid.x_left, grid.x_right, grid.L, grid.nx, 3)
     row = newton_solve(embed_one_dim_wave(wave, narrow, spec), params, spec, narrow,
-                       newton_opts, work=work).state
+                       newton_opts).state
     init = WaveState(c=row.c, psi=np.tile(row.psi[1], (grid.ny, 1)), phi=None,
                      family=row.family)
-    return newton_solve(init, params, spec, grid, newton_opts, work=work)
+    return newton_solve(init, params, spec, grid, newton_opts)
 
 
 def handoff_to_system(wentzell_state: WaveState, epsilon0: float, params: ModelParams,
@@ -161,8 +162,8 @@ def handoff_to_system(wentzell_state: WaveState, epsilon0: float, params: ModelP
     """
     if not wentzell_state.family.is_wentzell:
         raise WrongFamily("handoff expects a Wentzell-family state")
-    if not 0.0 < epsilon0 <= 0.1:
-        raise ValueError(f"epsilon0 must lie in (0, 0.1], got {epsilon0}")
+    if not 0.0 < epsilon0 <= EPSILON0_MAX:
+        raise ValueError(f"epsilon0 must lie in (0, {EPSILON0_MAX}], got {epsilon0}")
     psi = wentzell_state.psi
     dy_top = (3.0 * psi[-1, :] - 4.0 * psi[-2, :] + psi[-3, :]) / (2.0 * grid.hy)
     phi = (psi[-1, :] + epsilon0 * params.d * dy_top) / params.mu
@@ -239,9 +240,8 @@ def _prolong(coarse: np.ndarray, ny: int) -> np.ndarray:
 
 def _predict(record: ContinuationRecord, trial: float, base: NewtonResult | SolverError | None,
              params: ModelParams, spec: NonlinearitySpec, grid: Grid, coarse: Grid | None,
-             newton_opts: NewtonOptions,
-             work: np.ndarray | None) -> tuple[WaveState, NewtonResult | SolverError | None,
-                                               str]:
+             newton_opts: NewtonOptions) -> tuple[WaveState, NewtonResult | SolverError | None,
+                                                  str]:
     """The start of the trial at `trial` from `record`, u_H(s) for the
     record's retries, and how the start was made.
 
@@ -258,7 +258,7 @@ def _predict(record: ContinuationRecord, trial: float, base: NewtonResult | Solv
             injected = WaveState(c=state.c, psi=state.psi[::fy, ::2].copy(), phi=None,
                                  family=state.family)
             try:
-                base = newton_solve(injected, params, spec, coarse, newton_opts, work=work)
+                base = newton_solve(injected, params, spec, coarse, newton_opts)
             except SolverError as exc:
                 base = exc
         failure = base
@@ -266,7 +266,7 @@ def _predict(record: ContinuationRecord, trial: float, base: NewtonResult | Solv
             try:
                 at_trial = newton_solve(WaveState(c=base.state.c, psi=base.state.psi, phi=None,
                                                   family=family), params, spec, coarse,
-                                        newton_opts, work=work)
+                                        newton_opts)
             except SolverError as exc:
                 failure = exc
             else:
@@ -288,11 +288,10 @@ def _predict(record: ContinuationRecord, trial: float, base: NewtonResult | Solv
 
 def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
            newton_opts: NewtonOptions, opts: ContinuationOptions, target: float,
-           stage: str, sink: RecordSink | None, work: np.ndarray | None) -> ContinuationRecord:
+           stage: str, sink: RecordSink | None) -> ContinuationRecord:
     """March from `start` to `target`: each trial starts from `_predict`'s
     predictor, two-grid for a Wentzell march on a grid with a coarse level,
-    otherwise the secant (module docstring).  Every Newton solve, on the grid
-    and on its coarse level, factors in `work` (`solver.factorize`)."""
+    otherwise the secant (module docstring)."""
     if target < start.parameter - PARAMETER_TOL:
         raise ParameterNotMonotone(f"target {target} is below current parameter {start.parameter}")
     coarse = coarse_level(grid) if start.family.is_wentzell else None
@@ -301,9 +300,9 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
         state, param = record.state, record.parameter
         trial = min(param + step, target)
         pred_state, base, how = _predict(record, trial, base, params, spec, grid, coarse,
-                                         newton_opts, work)
+                                         newton_opts)
         try:
-            result = newton_solve(pred_state, params, spec, grid, newton_opts, work=work)
+            result = newton_solve(pred_state, params, spec, grid, newton_opts)
         except SolverError as exc:
             reason = str(exc)
         else:
@@ -331,20 +330,18 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
 def continue_wentzell(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec,
                       grid: Grid, newton_opts: NewtonOptions, target_s: float,
                       opts: ContinuationOptions = ContinuationOptions(),
-                      sink: RecordSink | None = None, *,
-                      work: np.ndarray | None = None) -> ContinuationRecord:
+                      sink: RecordSink | None = None) -> ContinuationRecord:
     """March the Wentzell strength from the start record's s up to target_s."""
     if not start.family.is_wentzell:
         raise WrongFamily("continue_wentzell needs a Wentzell-family start")
-    return _march(start, params, spec, grid, newton_opts, opts, target_s, "A", sink, work)
+    return _march(start, params, spec, grid, newton_opts, opts, target_s, "A", sink)
 
 
 def continue_exchange(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec,
                       grid: Grid, newton_opts: NewtonOptions, target_eps: float,
                       opts: ContinuationOptions = ContinuationOptions(),
-                      sink: RecordSink | None = None, *,
-                      work: np.ndarray | None = None) -> ContinuationRecord:
+                      sink: RecordSink | None = None) -> ContinuationRecord:
     """March the exchange parameter from the start record's eps up to target_eps."""
     if not start.family.is_exchange:
         raise WrongFamily("continue_exchange needs an exchange-family start")
-    return _march(start, params, spec, grid, newton_opts, opts, target_eps, "C", sink, work)
+    return _march(start, params, spec, grid, newton_opts, opts, target_eps, "C", sink)

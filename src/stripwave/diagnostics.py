@@ -48,7 +48,7 @@ from .errors import WrongFamily
 from .grid import Grid
 from .model import ModelParams, NonlinearitySpec, c_max, reaction
 from .model import eval_nonlinearity  # noqa: F401 (not called; kept for perfbench/tracer.py)
-from .residual import WaveState
+from .residual import WENTZELL, WaveState
 from .solver import _bisect
 
 BOUNDS_TOL = 1e-8
@@ -181,7 +181,7 @@ def dispersion_root(q: DispersionQuery) -> DispersionRoot:
     c, fp1 = q.c, q.fprime1
     gamma_lim = (-c + math.sqrt(c * c - 4.0 * d * fp1)) / (2.0 * d)
 
-    if q.family_kind == "wentzell" and q.parameter == 0.0:
+    if q.family_kind == WENTZELL and q.parameter == 0.0:
         return DispersionRoot(gamma=gamma_lim, gamma_lim=gamma_lim)
 
     def beta(g: float) -> float:
@@ -191,7 +191,7 @@ def dispersion_root(q: DispersionQuery) -> DispersionRoot:
     def gap(g: float) -> float:
         b = beta(g)
         bt = d * b * math.tanh(b * L)
-        if q.family_kind == "wentzell":
+        if q.family_kind == WENTZELL:
             return q.parameter * (D * g * g + c * g) - mu * bt
         return (D * g * g + c * g) - mu * bt / (1.0 + q.parameter * bt)
 

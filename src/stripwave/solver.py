@@ -26,10 +26,10 @@ pinning the anchor removes the near-null translation mode, and J x = r becomes
 (A~ + (b - e_a) e_a^T) z = r - J[:, a] r_N with z_a = dc, which one
 rank-1 (Sherman-Morrison) correction solves.  Its w = A~^{-1} (b - e_a) is
 the second column of the first solve's band solve.  The band holds about
-N (3m + 1) entries, so its memory grows like nx ny^2.  It is the head of a
-workspace the caller owns (`band_workspace`, one per run) and passes to each
-factorization in turn; each rewrites every band entry LAPACK reads, so the
-workspace is memory, not solver state.
+N (3m + 1) entries, so its memory grows like nx ny^2.  It is the head of one
+array per thread, which grows to the largest band factored in that thread
+and never shrinks; each factorization rewrites every band entry LAPACK
+reads, so the array is memory, not solver state.
 
 Left of the front the reaction vanishes (f = f' = 0 for psi <= theta), so
 A~ is block tridiagonal there with one (L, D, U) per block row of m
@@ -91,6 +91,7 @@ import logging
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,16 +413,17 @@ class BorderedBandLU:
     Block rows 0 .. K are eliminated first (`tail`, a `CyclicTail`), and the
     band holds only the unknowns from `start` = (K + 1) m on: one strided
     slice of each of J's diagonals, each row times `scale` (1/max|row|), at
-    the head of `work` (`band_workspace`) or of an array of the band's size
-    and m floats more.  dgbtrs solves with U's `reach` superdiagonals past m,
-    on the view `u` of the band shifted by m - `reach` rows.  `j_norm` and the
-    backward-error test are of the unscaled J; `j_norm` sums block rows 0, 1
-    and K on, and rows 2 .. K - 1, which have row 1's diagonals, as row 1's
-    diagonal sums plus their largest |b| at each position.  An LU whose band a
-    later factorization has taken refuses to solve.
+    the head of this thread's array (`_workspace`), sized for J's band
+    without a tail and m floats more.  dgbtrs solves with U's `reach`
+    superdiagonals past m, on the view `u` of the band shifted by m - `reach`
+    rows.  `j_norm` and the backward-error test are of the unscaled J;
+    `j_norm` sums block rows 0, 1 and K on, and rows 2 .. K - 1, which have
+    row 1's diagonals, as row 1's diagonal sums plus their largest |b| at each
+    position.  An LU whose band a later factorization in its thread has taken
+    refuses to solve.
     """
 
-    def __init__(self, J: Jacobian, work: np.ndarray | None = None) -> None:
+    def __init__(self, J: Jacobian) -> None:
         if not isinstance(J, Jacobian):
             raise ValueError("J is not a Jacobian as assemble_jacobian returns it")
         n, m, a = J.b.size, J.m, J.anchor
@@ -447,10 +449,7 @@ class BorderedBandLU:
         size = size.max(axis=0)
         size[size == 0.0] = 1.0
         scale = np.divide(1.0, size, out=size)
-        if work is None:
-            work = np.empty(ldab * nb + m)
-        elif work.size < ldab * nb + m:
-            raise ValueError(f"the band workspace holds {work.size} floats, not {ldab * nb + m}")
+        work = _workspace(ldab * (n - m) + m)  # the band of J without a tail
         # LAPACK band storage of A~ from `start` on, each row scaled, column-major:
         # A~[r, r + o] goes to ab[2m - o, r + o - start]; dgbtrf writes its pivoting
         # fill into the first m rows without reading them.  Diagonal o > 0 of row K,
@@ -557,20 +556,24 @@ class BorderedBandLU:
         return x
 
 
-def band_workspace(grid: Grid) -> np.ndarray:
-    """`work` for every factorization on `grid` or a smaller grid: the largest
-    band, an exchange J's without a tail, and its m floats of slack.  A page
-    takes memory once a band reaches it."""
-    return np.empty(((3 * grid.ny + 4) * (grid.nx - 1) + 1) * (grid.ny + 1))
+_local = threading.local()
 
 
-def factorize(J: Jacobian, *, work: np.ndarray | None = None) -> BorderedBandLU:
+def _workspace(size: int) -> np.ndarray:
+    """This thread's band array, replaced by one of `size` floats when it is
+    shorter.  A page takes memory once a band reaches it."""
+    work = getattr(_local, "work", None)
+    if work is None or work.size < size:
+        work = _local.work = np.empty(size)
+    return work
+
+
+def factorize(J: Jacobian) -> BorderedBandLU:
     """The `BorderedBandLU` of J, a Jacobian as `assemble_jacobian` returns
-    it, whose `solve` checks its own backward error, with its band in `work`
-    (`band_workspace`) when given.  Raises LinearSolveFailed when J is
-    singular, ValueError for any other matrix or a short `work`.
+    it, whose `solve` checks its own backward error.  Raises
+    LinearSolveFailed when J is singular, ValueError for any other matrix.
     """
-    return BorderedBandLU(J, work)
+    return BorderedBandLU(J)
 
 
 def linear_solve(J: Jacobian, rhs: np.ndarray) -> np.ndarray:
@@ -580,10 +583,8 @@ def linear_solve(J: Jacobian, rhs: np.ndarray) -> np.ndarray:
 
 
 def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
-                 grid: Grid, opts: NewtonOptions = NewtonOptions(), *,
-                 work: np.ndarray | None = None) -> NewtonResult:
-    """Chord Newton iteration on the bordered system (see the module docstring),
-    each factorization's band in `work` when given (`factorize`).
+                 grid: Grid, opts: NewtonOptions = NewtonOptions()) -> NewtonResult:
+    """Chord Newton iteration on the bordered system (see the module docstring).
 
     Deterministic given its inputs.  Raises MaxItersExceeded,
     LinearSolveFailed, StepUnderflow, or NegativeSpeed (converged speed
@@ -605,7 +606,7 @@ def newton_solve(init: WaveState, params: ModelParams, spec: NonlinearitySpec,
         fresh = lu is None
         if fresh:
             lu = factorize(assemble_jacobian(vector_to_state(u, grid, family), params, spec,
-                                             grid), work=work)
+                                             grid))
             factorizations += 1
         du = lu.solve(-R)
         lam = 1.0

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import itertools
 import logging
@@ -15,9 +16,10 @@ from conftest import (classify, csc_reference, reference_trajectory, rk4, sample
 from stripwave import solver
 from stripwave import (Grid, HomotopyFamily, ModelParams, NewtonOptions, NonlinearityKind,
                        NonlinearitySpec, WaveState, assemble_jacobian, assemble_residual,
-                       build_grid, c_max, embed_one_dim_wave, field_views, handoff_to_system,
-                       linear_solve, newton_solve, solve_1d_ignition_shooting,
-                       state_to_vector, vector_to_state)
+                       build_grid, c_max, continue_wentzell, embed_one_dim_wave, field_views,
+                       handoff_to_system, linear_solve, make_record, newton_solve, one_dim_guess,
+                       one_dim_start, solve_1d_ignition_shooting, state_to_vector,
+                       vector_to_state)
 from stripwave.errors import (BracketNotFound, LinearSolveFailed, MaxItersExceeded,
                               SolverError, StepUnderflow)
 
@@ -403,28 +405,68 @@ def test_the_narrowed_band_solve_returns_the_full_width_bits(nx, ny, state, reac
     assert np.array_equal(solver.lapack.dgbtrs(lu.u, m, p, rhs, lu.piv)[0], full)
 
 
+def in_new_thread(fn, *args):
+    """fn(*args) in a new thread, which has no band array until it factors."""
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
 def test_one_workspace_serves_every_band_bit_for_bit():
-    # one workspace, sized for 961 x 41 and filled with NaN, taken in turn by
-    # Jacobians of other shapes and tails: 961 x 41 Wentzell and exchange with a
-    # tail, 481 x 5 and 481 x 11 without one.  Each factorization rewrites every
-    # band entry LAPACK reads, so each solve is the bits of a fresh band's
+    # a thread's factorizations share one array: the 961 x 41 exchange J, the
+    # widest band, is factored first; then, with the array poisoned with NaN,
+    # 961 x 41 Wentzell with a tail, 481 x 5 and 481 x 11 without one take its
+    # head in turn.  Each factorization rewrites every band entry LAPACK reads,
+    # so each solve is the bits of the same J factored in a new thread, on an
+    # array of its own
     big = build_grid(PARAMS, -160.0, 80.0, 961, 41)
-    work = solver.band_workspace(big)
-    work[:] = np.nan
     wentzell, exchange = smooth_states(big)
-    cases = [(big, wentzell), (build_grid(PARAMS, -160.0, 80.0, 481, 5), None), (big, exchange),
+    cases = [(big, exchange), (big, wentzell), (build_grid(PARAMS, -160.0, 80.0, 481, 5), None),
              (build_grid(PARAMS, -160.0, 80.0, 481, 11), None)]
     tails = []
     for i, (grid, state) in enumerate(cases):
         J = assemble_jacobian(state or smooth_states(grid)[0], PARAMS, CUBIC, grid)
         rhs = np.random.default_rng(i).standard_normal((2, J.shape[0]))
-        lu = solver.factorize(J, work=work)
+        lu = solver.factorize(J)
+        if i == 0:
+            work = solver._workspace(0)  # this thread's array
         assert np.shares_memory(lu.lu, work)
         ours = [lu.solve(r) for r in rhs]
-        fresh = solver.factorize(J)
-        assert all(np.array_equal(x, fresh.solve(r)) for x, r in zip(ours, rhs))
+        fresh = in_new_thread(lambda: [solver.factorize(J).solve(r) for r in rhs])
+        assert all(np.array_equal(x, y) for x, y in zip(ours, fresh))
         tails.append(tail_rows(lu))
-    assert tails[0] > 0 and tails[2] > 0 and tails[1] == tails[3] == 0
+        work[:] = np.nan
+    assert tails[0] > 0 and tails[1] > 0 and tails[2] == tails[3] == 0
+
+
+def test_the_library_path_takes_a_new_band_array_only_for_a_wider_band(monkeypatch):
+    # the README's library calls on 241 x 21, which say nothing of where the
+    # band lives: `one_dim_start`'s Newton on 3 rows (its broadcast to 21 rows
+    # has converged), then `continue_wentzell`'s on the coarse level (121 x 5)
+    # and on 21 rows, 10 factorizations of 3 band shapes.  In a new thread,
+    # which starts without an array, a new one comes only with a band wider
+    # than every band before, so at most one per shape, not one per
+    # factorization
+    grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
+    calls, workspace = [], solver._workspace
+
+    def spy(size):
+        work = workspace(size)
+        calls.append((size, work))  # keeps every array alive, so none reuses a freed one
+        return work
+
+    def library_path():
+        guess = one_dim_guess(PARAMS.d, CUBIC, tol=1e-9)
+        corrected = one_dim_start(guess, PARAMS, CUBIC, grid, NewtonOptions())
+        start = make_record("A", corrected.state, corrected.residual_norm, PARAMS, CUBIC, grid,
+                            step=0.1)
+        return continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target_s=1.0)
+
+    monkeypatch.setattr(solver, "_workspace", spy)
+    assert in_new_thread(library_path).parameter == 1.0
+    new = [i for i, (_, work) in enumerate(calls) if all(work is not w for _, w in calls[:i])]
+    sizes = [size for size, _ in calls]
+    assert all(sizes[i] > max(sizes[:i], default=0) for i in new)
+    assert len(new) <= len(set(sizes)) == 3 < len(calls)
 
 
 @pytest.mark.parametrize("nx, ny", [(481, 11), (241, 21)])
@@ -465,24 +507,28 @@ def test_the_first_solve_passes_dgbtrs_fortran_columns(monkeypatch):
 
 
 def test_an_lu_whose_workspace_was_taken_refuses_to_solve():
-    # the LU that owns the workspace solves; one whose band a later
-    # factorization took refuses, whether or not it has solved before
+    # the LU that owns its thread's array solves; one whose band a later
+    # factorization in the same thread took refuses, whether or not it has
+    # solved before.  An LU made in another thread has an array of its own:
+    # this thread's factorizations neither share nor change it
     grid = build_grid(PARAMS, -160.0, 80.0, 241, 21)
     wentzell, exchange = (assemble_jacobian(st, PARAMS, CUBIC, grid)
                           for st in smooth_states(grid))
-    work = solver.band_workspace(grid)
     rhs = np.ones(wentzell.shape[0])
-    solved = solver.factorize(wentzell, work=work)
+    other = in_new_thread(solver.factorize, wentzell)
+    band = other.lu.tobytes()
+    solved = solver.factorize(wentzell)
     solved.solve(rhs)
-    unsolved = solver.factorize(wentzell, work=work)
-    owner = solver.factorize(exchange, work=work)
+    unsolved = solver.factorize(wentzell)
+    owner = solver.factorize(exchange)
     for stale in (solved, unsolved):
         with pytest.raises(RuntimeError, match="^the band workspace was taken by a later "
                                                "factorization$"):
             stale.solve(rhs)
     owner.solve(np.ones(exchange.shape[0]))
-    with pytest.raises(ValueError, match="^the band workspace holds 100 floats, not "):
-        solver.factorize(wentzell, work=np.empty(100))
+    assert not np.shares_memory(other.lu, owner.lu)
+    assert other.lu.tobytes() == band
+    assert np.array_equal(other.solve(rhs), solver.factorize(wentzell).solve(rhs))
 
 
 @pytest.mark.parametrize("singular_call, tail, own", [(None, 151, [4, 7]), (8, 127, [])],
