@@ -13,10 +13,9 @@ every state whose residual or Jacobian Newton assembles, by wrapping
 `solver.assemble_residual` and `solver.assemble_jacobian`.  Then, over
 `--rounds` rounds, each round going through all of them in turn, it factors
 each Jacobian and solves two random right-hand sides, with one BLAS thread
-and the band memory a run's factorizations get (one `solver.band_workspace`
-for all of them at a checkout that has it, the solver's own array of the
-thread otherwise), and assembles each state's residual and Jacobian once
-more.  The parts, in ms per Jacobian or per state:
+and the solver's own band array of the thread, as a run's factorizations
+get, and assembles each state's residual and Jacobian once more.  The
+parts, in ms per Jacobian or per state:
 
   fill           the factorization less the three parts below: the band's
                  allocation, zero fill and slices, and |J|_inf
@@ -94,9 +93,6 @@ def timed(part, fn):
 solver.cyclic_tail = timed("tail", solver.cyclic_tail)
 solver.lapack.dgbtrf = timed("dgbtrf", solver.lapack.dgbtrf)
 solver.BorderedBandLU._band_solve = timed("w", solver.BorderedBandLU._band_solve)
-kw = {}  # without band_workspace the solver reuses its own array, as a run does
-if hasattr(solver, "band_workspace"):
-    kw["work"] = solver.band_workspace(cli.load_config(sys.argv[2]).grid)
 rng = np.random.default_rng(0)
 rhs = [rng.standard_normal((2, J.shape[0])) for J in captured]
 samples = {}
@@ -105,7 +101,7 @@ for _ in range(int(sys.argv[3])):
         spent.update(tail=0.0, dgbtrf=0.0, w=0.0)
         inside.append(1)
         t0 = time.perf_counter()
-        lu = solver.factorize(J, **kw)
+        lu = solver.factorize(J)
         t1 = time.perf_counter()
         inside.clear()
         lu.solve(first)

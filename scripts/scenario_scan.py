@@ -11,10 +11,10 @@ unless given, always over [-160, 80]) and one change each of D (0.25, 0.5,
 `wave run` in a fresh interpreter that imports stripwave from a checkout's
 `src/`.  One line per scenario gives the exit code, the error type (`-` for
 none), the `path.csv` rows, the Newton factorizations on the grid's columns
-(the s = 0 start's three rows included) and on fewer columns (a Wentzell
-march's coarse level), the Newton iterations of the s = 0 start's
-correction on three rows (`-` when it raised) and the final `c` to 17
-digits.
+(the s = 0 start's three rows included) and on fewer columns (a march's
+coarse level), the Newton iterations of the s = 0 start's correction on
+three rows (`-` when it raised), the trials the marches rejected and the
+final `c` to 17 digits.
 
 With `--against CHECKOUT` every scenario also runs on that checkout, and
 every output file of the two runs is compared byte for byte, `summary.json`
@@ -22,7 +22,8 @@ without its `timings_s`, and so are the factorization and start iteration
 counts; a line ends in `same` or in what differs, and the exit status is 1
 when anything does.  When `path.csv` differs, the line ends in the largest
 relative difference of `c` over the two files' rows, matched by (stage,
-family_param), or in `rows differ` when the rows do not match.
+family_param), or, when the rows do not match, in `rows differ` and the
+relative difference of the final stage C `c` when both files reach stage C.
 """
 
 from __future__ import annotations
@@ -41,12 +42,18 @@ ROOT = Path(__file__).resolve().parents[1]
 # one `wave run` with every Newton factorization counted, on the grid's
 # columns or on fewer (J holds `m` unknowns per column), and the Newton
 # iterations of its s = 0 start's correction on three rows, the run's first
-# Newton solve (`continuation.one_dim_start`), recorded; prints all three
+# Newton solve (`continuation.one_dim_start`), recorded, and the trials its
+# marches rejected counted from their log; prints all four
 CHILD = """
-import json, sys
+import json, logging, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from stripwave import cli, continuation, solver
+rejected = []
+log = logging.getLogger("stripwave.continuation")
+log.setLevel(logging.INFO)
+log.propagate = False
+log.addFilter(lambda record: rejected.append(record.getMessage().startswith("step rejected")))
 nx = json.loads(Path(sys.argv[2]).read_text())["grid"]["nx"]
 count, coarse, start = 0, 0, []
 factorize, newton_solve = solver.factorize, continuation.newton_solve
@@ -64,7 +71,7 @@ def recorded(*args, **kwargs):
 solver.factorize, continuation.newton_solve = counted, recorded
 code = cli.main(["run", sys.argv[2]])
 print(json.dumps({"exit": code, "factorizations": count, "coarse_factorizations": coarse,
-                  "start_iterations": start[0] if start else "-"}))
+                  "start_iterations": start[0] if start else "-", "rejected": sum(rejected)}))
 """
 
 BASE = {
@@ -137,17 +144,23 @@ def differing(ours: Path, theirs: Path) -> list[str]:
 
 def c_change(ours: Path, theirs: Path) -> str:
     """The largest relative difference of `c` between two `path.csv` files, their
-    rows matched by (stage, family_param), or that their rows differ."""
+    rows matched by (stage, family_param), or that their rows differ, with the
+    relative difference of their final stage C `c` when both have one."""
     sides = []
     for path in (ours, theirs):
         with path.open(newline="") as f:
-            rows = [((r["stage"], r["family_param"]), float(r["c"])) for r in csv.DictReader(f)]
-        sides.append(dict(rows))
-        if len(sides[-1]) != len(rows):
+            sides.append([((r["stage"], r["family_param"]), float(r["c"]))
+                          for r in csv.DictReader(f)])
+    matched = [dict(rows) for rows in sides]
+    if any(len(m) != len(rows) for m, rows in zip(matched, sides)) \
+            or matched[0].keys() != matched[1].keys():
+        finals = [[c for (stage, _), c in rows if stage == "C"][-1:] for rows in sides]
+        if not all(finals):
             return "rows differ"
-    if sides[0].keys() != sides[1].keys():
-        return "rows differ"
-    worst = max(abs(c - sides[1][key]) / abs(sides[1][key]) for key, c in sides[0].items())
+        (c, ), (reference, ) = finals
+        return f"rows differ, final c within {abs(c - reference) / abs(reference):.1e} relative"
+    worst = max(abs(c - matched[1][key]) / abs(matched[1][key])
+                for key, c in matched[0].items())
     return f"c within {worst:.1e} relative"
 
 
@@ -181,7 +194,8 @@ def main(argv=None) -> int:
             line = (f"{name:10} exit={ours['exit']} error={ours['error']} rows={ours['rows']} "
                     f"factorizations={ours['factorizations']} "
                     f"coarse_factorizations={ours['coarse_factorizations']} "
-                    f"start_iterations={ours['start_iterations']} c={ours['c']}")
+                    f"start_iterations={ours['start_iterations']} "
+                    f"rejected={ours['rejected']} c={ours['c']}")
             if args.against:
                 theirs = run(args.against.resolve(), table[name], base / "against" / name)
                 outs = base / "this" / name / "out", base / "against" / name / "out"
@@ -189,7 +203,7 @@ def main(argv=None) -> int:
                 if "path.csv" in diff and all((out / "path.csv").exists() for out in outs):
                     diff.append(f"({c_change(*(out / 'path.csv' for out in outs))})")
                 diff += [key for key in ("factorizations", "coarse_factorizations",
-                                         "start_iterations")
+                                         "start_iterations", "rejected")
                          if theirs[key] != ours[key]]
                 line += "  " + ("same" if not diff else "DIFFER: " + " ".join(diff))
                 status |= bool(diff)

@@ -54,7 +54,7 @@ from . import analysis
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER, EXIT_IO = 0, 2, 3, 4
 STAGES = ("A", "B", "C")
 
@@ -208,26 +208,19 @@ def resolve_output_dir(cfg: RunConfig) -> Path:
 
 # --- checkpoints --------------------------------------------------------------
 # A checkpoint is a record's restart point: its state, as the top-level
-# STATE_FIELDS, and in `control` its step and the previous accepted state, of the
-# same layout and family, as `control.prev_<name>` (all four null for none).
+# STATE_FIELDS, and in `control` the step of its next trial.
 STATE_FIELDS = ("parameter", "c", "psi", "phi")
 GRID_FIELDS = {"x_left": float, "x_right": float, "L": float, "nx": int, "ny": int}
 STAGE_FAMILY = {"A": WENTZELL, "B": EXCHANGE, "C": EXCHANGE}
 
 
-def _state_fields(state: WaveState | None, prefix: str = "") -> dict:
-    """The checkpoint fields of `state`, each name with `prefix`; nulls for none."""
-    values = (None,) * 4 if state is None else (state.family.parameter, state.c,
-                                                 state.psi.ravel(), state.phi)
-    return {prefix + name: value for name, value in zip(STATE_FIELDS, values)}
-
-
 def checkpoint_dict(record: ContinuationRecord, grid: Grid, cfg_hash: str) -> dict:
+    state = record.state
     return {"schema_version": SCHEMA_VERSION, "stage": record.stage,
-            "family": record.state.family.kind, **_state_fields(record.state),
+            "family": state.family.kind, "parameter": state.family.parameter, "c": state.c,
+            "psi": state.psi.ravel(), "phi": state.phi,
             "grid": {name: getattr(grid, name) for name in GRID_FIELDS},
-            "config_hash": cfg_hash,
-            "control": {"step": record.step, **_state_fields(record.prev_state, "prev_")}}
+            "config_hash": cfg_hash, "control": {"step": record.step}}
 
 
 def _json_chunks(data: dict, chunks: list) -> None:
@@ -270,18 +263,11 @@ def write_checkpoint(path: Path, data: dict) -> None:
     chunks = []
     _json_chunks(data, chunks)
     try:
-        tmp.write_bytes(b"".join(chunks))
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def _states(data: dict) -> list[tuple[dict, str, str]]:
-    """Each state of a checkpoint as (section, key prefix, field prefix): the
-    record's, then the previous one unless its fields are all null."""
-    ctrl = data["control"]
-    prev = any(ctrl["prev_" + name] is not None for name in STATE_FIELDS)
-    return [(data, "", "")] + ([(ctrl, "prev_", "control.prev_")] if prev else [])
 
 
 def _bad(path, field: str, text: str) -> ValueError:
@@ -298,33 +284,32 @@ def _number(value, field: str, path, kind: type = float):
     return value
 
 
-def _check_state(section: dict, key: str, field: str, family: str, grid: dict, path) -> None:
-    """Check the state held as `section[key + name]` for each STATE_FIELDS
-    name, reported as field `field + name`, and decode its arrays in place."""
-    parameter = _number(section[key + "parameter"], field + "parameter", path)
+def _check_state(data: dict, family: str, grid: dict, path) -> None:
+    """Check the state held as `data[name]` for each STATE_FIELDS name, and
+    decode its arrays in place."""
+    parameter = _number(data["parameter"], "parameter", path)
     try:
         HomotopyFamily(kind=family, parameter=parameter)
     except ValueError as exc:
-        raise _bad(path, field + "parameter", f"is out of range: {exc}") from exc
-    c = _number(section[key + "c"], field + "c", path)
+        raise _bad(path, "parameter", f"is out of range: {exc}") from exc
+    c = _number(data["c"], "c", path)
     if not c > 0:
-        raise _bad(path, field + "c", f"must be > 0, got {c!r}")
+        raise _bad(path, "c", f"must be > 0, got {c!r}")
     arrays = [("psi", grid["nx"] * grid["ny"], "nx * ny")]
     if family == EXCHANGE:
         arrays.append(("phi", grid["nx"], "nx"))
-    elif section[key + "phi"] is not None:
-        raise _bad(path, field + "phi", f"must be null in the {family} family")
+    elif data["phi"] is not None:
+        raise _bad(path, "phi", f"must be null in the {family} family")
     for name, size, rule in arrays:
-        where = f"checkpoint {path}: field '{field}{name}'"
-        section[key + name] = values = _decoded(section[key + name], where)
+        where = f"checkpoint {path}: field '{name}'"
+        data[name] = values = _decoded(data[name], where)
         if values.size != size:
             raise ValueError(f"{where} holds {values.size} values, not {rule} = {size}")
 
 
 def read_checkpoint(path) -> dict:
     """The checkpoint at `path` with its arrays decoded, once its header, its
-    grid, `control.step` and each of its states are checked, and the previous
-    state, if any, lies below the record's parameter."""
+    grid, `control.step` and its state are checked."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -337,7 +322,7 @@ def read_checkpoint(path) -> dict:
                              f"is not supported (want {SCHEMA_VERSION})")
     sections = [("", data, ("stage", "family", "grid", "config_hash") + STATE_FIELDS),
                 ("grid.", data.get("grid"), GRID_FIELDS),
-                ("control.", data.get("control"), ["step"] + ["prev_" + n for n in STATE_FIELDS])]
+                ("control.", data.get("control"), ["step"])]
     for prefix, section, fields in sections:
         for name in fields:
             if not isinstance(section, dict) or name not in section:
@@ -358,12 +343,7 @@ def read_checkpoint(path) -> dict:
     if family != STAGE_FAMILY[stage]:
         raise _bad(path, "family", f"must be {STAGE_FAMILY[stage]!r} at stage {stage}, "
                                    f"got {family!r}")
-    for section, key, field in _states(data):
-        _check_state(section, key, field, family, data["grid"], path)
-    prev = data["control"]["prev_parameter"]
-    if prev is not None and not prev < data["parameter"]:  # the secant needs a state behind
-        raise _bad(path, "control.prev_parameter",
-                   f"must be below 'parameter' = {data['parameter']!r}, got {prev!r}")
+    _check_state(data, family, data["grid"], path)
     return data
 
 
@@ -371,21 +351,18 @@ def require_finite_arrays(data: dict, path) -> None:
     """Raise ValueError naming the first array of a `read_checkpoint` result
     that holds a NaN or an infinity, from which a resume would start Newton;
     `read_checkpoint` accepts them, so that `wave profile` can write them."""
-    for section, key, field in _states(data):
-        for name in ("psi", "phi"):
-            values = section[key + name]
-            if values is not None and not np.isfinite(values).all():
-                raise _bad(path, field + name, "holds a non-finite value")
+    for name in ("psi", "phi"):
+        values = data[name]
+        if values is not None and not np.isfinite(values).all():
+            raise _bad(path, name, "holds a non-finite value")
 
 
-def checkpoint_state(data: dict) -> tuple[WaveState, Grid, float, WaveState | None]:
-    """The state, grid, step and previous state (or None) of a `read_checkpoint` result."""
+def checkpoint_state(data: dict) -> tuple[WaveState, Grid, float]:
+    """The state, grid and step of a `read_checkpoint` result."""
     grid = Grid(**{name: data["grid"][name] for name in GRID_FIELDS})
-    states = [WaveState(c=section[key + "c"], psi=section[key + "psi"].reshape(grid.ny, grid.nx),
-                        phi=section[key + "phi"],
-                        family=HomotopyFamily(data["family"], float(section[key + "parameter"])))
-              for section, key, _ in _states(data)]
-    return states[0], grid, data["control"]["step"], states[1] if len(states) > 1 else None
+    state = WaveState(c=data["c"], psi=data["psi"].reshape(grid.ny, grid.nx), phi=data["phi"],
+                      family=HomotopyFamily(data["family"], float(data["parameter"])))
+    return state, grid, data["control"]["step"]
 
 
 # --- CSV sinks ----------------------------------------------------------------
@@ -582,7 +559,7 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
     if STAGES.index(stage) > STAGES.index(cfg.target_stage):
         raise ConfigError(f"continuation.target_stage: a stage {ckpt['stage']} checkpoint "
                           f"resumes in stage {stage}, past the target {cfg.target_stage!r}")
-    state, ck_grid, step, prev_state = checkpoint_state(ckpt)
+    state, ck_grid, step = checkpoint_state(ckpt)
     if ck_grid != cfg.grid:
         raise ConfigHashMismatch("checkpoint grid does not match the configuration grid")
     if stage == cfg.target_stage and ckpt["parameter"] >= 1.0 - PARAMETER_TOL:
@@ -595,7 +572,7 @@ def execute_resume(cfg: RunConfig, outdir: Path, ckpt: dict, force: bool) -> dic
                      "resumed_from": {"stage": ckpt["stage"], "parameter": ckpt["parameter"]}}
     t0 = time.perf_counter()
     start = make_record(stage, state, residual_norm, cfg.params, cfg.nonlinearity, cfg.grid,
-                        step, prev_state)
+                        step)
     certify(start)  # before the output directory is touched
     with closing(PathWriter(outdir, cfg, cfg_hash)) as writer:
         _run_stages(cfg, writer, summary, start, t0)
@@ -715,7 +692,7 @@ def cmd_resume(args) -> int:
 def cmd_profile(args) -> int:
     """The checkpoint's full field (`write_profile_files`), refused when a file
     it would write is the checkpoint, the only copy of a stage's end state."""
-    state, grid, _, _ = checkpoint_state(read_checkpoint(args.checkpoint))
+    state, grid, _ = checkpoint_state(read_checkpoint(args.checkpoint))
     out, ckpt = Path(args.out), Path(args.checkpoint).resolve()
     for target in [out] + ([_line_path(out)] if state.phi is not None else []):
         if target.resolve() == ckpt:

@@ -19,29 +19,26 @@ Each solved trial is therefore made into a record first, and a trial
 whose Newton fails or whose record fails a certificate is rejected: its
 step halves, and once it falls below `min_step` the march ends in
 `StepCollapse`, naming the Newton error or the failed certificates.  An
-accepted step grows by `STEP_GROWTH` (3x): the chord Newton factors about
-once per step whatever the step, so a longer step is still cheap (the
-step-length adaptation of predictor-corrector continuation, Allgower and
-Georg, *Introduction to Numerical Continuation Methods*, SIAM 2003,
-ch. 6).  The next step travels in the accepted record's `step`.
+accepted step grows by `STEP_GROWTH` (9x): the two-grid predictor misses
+the trial by the coarse level's error in the step's increment, not by the
+step's curvature, so a longer step costs the fine Newton no more
+iterations (the step-length adaptation of predictor-corrector
+continuation, Allgower and Georg, *Introduction to Numerical Continuation
+Methods*, SIAM 2003, ch. 6).  The next step travels in the accepted
+record's `step`.
 
-A Wentzell trial's Newton starts from a two-grid predictor (Xu, SIAM J.
-Numer. Anal. 33, 1996) on grids with a coarse level (`coarse_level`: every
-second column and `COARSE_ROWS` rows of the same window): the record's
-state plus the bilinear prolongation of u_H(trial) - u_H(s), with c moved
-by the same coarse increment, where u_H(s) is the record's injected state
-solved on the coarse level at its s and u_H(trial) that solution solved
-again at the trial.  A secant step misses the Wentzell path by enough that
-the chord Newton contracts slowly; the two-grid predictor starts it inside
-its quadratic region.  The secant through the record's previous state (the
-record's state itself at a march's start) remains for stage C, where it
-already lands within a few iterations, on grids without a coarse level,
-and as the fallback when a coarse solve fails.  The predictor is a
-function of the record alone, so nothing but the record is carried from
-one step to the next.
+A trial's Newton starts from a two-grid predictor (Xu, SIAM J. Numer.
+Anal. 33, 1996) on grids with a coarse level (`coarse_level`: every second
+column and 5 or 3 rows of the same window): the record's state plus the
+prolongation of u_H(trial) - u_H(s), bilinear for psi and linear in x for
+the line field phi, with c moved by the same coarse increment, where u_H(s)
+is the record's injected state solved on the coarse level at its parameter
+and u_H(trial) that solution solved again at the trial.  Without a coarse
+level, or when a coarse solve fails, the trial starts from the record's own
+state.  The predictor is a function of the record alone, so nothing but
+the record, its state and its step, is carried from one step to the next.
 
-Each march starts from a record, its restart point (a record holds the
-step of the next trial and the previous accepted state), sends its sink
+Each march starts from a record, its restart point, sends its sink
 only the records of the steps it accepts, and returns its end record:
 the start record itself when the target is already reached.  Every
 record carries a full diagnostics report, and the decay-based extent
@@ -53,7 +50,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -63,7 +60,7 @@ from .errors import (ExtentTooSmall, ParameterNotMonotone, SolverError, StepColl
                      WrongFamily)
 from .grid import Grid
 from .model import ModelParams, NonlinearitySpec
-from .residual import HomotopyFamily, WaveState, state_to_vector, vector_to_state
+from .residual import HomotopyFamily, WaveState
 from .solver import NewtonOptions, NewtonResult, OneDimWave, newton_solve
 
 logger = logging.getLogger(__name__)
@@ -96,18 +93,10 @@ class ContinuationRecord:
     residual_norm: float
     diagnostics: DiagnosticsReport
     step: float  # of the next trial
-    prev_state: WaveState | None = None  # for the secant predictor; None at a march's start
 
     def __post_init__(self) -> None:
         if not 0 < self.step < math.inf:
             raise ValueError(f"ContinuationRecord.step must be finite and > 0, got {self.step!r}")
-        prev = self.prev_state
-        if prev is not None and prev.family.kind != self.family.kind:
-            raise ValueError(f"ContinuationRecord.prev_state must be of the {self.family.kind} "
-                             f"family, got {prev.family.kind}")
-        if prev is not None and not prev.family.parameter < self.parameter:
-            raise ValueError(f"ContinuationRecord.prev_state must lie below parameter "
-                             f"{self.parameter!r}, got {prev.family.parameter!r}")
 
     @property
     def c(self) -> float:
@@ -183,53 +172,60 @@ def check_extents(grid: Grid, params: ModelParams, c: float, gamma_pred: float) 
 
 
 def make_record(stage: str, state: WaveState, residual_norm: float, params: ModelParams,
-                spec: NonlinearitySpec, grid: Grid, step: float,
-                prev_state: WaveState | None = None) -> ContinuationRecord:
+                spec: NonlinearitySpec, grid: Grid, step: float) -> ContinuationRecord:
     """The record of `state`: the extent rule is checked once its certificates pass."""
     diag = run_diagnostics(state, params, spec, grid)
     if not diag.failed:
         check_extents(grid, params, state.c, diag.gamma_pred)
     return ContinuationRecord(stage=stage, state=state, residual_norm=residual_norm,
-                              diagnostics=diag, step=step, prev_state=prev_state)
+                              diagnostics=diag, step=step)
 
 
 # an accepted step's growth (see the module docstring)
-STEP_GROWTH = 3.0
-# the rows of a Wentzell march's coarse level (`coarse_level`)
+STEP_GROWTH = 9.0
+# the rows of a march's coarse level on a grid of at least COARSE_ROWS_FROM rows
+# where they nest (`coarse_level`); 3 rows on other grids.  Stages A to C of the
+# default run in process from its s = 0 start, on a 3-row -> a 5-row coarse level
+# (wall ms, medians of 12 alternating pairs; one BLAS thread, 2 vCPUs):
+#     rows   481 columns            961 columns
+#     9      21.8 -> 25.4 (+3.7)    29.1 -> 31.5 (+2.4)
+#     13     27.4 -> 29.4 (+2.0)    42.4 -> 43.3 (+0.9)
+#     17     29.8 -> 31.6 (+1.9)    47.5 -> 47.9 (+0.4)
+#     21     32.8 -> 34.8 (+2.1)    49.1 -> 49.1 (0.0)
+#     41     69.2 -> 70.8 (+1.6)    105.3 -> 101.3 (-4.0, lower in 11 of 12)
+# Below 21 rows three are faster on both widths; from 21 on, five are level or
+# faster on 961 columns, the default grid's, and 2 ms slower on 481
 COARSE_ROWS = 5
-# the fewest rows of a grid with a coarse level.  Stage A of the default run
-# in process, the secant -> the two-grid predictor (wall ms, medians of 16
-# alternating pairs, 8 from 41 rows on; one BLAS thread, shared 2-vCPU VM;
-# 11 rows on a 3-row coarse level):
-#     rows   481 columns            961 columns            1921 columns
-#     11     23.3 -> 23.9 (+0.5)    43.4 -> 40.0 (-4.1)
-#     13     39.4 -> 43.5 (+4.1)    75.4 -> 66.7 (-8.1)
-#     17     49.8 -> 51.4 (+2.0)    92.0 -> 73.3 (-19)
-#     21     60.4 -> 57.2 (-5.1)    99.6 -> 78.2 (-25)
-#     41     149 -> 109 (-41)       247 -> 150 (-97)       468 -> 248 (-228)
-# The coarse solves cost a few ms whatever ny, and save fine iterations whose
-# cost grows like nx ny^2: from 21 rows on they pay on both widths
-TWO_GRID_MIN_ROWS = 21
+COARSE_ROWS_FROM = 21
 
 
 def coarse_level(grid: Grid) -> Grid | None:
-    """The nested grid of every second column and `COARSE_ROWS` rows of
-    `grid`'s window, anchor included, on which a Wentzell march predicts its
-    trials; None when `grid` has too few rows or the nodes do not nest."""
-    if (grid.ny < TWO_GRID_MIN_ROWS or (grid.nx - 1) % 2 or (grid.ny - 1) % (COARSE_ROWS - 1)
-            or grid.anchor_ix % 2):
+    """The nested grid of every second column and `COARSE_ROWS` or 3 rows of
+    `grid`'s window, anchor included, on which a march predicts its trials;
+    None when `grid` has fewer than 5 rows or its rows, columns or anchor do
+    not nest."""
+    if grid.ny < 5 or (grid.ny - 1) % 2 or (grid.nx - 1) % 2 or grid.anchor_ix % 2:
         return None
-    return Grid(grid.x_left, grid.x_right, grid.L, (grid.nx - 1) // 2 + 1, COARSE_ROWS)
+    rows = (COARSE_ROWS if grid.ny >= COARSE_ROWS_FROM and (grid.ny - 1) % (COARSE_ROWS - 1) == 0
+            else 3)
+    return Grid(grid.x_left, grid.x_right, grid.L, (grid.nx - 1) // 2 + 1, rows)
+
+
+def _prolong_x(coarse: np.ndarray) -> np.ndarray:
+    """Linear prolongation of rows on a coarse level's columns to the columns
+    between them."""
+    out = np.empty(coarse.shape[:-1] + (2 * coarse.shape[-1] - 1,))
+    out[..., ::2] = coarse
+    out[..., 1::2] = 0.5 * (coarse[..., :-1] + coarse[..., 1:])
+    return out
 
 
 def _prolong(coarse: np.ndarray, ny: int) -> np.ndarray:
     """Bilinear prolongation of a field on a coarse level to `ny` rows and
     the columns between its columns."""
-    rows, cols = coarse.shape
+    rows = coarse.shape[0]
     fy = (ny - 1) // (rows - 1)
-    along_x = np.empty((rows, 2 * cols - 1))
-    along_x[:, ::2] = coarse
-    along_x[:, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
+    along_x = _prolong_x(coarse)
     w = (np.arange(fy) / fy)[:, None]
     out = np.empty((ny, along_x.shape[1]))
     out[:-1].reshape(rows - 1, fy, -1)[...] = (along_x[:-1, None] * (1.0 - w)
@@ -248,14 +244,15 @@ def _predict(record: ContinuationRecord, trial: float, base: NewtonResult | Solv
     `base` is u_H(s), the record's injected state solved on the coarse level,
     as a `NewtonResult` or the `SolverError` its solve raised; None before
     the record's first trial, which solves it.  Without a coarse level, or
-    when a coarse solve fails, the start is the secant predictor.
+    when a coarse solve fails, the start is the record's own state.
     """
-    state, prev, param = record.state, record.prev_state, record.parameter
+    state = record.state
     family = state.family.with_parameter(trial)
     if coarse is not None:
         if base is None:
             fy = (grid.ny - 1) // (coarse.ny - 1)
-            injected = WaveState(c=state.c, psi=state.psi[::fy, ::2].copy(), phi=None,
+            injected = WaveState(c=state.c, psi=state.psi[::fy, ::2].copy(),
+                                 phi=None if state.phi is None else state.phi[::2].copy(),
                                  family=state.family)
             try:
                 base = newton_solve(injected, params, spec, coarse, newton_opts)
@@ -264,40 +261,36 @@ def _predict(record: ContinuationRecord, trial: float, base: NewtonResult | Solv
         failure = base
         if isinstance(base, NewtonResult):
             try:
-                at_trial = newton_solve(WaveState(c=base.state.c, psi=base.state.psi, phi=None,
-                                                  family=family), params, spec, coarse,
-                                        newton_opts)
+                at_trial = newton_solve(replace(base.state, family=family), params, spec,
+                                        coarse, newton_opts)
             except SolverError as exc:
                 failure = exc
             else:
-                psi = _prolong(at_trial.state.psi - base.state.psi, grid.ny)
-                psi += state.psi
+                new, old = at_trial.state, base.state
+                psi = _prolong(new.psi - old.psi, grid.ny) + state.psi
+                phi = None if state.phi is None else _prolong_x(new.phi - old.phi) + state.phi
                 how = (f"two-grid predictor, {base.iterations + at_trial.iterations} iterations "
                        f"and {base.factorizations + at_trial.factorizations} factorizations on "
                        f"{coarse.nx} x {coarse.ny}")
-                return (WaveState(c=state.c + (at_trial.state.c - base.state.c), psi=psi,
-                                  phi=None, family=family), base, how)
-        logger.info("two-grid predictor failed on %d x %d (%s); secant predictor", coarse.nx,
+                return (WaveState(c=state.c + (new.c - old.c), psi=psi, phi=phi, family=family),
+                        base, how)
+        logger.info("two-grid predictor failed on %d x %d (%s); the record's state", coarse.nx,
                     coarse.ny, failure)
-    u_pred = u = state_to_vector(state, grid)
-    if prev is not None:
-        factor = (trial - param) / (param - prev.family.parameter)
-        u_pred = u + factor * (u - state_to_vector(prev, grid))
-    return vector_to_state(u_pred, grid, family), base, "secant predictor"
+    return replace(state, family=family), base, "the record's state"
 
 
 def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
            newton_opts: NewtonOptions, opts: ContinuationOptions, target: float,
            stage: str, sink: RecordSink | None) -> ContinuationRecord:
     """March from `start` to `target`: each trial starts from `_predict`'s
-    predictor, two-grid for a Wentzell march on a grid with a coarse level,
-    otherwise the secant (module docstring)."""
+    two-grid predictor on a grid with a coarse level, otherwise from the
+    record's state (module docstring)."""
     if target < start.parameter - PARAMETER_TOL:
         raise ParameterNotMonotone(f"target {target} is below current parameter {start.parameter}")
-    coarse = coarse_level(grid) if start.family.is_wentzell else None
+    coarse = coarse_level(grid)
     record, step, base = start, start.step, None
     while record.parameter < target - PARAMETER_TOL:
-        state, param = record.state, record.parameter
+        param = record.parameter
         trial = min(param + step, target)
         pred_state, base, how = _predict(record, trial, base, params, spec, grid, coarse,
                                          newton_opts)
@@ -307,7 +300,7 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
             reason = str(exc)
         else:
             solved = make_record(stage, result.state, result.residual_norm, params, spec, grid,
-                                 STEP_GROWTH * step, state)
+                                 STEP_GROWTH * step)
             failed = solved.diagnostics.failed
             reason = (f"record at parameter {trial:.6f}, c = {solved.c:.8f}, fails "
                       f"{', '.join(failed)}") if failed else None

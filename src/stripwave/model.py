@@ -77,28 +77,43 @@ class NonlinearitySpec:
         return -1.0
 
 
-def reaction(u, spec: NonlinearitySpec) -> np.ndarray:
+def reaction(u: np.ndarray, spec: NonlinearitySpec) -> np.ndarray:
     """f(u) for an ndarray u, with the extension convention: f = 0 for
-    u <= theta (hence for u < 0 as well) and f = f'(1) (u - 1) for u > 1."""
+    u <= theta (hence for u < 0 as well) and f = f'(1) (u - 1) for u > 1.
+    The branch of (theta, 1] is evaluated in place over every node, then
+    the nodes outside it are overwritten."""
     theta = spec.theta
     if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
-        mid = (u - theta) ** 2 * (1.0 - u)
+        f = u - theta
+        f **= 2
+        f *= 1.0 - u
     else:
-        mid = 1.0 - u
-    return np.where(u <= theta, 0.0, np.where(u <= 1.0, mid, spec.fprime_at_one * (u - 1.0)))
+        f = 1.0 - u
+    f = np.asarray(f)  # a 0-d u gives numpy scalars
+    f[u <= theta] = 0.0
+    over = u > 1.0
+    f[over] = spec.fprime_at_one * (u[over] - 1.0)
+    return f
 
 
-def reaction_derivative(u, spec: NonlinearitySpec) -> np.ndarray:
+def reaction_derivative(u: np.ndarray, spec: NonlinearitySpec) -> np.ndarray:
     """The one-sided derivative f'(u) for an ndarray u, with the extension
-    convention of `reaction`; at the ignition kink u = theta the right
-    derivative."""
+    convention of `reaction`, evaluated the same way; at the ignition kink
+    u = theta the right derivative."""
     theta = spec.theta
     if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
-        mid = 2.0 * (u - theta) * (1.0 - u) - (u - theta) ** 2
+        v = u - theta
+        fp = 2.0 * v
+        fp *= 1.0 - u
+        v **= 2
+        fp -= v
     else:
-        mid = np.full_like(u, -1.0)
-    # strict '<' keeps f'(theta) = right derivative at the kink
-    return np.where(u < theta, 0.0, np.where(u <= 1.0, mid, spec.fprime_at_one))
+        fp = np.full(np.shape(u), -1.0)
+    fp = np.asarray(fp)
+    # strict '<' keeps f'(theta) = right derivative at the kink; NaN takes f'(1)
+    fp[u < theta] = 0.0
+    fp[~(u <= 1.0)] = spec.fprime_at_one
+    return fp
 
 
 def eval_nonlinearity(u, spec: NonlinearitySpec):

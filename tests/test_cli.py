@@ -191,8 +191,6 @@ def checkpoints(out, stage="[ABC]"):
      "ckpt.json: field 'psi' holds 5290 values, not nx * ny = 5291"),
     ("profile", lambda ckpt: ckpt.update(psi=ckpt["psi"][:-1]), EXIT_IO,
      "ckpt.json: field 'psi' holds 5290 values, not nx * ny = 5291"),
-    ("resume", lambda ckpt: ckpt["control"].update(prev_psi=ckpt["control"]["prev_psi"][1:]),
-     EXIT_IO, "ckpt.json: field 'control.prev_psi' holds 5290 values"),
     ("profile", lambda ckpt: ckpt["grid"].update(nx=481.0), EXIT_IO,
      "ckpt.json: field 'grid.nx' must be an integer, got 481.0"),
     # text values are written as given, so these reach the file as raw JSON text
@@ -216,17 +214,6 @@ def checkpoints(out, stage="[ABC]"):
      "ckpt.json: missing field 'control.step'"),
     ("profile", lambda ckpt: ckpt.update(control=None), EXIT_IO,
      "ckpt.json: missing field 'control.step'"),
-    # the secant predictor needs a previous state behind the record; `{parameter}` is the
-    # checkpoint's, below 0.9 at the first stage A checkpoint
-    ("resume", at("A", lambda ckpt: ckpt["control"].update(prev_parameter=ckpt["parameter"])),
-     EXIT_IO, "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = "
-     "{parameter!r}, got {parameter!r}"),
-    ("resume", at("A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)), EXIT_IO,
-     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = {parameter!r}, "
-     "got 0.9"),
-    ("profile", at("A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)), EXIT_IO,
-     "ckpt.json: field 'control.prev_parameter' must be below 'parameter' = {parameter!r}, "
-     "got 0.9"),
     *[(command, edit, EXIT_IO, f"ckpt.json: field {named}")
       for edit, named in [
           (lambda ckpt: ckpt.update(parameter="x"), "'parameter' must be a number, got 'x'"),
@@ -236,10 +223,8 @@ def checkpoints(out, stage="[ABC]"):
            "'grid.x_right' must be a number, got True"),
           (lambda ckpt: ckpt["grid"].update(L="x"), "'grid.L' must be a number, got 'x'"),
           (lambda ckpt: ckpt["control"].update(step="x"), "'control.step' must be a number"),
-          (lambda ckpt: ckpt["control"].update(prev_parameter=None),
-           "'control.prev_parameter' must be a number, got None"),
-          (lambda ckpt: ckpt["control"].update(prev_c=None),
-           "'control.prev_c' must be a number, got None"),
+          (lambda ckpt: ckpt.update(parameter=None), "'parameter' must be a number, got None"),
+          (lambda ckpt: ckpt.update(c=None), "'c' must be a number, got None"),
           (lambda ckpt: ckpt.update(stage="Z"), "'stage' must be one of A, B, C, got 'Z'"),
           (lambda ckpt: ckpt.update(c=0.0), "'c' must be > 0, got 0.0"),
           (lambda ckpt: ckpt.update(c=-0.29), "'c' must be > 0, got -0.29"),
@@ -249,20 +234,9 @@ def checkpoints(out, stage="[ABC]"):
            "'grid.L' must be finite, got inf"),
           (lambda ckpt: ckpt["control"].update(step=float("inf")),
            "'control.step' must be finite, got inf"),
-          # the previous state gets the checks of the record's, in the same words
-          (at("A", lambda ckpt: ckpt["control"].update(prev_c=-5)),
-           "'control.prev_c' must be > 0, got -5"),
-          (lambda ckpt: ckpt["control"].update(prev_c=0.0),
-           "'control.prev_c' must be > 0, got 0.0"),
-          (lambda ckpt: ckpt["control"].update(prev_parameter=1.5),
-           "'control.prev_parameter' is out of range: exchange parameter eps must lie in (0, 1]"),
-          (at("A", lambda ckpt: ckpt["control"].update(prev_psi=None)),
-           "'control.prev_psi' must be base64 text, got NoneType"),
-          (at("C", lambda ckpt: ckpt["control"].update(
-              prev_phi=ckpt["control"]["prev_phi"][1:])),
-           "'control.prev_phi' holds 480 values, not nx = 481"),
-          (at("C", lambda ckpt: ckpt["control"].update(prev_phi=None)),
-           "'control.prev_phi' must be base64 text, got NoneType"),
+          (lambda ckpt: ckpt.update(parameter=1.5),
+           "'parameter' is out of range: exchange parameter eps must lie in (0, 1]"),
+          (at("C", lambda ckpt: ckpt.update(phi=None)), "'phi' must be base64 text, got NoneType"),
           (at("A", lambda ckpt: ckpt.update(psi=None)),
            "'psi' must be base64 text, got NoneType"),
           (lambda ckpt: ckpt.update(phi=ckpt["phi"][:-1]), "'phi' holds 480 values, not nx = 481"),
@@ -281,17 +255,16 @@ def checkpoints(out, stage="[ABC]"):
         "shooting_tol_inf", "continuation.initial_step_zero", "continuation.initial_step_inf",
         "grid.x_left_inf", "grid.x_right_inf", "resume_no_psi",
         "profile_no_psi", "profile_no_grid_nx", "resume_psi_short",
-        "profile_psi_short", "resume_prev_psi_short", "profile_grid_nx_float",
+        "profile_psi_short", "profile_grid_nx_float",
         "resume_psi_not_base64", "profile_psi_not_base64", "resume_psi_12_bytes",
         "profile_psi_12_bytes", "resume_step_zero", "resume_step_negative", "profile_step_zero",
-        "resume_control_null", "profile_control_null", "resume_prev_equal", "resume_prev_ahead",
-        "profile_prev_ahead",
+        "resume_control_null", "profile_control_null",
         *[f"{command}_{field}" for field in (
             "parameter_text", "c_text", "grid_x_left_text", "grid_x_right_bool",
-            "grid_L_text", "step_text", "prev_parameter_null", "prev_c_null", "stage_Z",
-            "c_zero", "c_negative", "c_nan", "grid_L_inf", "step_inf", "prev_c_negative",
-            "prev_c_zero", "prev_parameter_out_of_range", "prev_psi_null", "prev_phi_short",
-            "prev_phi_null", "psi_null", "short_phi", "wentzell_phi", "stage_A_exchange",
+            "grid_L_text", "step_text", "parameter_null", "c_null", "stage_Z",
+            "c_zero", "c_negative", "c_nan", "grid_L_inf", "step_inf",
+            "parameter_out_of_range", "phi_null", "psi_null", "short_phi", "wentzell_phi",
+            "stage_A_exchange",
             "grid_nx_negative", "grid_x_left_past_x_right")
           for command in ("resume", "profile")]])
 def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
@@ -325,15 +298,12 @@ EDGE_VALUES = [-0.0, 5e-324, 1.0 - 2.0 ** -53, 1e300, 0.30000000000000004]
 
 
 def test_checkpoint_round_trip_is_byte_identical(tmp_path):
-    psi = np.array(EDGE_VALUES * 3)
-    prev_phi = -np.array(EDGE_VALUES)
     data = {
         "schema_version": cli.SCHEMA_VERSION, "stage": "C", "family": "exchange",
         "parameter": 0.25, "c": 0.2974473931806512,
         "grid": {"x_left": -160.0, "x_right": 80.0, "L": 1.0, "nx": 5, "ny": 3},
-        "psi": psi, "phi": np.array(EDGE_VALUES[::-1]), "config_hash": "abc",
-        "control": {"step": 0.15000000000000002, "prev_parameter": 0.1, "prev_c": 0.28,
-                    "prev_psi": psi.reshape(3, 5) / 3.0, "prev_phi": prev_phi},
+        "psi": np.array(EDGE_VALUES * 3), "phi": np.array(EDGE_VALUES[::-1]),
+        "config_hash": "abc", "control": {"step": 0.15000000000000002},
     }
     p1 = tmp_path / "a.json"
     write_checkpoint(p1, data)
@@ -342,12 +312,9 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     write_checkpoint(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
     # every decoded array has the bits that were written, and is writable
-    for section, name in [(None, "psi"), (None, "phi"), ("control", "prev_psi"),
-                          ("control", "prev_phi")]:
-        want = data[section][name] if section else data[name]
-        got = loaded[section][name] if section else loaded[name]
-        assert got.tobytes() == np.ravel(want).tobytes(), name
-        assert got.flags.writeable
+    for name in ("psi", "phi"):
+        assert loaded[name].tobytes() == data[name].tobytes(), name
+        assert loaded[name].flags.writeable
     # the scalars stay plain JSON, the arrays are text
     raw = json.loads(p1.read_text())
     assert raw["control"]["step"] == 0.15000000000000002 and isinstance(raw["psi"], str)
@@ -365,9 +332,8 @@ def canonical_checkpoint_bytes(data: dict) -> bytes:
     return cli.canonical_json(encoded(data)).encode()
 
 
-@pytest.mark.parametrize("stage, prev", [("A", False), ("A", True), ("C", False), ("C", True)],
-                         ids=["wentzell", "wentzell_prev", "exchange", "exchange_prev"])
-def test_checkpoint_bytes_are_the_canonical_json(tmp_path, stage, prev):
+@pytest.mark.parametrize("stage", ["A", "C"], ids=["wentzell", "exchange"])
+def test_checkpoint_bytes_are_the_canonical_json(tmp_path, stage):
     nx, ny = 7, 3
     rng = np.random.default_rng(nx)
     family = HomotopyFamily.wentzell if stage == "A" else HomotopyFamily.exchange
@@ -379,15 +345,15 @@ def test_checkpoint_bytes_are_the_canonical_json(tmp_path, stage, prev):
                          family=family(parameter))
 
     record = ContinuationRecord(stage=stage, state=state(0.45000000000000007, 0.30000000000000004),
-                                residual_norm=0.0, diagnostics=None, step=5e-324,
-                                prev_state=state(0.15, 0.28) if prev else None)
+                                residual_norm=0.0, diagnostics=None, step=5e-324)
     grid = Grid(x_left=-2.0, x_right=1.0, L=1.0, nx=nx, ny=ny)
     data = checkpoint_dict(record, grid, "hashé")  # JSON escapes the non-ASCII letter
     path = tmp_path / "ckpt.json"
     write_checkpoint(path, data)
     assert path.read_bytes() == canonical_checkpoint_bytes(data)
     loaded = read_checkpoint(path)
-    assert loaded["control"]["prev_c"] == (0.28 if prev else None)
+    # one state, the record's, and in `control` only its step
+    assert loaded["control"] == {"step": 5e-324}
     assert loaded["psi"].tobytes() == record.state.psi.tobytes()
     write_checkpoint(tmp_path / "again.json", loaded)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
@@ -408,8 +374,8 @@ def as_bits(state):
 
 @st.composite
 def checkpointed_states(draw):
-    """A record and its grid, with or without a previous state, on a small
-    grid and of either family; the arrays hold any bits."""
+    """A record and its grid, on a small grid and of either family; the
+    arrays hold any bits."""
     nx, ny = draw(st.integers(5, 9)), draw(st.sampled_from([3, 5]))
     stage = draw(st.sampled_from(cli.STAGES))
     parameters = st.floats(0.0, 1.0, exclude_min=stage != "A")
@@ -422,30 +388,21 @@ def checkpointed_states(draw):
                          phi=None if stage == "A" else array(nx),
                          family=make_family(parameter))
 
-    # a previous state lies behind the record
-    behind, parameter = sorted([draw(parameters), draw(parameters)])
-    record_state = state(parameter)
-    prev = state(behind) if behind < parameter and draw(st.booleans()) else None
-    record = ContinuationRecord(stage=stage, state=record_state, residual_norm=0.0,
-                                diagnostics=None, step=draw(st.floats(5e-324, 1e300)),
-                                prev_state=prev)
+    record = ContinuationRecord(stage=stage, state=state(draw(parameters)), residual_norm=0.0,
+                                diagnostics=None, step=draw(st.floats(5e-324, 1e300)))
     return record, Grid(x_left=-2.0, x_right=1.0, L=1.0, nx=nx, ny=ny)
 
 
 @settings(max_examples=60, deadline=None)
 @given(checkpointed_states())
-def test_checkpoint_round_trip_returns_both_states(tmp_path_factory, case):
+def test_checkpoint_round_trip_returns_the_state(tmp_path_factory, case):
     record, grid = case
     path = tmp_path_factory.mktemp("round_trip") / "ckpt.json"
     write_checkpoint(path, checkpoint_dict(record, grid, "hash"))
-    state, got_grid, step, prev_state = checkpoint_state(read_checkpoint(path))
+    state, got_grid, step = checkpoint_state(read_checkpoint(path))
     assert got_grid == grid
     assert as_bits(state) == as_bits(record.state)
     assert step == record.step
-    if record.prev_state is None:
-        assert prev_state is None
-    else:
-        assert as_bits(prev_state) == as_bits(record.prev_state)
 
 
 SCHEMA_1 = {  # a checkpoint of schema 1, whose arrays were JSON float lists
@@ -467,18 +424,47 @@ def test_checkpoint_schema_mismatch(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("error: SchemaMismatch: ")
 
 
+def test_a_schema_2_checkpoint_is_refused(completed_run, tmp_path, capsys):
+    # schema 2 also held the previous accepted state, as `control.prev_*`: both
+    # commands refuse it by its schema, in one line, before reading any field
+    _, _, cfg, _ = completed_run
+    data = dict(SCHEMA_1, schema_version=2, psi=np.array(SCHEMA_1["psi"]),
+                control=dict(SCHEMA_1["control"], prev_psi=np.zeros(15)))
+    path = tmp_path / "ckpt.json"
+    write_checkpoint(path, data)
+    cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(tmp_path / "o")))
+    for argv in (["profile", str(path), str(tmp_path / "o.csv")],
+                 ["resume", str(path), str(cfg_path)]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("error: SchemaMismatch: checkpoint schema 2 is not "
+                                           f"supported (want {cli.SCHEMA_VERSION})\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
-    data = dict(SCHEMA_1, schema_version=cli.SCHEMA_VERSION)
+    data = dict(SCHEMA_1, schema_version=cli.SCHEMA_VERSION, control={"step": 0.15})
     old = tmp_path / "ckpt_0001_A.json"
     write_checkpoint(old, data)
     before = old.read_bytes()
-    real_write_bytes = Path.write_bytes
+    real_open = Path.open
 
-    def write_half(self, data):  # a write that fails partway, as on a full disk
-        real_write_bytes(self, data[:len(data) // 2])
-        raise OSError(28, "No space left on device")
+    class HalfWriter:  # a write that fails partway, as on a full disk
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr(Path, "write_bytes", write_half)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            data = b"".join(chunks)
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "open", lambda self, mode: HalfWriter(real_open(self, mode)))
     for path in (old, tmp_path / "ckpt_0002_A.json"):
         with pytest.raises(OSError, match="No space"):
             write_checkpoint(path, data)
@@ -531,7 +517,7 @@ def test_truncated_checkpoint_is_io_error(tmp_path):
 def completed_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_run")
     out = tmp / "out"
-    cfg = fast_config(out)
+    cfg = fast_config(out, checkpoint_every=1)
     path = write_config(tmp, cfg)
     code = main(["run", str(path)])
     assert code == EXIT_OK
@@ -565,13 +551,12 @@ def test_c_one_dim_is_the_certified_s0_speed(completed_run):
 
 
 def test_run_path_parameters(completed_run):
-    # every accepted step grows 3 times, so stages A and C each reach 1 in three steps
+    # every accepted step grows 9 times, so stages A and C each reach 1 in two steps
     _, out, _, _ = completed_run
     _, rows = read_rows(out / "path.csv")
     assert [(r["stage"], r["family_param"]) for r in rows] == [
-        ("A", "0"), ("A", "0.10000000000000001"), ("A", "0.40000000000000002"), ("A", "1"),
-        ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
-        ("C", "0.45000000000000007"), ("C", "1")]
+        ("A", "0"), ("A", "0.10000000000000001"), ("A", "1"), ("B", "0.050000000000000003"),
+        ("C", "0.15000000000000002"), ("C", "1")]
 
 
 def test_stage_filter_a_only(tmp_path):
@@ -595,7 +580,7 @@ def test_profile_emission(completed_run):
     # y = -L, and phi as x,phi beside it, each value the checkpoint's own
     tmp, out, _, _ = completed_run
     ckpt = checkpoints(out, "C")[-1]
-    state, grid, _, _ = checkpoint_state(read_checkpoint(ckpt))
+    state, grid, _ = checkpoint_state(read_checkpoint(ckpt))
     assert state.phi is not None
     dest = tmp / "field_c.csv"
     assert main(["profile", str(ckpt), str(dest)]) == EXIT_OK
@@ -618,7 +603,7 @@ def test_profile_emission(completed_run):
 def test_profile_of_a_wentzell_state_has_no_line_file(completed_run, tmp_path):
     _, out, _, _ = completed_run
     ckpt = checkpoints(out, "A")[0]
-    state, grid, _, _ = checkpoint_state(read_checkpoint(ckpt))
+    state, grid, _ = checkpoint_state(read_checkpoint(ckpt))
     dest = tmp_path / "field_a.csv"
     assert main(["profile", str(ckpt), str(dest)]) == EXIT_OK
     header, field = read_field(dest)
@@ -899,12 +884,13 @@ def test_one_record_per_row(tmp_path, monkeypatch):
     assert made == ["A"] + [r["stage"] for r in rows]
 
 
-# from the first checkpoint of each stage: the last, of stage C, ends the run
+# from the first checkpoint of each stage after the run's start: mid-stage A
+# (ckpt_0002_A), stage B and mid-stage C (ckpt_0005_C); the last, of stage C, ends the run
 @pytest.mark.parametrize("stage", ["A", "B", "C"])
 def test_resume_matches_uninterrupted(completed_run, tmp_path, stage):
     tmp, out, cfg, cfg_path = completed_run
     full = (out / "path.csv").read_bytes().splitlines(keepends=True)
-    ckpt = checkpoints(out, stage)[0]
+    ckpt = [path for path in checkpoints(out, stage) if path.name != "ckpt_0001_A.json"][0]
     row = int(ckpt.name[5:9])
     assert row < len(full) - 1
     resumed_out = tmp_path / "resumed"
@@ -930,36 +916,35 @@ def test_resume_matches_uninterrupted(completed_run, tmp_path, stage):
 
 
 def test_resume_on_a_grid_with_a_coarse_level_matches_uninterrupted(tmp_path, caplog):
-    # 241 x 21, the fewest rows with a coarse level (121 x 5): each stage A trial
-    # starts from the two-grid predictor, a function of its record alone, so a
-    # resume from the run's first records writes the uninterrupted rows byte for byte
+    # 241 x 21, the fewest rows with a 5-row coarse level (121 x 5): each trial of
+    # stages A and C starts from the two-grid predictor, a function of its record
+    # alone, so a resume from the run's start, from mid-stage A (ckpt_0002_A) or from
+    # mid-stage C (ckpt_0005_C) writes the uninterrupted rows byte for byte
     out = tmp_path / "out"
     cfg = fast_config(out, checkpoint_every=1)
     cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 21}
     with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
         assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
-    assert sum("; two-grid predictor, " in line for line in caplog.messages) == 3
+    assert sum("; two-grid predictor, " in line for line in caplog.messages) == 4
     full = (out / "path.csv").read_bytes().splitlines(keepends=True)
-    for row in (1, 2):
+    for row, stage in ((1, "A"), (2, "A"), (5, "C")):
         resumed_out = tmp_path / f"resumed_{row}"
         cfg_path = write_config(tmp_path, dict(cfg, output_dir=str(resumed_out)), "resume.json")
-        assert main(["resume", str(out / f"ckpt_{row:04d}_A.json"), str(cfg_path)]) == EXIT_OK
+        ckpt = out / f"ckpt_{row:04d}_{stage}.json"
+        assert main(["resume", str(ckpt), str(cfg_path)]) == EXIT_OK
         resumed = (resumed_out / "path.csv").read_bytes().splitlines(keepends=True)
         assert resumed == full[:1] + full[1 + row:]
 
 
-def test_a_run_without_a_coarse_level_keeps_the_secant_path(completed_run, monkeypatch,
-                                                             tmp_path):
-    # 481 x 11 has no coarse level: its stage A marches on the secant
-    # predictor, every Newton solve is on the run's grid or the start's three
-    # rows, and its speeds are the bits the secant-only march wrote
-    _, out, cfg, _ = completed_run
+def test_a_run_without_a_coarse_level_starts_each_trial_from_its_record(tmp_path, monkeypatch,
+                                                                       caplog):
+    # 241 x 3 has too few rows for a coarse level: every trial of stages A and C
+    # starts from its record's state, no step is rejected, every Newton solve is
+    # on the run's grid, and the run takes the coarse-level run's steps
+    out = tmp_path / "out"
+    cfg = fast_config(out)
+    cfg["grid"] = {"x_left": -160.0, "x_right": 80.0, "nx": 241, "ny": 3}
     assert continuation.coarse_level(config_from_dict(cfg).grid) is None
-    _, rows = read_rows(out / "path.csv")
-    assert [r["c"] for r in rows] == [
-        "0.26338322826838345", "0.28311981735407105", "0.30265263685368288",
-        "0.29399400704061951", "0.29391476264584776", "0.29375489429815871",
-        "0.2932626067547458", "0.29232586899203239"]
     solve, grids = continuation.newton_solve, set()
 
     def recorded(init, params, spec, grid, opts, **kwargs):
@@ -967,10 +952,15 @@ def test_a_run_without_a_coarse_level_keeps_the_secant_path(completed_run, monke
         return solve(init, params, spec, grid, opts, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_solve", recorded)
-    rerun = tmp_path / "rerun"
-    assert main(["run", str(write_config(tmp_path, dict(cfg, output_dir=str(rerun))))]) == EXIT_OK
-    assert grids == {(481, 3), (481, 11)}
-    assert (rerun / "path.csv").read_bytes() == (out / "path.csv").read_bytes()
+    with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
+        assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    assert grids == {(241, 3)}
+    assert [line.partition("; ")[2] for line in caplog.messages] == [
+        "the record's state); next step 0.9", "the record's state); next step 8.1"] * 2
+    _, rows = read_rows(out / "path.csv")
+    assert [(r["stage"], r["family_param"]) for r in rows] == [
+        ("A", "0"), ("A", "0.10000000000000001"), ("A", "1"), ("B", "0.050000000000000003"),
+        ("C", "0.15000000000000002"), ("C", "1")]
 
 
 # a resume from the end of stage C, the last target, is refused: nothing is left to run
@@ -991,16 +981,13 @@ def test_resume_from_stage_end(completed_run, tmp_path, stage):
         f"ckpt_{k:04d}_{r['stage']}.json" for k, r in enumerate(resumed, start=1)]
 
 
-@pytest.mark.parametrize("stage, field", [("A", "psi"), ("A", "control.prev_psi"),
-                                          ("C", "control.prev_phi")],
-                         ids=["psi", "prev_psi", "prev_phi"])
+@pytest.mark.parametrize("stage, field", [("A", "psi"), ("C", "phi")], ids=["psi", "phi"])
 def test_resume_from_nan_state_stops(completed_run, tmp_path, capsys, monkeypatch, stage,
                                      field):
     # a NaN state is reported at once, by field, before any Newton solve
     _, out, cfg, _ = completed_run
     ckpt = read_checkpoint(checkpoints(out, stage)[-1])
-    section, _, name = field.rpartition(".")
-    (ckpt[section] if section else ckpt)[name][100] = np.nan
+    ckpt[field][100] = np.nan
     ckpt_path = tmp_path / "ckpt.json"
     write_checkpoint(ckpt_path, ckpt)
     resumed_out = tmp_path / "resumed"
@@ -1433,7 +1420,7 @@ def test_scenario_scan_script(tmp_path):
                           capture_output=True, text=True, timeout=600, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     default, d8 = proc.stdout.splitlines()
-    assert default.startswith("default    exit=0 error=- rows=8 ") and default.endswith(" same")
+    assert default.startswith("default    exit=0 error=- rows=6 ") and default.endswith(" same")
     assert d8.startswith("D=8        exit=3 error=ExtentTooSmall rows=0 ")
     assert d8.endswith(" same")
     # the comparison reads every file, and a summary.json without its timings
@@ -1453,22 +1440,29 @@ def test_scenario_scan_script(tmp_path):
     (theirs / "extra.csv").write_text("")
     assert scan.differing(ours, theirs) == ["extra.csv", "path.csv"]
     # a differing path.csv is measured: the largest relative difference of c over
-    # the rows matched by (stage, family_param), or that the rows differ
+    # the rows matched by (stage, family_param), or that the rows differ, with the
+    # relative difference of the final stage C c when both files reach stage C
     assert scan.c_change(ours / "path.csv", theirs / "path.csv") == "c within 0.0e+00 relative"
     lines = (ours / "path.csv").read_text().splitlines(keepends=True)
     row = lines[2].split(",")
     row[2] = repr(float(row[2]) * (1.0 + 1e-13))
     (theirs / "path.csv").write_text("".join(lines[:2] + [",".join(row)] + lines[3:]))
     assert scan.c_change(theirs / "path.csv", ours / "path.csv") == "c within 1.0e-13 relative"
-    (theirs / "path.csv").write_text("".join(lines[:-1]))
+    row = lines[-1].split(",")
+    row[2] = repr(float(row[2]) * (1.0 + 1e-11))
+    (theirs / "path.csv").write_text("".join(lines[:2] + lines[3:-1] + [",".join(row)]))
+    assert scan.c_change(theirs / "path.csv", ours / "path.csv") == \
+        "rows differ, final c within 1.0e-11 relative"
+    (theirs / "path.csv").write_text("".join(line for line in lines
+                                             if not line.startswith("C,")))
     assert scan.c_change(ours / "path.csv", theirs / "path.csv") == "rows differ"
 
 
 
 def test_lu_layer_script():
     # a seconds-long run of the LU timing script on 241 x 21, against this same
-    # checkout: each shape of J the default run factors (the grid in either
-    # family, its 3-row start and its 5-row coarse level) gets one line per
+    # checkout: each shape of J the default run factors (the grid and its 5-row
+    # coarse level in either family, and its 3-row start) gets one line per
     # part, the residual and Jacobian assembly included, before -> after, and
     # one for its pivot reach
     root = Path(__file__).resolve().parents[1]
@@ -1478,7 +1472,8 @@ def test_lu_layer_script():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line[:26] for line in lines] == [
-        f"{shape:10} {part:14} " for shape in ("241 x 22", "241 x 21", "241 x 3", "121 x 5")
+        f"{shape:10} {part:14} " for shape in ("241 x 22", "241 x 21", "241 x 3", "121 x 6",
+                                               "121 x 5")
         for part in ("fill", "tail", "dgbtrf", "first solve", "checked solve", "residual",
                      "jacobian", "pivot reach")]
     times = r"\d+\.\d\d \(\d+\.\d\d-\d+\.\d\d\)"
@@ -1497,15 +1492,16 @@ def test_lu_layer_script():
     assert proc.returncode == 2 and "unknown scenario 'L=3'; known: default, D=0.25" in proc.stderr
 
 def test_scenario_scan_counts_the_coarse_level_apart():
-    # on 241 x 21, the fewest rows with a coarse level, each stage A step factors
-    # twice on 121 x 5; the fine count keeps the s = 0 start's three rows
+    # on 241 x 21, the fewest rows with a 5-row coarse level, each step of stages A
+    # and C factors twice or three times on 121 x 5; the fine count keeps the s = 0
+    # start's three rows
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, str(root / "scripts" / "scenario_scan.py"),
                            "--grid", "241x21", "default"],
                           capture_output=True, text=True, timeout=600, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("default    exit=0 error=- rows=8 factorizations=8 "
-                                  "coarse_factorizations=6 start_iterations=")
+    assert proc.stdout.startswith("default    exit=0 error=- rows=6 factorizations=6 "
+                                  "coarse_factorizations=9 start_iterations=")
     proc = subprocess.run([sys.executable, str(root / "scripts" / "scenario_scan.py"),
                            "--grid", "241by21", "default"],
                           capture_output=True, text=True, timeout=600, env=subprocess_env())

@@ -66,17 +66,17 @@ def coarse_exchange_start(coarse_setup):
 
 
 # (parameter, step of the next trial) of each record of the coarse marches: an
-# accepted step grows 3 times
+# accepted step grows 9 times
 RESUMED_MARCHES = {
-    "wentzell": [(0.1, 0.30000000000000004), (0.4, 0.90000000000000013), (1.0, 2.7000000000000002)],
-    "exchange": [(0.15000000000000002, 0.30000000000000004),
-                 (0.45000000000000007, 0.90000000000000013), (1.0, 2.7000000000000002)],
+    "wentzell": [(0.1, 0.9), (1.0, 8.1)],
+    "exchange": [(0.15000000000000002, 0.9), (1.0, 8.1)],
 }
 
 
 def test_a_record_alone_resumes_the_march(coarse_setup, coarse_exchange_start):
-    # a record carries the step and previous state the march continues with,
-    # so a march from any record repeats the rest of the march bit for bit;
+    # a record carries the step the march continues with, and each trial starts
+    # from a function of its record alone, so a march from any record repeats
+    # the rest of the march bit for bit
     grid, _, wentzell_start = coarse_setup
     for family, start, march in [("wentzell", wentzell_start, continue_wentzell),
                                  ("exchange", coarse_exchange_start, continue_exchange)]:
@@ -89,7 +89,6 @@ def test_a_record_alone_resumes_the_march(coarse_setup, coarse_exchange_start):
 
         full, records = run(start)
         assert [(r.parameter, r.step) for r in records] == RESUMED_MARCHES[family]
-        assert start.prev_state is None and all(r.prev_state is not None for r in records)
         assert run(start)[0] == full
         for k, record in enumerate(records):
             assert run(record)[0] == full[k + 1:], (family, k)
@@ -103,9 +102,10 @@ def test_a_failed_certificate_rejects_the_trial_and_halves_the_step(coarse_setup
     grid, _, start = coarse_setup
     solve, diagnose, trials, made = continuation.newton_solve, continuation.run_diagnostics, [], []
 
-    def tracked(init, *args, **kwargs):
-        trials.append(init.family.parameter)
-        return solve(init, *args, **kwargs)
+    def tracked(init, params, spec, on, opts, **kwargs):
+        if on == grid:  # the fine solves; the coarse level's are the predictor's
+            trials.append(init.family.parameter)
+        return solve(init, params, spec, on, opts, **kwargs)
 
     def uncertified_first(*args):
         made.append(diagnose(*args))
@@ -120,7 +120,6 @@ def test_a_failed_certificate_rejects_the_trial_and_halves_the_step(coarse_setup
     assert trials == [0.1, 0.05, 0.1] and len(made) == 3
     assert [r.parameter for r in records] == [0.05, 0.1]
     assert not any(r.diagnostics.failed for r in records)
-    assert records[0].prev_state is start.state
     rejected, *accepted = caplog.messages
     assert rejected.startswith("step rejected (record at parameter 0.100000, c = ")
     assert rejected.endswith(", fails monotone_ok); retrying with step 0.05")
@@ -164,25 +163,6 @@ def test_exchange_rejects_decreasing_target(coarse_setup):
     start = make_record("C", state, 0.0, PARAMS, CUBIC, grid, step=0.1)
     with pytest.raises(ParameterNotMonotone):
         continue_exchange(start, PARAMS, CUBIC, grid, NewtonOptions(), target_eps=0.025)
-
-
-def test_record_rejects_a_previous_state_not_behind_it(coarse_setup):
-    # the secant predictor extrapolates from the previous state: it must lie
-    # strictly behind the record, in the record's family
-    _, _, start = coarse_setup
-    psi = start.state.psi
-
-    def at(family):
-        return WaveState(c=start.c, psi=psi, phi=psi[-1].copy() if family.is_exchange else None,
-                         family=family)
-
-    record = dataclasses.replace(start, state=at(HomotopyFamily.wentzell(0.25)))
-    assert dataclasses.replace(record, prev_state=start.state).prev_state is start.state
-    for prev, message in [(HomotopyFamily.wentzell(0.25), "must lie below parameter 0.25"),
-                          (HomotopyFamily.wentzell(0.9), "must lie below parameter 0.25"),
-                          (HomotopyFamily.exchange(0.1), "must be of the wentzell family")]:
-        with pytest.raises(ValueError, match=f"ContinuationRecord.prev_state {message}"):
-            dataclasses.replace(record, prev_state=at(prev))
 
 
 def test_record_rejects_an_infinite_step(coarse_setup):
@@ -248,23 +228,23 @@ def test_pinned_default_path_speeds(full_path, refined_wentzell_states):
 
 def test_default_path_eliminates_the_tail_at_every_factorization(full_path):
     # the records' (stage, parameter) as path.csv writes them, every step grown
-    # 3 times; every Newton factorization of the 961 x 41 run, one per step,
+    # 9 times; every Newton factorization of the 961 x 41 run, one per step,
     # eliminates all its equal block rows, 611 to 624 as the front moves, by
     # cyclic reduction. The s = 0 start factors once on 961 x 3 (m = 3 <
     # TAIL_MIN_WIDTH, so no tail), and its broadcast row needs no
-    # factorization on 961 x 41. Each stage A step first solves twice on the
-    # coarse level 481 x 5, one factorization each (m = 5, no tail)
+    # factorization on 961 x 41. Each step of stages A and C first solves twice
+    # on the coarse level 481 x 5 (m = 5, or 6 with the line; no tail), with one
+    # factorization each but for stage A's last u_H(trial), which refactors once
     rows = [(r.stage, f"{r.parameter:.17g}") for r in full_path["records"]]
-    assert rows == [("A", "0"), ("A", "0.10000000000000001"), ("A", "0.40000000000000002"),
-                    ("A", "1"), ("B", "0.050000000000000003"), ("C", "0.15000000000000002"),
-                    ("C", "0.45000000000000007"), ("C", "1")]
+    assert rows == [("A", "0"), ("A", "0.10000000000000001"), ("A", "1"),
+                    ("B", "0.050000000000000003"), ("C", "0.15000000000000002"), ("C", "1")]
     fine = [(m, K) for columns, m, K in full_path["tails"] if columns == 961]
-    assert fine == [(3, 0), (41, 624), (41, 619), (41, 611), (42, 611), (42, 611), (42, 612),
-                    (42, 613)]
+    assert fine == [(3, 0), (41, 624), (41, 611), (42, 611), (42, 611), (42, 613)]
     coarse = [(m, K) for columns, m, K in full_path["tails"] if columns != 961]
-    assert coarse == [(5, 0)] * 6 and continuation.COARSE_ROWS < solver.TAIL_MIN_WIDTH
+    assert coarse == [(5, 0)] * 5 + [(6, 0)] * 4
+    assert continuation.COARSE_ROWS + 1 < solver.TAIL_MIN_WIDTH
     order = [columns for columns, _, _ in full_path["tails"]]
-    assert order == [961] + [481, 481, 961] * 3 + [961] * 4
+    assert order == [961, 481, 481, 961, 481, 481, 481, 961, 961] + [481, 481, 961] * 2
 
 
 def test_handoff_correction_budget(full_path):
@@ -379,9 +359,11 @@ def test_one_dim_start_corrects_an_unconverged_broadcast(monkeypatch):
 COARSE_LEVELS = {
     "961x41": (961, 41, -160.0, 80.0, (481, 5)),
     "241x21": (241, 21, -160.0, 80.0, (121, 5)),
-    "481x11": (481, 11, -160.0, 80.0, None),  # too few rows
-    "961x11": (961, 11, -160.0, 80.0, None),
-    "961x31": (961, 31, -160.0, 80.0, None),  # the rows do not nest: 30 % 4 != 0
+    "481x11": (481, 11, -160.0, 80.0, (241, 3)),  # fewer than 21 rows: 3
+    "961x11": (961, 11, -160.0, 80.0, (481, 3)),
+    "961x5": (961, 5, -160.0, 80.0, (481, 3)),
+    "961x31": (961, 31, -160.0, 80.0, (481, 3)),  # 5 rows do not nest: 30 % 4 != 0
+    "961x3": (961, 3, -160.0, 80.0, None),  # too few rows
     "even_nx": (960, 41, -160.0, 79.75, None),  # the columns do not nest
     "odd_anchor": (963, 41, -160.25, 80.25, None),  # anchor column 641 is no coarse node
 }
@@ -402,15 +384,22 @@ def test_coarse_level(name):
 
 
 def test_prolongation_is_bilinear_and_injection_undoes_it():
-    fine = build_grid(PARAMS, -160.0, 80.0, 241, 21)
-    coarse = continuation.coarse_level(fine)
+    # on a 5-row and a 3-row coarse level; the line field phi is prolonged
+    # linearly in x alone
+    for ny in (21, 11):
+        fine = build_grid(PARAMS, -160.0, 80.0, 241, ny)
+        coarse = continuation.coarse_level(fine)
 
-    def bilinear(grid):
-        return 0.3 + np.add.outer(2.0 * grid.y, 0.01 * grid.x) + np.outer(grid.y, 0.05 * grid.x)
+        def bilinear(grid):
+            return (0.3 + np.add.outer(2.0 * grid.y, 0.01 * grid.x)
+                    + np.outer(grid.y, 0.05 * grid.x))
 
-    prolonged = continuation._prolong(bilinear(coarse), fine.ny)
-    assert np.abs(prolonged - bilinear(fine)).max() <= 1e-12
-    assert np.array_equal(prolonged[::5, ::2], bilinear(coarse))
+        prolonged = continuation._prolong(bilinear(coarse), fine.ny)
+        assert np.abs(prolonged - bilinear(fine)).max() <= 1e-12
+        assert np.array_equal(prolonged[::(ny - 1) // (coarse.ny - 1), ::2], bilinear(coarse))
+        line = continuation._prolong_x(0.3 + 0.01 * coarse.x)
+        assert np.abs(line - (0.3 + 0.01 * fine.x)).max() <= 1e-12
+        assert np.array_equal(line[::2], 0.3 + 0.01 * coarse.x)
 
 
 @pytest.fixture(scope="module")
@@ -422,22 +411,47 @@ def two_grid_setup():
                              step=0.1)
 
 
+@pytest.fixture(scope="module")
+def two_grid_exchange_start(two_grid_setup):
+    """The stage B record on 241 x 21: exchange(0.05), initial step 0.1."""
+    grid, start = two_grid_setup
+    end = continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), 1.0)
+    result = newton_solve(handoff_to_system(end.state, 0.05, PARAMS, grid), PARAMS, CUBIC,
+                          grid, NewtonOptions())
+    return make_record("B", result.state, result.residual_norm, PARAMS, CUBIC, grid, step=0.1)
+
+
 def march_records(grid, start, target=1.0):
+    march = continue_wentzell if start.family.is_wentzell else continue_exchange
     records = []
-    continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target, sink=records.append)
+    march(start, PARAMS, CUBIC, grid, NewtonOptions(), target, sink=records.append)
     return records
 
 
 def record_bits(records):
-    return [(r.state.psi.tobytes(), np.float64([r.parameter, r.c, r.step]).tobytes())
-            for r in records]
+    return [(r.state.psi.tobytes(), b"" if r.state.phi is None else r.state.phi.tobytes(),
+             np.float64([r.parameter, r.c, r.step]).tobytes()) for r in records]
 
 
-def test_the_two_grid_predictor_changes_only_newtons_start(two_grid_setup, monkeypatch, caplog):
-    # each trial's fine Newton starts closer: fewer iterations, the same steps,
-    # and every record within Newton's tolerance of the secant march's
+# the predictor's part of each accepted step's log line, by march
+TWO_GRID_LINES = {
+    "wentzell": ["two-grid predictor, 13 iterations and 2 factorizations on 121 x 5",
+                 "two-grid predictor, 10 iterations and 3 factorizations on 121 x 5"],
+    "exchange": ["two-grid predictor, 6 iterations and 2 factorizations on 121 x 5",
+                 "two-grid predictor, 8 iterations and 2 factorizations on 121 x 5"],
+}
+
+
+@pytest.mark.parametrize("family", TWO_GRID_LINES)
+def test_the_two_grid_predictor_changes_only_newtons_start(two_grid_setup,
+                                                           two_grid_exchange_start, monkeypatch,
+                                                           caplog, family):
+    # each trial's fine Newton starts closer than from its record's state: fewer
+    # iterations, the same steps, and every record within Newton's tolerance of
+    # the march without a coarse level
     grid, start = two_grid_setup
-    solve, fine_iterations = continuation.newton_solve, {"two-grid": 0, "secant": 0}
+    start = start if family == "wentzell" else two_grid_exchange_start
+    solve, fine_iterations = continuation.newton_solve, {"two-grid": 0, "record": 0}
 
     def counting(side):
         def counted(init, params, spec, on, opts, **kwargs):
@@ -449,18 +463,19 @@ def test_the_two_grid_predictor_changes_only_newtons_start(two_grid_setup, monke
     monkeypatch.setattr(continuation, "newton_solve", counting("two-grid"))
     with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
         two_grid = march_records(grid, start)
-    assert [line.partition("; ")[2].partition(")")[0] for line in caplog.messages] == [
-        "two-grid predictor, 13 iterations and 2 factorizations on 121 x 5",
-        "two-grid predictor, 14 iterations and 2 factorizations on 121 x 5",
-        "two-grid predictor, 15 iterations and 2 factorizations on 121 x 5"]
+    assert [line.partition("; ")[2].partition(")")[0] for line in caplog.messages] == \
+        TWO_GRID_LINES[family]
     monkeypatch.setattr(continuation, "coarse_level", lambda grid: None)
-    monkeypatch.setattr(continuation, "newton_solve", counting("secant"))
-    secant = march_records(grid, start)
-    assert fine_iterations["two-grid"] < fine_iterations["secant"]
-    assert [r.parameter for r in two_grid] == [r.parameter for r in secant] == [0.1, 0.4, 1.0]
-    for ours, theirs in zip(two_grid, secant):
+    monkeypatch.setattr(continuation, "newton_solve", counting("record"))
+    plain = march_records(grid, start)
+    assert fine_iterations["two-grid"] < fine_iterations["record"]
+    assert [r.parameter for r in two_grid] == [r.parameter for r in plain] == [
+        start.parameter + 0.1, 1.0]
+    for ours, theirs in zip(two_grid, plain):
         assert abs(ours.c - theirs.c) <= 1e-9 * theirs.c
         assert np.abs(ours.state.psi - theirs.state.psi).max() <= 1e-8
+        if family == "exchange":
+            assert np.abs(ours.state.phi - theirs.state.phi).max() <= 1e-8
     # the predictor is a function of the record: a march resumed from any record
     # takes the rest of the march's steps bit for bit
     monkeypatch.undo()
@@ -469,15 +484,17 @@ def test_the_two_grid_predictor_changes_only_newtons_start(two_grid_setup, monke
 
 
 @pytest.mark.parametrize("failing", ["record", "trial"])
-def test_a_failed_coarse_solve_falls_back_to_the_secant(two_grid_setup, monkeypatch, caplog,
-                                                        failing):
-    # a coarse solve that raises leaves each trial on the secant predictor: the
-    # march succeeds with the secant march's records, bit for bit, and the log
-    # names the failure. "record": u_H(s), solved once per record, fails;
-    # "trial": u_H(trial) fails
-    grid, start = two_grid_setup
+def test_a_failed_coarse_solve_falls_back_to_the_records_state(two_grid_setup,
+                                                               two_grid_exchange_start,
+                                                               monkeypatch, caplog, failing):
+    # an exchange coarse solve that raises leaves each trial to start from its
+    # record's state: the march certifies every record, with the bits of the march
+    # without a coarse level, and the log names the fallback. "record": u_H(s),
+    # solved once per record, fails; "trial": u_H(trial) fails
+    grid, _ = two_grid_setup
+    start = two_grid_exchange_start
     monkeypatch.setattr(continuation, "coarse_level", lambda grid: None)
-    secant = record_bits(march_records(grid, start))
+    plain = record_bits(march_records(grid, start))
     monkeypatch.undo()
     solve, coarse_calls = continuation.newton_solve, []
 
@@ -491,15 +508,16 @@ def test_a_failed_coarse_solve_falls_back_to_the_secant(two_grid_setup, monkeypa
 
     monkeypatch.setattr(continuation, "newton_solve", failing_coarse)
     with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
-        assert record_bits(march_records(grid, start)) == secant
-    assert coarse_calls == ([0.0, 0.1, 0.4] if failing == "record"
-                            else [0.0, 0.1, 0.1, 0.4, 0.4, 1.0])
+        records = march_records(grid, start)
+    assert record_bits(records) == plain
+    assert not any(r.diagnostics.failed for r in records)
+    assert coarse_calls == ([0.05, 0.15000000000000002] if failing == "record"
+                            else [0.05, 0.15000000000000002, 0.15000000000000002, 1.0])
     fallbacks = [line for line in caplog.messages if "failed" in line]
     assert fallbacks == ["two-grid predictor failed on 121 x 5 (residual 1.000e+00 after 50 "
-                         "iterations); secant predictor"] * 3
-    assert all(line.endswith("; secant predictor); next step " + next_step)
-               for line, next_step in zip([m for m in caplog.messages if "failed" not in m],
-                                          ["0.3", "0.9", "2.7"]))
+                         "iterations); the record's state"] * 2
+    assert [line.partition("; ")[2] for line in caplog.messages if "failed" not in line] == [
+        "the record's state); next step 0.9", "the record's state); next step 8.1"]
 
 
 def test_a_rejected_trial_reuses_the_records_coarse_solve(two_grid_setup, monkeypatch):

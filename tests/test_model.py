@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stripwave import (ModelParams, NonlinearityKind, NonlinearitySpec, c_max,
                        eval_nonlinearity, lipschitz_constant)
+from stripwave.model import reaction, reaction_derivative
 from conftest import scalar_reaction
 
 CUBIC = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.3)
@@ -97,6 +98,34 @@ def test_lipschitz_cubic_against_dense_oracle():
     _, fp = eval_nonlinearity(u, CUBIC)
     expected = np.abs(fp).max()
     assert lipschitz_constant(CUBIC) == pytest.approx(float(expected), abs=1e-10)
+
+
+def nested_where(u, spec):
+    """f and f' as two nested `np.where` over every branch: the reference for
+    the bits of `reaction` and `reaction_derivative`."""
+    theta, fp1 = spec.theta, spec.fprime_at_one
+    if spec.kind is NonlinearityKind.SMOOTH_CUBIC:
+        mid, dmid = (u - theta) ** 2 * (1.0 - u), 2.0 * (u - theta) * (1.0 - u) - (u - theta) ** 2
+    else:
+        mid, dmid = 1.0 - u, np.full_like(u, -1.0)
+    return (np.where(u <= theta, 0.0, np.where(u <= 1.0, mid, fp1 * (u - 1.0))),
+            np.where(u < theta, 0.0, np.where(u <= 1.0, dmid, fp1)))
+
+
+@pytest.mark.parametrize("kind", list(NonlinearityKind))
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.6])
+def test_reaction_has_the_bits_of_the_nested_where(kind, theta):
+    # random u in [-0.5, 1.5], u = theta and u = 1 exactly, a strided 2-D view as
+    # the residual passes and a 0-d array; NaN and the infinities keep their values
+    spec = NonlinearitySpec(kind=kind, theta=theta)
+    u = np.random.default_rng(7).uniform(-0.5, 1.5, 4000)
+    u[:6] = [theta, 1.0, np.nextafter(theta, 1.0), np.nextafter(1.0, 2.0), -0.0, np.nan]
+    u[6:8] = [np.inf, -np.inf]
+    for given_u in (u, u.reshape(40, 100)[1:-1, 3:-1], np.asarray(u[8])):
+        want = nested_where(given_u, spec)
+        got = reaction(given_u, spec), reaction_derivative(given_u, spec)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert got[0].shape == got[1].shape == given_u.shape
 
 
 @pytest.mark.parametrize("kind", list(NonlinearityKind))
