@@ -36,7 +36,7 @@ is the record's injected state solved on the coarse level at its parameter
 and u_H(trial) that solution solved again at the trial.  Without a coarse
 level, or when a coarse solve fails, the trial starts from the record's own
 state.  The predictor is a function of the record alone, so nothing but
-the record, its state and its step, is carried from one step to the next.
+the record (its state and its step) is carried from one step to the next.
 
 Each march starts from a record, its restart point, sends its sink
 only the records of the steps it accepts, and returns its end record:

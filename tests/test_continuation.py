@@ -442,45 +442,45 @@ TWO_GRID_LINES = {
 }
 
 
-@pytest.mark.parametrize("family", TWO_GRID_LINES)
 def test_the_two_grid_predictor_changes_only_newtons_start(two_grid_setup,
                                                            two_grid_exchange_start, monkeypatch,
-                                                           caplog, family):
-    # each trial's fine Newton starts closer than from its record's state: fewer
-    # iterations, the same steps, and every record within Newton's tolerance of
-    # the march without a coarse level
-    grid, start = two_grid_setup
-    start = start if family == "wentzell" else two_grid_exchange_start
-    solve, fine_iterations = continuation.newton_solve, {"two-grid": 0, "record": 0}
+                                                           caplog):
+    # in either march each trial's fine Newton starts closer than from its
+    # record's state: fewer iterations, the same steps, and every record within
+    # Newton's tolerance of the march without a coarse level
+    grid, wentzell_start = two_grid_setup
+    for family, start in [("wentzell", wentzell_start), ("exchange", two_grid_exchange_start)]:
+        solve, fine_iterations = continuation.newton_solve, {"two-grid": 0, "record": 0}
 
-    def counting(side):
-        def counted(init, params, spec, on, opts, **kwargs):
-            result = solve(init, params, spec, on, opts, **kwargs)
-            fine_iterations[side] += result.iterations if on == grid else 0
-            return result
-        return counted
+        def counting(side):
+            def counted(init, params, spec, on, opts, **kwargs):
+                result = solve(init, params, spec, on, opts, **kwargs)
+                fine_iterations[side] += result.iterations if on == grid else 0
+                return result
+            return counted
 
-    monkeypatch.setattr(continuation, "newton_solve", counting("two-grid"))
-    with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
-        two_grid = march_records(grid, start)
-    assert [line.partition("; ")[2].partition(")")[0] for line in caplog.messages] == \
-        TWO_GRID_LINES[family]
-    monkeypatch.setattr(continuation, "coarse_level", lambda grid: None)
-    monkeypatch.setattr(continuation, "newton_solve", counting("record"))
-    plain = march_records(grid, start)
-    assert fine_iterations["two-grid"] < fine_iterations["record"]
-    assert [r.parameter for r in two_grid] == [r.parameter for r in plain] == [
-        start.parameter + 0.1, 1.0]
-    for ours, theirs in zip(two_grid, plain):
-        assert abs(ours.c - theirs.c) <= 1e-9 * theirs.c
-        assert np.abs(ours.state.psi - theirs.state.psi).max() <= 1e-8
-        if family == "exchange":
-            assert np.abs(ours.state.phi - theirs.state.phi).max() <= 1e-8
-    # the predictor is a function of the record: a march resumed from any record
-    # takes the rest of the march's steps bit for bit
-    monkeypatch.undo()
-    for k, record in enumerate(two_grid):
-        assert record_bits(march_records(grid, record)) == record_bits(two_grid[k + 1:])
+        monkeypatch.setattr(continuation, "newton_solve", counting("two-grid"))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
+            two_grid = march_records(grid, start)
+        assert [line.partition("; ")[2].partition(")")[0] for line in caplog.messages] == \
+            TWO_GRID_LINES[family]
+        monkeypatch.setattr(continuation, "coarse_level", lambda grid: None)
+        monkeypatch.setattr(continuation, "newton_solve", counting("record"))
+        plain = march_records(grid, start)
+        assert fine_iterations["two-grid"] < fine_iterations["record"], family
+        assert [r.parameter for r in two_grid] == [r.parameter for r in plain] == [
+            start.parameter + 0.1, 1.0]
+        for ours, theirs in zip(two_grid, plain):
+            assert abs(ours.c - theirs.c) <= 1e-9 * theirs.c
+            assert np.abs(ours.state.psi - theirs.state.psi).max() <= 1e-8
+            if family == "exchange":
+                assert np.abs(ours.state.phi - theirs.state.phi).max() <= 1e-8
+        # the predictor is a function of the record: a march resumed from any
+        # record takes the rest of the march's steps bit for bit
+        monkeypatch.undo()
+        for k, record in enumerate(two_grid):
+            assert record_bits(march_records(grid, record)) == record_bits(two_grid[k + 1:])
 
 
 @pytest.mark.parametrize("failing", ["record", "trial"])
