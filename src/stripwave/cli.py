@@ -309,7 +309,7 @@ def _check_state(data: dict, family: str, grid: dict, path) -> None:
 
 def read_checkpoint(path) -> dict:
     """The checkpoint at `path` with its arrays decoded, once its header, its
-    grid, `control.step` and its state are checked."""
+    grid, `control.step` and its state are checked and it holds no other field."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -320,13 +320,17 @@ def read_checkpoint(path) -> dict:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"checkpoint schema {data.get('schema_version')!r} "
                              f"is not supported (want {SCHEMA_VERSION})")
-    sections = [("", data, ("stage", "family", "grid", "config_hash") + STATE_FIELDS),
+    sections = [("", data, ("schema_version", "stage", "family", "grid", "config_hash",
+                            "control") + STATE_FIELDS),
                 ("grid.", data.get("grid"), GRID_FIELDS),
                 ("control.", data.get("control"), ["step"])]
     for prefix, section, fields in sections:
         for name in fields:
             if not isinstance(section, dict) or name not in section:
                 raise ValueError(f"checkpoint {path}: missing field '{prefix}{name}'")
+        unknown = sorted(section.keys() - set(fields))  # a schema 2 `control.prev_*`, say
+        if unknown:
+            raise _bad(path, prefix + unknown[0], f"is not a schema {SCHEMA_VERSION} field")
     for name, kind in GRID_FIELDS.items():
         _number(data["grid"][name], "grid." + name, path, kind)
     try:

@@ -251,6 +251,28 @@ def checkpoints(out, stage="[ABC]"):
           (lambda ckpt: ckpt["grid"].update(x_left=100.0),
            "'grid' is out of range: Grid requires x_left < x_right")]
       for command in ("resume", "profile")],
+    # schema 3 holds no previous state: a `control.prev_*` field left in a checkpoint
+    # is refused by name whatever it holds, so no resume silently drops it
+    *[(command, edit, EXIT_IO, f"ckpt.json: field 'control.prev_{name}' is not a schema 3 field")
+      for command, edit, name in [
+          ("resume", lambda ckpt: ckpt["control"].update(prev_psi=ckpt["psi"][1:]), "psi"),
+          ("resume", at("A", lambda ckpt: ckpt["control"].update(
+              prev_parameter=ckpt["parameter"])), "parameter"),
+          ("resume", at("A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)),
+           "parameter"),
+          ("profile", at("A", lambda ckpt: ckpt["control"].update(prev_parameter=0.9)),
+           "parameter")]],
+    *[(command, edit, EXIT_IO, f"ckpt.json: field 'control.prev_{name}' is not a schema 3 field")
+      for edit, name in [
+          (lambda ckpt: ckpt["control"].update(prev_parameter=None), "parameter"),
+          (lambda ckpt: ckpt["control"].update(prev_c=None), "c"),
+          (at("A", lambda ckpt: ckpt["control"].update(prev_c=-5)), "c"),
+          (lambda ckpt: ckpt["control"].update(prev_c=0.0), "c"),
+          (lambda ckpt: ckpt["control"].update(prev_parameter=1.5), "parameter"),
+          (at("A", lambda ckpt: ckpt["control"].update(prev_psi=None)), "psi"),
+          (at("C", lambda ckpt: ckpt["control"].update(prev_phi=ckpt["phi"][1:])), "phi"),
+          (at("C", lambda ckpt: ckpt["control"].update(prev_phi=None)), "phi")]
+      for command in ("resume", "profile")],
 ], ids=["params.bogus", "newton.maxiters", "newton.max_iters", "newton.tol_residual_inf",
         "shooting_tol_inf", "continuation.initial_step_zero", "continuation.initial_step_inf",
         "grid.x_left_inf", "grid.x_right_inf", "resume_no_psi",
@@ -266,6 +288,11 @@ def checkpoints(out, stage="[ABC]"):
             "parameter_out_of_range", "phi_null", "psi_null", "short_phi", "wentzell_phi",
             "stage_A_exchange",
             "grid_nx_negative", "grid_x_left_past_x_right")
+          for command in ("resume", "profile")],
+        "resume_prev_psi_short", "resume_prev_equal", "resume_prev_ahead", "profile_prev_ahead",
+        *[f"{command}_{field}" for field in (
+            "prev_parameter_null", "prev_c_null", "prev_c_negative", "prev_c_zero",
+            "prev_parameter_out_of_range", "prev_psi_null", "prev_phi_short", "prev_phi_null")
           for command in ("resume", "profile")]])
 def test_malformed_input_is_one_error_line(completed_run, tmp_path, capsys, command, edit,
                                            code, named):
