@@ -12,13 +12,14 @@ unless given, always over [-160, 80]) and one change each of D (0.25, 0.5,
 `src/`.  One line per scenario gives the exit code, the error type (`-` for
 none), the `path.csv` rows, the Newton factorizations on the grid's columns
 (the s = 0 start's three rows included) and on fewer columns (a march's
-coarse level), the Newton iterations of the s = 0 start's correction on
-three rows (`-` when it raised), the trials the marches rejected and the
-final `c` to 17 digits.
+coarse level), the Newton iterations on the grid's columns and on fewer
+columns, of the solves that converged, the Newton iterations of the s = 0
+start's correction on three rows (`-` when it raised), the trials the
+marches rejected and the final `c` to 17 digits.
 
 With `--against CHECKOUT` every scenario also runs on that checkout, and
 every output file of the two runs is compared byte for byte, `summary.json`
-without its `timings_s`, and so are the factorization and start iteration
+without its `timings_s`, and so are the factorization and iteration
 counts; a line ends in `same` or in what differs, and the exit status is 1
 when anything does.  When `path.csv` differs, the line ends in the largest
 relative difference of `c` over the two files' rows, matched by (stage,
@@ -40,10 +41,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # one `wave run` with every Newton factorization counted, on the grid's
-# columns or on fewer (J holds `m` unknowns per column), and the Newton
-# iterations of its s = 0 start's correction on three rows, the run's first
+# columns or on fewer (J holds `m` unknowns per column), the iterations of
+# every Newton solve that converged summed the same way (the grid it was given),
+# the iterations of its s = 0 start's correction on three rows, the run's first
 # Newton solve (`continuation.one_dim_start`), recorded, and the trials its
-# marches rejected counted from their log; prints all four
+# marches rejected counted from their log; prints them all
 CHILD = """
 import json, logging, sys
 from pathlib import Path
@@ -56,7 +58,8 @@ log.propagate = False
 log.addFilter(lambda record: rejected.append(record.getMessage().startswith("step rejected")))
 nx = json.loads(Path(sys.argv[2]).read_text())["grid"]["nx"]
 count, coarse, start = 0, 0, []
-factorize, newton_solve = solver.factorize, continuation.newton_solve
+iterations = {"fine": 0, "coarse": 0}
+factorize, newton_solve = solver.factorize, solver.newton_solve
 def counted(J, *args, **kwargs):
     global count, coarse
     if J.b.size // J.m < nx:
@@ -64,13 +67,16 @@ def counted(J, *args, **kwargs):
     else:
         count += 1
     return factorize(J, *args, **kwargs)
-def recorded(*args, **kwargs):
-    result = newton_solve(*args, **kwargs)
+def recorded(init, params, spec, grid, *args, **kwargs):
+    result = newton_solve(init, params, spec, grid, *args, **kwargs)
     start.append(result.iterations)
+    iterations["coarse" if grid.nx < nx else "fine"] += result.iterations
     return result
-solver.factorize, continuation.newton_solve = counted, recorded
+solver.factorize = counted
+continuation.newton_solve = cli.newton_solve = recorded
 code = cli.main(["run", sys.argv[2]])
 print(json.dumps({"exit": code, "factorizations": count, "coarse_factorizations": coarse,
+                  "iterations": iterations["fine"], "coarse_iterations": iterations["coarse"],
                   "start_iterations": start[0] if start else "-", "rejected": sum(rejected)}))
 """
 
@@ -194,6 +200,8 @@ def main(argv=None) -> int:
             line = (f"{name:10} exit={ours['exit']} error={ours['error']} rows={ours['rows']} "
                     f"factorizations={ours['factorizations']} "
                     f"coarse_factorizations={ours['coarse_factorizations']} "
+                    f"iterations={ours['iterations']} "
+                    f"coarse_iterations={ours['coarse_iterations']} "
                     f"start_iterations={ours['start_iterations']} "
                     f"rejected={ours['rejected']} c={ours['c']}")
             if args.against:
@@ -203,6 +211,7 @@ def main(argv=None) -> int:
                 if "path.csv" in diff and all((out / "path.csv").exists() for out in outs):
                     diff.append(f"({c_change(*(out / 'path.csv' for out in outs))})")
                 diff += [key for key in ("factorizations", "coarse_factorizations",
+                                         "iterations", "coarse_iterations",
                                          "start_iterations", "rejected")
                          if theirs[key] != ours[key]]
                 line += "  " + ("same" if not diff else "DIFFER: " + " ".join(diff))

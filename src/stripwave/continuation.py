@@ -33,9 +33,11 @@ column and 5 or 3 rows of the same window): the record's state plus the
 prolongation of u_H(trial) - u_H(s), bilinear for psi and linear in x for
 the line field phi, with c moved by the same coarse increment, where u_H(s)
 is the record's injected state solved on the coarse level at its parameter
-and u_H(trial) that solution solved again at the trial.  Without a coarse
-level, or when a coarse solve fails, the trial starts from the record's own
-state.  The predictor is a function of the record alone, so nothing but
+and u_H(trial) that solution solved again at the trial.  Both coarse solves
+stop at a residual of max(tol_residual, `COARSE_TOL`): they only start the
+fine Newton, whose start misses by the coarse level's error anyway.  Without
+a coarse level, or when a coarse solve fails, the trial starts from the
+record's own state.  The predictor is a function of the record alone, so nothing but
 the record (its state and its step) is carried from one step to the next.
 
 Each march starts from a record, its restart point, sends its sink
@@ -185,18 +187,34 @@ def make_record(stage: str, state: WaveState, residual_norm: float, params: Mode
 STEP_GROWTH = 9.0
 # the rows of a march's coarse level on a grid of at least COARSE_ROWS_FROM rows
 # where they nest (`coarse_level`); 3 rows on other grids.  Stages A to C of the
-# default run in process from its s = 0 start, on a 3-row -> a 5-row coarse level
-# (wall ms, medians of 12 alternating pairs; one BLAS thread, 2 vCPUs):
-#     rows   481 columns            961 columns
-#     9      21.8 -> 25.4 (+3.7)    29.1 -> 31.5 (+2.4)
-#     13     27.4 -> 29.4 (+2.0)    42.4 -> 43.3 (+0.9)
-#     17     29.8 -> 31.6 (+1.9)    47.5 -> 47.9 (+0.4)
-#     21     32.8 -> 34.8 (+2.1)    49.1 -> 49.1 (0.0)
-#     41     69.2 -> 70.8 (+1.6)    105.3 -> 101.3 (-4.0, lower in 11 of 12)
-# Below 21 rows three are faster on both widths; from 21 on, five are level or
-# faster on 961 columns, the default grid's, and 2 ms slower on 481
+# default run in process from its s = 0 start, on a 3-row -> a 5-row coarse level,
+# the coarse solves stopping at COARSE_TOL (wall ms, medians of 12 alternating
+# pairs, and the pairs in which 5 rows were faster; one BLAS thread, 2 vCPUs):
+#     rows   481 columns                 961 columns
+#     9      19.6 -> 21.4 (+1.8), 4      28.8 -> 30.1 (+1.3), 3
+#     13     26.2 -> 27.4 (+1.1), 3      43.3 -> 43.8 (+0.5), 4
+#     17     29.3 -> 31.0 (+1.7), 3      53.7 -> 54.1 (+0.4), 7
+#     21     31.5 -> 33.1 (+1.6), 2      48.5 -> 47.1 (-1.4), 12
+#     41     69.7 -> 70.4 (+0.8), 4      112.0 -> 107.8 (-4.2), 9
+# Below 21 rows three are faster on both widths; from 21 on, five are faster on
+# 961 columns, the default grid's, and 1-2 ms slower on 481
 COARSE_ROWS = 5
 COARSE_ROWS_FROM = 21
+# the coarse level's Newton solves stop at a residual of max(tol_residual,
+# COARSE_TOL): the predictor only starts the fine Newton.  Over the 23 scenarios
+# of `scripts/scenario_scan.py` (tol_residual 1e-10): Newton iterations summed on
+# the grid and on its coarse level, the scenarios that take more iterations on the
+# grid than at 1e-10, and the largest relative change of a final c from 1e-10:
+#     COARSE_TOL   481 x 11                 961 x 41
+#     1e-10        287, 628                 250, 584
+#     1e-8         287, 480, 0, 2e-14       250, 462, 0, 1e-13
+#     1e-7         287, 412, 0, 5e-14       251, 386, 1, 1e-10
+#     1e-6         287, 337, 0, 2e-13       250, 309, 0, 4e-12
+#     1e-5         287, 257, 0, 5e-12       253, 254, 2, 2e-10
+#     1e-4         290, 204, 3, 4e-11       263, 191, 10, 2e-10
+# Factorizations on the grid, rejected trials and the s = 0 start were the same at
+# every value; the coarse factorizations fell 160 -> 158 and 158 -> 157 at 1e-6
+COARSE_TOL = 1e-6
 
 
 def coarse_level(grid: Grid) -> Grid | None:
@@ -249,20 +267,21 @@ def _predict(record: ContinuationRecord, trial: float, base: NewtonResult | Solv
     state = record.state
     family = state.family.with_parameter(trial)
     if coarse is not None:
+        coarse_opts = replace(newton_opts, tol_residual=max(newton_opts.tol_residual, COARSE_TOL))
         if base is None:
             fy = (grid.ny - 1) // (coarse.ny - 1)
             injected = WaveState(c=state.c, psi=state.psi[::fy, ::2].copy(),
                                  phi=None if state.phi is None else state.phi[::2].copy(),
                                  family=state.family)
             try:
-                base = newton_solve(injected, params, spec, coarse, newton_opts)
+                base = newton_solve(injected, params, spec, coarse, coarse_opts)
             except SolverError as exc:
                 base = exc
         failure = base
         if isinstance(base, NewtonResult):
             try:
                 at_trial = newton_solve(replace(base.state, family=family), params, spec,
-                                        coarse, newton_opts)
+                                        coarse, coarse_opts)
             except SolverError as exc:
                 failure = exc
             else:

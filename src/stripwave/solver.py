@@ -78,9 +78,10 @@ it (lower end undershoots, upper end overshoots), it is the bracket a
 bisection at that rung finds, provided the classification there is
 monotone in c; otherwise the bisection is redone at that rung.  The
 upper-end doubling and the profile pass run on the last rung, h.
-`one_dim_guess`, only a start for Newton, is the same shooting on the first
-rung alone, `LADDER * COARSE * h`, and bisects only to `GUESS_TOL`: the
-discrete 1-D speed Newton finds lies further than that from the shot speed.
+`one_dim_guess`, only a start for Newton, is the same shooting on a ladder of
+its own, `GUESS_LADDER * LADDER * COARSE` and `LADDER * COARSE` times h, and
+bisects only to `GUESS_TOL`: the discrete 1-D speed Newton finds lies further
+than that from the shot speed.
 """
 
 from __future__ import annotations
@@ -180,6 +181,20 @@ LADDER = 4
 #     1e-5        6     21    4.1       53
 # One more iteration on 961 x 3 costs about 0.5 ms
 GUESS_TOL = 1e-7
+# `one_dim_guess` bisects at GUESS_LADDER times its step, `LADDER * COARSE * h`,
+# and confirms the bracket at its step.  Over both kinds x theta 0.05, 0.3, 0.4,
+# 0.5, 0.6, 0.9 x d 0.5, 1, 2, 2.5, 4 at tol = 1e-9 (60 cases): brackets not
+# confirmed, RK4 steps per call (the mean of 60), and the time of the guess for the
+# default cubic and summed over the 60 (median of 3 calls, ms, one core):
+#     GUESS_LADDER   unconfirmed   steps   default   sum
+#     1              -             4.4k    4.14      201   (bisection at its step)
+#     2              1             3.0k    2.83      143
+#     3              1             2.4k    2.10      115
+#     4              6             2.5k    5.46      123
+#     6              18            3.2k    5.12      152
+# The unconfirmed case at 2 and 3 is the cubic at theta 0.05, d = 2; at 4 the
+# default cubic is one.  Every guess was the same floats as the bisection at its step
+GUESS_LADDER = 3
 # `cyclic_tail` takes K = 0 below this m.  One factorization and one solve of
 # `BorderedBandLU` on a Wentzell(1) and an exchange(0.05) Jacobian of the
 # embedded front on [-160, 80], K = 0 -> tail (the best of 5 calls, median of
@@ -736,17 +751,21 @@ def solve_1d_ignition_shooting(d: float, spec: NonlinearitySpec, tol: float) -> 
 
 def one_dim_guess(d: float, spec: NonlinearitySpec, tol: float) -> OneDimWave:
     """A guess of the 1-D front for Newton: the shooting of
-    `solve_1d_ignition_shooting` on its first rung only.  Its upper end is
-    grown, its bracket bisected to width max(tol, `GUESS_TOL`), its lower
-    end checked and its profile integrated at `LADDER * COARSE * h`: the
-    floats of a plain bisection at that step.
+    `solve_1d_ignition_shooting` on a two-rung ladder whose finer rung is the
+    oracle's first, `LADDER * COARSE * h`.  Its upper end is grown at that
+    step, its bracket bisected to width max(tol, `GUESS_TOL`) at
+    `GUESS_LADDER` times that step and confirmed at that step (or bisected
+    again there, logged as not confirmed), its lower end checked and its
+    profile integrated at that step: the floats of a plain bisection at
+    `LADDER * COARSE * h`.
 
     Raises ValueError for a tol outside (0, inf), checked before the floor,
-    and BracketNotFound as the oracle does, the lower end checked on that
-    rung.  Its speed is not the oracle's: a caller must not report it, only
-    correct it (`continuation.one_dim_start`).
+    and BracketNotFound as the oracle does, the lower end checked at
+    `LADDER * COARSE * h`.  Its speed is not the oracle's: a caller must not
+    report it, only correct it (`continuation.one_dim_start`).
     """
-    return _shoot(d, spec, max(_checked_tol(tol), GUESS_TOL), (LADDER * COARSE,))
+    step = LADDER * COARSE
+    return _shoot(d, spec, max(_checked_tol(tol), GUESS_TOL), (GUESS_LADDER * step, step))
 
 
 def _checked_tol(tol: float) -> float:

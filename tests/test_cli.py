@@ -1520,15 +1520,16 @@ def test_lu_layer_script():
 
 def test_scenario_scan_counts_the_coarse_level_apart():
     # on 241 x 21, the fewest rows with a 5-row coarse level, each step of stages A
-    # and C factors twice or three times on 121 x 5; the fine count keeps the s = 0
-    # start's three rows
+    # and C factors twice or three times on 121 x 5; the fine counts keep the s = 0
+    # start's three rows, and the iterations on 121 x 5 stop at COARSE_TOL
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, str(root / "scripts" / "scenario_scan.py"),
                            "--grid", "241x21", "default"],
                           capture_output=True, text=True, timeout=600, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("default    exit=0 error=- rows=6 factorizations=6 "
-                                  "coarse_factorizations=9 start_iterations=")
+                                  "coarse_factorizations=9 iterations=20 "
+                                  "coarse_iterations=22 start_iterations=")
     proc = subprocess.run([sys.executable, str(root / "scripts" / "scenario_scan.py"),
                            "--grid", "241by21", "default"],
                           capture_output=True, text=True, timeout=600, env=subprocess_env())

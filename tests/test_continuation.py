@@ -435,10 +435,10 @@ def record_bits(records):
 
 # the predictor's part of each accepted step's log line, by march
 TWO_GRID_LINES = {
-    "wentzell": ["two-grid predictor, 13 iterations and 2 factorizations on 121 x 5",
-                 "two-grid predictor, 10 iterations and 3 factorizations on 121 x 5"],
-    "exchange": ["two-grid predictor, 6 iterations and 2 factorizations on 121 x 5",
-                 "two-grid predictor, 8 iterations and 2 factorizations on 121 x 5"],
+    "wentzell": ["two-grid predictor, 7 iterations and 2 factorizations on 121 x 5",
+                 "two-grid predictor, 6 iterations and 3 factorizations on 121 x 5"],
+    "exchange": ["two-grid predictor, 4 iterations and 2 factorizations on 121 x 5",
+                 "two-grid predictor, 5 iterations and 2 factorizations on 121 x 5"],
 }
 
 
@@ -481,6 +481,35 @@ def test_the_two_grid_predictor_changes_only_newtons_start(two_grid_setup,
         monkeypatch.undo()
         for k, record in enumerate(two_grid):
             assert record_bits(march_records(grid, record)) == record_bits(two_grid[k + 1:])
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-5])
+@pytest.mark.parametrize("family", ["wentzell", "exchange"])
+def test_only_the_coarse_solves_stop_at_the_predictor_tolerance(two_grid_setup,
+                                                                two_grid_exchange_start,
+                                                                monkeypatch, family, tol):
+    # the coarse level's solves take the march's options with tol_residual raised
+    # to max(tol_residual, COARSE_TOL), and nothing else changed; the grid's
+    # solves take them as given, so every record keeps the march's tolerance
+    grid, start = two_grid_setup
+    if family == "exchange":
+        start = two_grid_exchange_start
+    opts = NewtonOptions(tol_residual=tol, max_iters=40, damping=0.4, min_step=1e-9)
+    solve, calls = continuation.newton_solve, {"fine": [], "coarse": []}
+
+    def spied(init, params, spec, on, given, **kwargs):
+        calls["fine" if on == grid else "coarse"].append(given)
+        return solve(init, params, spec, on, given, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_solve", spied)
+    records = []
+    march = continue_wentzell if family == "wentzell" else continue_exchange
+    march(start, PARAMS, CUBIC, grid, opts, 1.0, sink=records.append)
+    loosened = dataclasses.replace(opts, tol_residual=max(tol, continuation.COARSE_TOL))
+    assert (loosened == opts) == (tol >= continuation.COARSE_TOL)
+    assert calls["coarse"] == [loosened] * 4 and calls["fine"] == [opts] * 2
+    assert len(records) == 2
+    assert all(r.residual_norm <= opts.tol_residual for r in records)
 
 
 @pytest.mark.parametrize("failing", ["record", "trial"])

@@ -630,9 +630,10 @@ def test_guess_lower_bracket_end_raises_at_the_confirmation(rk4_steps):
     with pytest.raises(BracketNotFound,
                        match="lower bracket end c = 5.000e-01 does not undershoot"):
         solver.one_dim_guess(1.0, ORACLE90, tol=0.5)
-    # the upper end, the 2 midpoints and the lower end, all on the guess's one
-    # rung, the coarsest
-    assert rungs(rk4_steps, 1.0, ORACLE90) == {solver.LADDER * solver.COARSE: 4}
+    # the upper end at the guess's step, the 2 midpoints GUESS_LADDER times
+    # coarser, and the lower end at its step
+    step = solver.LADDER * solver.COARSE
+    assert rungs(rk4_steps, 1.0, ORACLE90) == {step: 2, solver.GUESS_LADDER * step: 2}
 
 
 def reference_shooting(d, spec, tol, factor):
@@ -764,8 +765,9 @@ def test_shooting_fallback_to_the_coarse_step(monkeypatch, caplog, rk4_steps, sh
     # undershoot
     coarsest = 10**9 * solver.COARSE
     if shoot is solver.one_dim_guess:
-        # the guess has no finer rung to fall back to: its upper end never
-        # overshoots, and it refuses after 20 doublings, as the plain
+        # the guess grows its upper end at its own step, LADDER * COARSE times
+        # the fine step, which has no finer rung to fall back to: its upper end
+        # never overshoots, and it refuses after 20 doublings, as the plain
         # bisection on that rung does
         monkeypatch.setattr(solver, "LADDER", 10**9)
         with pytest.raises(BracketNotFound) as reference:
@@ -819,13 +821,30 @@ def test_shooting_fine_trajectories(caplog, rk4_steps):
 
 def test_guess_runs_at_the_coarse_step(rk4_steps):
     guess = solver.one_dim_guess(1.0, CUBIC, tol=1e-9)
-    # the upper end, 24 midpoints to GUESS_TOL and the profile, all on
-    # the coarsest rung; nothing at COARSE or at the fine step
+    # 24 midpoints to GUESS_TOL GUESS_LADDER times coarser than the guess's
+    # step; the upper end, the two ends of the final bracket and the profile at
+    # its step; nothing at COARSE or at the fine step
     coarsest = solver.LADDER * solver.COARSE
-    assert rungs(rk4_steps, 1.0, CUBIC) == {coarsest: 26}
+    assert rungs(rk4_steps, 1.0, CUBIC) == {coarsest: 4, solver.GUESS_LADDER * coarsest: 24}
     assert np.diff(guess.x) == pytest.approx(coarsest * fine_step(1.0, CUBIC), rel=1e-9)
     assert abs(guess.c - 0.2634361718052042) <= solver.GUESS_TOL  # within its tol of the oracle
     assert np.all(np.diff(guess.psi) > 0.0) and guess.psi[0] == CUBIC.theta
+
+
+def test_guess_bisects_again_when_its_bracket_is_not_confirmed(caplog, rk4_steps):
+    # the cubic at theta 0.05 and d = 2 (the table at GUESS_LADDER): the bracket
+    # of the coarser rung is not confirmed at the guess's step, which bisects
+    # again and gives the floats of the plain bisection there
+    spec = NonlinearitySpec(kind=NonlinearityKind.SMOOTH_CUBIC, theta=0.05)
+    with caplog.at_level(logging.INFO, logger="stripwave.solver"):
+        guess = solver.one_dim_guess(2.0, spec, tol=1e-9)
+    assert caplog.text.count("is not confirmed at step") == 1
+    x, psi, c, _ = guess_shooting(2.0, spec, 1e-9)
+    assert (guess.x.tobytes(), guess.psi.tobytes(), guess.c) == (x.tobytes(), psi.tobytes(), c)
+    # 25 midpoints on the coarser rung; at the guess's step the upper end, the
+    # lower end that fails the confirmation, 25 midpoints and the profile
+    step = solver.LADDER * solver.COARSE
+    assert rungs(rk4_steps, 2.0, spec) == {step: 28, solver.GUESS_LADDER * step: 25}
 
 
 def test_guess_refuses_as_the_oracle_does():
