@@ -37,8 +37,9 @@ and u_H(trial) that solution solved again at the trial.  Both coarse solves
 stop at a residual of max(tol_residual, `COARSE_TOL`): they only start the
 fine Newton, whose start misses by the coarse level's error anyway.  Without
 a coarse level, or when a coarse solve fails, the trial starts from the
-record's own state.  The predictor is a function of the record alone, so nothing but
-the record (its state and its step) is carried from one step to the next.
+record's own state.  The predictor is a function of the record alone, so
+nothing but the record (its state and its step) is carried from one step to
+the next.
 
 Each march starts from a record, its restart point, sends its sink
 only the records of the steps it accepts, and returns its end record:
