@@ -15,13 +15,16 @@ none), the `path.csv` rows, the Newton factorizations on the grid's columns
 coarse level), the Newton iterations on the grid's columns and on fewer
 columns, of the solves that converged, the Newton iterations of the s = 0
 start's correction on three rows (`-` when it raised), the trials the
-marches rejected and the final `c` to 17 digits.
+marches rejected and the final `c` to 17 digits.  A last line, `total`, sums
+the factorizations, coarse factorizations, iterations, coarse iterations and
+rejected trials over the scenarios run.
 
 With `--against CHECKOUT` every scenario also runs on that checkout, and
 every output file of the two runs is compared byte for byte, `summary.json`
 without its `timings_s`, and so are the factorization and iteration
 counts; a line ends in `same` or in what differs, and the exit status is 1
-when anything does.  When `path.csv` differs, the line ends in the largest
+when anything does.  The `total` line then ends in `against` and that
+checkout's sums.  When `path.csv` differs, the line ends in the largest
 relative difference of `c` over the two files' rows, matched by (stage,
 family_param), or, when the rows do not match, in `rows differ` and the
 relative difference of the final stage C `c` when both files reach stage C.
@@ -91,6 +94,9 @@ BASE = {
     "output_dir": "out",
     "checkpoint_every": 5,
 }
+# the counts each line reports and `--against` compares
+COUNTS = ("factorizations", "coarse_factorizations", "iterations", "coarse_iterations",
+          "start_iterations", "rejected")
 CHANGES = [("D", v) for v in (0.25, 0.5, 1.0, 2.0, 8.0)] + \
     [("theta", v) for v in (0.05, 0.1, 0.2, 0.4, 0.5, 0.6)] + \
     [("mu", v) for v in (0.2, 0.5, 2.0, 5.0)] + \
@@ -170,6 +176,13 @@ def c_change(ours: Path, theirs: Path) -> str:
     return f"c within {worst:.1e} relative"
 
 
+def totals(results: list[dict]) -> str:
+    """The `COUNTS` of `results` summed, all but start_iterations, which is `-`
+    when a start raised."""
+    return " ".join(f"{key}={sum(result[key] for result in results)}" for key in COUNTS
+                    if key != "start_iterations")
+
+
 def grid_size(text: str) -> tuple[int, int]:
     """(nx, ny) of an `NXxNY` argument."""
     nx, sep, ny = text.partition("x")
@@ -194,29 +207,27 @@ def main(argv=None) -> int:
         args.keep.mkdir(parents=True)
     with tempfile.TemporaryDirectory() as tmp:
         base = args.keep or Path(tmp)
-        status = 0
+        status, all_ours, all_theirs = 0, [], []
         for name in args.names or table:
             ours = run(ROOT, table[name], base / "this" / name)
+            all_ours.append(ours)
             line = (f"{name:10} exit={ours['exit']} error={ours['error']} rows={ours['rows']} "
-                    f"factorizations={ours['factorizations']} "
-                    f"coarse_factorizations={ours['coarse_factorizations']} "
-                    f"iterations={ours['iterations']} "
-                    f"coarse_iterations={ours['coarse_iterations']} "
-                    f"start_iterations={ours['start_iterations']} "
-                    f"rejected={ours['rejected']} c={ours['c']}")
+                    + " ".join(f"{key}={ours[key]}" for key in COUNTS) + f" c={ours['c']}")
             if args.against:
                 theirs = run(args.against.resolve(), table[name], base / "against" / name)
+                all_theirs.append(theirs)
                 outs = base / "this" / name / "out", base / "against" / name / "out"
                 diff = differing(*outs)
                 if "path.csv" in diff and all((out / "path.csv").exists() for out in outs):
                     diff.append(f"({c_change(*(out / 'path.csv' for out in outs))})")
-                diff += [key for key in ("factorizations", "coarse_factorizations",
-                                         "iterations", "coarse_iterations",
-                                         "start_iterations", "rejected")
-                         if theirs[key] != ours[key]]
+                diff += [key for key in COUNTS if theirs[key] != ours[key]]
                 line += "  " + ("same" if not diff else "DIFFER: " + " ".join(diff))
                 status |= bool(diff)
             print(line, flush=True)
+    line = f"{'total':10} {totals(all_ours)}"
+    if args.against:
+        line += f"  against {totals(all_theirs)}"
+    print(line)
     return status
 
 

@@ -16,16 +16,16 @@ translation and the phase condition fixes the translate, so a step cannot
 jump to another branch: the only wrong state a trial can reach is a
 non-physical discrete solution, which its record's certificates catch.
 Each solved trial is therefore made into a record first, and a trial
-whose Newton fails or whose record fails a certificate is rejected: its
-step halves, and once it falls below `min_step` the march ends in
-`StepCollapse`, naming the Newton error or the failed certificates.  An
-accepted step grows by `STEP_GROWTH` (9x): the two-grid predictor misses
-the trial by the coarse level's error in the step's increment, not by the
-step's curvature, so a longer step costs the fine Newton no more
-iterations (the step-length adaptation of predictor-corrector
-continuation, Allgower and Georg, *Introduction to Numerical Continuation
-Methods*, SIAM 2003, ch. 6).  The next step travels in the accepted
-record's `step`.
+whose Newton fails or whose record fails a certificate is rejected: it
+leaves the record with half its step, and once that falls below `min_step`
+the march ends in `StepCollapse`, naming the Newton error or the failed
+certificates.  An accepted step grows by `STEP_GROWTH` (9x): the two-grid
+predictor misses the trial by the coarse level's error in the step's
+increment, not by the step's curvature, so a longer step costs the fine
+Newton no more iterations (the step-length adaptation of
+predictor-corrector continuation, Allgower and Georg, *Introduction to
+Numerical Continuation Methods*, SIAM 2003, ch. 6).  The next step travels
+in the accepted record's `step`.
 
 A trial's Newton starts from a two-grid predictor (Xu, SIAM J. Numer.
 Anal. 33, 1996) on grids with a coarse level (`coarse_level`: every second
@@ -37,9 +37,9 @@ and u_H(trial) that solution solved again at the trial.  Both coarse solves
 stop at a residual of max(tol_residual, `COARSE_TOL`): they only start the
 fine Newton, whose start misses by the coarse level's error anyway.  Without
 a coarse level, or when a coarse solve fails, the trial starts from the
-record's own state.  The predictor is a function of the record alone, so
-nothing but the record (its state and its step) is carried from one step to
-the next.
+record's own state.  The predictor is computed from the record alone for
+every trial, so nothing but the record (its state and its step) is carried
+from one trial to the next, retries included.
 
 Each march starts from a record, its restart point, sends its sink
 only the records of the steps it accepts, and returns its end record:
@@ -253,67 +253,53 @@ def _prolong(coarse: np.ndarray, ny: int) -> np.ndarray:
     return out
 
 
-def _predict(record: ContinuationRecord, trial: float, base: NewtonResult | SolverError | None,
-             params: ModelParams, spec: NonlinearitySpec, grid: Grid, coarse: Grid | None,
-             newton_opts: NewtonOptions) -> tuple[WaveState, NewtonResult | SolverError | None,
-                                                  str]:
-    """The start of the trial at `trial` from `record`, u_H(s) for the
-    record's retries, and how the start was made.
-
-    `base` is u_H(s), the record's injected state solved on the coarse level,
-    as a `NewtonResult` or the `SolverError` its solve raised; None before
-    the record's first trial, which solves it.  Without a coarse level, or
-    when a coarse solve fails, the start is the record's own state.
-    """
+def _predict(record: ContinuationRecord, trial: float, params: ModelParams,
+             spec: NonlinearitySpec, grid: Grid,
+             newton_opts: NewtonOptions) -> tuple[WaveState, str]:
+    """The start of the trial at `trial` from `record`, and how it was made:
+    the two-grid predictor (module docstring), both coarse solves made here,
+    or the record's own state without a coarse level or when one fails."""
     state = record.state
     family = state.family.with_parameter(trial)
+    coarse = coarse_level(grid)
     if coarse is not None:
         coarse_opts = replace(newton_opts, tol_residual=max(newton_opts.tol_residual, COARSE_TOL))
-        if base is None:
-            fy = (grid.ny - 1) // (coarse.ny - 1)
-            injected = WaveState(c=state.c, psi=state.psi[::fy, ::2].copy(),
-                                 phi=None if state.phi is None else state.phi[::2].copy(),
-                                 family=state.family)
-            try:
-                base = newton_solve(injected, params, spec, coarse, coarse_opts)
-            except SolverError as exc:
-                base = exc
-        failure = base
-        if isinstance(base, NewtonResult):
-            try:
-                at_trial = newton_solve(replace(base.state, family=family), params, spec,
-                                        coarse, coarse_opts)
-            except SolverError as exc:
-                failure = exc
-            else:
-                new, old = at_trial.state, base.state
-                psi = _prolong(new.psi - old.psi, grid.ny) + state.psi
-                phi = None if state.phi is None else _prolong_x(new.phi - old.phi) + state.phi
-                how = (f"two-grid predictor, {base.iterations + at_trial.iterations} iterations "
-                       f"and {base.factorizations + at_trial.factorizations} factorizations on "
-                       f"{coarse.nx} x {coarse.ny}")
-                return (WaveState(c=state.c + (new.c - old.c), psi=psi, phi=phi, family=family),
-                        base, how)
-        logger.info("two-grid predictor failed on %d x %d (%s); the record's state", coarse.nx,
-                    coarse.ny, failure)
-    return replace(state, family=family), base, "the record's state"
+        fy = (grid.ny - 1) // (coarse.ny - 1)
+        injected = WaveState(c=state.c, psi=state.psi[::fy, ::2].copy(),
+                             phi=None if state.phi is None else state.phi[::2].copy(),
+                             family=state.family)
+        try:
+            base = newton_solve(injected, params, spec, coarse, coarse_opts)
+            at_trial = newton_solve(replace(base.state, family=family), params, spec, coarse,
+                                    coarse_opts)
+        except SolverError as exc:
+            logger.info("two-grid predictor failed on %d x %d (%s); the record's state",
+                        coarse.nx, coarse.ny, exc)
+        else:
+            new, old = at_trial.state, base.state
+            psi = _prolong(new.psi - old.psi, grid.ny) + state.psi
+            phi = None if state.phi is None else _prolong_x(new.phi - old.phi) + state.phi
+            how = (f"two-grid predictor, {base.iterations + at_trial.iterations} iterations "
+                   f"and {base.factorizations + at_trial.factorizations} factorizations on "
+                   f"{coarse.nx} x {coarse.ny}")
+            return WaveState(c=state.c + (new.c - old.c), psi=psi, phi=phi, family=family), how
+    return replace(state, family=family), "the record's state"
 
 
 def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpec, grid: Grid,
            newton_opts: NewtonOptions, opts: ContinuationOptions, target: float,
            stage: str, sink: RecordSink | None) -> ContinuationRecord:
-    """March from `start` to `target`: each trial starts from `_predict`'s
-    two-grid predictor on a grid with a coarse level, otherwise from the
-    record's state (module docstring)."""
+    """March from `start` to `target` with the record as its only state: an
+    accepted trial's record replaces it and goes to the sink, and a rejected
+    trial halves its step, so a retry is the trial a march from that record
+    would make (module docstring)."""
     if target < start.parameter - PARAMETER_TOL:
         raise ParameterNotMonotone(f"target {target} is below current parameter {start.parameter}")
-    coarse = coarse_level(grid)
-    record, step, base = start, start.step, None
+    record = start
     while record.parameter < target - PARAMETER_TOL:
-        param = record.parameter
+        param, step = record.parameter, record.step
         trial = min(param + step, target)
-        pred_state, base, how = _predict(record, trial, base, params, spec, grid, coarse,
-                                         newton_opts)
+        pred_state, how = _predict(record, trial, params, spec, grid, newton_opts)
         try:
             result = newton_solve(pred_state, params, spec, grid, newton_opts)
         except SolverError as exc:
@@ -330,13 +316,14 @@ def _march(start: ContinuationRecord, params: ModelParams, spec: NonlinearitySpe
             if step < opts.min_step:
                 raise StepCollapse(f"continuation step below {opts.min_step} at "
                                    f"{stage} parameter {param:.6f}: {reason}")
+            record = replace(record, step=step)
             continue
-        record, step, base = solved, solved.step, None
+        record = solved
         if sink is not None:
             sink(record)
         logger.info("%s parameter %.6f: c = %.8f (%d iterations, %d factorizations; %s); next "
                     "step %.6g", stage, trial, record.c, result.iterations,
-                    result.factorizations, how, step)
+                    result.factorizations, how, record.step)
     return record
 
 

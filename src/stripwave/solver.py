@@ -134,16 +134,19 @@ _ARMIJO_SLOPE = 1e-4
 # an accepted step that leaves more than this fraction of the residual
 # refactors the Jacobian before the next step.  The default run A -> B -> C in
 # process (no file output, the guess included) at other ratios: factorizations
-# and checked solves, on the grid + on stage A's coarse level, and wall ms,
-# median (quartiles) of 14 (961 x 41) and 20 (481 x 11) alternating rounds, one
-# BLAS thread, shared 2-vCPU VM:
+# and checked solves, on the grid + on the coarse level, and wall ms, median
+# (quartiles) of 20 alternating rounds, one BLAS thread, shared 2-vCPU VM:
 #     ratio   961 x 41                        481 x 11
-#     0.1     8 + 8, 20 + 25, 316 (296-398)   10, 31, 48 (46-54)
-#     0.25    8 + 6, 20 + 36, 301 (294-384)   9, 37, 50 (48-58)
-#     0.5     8 + 6, 20 + 36, 329 (299-426)   8, 42, 52 (51-65)
-#     inf     8 + 6, 20 + 36, 317 (296-400)   8, 42, 55 (53-61)
-# On 961 x 41 only the coarse level's Newton refreshes; the walls differ by less
-# than their spread.  The final c moves by at most 2e-14 relative
+#     0.1     6 + 9, 13 + 17, 119 (113-129)   6 + 9, 16 + 19, 26.5 (26.1-28.6)
+#     0.25    6 + 9, 13 + 17, 119 (113-134)   6 + 9, 16 + 19, 26.9 (26.3-27.4)
+#     0.5     6 + 8, 13 + 21, 121 (116-131)   6 + 8, 16 + 23, 27.1 (26.5-29.1)
+#     inf     6 + 8, 13 + 21, 124 (114-134)   6 + 8, 16 + 23, 26.9 (26.1-28.6)
+# Only the coarse level's Newton refreshes; the walls differ by less than their
+# spread, and the final c moves by at most 2e-14 relative.  Over the 23 scenarios
+# of `scripts/scenario_scan.py`, inf against 0.25 leaves the grid's factorizations
+# and iterations the same; on the coarse level factorizations go 158 -> 144
+# (481 x 11) and 157 -> 144 (961 x 41), iterations 337 -> 385 and 309 -> 354, and
+# a final c moves by at most 2.5e-13 relative
 REFRESH_RATIO = 0.25
 # the middle rung of the shooting ladder (module docstring), the oracle's first
 # confirmation.  At 4x, 8x and 16x the step, bisections to tol = 1e-11 ended in

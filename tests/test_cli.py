@@ -1446,10 +1446,17 @@ def test_scenario_scan_script(tmp_path):
                            "default", "D=8"],
                           capture_output=True, text=True, timeout=600, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    default, d8 = proc.stdout.splitlines()
+    default, d8, total = proc.stdout.splitlines()
     assert default.startswith("default    exit=0 error=- rows=6 ") and default.endswith(" same")
     assert d8.startswith("D=8        exit=3 error=ExtentTooSmall rows=0 ")
     assert d8.endswith(" same")
+    # the last line sums the counts over the scenarios, for either checkout
+    keys = ("factorizations", "coarse_factorizations", "iterations", "coarse_iterations",
+            "rejected")
+    counts = [dict(field.split("=") for field in line.split() if "=" in field)
+              for line in (default, d8)]
+    sums = " ".join(f"{key}={sum(int(c[key]) for c in counts)}" for key in keys)
+    assert total == f"total      {sums}  against {sums}"
     # the comparison reads every file, and a summary.json without its timings
     spec = importlib.util.spec_from_file_location("scenario_scan",
                                                   root / "scripts" / "scenario_scan.py")

@@ -94,25 +94,34 @@ def test_a_record_alone_resumes_the_march(coarse_setup, coarse_exchange_start):
             assert run(record)[0] == full[k + 1:], (family, k)
 
 
+def reject_the_first_record(monkeypatch):
+    """Make the first record of the marches that follow fail monotone_ok;
+    returns the list of the diagnostics made."""
+    diagnose, made = continuation.run_diagnostics, []
+
+    def uncertified_first(*args):
+        made.append(diagnose(*args))
+        return dataclasses.replace(made[-1], monotone_ok=len(made) > 1)
+
+    monkeypatch.setattr(continuation, "run_diagnostics", uncertified_first)
+    return made
+
+
 def test_a_failed_certificate_rejects_the_trial_and_halves_the_step(coarse_setup, monkeypatch,
                                                                      caplog):
     # the first trial's record fails monotone_ok: the march rejects it as it
     # rejects a Newton failure, retries at half the step, accepts that, and
     # reaches the rejected parameter from there with certified records
     grid, _, start = coarse_setup
-    solve, diagnose, trials, made = continuation.newton_solve, continuation.run_diagnostics, [], []
+    solve, trials = continuation.newton_solve, []
 
     def tracked(init, params, spec, on, opts, **kwargs):
         if on == grid:  # the fine solves; the coarse level's are the predictor's
             trials.append(init.family.parameter)
         return solve(init, params, spec, on, opts, **kwargs)
 
-    def uncertified_first(*args):
-        made.append(diagnose(*args))
-        return dataclasses.replace(made[-1], monotone_ok=len(made) > 1)
-
     monkeypatch.setattr(continuation, "newton_solve", tracked)
-    monkeypatch.setattr(continuation, "run_diagnostics", uncertified_first)
+    made = reject_the_first_record(monkeypatch)
     records = []
     with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
         continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), target_s=0.1,
@@ -518,11 +527,14 @@ def test_a_failed_coarse_solve_falls_back_to_the_records_state(two_grid_setup,
                                                                monkeypatch, caplog, failing):
     # an exchange coarse solve that raises leaves each trial to start from its
     # record's state: the march certifies every record, with the bits of the march
-    # without a coarse level, and the log names the fallback. "record": u_H(s),
-    # solved once per record, fails; "trial": u_H(trial) fails
+    # without a coarse level, and the log names each fallback. The first trial's
+    # record fails a certificate, so its retry predicts again from the record with
+    # half the step. "record": u_H(s) fails, attempted once per trial; "trial":
+    # u_H(trial) fails
     grid, _ = two_grid_setup
     start = two_grid_exchange_start
     monkeypatch.setattr(continuation, "coarse_level", lambda grid: None)
+    reject_the_first_record(monkeypatch)
     plain = record_bits(march_records(grid, start))
     monkeypatch.undo()
     solve, coarse_calls = continuation.newton_solve, []
@@ -536,37 +548,45 @@ def test_a_failed_coarse_solve_falls_back_to_the_records_state(two_grid_setup,
         return solve(init, params, spec, on, opts, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_solve", failing_coarse)
+    reject_the_first_record(monkeypatch)
     with caplog.at_level(logging.INFO, logger="stripwave.continuation"):
         records = march_records(grid, start)
     assert record_bits(records) == plain
     assert not any(r.diagnostics.failed for r in records)
-    assert coarse_calls == ([0.05, 0.15000000000000002] if failing == "record"
-                            else [0.05, 0.15000000000000002, 0.15000000000000002, 1.0])
+    # the rejected trial at 0.15, its retry at 0.1, then 0.55 and 1
+    assert [r.parameter for r in records] == [0.1, 0.55, 1.0]
+    assert coarse_calls == ([0.05, 0.05, 0.1, 0.55] if failing == "record"
+                            else [0.05, 0.15000000000000002, 0.05, 0.1, 0.1, 0.55, 0.55, 1.0])
     fallbacks = [line for line in caplog.messages if "failed" in line]
     assert fallbacks == ["two-grid predictor failed on 121 x 5 (residual 1.000e+00 after 50 "
-                         "iterations); the record's state"] * 2
+                         "iterations); the record's state"] * 4
     assert [line.partition("; ")[2] for line in caplog.messages if "failed" not in line] == [
-        "the record's state); next step 0.9", "the record's state); next step 8.1"]
+        "retrying with step 0.05", "the record's state); next step 0.45",
+        "the record's state); next step 4.05", "the record's state); next step 36.45"]
 
 
-def test_a_rejected_trial_reuses_the_records_coarse_solve(two_grid_setup, monkeypatch):
-    # the first trial's record fails a certificate; its retry at half the step
-    # solves u_H(trial) again, but not u_H(s)
+def test_a_retry_is_a_trial_from_the_halved_step_record(two_grid_setup, monkeypatch):
+    # the first trial's record fails a certificate, which leaves the start record
+    # with half its step: the march makes the records of a march from that record,
+    # bit for bit, its retry solves u_H(s) again, and no record with the halved
+    # step reaches the sink or ends the march
     grid, start = two_grid_setup
-    solve, diagnose = continuation.newton_solve, continuation.run_diagnostics
-    coarse_calls, made = [], []
+    halved = dataclasses.replace(start, step=start.step / 2)
+    expected = record_bits(march_records(grid, halved, target=0.1))
+    solve, coarse_calls, records = continuation.newton_solve, [], []
 
     def tracked(init, params, spec, on, opts, **kwargs):
         if on != grid:
             coarse_calls.append(init.family.parameter)
         return solve(init, params, spec, on, opts, **kwargs)
 
-    def uncertified_first(*args):
-        made.append(diagnose(*args))
-        return dataclasses.replace(made[-1], monotone_ok=len(made) > 1)
-
     monkeypatch.setattr(continuation, "newton_solve", tracked)
-    monkeypatch.setattr(continuation, "run_diagnostics", uncertified_first)
-    records = march_records(grid, start, target=0.1)
+    reject_the_first_record(monkeypatch)
+    end = continue_wentzell(start, PARAMS, CUBIC, grid, NewtonOptions(), 0.1,
+                            sink=records.append)
+    assert record_bits(records) == expected
     assert [r.parameter for r in records] == [0.05, 0.1]
-    assert coarse_calls == [0.0, 0.1, 0.05, 0.05, 0.1]
+    # u_H(s) and u_H(trial) of the rejected trial, of its retry, and of the next trial
+    assert coarse_calls == [0.0, 0.1, 0.0, 0.05, 0.05, 0.1]
+    assert end is records[-1] and start.step == 0.1
+    assert halved.step not in [r.step for r in records]
